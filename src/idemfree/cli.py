@@ -29,7 +29,7 @@ from .core import (
     zero_element,
 )
 from .seqprod import DEFAULT_DP_CAP, Seq, is_strongly_free, is_weakly_free, product_sets
-from .structure import WrongLength, extremal_structure_check
+from .structure import extremal_structure_check
 
 ENV_WORKERS = "IDEMFREE_WORKERS"
 ENV_DP_CAP = "IDEMFREE_DP_CAP"
@@ -78,20 +78,6 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _map_fn(workers: int):
-    if workers <= 1:
-        return map, None
-    executor = ProcessPoolExecutor(max_workers=workers)
-
-    def pooled(fn, items):
-        items = list(items)
-        if not items:
-            return []
-        return list(executor.map(fn, items, chunksize=max(1, len(items) // (workers * 4))))
-
-    return pooled, executor
-
-
 def cmd_constants(args) -> int:
     S = _read_table(args.table)
     which = [w.strip().upper() for w in args.which.split(",") if w.strip()]
@@ -100,8 +86,8 @@ def cmd_constants(args) -> int:
         raise SemigroupError(f"unknown constants {unknown}; choose from I, SI, D")
     workers = _resolve(args.workers, ENV_WORKERS, 1)
     cap = _resolve(args.dp_cap, ENV_DP_CAP, DEFAULT_DP_CAP)
-    map_fn, executor = _map_fn(workers)
-    try:
+
+    def run(map_fn) -> list[dict]:
         reports = []
         for w in which:
             if w == "I":
@@ -113,9 +99,13 @@ def cmd_constants(args) -> int:
                     print("note: Davenport constant skipped, semigroup is not commutative", file=sys.stderr)
                     continue
                 reports.append(davenport(S, map_fn=map_fn).to_json_dict())
-    finally:
-        if executor is not None:
-            executor.shutdown()
+        return reports
+
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as executor:
+            reports = run(verify._PoolMap(executor, workers))
+    else:
+        reports = run(map)
     _emit(reports)
     return 0
 
@@ -323,9 +313,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except WrongLength as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (SemigroupError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

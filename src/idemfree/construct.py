@@ -5,7 +5,8 @@ chain where later components absorb cross products, pairing each with the
 longest weakly free sequence the structure admits. The enumerator streams
 every associative table of a given small order by cell-wise backtracking
 with partial associativity pruning, in lexicographic order of the
-flattened rows.
+flattened rows. Every table built here is associative by construction, so
+it is wrapped without the full re-check.
 """
 
 from __future__ import annotations
@@ -13,25 +14,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import (
-    FiniteSemigroup,
-    InvalidParameters,
-    NotAssociative,
-    SemigroupError,
-    cyclic_data,
-    is_commutative,
-    monogenic,
-    unique_cycle_idempotent,
-)
+from .core import FiniteSemigroup, InvalidParameters, SemigroupError, is_commutative, monogenic
 from .seqprod import Seq
-from .structure import archimedean_decomposition
 
 
 class OrderTooLarge(SemigroupError):
-    pass
-
-
-class NotAssociativeAfterGlue(SemigroupError):
     pass
 
 
@@ -79,17 +66,15 @@ def trivial_ideal_extension(nil_index: int, group_order: int) -> FiniteSemigroup
         return off + g[a - off][b - off]
 
     size = off + p
-    S = FiniteSemigroup([[prod(a, b) for b in range(size)] for a in range(size)])
-    assert len(archimedean_decomposition(S).components) == 1
-    cd = cyclic_data(S, 0)
-    assert (cd.index, cd.period) == (n, 1)
-    assert unique_cycle_idempotent(S, 0) == e_g
-    return S
+    return FiniteSemigroup._trusted([[prod(a, b) for b in range(size)] for a in range(size)])
 
 
 def chain_glue(components: list[FiniteSemigroup]) -> FiniteSemigroup:
     """Disjoint union of commutative semigroups; cross products fall to the
-    element from the later component in the list."""
+    element from the later component in the list.
+
+    This is an ordinal sum, which is associative whenever its parts are.
+    """
     if not components:
         raise InvalidParameters("need at least one component")
     for comp in components:
@@ -111,10 +96,7 @@ def chain_glue(components: list[FiniteSemigroup]) -> FiniteSemigroup:
                 table[a][b] = offsets[i] + components[i].table[a - offsets[i]][b - offsets[i]]
             else:
                 table[a][b] = a if i > j else b
-    try:
-        return FiniteSemigroup(table)
-    except NotAssociative as exc:
-        raise NotAssociativeAfterGlue(f"gluing broke associativity: {exc}") from exc
+    return FiniteSemigroup._trusted(table)
 
 
 def group_nil_chain(n1: int, n2: int) -> FiniteSemigroup:
@@ -129,7 +111,7 @@ def adjoin_identity(S: FiniteSemigroup) -> FiniteSemigroup:
     n = S.order
     table = [list(row) + [a] for a, row in enumerate(S.table)]
     table.append(list(range(n + 1)))
-    return FiniteSemigroup(table)
+    return FiniteSemigroup._trusted(table)
 
 
 @dataclass(frozen=True)
@@ -291,7 +273,8 @@ def enumerate_semigroups(
         return True
 
     def emit():
-        S = FiniteSemigroup(table)
+        # ok_after has checked every triple by the time the table is full
+        S = FiniteSemigroup._trusted(table)
         if not dedup_iso or _is_canonical(S):
             yield S
 

@@ -1,13 +1,21 @@
 """Finite semigroups as validated Cayley tables over dense 0-based indices.
 
 The table is the whole structure: ``table[a][b]`` is the product ``a*b``.
-Closure and associativity are checked eagerly at construction, so any
-instance in hand is a genuine semigroup and everything downstream can
-index straight into the table without re-checking.
+Validation happens once, at the boundary: ``FiniteSemigroup(table)``,
+``validate`` and ``parse_cayley_table`` check integer cells, closure and
+associativity eagerly, so any instance in hand is a genuine semigroup and
+everything downstream can index straight into the table without re-checking.
+
+Tables that are associative by construction from already validated input
+skip the O(n^3) check through the private ``FiniteSemigroup._trusted``:
+``monogenic``; ``chain_glue``, ``adjoin_identity``,
+``trivial_ideal_extension`` and the enumerator in ``construct``; and
+restrictions to closed subsets in ``structure``.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 ElementId = int
@@ -54,7 +62,7 @@ class FiniteSemigroup:
     """
 
     def __init__(self, table):
-        rows = tuple(tuple(int(v) for v in row) for row in table)
+        rows = _integer_rows(table)
         n = len(rows)
         if n == 0:
             raise InvalidParameters("a semigroup needs at least one element")
@@ -73,7 +81,17 @@ class FiniteSemigroup:
                 for c in range(n):
                     if rab[c] != ra[rb[c]]:
                         raise NotAssociative(a, b, c)
-        self.order = n
+        self._adopt(rows)
+
+    @classmethod
+    def _trusted(cls, rows) -> FiniteSemigroup:
+        """Wrap integer rows already known to form a semigroup, unchecked."""
+        S = cls.__new__(cls)
+        S._adopt(tuple(tuple(row) for row in rows))
+        return S
+
+    def _adopt(self, rows: tuple[tuple[int, ...], ...]) -> None:
+        self.order = len(rows)
         self.table = rows
         self._idempotents: frozenset[int] | None = None
         self._commutative: bool | None = None
@@ -94,6 +112,20 @@ class FiniteSemigroup:
 
     def __repr__(self):
         return f"FiniteSemigroup(order={self.order})"
+
+
+def _integer_rows(table) -> tuple[tuple[int, ...], ...]:
+    """The table as tuples of ints; a cell that is not an integer is rejected."""
+    rows = []
+    for a, row in enumerate(table):
+        cells = []
+        for b, v in enumerate(row):
+            try:
+                cells.append(operator.index(v))
+            except TypeError:
+                raise InvalidParameters(f"table[{a}][{b}] = {v!r} is not an integer") from None
+        rows.append(tuple(cells))
+    return tuple(rows)
 
 
 def validate(order: int, table) -> FiniteSemigroup:
@@ -237,7 +269,7 @@ def monogenic(index: int, period: int) -> FiniteSemigroup:
             return s - 1
         return i + (s - i) % p - 1
 
-    return FiniteSemigroup([[prod(a, b) for b in range(n)] for a in range(n)])
+    return FiniteSemigroup._trusted([[prod(a, b) for b in range(n)] for a in range(n)])
 
 
 def parse_cayley_table(text: str) -> FiniteSemigroup:

@@ -249,7 +249,7 @@ def _subsemigroup(S: FiniteSemigroup, elements) -> tuple[FiniteSemigroup, list[i
     carrier = sorted(elements)
     pos = {e: i for i, e in enumerate(carrier)}
     t = S.table
-    sub = FiniteSemigroup([[pos[t[a][b]] for b in carrier] for a in carrier])
+    sub = FiniteSemigroup._trusted([[pos[t[a][b]] for b in carrier] for a in carrier])
     return sub, carrier
 
 
@@ -274,54 +274,85 @@ def _absorption_order(S: FiniteSemigroup, supp: list[int]) -> tuple[int, ...] | 
     return tuple(order)
 
 
-def _classify_components(S: FiniteSemigroup, gen_order: tuple[int, ...]) -> tuple[tuple[str, ...], bool]:
-    """Per-component kinds of R = union of the generators' cycles, in chain order."""
-    carrier: set[int] = set()
-    for x in gen_order:
-        carrier.update(cyclic_data(S, x).powers)
-    sub, orig = _subsemigroup(S, carrier)
+def _component_kind(sub: FiniteSemigroup, comp: frozenset[int], data: ComponentData, gens: list[int]) -> str | None:
+    """The kind of one archimedean component from the generators inside it.
+
+    Either one generator whose cycle is the whole component, with index
+    congruent to 1 mod period; or a kernel generator whose cycle is the
+    (nontrivial) group plus a nil generator whose cycle is the (nonempty)
+    nil part and the idempotent, with trivial partial homomorphism.
+    """
+    if len(gens) == 1:
+        cd = cyclic_data(sub, gens[0])
+        ok = frozenset(cd.powers) == comp and (cd.index - 1) % cd.period == 0
+        return MONOGENIC_ONLY if ok else None
+    if len(gens) != 2:
+        return None
+    in_kernel = [g for g in gens if g in data.kernel_group]
+    if len(in_kernel) != 1:
+        return None
+    x2 = in_kernel[0]
+    x1 = gens[0] if gens[1] == x2 else gens[1]
+    e = data.idempotent
+    ok = (
+        len(data.kernel_group) >= 2
+        and len(data.nil_part) >= 1
+        and frozenset(cyclic_data(sub, x2).powers) == data.kernel_group
+        and frozenset(cyclic_data(sub, x1).powers) == data.nil_part | {e}
+        and sub.table[x1][e] == e  # trivial partial homomorphism
+    )
+    return GROUP_BY_NIL_EXTENSION if ok else None
+
+
+def _classify_components(
+    S: FiniteSemigroup, R: frozenset[int], gens
+) -> tuple[tuple[str, ...] | None, FiniteSemigroup, ArchDecomposition]:
+    """Decompose the commutative subsemigroup R generated by gens.
+
+    Returns the kind of each archimedean component, ordered by its first
+    generator in gens (None if a component has no generator or fails
+    ``_component_kind``), together with R as a semigroup and its
+    decomposition.
+    """
+    sub, orig = _subsemigroup(S, R)
     pos = {e: i for i, e in enumerate(orig)}
     dec = archimedean_decomposition(sub)
-
-    gens_sub = [pos[x] for x in gen_order]
     comp_gens: dict[int, list[int]] = {}
-    for g in gens_sub:
-        comp_gens.setdefault(dec.comp_of[g], []).append(g)
-    if set(comp_gens) != set(range(len(dec.components))):
-        return (), False
+    for x in gens:
+        comp_gens.setdefault(dec.comp_of[pos[x]], []).append(pos[x])
+    if len(comp_gens) != len(dec.components):
+        return None, sub, dec
+    kinds = []
+    for cid, cgens in comp_gens.items():
+        kind = _component_kind(sub, dec.components[cid], dec.per_component[cid], cgens)
+        if kind is None:
+            return None, sub, dec
+        kinds.append(kind)
+    return tuple(kinds), sub, dec
 
-    rank = {g: i for i, g in enumerate(gens_sub)}
-    chain = sorted(comp_gens, key=lambda cid: min(rank[g] for g in comp_gens[cid]))
-    kinds: list[str] = []
-    for cid in chain:
-        gens = comp_gens[cid]
-        comp = dec.components[cid]
-        data = dec.per_component[cid]
-        if len(gens) == 1:
-            x = gens[0]
-            if frozenset(cyclic_data(sub, x).powers) != comp:
-                return (), False
-            kinds.append(MONOGENIC_ONLY)
-        elif len(gens) == 2:
-            in_kernel = [g for g in gens if g in data.kernel_group]
-            if len(in_kernel) != 1:
-                return (), False
-            x2 = in_kernel[0]
-            x1 = gens[0] if gens[1] == x2 else gens[1]
-            e = data.idempotent
-            ok = (
-                len(data.kernel_group) >= 2
-                and len(data.nil_part) >= 1
-                and frozenset(cyclic_data(sub, x2).powers) == data.kernel_group
-                and frozenset(cyclic_data(sub, x1).powers) == data.nil_part | {e}
-                and sub.table[x1][e] == e  # trivial partial homomorphism
-            )
-            if not ok:
-                return (), False
-            kinds.append(GROUP_BY_NIL_EXTENSION)
-        else:
-            return (), False
-    return tuple(kinds), True
+
+def _extremal_prelude(S: FiniteSemigroup, seq) -> tuple[tuple[int, ...], list[int], frozenset[int], str | None]:
+    """The start shared by both extremal checks.
+
+    Returns the terms, their sorted support, the subsemigroup R they
+    generate, and the first failed condition among commutative closure of R
+    and idempotence of everything outside R (None if both hold). For the
+    empty sequence R is empty and both hold, since the length check already
+    says every element is idempotent.
+    """
+    terms = _terms(seq)
+    _check_terms(S, terms)
+    expected = S.order - len(idempotents(S))
+    if len(terms) != expected:
+        raise WrongLength(f"sequence length {len(terms)} != |S \\ E(S)| = {expected}")
+    supp = sorted(set(terms))
+    R = generated_subsemigroup(S, supp) if supp else frozenset()
+    t = S.table
+    if not all(t[a][b] == t[b][a] for a in R for b in R):
+        return terms, supp, R, COND_COMMUTATIVE
+    if not all(t[s][s] == s for s in S.elements if s not in R):
+        return terms, supp, R, COND_COMPLEMENT
+    return terms, supp, R, None
 
 
 def extremal_structure_check(S: FiniteSemigroup, seq) -> ExtremalCertificate:
@@ -330,17 +361,13 @@ def extremal_structure_check(S: FiniteSemigroup, seq) -> ExtremalCertificate:
     Conditions are evaluated in a fixed order and the first failure decides
     the verdict; every condition that was evaluated is recorded.
     """
-    terms = _terms(seq)
-    _check_terms(S, terms)
-    expected = S.order - len(idempotents(S))
-    if len(terms) != expected:
-        raise WrongLength(f"sequence length {len(terms)} != |S \\ E(S)| = {expected}")
-
-    t = S.table
-    supp = sorted(set(terms))
+    terms, supp, R, failed = _extremal_prelude(S, seq)
     conds: list[tuple[str, bool]] = []
     gen_order: tuple[int, ...] = tuple(supp)
-    per_gen: tuple[GeneratorData, ...] = ()
+    cds = {x: cyclic_data(S, x) for x in supp}
+    per_gen = tuple(
+        GeneratorData(x, cds[x].index, cds[x].period, terms.count(x)) for x in supp
+    )
 
     def done(passed: bool, reason: str | None, kinds: tuple[str, ...] = ()) -> ExtremalCertificate:
         return ExtremalCertificate(
@@ -352,28 +379,13 @@ def extremal_structure_check(S: FiniteSemigroup, seq) -> ExtremalCertificate:
             conditions=tuple(conds),
         )
 
+    conds.append((COND_COMMUTATIVE, failed != COND_COMMUTATIVE))
+    if failed != COND_COMMUTATIVE:
+        conds.append((COND_COMPLEMENT, failed is None))
+    if failed is not None:
+        return done(False, failed)
     if not supp:
-        # empty sequence: all of S must consist of idempotents, which is
-        # exactly what expected == 0 already says
-        conds.append((COND_COMMUTATIVE, True))
-        conds.append((COND_COMPLEMENT, True))
         return done(True, None)
-
-    cds = {x: cyclic_data(S, x) for x in supp}
-    per_gen = tuple(
-        GeneratorData(x, cds[x].index, cds[x].period, terms.count(x)) for x in supp
-    )
-
-    R = generated_subsemigroup(S, supp)
-    ok = all(t[a][b] == t[b][a] for a in R for b in R)
-    conds.append((COND_COMMUTATIVE, ok))
-    if not ok:
-        return done(False, COND_COMMUTATIVE)
-
-    ok = all(t[s][s] == s for s in S.elements if s not in R)
-    conds.append((COND_COMPLEMENT, ok))
-    if not ok:
-        return done(False, COND_COMPLEMENT)
 
     order = _absorption_order(S, supp)
     conds.append((COND_ABSORPTION, order is not None))
@@ -414,9 +426,9 @@ def extremal_structure_check(S: FiniteSemigroup, seq) -> ExtremalCertificate:
     if not ok:
         return done(False, COND_MULTIPLICITY)
 
-    kinds, ok = _classify_components(S, gen_order)
-    conds.append((COND_COMPONENTS, ok))
-    if not ok:
+    kinds, _, _ = _classify_components(S, R, gen_order)
+    conds.append((COND_COMPONENTS, kinds is not None))
+    if kinds is None:
         return done(False, COND_COMPONENTS)
     return done(True, None, kinds)
 
@@ -424,64 +436,19 @@ def extremal_structure_check(S: FiniteSemigroup, seq) -> ExtremalCertificate:
 def extremal_main_form(S: FiniteSemigroup, seq) -> bool:
     """The same characterization decided through the archimedean machinery.
 
-    Serves as a cross-check for the flat condition list: a generated
-    commutative subsemigroup whose semilattice is a lower-absorbing chain,
-    components that are single cycles (index 1 mod period) or nil-over-group
-    extensions with trivial partial homomorphism, and pinned multiplicities.
+    Serves as a cross-check for the flat condition list: the component
+    kinds come from the shared classifier, but the total order is decided
+    by the archimedean decomposition as a lower-absorbing chain instead of
+    the flat absorption order, and multiplicities are pinned afresh.
     """
-    terms = _terms(seq)
-    _check_terms(S, terms)
-    expected = S.order - len(idempotents(S))
-    if len(terms) != expected:
-        raise WrongLength(f"sequence length {len(terms)} != |S \\ E(S)| = {expected}")
-    supp = sorted(set(terms))
+    terms, supp, R, failed = _extremal_prelude(S, seq)
+    if failed is not None:
+        return False
     if not supp:
         return True
-    t = S.table
-
-    R = generated_subsemigroup(S, supp)
-    if not all(t[a][b] == t[b][a] for a in R for b in R):
+    kinds, sub, dec = _classify_components(S, R, supp)
+    if kinds is None or not is_chain_lower_absorbing(sub, dec):
         return False
-    if not all(t[s][s] == s for s in S.elements if s not in R):
-        return False
-
-    sub, orig = _subsemigroup(S, R)
-    pos = {e: i for i, e in enumerate(orig)}
-    dec = archimedean_decomposition(sub)
-    if not is_chain_lower_absorbing(sub, dec):
-        return False
-
-    comp_gens: dict[int, list[int]] = {}
-    for x in supp:
-        comp_gens.setdefault(dec.comp_of[pos[x]], []).append(pos[x])
-    if set(comp_gens) != set(range(len(dec.components))):
-        return False
-    for cid, gens in comp_gens.items():
-        comp = dec.components[cid]
-        data = dec.per_component[cid]
-        if len(gens) == 1:
-            x = gens[0]
-            cd = cyclic_data(sub, x)
-            if frozenset(cd.powers) != comp or (cd.index - 1) % cd.period != 0:
-                return False
-        elif len(gens) == 2:
-            in_kernel = [g for g in gens if g in data.kernel_group]
-            if len(in_kernel) != 1:
-                return False
-            x2 = in_kernel[0]
-            x1 = gens[0] if gens[1] == x2 else gens[1]
-            e = data.idempotent
-            if not (
-                len(data.kernel_group) >= 2
-                and len(data.nil_part) >= 1
-                and frozenset(cyclic_data(sub, x2).powers) == data.kernel_group
-                and frozenset(cyclic_data(sub, x1).powers) == data.nil_part | {e}
-                and sub.table[x1][e] == e
-            ):
-                return False
-        else:
-            return False
-
     for x in supp:
         cd = cyclic_data(S, x)
         if terms.count(x) != cd.index + cd.period - 2:

@@ -73,6 +73,17 @@ def test_constants_group_nil_chain(tmp_path, capsys):
     assert [(r["kind"], r["value"]) for r in reports] == [("ErdosBurgess", 4), ("Davenport", 3)]
 
 
+def test_constants_pooled_matches_serial(tmp_path, capsys):
+    path = write_table(tmp_path, group_nil_chain(3, 2))
+    outputs = []
+    for workers in ("1", "2"):
+        code, out, _ = run_cli(capsys, "constants", path, "--workers", workers)
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert [r["kind"] for r in json.loads(outputs[1])] == ["ErdosBurgess", "StrongErdosBurgess", "Davenport"]
+
+
 def test_constants_skips_davenport_on_noncommutative(tmp_path, capsys):
     path = tmp_path / "lz.table"
     path.write_text("2\n0 0\n1 1\n")

@@ -50,6 +50,13 @@ def test_validate_rejects_order_mismatch_and_ragged_rows():
         FiniteSemigroup([[0, 1], [1]])
 
 
+def test_rejects_non_integer_cells():
+    with pytest.raises(InvalidParameters, match=r"table\[0\]\[0\] = 0.9"):
+        FiniteSemigroup([[0.9]])
+    with pytest.raises(InvalidParameters, match=r"table\[0\]\[0\] = '0'"):
+        FiniteSemigroup(["0"])
+
+
 def test_idempotents_group_has_only_identity():
     Z4 = cyclic_group(4)
     assert idempotents(Z4) == {identity_element(Z4)}

@@ -1,0 +1,84 @@
+"""Full validation of every table built without the associativity check.
+
+Constructors whose tables are associative by construction skip the O(n^3)
+check at run time; these tests rebuild each such table through ``validate``
+so the check still covers everything they emit.
+"""
+
+import itertools
+
+from idemfree import (
+    adjoin_identity,
+    archimedean_decomposition,
+    chain_glue,
+    cyclic_data,
+    cyclic_group,
+    cyclic_nil,
+    extremal_pair,
+    generated_subsemigroup,
+    monogenic,
+    trivial_ideal_extension,
+    unique_cycle_idempotent,
+    validate,
+)
+from idemfree.structure import _subsemigroup
+from idemfree.verify import enumerate_extremal_specs
+
+
+def assert_valid(S):
+    assert validate(S.order, S.table).table == S.table
+
+
+def test_monogenic_grid_is_valid():
+    for i in range(1, 9):
+        for p in range(1, 9):
+            assert_valid(monogenic(i, p))
+
+
+def test_trivial_ideal_extension_grid_is_valid_and_archimedean():
+    for n in range(2, 7):
+        for p in range(2, 7):
+            S = trivial_ideal_extension(n, p)
+            assert_valid(S)
+            # one archimedean component, reached by a nil generator of
+            # index n whose idempotent power is the group identity
+            assert len(archimedean_decomposition(S).components) == 1
+            cd = cyclic_data(S, 0)
+            assert (cd.index, cd.period) == (n, 1)
+            assert unique_cycle_idempotent(S, 0) == S.order - 1
+
+
+def test_chain_glue_and_adjoin_identity_are_valid():
+    parts = [cyclic_group(3), cyclic_nil(3), monogenic(3, 2), trivial_ideal_extension(3, 2)]
+    for k in (1, 2, 3):
+        for combo in itertools.permutations(parts, k):
+            glued = chain_glue(list(combo))
+            assert_valid(glued)
+            assert_valid(adjoin_identity(glued))
+    for part in parts:
+        assert_valid(adjoin_identity(part))
+
+
+def test_extremal_pairs_are_valid():
+    for spec in enumerate_extremal_specs(max_components=3, max_terms=8):
+        S, _ = extremal_pair(spec)
+        assert_valid(S)
+
+
+def test_subsemigroup_restrictions_are_valid(commutative_le4):
+    for S in commutative_le4:
+        carriers = {
+            generated_subsemigroup(S, gens)
+            for k in (1, 2)
+            for gens in itertools.combinations(S.elements, k)
+        }
+        for carrier in carriers:
+            sub, orig = _subsemigroup(S, carrier)
+            assert orig == sorted(carrier)
+            assert_valid(sub)
+
+
+def test_enumerated_corpus_is_valid(corpus_le4):
+    assert len(corpus_le4) == 3614
+    for S in corpus_le4:
+        assert_valid(S)
