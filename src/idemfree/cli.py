@@ -1,17 +1,16 @@
 """Command-line front end: table I/O, constants, freeness and structure checks,
 corpus verification and family generators.
 
-Machine output goes to stdout as JSON; diagnostics go to stderr. Worker
-count, the product-set cap and the enumeration order cap can be set by
-flag or by the IDEMFREE_WORKERS / IDEMFREE_DP_CAP / IDEMFREE_MAX_ENUM_ORDER
-environment variables (flags win).
+Machine output goes to stdout as JSON; diagnostics go to stderr.
+``constants`` and ``verify`` take --workers (default 1); ``verify`` and
+``enumerate`` take --max-enum-order (default 4). Nothing is read from the
+environment.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -28,28 +27,8 @@ from .core import (
     parse_cayley_table,
     zero_element,
 )
-from .seqprod import DEFAULT_DP_CAP, Seq, is_strongly_free, is_weakly_free, product_sets
+from .seqprod import Seq, is_strongly_free, is_weakly_free, product_sets
 from .structure import extremal_structure_check
-
-ENV_WORKERS = "IDEMFREE_WORKERS"
-ENV_DP_CAP = "IDEMFREE_DP_CAP"
-ENV_ENUM_CAP = "IDEMFREE_MAX_ENUM_ORDER"
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise SemigroupError(f"environment variable {name}={raw!r} is not an integer") from None
-
-
-def _resolve(flag_value, env_name: str, default: int) -> int:
-    if flag_value is not None:
-        return flag_value
-    return _env_int(env_name, default)
 
 
 def _emit(payload) -> None:
@@ -84,14 +63,12 @@ def cmd_constants(args) -> int:
     unknown = [w for w in which if w not in ("I", "SI", "D")]
     if unknown:
         raise SemigroupError(f"unknown constants {unknown}; choose from I, SI, D")
-    workers = _resolve(args.workers, ENV_WORKERS, 1)
-    cap = _resolve(args.dp_cap, ENV_DP_CAP, DEFAULT_DP_CAP)
 
     def run(map_fn) -> list[dict]:
         reports = []
         for w in which:
             if w == "I":
-                reports.append(erdos_burgess(S, map_fn=map_fn, cap=cap).to_json_dict())
+                reports.append(erdos_burgess(S, map_fn=map_fn).to_json_dict())
             elif w == "SI":
                 reports.append(strong_erdos_burgess(S, map_fn=map_fn).to_json_dict())
             elif w == "D":
@@ -101,9 +78,9 @@ def cmd_constants(args) -> int:
                 reports.append(davenport(S, map_fn=map_fn).to_json_dict())
         return reports
 
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as executor:
-            reports = run(verify._PoolMap(executor, workers))
+    if args.workers > 1:
+        with ProcessPoolExecutor(max_workers=args.workers) as executor:
+            reports = run(verify._PoolMap(executor, args.workers))
     else:
         reports = run(map)
     _emit(reports)
@@ -113,8 +90,7 @@ def cmd_constants(args) -> int:
 def cmd_products(args) -> int:
     S = _read_table(args.table)
     T = _read_seq(args.seq)
-    cap = _resolve(args.dp_cap, ENV_DP_CAP, DEFAULT_DP_CAP)
-    ps = product_sets(S, T, cap=cap)
+    ps = product_sets(S, T)
     _emit({"anyOrder": sorted(ps.any_order), "naturalOrder": sorted(ps.natural_order)})
     return 0
 
@@ -122,11 +98,10 @@ def cmd_products(args) -> int:
 def cmd_free_check(args) -> int:
     S = _read_table(args.table)
     T = _read_seq(args.seq)
-    cap = _resolve(args.dp_cap, ENV_DP_CAP, DEFAULT_DP_CAP)
     if args.strong:
         free = is_strongly_free(S, T)
     else:
-        free = is_weakly_free(S, T, cap=cap)
+        free = is_weakly_free(S, T)
     _emit({"mode": "strong" if args.strong else "weak", "free": free})
     return 0
 
@@ -134,8 +109,7 @@ def cmd_free_check(args) -> int:
 def cmd_check_extremal(args) -> int:
     S = _read_table(args.table)
     T = _read_seq(args.seq)
-    cap = _resolve(args.dp_cap, ENV_DP_CAP, DEFAULT_DP_CAP)
-    free = is_weakly_free(S, T, cap=cap)
+    free = is_weakly_free(S, T)
     cert = extremal_structure_check(S, T)
     _emit(
         {
@@ -148,8 +122,6 @@ def cmd_check_extremal(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    workers = _resolve(args.workers, ENV_WORKERS, 1)
-    enum_cap = _resolve(args.max_enum_order, ENV_ENUM_CAP, construct.DEFAULT_ENUM_ORDER_CAP)
     checks = (
         [c.strip() for c in args.checks.split(",") if c.strip()] if args.checks else list(verify.CHECK_IDS)
     )
@@ -158,8 +130,8 @@ def cmd_verify(args) -> int:
         max_order=args.max_order,
         commutative_only=args.commutative,
         checks=checks,
-        workers=workers,
-        enum_cap=enum_cap,
+        workers=args.workers,
+        enum_cap=args.max_enum_order,
     )
     elapsed = time.monotonic() - started
     text = json.dumps(log, indent=2) + "\n"
@@ -167,7 +139,7 @@ def cmd_verify(args) -> int:
     if args.log:
         Path(args.log).write_text(text)
     print(f"verify: {log['summary']['passed']}/{log['summary']['instances']} instances passed "
-          f"in {elapsed:.1f}s with {workers} worker(s)", file=sys.stderr)
+          f"in {elapsed:.1f}s with {args.workers} worker(s)", file=sys.stderr)
     return 0 if log["summary"]["allPassed"] else 1
 
 
@@ -223,7 +195,6 @@ def cmd_gen(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    enum_cap = _resolve(args.max_enum_order, ENV_ENUM_CAP, construct.DEFAULT_ENUM_ORDER_CAP)
     resume = [int(v) for v in args.resume_from.replace(",", " ").split()] if args.resume_from else None
     count = 0
     for S in construct.enumerate_semigroups(
@@ -231,7 +202,7 @@ def cmd_enumerate(args) -> int:
         commutative_only=args.commutative,
         dedup_iso=args.dedup,
         resume_from=resume,
-        max_order=enum_cap,
+        max_order=args.max_enum_order,
     ):
         if count:
             sys.stdout.write("\n")
@@ -255,35 +226,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("constants", help="compute I, SI and/or D for a table")
     p.add_argument("table")
     p.add_argument("--which", default="I,SI,D", help="comma list from I,SI,D (default all)")
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--dp-cap", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=cmd_constants)
 
     p = sub.add_parser("products", help="any-order and natural-order product sets of a sequence")
     p.add_argument("table")
     p.add_argument("seq")
-    p.add_argument("--dp-cap", type=int, default=None)
     p.set_defaults(fn=cmd_products)
 
     p = sub.add_parser("free-check", help="is the sequence idempotent-product free?")
     p.add_argument("table")
     p.add_argument("seq")
     p.add_argument("--strong", action="store_true", help="natural-order products only")
-    p.add_argument("--dp-cap", type=int, default=None)
     p.set_defaults(fn=cmd_free_check)
 
     p = sub.add_parser("check-extremal", help="compare brute-force freeness with the structural certificate")
     p.add_argument("table")
     p.add_argument("seq")
-    p.add_argument("--dp-cap", type=int, default=None)
     p.set_defaults(fn=cmd_check_extremal)
 
     p = sub.add_parser("verify", help="run corpus and family checks, write a JSON run log")
     p.add_argument("--max-order", type=int, default=4)
     p.add_argument("--commutative", action="store_true", help="restrict the corpus to commutative tables")
     p.add_argument("--checks", default=None, help=f"comma list from {','.join(verify.CHECK_IDS)}")
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--max-enum-order", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--max-enum-order", type=int, default=construct.DEFAULT_ENUM_ORDER_CAP)
     p.add_argument("--log", default=None, help="also write the JSON log to this path")
     p.set_defaults(fn=cmd_verify)
 
@@ -303,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--commutative", action="store_true")
     p.add_argument("--dedup", action="store_true", help="emit only canonical representatives")
     p.add_argument("--resume-from", default=None, help="flattened row-major prefix, e.g. '0 1 2'")
-    p.add_argument("--max-enum-order", type=int, default=None)
+    p.add_argument("--max-enum-order", type=int, default=construct.DEFAULT_ENUM_ORDER_CAP)
     p.set_defaults(fn=cmd_enumerate)
 
     return parser

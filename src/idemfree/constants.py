@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import FiniteSemigroup, NotCommutative, identity_element, idempotents, is_commutative
-from .seqprod import DEFAULT_DP_CAP, Seq, _any_mask, _idem_mask, _translate
+from .seqprod import Seq, _any_mask, _idem_mask, _translate
 
 KIND_ERDOS_BURGESS = "ErdosBurgess"
 KIND_STRONG_ERDOS_BURGESS = "StrongErdosBurgess"
@@ -49,7 +49,7 @@ def _nonidempotents(S: FiniteSemigroup) -> list[int]:
 
 def _weak_task(args) -> tuple[int, tuple[int, ...], int]:
     """Longest weakly free nondecreasing sequence whose least term is fixed."""
-    S, first, cap = args
+    S, first = args
     table = S.table
     idem = _idem_mask(S)
     alpha = _nonidempotents(S)
@@ -85,7 +85,7 @@ def _weak_task(args) -> tuple[int, tuple[int, ...], int]:
                 x = alpha[idx]
                 nodes += 1
                 cand = seq + (x,)
-                if _any_mask(S, cand, cap) & idem:
+                if _any_mask(S, cand) & idem:
                     continue
                 note(cand)
                 rec(cand, idx)
@@ -168,9 +168,9 @@ def _merge(results) -> tuple[int, tuple[int, ...], int]:
     return best_len, best, nodes
 
 
-def erdos_burgess(S: FiniteSemigroup, map_fn=map, cap: int = DEFAULT_DP_CAP) -> ConstantReport:
+def erdos_burgess(S: FiniteSemigroup, map_fn=map) -> ConstantReport:
     """I(S): least length forcing an idempotent subsequence product in some order."""
-    tasks = [(S, x, cap) for x in _nonidempotents(S)]
+    tasks = [(S, x) for x in _nonidempotents(S)]
     best_len, best, nodes = _merge(map_fn(_weak_task, tasks))
     value = best_len + 1
     assert value <= ghw_bound(S)

@@ -118,8 +118,12 @@ def _integer_rows(table) -> tuple[tuple[int, ...], ...]:
     """The table as tuples of ints; a cell that is not an integer is rejected."""
     rows = []
     for a, row in enumerate(table):
+        try:
+            items = enumerate(row)
+        except TypeError:
+            raise InvalidParameters(f"table[{a}] = {row!r} is not a row of cells") from None
         cells = []
-        for b, v in enumerate(row):
+        for b, v in items:
             try:
                 cells.append(operator.index(v))
             except TypeError:

@@ -10,6 +10,7 @@ set unions and table-indexed translations.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -28,10 +29,12 @@ class EmptySequence(SemigroupError):
 
 
 class SequenceTooLong(SemigroupError):
-    pass
+    """The any-order product-set DP would need more states than its bound."""
 
 
-DEFAULT_DP_CAP = 24
+# sub-multiset states the general any-order DP may visit; a sequence of at
+# most 24 terms never needs more, since prod(c_i + 1) <= 2^(sum c_i)
+_MAX_DP_STATES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -122,14 +125,19 @@ def _natural_mask(S: FiniteSemigroup, terms: tuple[int, ...]) -> int:
     return acc
 
 
-def _any_mask_general(S: FiniteSemigroup, terms: tuple[int, ...], cap: int) -> int:
-    """Last-factor recursion over sub-multisets, memoized per call."""
-    if len(terms) > cap:
-        raise SequenceTooLong(f"|T| = {len(terms)} exceeds the {cap}-term product-set cap")
-    table = S.table
+def _any_mask_general(S: FiniteSemigroup, terms: tuple[int, ...]) -> int:
+    """Last-factor recursion over sub-multisets, memoized per call.
+
+    Visits one state per sub-multiset count vector, prod(c_i + 1) in all;
+    an input over _MAX_DP_STATES is refused before any work.
+    """
     support = sorted(set(terms))
     k = len(support)
     counts = tuple(terms.count(x) for x in support)
+    states = math.prod(c + 1 for c in counts)
+    if states > _MAX_DP_STATES:
+        raise SequenceTooLong(f"{states} sub-multiset states exceed the any-order DP bound of {_MAX_DP_STATES}")
+    table = S.table
     memo: dict[tuple[int, ...], int] = {}
 
     def reach(vec: tuple[int, ...]) -> int:
@@ -154,14 +162,14 @@ def _any_mask_general(S: FiniteSemigroup, terms: tuple[int, ...], cap: int) -> i
     return out
 
 
-def _any_mask(S: FiniteSemigroup, terms: tuple[int, ...], cap: int) -> int:
+def _any_mask(S: FiniteSemigroup, terms: tuple[int, ...]) -> int:
     if not terms:
         return 0
     if is_commutative(S):
         # with commutativity every product can put its last factor last,
         # so the natural-order closure already yields the full set
         return _natural_mask(S, terms)
-    return _any_mask_general(S, terms, cap)
+    return _any_mask_general(S, terms)
 
 
 def ordered_product(S: FiniteSemigroup, seq) -> ElementId:
@@ -177,11 +185,11 @@ def ordered_product(S: FiniteSemigroup, seq) -> ElementId:
     return acc
 
 
-def any_order_products(S: FiniteSemigroup, seq, cap: int = DEFAULT_DP_CAP) -> frozenset[ElementId]:
+def any_order_products(S: FiniteSemigroup, seq) -> frozenset[ElementId]:
     """Products of every nonempty subsequence of T, over all term orders."""
     terms = _terms(seq)
     _check_terms(S, terms)
-    return _mask_to_set(_any_mask(S, terms, cap))
+    return _mask_to_set(_any_mask(S, terms))
 
 
 def natural_order_products(S: FiniteSemigroup, seq) -> frozenset[ElementId]:
@@ -197,20 +205,20 @@ class ProductSets:
     natural_order: frozenset[ElementId]
 
 
-def product_sets(S: FiniteSemigroup, seq, cap: int = DEFAULT_DP_CAP) -> ProductSets:
+def product_sets(S: FiniteSemigroup, seq) -> ProductSets:
     terms = _terms(seq)
     _check_terms(S, terms)
     return ProductSets(
-        any_order=_mask_to_set(_any_mask(S, terms, cap)),
+        any_order=_mask_to_set(_any_mask(S, terms)),
         natural_order=_mask_to_set(_natural_mask(S, terms)),
     )
 
 
-def is_weakly_free(S: FiniteSemigroup, seq, cap: int = DEFAULT_DP_CAP) -> bool:
+def is_weakly_free(S: FiniteSemigroup, seq) -> bool:
     """No nonempty subsequence multiplies to an idempotent in any order."""
     terms = _terms(seq)
     _check_terms(S, terms)
-    return not (_any_mask(S, terms, cap) & _idem_mask(S))
+    return not (_any_mask(S, terms) & _idem_mask(S))
 
 
 def is_strongly_free(S: FiniteSemigroup, seq) -> bool:
@@ -220,10 +228,10 @@ def is_strongly_free(S: FiniteSemigroup, seq) -> bool:
     return not (_natural_mask(S, terms) & _idem_mask(S))
 
 
-def product_gain(S: FiniteSemigroup, seq, x: ElementId, cap: int = DEFAULT_DP_CAP) -> int:
+def product_gain(S: FiniteSemigroup, seq, x: ElementId) -> int:
     """How many new any-order products appending x contributes."""
     terms = _terms(seq)
     _check_terms(S, terms + (x,))
-    base = _any_mask(S, terms, cap)
-    grown = _any_mask(S, terms + (x,), cap)
+    base = _any_mask(S, terms)
+    grown = _any_mask(S, terms + (x,))
     return (grown & ~base).bit_count()

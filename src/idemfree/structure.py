@@ -29,7 +29,7 @@ from .core import (
     is_commutative,
     unique_cycle_idempotent,
 )
-from .seqprod import DEFAULT_DP_CAP, _check_terms, _terms, is_weakly_free
+from .seqprod import _check_terms, _terms, is_weakly_free
 
 
 class NotArchimedean(SemigroupError):
@@ -245,11 +245,13 @@ class ExtremalCertificate:
 
 
 def _subsemigroup(S: FiniteSemigroup, elements) -> tuple[FiniteSemigroup, list[int]]:
-    """Restrict the table to a closed subset; returns (sub, original ids)."""
+    """Restrict the table to a closed subset on which the product commutes;
+    returns (sub, original ids), with sub recorded as commutative."""
     carrier = sorted(elements)
     pos = {e: i for i, e in enumerate(carrier)}
     t = S.table
     sub = FiniteSemigroup._trusted([[pos[t[a][b]] for b in carrier] for a in carrier])
+    sub._commutative = True  # known to the caller; spares is_commutative its scan
     return sub, carrier
 
 
@@ -456,8 +458,6 @@ def extremal_main_form(S: FiniteSemigroup, seq) -> bool:
     return True
 
 
-def extremal_equivalence(S: FiniteSemigroup, seq, cap: int = DEFAULT_DP_CAP) -> bool:
+def extremal_equivalence(S: FiniteSemigroup, seq) -> bool:
     """Brute-force weak freeness agrees with the structural certificate."""
-    free = is_weakly_free(S, seq, cap)
-    cert = extremal_structure_check(S, seq)
-    return free == cert.passed
+    return is_weakly_free(S, seq) == extremal_structure_check(S, seq).passed

@@ -4,6 +4,7 @@ import sys
 
 from idemfree import format_cayley_table, group_nil_chain, parse_cayley_table
 from idemfree.cli import main
+from oracles import left_zero_semigroup
 
 
 def run_cli(capsys, *argv):
@@ -228,22 +229,15 @@ def test_module_entry_point(tmp_path):
     assert json.loads(proc.stdout)["order"] == 4
 
 
-def test_env_overrides(tmp_path, capsys, monkeypatch):
-    from idemfree import cyclic_group
-
-    path = write_table(tmp_path, cyclic_group(3))
-    monkeypatch.setenv("IDEMFREE_DP_CAP", "not-a-number")
-    code, _, err = run_cli(capsys, "products", path, write_seq(tmp_path, [0]))
-    assert code == 1 and "IDEMFREE_DP_CAP" in err
-    monkeypatch.setenv("IDEMFREE_DP_CAP", "24")
-    code, _, _ = run_cli(capsys, "products", path, write_seq(tmp_path, [0]))
-    assert code == 0
+def test_products_refuses_oversized_dp(tmp_path, capsys):
+    path = write_table(tmp_path, left_zero_semigroup(25))
+    code, out, err = run_cli(capsys, "products", path, write_seq(tmp_path, range(25)))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "states" in err
 
 
-def test_flag_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv("IDEMFREE_MAX_ENUM_ORDER", "2")
-    code, _, err = run_cli(capsys, "enumerate", "--order", "3")
-    assert code == 1 and "cap" in err
+def test_max_enum_order_flag(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--order", "3", "--max-enum-order", "3")
     assert code == 0
     assert len([b for b in out.split("\n\n") if b.strip()]) == 113

@@ -55,6 +55,8 @@ def test_rejects_non_integer_cells():
         FiniteSemigroup([[0.9]])
     with pytest.raises(InvalidParameters, match=r"table\[0\]\[0\] = '0'"):
         FiniteSemigroup(["0"])
+    with pytest.raises(InvalidParameters, match=r"table\[0\] = 0 is not a row"):
+        FiniteSemigroup([0])
 
 
 def test_idempotents_group_has_only_identity():

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -87,10 +88,15 @@ def test_product_gain_examples():
 
 
 def test_dp_cap():
-    lz = left_zero_semigroup(2)
-    with pytest.raises(SequenceTooLong):
-        any_order_products(lz, [0, 1] * 13, cap=24)
-    # the commutative fast path has no cap to hit
+    # the general DP is bounded by its 14 * 14 sub-multiset states, not by length
+    assert any_order_products(left_zero_semigroup(2), [0, 1] * 13) == {0, 1}
+    # 25 distinct terms need 2^25 states: refused before any work
+    lz = left_zero_semigroup(25)
+    start = time.perf_counter()
+    with pytest.raises(SequenceTooLong, match="33554432"):
+        any_order_products(lz, range(25))
+    assert time.perf_counter() - start < 1.0
+    # the commutative fast path has no bound to hit
     assert any_order_products(cyclic_group(2), [0] * 30) == {0, 1}
 
 

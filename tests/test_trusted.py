@@ -16,6 +16,7 @@ from idemfree import (
     cyclic_nil,
     extremal_pair,
     generated_subsemigroup,
+    is_commutative,
     monogenic,
     trivial_ideal_extension,
     unique_cycle_idempotent,
@@ -76,6 +77,8 @@ def test_subsemigroup_restrictions_are_valid(commutative_le4):
             sub, orig = _subsemigroup(S, carrier)
             assert orig == sorted(carrier)
             assert_valid(sub)
+            # the recorded commutativity matches a fresh full check
+            assert sub._commutative == is_commutative(validate(sub.order, sub.table))
 
 
 def test_enumerated_corpus_is_valid(corpus_le4):
