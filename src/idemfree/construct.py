@@ -5,8 +5,11 @@ chain where later components absorb cross products, pairing each with the
 longest weakly free sequence the structure admits. The enumerator streams
 every associative table of a given small order by cell-wise backtracking
 with partial associativity pruning, in lexicographic order of the
-flattened rows. Every table built here is associative by construction, so
-it is wrapped without the full re-check.
+flattened rows. It keeps the assigned cells indexed by value, so the
+triples in which a new cell multiplies an earlier product are found without
+a scan of the whole table, and for commutative tables it fills each cell
+together with its mirror. Every table built here is associative by
+construction, so it is wrapped without the full re-check.
 """
 
 from __future__ import annotations
@@ -218,9 +221,20 @@ def enumerate_semigroups(
 ):
     """Stream every associative table of the given order, lexicographically.
 
-    Order 5 takes a while and must be requested explicitly via max_order=5;
-    nothing beyond 5 is supported. resume_from restarts the stream at a
-    flattened row-major prefix (inclusive).
+    Cells are filled in row-major order. After each assignment every triple
+    (xy)z = x(yz) whose four cells are all assigned and one of which is the
+    new cell is checked, so a full table is associative. A stack of the
+    assigned cells of each value finds the triples where the new cell
+    (a, b) is the outer product, (xy)z with xy = a or x(yz) with yz = b,
+    without a scan of the whole table. With commutative_only, an upper
+    cell (a, b), a < b, sets its mirror (b, a) to the same value and the
+    triples of both cells are checked at once; the walk then passes the
+    lower cell, checking it only against the resume prefix.
+
+    Order 5 must be requested explicitly via max_order=5; commutative order
+    5 takes seconds, labelled order 5 minutes. Nothing beyond 5 is
+    supported. resume_from restarts the stream at a flattened row-major
+    prefix (inclusive).
     """
     n = int(order)
     if n < 1:
@@ -236,40 +250,44 @@ def enumerate_semigroups(
         raise InvalidParameters("resume prefix must be at most n*n cells in [0, n)")
 
     table = [[-1] * n for _ in range(n)]
+    # pre[v] holds the assigned cells (x, y) with x*y = v; cells are pushed
+    # on assignment and popped on backtracking, so each list is a stack
+    pre: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     cells = n * n
 
     def ok_after(a: int, b: int) -> bool:
-        # check every fully determined triple that involves the new cell
+        # check every fully determined triple (xy)z = x(yz) that uses cell
+        # (a, b) as xy, as yz, as (xy)z with xy = a, or as x(yz) with yz = b
         t = table
         v = t[a][b]
+        tb = t[b]
+        ta = t[a]
+        tv = t[v]
         for z in range(n):
-            bz = t[b][z]
+            bz = tb[z]
             if bz >= 0:
-                left, right = t[v][z], t[a][bz]
-                if left >= 0 and right >= 0 and left != right:
-                    return False
-        for x in range(n):
-            xa = t[x][a]
-            if xa >= 0:
-                left, right = t[xa][b], t[x][v]
+                left, right = tv[z], ta[bz]
                 if left >= 0 and right >= 0 and left != right:
                     return False
         for x in range(n):
             tx = t[x]
-            for y in range(n):
-                if tx[y] == a:
-                    yb = t[y][b]
-                    if yb >= 0 and tx[yb] >= 0 and tx[yb] != v:
-                        return False
-        ta = t[a]
-        for y in range(n):
-            ty = t[y]
+            xa = tx[a]
+            if xa >= 0:
+                left, right = t[xa][b], tx[v]
+                if left >= 0 and right >= 0 and left != right:
+                    return False
+        for x, y in pre[a]:
+            yb = t[y][b]
+            if yb >= 0:
+                right = t[x][yb]
+                if right >= 0 and right != v:
+                    return False
+        for y, z in pre[b]:
             ay = ta[y]
-            for z in range(n):
-                if ty[z] == b and ay >= 0:
-                    left = t[ay][z]
-                    if left >= 0 and left != v:
-                        return False
+            if ay >= 0:
+                left = t[ay][z]
+                if left >= 0 and left != v:
+                    return False
         return True
 
     def emit():
@@ -285,18 +303,29 @@ def enumerate_semigroups(
         a, b = divmod(d, n)
         lo = prefix[d] if on_boundary and d < len(prefix) else 0
         if commutative_only and b < a:
-            v = table[b][a]
-            if v < lo:
-                return
-            table[a][b] = v
-            if ok_after(a, b):
+            # a lower cell was set together with its upper mirror (b, a)
+            v = table[a][b]
+            if v >= lo:
                 yield from rec(d + 1, on_boundary and d < len(prefix) and v == prefix[d])
-            table[a][b] = -1
             return
+        mirror = commutative_only and a < b
+        ta, tb = table[a], table[b]
         for v in range(lo, n):
-            table[a][b] = v
-            if ok_after(a, b):
+            stack = pre[v]
+            ta[b] = v
+            stack.append((a, b))
+            if mirror:
+                tb[a] = v
+                stack.append((b, a))
+                ok = ok_after(a, b) and ok_after(b, a)
+            else:
+                ok = ok_after(a, b)
+            if ok:
                 yield from rec(d + 1, on_boundary and d < len(prefix) and v == prefix[d])
-        table[a][b] = -1
+            stack.pop()
+            if mirror:
+                stack.pop()
+                tb[a] = -1
+        ta[b] = -1
 
     yield from rec(0, True)

@@ -116,8 +116,12 @@ class FiniteSemigroup:
 
 def _integer_rows(table) -> tuple[tuple[int, ...], ...]:
     """The table as tuples of ints; a cell that is not an integer is rejected."""
+    try:
+        table_rows = enumerate(table)
+    except TypeError:
+        raise InvalidParameters(f"table = {table!r} is not a sequence of rows") from None
     rows = []
-    for a, row in enumerate(table):
+    for a, row in table_rows:
         try:
             items = enumerate(row)
         except TypeError:

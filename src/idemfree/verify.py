@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from .constants import davenport, erdos_burgess, ghw_bound, strong_erdos_burgess
 from .construct import ExtremalSpec, GroupByNil, Monogenic, enumerate_semigroups, extremal_pair, group_nil_chain
 from .core import FiniteSemigroup, idempotents, is_commutative, is_nilsemigroup, zero_element
-from .seqprod import any_order_products, is_weakly_free, product_gain
+from .seqprod import _any_mask, _idem_mask, is_weakly_free
 from .structure import extremal_main_form, extremal_structure_check
 
 CHECK_IDS = (
@@ -83,10 +83,13 @@ def _equivalence_case(S: FiniteSemigroup) -> dict:
     eq_failures = []
     lambda_failures = []
     claim_failures = []
-    nonidem = frozenset(alphabet)
+    idem = _idem_mask(S)
+    nonidem = sum(1 << a for a in alphabet)
     for tup in itertools.product(alphabet, repeat=length):
         sequences += 1
-        weakly = is_weakly_free(S, tup)
+        # the any-order set of the whole multiset, built once per sequence
+        mask = _any_mask(S, tup)
+        weakly = not (mask & idem)
         if weakly != extremal_structure_check(S, tup).passed:
             eq_failures.append({"table": _flat(S), "seq": list(tup)})
             continue
@@ -94,12 +97,13 @@ def _equivalence_case(S: FiniteSemigroup) -> dict:
             continue
         free += 1
         # new-product lower bound: dropping one copy of a term and
-        # re-appending it must contribute at least one product
+        # re-appending it must contribute at least one product; the grown
+        # sequence is a reordering of tup, so its any-order set is mask
         for x in sorted(set(tup)):
             rest = list(tup)
             rest.remove(x)
             lambda_checked += 1
-            if product_gain(S, rest, x) < 1:
+            if not (mask & ~_any_mask(S, tuple(rest))):
                 lambda_failures.append({"table": _flat(S), "seq": list(tup), "term": x})
         # extremal support commutes pairwise into itself, and the products
         # of a free sequence of this length cover all non-idempotents
@@ -108,7 +112,7 @@ def _equivalence_case(S: FiniteSemigroup) -> dict:
             for b in supp[i + 1:]:
                 if S.table[a][b] != S.table[b][a] or S.table[a][b] not in (a, b):
                     claim_failures.append({"table": _flat(S), "seq": list(tup), "pair": [a, b]})
-        if any_order_products(S, tup) != nonidem:
+        if mask != nonidem:
             claim_failures.append({"table": _flat(S), "seq": list(tup), "pair": None})
     ok = not (eq_failures or lambda_failures or claim_failures)
     return {

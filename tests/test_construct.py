@@ -131,18 +131,55 @@ def test_extremal_pair_lengths_and_bound():
         assert ghw_bound(S) == len(T) + 1
 
 
+def _flat(table):
+    return tuple(v for row in table for v in row)
+
+
+def _symmetric(table):
+    n = len(table)
+    return all(table[a][b] == table[b][a] for a in range(n) for b in range(a))
+
+
 def test_enumeration_matches_naive_filter():
     for n in (1, 2, 3):
         got = [S.table for S in enumerate_semigroups(n)]
         want = naive_associative_tables(n)
         assert got == want
         comm = [S.table for S in enumerate_semigroups(n, commutative_only=True)]
-        want_comm = [
-            t
-            for t in want
-            if all(t[a][b] == t[b][a] for a in range(n) for b in range(n))
-        ]
-        assert comm == want_comm
+        assert comm == [t for t in want if _symmetric(t)]
+
+
+def test_commutative_stream_is_the_symmetric_labelled_stream():
+    for n in (1, 2, 3, 4):
+        comm = [S.table for S in enumerate_semigroups(n, commutative_only=True)]
+        want = [S.table for S in enumerate_semigroups(n) if _symmetric(S.table)]
+        assert comm == want
+
+
+def test_commutative_order_5_count():
+    # OEIS A023815: commutative labelled semigroups of order 5
+    assert sum(1 for _ in enumerate_semigroups(5, commutative_only=True, max_order=5)) == 30730
+
+
+def test_commutative_resume():
+    n = 4
+    full = [S.table for S in enumerate_semigroups(n, commutative_only=True)]
+
+    def resumed(prefix):
+        got = [S.table for S in enumerate_semigroups(n, commutative_only=True, resume_from=prefix)]
+        bar = tuple(prefix) + (0,) * (n * n - len(prefix))
+        assert got == [t for t in full if _flat(t) >= bar]
+        return got
+
+    assert resumed(list(_flat(full[300]))) == full[300:]
+    assert resumed(list(_flat(full[300]))[:6])
+    # the prefix ends at the lower cell (1, 0), above the value its upper
+    # mirror (0, 1) already forces, so every table through that mirror is
+    # pruned at (1, 0)
+    t = next(t for t in full if t[0][1] < n - 1)
+    prefix = list(_flat(t)[:4]) + [t[0][1] + 1]
+    got = resumed(prefix)
+    assert got and all(_flat(g)[:4] > tuple(prefix[:4]) for g in got)
 
 
 def test_enumeration_known_counts():
@@ -166,19 +203,16 @@ def test_enumeration_dedup_emits_canonical_representatives():
 
 
 def test_enumeration_resume():
-    def flat(t):
-        return tuple(v for row in t for v in row)
-
     full = [S.table for S in enumerate_semigroups(3)]
     mid = full[57]
-    prefix = list(flat(mid))
+    prefix = list(_flat(mid))
     resumed = [S.table for S in enumerate_semigroups(3, resume_from=prefix)]
     assert resumed == full[57:]
     # a partial prefix is padded with zeros, inclusive
     partial = prefix[:4]
     resumed = [S.table for S in enumerate_semigroups(3, resume_from=partial)]
     bar = tuple(partial + [0] * 5)
-    assert resumed == [t for t in full if flat(t) >= bar]
+    assert resumed == [t for t in full if _flat(t) >= bar]
 
 
 def test_enumeration_order_caps():

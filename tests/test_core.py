@@ -57,6 +57,10 @@ def test_rejects_non_integer_cells():
         FiniteSemigroup(["0"])
     with pytest.raises(InvalidParameters, match=r"table\[0\] = 0 is not a row"):
         FiniteSemigroup([0])
+    with pytest.raises(InvalidParameters, match=r"table = 5 is not a sequence of rows"):
+        FiniteSemigroup(5)
+    with pytest.raises(InvalidParameters, match=r"table = None is not a sequence of rows"):
+        FiniteSemigroup(None)
 
 
 def test_idempotents_group_has_only_identity():

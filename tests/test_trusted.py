@@ -14,6 +14,7 @@ from idemfree import (
     cyclic_data,
     cyclic_group,
     cyclic_nil,
+    enumerate_semigroups,
     extremal_pair,
     generated_subsemigroup,
     is_commutative,
@@ -85,3 +86,14 @@ def test_enumerated_corpus_is_valid(corpus_le4):
     assert len(corpus_le4) == 3614
     for S in corpus_le4:
         assert_valid(S)
+
+
+def test_enumerated_commutative_le5_is_valid():
+    counts = []
+    for n in range(1, 6):
+        count = 0
+        for S in enumerate_semigroups(n, commutative_only=True, max_order=5):
+            assert_valid(S)
+            count += 1
+        counts.append(count)
+    assert counts == [1, 6, 63, 1140, 30730]
