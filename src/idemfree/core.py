@@ -138,9 +138,10 @@ def _integer_rows(table) -> tuple[tuple[int, ...], ...]:
 
 def validate(order: int, table) -> FiniteSemigroup:
     """Build a semigroup from an n x n table, rejecting bad cells and triples."""
-    if len(table) != order:
-        raise InvalidParameters(f"declared order {order} but table has {len(table)} rows")
-    return FiniteSemigroup(table)
+    rows = _integer_rows(table)
+    if len(rows) != order:
+        raise InvalidParameters(f"declared order {order} but table has {len(rows)} rows")
+    return FiniteSemigroup(rows)
 
 
 def idempotents(S: FiniteSemigroup) -> frozenset[ElementId]:

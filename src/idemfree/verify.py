@@ -9,6 +9,7 @@ is deliberately kept out of the log payload.
 from __future__ import annotations
 
 import itertools
+import math
 from concurrent.futures import ProcessPoolExecutor
 
 from .constants import davenport, erdos_burgess, ghw_bound, strong_erdos_burgess
@@ -76,44 +77,97 @@ def check_ghw_bound(semigroups, map_fn=map) -> dict:
     return _aggregate("ghw-bound", map_fn(_ghw_case, semigroups))
 
 
+def _distinct_words(multiset: tuple[int, ...]):
+    """Every distinct ordering of a sorted multiset, in lexicographic order."""
+    support = sorted(set(multiset))
+    left = {x: multiset.count(x) for x in support}
+    word: list[int] = []
+
+    def walk():
+        if len(word) == len(multiset):
+            yield tuple(word)
+            return
+        for x in support:
+            if left[x]:
+                left[x] -= 1
+                word.append(x)
+                yield from walk()
+                word.pop()
+                left[x] += 1
+
+    return walk()
+
+
+def _word_records(S: FiniteSemigroup, found) -> list[dict]:
+    """Failure records, one per distinct word of each failing multiset and
+    per finding, sorted by word: over the ascending alphabet that is the
+    order in which a word-by-word sweep would have met them."""
+    records = [
+        {"table": _flat(S), "seq": list(word), **extra}
+        for multiset, extras in found
+        for word in _distinct_words(multiset)
+        for extra in extras
+    ]
+    records.sort(key=lambda r: r["seq"])
+    return records
+
+
 def _equivalence_case(S: FiniteSemigroup) -> dict:
+    """Every word of length |S \\ E(S)| over the non-idempotents, checked one
+    multiset at a time.
+
+    Freeness, the certificate, the new-product bound and the claims depend
+    only on the multiset of terms, so each is decided once per multiset and
+    counted once per distinct word, length! / prod(c_i!) of them; the
+    counters and failure records are those of a sweep over every word.
+    """
     alphabet = [a for a in S.elements if S.table[a][a] != a]
     length = len(alphabet)
     sequences = free = lambda_checked = 0
-    eq_failures = []
-    lambda_failures = []
-    claim_failures = []
+    eq_found = []
+    lambda_found = []
+    claim_found = []
     idem = _idem_mask(S)
     nonidem = sum(1 << a for a in alphabet)
-    for tup in itertools.product(alphabet, repeat=length):
-        sequences += 1
-        # the any-order set of the whole multiset, built once per sequence
-        mask = _any_mask(S, tup)
+    for multiset in itertools.combinations_with_replacement(alphabet, length):
+        supp = sorted(set(multiset))
+        words = math.factorial(length) // math.prod(math.factorial(multiset.count(x)) for x in supp)
+        sequences += words
+        # the any-order set of the whole multiset
+        mask = _any_mask(S, multiset)
         weakly = not (mask & idem)
-        if weakly != extremal_structure_check(S, tup).passed:
-            eq_failures.append({"table": _flat(S), "seq": list(tup)})
+        if weakly != extremal_structure_check(S, multiset).passed:
+            eq_found.append((multiset, [{}]))
             continue
         if not weakly:
             continue
-        free += 1
+        free += words
         # new-product lower bound: dropping one copy of a term and
         # re-appending it must contribute at least one product; the grown
-        # sequence is a reordering of tup, so its any-order set is mask
-        for x in sorted(set(tup)):
-            rest = list(tup)
+        # sequence has the same multiset, so its any-order set is mask
+        lambda_checked += words * len(supp)
+        gainless = []
+        for x in supp:
+            rest = list(multiset)
             rest.remove(x)
-            lambda_checked += 1
             if not (mask & ~_any_mask(S, tuple(rest))):
-                lambda_failures.append({"table": _flat(S), "seq": list(tup), "term": x})
+                gainless.append({"term": x})
+        if gainless:
+            lambda_found.append((multiset, gainless))
         # extremal support commutes pairwise into itself, and the products
         # of a free sequence of this length cover all non-idempotents
-        supp = sorted(set(tup))
+        claims = []
         for i, a in enumerate(supp):
             for b in supp[i + 1:]:
                 if S.table[a][b] != S.table[b][a] or S.table[a][b] not in (a, b):
-                    claim_failures.append({"table": _flat(S), "seq": list(tup), "pair": [a, b]})
+                    claims.append({"pair": [a, b]})
         if mask != nonidem:
-            claim_failures.append({"table": _flat(S), "seq": list(tup), "pair": None})
+            claims.append({"pair": None})
+        if claims:
+            claim_found.append((multiset, claims))
+    eq_failures = _word_records(S, eq_found)
+    lambda_failures = _word_records(S, lambda_found)
+    claim_failures = _word_records(S, claim_found)
     ok = not (eq_failures or lambda_failures or claim_failures)
     return {
         "ok": ok,
@@ -131,7 +185,11 @@ def _equivalence_case(S: FiniteSemigroup) -> dict:
 
 def check_extremal_equivalence(commutative_semigroups, map_fn=map) -> dict:
     """Freeness at length |S \\ E(S)| matches the structural certificate, and
-    every free sequence found satisfies the new-product lower bound."""
+    every free sequence found satisfies the new-product lower bound.
+
+    The sweep visits each multiset of terms once; its counters
+    (sequences, freeSequences, lambdaChecked and the failure counts) are
+    still word counts."""
     return _aggregate(
         "extremal-equivalence",
         map_fn(_equivalence_case, commutative_semigroups),

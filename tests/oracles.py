@@ -1,14 +1,16 @@
 """Independent brute-force references used only by the tests.
 
 Nothing here shares code with the package's product-set DP, searches or
-constructors; these are the slow, obviously-correct versions.
+constructors; these are the slow, obviously-correct versions. The one
+package call is the extremal certificate in the reference equivalence case,
+which is the thing that case compares freeness against.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from idemfree import FiniteSemigroup, identity_element
+from idemfree import FiniteSemigroup, extremal_structure_check, identity_element
 
 
 def fold(S: FiniteSemigroup, terms) -> int:
@@ -48,6 +50,52 @@ def naive_is_weakly_free(S: FiniteSemigroup, terms) -> bool:
 def naive_is_strongly_free(S: FiniteSemigroup, terms) -> bool:
     idem = {e for e in S.elements if S.table[e][e] == e}
     return not (naive_natural_order_products(S, terms) & idem)
+
+
+def reference_equivalence_case(S: FiniteSemigroup) -> dict:
+    """The extremal-equivalence row of one table, word by word: every word
+    of length |S \\ E(S)| over the non-idempotents in product order, with
+    freeness and every product set taken from the naive oracles."""
+    alphabet = [a for a in S.elements if S.table[a][a] != a]
+    flat = [v for row in S.table for v in row]
+    sequences = free = lambda_checked = 0
+    eq_failures, lambda_failures, claim_failures = [], [], []
+    for word in itertools.product(alphabet, repeat=len(alphabet)):
+        sequences += 1
+        weakly = naive_is_weakly_free(S, word)
+        if weakly != extremal_structure_check(S, word).passed:
+            eq_failures.append({"table": flat, "seq": list(word)})
+            continue
+        if not weakly:
+            continue
+        free += 1
+        products = naive_any_order_products(S, word)
+        for x in sorted(set(word)):
+            rest = list(word)
+            rest.remove(x)
+            lambda_checked += 1
+            if not products - naive_any_order_products(S, rest):
+                lambda_failures.append({"table": flat, "seq": list(word), "term": x})
+        supp = sorted(set(word))
+        for i, a in enumerate(supp):
+            for b in supp[i + 1:]:
+                if S.table[a][b] != S.table[b][a] or S.table[a][b] not in (a, b):
+                    claim_failures.append({"table": flat, "seq": list(word), "pair": [a, b]})
+        if products != frozenset(alphabet):
+            claim_failures.append({"table": flat, "seq": list(word), "pair": None})
+    ok = not (eq_failures or lambda_failures or claim_failures)
+    return {
+        "ok": ok,
+        "failure": None
+        if ok
+        else {"table": flat, "equivalence": eq_failures, "lambda": lambda_failures, "claims": claim_failures},
+        "sequences": sequences,
+        "freeSequences": free,
+        "lambdaChecked": lambda_checked,
+        "equivalenceFailures": len(eq_failures),
+        "lambdaFailures": len(lambda_failures),
+        "claimFailures": len(claim_failures),
+    }
 
 
 def naive_erdos_burgess(S: FiniteSemigroup) -> int:

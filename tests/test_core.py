@@ -61,6 +61,10 @@ def test_rejects_non_integer_cells():
         FiniteSemigroup(5)
     with pytest.raises(InvalidParameters, match=r"table = None is not a sequence of rows"):
         FiniteSemigroup(None)
+    with pytest.raises(InvalidParameters, match=r"table = 5 is not a sequence of rows"):
+        validate(1, 5)
+    with pytest.raises(InvalidParameters, match=r"table = None is not a sequence of rows"):
+        validate(1, None)
 
 
 def test_idempotents_group_has_only_identity():

@@ -24,6 +24,7 @@ from idemfree import (
     idempotents,
     is_chain_lower_absorbing,
     is_commutative,
+    is_weakly_free,
     kernel_group,
     monogenic,
     partial_hom,
@@ -216,3 +217,15 @@ def test_main_form_matches_flat_conditions(commutative_le4):
         for terms in itertools.product(alphabet, repeat=len(alphabet)):
             flat = extremal_structure_check(S, terms).passed
             assert extremal_main_form(S, terms) == flat
+
+
+def test_certificate_and_freeness_ignore_word_order(commutative_le4):
+    # the premise of the multiset sweep in verify._equivalence_case
+    for S in commutative_le4:
+        alphabet = [a for a in S.elements if S.mul(a, a) != a]
+        for multiset in itertools.combinations_with_replacement(alphabet, len(alphabet)):
+            first = extremal_structure_check(S, multiset).to_json_dict()
+            free = is_weakly_free(S, multiset)
+            for word in set(itertools.permutations(multiset)):
+                assert extremal_structure_check(S, word).to_json_dict() == first
+                assert is_weakly_free(S, word) == free
