@@ -58,11 +58,15 @@ def cmd_validate(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    S = _read_table(args.table)
+    if args.workers < 1:
+        raise SemigroupError(f"--workers must be at least 1, got {args.workers}")
     which = [w.strip().upper() for w in args.which.split(",") if w.strip()]
+    if not which:
+        raise SemigroupError(f"--which {args.which!r} names no constant; choose from I, SI, D")
     unknown = [w for w in which if w not in ("I", "SI", "D")]
     if unknown:
         raise SemigroupError(f"unknown constants {unknown}; choose from I, SI, D")
+    S = _read_table(args.table)
 
     def run(map_fn) -> list[dict]:
         reports = []

@@ -7,6 +7,13 @@ closed. Weak freeness and Davenport irreducibility depend only on the
 multiset of terms, so those searches walk nondecreasing sequences; the
 strong search walks words. Search spaces are partitioned by first term so
 runs can fan out over a worker pool and still merge deterministically.
+
+The product sets these searches keep only grow along a path, so each one
+carries its set's right translates packed into one integer (the layout of
+``seqprod._packed_rows``): a child reads its translate with one shift and
+mask, and pays a table lookup only for the bits it adds. The rows are built
+once per search and shared by its tasks. The noncommutative weak search
+rebuilds the any-order set per node and needs none.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import FiniteSemigroup, NotCommutative, identity_element, idempotents, is_commutative
-from .seqprod import Seq, _any_mask, _idem_mask, _translate
+from .seqprod import Seq, _any_mask, _grow, _idem_mask, _packed_rows
 
 KIND_ERDOS_BURGESS = "ErdosBurgess"
 KIND_STRONG_ERDOS_BURGESS = "StrongErdosBurgess"
@@ -49,8 +56,7 @@ def _nonidempotents(S: FiniteSemigroup) -> list[int]:
 
 def _weak_task(args) -> tuple[int, tuple[int, ...], int]:
     """Longest weakly free nondecreasing sequence whose least term is fixed."""
-    S, first = args
-    table = S.table
+    S, rows, first = args
     idem = _idem_mask(S)
     alpha = _nonidempotents(S)
     nodes = 1  # the root candidate (first,)
@@ -63,20 +69,22 @@ def _weak_task(args) -> tuple[int, tuple[int, ...], int]:
             best_len, best = len(cand), cand
 
     if is_commutative(S):
+        n = S.order
+        full = (1 << n) - 1
 
-        def rec(seq: tuple[int, ...], mask: int, start: int) -> None:
+        def rec(seq: tuple[int, ...], mask: int, vec: int, start: int) -> None:
             nonlocal nodes
             for idx in range(start, len(alpha)):
                 x = alpha[idx]
                 nodes += 1
-                grown = mask | (1 << x) | _translate(table, mask, x)
+                grown = mask | (1 << x) | ((vec >> x * n) & full)
                 if grown & idem:
                     continue
                 cand = seq + (x,)
                 note(cand)
-                rec(cand, grown, idx)
+                rec(cand, grown, _grow(rows, vec, grown & ~mask), idx)
 
-        rec((first,), 1 << first, alpha.index(first))
+        rec((first,), 1 << first, rows[first], alpha.index(first))
     else:
 
         def rec(seq: tuple[int, ...], start: int) -> None:
@@ -96,27 +104,28 @@ def _weak_task(args) -> tuple[int, tuple[int, ...], int]:
 
 def _strong_task(args) -> tuple[int, tuple[int, ...], int]:
     """Longest strongly free word starting with a fixed letter."""
-    S, first = args
-    table = S.table
+    S, rows, first = args
+    n = S.order
+    full = (1 << n) - 1
     idem = _idem_mask(S)
     alpha = _nonidempotents(S)
     nodes = 1
     best_len = 1
     best = (first,)
 
-    def rec(seq: tuple[int, ...], amask: int) -> None:
+    def rec(seq: tuple[int, ...], amask: int, vec: int) -> None:
         nonlocal nodes, best_len, best
         for x in alpha:
             nodes += 1
-            grown = amask | (1 << x) | _translate(table, amask, x)
+            grown = amask | (1 << x) | ((vec >> x * n) & full)
             if grown & idem:
                 continue
             cand = seq + (x,)
             if len(cand) > best_len:
                 best_len, best = len(cand), cand
-            rec(cand, grown)
+            rec(cand, grown, _grow(rows, vec, grown & ~amask))
 
-    rec((first,), 1 << first)
+    rec((first,), 1 << first, rows[first])
     return best_len, best, nodes
 
 
@@ -127,8 +136,9 @@ def _davenport_task(args) -> tuple[int, tuple[int, ...], int]:
     full product; the empty subsequence counts as a witness exactly when S
     has an identity element (its product being that identity).
     """
-    S, first = args
+    S, rows, first = args
     n = S.order
+    full = (1 << n) - 1
     table = S.table
     ident = identity_element(S)
     ident_mask = 0 if ident is None else 1 << ident
@@ -138,23 +148,35 @@ def _davenport_task(args) -> tuple[int, tuple[int, ...], int]:
     best_len = 1
     best = (first,)
 
-    def rec(seq: tuple[int, ...], pi: int, pi_mask: int, proper: int, start: int) -> None:
+    def rec(
+        seq: tuple[int, ...], pi: int, pi_mask: int, pi_vec: int, proper: int, proper_vec: int, start: int
+    ) -> None:
         nonlocal nodes, best_len, best
         for x in range(start, n):
             nodes += 1
             new_pi = table[pi][x]
+            shift = x * n
             # proper products of T.x: all sub-multiset products of T,
-            # proper products of T translated by x, and x itself
-            new_proper = pi_mask | _translate(table, proper, x) | (1 << x)
+            # proper products of T translated by x, and x itself; they
+            # include the old proper products, so both masks only grow
+            new_proper = pi_mask | ((proper_vec >> shift) & full) | (1 << x)
             if (1 << new_pi) & (new_proper | ident_mask):
                 continue
-            new_pi_mask = pi_mask | (1 << x) | _translate(table, pi_mask, x)
+            new_pi_mask = pi_mask | (1 << x) | ((pi_vec >> shift) & full)
             cand = seq + (x,)
             if len(cand) > best_len:
                 best_len, best = len(cand), cand
-            rec(cand, new_pi, new_pi_mask, new_proper, x)
+            rec(
+                cand,
+                new_pi,
+                new_pi_mask,
+                _grow(rows, pi_vec, new_pi_mask & ~pi_mask),
+                new_proper,
+                _grow(rows, proper_vec, new_proper & ~proper),
+                x,
+            )
 
-    rec((first,), first, 1 << first, 0, first)
+    rec((first,), first, 1 << first, rows[first], 0, 0, first)
     return best_len, best, nodes
 
 
@@ -170,7 +192,9 @@ def _merge(results) -> tuple[int, tuple[int, ...], int]:
 
 def erdos_burgess(S: FiniteSemigroup, map_fn=map) -> ConstantReport:
     """I(S): least length forcing an idempotent subsequence product in some order."""
-    tasks = [(S, x) for x in _nonidempotents(S)]
+    alpha = _nonidempotents(S)
+    rows = _packed_rows(S.table, alpha) if is_commutative(S) else None
+    tasks = [(S, rows, x) for x in alpha]
     best_len, best, nodes = _merge(map_fn(_weak_task, tasks))
     value = best_len + 1
     assert value <= ghw_bound(S)
@@ -179,7 +203,9 @@ def erdos_burgess(S: FiniteSemigroup, map_fn=map) -> ConstantReport:
 
 def strong_erdos_burgess(S: FiniteSemigroup, map_fn=map) -> ConstantReport:
     """SI(S): least length forcing an idempotent natural-order subsequence product."""
-    tasks = [(S, x) for x in _nonidempotents(S)]
+    alpha = _nonidempotents(S)
+    rows = _packed_rows(S.table, alpha)
+    tasks = [(S, rows, x) for x in alpha]
     best_len, best, nodes = _merge(map_fn(_strong_task, tasks))
     value = best_len + 1
     assert value <= ghw_bound(S)
@@ -191,6 +217,7 @@ def davenport(S: FiniteSemigroup, map_fn=map) -> ConstantReport:
     with the same total product. Defined for commutative semigroups only."""
     if not is_commutative(S):
         raise NotCommutative("the Davenport constant is defined for commutative semigroups")
-    tasks = [(S, x) for x in S.elements]
+    rows = _packed_rows(S.table, S.elements)
+    tasks = [(S, rows, x) for x in S.elements]
     best_len, best, nodes = _merge(map_fn(_davenport_task, tasks))
     return ConstantReport(KIND_DAVENPORT, best_len + 1, Seq(best), nodes)

@@ -5,6 +5,10 @@ every nonempty sub-multiset of the sequence under every ordering of its
 terms; the natural-order set only folds subsequences left to right. Both
 are computed on integer bit masks of width n, since the inner loops are
 set unions and table-indexed translations.
+
+The searches in ``constants`` instead carry, for a product set A that only
+grows along a path, every right translate A*c packed into one integer; the
+layout is defined in ``_packed_rows`` and extended by ``_grow``.
 """
 
 from __future__ import annotations
@@ -105,6 +109,35 @@ def _translate(table, mask: int, x: int) -> int:
         out |= 1 << table[low.bit_length() - 1][x]
         mask ^= low
     return out
+
+
+def _packed_rows(table, columns) -> list[int]:
+    """One packed integer per element a: for each c in columns, field c,
+    bits c*n to c*n + n - 1, holds the translate {a}*c, the single bit
+    1 << (a*c). The fields of other columns stay empty.
+
+    Right translation distributes over union, (A | D)*c = A*c | D*c, so the
+    OR of the rows of A's elements packs every translate of A, and A*x is
+    (vec >> x*n) & ((1 << n) - 1). A search fills only the columns it
+    appends.
+    """
+    n = len(table)
+    rows = []
+    for row in table:
+        packed = 0
+        for c in columns:
+            packed |= 1 << (row[c] + c * n)
+        rows.append(packed)
+    return rows
+
+
+def _grow(rows: list[int], vec: int, new: int) -> int:
+    """The packed translates of A | new, given vec packing those of A."""
+    while new:
+        low = new & -new
+        vec |= rows[low.bit_length() - 1]
+        new ^= low
+    return vec
 
 
 def _mask_to_set(mask: int) -> frozenset[int]:

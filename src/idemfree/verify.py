@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .constants import davenport, erdos_burgess, ghw_bound, strong_erdos_burgess
 from .construct import ExtremalSpec, GroupByNil, Monogenic, enumerate_semigroups, extremal_pair, group_nil_chain
-from .core import FiniteSemigroup, idempotents, is_commutative, is_nilsemigroup, zero_element
+from .core import FiniteSemigroup, InvalidParameters, idempotents, is_commutative, is_nilsemigroup, zero_element
 from .seqprod import _any_mask, _idem_mask, is_weakly_free
 from .structure import extremal_main_form, extremal_structure_check
 
@@ -347,7 +347,13 @@ def run_verification(
     enum_cap: int = 5,
 ) -> dict:
     """Run the selected checks and return a deterministic JSON-ready log."""
+    if workers < 1:
+        raise InvalidParameters(f"workers must be at least 1, got {workers}")
+    if max_order < 1:
+        raise InvalidParameters(f"max_order must be at least 1, got {max_order}")
     selected = list(checks)
+    if not selected:
+        raise InvalidParameters(f"no checks selected; available: {list(CHECK_IDS)}")
     unknown = [c for c in selected if c not in CHECK_IDS]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}; available: {list(CHECK_IDS)}")

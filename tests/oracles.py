@@ -192,3 +192,86 @@ def vee_semilattice() -> FiniteSemigroup:
     """Two incomparable idempotents over a common bottom: a*b = bottom."""
     # elements: 0 = a, 1 = b, 2 = bottom
     return FiniteSemigroup([[0, 2, 2], [2, 1, 2], [2, 2, 2]])
+
+
+def reference_search(kind: str, S: FiniteSemigroup) -> tuple[int, tuple[int, ...], int]:
+    """I, SI or D by the plain depth-first search, as (value, witness, nodes).
+
+    Every node translates its parent's whole product set with Python sets.
+    The walk is the package's: tasks by first term in increasing order, the
+    same children in the same order, the lexicographically least longest
+    witness, and one node for each root and each child tried. Noncommutative
+    weak freeness comes from ``naive_any_order_products``.
+    """
+    t = S.table
+    idem = {e for e in S.elements if t[e][e] == e}
+    alpha = [a for a in S.elements if a not in idem]
+    commutative = all(t[a][b] == t[b][a] for a in S.elements for b in S.elements)
+    ident = identity_element(S)
+    nodes = 0
+    best: tuple[int, ...] = ()
+
+    def right(A, x):
+        return {t[a][x] for a in A}
+
+    def note(cand):
+        nonlocal best
+        if len(cand) > len(best):
+            best = cand
+
+    def weak(seq, A, start):
+        nonlocal nodes
+        for j in range(start, len(alpha)):
+            x = alpha[j]
+            nodes += 1
+            cand = seq + (x,)
+            grown = A | {x} | right(A, x) if commutative else naive_any_order_products(S, cand)
+            if grown & idem:
+                continue
+            note(cand)
+            weak(cand, grown, j)
+
+    def strong(seq, A):
+        nonlocal nodes
+        for x in alpha:
+            nodes += 1
+            grown = A | {x} | right(A, x)
+            if grown & idem:
+                continue
+            cand = seq + (x,)
+            note(cand)
+            strong(cand, grown)
+
+    def irreducible(seq, pi, P, Q, start):
+        # P: products of every nonempty subsequence; Q: of every proper one
+        nonlocal nodes
+        for x in range(start, S.order):
+            nodes += 1
+            new_pi = t[pi][x]
+            new_q = P | right(Q, x) | {x}
+            if new_pi in new_q or new_pi == ident:
+                continue
+            cand = seq + (x,)
+            note(cand)
+            irreducible(cand, new_pi, P | {x} | right(P, x), new_q, x)
+
+    if kind == "I":
+        for i, first in enumerate(alpha):
+            nodes += 1
+            note((first,))
+            weak((first,), {first}, i)
+    elif kind == "SI":
+        for first in alpha:
+            nodes += 1
+            note((first,))
+            strong((first,), {first})
+    elif kind == "D":
+        assert commutative
+        for first in S.elements:
+            nodes += 1
+            if first != ident:
+                note((first,))
+                irreducible((first,), first, {first}, set(), first)
+    else:
+        raise ValueError(kind)
+    return len(best) + 1, best, nodes

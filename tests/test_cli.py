@@ -2,8 +2,11 @@ import json
 import subprocess
 import sys
 
-from idemfree import format_cayley_table, group_nil_chain, parse_cayley_table
+import pytest
+
+from idemfree import InvalidParameters, format_cayley_table, group_nil_chain, parse_cayley_table
 from idemfree.cli import main
+from idemfree.verify import run_verification
 from oracles import left_zero_semigroup
 
 
@@ -189,6 +192,32 @@ def test_verify_rejects_unknown_check(capsys):
     code, _, err = run_cli(capsys, "verify", "--checks", "nope")
     assert code == 1
     assert "unknown checks" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["constants", "--workers", "0"], "--workers must be at least 1, got 0"),
+        (["constants", "--workers", "-2"], "--workers must be at least 1, got -2"),
+        (["constants", "--which", ","], "--which ',' names no constant"),
+        (["verify", "--workers", "0"], "workers must be at least 1, got 0"),
+        (["verify", "--max-order", "0"], "max_order must be at least 1, got 0"),
+        (["verify", "--max-order", "-3"], "max_order must be at least 1, got -3"),
+        (["verify", "--checks", ","], "no checks selected"),
+    ],
+)
+def test_bad_counts_fail_at_once(tmp_path, capsys, argv, message):
+    if argv[0] == "constants":
+        argv = [argv[0], write_table(tmp_path, group_nil_chain(2, 2))] + argv[1:]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_run_verification_rejects_zero_workers():
+    with pytest.raises(InvalidParameters, match="workers must be at least 1, got 0"):
+        run_verification(workers=0)
 
 
 def test_verify_logs_identical_across_worker_counts(tmp_path, capsys):

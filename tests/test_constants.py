@@ -8,7 +8,9 @@ from idemfree import (
     chain_glue,
     cyclic_group,
     davenport,
+    enumerate_semigroups,
     erdos_burgess,
+    extremal_pair,
     ghw_bound,
     group_nil_chain,
     idempotents,
@@ -25,9 +27,14 @@ from oracles import (
     naive_erdos_burgess,
     naive_is_irreducible,
     naive_strong_erdos_burgess,
+    reference_search,
 )
 
 import itertools
+
+from idemfree.verify import enumerate_extremal_specs
+
+SEARCHES = {"I": erdos_burgess, "SI": strong_erdos_burgess, "D": davenport}
 
 
 def test_ghw_bound():
@@ -151,3 +158,44 @@ def test_empty_alphabet_reports():
     assert report.value == 1
     assert report.witness == Seq(())
     assert idempotents(lz) == {0, 1}
+
+
+def _assert_reports_match_reference(S, kinds=("I", "SI", "D")):
+    for kind in kinds:
+        if kind == "D" and not is_commutative(S):
+            continue
+        report = SEARCHES[kind](S)
+        got = (report.value, report.witness.terms, report.nodes_explored)
+        assert got == reference_search(kind, S), (kind, S.table)
+
+
+def test_searches_match_reference_on_small_corpus(corpus_le4):
+    # values, lex-least witnesses and node counts of the packed-translate
+    # searches against the plain set-based walk
+    for S in corpus_le4:
+        _assert_reports_match_reference(S)
+
+
+def test_searches_match_reference_on_commutative_order5():
+    for S in itertools.islice(enumerate_semigroups(5, commutative_only=True, max_order=5), 0, None, 10):
+        _assert_reports_match_reference(S)
+
+
+def test_searches_match_reference_on_families():
+    # every 25th table of the (3, 8) catalogue; SI walks words, 19 M nodes
+    # on that sample, so it runs on every 250th
+    for i, spec in enumerate(enumerate_extremal_specs(max_components=3, max_terms=8)[::25]):
+        _assert_reports_match_reference(extremal_pair(spec)[0], ("I", "SI", "D") if i % 10 == 0 else ("I", "D"))
+    for n in range(1, 13):
+        _assert_reports_match_reference(cyclic_group(n))
+    for n1 in range(2, 6):
+        for n2 in range(2, 6):
+            _assert_reports_match_reference(group_nil_chain(n1, n2))
+
+
+def test_search_node_counts_on_c3():
+    # the hand-counted trees of C3 = {x, x^2, e}: I 5 + 3, SI 5 + 5,
+    # D 1 (the identity) + 7 + 5
+    assert erdos_burgess(cyclic_group(3)).nodes_explored == 8
+    assert strong_erdos_burgess(cyclic_group(3)).nodes_explored == 10
+    assert davenport(cyclic_group(3)).nodes_explored == 13

@@ -171,3 +171,20 @@ def test_strictly_growing_natural_sets_for_strongly_free_words():
             continue
         sizes = [len(natural_order_products(S, terms[:k])) for k in range(len(terms) + 1)]
         assert all(b > a for a, b in zip(sizes, sizes[1:]))
+
+
+def test_packed_translates_match_sets(corpus_le3):
+    # field x of the packed translates of A is {a*x : a in A}, and growing A
+    # in two steps packs the same integer as building it at once
+    from idemfree.seqprod import _grow, _packed_rows
+
+    for S in corpus_le3 + POOL:
+        n, t = S.order, S.table
+        rows = _packed_rows(t, S.elements)
+        for mask in range(1, 1 << n):
+            packed = _grow(rows, 0, mask)
+            low = mask & -mask
+            assert _grow(rows, _grow(rows, 0, low), mask ^ low) == packed
+            A = [a for a in S.elements if mask >> a & 1]
+            for x in S.elements:
+                assert {b for b in S.elements if packed >> (x * n + b) & 1} == {t[a][x] for a in A}
