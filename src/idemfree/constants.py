@@ -3,17 +3,22 @@
 Each constant is 1 plus the maximum length of a sequence with the defining
 property, found by depth-first enumeration with antitone pruning: once a
 prefix loses the property no extension can regain it, so the subtree is
-closed. Weak freeness and Davenport irreducibility depend only on the
-multiset of terms, so those searches walk nondecreasing sequences; the
-strong search walks words. Search spaces are partitioned by first term so
-runs can fan out over a worker pool and still merge deterministically.
+closed. Search spaces are partitioned by first term so runs can fan out
+over a worker pool and still merge deterministically.
 
-The product sets these searches keep only grow along a path, so each one
-carries its set's right translates packed into one integer (the layout of
-``seqprod._packed_rows``): a child reads its translate with one shift and
-mask, and pays a table lookup only for the bits it adds. The rows are built
-once per search and shared by its tasks. The noncommutative weak search
-rebuilds the any-order set per node and needs none.
+On a commutative semigroup the any-order product set of a sequence equals
+its natural-order set, so SI and commutative I share one natural-order walk,
+``_natural_task``: SI walks all words, and I walks nondecreasing sequences,
+since weak freeness depends only on the multiset of terms. Noncommutative I
+walks nondecreasing sequences too, but ``_any_order_task`` rebuilds the
+any-order set at every node. Davenport irreducibility also depends only on
+the multiset, so the D search walks nondecreasing sequences.
+
+The natural-order and Davenport product sets only grow along a path, so
+those walks carry each set's right translates packed into one integer (the
+layout of ``seqprod._packed_rows``): a child reads its translate with one
+shift and mask, and pays a table lookup only for the bits it adds. The rows
+are built once per search and shared by its tasks.
 """
 
 from __future__ import annotations
@@ -49,83 +54,57 @@ def ghw_bound(S: FiniteSemigroup) -> int:
     return S.order - len(idempotents(S)) + 1
 
 
-def _nonidempotents(S: FiniteSemigroup) -> list[int]:
-    t = S.table
-    return [a for a in S.elements if t[a][a] != a]
+def _natural_task(args) -> tuple[int, tuple[int, ...], int]:
+    """Longest sequence starting with the letter first, at tail index
+    tail, whose natural-order products miss the idempotents.
 
-
-def _weak_task(args) -> tuple[int, tuple[int, ...], int]:
-    """Longest weakly free nondecreasing sequence whose least term is fixed."""
-    S, rows, first = args
-    idem = _idem_mask(S)
-    alpha = _nonidempotents(S)
+    A node at tail i may append the letters of tails[i], each paired with
+    the child's own tail: suffixes of the alphabet walk nondecreasing
+    sequences (commutative I), the whole alphabet walks words (SI).
+    """
+    n, idem, rows, tails, tail, first = args
+    full = (1 << n) - 1
     nodes = 1  # the root candidate (first,)
     best_len = 1
     best = (first,)
 
-    def note(cand: tuple[int, ...]) -> None:
-        nonlocal best_len, best
-        if len(cand) > best_len:
-            best_len, best = len(cand), cand
-
-    if is_commutative(S):
-        n = S.order
-        full = (1 << n) - 1
-
-        def rec(seq: tuple[int, ...], mask: int, vec: int, start: int) -> None:
-            nonlocal nodes
-            for idx in range(start, len(alpha)):
-                x = alpha[idx]
-                nodes += 1
-                grown = mask | (1 << x) | ((vec >> x * n) & full)
-                if grown & idem:
-                    continue
-                cand = seq + (x,)
-                note(cand)
-                rec(cand, grown, _grow(rows, vec, grown & ~mask), idx)
-
-        rec((first,), 1 << first, rows[first], alpha.index(first))
-    else:
-
-        def rec(seq: tuple[int, ...], start: int) -> None:
-            nonlocal nodes
-            for idx in range(start, len(alpha)):
-                x = alpha[idx]
-                nodes += 1
-                cand = seq + (x,)
-                if _any_mask(S, cand) & idem:
-                    continue
-                note(cand)
-                rec(cand, idx)
-
-        rec((first,), alpha.index(first))
-    return best_len, best, nodes
-
-
-def _strong_task(args) -> tuple[int, tuple[int, ...], int]:
-    """Longest strongly free word starting with a fixed letter."""
-    S, rows, first = args
-    n = S.order
-    full = (1 << n) - 1
-    idem = _idem_mask(S)
-    alpha = _nonidempotents(S)
-    nodes = 1
-    best_len = 1
-    best = (first,)
-
-    def rec(seq: tuple[int, ...], amask: int, vec: int) -> None:
+    def rec(seq: tuple[int, ...], mask: int, vec: int, start: int) -> None:
         nonlocal nodes, best_len, best
-        for x in alpha:
+        for nxt, x in tails[start]:
             nodes += 1
-            grown = amask | (1 << x) | ((vec >> x * n) & full)
+            grown = mask | (1 << x) | ((vec >> x * n) & full)
             if grown & idem:
                 continue
             cand = seq + (x,)
             if len(cand) > best_len:
                 best_len, best = len(cand), cand
-            rec(cand, grown, _grow(rows, vec, grown & ~amask))
+            rec(cand, grown, _grow(rows, vec, grown & ~mask), nxt)
 
-    rec((first,), 1 << first, rows[first])
+    rec(best, 1 << first, rows[first], tail)
+    return best_len, best, nodes
+
+
+def _any_order_task(args) -> tuple[int, tuple[int, ...], int]:
+    """Longest weakly free nondecreasing sequence with least term alpha[first]
+    in a noncommutative S, rebuilding the any-order set at every node."""
+    S, alpha, idem, first = args
+    nodes = 1
+    best_len = 1
+    best = (alpha[first],)
+
+    def rec(seq: tuple[int, ...], start: int) -> None:
+        nonlocal nodes, best_len, best
+        for idx in range(start, len(alpha)):
+            x = alpha[idx]
+            nodes += 1
+            cand = seq + (x,)
+            if _any_mask(S, cand) & idem:
+                continue
+            if len(cand) > best_len:
+                best_len, best = len(cand), cand
+            rec(cand, idx)
+
+    rec(best, first)
     return best_len, best, nodes
 
 
@@ -190,26 +169,35 @@ def _merge(results) -> tuple[int, tuple[int, ...], int]:
     return best_len, best, nodes
 
 
-def erdos_burgess(S: FiniteSemigroup, map_fn=map) -> ConstantReport:
-    """I(S): least length forcing an idempotent subsequence product in some order."""
-    alpha = _nonidempotents(S)
-    rows = _packed_rows(S.table, alpha) if is_commutative(S) else None
-    tasks = [(S, rows, x) for x in alpha]
-    best_len, best, nodes = _merge(map_fn(_weak_task, tasks))
+def _free_search(S: FiniteSemigroup, kind: str, map_fn) -> ConstantReport:
+    """I(S) or SI(S), one task per first letter over the non-idempotents."""
+    alpha = [a for a in S.elements if S.table[a][a] != a]
+    idem = _idem_mask(S)
+    weak = kind == KIND_ERDOS_BURGESS
+    if weak and not is_commutative(S):
+        task, tasks = _any_order_task, [(S, alpha, idem, i) for i in range(len(alpha))]
+    else:
+        rows = _packed_rows(S.table, alpha)
+        if weak:
+            pairs = list(enumerate(alpha))
+            tails = [pairs[i:] for i in range(len(alpha))]
+        else:
+            tails = [[(0, x) for x in alpha]] * len(alpha)
+        task, tasks = _natural_task, [(S.order, idem, rows, tails, i, x) for i, x in enumerate(alpha)]
+    best_len, best, nodes = _merge(map_fn(task, tasks))
     value = best_len + 1
     assert value <= ghw_bound(S)
-    return ConstantReport(KIND_ERDOS_BURGESS, value, Seq(best), nodes)
+    return ConstantReport(kind, value, Seq(best), nodes)
+
+
+def erdos_burgess(S: FiniteSemigroup, map_fn=map) -> ConstantReport:
+    """I(S): least length forcing an idempotent subsequence product in some order."""
+    return _free_search(S, KIND_ERDOS_BURGESS, map_fn)
 
 
 def strong_erdos_burgess(S: FiniteSemigroup, map_fn=map) -> ConstantReport:
     """SI(S): least length forcing an idempotent natural-order subsequence product."""
-    alpha = _nonidempotents(S)
-    rows = _packed_rows(S.table, alpha)
-    tasks = [(S, rows, x) for x in alpha]
-    best_len, best, nodes = _merge(map_fn(_strong_task, tasks))
-    value = best_len + 1
-    assert value <= ghw_bound(S)
-    return ConstantReport(KIND_STRONG_ERDOS_BURGESS, value, Seq(best), nodes)
+    return _free_search(S, KIND_STRONG_ERDOS_BURGESS, map_fn)
 
 
 def davenport(S: FiniteSemigroup, map_fn=map) -> ConstantReport:

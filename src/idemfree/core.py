@@ -186,14 +186,27 @@ def is_nilsemigroup(S: FiniteSemigroup) -> bool:
     return z is not None and idempotents(S) == frozenset({z})
 
 
+def _index(value, what: str) -> int:
+    """value as an int; a float, string or other non-integer is rejected."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParameters(f"{what} {value!r} is not an integer") from None
+
+
+def _element(S: FiniteSemigroup, value, what: str = "element") -> ElementId:
+    """value as an element index of S, rejected unless an integer in [0, n)."""
+    x = _index(value, what)
+    if not 0 <= x < S.order:
+        raise InvalidParameters(f"{what} {x} outside semigroup of order {S.order}")
+    return x
+
+
 def generated_subsemigroup(S: FiniteSemigroup, generators) -> frozenset[ElementId]:
     """Least subset containing the generators and closed under the table."""
-    gens = frozenset(int(g) for g in generators)
+    gens = frozenset(_element(S, g, "generator") for g in generators)
     if not gens:
         raise EmptyGeneratorSet("generator set must be nonempty")
-    for g in gens:
-        if not 0 <= g < S.order:
-            raise InvalidParameters(f"generator {g} outside semigroup of order {S.order}")
     t = S.table
     closure = set(gens)
     frontier = list(gens)
@@ -231,8 +244,7 @@ def cyclic_data(S: FiniteSemigroup, x: ElementId) -> CyclicData:
     cached = S._cyclic.get(x)
     if cached is not None:
         return cached
-    if not 0 <= x < S.order:
-        raise InvalidParameters(f"element {x} outside semigroup of order {S.order}")
+    x = _element(S, x)
     powers = [x]
     seen_at = {x: 1}
     cur = x

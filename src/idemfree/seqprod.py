@@ -23,6 +23,7 @@ from .core import (
     FiniteSemigroup,
     InvalidParameters,
     SemigroupError,
+    _index,
     idempotents,
     is_commutative,
 )
@@ -49,7 +50,7 @@ class Seq:
 
     @classmethod
     def of(cls, terms) -> "Seq":
-        return cls(tuple(int(t) for t in terms))
+        return cls(tuple(_index(t, "term") for t in terms))
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -75,7 +76,7 @@ class Seq:
                 continue
             if not line:
                 return cls(())
-            return cls.of(line.split())
+            return cls(tuple(int(tok) for tok in line.split()))
         return cls(())
 
     def format(self) -> str:
@@ -85,7 +86,7 @@ class Seq:
 def _terms(seq) -> tuple[int, ...]:
     if isinstance(seq, Seq):
         return seq.terms
-    return tuple(int(t) for t in seq)
+    return tuple(_index(t, "term") for t in seq)
 
 
 def _check_terms(S: FiniteSemigroup, terms: tuple[int, ...]) -> None:
@@ -264,7 +265,8 @@ def is_strongly_free(S: FiniteSemigroup, seq) -> bool:
 def product_gain(S: FiniteSemigroup, seq, x: ElementId) -> int:
     """How many new any-order products appending x contributes."""
     terms = _terms(seq)
-    _check_terms(S, terms + (x,))
+    longer = terms + (_index(x, "term"),)
+    _check_terms(S, longer)
     base = _any_mask(S, terms)
-    grown = _any_mask(S, terms + (x,))
+    grown = _any_mask(S, longer)
     return (grown & ~base).bit_count()

@@ -23,6 +23,7 @@ from .core import (
     FiniteSemigroup,
     NotCommutative,
     SemigroupError,
+    _element,
     cyclic_data,
     generated_subsemigroup,
     idempotents,
@@ -70,7 +71,7 @@ def divides_power(S: FiniteSemigroup, a: ElementId, b: ElementId) -> bool:
     """
     _require_commutative(S)
     powers = set(cyclic_data(S, a).powers)
-    row = S.table[b]
+    row = S.table[_element(S, b)]
     return any(row[c] in powers for c in S.elements)
 
 
@@ -186,7 +187,7 @@ def _component_idempotent(S: FiniteSemigroup, comp: frozenset[int]) -> int:
 
 def kernel_group(S: FiniteSemigroup, component) -> frozenset[ElementId]:
     """The group e * component sitting inside an archimedean component."""
-    comp = frozenset(int(a) for a in component)
+    comp = frozenset(_element(S, a) for a in component)
     e = _component_idempotent(S, comp)
     t = S.table
     kernel = frozenset(t[e][a] for a in comp)
@@ -198,7 +199,8 @@ def kernel_group(S: FiniteSemigroup, component) -> frozenset[ElementId]:
 
 def partial_hom(S: FiniteSemigroup, component, a: ElementId) -> ElementId:
     """Map a nil-part element into the kernel group: a -> a * e."""
-    comp = frozenset(int(x) for x in component)
+    comp = frozenset(_element(S, x) for x in component)
+    a = _element(S, a)
     e = _component_idempotent(S, comp)
     kernel = frozenset(S.table[e][x] for x in comp)
     if a not in comp or a in kernel:

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from idemfree import InvalidParameters, format_cayley_table, group_nil_chain, parse_cayley_table
+from idemfree import FiniteSemigroup, InvalidParameters, format_cayley_table, group_nil_chain, parse_cayley_table
 from idemfree.cli import main
 from idemfree.verify import run_verification
 from oracles import left_zero_semigroup
@@ -78,14 +78,23 @@ def test_constants_group_nil_chain(tmp_path, capsys):
 
 
 def test_constants_pooled_matches_serial(tmp_path, capsys):
-    path = write_table(tmp_path, group_nil_chain(3, 2))
-    outputs = []
-    for workers in ("1", "2"):
-        code, out, _ = run_cli(capsys, "constants", path, "--workers", workers)
-        assert code == 0
-        outputs.append(out)
-    assert outputs[0] == outputs[1]
-    assert [r["kind"] for r in json.loads(outputs[1])] == ["ErdosBurgess", "StrongErdosBurgess", "Davenport"]
+    # a commutative table, and a noncommutative one of order 4 whose I
+    # search rebuilds any-order sets (I = 2 < SI = 3); both go through the
+    # process pool at 2 workers
+    nilpotent = FiniteSemigroup([[3, 3, 3, 3], [3, 3, 3, 3], [3, 0, 3, 3], [3, 3, 3, 3]])
+    cases = (
+        (group_nil_chain(3, 2), [("ErdosBurgess", 4), ("StrongErdosBurgess", 4), ("Davenport", 3)]),
+        (nilpotent, [("ErdosBurgess", 2), ("StrongErdosBurgess", 3)]),
+    )
+    for S, want in cases:
+        path = write_table(tmp_path, S)
+        outputs = []
+        for workers in ("1", "2"):
+            code, out, _ = run_cli(capsys, "constants", path, "--workers", workers)
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        assert [(r["kind"], r["value"]) for r in json.loads(outputs[1])] == want
 
 
 def test_constants_skips_davenport_on_noncommutative(tmp_path, capsys):

@@ -6,11 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from idemfree import (
     EmptySequence,
+    InvalidParameters,
     Seq,
     SequenceTooLong,
     any_order_products,
     cyclic_group,
     cyclic_nil,
+    generated_subsemigroup,
     group_nil_chain,
     is_commutative,
     is_strongly_free,
@@ -110,6 +112,20 @@ def test_seq_type():
     assert Seq.parse("# note\n1 1\n").terms == (1, 1)
     assert Seq.of([1, 1]).format() == "1 1\n"
     assert Seq.of([]).format() == "\n"
+    # terms are indices: a float or string is rejected, never truncated
+    Z3 = cyclic_group(3)
+    with pytest.raises(InvalidParameters, match="term 1.7 is not an integer"):
+        Seq.of([1.7])
+    with pytest.raises(InvalidParameters, match="term '1' is not an integer"):
+        Seq.of(["1"])
+    with pytest.raises(InvalidParameters, match="term 0.9 is not an integer"):
+        is_weakly_free(Z3, [0.9])
+    with pytest.raises(InvalidParameters, match="term 2.5 is not an integer"):
+        any_order_products(Z3, [2.5])
+    with pytest.raises(InvalidParameters, match="term 1.5 is not an integer"):
+        product_gain(Z3, [1], 1.5)
+    with pytest.raises(InvalidParameters, match="generator 1.5 is not an integer"):
+        generated_subsemigroup(Z3, [1.5])
 
 
 def _random_cases(seed, count, max_len=6):

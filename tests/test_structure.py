@@ -5,12 +5,14 @@ import pytest
 from idemfree import (
     GROUP_BY_NIL_EXTENSION,
     MONOGENIC_ONLY,
+    InvalidParameters,
     NotArchimedean,
     NotCommutative,
     NotInNilPart,
     WrongLength,
     archimedean_decomposition,
     cyclic_group,
+    cyclic_data,
     cyclic_nil,
     divides_power,
     extremal_equivalence,
@@ -43,6 +45,24 @@ def test_divides_power_examples():
     for a in Z4.elements:
         for b in Z4.elements:
             assert divides_power(Z4, a, b)
+
+
+def test_element_arguments_are_checked():
+    Z3 = cyclic_group(3)
+    with pytest.raises(InvalidParameters, match="element -1 outside"):
+        divides_power(Z3, 0, -1)
+    with pytest.raises(InvalidParameters, match="element 9 outside"):
+        divides_power(Z3, 0, 9)
+    with pytest.raises(InvalidParameters, match="element 7 outside"):
+        kernel_group(Z3, [7])
+    with pytest.raises(InvalidParameters, match="element -1 outside"):
+        kernel_group(Z3, [-1])
+    with pytest.raises(InvalidParameters, match="element 9 outside"):
+        partial_hom(Z3, [9], 0)
+    with pytest.raises(InvalidParameters, match="element 1.5 is not an integer"):
+        partial_hom(Z3, [0, 1, 2], 1.5)
+    with pytest.raises(InvalidParameters, match="element 1.5 is not an integer"):
+        cyclic_data(Z3, 1.5)
 
 
 def test_divides_power_requires_commutative():
