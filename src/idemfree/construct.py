@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import FiniteSemigroup, InvalidParameters, SemigroupError, is_commutative, monogenic
+from .core import FiniteSemigroup, InvalidParameters, SemigroupError, _index, is_commutative, monogenic
 from .seqprod import Seq
 
 
@@ -31,6 +31,7 @@ DEFAULT_ENUM_ORDER_CAP = 4
 
 def cyclic_group(p: int) -> FiniteSemigroup:
     """The cyclic group of order p (index 1, period p)."""
+    p = _index(p, "group order")
     if p < 1:
         raise InvalidParameters(f"group order must be >= 1, got {p}")
     return monogenic(1, p)
@@ -38,6 +39,7 @@ def cyclic_group(p: int) -> FiniteSemigroup:
 
 def cyclic_nil(n: int) -> FiniteSemigroup:
     """The cyclic nilsemigroup of index n; the top power is the zero."""
+    n = _index(n, "nil index")
     if n < 1:
         raise InvalidParameters(f"nil index must be >= 1, got {n}")
     return monogenic(n, 1)
@@ -50,7 +52,7 @@ def trivial_ideal_extension(nil_index: int, group_order: int) -> FiniteSemigroup
     overflow onto the group identity and nil elements act as identities on
     the group, which makes the whole thing one archimedean component.
     """
-    n, p = int(nil_index), int(group_order)
+    n, p = _index(nil_index, "nil index"), _index(group_order, "group order")
     if n < 2 or p < 2:
         raise InvalidParameters(f"need nil index >= 2 and group order >= 2, got ({n}, {p})")
     off = n - 1
@@ -236,7 +238,7 @@ def enumerate_semigroups(
     supported. resume_from restarts the stream at a flattened row-major
     prefix (inclusive).
     """
-    n = int(order)
+    n = _index(order, "order")
     if n < 1:
         raise InvalidParameters("order must be >= 1")
     if n > HARD_ENUM_CAP:
@@ -245,7 +247,7 @@ def enumerate_semigroups(
         raise OrderTooLarge(
             f"order {n} exceeds the configured cap {max_order}; raise max_order explicitly"
         )
-    prefix = tuple(int(v) for v in resume_from) if resume_from else ()
+    prefix = tuple(_index(v, "resume cell") for v in resume_from) if resume_from else ()
     if len(prefix) > n * n or any(not 0 <= v < n for v in prefix):
         raise InvalidParameters("resume prefix must be at most n*n cells in [0, n)")
 

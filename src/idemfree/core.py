@@ -9,8 +9,7 @@ everything downstream can index straight into the table without re-checking.
 Tables that are associative by construction from already validated input
 skip the O(n^3) check through the private ``FiniteSemigroup._trusted``:
 ``monogenic``; ``chain_glue``, ``adjoin_identity``,
-``trivial_ideal_extension`` and the enumerator in ``construct``; and
-restrictions to closed subsets in ``structure``.
+``trivial_ideal_extension`` and the enumerator in ``construct``.
 """
 
 from __future__ import annotations
@@ -279,7 +278,7 @@ def monogenic(index: int, period: int) -> FiniteSemigroup:
     exponent stays below i+p, and otherwise folds back into [i, i+p-1]
     congruent to a+b mod p.
     """
-    i, p = int(index), int(period)
+    i, p = _index(index, "index"), _index(period, "period")
     if i < 1 or p < 1:
         raise InvalidParameters(f"index and period must be >= 1, got ({index}, {period})")
     n = i + p - 1

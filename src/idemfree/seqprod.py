@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from .core import (
     ElementId,
     FiniteSemigroup,
-    InvalidParameters,
     SemigroupError,
+    _element,
     _index,
     idempotents,
     is_commutative,
@@ -83,16 +83,9 @@ class Seq:
         return " ".join(str(t) for t in self.terms) + "\n"
 
 
-def _terms(seq) -> tuple[int, ...]:
-    if isinstance(seq, Seq):
-        return seq.terms
-    return tuple(_index(t, "term") for t in seq)
-
-
-def _check_terms(S: FiniteSemigroup, terms: tuple[int, ...]) -> None:
-    for t in terms:
-        if not 0 <= t < S.order:
-            raise InvalidParameters(f"term {t} outside semigroup of order {S.order}")
+def _terms(S: FiniteSemigroup, seq) -> tuple[int, ...]:
+    """The terms of seq, a Seq or any iterable, each checked as an element of S."""
+    return tuple(_element(S, t, "term") for t in seq)
 
 
 def _idem_mask(S: FiniteSemigroup) -> int:
@@ -208,10 +201,9 @@ def _any_mask(S: FiniteSemigroup, terms: tuple[int, ...]) -> int:
 
 def ordered_product(S: FiniteSemigroup, seq) -> ElementId:
     """Left-to-right product of all terms; the sequence must be nonempty."""
-    terms = _terms(seq)
+    terms = _terms(S, seq)
     if not terms:
         raise EmptySequence("the product of an empty sequence is undefined")
-    _check_terms(S, terms)
     table = S.table
     acc = terms[0]
     for x in terms[1:]:
@@ -221,15 +213,13 @@ def ordered_product(S: FiniteSemigroup, seq) -> ElementId:
 
 def any_order_products(S: FiniteSemigroup, seq) -> frozenset[ElementId]:
     """Products of every nonempty subsequence of T, over all term orders."""
-    terms = _terms(seq)
-    _check_terms(S, terms)
+    terms = _terms(S, seq)
     return _mask_to_set(_any_mask(S, terms))
 
 
 def natural_order_products(S: FiniteSemigroup, seq) -> frozenset[ElementId]:
     """Products of nonempty subsequences folded in their order within T."""
-    terms = _terms(seq)
-    _check_terms(S, terms)
+    terms = _terms(S, seq)
     return _mask_to_set(_natural_mask(S, terms))
 
 
@@ -240,8 +230,7 @@ class ProductSets:
 
 
 def product_sets(S: FiniteSemigroup, seq) -> ProductSets:
-    terms = _terms(seq)
-    _check_terms(S, terms)
+    terms = _terms(S, seq)
     return ProductSets(
         any_order=_mask_to_set(_any_mask(S, terms)),
         natural_order=_mask_to_set(_natural_mask(S, terms)),
@@ -250,23 +239,19 @@ def product_sets(S: FiniteSemigroup, seq) -> ProductSets:
 
 def is_weakly_free(S: FiniteSemigroup, seq) -> bool:
     """No nonempty subsequence multiplies to an idempotent in any order."""
-    terms = _terms(seq)
-    _check_terms(S, terms)
+    terms = _terms(S, seq)
     return not (_any_mask(S, terms) & _idem_mask(S))
 
 
 def is_strongly_free(S: FiniteSemigroup, seq) -> bool:
     """No nonempty subsequence multiplies to an idempotent in natural order."""
-    terms = _terms(seq)
-    _check_terms(S, terms)
+    terms = _terms(S, seq)
     return not (_natural_mask(S, terms) & _idem_mask(S))
 
 
 def product_gain(S: FiniteSemigroup, seq, x: ElementId) -> int:
     """How many new any-order products appending x contributes."""
-    terms = _terms(seq)
-    longer = terms + (_index(x, "term"),)
-    _check_terms(S, longer)
-    base = _any_mask(S, terms)
+    longer = _terms(S, (*seq, x))
+    base = _any_mask(S, longer[:-1])
     grown = _any_mask(S, longer)
     return (grown & ~base).bit_count()

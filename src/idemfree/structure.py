@@ -30,7 +30,7 @@ from .core import (
     is_commutative,
     unique_cycle_idempotent,
 )
-from .seqprod import _check_terms, _terms, is_weakly_free
+from .seqprod import _terms, is_weakly_free
 
 
 class NotArchimedean(SemigroupError):
@@ -111,28 +111,38 @@ def archimedean_decomposition(S: FiniteSemigroup) -> ArchDecomposition:
     nil part.
     """
     _require_commutative(S)
-    n = S.order
+    return _decompose(S, S.elements)
+
+
+def _decompose(S: FiniteSemigroup, carrier) -> ArchDecomposition:
+    """The archimedean decomposition of a closed carrier on which S commutes.
+
+    Works in S's own element ids: the witnesses c in a^m = b*c are drawn
+    from the carrier, and comp_of is -1 outside it.
+    """
     t = S.table
-    pow_masks = []
-    row_masks = []
-    for a in range(n):
+    elems = sorted(carrier)
+    pow_masks = {}
+    row_masks = {}
+    for a in elems:
         pm = 0
         for y in cyclic_data(S, a).powers:
             pm |= 1 << y
-        pow_masks.append(pm)
+        pow_masks[a] = pm
+        row = t[a]
         rm = 0
-        for c in range(n):
-            rm |= 1 << t[a][c]
-        row_masks.append(rm)
-    eleq = [[bool(pow_masks[a] & row_masks[b]) for b in range(n)] for a in range(n)]
+        for c in elems:
+            rm |= 1 << row[c]
+        row_masks[a] = rm
+    eleq = {a: {b: bool(pow_masks[a] & row_masks[b]) for b in elems} for a in elems}
 
-    comp_of = [-1] * n
+    comp_of = [-1] * S.order
     components: list[frozenset[int]] = []
-    for a in range(n):
+    for a in elems:
         if comp_of[a] >= 0:
             continue
         cid = len(components)
-        members = [b for b in range(n) if eleq[a][b] and eleq[b][a]]
+        members = [b for b in elems if eleq[a][b] and eleq[b][a]]
         for b in members:
             assert comp_of[b] < 0, "mutual divisibility classes overlap"
             comp_of[b] = cid
@@ -142,8 +152,8 @@ def archimedean_decomposition(S: FiniteSemigroup) -> ArchDecomposition:
     k = len(components)
     leq = tuple(tuple(eleq[reps[i]][reps[j]] for j in range(k)) for i in range(k))
     # the relation must be constant on classes (it descends to the quotient)
-    for a in range(n):
-        for b in range(n):
+    for a in elems:
+        for b in elems:
             assert eleq[a][b] == leq[comp_of[a]][comp_of[b]], "divisibility is not a class invariant"
 
     per = []
@@ -246,17 +256,6 @@ class ExtremalCertificate:
         }
 
 
-def _subsemigroup(S: FiniteSemigroup, elements) -> tuple[FiniteSemigroup, list[int]]:
-    """Restrict the table to a closed subset on which the product commutes;
-    returns (sub, original ids), with sub recorded as commutative."""
-    carrier = sorted(elements)
-    pos = {e: i for i, e in enumerate(carrier)}
-    t = S.table
-    sub = FiniteSemigroup._trusted([[pos[t[a][b]] for b in carrier] for a in carrier])
-    sub._commutative = True  # known to the caller; spares is_commutative its scan
-    return sub, carrier
-
-
 def _absorption_order(S: FiniteSemigroup, supp: list[int]) -> tuple[int, ...] | None:
     """An ordering x_1..x_k with x_i * x_j = x_j for i < j, if one exists."""
     t = S.table
@@ -278,7 +277,7 @@ def _absorption_order(S: FiniteSemigroup, supp: list[int]) -> tuple[int, ...] | 
     return tuple(order)
 
 
-def _component_kind(sub: FiniteSemigroup, comp: frozenset[int], data: ComponentData, gens: list[int]) -> str | None:
+def _component_kind(S: FiniteSemigroup, comp: frozenset[int], data: ComponentData, gens: list[int]) -> str | None:
     """The kind of one archimedean component from the generators inside it.
 
     Either one generator whose cycle is the whole component, with index
@@ -287,7 +286,7 @@ def _component_kind(sub: FiniteSemigroup, comp: frozenset[int], data: ComponentD
     nil part and the idempotent, with trivial partial homomorphism.
     """
     if len(gens) == 1:
-        cd = cyclic_data(sub, gens[0])
+        cd = cyclic_data(S, gens[0])
         ok = frozenset(cd.powers) == comp and (cd.index - 1) % cd.period == 0
         return MONOGENIC_ONLY if ok else None
     if len(gens) != 2:
@@ -301,38 +300,35 @@ def _component_kind(sub: FiniteSemigroup, comp: frozenset[int], data: ComponentD
     ok = (
         len(data.kernel_group) >= 2
         and len(data.nil_part) >= 1
-        and frozenset(cyclic_data(sub, x2).powers) == data.kernel_group
-        and frozenset(cyclic_data(sub, x1).powers) == data.nil_part | {e}
-        and sub.table[x1][e] == e  # trivial partial homomorphism
+        and frozenset(cyclic_data(S, x2).powers) == data.kernel_group
+        and frozenset(cyclic_data(S, x1).powers) == data.nil_part | {e}
+        and S.table[x1][e] == e  # trivial partial homomorphism
     )
     return GROUP_BY_NIL_EXTENSION if ok else None
 
 
 def _classify_components(
     S: FiniteSemigroup, R: frozenset[int], gens
-) -> tuple[tuple[str, ...] | None, FiniteSemigroup, ArchDecomposition]:
-    """Decompose the commutative subsemigroup R generated by gens.
+) -> tuple[tuple[str, ...] | None, ArchDecomposition]:
+    """Decompose the commutative subsemigroup R generated by gens, inside S.
 
     Returns the kind of each archimedean component, ordered by its first
     generator in gens (None if a component has no generator or fails
-    ``_component_kind``), together with R as a semigroup and its
-    decomposition.
+    ``_component_kind``), together with the decomposition of R.
     """
-    sub, orig = _subsemigroup(S, R)
-    pos = {e: i for i, e in enumerate(orig)}
-    dec = archimedean_decomposition(sub)
+    dec = _decompose(S, R)
     comp_gens: dict[int, list[int]] = {}
     for x in gens:
-        comp_gens.setdefault(dec.comp_of[pos[x]], []).append(pos[x])
+        comp_gens.setdefault(dec.comp_of[x], []).append(x)
     if len(comp_gens) != len(dec.components):
-        return None, sub, dec
+        return None, dec
     kinds = []
     for cid, cgens in comp_gens.items():
-        kind = _component_kind(sub, dec.components[cid], dec.per_component[cid], cgens)
+        kind = _component_kind(S, dec.components[cid], dec.per_component[cid], cgens)
         if kind is None:
-            return None, sub, dec
+            return None, dec
         kinds.append(kind)
-    return tuple(kinds), sub, dec
+    return tuple(kinds), dec
 
 
 def _extremal_prelude(S: FiniteSemigroup, seq) -> tuple[tuple[int, ...], list[int], frozenset[int], str | None]:
@@ -344,15 +340,15 @@ def _extremal_prelude(S: FiniteSemigroup, seq) -> tuple[tuple[int, ...], list[in
     empty sequence R is empty and both hold, since the length check already
     says every element is idempotent.
     """
-    terms = _terms(seq)
-    _check_terms(S, terms)
+    terms = _terms(S, seq)
     expected = S.order - len(idempotents(S))
     if len(terms) != expected:
         raise WrongLength(f"sequence length {len(terms)} != |S \\ E(S)| = {expected}")
     supp = sorted(set(terms))
     R = generated_subsemigroup(S, supp) if supp else frozenset()
     t = S.table
-    if not all(t[a][b] == t[b][a] for a in R for b in R):
+    # a semigroup generated by pairwise commuting elements is commutative
+    if not all(t[a][b] == t[b][a] for i, a in enumerate(supp) for b in supp[i + 1:]):
         return terms, supp, R, COND_COMMUTATIVE
     if not all(t[s][s] == s for s in S.elements if s not in R):
         return terms, supp, R, COND_COMPLEMENT
@@ -430,7 +426,7 @@ def extremal_structure_check(S: FiniteSemigroup, seq) -> ExtremalCertificate:
     if not ok:
         return done(False, COND_MULTIPLICITY)
 
-    kinds, _, _ = _classify_components(S, R, gen_order)
+    kinds, _ = _classify_components(S, R, gen_order)
     conds.append((COND_COMPONENTS, kinds is not None))
     if kinds is None:
         return done(False, COND_COMPONENTS)
@@ -450,8 +446,8 @@ def extremal_main_form(S: FiniteSemigroup, seq) -> bool:
         return False
     if not supp:
         return True
-    kinds, sub, dec = _classify_components(S, R, supp)
-    if kinds is None or not is_chain_lower_absorbing(sub, dec):
+    kinds, dec = _classify_components(S, R, supp)
+    if kinds is None or not is_chain_lower_absorbing(S, dec):
         return False
     for x in supp:
         cd = cyclic_data(S, x)

@@ -44,6 +44,12 @@ def test_cyclic_group_and_nil():
         cyclic_group(0)
     with pytest.raises(InvalidParameters):
         cyclic_nil(0)
+    with pytest.raises(InvalidParameters, match="group order 3.7 is not an integer"):
+        cyclic_group(3.7)
+    with pytest.raises(InvalidParameters, match="nil index 2.5 is not an integer"):
+        cyclic_nil(2.5)
+    with pytest.raises(InvalidParameters, match="group order 2.5 is not an integer"):
+        group_nil_chain(2.5, 2)
 
 
 def test_trivial_ideal_extension_small():
@@ -61,6 +67,10 @@ def test_trivial_ideal_extension_small():
         trivial_ideal_extension(1, 2)
     with pytest.raises(InvalidParameters):
         trivial_ideal_extension(2, 1)
+    with pytest.raises(InvalidParameters, match="nil index 2.5 is not an integer"):
+        trivial_ideal_extension(2.5, 2)
+    with pytest.raises(InvalidParameters, match="group order 3.5 is not an integer"):
+        trivial_ideal_extension(2, 3.5)
 
 
 def test_chain_glue_matches_group_nil_chain():
@@ -222,6 +232,10 @@ def test_enumeration_order_caps():
         list(enumerate_semigroups(6, max_order=6))
     with pytest.raises(InvalidParameters):
         list(enumerate_semigroups(0))
+    with pytest.raises(InvalidParameters, match="order 2.7 is not an integer"):
+        list(enumerate_semigroups(2.7))
+    with pytest.raises(InvalidParameters, match="resume cell 0.9 is not an integer"):
+        list(enumerate_semigroups(3, resume_from=[0.9, 1.2]))
     # order 5 works when requested explicitly; just probe the stream start
     gen = enumerate_semigroups(5, max_order=5)
     first = next(gen)

@@ -181,6 +181,11 @@ def test_monogenic_special_cases():
         monogenic(0, 2)
     with pytest.raises(InvalidParameters):
         monogenic(2, 0)
+    # parameters are counts: a float is rejected, never truncated
+    with pytest.raises(InvalidParameters, match="index 2.5 is not an integer"):
+        monogenic(2.5, 2)
+    with pytest.raises(InvalidParameters, match="period '2' is not an integer"):
+        monogenic(2, "2")
 
 
 def test_monogenic_tail_group():

@@ -12,6 +12,7 @@ from idemfree import (
     any_order_products,
     cyclic_group,
     cyclic_nil,
+    extremal_structure_check,
     generated_subsemigroup,
     group_nil_chain,
     is_commutative,
@@ -126,6 +127,15 @@ def test_seq_type():
         product_gain(Z3, [1], 1.5)
     with pytest.raises(InvalidParameters, match="generator 1.5 is not an integer"):
         generated_subsemigroup(Z3, [1.5])
+    # a Seq built directly gets the same checks as any other iterable
+    with pytest.raises(InvalidParameters, match="term 0.9 is not an integer"):
+        is_weakly_free(Z3, Seq((0.9,)))
+    with pytest.raises(InvalidParameters, match="term '1' is not an integer"):
+        any_order_products(Z3, Seq(("1",)))
+    with pytest.raises(InvalidParameters, match="term 0.5 is not an integer"):
+        extremal_structure_check(Z3, Seq((0.5, 0.5)))
+    with pytest.raises(InvalidParameters, match="term 3 outside semigroup of order 3"):
+        ordered_product(Z3, Seq((3,)))
 
 
 def _random_cases(seed, count, max_len=6):

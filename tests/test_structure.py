@@ -22,6 +22,7 @@ from idemfree import (
     ExtremalSpec,
     GroupByNil,
     Monogenic,
+    generated_subsemigroup,
     group_nil_chain,
     idempotents,
     is_chain_lower_absorbing,
@@ -199,6 +200,22 @@ def test_certificate_on_noncommutative_support():
     assert not cert.passed
     assert cert.fail_reason == COND_COMMUTATIVE
     assert extremal_equivalence(S, [1, 2, 3])
+
+
+def test_commutative_closure_is_decided_on_generators(corpus_le4):
+    # the certificate's first condition checks only pairs of the support:
+    # pairwise commuting generators give a commutative generated subsemigroup
+    cases = 0
+    for S in corpus_le4:
+        t = S.table
+        for k in range(1, S.order + 1):
+            for gens in itertools.combinations(S.elements, k):
+                pairwise = all(t[a][b] == t[b][a] for a in gens for b in gens)
+                R = generated_subsemigroup(S, gens)
+                closed = all(t[a][b] == t[b][a] for a in R for b in R)
+                assert pairwise == closed, (S.table, gens)
+                cases += 1
+    assert cases == 53196
 
 
 def test_extremal_pair_outputs_certify():

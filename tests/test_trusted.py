@@ -17,13 +17,12 @@ from idemfree import (
     enumerate_semigroups,
     extremal_pair,
     generated_subsemigroup,
-    is_commutative,
     monogenic,
     trivial_ideal_extension,
     unique_cycle_idempotent,
     validate,
 )
-from idemfree.structure import _subsemigroup
+from idemfree.structure import ComponentData, _decompose
 from idemfree.verify import enumerate_extremal_specs
 
 
@@ -67,19 +66,42 @@ def test_extremal_pairs_are_valid():
         assert_valid(S)
 
 
-def test_subsemigroup_restrictions_are_valid(commutative_le4):
-    for S in commutative_le4:
+def test_decompose_matches_validated_restriction(corpus_le4):
+    # the certificate decomposes R in place, inside S; a restricted copy of
+    # R, fully validated and decomposed on its own, must agree once mapped
+    # back through the sorted carrier
+    checked = 0
+    for S in corpus_le4:
+        t = S.table
         carriers = {
             generated_subsemigroup(S, gens)
             for k in (1, 2)
             for gens in itertools.combinations(S.elements, k)
         }
         for carrier in carriers:
-            sub, orig = _subsemigroup(S, carrier)
-            assert orig == sorted(carrier)
-            assert_valid(sub)
-            # the recorded commutativity matches a fresh full check
-            assert sub._commutative == is_commutative(validate(sub.order, sub.table))
+            if any(t[a][b] != t[b][a] for a in carrier for b in carrier):
+                continue
+            orig = sorted(carrier)
+            pos = {e: i for i, e in enumerate(orig)}
+            sub = validate(len(orig), [[pos[t[a][b]] for b in orig] for a in orig])
+            ref = archimedean_decomposition(sub)
+            got = _decompose(S, carrier)
+
+            def back(ids):
+                return frozenset(orig[i] for i in ids)
+
+            assert got.components == tuple(back(c) for c in ref.components)
+            assert got.leq == ref.leq
+            assert got.per_component == tuple(
+                ComponentData(orig[d.idempotent], back(d.kernel_group), back(d.nil_part))
+                for d in ref.per_component
+            )
+            comp_of = [-1] * S.order
+            for i, cid in enumerate(ref.comp_of):
+                comp_of[orig[i]] = cid
+            assert got.comp_of == tuple(comp_of)
+            checked += 1
+    assert checked == 24299
 
 
 def test_enumerated_corpus_is_valid(corpus_le4):
