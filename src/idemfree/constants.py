@@ -10,9 +10,10 @@ On a commutative semigroup the any-order product set of a sequence equals
 its natural-order set, so SI and commutative I share one natural-order walk,
 ``_natural_task``: SI walks all words, and I walks nondecreasing sequences,
 since weak freeness depends only on the multiset of terms. Noncommutative I
-walks nondecreasing sequences too, but ``_any_order_task`` rebuilds the
-any-order set at every node. Davenport irreducibility also depends only on
-the multiset, so the D search walks nondecreasing sequences.
+walks nondecreasing sequences too, in ``_any_order_task``, which carries the
+any-order sub-multiset DP down the path: a child computes only the products
+of the sub-multisets that use its new term. Davenport irreducibility also
+depends only on the multiset, so the D search walks nondecreasing sequences.
 
 The natural-order and Davenport product sets only grow along a path, so
 those walks carry each set's right translates packed into one integer (the
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import FiniteSemigroup, NotCommutative, identity_element, idempotents, is_commutative
-from .seqprod import Seq, _any_mask, _grow, _idem_mask, _packed_rows
+from .seqprod import Seq, _fill_slab, _grow, _idem_mask, _packed_rows, _top_links
 
 KIND_ERDOS_BURGESS = "ErdosBurgess"
 KIND_STRONG_ERDOS_BURGESS = "StrongErdosBurgess"
@@ -86,25 +87,45 @@ def _natural_task(args) -> tuple[int, tuple[int, ...], int]:
 
 def _any_order_task(args) -> tuple[int, tuple[int, ...], int]:
     """Longest weakly free nondecreasing sequence with least term alpha[first]
-    in a noncommutative S, rebuilding the any-order set at every node."""
+    in a noncommutative S.
+
+    The path carries the any-order DP of ``seqprod._fill_slab``: one mask per
+    sub-multiset of the path, the largest letter most significant. A child
+    appends the slab of sub-multisets that use its new term, stopping at the
+    first idempotent product, and drops it on return. A repeat of the top
+    letter reuses its digit links; a new top letter builds them once per
+    node.
+    """
     S, alpha, idem, first = args
+    table = S.table
     nodes = 1
     best_len = 1
     best = (alpha[first],)
+    reach = [0]
+    root_links = [()]
 
-    def rec(seq: tuple[int, ...], start: int) -> None:
+    def rec(seq: tuple[int, ...], mask: int, links: list, width: int, start: int) -> None:
         nonlocal nodes, best_len, best
+        top_links = None
         for idx in range(start, len(alpha)):
             x = alpha[idx]
             nodes += 1
-            cand = seq + (x,)
-            if _any_mask(S, cand) & idem:
-                continue
-            if len(cand) > best_len:
-                best_len, best = len(cand), cand
-            rec(cand, idx)
+            base = len(reach)
+            if idx == start:
+                lk, w = links, width
+            else:
+                if top_links is None:
+                    top_links = _top_links(links, width, alpha[start], base)
+                lk, w = top_links, base
+            grown = mask | _fill_slab(table, reach, lk, x, w, idem)
+            if not grown & idem:
+                cand = seq + (x,)
+                if len(cand) > best_len:
+                    best_len, best = len(cand), cand
+                rec(cand, grown, lk, w, idx)
+            del reach[base:]
 
-    rec(best, first)
+    rec(best, _fill_slab(table, reach, root_links, best[0], 1), root_links, 1, first)
     return best_len, best, nodes
 
 

@@ -127,6 +127,8 @@ class Monogenic:
     period: int
 
     def __post_init__(self):
+        object.__setattr__(self, "index", _index(self.index, "index"))
+        object.__setattr__(self, "period", _index(self.period, "period"))
         if self.index < 1 or self.period < 1:
             raise InvalidParameters(f"need index, period >= 1, got {self}")
         if (self.index - 1) % self.period != 0:
@@ -145,6 +147,8 @@ class GroupByNil:
     group_order: int
 
     def __post_init__(self):
+        object.__setattr__(self, "nil_index", _index(self.nil_index, "nil index"))
+        object.__setattr__(self, "group_order", _index(self.group_order, "group order"))
         if self.nil_index < 2 or self.group_order < 2:
             raise InvalidParameters(f"need nil index >= 2 and group order >= 2, got {self}")
 

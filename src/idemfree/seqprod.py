@@ -8,12 +8,14 @@ set unions and table-indexed translations.
 
 The searches in ``constants`` instead carry, for a product set A that only
 grows along a path, every right translate A*c packed into one integer; the
-layout is defined in ``_packed_rows`` and extended by ``_grow``.
+layout is defined in ``_packed_rows`` and extended by ``_grow``. The
+noncommutative any-order set is a DP over sub-multisets, filled one slab
+per appended term by ``_fill_slab``; ``_any_mask_general`` and the
+noncommutative I search share it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -152,40 +154,68 @@ def _natural_mask(S: FiniteSemigroup, terms: tuple[int, ...]) -> int:
     return acc
 
 
+def _check_states(states: int) -> None:
+    if states > _MAX_DP_STATES:
+        raise SequenceTooLong(f"{states} sub-multiset states exceed the any-order DP bound of {_MAX_DP_STATES}")
+
+
+def _top_links(links: list, width: int, top: int, size: int) -> list:
+    """Digit links for a new top letter.
+
+    The array holds size states; its current top letter, top, has digit
+    weight width and digit links links. Entry u of the result lists
+    (w_i, s_i) for each nonzero lower digit of u: the offset w_i back to the
+    sub-multiset with one s_i fewer, and s_i. The new letter's own digit
+    has weight size.
+    """
+    lifted = [link + ((width, top),) for link in links]
+    return links + lifted * (size // width - 1)
+
+
+def _fill_slab(table, reach: list, links: list, x: int, width: int, stop: int = 0) -> int:
+    """Append to reach the slab of sub-multisets that use one more x, the
+    top letter, and return the OR of their any-order product masks.
+
+    reach holds one mask per sub-multiset, indexed in mixed radix with the
+    largest letter most significant; entry 0 is the empty multiset. x has
+    digit weight width and links from ``_top_links``. A product in some
+    order ends with some term: entry v is reach[v - width]*x (or {x} when
+    v - width is empty) together with reach[v - w_i]*s_i for each lower
+    letter s_i that v uses. The fill stops early at the first mask that
+    meets stop, leaving the slab partial. An array past _MAX_DP_STATES is
+    refused before the slab is allocated.
+    """
+    base = len(reach)
+    _check_states(base + width)
+    out = 0
+    for v, lower in enumerate(links, base):
+        prev = reach[v - width]
+        m = _translate(table, prev, x) if prev else 1 << x
+        for w, s in lower:
+            m |= _translate(table, reach[v - w], s)
+        reach.append(m)
+        out |= m
+        if m & stop:
+            break
+    return out
+
+
 def _any_mask_general(S: FiniteSemigroup, terms: tuple[int, ...]) -> int:
-    """Last-factor recursion over sub-multisets, memoized per call.
+    """The sub-multiset DP of ``_fill_slab``, one slab per term in sorted order.
 
     Visits one state per sub-multiset count vector, prod(c_i + 1) in all;
     an input over _MAX_DP_STATES is refused before any work.
     """
-    support = sorted(set(terms))
-    k = len(support)
-    counts = tuple(terms.count(x) for x in support)
-    states = math.prod(c + 1 for c in counts)
-    if states > _MAX_DP_STATES:
-        raise SequenceTooLong(f"{states} sub-multiset states exceed the any-order DP bound of {_MAX_DP_STATES}")
+    counts = Counter(terms)
+    _check_states(math.prod(c + 1 for c in counts.values()))
     table = S.table
-    memo: dict[tuple[int, ...], int] = {}
-
-    def reach(vec: tuple[int, ...]) -> int:
-        got = memo.get(vec)
-        if got is not None:
-            return got
-        if sum(vec) == 1:
-            m = 1 << support[vec.index(1)]
-        else:
-            m = 0
-            for i in range(k):
-                if vec[i]:
-                    sub = vec[:i] + (vec[i] - 1,) + vec[i + 1:]
-                    m |= _translate(table, reach(sub), support[i])
-        memo[vec] = m
-        return m
-
+    # only the empty multiset so far: the first letter gets weight 1 and no links
+    reach, links, width, top = [0], [()], 1, -1
     out = 0
-    for vec in itertools.product(*(range(c + 1) for c in counts)):
-        if any(vec):
-            out |= reach(vec)
+    for x in sorted(counts):
+        links, width, top = _top_links(links, width, top, len(reach)), len(reach), x
+        for _ in range(counts[x]):
+            out |= _fill_slab(table, reach, links, x, width)
     return out
 
 

@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .constants import davenport, erdos_burgess, ghw_bound, strong_erdos_burgess
 from .construct import ExtremalSpec, GroupByNil, Monogenic, enumerate_semigroups, extremal_pair, group_nil_chain
-from .core import FiniteSemigroup, InvalidParameters, idempotents, is_commutative, is_nilsemigroup, zero_element
+from .core import FiniteSemigroup, InvalidParameters, _index, idempotents, is_commutative, is_nilsemigroup, zero_element
 from .seqprod import _any_mask, _idem_mask, is_weakly_free
 from .structure import extremal_main_form, extremal_structure_check
 
@@ -240,6 +240,9 @@ def enumerate_extremal_specs(
 ) -> list[ExtremalSpec]:
     """Every chain of at most max_components catalog parts whose sequence
     length budget fits, optionally doubled with an adjoined identity."""
+    max_components = _index(max_components, "max_components")
+    max_terms = _index(max_terms, "max_terms")
+    group_by_nil_limit = _index(group_by_nil_limit, "group_by_nil_limit")
     catalog: list[Monogenic | GroupByNil] = []
     for period in range(1, max_terms + 2):
         for index in range(1, max_terms + 3 - period):

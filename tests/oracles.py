@@ -9,6 +9,7 @@ which is the thing that case compares freeness against.
 from __future__ import annotations
 
 import itertools
+import random
 
 from idemfree import FiniteSemigroup, extremal_structure_check, identity_element
 
@@ -186,6 +187,26 @@ def transformation_monogenic_table(index: int, period: int) -> list[list[int]]:
 
 def left_zero_semigroup(n: int) -> FiniteSemigroup:
     return FiniteSemigroup([[a] * n for a in range(n)])
+
+
+def dihedral(n: int) -> FiniteSemigroup:
+    """D_2n, n >= 3, as the maps i -> s*i + k of Z_n (s = 1 or -1), with
+    a*b meaning "apply a, then b"."""
+    maps = [(s, k) for s in (1, -1) for k in range(n)]
+    index = {m: j for j, m in enumerate(maps)}
+    # i -> t*(s*i + k) + l
+    return FiniteSemigroup([[index[(s * t, (t * k + l) % n)] for t, l in maps] for s, k in maps])
+
+
+def relabel(S: FiniteSemigroup, seed: int) -> FiniteSemigroup:
+    """An isomorphic copy of S under a seeded permutation of its elements."""
+    perm = list(S.elements)
+    random.Random(seed).shuffle(perm)
+    table = [[0] * S.order for _ in S.elements]
+    for a in S.elements:
+        for b in S.elements:
+            table[perm[a]][perm[b]] = perm[S.table[a][b]]
+    return FiniteSemigroup(table)
 
 
 def vee_semilattice() -> FiniteSemigroup:

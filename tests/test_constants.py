@@ -5,6 +5,7 @@ import pytest
 from idemfree import (
     NotCommutative,
     Seq,
+    SequenceTooLong,
     chain_glue,
     cyclic_group,
     davenport,
@@ -22,16 +23,19 @@ from idemfree import (
     validate,
 )
 from oracles import (
+    dihedral,
     left_zero_semigroup,
     naive_davenport,
     naive_erdos_burgess,
     naive_is_irreducible,
     naive_strong_erdos_burgess,
     reference_search,
+    relabel,
 )
 
 import itertools
 
+from idemfree import seqprod
 from idemfree.verify import enumerate_extremal_specs
 
 SEARCHES = {"I": erdos_burgess, "SI": strong_erdos_burgess, "D": davenport}
@@ -191,6 +195,28 @@ def test_searches_match_reference_on_families():
     for n1 in range(2, 6):
         for n2 in range(2, 6):
             _assert_reports_match_reference(group_nil_chain(n1, n2))
+
+
+def test_dihedral_searches_match_reference():
+    # deep noncommutative I: the any-order DP carried down the path against
+    # naive any-order sets at every node, on D_2n and two relabelled copies;
+    # I(D_2n) = n + 1 (Olson and White 1977)
+    for n in range(3, 7):
+        for S in (dihedral(n), relabel(dihedral(n), n), relabel(dihedral(n), 100 + n)):
+            assert not is_commutative(S)
+            assert erdos_burgess(S).value == n + 1
+            _assert_reports_match_reference(S, ("I", "SI"))
+
+
+def test_noncommutative_search_refuses_past_dp_bound(monkeypatch):
+    # the largest candidates the D_6 walk tries, such as (1, 1, 3, 4), have
+    # 3 * 2 * 2 = 12 sub-multiset states; the search refuses exactly past them
+    S = dihedral(3)
+    monkeypatch.setattr(seqprod, "_MAX_DP_STATES", 12)
+    assert erdos_burgess(S).value == 4
+    monkeypatch.setattr(seqprod, "_MAX_DP_STATES", 11)
+    with pytest.raises(SequenceTooLong, match="12 sub-multiset states exceed the any-order DP bound of 11"):
+        erdos_burgess(S)
 
 
 def test_search_node_counts_on_c3():

@@ -116,6 +116,15 @@ def test_extremal_spec_validation():
     assert Monogenic(1, 1).term_count == 0
     assert Monogenic(3, 2).term_count == 3
     assert GroupByNil(2, 3).term_count == 3
+    # parameters are integers: a float or string is rejected, never truncated
+    with pytest.raises(InvalidParameters, match="index 3.0 is not an integer"):
+        Monogenic(3.0, 2)
+    with pytest.raises(InvalidParameters, match="period '2' is not an integer"):
+        Monogenic(3, "2")
+    with pytest.raises(InvalidParameters, match="nil index 2.5 is not an integer"):
+        GroupByNil(2.5, 2)
+    with pytest.raises(InvalidParameters, match="group order 2.0 is not an integer"):
+        GroupByNil(2, 2.0)
 
 
 def test_extremal_pair_examples():

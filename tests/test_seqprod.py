@@ -26,6 +26,7 @@ from idemfree import (
     trivial_ideal_extension,
 )
 from oracles import (
+    dihedral,
     left_zero_semigroup,
     naive_any_order_products,
     naive_natural_order_products,
@@ -42,6 +43,7 @@ POOL = [
     trivial_ideal_extension(2, 2),
     left_zero_semigroup(2),
     left_zero_semigroup(3),
+    dihedral(3),
 ]
 
 
@@ -101,6 +103,22 @@ def test_dp_cap():
     assert time.perf_counter() - start < 1.0
     # the commutative fast path has no bound to hit
     assert any_order_products(cyclic_group(2), [0] * 30) == {0, 1}
+
+
+def test_slab_refuses_past_dp_bound(monkeypatch):
+    from idemfree import seqprod
+    from idemfree.seqprod import _MAX_DP_STATES, _fill_slab
+
+    lz = left_zero_semigroup(2)
+    reach = [0, 1]
+    with pytest.raises(SequenceTooLong, match=f"{_MAX_DP_STATES + 1} sub-multiset states"):
+        _fill_slab(lz.table, reach, [()], 1, _MAX_DP_STATES - 1)
+    assert reach == [0, 1]  # refused before the slab is allocated
+    # the general DP refuses exactly past the bound
+    monkeypatch.setattr(seqprod, "_MAX_DP_STATES", 6)
+    assert any_order_products(lz, [0, 1, 0]) == {0, 1}  # 3 * 2 states
+    with pytest.raises(SequenceTooLong, match="8 sub-multiset states exceed the any-order DP bound of 6"):
+        any_order_products(lz, [1, 0, 0, 0])
 
 
 def test_seq_type():

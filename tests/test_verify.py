@@ -1,8 +1,10 @@
 import random
 from types import SimpleNamespace
 
+import pytest
+
 import oracles
-from idemfree import enumerate_semigroups, extremal_structure_check, verify
+from idemfree import InvalidParameters, enumerate_semigroups, extremal_structure_check, verify
 from idemfree.seqprod import _any_mask
 
 
@@ -49,3 +51,14 @@ def test_equivalence_failure_records_match_reference(commutative_le4, monkeypatc
         for key in totals:
             totals[key] += got[key]
     assert all(totals.values()), totals
+
+
+def test_extremal_spec_bounds_are_integers():
+    with pytest.raises(InvalidParameters, match="max_terms 2.5 is not an integer"):
+        verify.enumerate_extremal_specs(max_terms=2.5)
+    with pytest.raises(InvalidParameters, match="max_components 1.5 is not an integer"):
+        verify.enumerate_extremal_specs(max_components=1.5)
+    with pytest.raises(InvalidParameters, match="group_by_nil_limit '3' is not an integer"):
+        verify.enumerate_extremal_specs(group_by_nil_limit="3")
+    with pytest.raises(InvalidParameters, match="max_terms 2.5 is not an integer"):
+        verify.check_extremal_families(max_terms=2.5)
