@@ -19,7 +19,9 @@ The natural-order and Davenport product sets only grow along a path, so
 those walks carry each set's right translates packed into one integer (the
 layout of ``seqprod._packed_rows``): a child reads its translate with one
 shift and mask, and pays a table lookup only for the bits it adds. The rows
-are built once per search and shared by its tasks.
+are built once per search and shared by its tasks. The natural-order rows
+also pack the letters whose translate meets an idempotent, so a node reads
+its pruned children in one shift; D carries only the proper products.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import FiniteSemigroup, NotCommutative, identity_element, idempotents, is_commutative
-from .seqprod import Seq, _fill_slab, _grow, _idem_mask, _packed_rows, _top_links
+from .seqprod import Seq, _fill_slab, _grow, _packed_rows, _top_links
 
 KIND_ERDOS_BURGESS = "ErdosBurgess"
 KIND_STRONG_ERDOS_BURGESS = "StrongErdosBurgess"
@@ -56,33 +58,39 @@ def ghw_bound(S: FiniteSemigroup) -> int:
 
 
 def _natural_task(args) -> tuple[int, tuple[int, ...], int]:
-    """Longest sequence starting with the letter first, at tail index
-    tail, whose natural-order products miss the idempotents.
+    """Longest sequence starting with the letter first whose natural-order
+    products miss the idempotents.
 
-    A node at tail i may append the letters of tails[i], each paired with
-    the child's own tail: suffixes of the alphabet walk nondecreasing
-    sequences (commutative I), the whole alphabet walks words (SI).
+    A node with last term x tries the letters of allows[x]: those from x on
+    walk nondecreasing sequences (commutative I), all of them walk words
+    (SI). A free set A plus a non-idempotent c stays free exactly when A*c
+    misses the idempotents, the stop of the rows, so field n of A's packed
+    translates holds the letters pruned and the node walks only the rest.
     """
-    n, idem, rows, tails, tail, first = args
+    n, rows, allows, first = args
     full = (1 << n) - 1
+    top = n * n
     nodes = 1  # the root candidate (first,)
-    best_len = 1
+    path = [first]
     best = (first,)
 
-    def rec(seq: tuple[int, ...], mask: int, vec: int, start: int) -> None:
-        nonlocal nodes, best_len, best
-        for nxt, x in tails[start]:
-            nodes += 1
-            grown = mask | (1 << x) | ((vec >> x * n) & full)
-            if grown & idem:
-                continue
-            cand = seq + (x,)
-            if len(cand) > best_len:
-                best_len, best = len(cand), cand
-            rec(cand, grown, _grow(rows, vec, grown & ~mask), nxt)
+    def rec(mask: int, vec: int, allow: int) -> None:
+        nonlocal nodes, best
+        nodes += allow.bit_count()
+        live = allow & ~(vec >> top)
+        while live:
+            low = live & -live
+            live ^= low
+            x = low.bit_length() - 1
+            grown = mask | low | ((vec >> x * n) & full)
+            path.append(x)
+            if len(path) > len(best):
+                best = tuple(path)
+            rec(grown, _grow(rows, vec, grown & ~mask), allows[x])
+            path.pop()
 
-    rec(best, 1 << first, rows[first], tail)
-    return best_len, best, nodes
+    rec(1 << first, rows[first], allows[first])
+    return len(best), best, nodes
 
 
 def _any_order_task(args) -> tuple[int, tuple[int, ...], int]:
@@ -134,50 +142,38 @@ def _davenport_task(args) -> tuple[int, tuple[int, ...], int]:
 
     A sequence is reducible when some proper subsequence multiplies to the
     full product; the empty subsequence counts as a witness exactly when S
-    has an identity element (its product being that identity).
+    has an identity element, the bit of ident_mask.
     """
-    S, rows, first = args
-    n = S.order
+    table, rows, ident_mask, first = args
+    n = len(table)
     full = (1 << n) - 1
-    table = S.table
-    ident = identity_element(S)
-    ident_mask = 0 if ident is None else 1 << ident
     if (1 << first) & ident_mask:
         return 0, (), 1
     nodes = 1
-    best_len = 1
+    path = [first]
     best = (first,)
 
-    def rec(
-        seq: tuple[int, ...], pi: int, pi_mask: int, pi_vec: int, proper: int, proper_vec: int, start: int
-    ) -> None:
-        nonlocal nodes, best_len, best
+    def rec(pi: int, proper: int, proper_vec: int, start: int) -> None:
+        nonlocal nodes, best
+        nodes += n - start
+        pi_mask = proper | (1 << pi)
+        row = table[pi]
         for x in range(start, n):
-            nodes += 1
-            new_pi = table[pi][x]
-            shift = x * n
+            new_pi = row[x]
             # proper products of T.x: all sub-multiset products of T,
             # proper products of T translated by x, and x itself; they
-            # include the old proper products, so both masks only grow
-            new_proper = pi_mask | ((proper_vec >> shift) & full) | (1 << x)
+            # include the old proper products, so the mask only grows
+            new_proper = pi_mask | ((proper_vec >> x * n) & full) | (1 << x)
             if (1 << new_pi) & (new_proper | ident_mask):
                 continue
-            new_pi_mask = pi_mask | (1 << x) | ((pi_vec >> shift) & full)
-            cand = seq + (x,)
-            if len(cand) > best_len:
-                best_len, best = len(cand), cand
-            rec(
-                cand,
-                new_pi,
-                new_pi_mask,
-                _grow(rows, pi_vec, new_pi_mask & ~pi_mask),
-                new_proper,
-                _grow(rows, proper_vec, new_proper & ~proper),
-                x,
-            )
+            path.append(x)
+            if len(path) > len(best):
+                best = tuple(path)
+            rec(new_pi, new_proper, _grow(rows, proper_vec, new_proper & ~proper), x)
+            path.pop()
 
-    rec((first,), first, 1 << first, rows[first], 0, 0, first)
-    return best_len, best, nodes
+    rec(first, 0, 0, first)
+    return len(best), best, nodes
 
 
 def _merge(results) -> tuple[int, tuple[int, ...], int]:
@@ -192,22 +188,23 @@ def _merge(results) -> tuple[int, tuple[int, ...], int]:
 
 def _free_search(S: FiniteSemigroup, kind: str, map_fn) -> ConstantReport:
     """I(S) or SI(S), one task per first letter over the non-idempotents."""
-    alpha = [a for a in S.elements if S.table[a][a] != a]
-    idem = _idem_mask(S)
+    alpha, idem = [], 0
+    for a, row in enumerate(S.table):
+        if row[a] == a:
+            idem |= 1 << a
+        else:
+            alpha.append(a)
+    letters = ((1 << S.order) - 1) ^ idem
     weak = kind == KIND_ERDOS_BURGESS
     if weak and not is_commutative(S):
         task, tasks = _any_order_task, [(S, alpha, idem, i) for i in range(len(alpha))]
     else:
-        rows = _packed_rows(S.table, alpha)
-        if weak:
-            pairs = list(enumerate(alpha))
-            tails = [pairs[i:] for i in range(len(alpha))]
-        else:
-            tails = [[(0, x) for x in alpha]] * len(alpha)
-        task, tasks = _natural_task, [(S.order, idem, rows, tails, i, x) for i, x in enumerate(alpha)]
+        rows = _packed_rows(S.table, alpha, idem)
+        allows = [letters >> x << x for x in S.elements] if weak else [letters] * S.order
+        task, tasks = _natural_task, [(S.order, rows, allows, x) for x in alpha]
     best_len, best, nodes = _merge(map_fn(task, tasks))
     value = best_len + 1
-    assert value <= ghw_bound(S)
+    assert value <= len(alpha) + 1  # the GHW bound
     return ConstantReport(kind, value, Seq(best), nodes)
 
 
@@ -227,6 +224,8 @@ def davenport(S: FiniteSemigroup, map_fn=map) -> ConstantReport:
     if not is_commutative(S):
         raise NotCommutative("the Davenport constant is defined for commutative semigroups")
     rows = _packed_rows(S.table, S.elements)
-    tasks = [(S, rows, x) for x in S.elements]
+    ident = identity_element(S)
+    ident_mask = 0 if ident is None else 1 << ident
+    tasks = [(S.table, rows, ident_mask, x) for x in S.elements]
     best_len, best, nodes = _merge(map_fn(_davenport_task, tasks))
     return ConstantReport(KIND_DAVENPORT, best_len + 1, Seq(best), nodes)

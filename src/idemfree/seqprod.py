@@ -8,10 +8,12 @@ set unions and table-indexed translations.
 
 The searches in ``constants`` instead carry, for a product set A that only
 grows along a path, every right translate A*c packed into one integer; the
-layout is defined in ``_packed_rows`` and extended by ``_grow``. The
-noncommutative any-order set is a DP over sub-multisets, filled one slab
-per appended term by ``_fill_slab``; ``_any_mask_general`` and the
-noncommutative I search share it.
+layout is defined in ``_packed_rows`` and extended by ``_grow``. One more
+field packs the letters whose translate of A meets a stop mask, so a search
+reads all of a node's pruned children in one shift. The noncommutative
+any-order set is a DP over sub-multisets, filled one slab per appended term
+by ``_fill_slab``; ``_any_mask_general`` and the noncommutative I search
+share it.
 """
 
 from __future__ import annotations
@@ -107,28 +109,33 @@ def _translate(table, mask: int, x: int) -> int:
     return out
 
 
-def _packed_rows(table, columns) -> list[int]:
+def _packed_rows(table, columns, stop: int = 0) -> list[int]:
     """One packed integer per element a: for each c in columns, field c,
     bits c*n to c*n + n - 1, holds the translate {a}*c, the single bit
-    1 << (a*c). The fields of other columns stay empty.
+    1 << (a*c). The fields of other columns stay empty. Field n, bits n*n
+    to n*n + n - 1, holds the columns c with a*c in the mask stop.
 
     Right translation distributes over union, (A | D)*c = A*c | D*c, so the
     OR of the rows of A's elements packs every translate of A, and A*x is
-    (vec >> x*n) & ((1 << n) - 1). A search fills only the columns it
+    (vec >> x*n) & ((1 << n) - 1); its field n is the set of columns c
+    whose translate A*c meets stop. A search fills only the columns it
     appends.
     """
     n = len(table)
+    top = n * n
     rows = []
     for row in table:
         packed = 0
         for c in columns:
-            packed |= 1 << (row[c] + c * n)
+            v = row[c]
+            packed |= 1 << (v + c * n) | (stop >> v & 1) << (top + c)
         rows.append(packed)
     return rows
 
 
 def _grow(rows: list[int], vec: int, new: int) -> int:
-    """The packed translates of A | new, given vec packing those of A."""
+    """The packed translates of A | new, given vec packing those of A;
+    field n is ORed like any other."""
     while new:
         low = new & -new
         vec |= rows[low.bit_length() - 1]

@@ -307,6 +307,23 @@ def _component_kind(S: FiniteSemigroup, comp: frozenset[int], data: ComponentDat
     return GROUP_BY_NIL_EXTENSION if ok else None
 
 
+# The subsemigroup R per sorted support and the decomposition per R, for the
+# last table certified. A sweep certifies many multisets of one table, and
+# the families check runs extremal_main_form after extremal_structure_check
+# on the same sequence; both reuse them. Only one table's are kept, so a
+# corpus held in memory does not hold a decomposition for every table.
+# Threads that race here only recompute: each tuple pairs a table with its
+# own dicts, and a table's entries depend on nothing else.
+_memo: tuple = (None, {}, {})
+
+
+def _table_memo(S: FiniteSemigroup) -> tuple:
+    global _memo
+    if _memo[0] is not S:
+        _memo = (S, {}, {})
+    return _memo
+
+
 def _classify_components(
     S: FiniteSemigroup, R: frozenset[int], gens
 ) -> tuple[tuple[str, ...] | None, ArchDecomposition]:
@@ -316,7 +333,10 @@ def _classify_components(
     generator in gens (None if a component has no generator or fails
     ``_component_kind``), together with the decomposition of R.
     """
-    dec = _decompose(S, R)
+    decompositions = _table_memo(S)[2]
+    dec = decompositions.get(R)
+    if dec is None:
+        dec = decompositions[R] = _decompose(S, R)
     comp_gens: dict[int, list[int]] = {}
     for x in gens:
         comp_gens.setdefault(dec.comp_of[x], []).append(x)
@@ -345,7 +365,10 @@ def _extremal_prelude(S: FiniteSemigroup, seq) -> tuple[tuple[int, ...], list[in
     if len(terms) != expected:
         raise WrongLength(f"sequence length {len(terms)} != |S \\ E(S)| = {expected}")
     supp = sorted(set(terms))
-    R = generated_subsemigroup(S, supp) if supp else frozenset()
+    generated = _table_memo(S)[1]
+    R = generated.get(tuple(supp))
+    if R is None:
+        R = generated[tuple(supp)] = generated_subsemigroup(S, supp) if supp else frozenset()
     t = S.table
     # a semigroup generated by pairwise commuting elements is commutative
     if not all(t[a][b] == t[b][a] for i, a in enumerate(supp) for b in supp[i + 1:]):

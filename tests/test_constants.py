@@ -208,6 +208,16 @@ def test_dihedral_searches_match_reference():
             _assert_reports_match_reference(S, ("I", "SI"))
 
 
+def test_relabelled_commutative_searches_match_reference():
+    # the packed walks order children by bit position, so a relabelling
+    # changes which letters they meet first; values, lex-least witnesses
+    # and node counts must still follow the plain walk
+    tables = [cyclic_group(n) for n in range(1, 13)] + [monogenic(6, 4), group_nil_chain(4, 4)]
+    for i, S in enumerate(tables):
+        for seed in (i, 50 + i):
+            _assert_reports_match_reference(relabel(S, seed))
+
+
 def test_noncommutative_search_refuses_past_dp_bound(monkeypatch):
     # the largest candidates the D_6 walk tries, such as (1, 1, 3, 4), have
     # 3 * 2 * 2 = 12 sub-multiset states; the search refuses exactly past them

@@ -232,3 +232,25 @@ def test_packed_translates_match_sets(corpus_le3):
             A = [a for a in S.elements if mask >> a & 1]
             for x in S.elements:
                 assert {b for b in S.elements if packed >> (x * n + b) & 1} == {t[a][x] for a in A}
+
+
+def test_packed_stop_field_marks_letters_meeting_stop(corpus_le3):
+    # field n of a row holds the columns c with a*c in stop; _grow ORs it
+    # like any other field, so A's vector marks the c whose A*c meets stop
+    from idemfree.seqprod import _grow, _idem_mask, _packed_rows
+
+    rng = random.Random(5)
+    for S in corpus_le3 + POOL:
+        n, t = S.order, S.table
+        letters = [a for a in S.elements if t[a][a] != a]
+        for cols in (list(S.elements), letters):
+            for stop in (_idem_mask(S), rng.randrange(1 << n)):
+                rows = _packed_rows(t, cols, stop)
+                for a in S.elements:
+                    assert rows[a] >> (n * n) == sum(1 << c for c in cols if stop >> t[a][c] & 1)
+                for mask in range(1, 1 << n):
+                    vec = _grow(rows, 0, mask)
+                    A = [a for a in S.elements if mask >> a & 1]
+                    dead = {c for c in cols if any(stop >> t[a][c] & 1 for a in A)}
+                    assert {c for c in S.elements if vec >> (n * n + c) & 1} == dead
+                    assert vec >> (n * n + n) == 0

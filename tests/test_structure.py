@@ -20,6 +20,7 @@ from idemfree import (
     extremal_pair,
     extremal_structure_check,
     ExtremalSpec,
+    FiniteSemigroup,
     GroupByNil,
     Monogenic,
     generated_subsemigroup,
@@ -266,3 +267,34 @@ def test_certificate_and_freeness_ignore_word_order(commutative_le4):
             for word in set(itertools.permutations(multiset)):
                 assert extremal_structure_check(S, word).to_json_dict() == first
                 assert is_weakly_free(S, word) == free
+
+
+def test_certificate_memo_is_kept_for_one_table_only(commutative_le4):
+    # structure keeps R per support and the decomposition per R for the
+    # last table certified; read back table after table, each in a shuffled
+    # order over the table and an equal copy of it, with supports that
+    # generate different R, they and the main form must match a cold
+    # computation
+    import random
+
+    from idemfree import structure
+    from idemfree.structure import _classify_components, _decompose, _extremal_prelude
+
+    tables = []
+    for S in commutative_le4[::2]:
+        length = S.order - len(idempotents(S))
+        multisets = list(itertools.combinations_with_replacement(S.elements, length))
+        tables.append([(T, terms) for T in (S, FiniteSemigroup(S.table)) for terms in multisets])
+    cold = {}
+    for T, terms in itertools.chain(*tables):
+        structure._memo = (None, {}, {})
+        cold[id(T), terms] = extremal_main_form(T, terms)
+    rng = random.Random(3)
+    for cases in tables:
+        rng.shuffle(cases)
+        for T, terms in cases:
+            _, supp, R, failed = _extremal_prelude(T, terms)
+            assert R == (generated_subsemigroup(T, supp) if supp else frozenset())
+            if failed is None and supp:
+                assert _classify_components(T, R, supp)[1] == _decompose(T, R)
+            assert extremal_main_form(T, terms) == cold[id(T), terms]
