@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import construct, verify
@@ -58,17 +57,14 @@ def cmd_validate(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    if args.workers < 1:
-        raise SemigroupError(f"--workers must be at least 1, got {args.workers}")
-    which = [w.strip().upper() for w in args.which.split(",") if w.strip()]
-    if not which:
-        raise SemigroupError(f"--which {args.which!r} names no constant; choose from I, SI, D")
-    unknown = [w for w in which if w not in ("I", "SI", "D")]
-    if unknown:
-        raise SemigroupError(f"unknown constants {unknown}; choose from I, SI, D")
-    S = _read_table(args.table)
-
-    def run(map_fn) -> list[dict]:
+    with verify._fan_out(args.workers, "--workers") as map_fn:
+        which = [w.strip().upper() for w in args.which.split(",") if w.strip()]
+        if not which:
+            raise SemigroupError(f"--which {args.which!r} names no constant; choose from I, SI, D")
+        unknown = [w for w in which if w not in ("I", "SI", "D")]
+        if unknown:
+            raise SemigroupError(f"unknown constants {unknown}; choose from I, SI, D")
+        S = _read_table(args.table)
         reports = []
         for w in which:
             if w == "I":
@@ -80,13 +76,6 @@ def cmd_constants(args) -> int:
                     print("note: Davenport constant skipped, semigroup is not commutative", file=sys.stderr)
                     continue
                 reports.append(davenport(S, map_fn=map_fn).to_json_dict())
-        return reports
-
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as executor:
-            reports = run(verify._PoolMap(executor, args.workers))
-    else:
-        reports = run(map)
     _emit(reports)
     return 0
 

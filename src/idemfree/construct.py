@@ -106,6 +106,7 @@ def chain_glue(components: list[FiniteSemigroup]) -> FiniteSemigroup:
 
 def group_nil_chain(n1: int, n2: int) -> FiniteSemigroup:
     """A cyclic group of order n1 over a cyclic nilsemigroup with n2 elements."""
+    n1, n2 = _index(n1, "group order"), _index(n2, "nil index")
     if n1 < 2 or n2 < 2:
         raise InvalidParameters(f"need n1 >= 2 and n2 >= 2, got ({n1}, {n2})")
     return chain_glue([cyclic_group(n1), cyclic_nil(n2)])
@@ -243,6 +244,7 @@ def enumerate_semigroups(
     prefix (inclusive).
     """
     n = _index(order, "order")
+    max_order = _index(max_order, "max_order")
     if n < 1:
         raise InvalidParameters("order must be >= 1")
     if n > HARD_ENUM_CAP:

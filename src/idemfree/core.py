@@ -240,10 +240,10 @@ class CyclicData:
 
 def cyclic_data(S: FiniteSemigroup, x: ElementId) -> CyclicData:
     """Index, period and power list of x; terminates within n steps."""
+    x = _element(S, x)
     cached = S._cyclic.get(x)
     if cached is not None:
         return cached
-    x = _element(S, x)
     powers = [x]
     seen_at = {x: 1}
     cur = x

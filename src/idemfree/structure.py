@@ -156,17 +156,10 @@ def _decompose(S: FiniteSemigroup, carrier) -> ArchDecomposition:
         for b in elems:
             assert eleq[a][b] == leq[comp_of[a]][comp_of[b]], "divisibility is not a class invariant"
 
-    per = []
-    for comp in components:
-        ids = [e for e in comp if t[e][e] == e]
-        assert len(ids) == 1, "archimedean component without a unique idempotent"
-        e = ids[0]
-        kernel = frozenset(t[e][a] for a in comp)
-        per.append(ComponentData(idempotent=e, kernel_group=kernel, nil_part=comp - kernel))
     return ArchDecomposition(
         components=tuple(components),
         leq=leq,
-        per_component=tuple(per),
+        per_component=tuple(_component_data(S, comp) for comp in components),
         comp_of=tuple(comp_of),
     )
 
@@ -188,19 +181,23 @@ def is_chain_lower_absorbing(S: FiniteSemigroup, dec: ArchDecomposition) -> bool
     return True
 
 
-def _component_idempotent(S: FiniteSemigroup, comp: frozenset[int]) -> int:
-    ids = [e for e in comp if S.table[e][e] == e]
+def _component_data(S: FiniteSemigroup, comp: frozenset[int]) -> ComponentData:
+    """The unique idempotent e of an archimedean component, its kernel e * comp
+    and the nil part comp minus the kernel."""
+    t = S.table
+    ids = [e for e in comp if t[e][e] == e]
     if len(ids) != 1:
         raise NotArchimedean(f"component has {len(ids)} idempotents, expected exactly 1")
-    return ids[0]
+    e = ids[0]
+    kernel = frozenset(t[e][a] for a in comp)
+    return ComponentData(idempotent=e, kernel_group=kernel, nil_part=comp - kernel)
 
 
 def kernel_group(S: FiniteSemigroup, component) -> frozenset[ElementId]:
     """The group e * component sitting inside an archimedean component."""
-    comp = frozenset(_element(S, a) for a in component)
-    e = _component_idempotent(S, comp)
+    data = _component_data(S, frozenset(_element(S, a) for a in component))
+    e, kernel = data.idempotent, data.kernel_group
     t = S.table
-    kernel = frozenset(t[e][a] for a in comp)
     assert all(t[e][g] == g for g in kernel), "idempotent is not an identity on the kernel"
     assert all(t[g][h] in kernel for g in kernel for h in kernel), "kernel not closed"
     assert all(any(t[g][h] == e for h in kernel) for g in kernel), "kernel element without inverse"
@@ -211,12 +208,11 @@ def partial_hom(S: FiniteSemigroup, component, a: ElementId) -> ElementId:
     """Map a nil-part element into the kernel group: a -> a * e."""
     comp = frozenset(_element(S, x) for x in component)
     a = _element(S, a)
-    e = _component_idempotent(S, comp)
-    kernel = frozenset(S.table[e][x] for x in comp)
-    if a not in comp or a in kernel:
+    data = _component_data(S, comp)
+    if a not in data.nil_part:
         raise NotInNilPart(f"element {a} is not in the nil part of the component")
-    image = S.table[a][e]
-    assert image in kernel
+    image = S.table[a][data.idempotent]
+    assert image in data.kernel_group
     return image
 
 
@@ -385,75 +381,45 @@ def extremal_structure_check(S: FiniteSemigroup, seq) -> ExtremalCertificate:
     the verdict; every condition that was evaluated is recorded.
     """
     terms, supp, R, failed = _extremal_prelude(S, seq)
-    conds: list[tuple[str, bool]] = []
-    gen_order: tuple[int, ...] = tuple(supp)
     cds = {x: cyclic_data(S, x) for x in supp}
-    per_gen = tuple(
-        GeneratorData(x, cds[x].index, cds[x].period, terms.count(x)) for x in supp
-    )
+    counts = {x: terms.count(x) for x in supp}
+    gen_order: tuple[int, ...] = tuple(supp)
+    kinds: tuple[str, ...] = ()
 
-    def done(passed: bool, reason: str | None, kinds: tuple[str, ...] = ()) -> ExtremalCertificate:
-        return ExtremalCertificate(
-            passed=passed,
-            fail_reason=reason,
-            generator_order=gen_order,
-            per_generator=per_gen,
-            component_kinds=kinds,
-            conditions=tuple(conds),
-        )
+    def conditions():
+        nonlocal gen_order, kinds
+        yield COND_COMMUTATIVE, failed != COND_COMMUTATIVE
+        yield COND_COMPLEMENT, failed is None
+        if not supp:
+            return
+        order = _absorption_order(S, supp)
+        yield COND_ABSORPTION, order is not None
+        gen_order = order
+        yield COND_UNION, set().union(*(cds[x].powers for x in supp)) == R
+        parts = [set(cds[x].powers) - {unique_cycle_idempotent(S, x)} for x in supp]
+        yield COND_DISJOINT, sum(map(len, parts)) == len(set().union(*parts))
+        yield COND_INDEX, all((cds[x].index - 1) % cds[x].period == 0 for x in supp)
+        yield COND_MULTIPLICITY, all(counts[x] == cds[x].index + cds[x].period - 2 for x in supp)
+        found, _ = _classify_components(S, R, gen_order)
+        yield COND_COMPONENTS, found is not None
+        kinds = found
 
-    conds.append((COND_COMMUTATIVE, failed != COND_COMMUTATIVE))
-    if failed != COND_COMMUTATIVE:
-        conds.append((COND_COMPLEMENT, failed is None))
-    if failed is not None:
-        return done(False, failed)
-    if not supp:
-        return done(True, None)
-
-    order = _absorption_order(S, supp)
-    conds.append((COND_ABSORPTION, order is not None))
-    if order is None:
-        return done(False, COND_ABSORPTION)
-    gen_order = order
-    per_gen = tuple(
-        GeneratorData(x, cds[x].index, cds[x].period, terms.count(x)) for x in gen_order
-    )
-
-    union = set()
-    for x in supp:
-        union.update(cds[x].powers)
-    ok = union == set(R)
-    conds.append((COND_UNION, ok))
-    if not ok:
-        return done(False, COND_UNION)
-
-    seen: set[int] = set()
-    ok = True
-    for x in supp:
-        part = set(cds[x].powers) - {unique_cycle_idempotent(S, x)}
-        if seen & part:
-            ok = False
+    # the first failure ends the walk, so a later condition is never evaluated
+    # and gen_order and kinds keep their defaults unless their condition held
+    conds: list[tuple[str, bool]] = []
+    for cond in conditions():
+        conds.append(cond)
+        if not cond[1]:
             break
-        seen |= part
-    conds.append((COND_DISJOINT, ok))
-    if not ok:
-        return done(False, COND_DISJOINT)
-
-    ok = all((cds[x].index - 1) % cds[x].period == 0 for x in supp)
-    conds.append((COND_INDEX, ok))
-    if not ok:
-        return done(False, COND_INDEX)
-
-    ok = all(terms.count(x) == cds[x].index + cds[x].period - 2 for x in supp)
-    conds.append((COND_MULTIPLICITY, ok))
-    if not ok:
-        return done(False, COND_MULTIPLICITY)
-
-    kinds, _ = _classify_components(S, R, gen_order)
-    conds.append((COND_COMPONENTS, kinds is not None))
-    if kinds is None:
-        return done(False, COND_COMPONENTS)
-    return done(True, None, kinds)
+    passed = conds[-1][1]
+    return ExtremalCertificate(
+        passed=passed,
+        fail_reason=None if passed else conds[-1][0],
+        generator_order=gen_order,
+        per_generator=tuple(GeneratorData(x, cds[x].index, cds[x].period, counts[x]) for x in gen_order),
+        component_kinds=kinds,
+        conditions=tuple(conds),
+    )
 
 
 def extremal_main_form(S: FiniteSemigroup, seq) -> bool:

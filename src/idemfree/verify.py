@@ -8,6 +8,7 @@ is deliberately kept out of the log payload.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -77,27 +78,6 @@ def check_ghw_bound(semigroups, map_fn=map) -> dict:
     return _aggregate("ghw-bound", map_fn(_ghw_case, semigroups))
 
 
-def _distinct_words(multiset: tuple[int, ...]):
-    """Every distinct ordering of a sorted multiset, in lexicographic order."""
-    support = sorted(set(multiset))
-    left = {x: multiset.count(x) for x in support}
-    word: list[int] = []
-
-    def walk():
-        if len(word) == len(multiset):
-            yield tuple(word)
-            return
-        for x in support:
-            if left[x]:
-                left[x] -= 1
-                word.append(x)
-                yield from walk()
-                word.pop()
-                left[x] += 1
-
-    return walk()
-
-
 def _word_records(S: FiniteSemigroup, found) -> list[dict]:
     """Failure records, one per distinct word of each failing multiset and
     per finding, sorted by word: over the ascending alphabet that is the
@@ -105,7 +85,7 @@ def _word_records(S: FiniteSemigroup, found) -> list[dict]:
     records = [
         {"table": _flat(S), "seq": list(word), **extra}
         for multiset, extras in found
-        for word in _distinct_words(multiset)
+        for word in set(itertools.permutations(multiset))
         for extra in extras
     ]
     records.sort(key=lambda r: r["seq"])
@@ -232,24 +212,19 @@ def _family_case(spec: ExtremalSpec) -> dict:
     }
 
 
-def enumerate_extremal_specs(
-    max_components: int = 3,
-    max_terms: int = 10,
-    group_by_nil_limit: int = 4,
-    include_identity: bool = True,
-) -> list[ExtremalSpec]:
+def enumerate_extremal_specs(max_components: int = 3, max_terms: int = 10) -> list[ExtremalSpec]:
     """Every chain of at most max_components catalog parts whose sequence
-    length budget fits, optionally doubled with an adjoined identity."""
+    length budget fits, each also with an adjoined identity. Group-by-nil
+    parts have nil index and group order at most 4."""
     max_components = _index(max_components, "max_components")
     max_terms = _index(max_terms, "max_terms")
-    group_by_nil_limit = _index(group_by_nil_limit, "group_by_nil_limit")
     catalog: list[Monogenic | GroupByNil] = []
     for period in range(1, max_terms + 2):
         for index in range(1, max_terms + 3 - period):
             if (index - 1) % period == 0 and index + period - 2 <= max_terms:
                 catalog.append(Monogenic(index, period))
-    for nil_index in range(2, group_by_nil_limit + 1):
-        for group_order in range(2, group_by_nil_limit + 1):
+    for nil_index in range(2, 5):
+        for group_order in range(2, 5):
             if nil_index + group_order - 2 <= max_terms:
                 catalog.append(GroupByNil(nil_index, group_order))
 
@@ -259,8 +234,7 @@ def enumerate_extremal_specs(
             if sum(part.term_count for part in chain) > max_terms:
                 continue
             specs.append(ExtremalSpec(chain))
-            if include_identity:
-                specs.append(ExtremalSpec(chain, adjoin_identity=True))
+            specs.append(ExtremalSpec(chain, adjoin_identity=True))
     return specs
 
 
@@ -286,9 +260,10 @@ def _formula_case(params: tuple[int, int]) -> dict:
     }
 
 
-def check_example_formulas(map_fn=map, lo: int = 2, hi: int = 5) -> dict:
-    """Group-over-nil chains match the closed-form constants via search."""
-    params = [(n1, n2) for n1 in range(lo, hi + 1) for n2 in range(lo, hi + 1)]
+def check_example_formulas(map_fn=map) -> dict:
+    """Group-over-nil chains, 2 <= n1, n2 <= 5, match the closed-form
+    constants via search."""
+    params = [(n1, n2) for n1 in range(2, 6) for n2 in range(2, 6)]
     return _aggregate("example-formulas", map_fn(_formula_case, params))
 
 
@@ -342,6 +317,20 @@ class _PoolMap:
         return list(self.executor.map(fn, items, chunksize=chunk))
 
 
+@contextlib.contextmanager
+def _fan_out(workers: int, what: str = "workers"):
+    """An order-preserving map over `workers` processes: the builtin map at
+    one worker, a _PoolMap over a fresh pool otherwise."""
+    workers = _index(workers, what)
+    if workers < 1:
+        raise InvalidParameters(f"{what} must be at least 1, got {workers}")
+    if workers == 1:
+        yield map
+        return
+    with ProcessPoolExecutor(max_workers=workers) as executor:
+        yield _PoolMap(executor, workers)
+
+
 def run_verification(
     max_order: int = 4,
     commutative_only: bool = False,
@@ -350,46 +339,35 @@ def run_verification(
     enum_cap: int = 5,
 ) -> dict:
     """Run the selected checks and return a deterministic JSON-ready log."""
-    if workers < 1:
-        raise InvalidParameters(f"workers must be at least 1, got {workers}")
+    max_order = _index(max_order, "max_order")
     if max_order < 1:
         raise InvalidParameters(f"max_order must be at least 1, got {max_order}")
+    enum_cap = _index(enum_cap, "enum_cap")
+    if isinstance(checks, str):
+        raise InvalidParameters(f"checks must be a list of check ids, not the string {checks!r}")
     selected = list(checks)
     if not selected:
         raise InvalidParameters(f"no checks selected; available: {list(CHECK_IDS)}")
     unknown = [c for c in selected if c not in CHECK_IDS]
     if unknown:
-        raise ValueError(f"unknown checks: {unknown}; available: {list(CHECK_IDS)}")
+        raise InvalidParameters(f"unknown checks: {unknown}; available: {list(CHECK_IDS)}")
 
-    needs_corpus = {"ghw-bound", "extremal-equivalence", "strong-vs-weak", "nil-product-lemma"}
-    corpus: list[FiniteSemigroup] = []
-    commutative: list[FiniteSemigroup] = []
-    if needs_corpus & set(selected):
-        corpus = build_corpus(max_order, commutative_only=commutative_only, enum_cap=enum_cap)
-        commutative = [S for S in corpus if is_commutative(S)]
-
-    def run(map_fn) -> list[dict]:
-        results = []
-        for check in selected:
-            if check == "ghw-bound":
-                results.append(check_ghw_bound(corpus, map_fn))
-            elif check == "extremal-equivalence":
-                results.append(check_extremal_equivalence(commutative, map_fn))
-            elif check == "extremal-families":
-                results.append(check_extremal_families(map_fn))
-            elif check == "example-formulas":
-                results.append(check_example_formulas(map_fn))
-            elif check == "strong-vs-weak":
-                results.append(check_strong_weak(corpus, map_fn))
-            elif check == "nil-product-lemma":
-                results.append(check_nil_lemma(commutative, map_fn))
-        return results
-
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as executor:
-            check_results = run(_PoolMap(executor, workers))
-    else:
-        check_results = run(map)
+    with _fan_out(workers) as map_fn:
+        needs_corpus = {"ghw-bound", "extremal-equivalence", "strong-vs-weak", "nil-product-lemma"}
+        corpus: list[FiniteSemigroup] = []
+        commutative: list[FiniteSemigroup] = []
+        if needs_corpus & set(selected):
+            corpus = build_corpus(max_order, commutative_only=commutative_only, enum_cap=enum_cap)
+            commutative = [S for S in corpus if is_commutative(S)]
+        runs = {
+            "ghw-bound": lambda: check_ghw_bound(corpus, map_fn),
+            "extremal-equivalence": lambda: check_extremal_equivalence(commutative, map_fn),
+            "extremal-families": lambda: check_extremal_families(map_fn),
+            "example-formulas": lambda: check_example_formulas(map_fn),
+            "strong-vs-weak": lambda: check_strong_weak(corpus, map_fn),
+            "nil-product-lemma": lambda: check_nil_lemma(commutative, map_fn),
+        }
+        check_results = [runs[check]() for check in selected]
 
     instances = sum(r["instances"] for r in check_results)
     passed = sum(r["passed"] for r in check_results)

@@ -279,3 +279,18 @@ def test_max_enum_order_flag(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--order", "3", "--max-enum-order", "3")
     assert code == 0
     assert len([b for b in out.split("\n\n") if b.strip()]) == 113
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"workers": 1.5}, "workers 1.5 is not an integer"),
+        ({"max_order": 2.5}, "max_order 2.5 is not an integer"),
+        ({"enum_cap": 2.5}, "enum_cap 2.5 is not an integer"),
+        ({"checks": "ghw-bound"}, "checks must be a list of check ids, not the string 'ghw-bound'"),
+        ({"checks": ["ghw-bound", "nope"]}, r"unknown checks: \['nope'\]"),
+    ],
+)
+def test_run_verification_rejects_bad_arguments(kwargs, message):
+    with pytest.raises(InvalidParameters, match=message):
+        run_verification(**{"max_order": 1, **kwargs})

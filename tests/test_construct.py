@@ -50,6 +50,10 @@ def test_cyclic_group_and_nil():
         cyclic_nil(2.5)
     with pytest.raises(InvalidParameters, match="group order 2.5 is not an integer"):
         group_nil_chain(2.5, 2)
+    with pytest.raises(InvalidParameters, match="group order '3' is not an integer"):
+        group_nil_chain("3", 2)
+    with pytest.raises(InvalidParameters, match="nil index None is not an integer"):
+        group_nil_chain(3, None)
 
 
 def test_trivial_ideal_extension_small():
@@ -245,6 +249,8 @@ def test_enumeration_order_caps():
         list(enumerate_semigroups(2.7))
     with pytest.raises(InvalidParameters, match="resume cell 0.9 is not an integer"):
         list(enumerate_semigroups(3, resume_from=[0.9, 1.2]))
+    with pytest.raises(InvalidParameters, match="max_order 2.5 is not an integer"):
+        list(enumerate_semigroups(2, max_order=2.5))
     # order 5 works when requested explicitly; just probe the stream start
     gen = enumerate_semigroups(5, max_order=5)
     first = next(gen)

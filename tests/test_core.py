@@ -137,6 +137,17 @@ def test_cyclic_data_examples():
     assert (cd.index, cd.period) == (4, 1)
 
 
+def test_cyclic_data_checks_the_element_on_a_warm_cache():
+    S = cyclic_group(3)
+    for warm in (False, True):
+        if warm:
+            cyclic_data(S, 1)
+        with pytest.raises(InvalidParameters, match="element 1.0 is not an integer"):
+            cyclic_data(S, 1.0)
+        with pytest.raises(InvalidParameters, match="element 3 outside semigroup of order 3"):
+            cyclic_data(S, 3)
+
+
 def test_cyclic_data_invariants_roundtrip():
     for i in range(1, 12):
         for p in range(1, 13 - i):

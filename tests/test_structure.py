@@ -298,3 +298,68 @@ def test_certificate_memo_is_kept_for_one_table_only(commutative_le4):
             if failed is None and supp:
                 assert _classify_components(T, R, supp)[1] == _decompose(T, R)
             assert extremal_main_form(T, terms) == cold[id(T), terms]
+
+
+def test_certificate_records_a_prefix_up_to_the_first_failure(corpus_le4):
+    # union-of-cycles and disjoint-nonidempotent-parts never decide. In a
+    # commutative R with x_i * x_j = x_j for i < j, a product of the support
+    # is a power of its last generator, so R is the union of the cycles; and
+    # x_i^a = x_j^b gives x_j^(b+1) = x_i^a * x_j = x_j, so x_j^b is
+    # idempotent, the one idempotent of both cycles
+    from idemfree.structure import (
+        COND_ABSORPTION,
+        COND_COMMUTATIVE,
+        COND_COMPLEMENT,
+        COND_COMPONENTS,
+        COND_DISJOINT,
+        COND_INDEX,
+        COND_MULTIPLICITY,
+        COND_UNION,
+    )
+    from idemfree.verify import enumerate_extremal_specs
+
+    order = (
+        COND_COMMUTATIVE,
+        COND_COMPLEMENT,
+        COND_ABSORPTION,
+        COND_UNION,
+        COND_DISJOINT,
+        COND_INDEX,
+        COND_MULTIPLICITY,
+        COND_COMPONENTS,
+    )
+    cases = [
+        (S, terms)
+        for S in corpus_le4
+        for terms in itertools.combinations_with_replacement(S.elements, S.order - len(idempotents(S)))
+    ]
+    cases += [extremal_pair(spec) for spec in enumerate_extremal_specs(max_components=3, max_terms=8)]
+    reasons = set()
+    for S, terms in cases:
+        cert = extremal_structure_check(S, terms)
+        ids = tuple(cid for cid, _ in cert.conditions)
+        oks = [ok for _, ok in cert.conditions]
+        assert ids == order[: len(ids)]
+        assert all(oks[:-1])
+        assert cert.passed == oks[-1]
+        assert cert.fail_reason == (None if cert.passed else ids[-1])
+        assert (cert.component_kinds != ()) == (cert.passed and len(ids) == len(order))
+        if (COND_ABSORPTION, True) not in cert.conditions:
+            assert cert.generator_order == tuple(sorted(set(terms)))
+        reasons.add(cert.fail_reason)
+    assert not reasons & {COND_UNION, COND_DISJOINT}
+    assert reasons >= {None, COND_COMMUTATIVE, COND_COMPLEMENT, COND_ABSORPTION, COND_INDEX, COND_MULTIPLICITY}
+
+
+def test_decomposition_data_matches_kernel_group_and_partial_hom(commutative_le4):
+    for S in commutative_le4:
+        dec = archimedean_decomposition(S)
+        for comp, data in zip(dec.components, dec.per_component):
+            assert data.kernel_group == kernel_group(S, comp)
+            assert data.nil_part == comp - data.kernel_group
+            for a in S.elements:
+                if a in data.nil_part:
+                    assert partial_hom(S, comp, a) == S.table[a][data.idempotent]
+                else:
+                    with pytest.raises(NotInNilPart):
+                        partial_hom(S, comp, a)

@@ -58,7 +58,5 @@ def test_extremal_spec_bounds_are_integers():
         verify.enumerate_extremal_specs(max_terms=2.5)
     with pytest.raises(InvalidParameters, match="max_components 1.5 is not an integer"):
         verify.enumerate_extremal_specs(max_components=1.5)
-    with pytest.raises(InvalidParameters, match="group_by_nil_limit '3' is not an integer"):
-        verify.enumerate_extremal_specs(group_by_nil_limit="3")
     with pytest.raises(InvalidParameters, match="max_terms 2.5 is not an integer"):
         verify.check_extremal_families(max_terms=2.5)
