@@ -39,8 +39,11 @@ was 1.01-1.19 with 1 to 4 letters, 0.61 with 5, 0.33 with 6 and 0.07 with
 8), and SI below that and commutative I keep ``_natural_task``; I's state
 needs the last letter too, and on the family tables that memo cost 12%
 more than the plain walk. Noncommutative I's state is the whole multiset.
-Each recursive closure forms a reference cycle with its memo, so a task
-clears the memo before it returns.
+
+Each walk is a recursive closure, which refers to itself through its own
+cell. A task drops that reference when its walk ends, on a refusal too, so
+the closure, its lists and its memo are freed by reference count and a
+search leaves nothing for the cycle collector.
 """
 
 from __future__ import annotations
@@ -111,7 +114,10 @@ def _natural_task(args) -> tuple[int, tuple[int, ...], int]:
             rec(grown, _grow(rows, vec, grown & ~mask), allows[x])
             path.pop()
 
-    rec(1 << first, rows[first], allows[first])
+    try:
+        rec(1 << first, rows[first], allows[first])
+    finally:
+        rec = None  # break the closure's self-reference (module docstring)
     return len(best), best, nodes
 
 
@@ -123,7 +129,8 @@ def _strong_memo_task(args) -> tuple[int, tuple[int, ...], int]:
     subtree's node count, its height and its first child letter of greatest
     height (the layout in the module docstring), and a repeat adds the
     stored count to nodes instead of walking it again. Leaves are not
-    stored, and the memo is cleared on return.
+    stored, and the memo is freed by reference count with the task (module
+    docstring).
     """
     n, rows, letters, first = args
     full = (1 << n) - 1
@@ -158,14 +165,16 @@ def _strong_memo_task(args) -> tuple[int, tuple[int, ...], int]:
         return height
 
     mask, vec = 1 << first, rows[first]
-    rec(mask, vec)
+    try:
+        rec(mask, vec)
+    finally:
+        rec = None
     path = [first]
     while mask in memo:
         x = memo[mask] & low_bits
         grown = mask | (1 << x) | ((vec >> x * n) & full)
         mask, vec = grown, _grow(rows, vec, grown & ~mask)
         path.append(x)
-    memo.clear()
     return len(path), tuple(path), nodes
 
 
@@ -209,7 +218,10 @@ def _any_order_task(args) -> tuple[int, tuple[int, ...], int]:
                 rec(cand, grown, lk, w, idx)
             del reach[base:]
 
-    rec(best, _fill_slab(table, reach, root_links, best[0], 1), root_links, 1, first)
+    try:
+        rec(best, _fill_slab(table, reach, root_links, best[0], 1), root_links, 1, first)
+    finally:
+        rec = None
     return best_len, best, nodes
 
 
@@ -227,7 +239,8 @@ def _davenport_task(args) -> tuple[int, tuple[int, ...], int]:
     (the layout in the module docstring), and a repeat adds the stored count
     to nodes instead of walking it again, so nodesExplored is still the size
     of the plain tree. A state's key packs proper << 2b | pi << b | start.
-    Leaves are not stored, and the memo is cleared on return.
+    Leaves are not stored, and the memo is freed by reference count with the
+    task (module docstring).
     """
     table, rows, ident_mask, first = args
     n = len(table)
@@ -268,7 +281,10 @@ def _davenport_task(args) -> tuple[int, tuple[int, ...], int]:
         return height
 
     pi, proper, proper_vec, key = first, 0, 0, first << bits | first
-    rec(pi, proper, proper_vec, first, key)
+    try:
+        rec(pi, proper, proper_vec, first, key)
+    finally:
+        rec = None
     path = [first]
     while key in memo:
         x = memo[key] & low_bits
@@ -277,7 +293,6 @@ def _davenport_task(args) -> tuple[int, tuple[int, ...], int]:
         pi, proper = table[pi][x], new_proper
         key = (proper << bits | pi) << bits | x
         path.append(x)
-    memo.clear()
     return len(path), tuple(path), nodes
 
 

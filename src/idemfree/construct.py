@@ -8,8 +8,8 @@ with partial associativity pruning, in lexicographic order of the
 flattened rows. It keeps the assigned cells indexed by value, so the
 triples in which a new cell multiplies an earlier product are found without
 a scan of the whole table, and for commutative tables it fills each cell
-together with its mirror. Every table built here is associative by
-construction, so it is wrapped without the full re-check.
+together with its mirror and checks the pair once. Every table built here
+is associative by construction, so it is wrapped without the full re-check.
 """
 
 from __future__ import annotations
@@ -234,9 +234,12 @@ def enumerate_semigroups(
     assigned cells of each value finds the triples where the new cell
     (a, b) is the outer product, (xy)z with xy = a or x(yz) with yz = b,
     without a scan of the whole table. With commutative_only, an upper
-    cell (a, b), a < b, sets its mirror (b, a) to the same value and the
-    triples of both cells are checked at once; the walk then passes the
-    lower cell, checking it only against the resume prefix.
+    cell (a, b), a < b, sets its mirror (b, a) to the same value, and the
+    walk then passes the lower cell, checking it only against the resume
+    prefix. One check covers the pair: mirror cells are always set together,
+    so the triple (x, y, z) is determined exactly when (z, y, x) is, and by
+    commutativity (zy)x = z(yx) is the equation x(yz) = (xy)z. The triples
+    through (b, a) are the mirrors of those through (a, b).
 
     Order 5 must be requested explicitly via max_order=5; commutative order
     5 takes seconds, labelled order 5 minutes. Nothing beyond 5 is
@@ -325,10 +328,7 @@ def enumerate_semigroups(
             if mirror:
                 tb[a] = v
                 stack.append((b, a))
-                ok = ok_after(a, b) and ok_after(b, a)
-            else:
-                ok = ok_after(a, b)
-            if ok:
+            if ok_after(a, b):
                 yield from rec(d + 1, on_boundary and d < len(prefix) and v == prefix[d])
             stack.pop()
             if mirror:

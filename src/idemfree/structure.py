@@ -118,43 +118,53 @@ def _decompose(S: FiniteSemigroup, carrier) -> ArchDecomposition:
     """The archimedean decomposition of a closed carrier on which S commutes.
 
     Works in S's own element ids: the witnesses c in a^m = b*c are drawn
-    from the carrier, and comp_of is -1 outside it.
+    from the carrier, and comp_of is -1 outside it. The relation is kept as
+    bit masks: one pass over carrier x carrier gives div_of[y], the b with
+    y in b*carrier, and a's row, the b with a^m in b*carrier, is the OR of
+    div_of over a's powers, stepped along a's row of the table.
     """
     t = S.table
     elems = sorted(carrier)
-    pow_masks = {}
-    row_masks = {}
-    for a in elems:
-        pm = 0
-        for y in cyclic_data(S, a).powers:
-            pm |= 1 << y
-        pow_masks[a] = pm
-        row = t[a]
-        rm = 0
+    div_of = [0] * S.order
+    for b in elems:
+        row, bit = t[b], 1 << b
         for c in elems:
-            rm |= 1 << row[c]
-        row_masks[a] = rm
-    eleq = {a: {b: bool(pow_masks[a] & row_masks[b]) for b in elems} for a in elems}
+            div_of[row[c]] |= bit
+    rel = [0] * S.order
+    for a in elems:
+        row = t[a]
+        seen = rm = 0
+        cur = a
+        while not seen >> cur & 1:
+            seen |= 1 << cur
+            rm |= div_of[cur]
+            cur = row[cur]
+        rel[a] = rm
 
     comp_of = [-1] * S.order
     components: list[frozenset[int]] = []
+    comp_masks = []
+    placed = 0
     for a in elems:
         if comp_of[a] >= 0:
             continue
         cid = len(components)
-        members = [b for b in elems if eleq[a][b] and eleq[b][a]]
+        members = [b for b in elems if rel[a] >> b & 1 and rel[b] >> a & 1]
+        mask = sum(1 << b for b in members)
+        assert not placed & mask, "mutual divisibility classes overlap"
+        placed |= mask
         for b in members:
-            assert comp_of[b] < 0, "mutual divisibility classes overlap"
             comp_of[b] = cid
         components.append(frozenset(members))
+        comp_masks.append(mask)
 
     reps = [min(comp) for comp in components]
     k = len(components)
-    leq = tuple(tuple(eleq[reps[i]][reps[j]] for j in range(k)) for i in range(k))
+    leq = tuple(tuple(bool(rel[reps[i]] >> reps[j] & 1) for j in range(k)) for i in range(k))
     # the relation must be constant on classes (it descends to the quotient)
+    class_rows = [sum(comp_masks[j] for j in range(k) if leq[i][j]) for i in range(k)]
     for a in elems:
-        for b in elems:
-            assert eleq[a][b] == leq[comp_of[a]][comp_of[b]], "divisibility is not a class invariant"
+        assert rel[a] == class_rows[comp_of[a]], "divisibility is not a class invariant"
 
     return ArchDecomposition(
         components=tuple(components),

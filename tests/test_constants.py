@@ -260,11 +260,12 @@ def test_memo_walks_match_reference_where_states_repeat():
 
 
 def test_memo_is_freed_when_its_task_returns():
-    # the recursive closure and its memo form a reference cycle, so only the
-    # task's own clear frees the states while the collector is off; a second
-    # call of each search, after one that fills the interpreter's free lists,
-    # must leave the traced memory where it was. Without the clear, D(C24)
-    # keeps about 2.7 MB and SI(C18) about 0.9 MB
+    # a task breaks its closure's self-reference when its walk ends, so the
+    # memo dies with the task by reference count even while the collector is
+    # off; a second call of each search, after one that fills the
+    # interpreter's free lists, must leave the traced memory where it was.
+    # A memo left in a cycle keeps about 2.7 MB for D(C24) and 0.9 MB for
+    # SI(C18)
     gc.collect()
     gc.disable()
     try:
@@ -278,5 +279,31 @@ def test_memo_is_freed_when_its_task_returns():
             finally:
                 tracemalloc.stop()
             assert kept < 64 * 1024, (search.__name__, S.order, kept)
+    finally:
+        gc.enable()
+
+
+def test_searches_leave_no_cyclic_garbage(monkeypatch):
+    # every walk's closure refers to itself; a task that did not break that
+    # reference would leave the closure, its lists and any memo for the cycle
+    # collector, which the corpus's tens of thousands of searches then pay
+    searches = (
+        (erdos_burgess, cyclic_group(7)),  # commutative I
+        (strong_erdos_burgess, cyclic_group(5)),  # SI, 4 letters: plain walk
+        (strong_erdos_burgess, cyclic_group(9)),  # SI memo walk
+        (erdos_burgess, dihedral(3)),  # noncommutative I
+        (davenport, cyclic_group(9)),
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        for search, S in searches:
+            search(S)
+            assert gc.collect() == 0, (search.__name__, S.table)
+        # a refusal unwinds the walk and must leave nothing behind either
+        monkeypatch.setattr(seqprod, "_MAX_DP_STATES", 11)
+        with pytest.raises(SequenceTooLong):
+            erdos_burgess(dihedral(3))
+        assert gc.collect() == 0
     finally:
         gc.enable()

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 
@@ -182,6 +183,28 @@ def test_commutative_stream_is_the_symmetric_labelled_stream():
 def test_commutative_order_5_count():
     # OEIS A023815: commutative labelled semigroups of order 5
     assert sum(1 for _ in enumerate_semigroups(5, commutative_only=True, max_order=5)) == 30730
+
+
+def _stream_digest(stream) -> tuple[int, str]:
+    h = hashlib.sha256()
+    count = 0
+    for S in stream:
+        h.update(bytes(_flat(S.table)))
+        count += 1
+    return count, h.hexdigest()
+
+
+def test_commutative_order_5_stream_is_pinned():
+    # the commutative walk checks each mirror pair of cells once; the
+    # symmetric labelled comparison above stops at order 4, so the order-5
+    # stream is pinned by a sha256 over its flattened tables in stream order,
+    # taken from the walk that checked both cells of every pair, and so is a
+    # resume from a mid-stream prefix ending at the lower cell (2, 1)
+    stream = enumerate_semigroups(5, commutative_only=True, max_order=5)
+    assert _stream_digest(stream) == (30730, "dec1909f22b595c4d77b3665f95cb205f8d9fe0ed8038b9cd05c07f937fd038c")
+    prefix = [0, 4, 0, 0, 4, 4, 0, 1, 1, 0, 0, 1]
+    stream = enumerate_semigroups(5, commutative_only=True, max_order=5, resume_from=prefix)
+    assert _stream_digest(stream) == (15735, "412299f62e2f2d36e6d0fc652221aa392e356dcf2ca9aa21fbd51bf3c0755c49")
 
 
 def test_commutative_resume():
