@@ -40,6 +40,19 @@ was 1.01-1.19 with 1 to 4 letters, 0.61 with 5, 0.33 with 6 and 0.07 with
 needs the last letter too, and on the family tables that memo cost 12%
 more than the plain walk. Noncommutative I's state is the whole multiset.
 
+A free search reads only the letter table: the products among the
+non-idempotents, each written as its position among them, or as one marker
+when it is idempotent. The walks visit letters in increasing order and
+consult the idempotents only to prune, so two tables with the same letter
+table (and, for I, the same walk, any-order or natural) have the same tree
+up to the order-keeping map between their letters: the same value, the
+witness mapped letter for letter, and the same nodesExplored. Inside a
+``_sharing`` scope, which the verify checks open around one check and
+around each pool batch, a search stores its report under that key, with
+the witness as letter positions, and a repeat maps the stored witness back
+instead of searching again. Outside a scope every search runs. D is not
+shared: its walk reads the products with idempotents too.
+
 Each walk is a recursive closure, which refers to itself through its own
 cell. A task drops that reference when its walk ends, on a refusal too, so
 the closure, its lists and its memo are freed by reference count and a
@@ -48,6 +61,8 @@ search leaves nothing for the cycle collector.
 
 from __future__ import annotations
 
+import contextlib
+import os
 from dataclasses import dataclass
 
 from .core import FiniteSemigroup, NotCommutative, identity_element, idempotents, is_commutative
@@ -59,6 +74,37 @@ KIND_DAVENPORT = "Davenport"
 
 # SI runs the memo walk from this many non-idempotents on (module docstring)
 _STRONG_MEMO_LETTERS = 5
+
+# the I and SI reports of the open sharing scope, or None outside one
+_shared: dict | None = None
+
+
+@contextlib.contextmanager
+def _sharing():
+    """A scope in which I and SI searches with the same letter table and walk
+    share one report (module docstring). A nested scope reuses the outer
+    one; the reports are dropped when the outermost scope exits, on an
+    exception too. Threads of one process share the scope: a report is
+    stored only once it is complete, and two threads that miss on one key
+    store equal reports."""
+    global _shared
+    if _shared is not None:
+        yield
+        return
+    _shared = {}
+    try:
+        yield
+    finally:
+        _shared = None
+
+
+def _leave_scope() -> None:
+    global _shared
+    _shared = None
+
+
+# a forked worker starts outside any scope, whatever its parent had open
+os.register_at_fork(after_in_child=_leave_scope)
 
 
 @dataclass(frozen=True)
@@ -306,17 +352,38 @@ def _merge(results) -> tuple[int, tuple[int, ...], int]:
     return best_len, best, nodes
 
 
+def _letter_table(S: FiniteSemigroup, alpha: list[int]) -> tuple[int, ...]:
+    """The products among the letters alpha, row by row, each as its
+    position in alpha, or -1 when it is idempotent."""
+    position = [-1] * S.order
+    for i, a in enumerate(alpha):
+        position[a] = i
+    return tuple([position[S.table[a][b]] for a in alpha for b in alpha])
+
+
 def _free_search(S: FiniteSemigroup, kind: str, map_fn) -> ConstantReport:
-    """I(S) or SI(S), one task per first letter over the non-idempotents."""
+    """I(S) or SI(S), one task per first letter over the non-idempotents.
+
+    Inside a sharing scope the report is looked up by its letter table and
+    walk first, and searched only on a miss (module docstring).
+    """
     alpha, idem = [], 0
     for a, row in enumerate(S.table):
         if row[a] == a:
             idem |= 1 << a
         else:
             alpha.append(a)
-    letters = ((1 << S.order) - 1) ^ idem
     weak = kind == KIND_ERDOS_BURGESS
-    if weak and not is_commutative(S):
+    any_order = weak and not is_commutative(S)
+    shared = _shared
+    if shared is not None:
+        key = (kind, any_order, _letter_table(S, alpha))
+        hit = shared.get(key)
+        if hit is not None:
+            value, positions, nodes = hit
+            return ConstantReport(kind, value, Seq(tuple([alpha[i] for i in positions])), nodes)
+    letters = ((1 << S.order) - 1) ^ idem
+    if any_order:
         task, tasks = _any_order_task, [(S, alpha, idem, i) for i in range(len(alpha))]
     else:
         rows = _packed_rows(S.table, alpha, idem)
@@ -328,6 +395,8 @@ def _free_search(S: FiniteSemigroup, kind: str, map_fn) -> ConstantReport:
     best_len, best, nodes = _merge(map_fn(task, tasks))
     value = best_len + 1
     assert value <= len(alpha) + 1  # the GHW bound
+    if shared is not None:
+        shared[key] = (value, tuple([alpha.index(x) for x in best]), nodes)
     return ConstantReport(kind, value, Seq(best), nodes)
 
 

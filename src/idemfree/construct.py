@@ -85,22 +85,15 @@ def chain_glue(components: list[FiniteSemigroup]) -> FiniteSemigroup:
     for comp in components:
         if not is_commutative(comp):
             raise InvalidParameters("chain components must be commutative")
-    offsets = []
-    total = 0
+    total = sum(comp.order for comp in components)
+    table = []
+    offset = 0
     for comp in components:
-        offsets.append(total)
-        total += comp.order
-    owner = []
-    for k, comp in enumerate(components):
-        owner.extend([k] * comp.order)
-    table = [[0] * total for _ in range(total)]
-    for a in range(total):
-        for b in range(total):
-            i, j = owner[a], owner[b]
-            if i == j:
-                table[a][b] = offsets[i] + components[i].table[a - offsets[i]][b - offsets[i]]
-            else:
-                table[a][b] = a if i > j else b
+        end = offset + comp.order
+        # a times an earlier element is a, times a later one is that element
+        for a, row in enumerate(comp.table, offset):
+            table.append([a] * offset + [offset + v for v in row] + list(range(end, total)))
+        offset = end
     return FiniteSemigroup._trusted(table)
 
 

@@ -4,6 +4,13 @@ Every check maps a pure per-instance function over its inputs, so a worker
 pool can fan the work out; results are aggregated in input order and the
 resulting logs are byte-identical regardless of worker count. Elapsed time
 is deliberately kept out of the log payload.
+
+The ghw-bound, strong-vs-weak and extremal-families checks share I and SI
+searches between tables with the same letter table: each runs its map and
+aggregation inside one ``constants._sharing`` scope, and a process pool
+opens one scope per batch of items in the worker that runs it. A shared
+report is the report the search would return (``constants``), so the logs
+do not change.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 
-from .constants import davenport, erdos_burgess, ghw_bound, strong_erdos_burgess
+from .constants import _sharing, davenport, erdos_burgess, ghw_bound, strong_erdos_burgess
 from .construct import ExtremalSpec, GroupByNil, Monogenic, enumerate_semigroups, extremal_pair, group_nil_chain
 from .core import FiniteSemigroup, InvalidParameters, _index, idempotents, is_commutative, is_nilsemigroup, zero_element
 from .seqprod import _any_mask, _idem_mask, is_weakly_free
@@ -75,7 +82,8 @@ def _ghw_case(S: FiniteSemigroup) -> dict:
 
 def check_ghw_bound(semigroups, map_fn=map) -> dict:
     """No strongly free word of length |S \\ E(S)| + 1 exists (search exhausts)."""
-    return _aggregate("ghw-bound", map_fn(_ghw_case, semigroups))
+    with _sharing():
+        return _aggregate("ghw-bound", map_fn(_ghw_case, semigroups))
 
 
 def _word_records(S: FiniteSemigroup, found) -> list[dict]:
@@ -241,7 +249,8 @@ def enumerate_extremal_specs(max_components: int = 3, max_terms: int = 10) -> li
 def check_extremal_families(map_fn=map, max_components: int = 3, max_terms: int = 10) -> dict:
     """Every generated extremal pair is free, certified, and search-extremal."""
     specs = enumerate_extremal_specs(max_components=max_components, max_terms=max_terms)
-    return _aggregate("extremal-families", map_fn(_family_case, specs))
+    with _sharing():
+        return _aggregate("extremal-families", map_fn(_family_case, specs))
 
 
 def _formula_case(params: tuple[int, int]) -> dict:
@@ -279,7 +288,8 @@ def _strong_weak_case(S: FiniteSemigroup) -> dict:
 
 def check_strong_weak(semigroups, map_fn=map) -> dict:
     """I(S) <= SI(S) always, with equality on commutative semigroups."""
-    return _aggregate("strong-vs-weak", map_fn(_strong_weak_case, semigroups))
+    with _sharing():
+        return _aggregate("strong-vs-weak", map_fn(_strong_weak_case, semigroups))
 
 
 def _nil_case(S: FiniteSemigroup) -> dict:
@@ -302,8 +312,15 @@ def check_nil_lemma(commutative_semigroups, map_fn=map) -> dict:
     return _aggregate("nil-product-lemma", map_fn(_nil_case, nils))
 
 
+def _batch(fn, items) -> list:
+    """One pool task: fn over a batch of items inside one sharing scope."""
+    with _sharing():
+        return [fn(item) for item in items]
+
+
 class _PoolMap:
-    """Order-preserving map over a process pool."""
+    """Order-preserving map over a process pool, in batches of consecutive
+    items, each run inside its own sharing scope."""
 
     def __init__(self, executor: ProcessPoolExecutor, workers: int):
         self.executor = executor
@@ -311,10 +328,9 @@ class _PoolMap:
 
     def __call__(self, fn, items):
         items = list(items)
-        if not items:
-            return []
         chunk = max(1, len(items) // (self.workers * 4))
-        return list(self.executor.map(fn, items, chunksize=chunk))
+        batches = [items[i:i + chunk] for i in range(0, len(items), chunk)]
+        return [row for rows in self.executor.map(_batch, [fn] * len(batches), batches) for row in rows]
 
 
 @contextlib.contextmanager

@@ -185,6 +185,26 @@ def transformation_monogenic_table(index: int, period: int) -> list[list[int]]:
     return [[seen[compose(a, b)] for b in powers] for a in powers]
 
 
+def chain_glue_cells(components: list[FiniteSemigroup]) -> tuple[tuple[int, ...], ...]:
+    """The ordinal sum's table cell by cell: a product within one component
+    is that component's, shifted by its offset, and a product across two
+    components is the factor from the later one."""
+    offsets, owner = [], []
+    for k, comp in enumerate(components):
+        offsets.append(len(owner))
+        owner += [k] * comp.order
+    total = len(owner)
+    table = [[0] * total for _ in range(total)]
+    for a in range(total):
+        for b in range(total):
+            i, j = owner[a], owner[b]
+            if i == j:
+                table[a][b] = offsets[i] + components[i].table[a - offsets[i]][b - offsets[i]]
+            else:
+                table[a][b] = a if i > j else b
+    return tuple(tuple(row) for row in table)
+
+
 def left_zero_semigroup(n: int) -> FiniteSemigroup:
     return FiniteSemigroup([[a] * n for a in range(n)])
 
@@ -202,6 +222,11 @@ def relabel(S: FiniteSemigroup, seed: int) -> FiniteSemigroup:
     """An isomorphic copy of S under a seeded permutation of its elements."""
     perm = list(S.elements)
     random.Random(seed).shuffle(perm)
+    return relabel_by(S, perm)
+
+
+def relabel_by(S: FiniteSemigroup, perm) -> FiniteSemigroup:
+    """The isomorphic copy of S in which each element a is named perm[a]."""
     table = [[0] * S.order for _ in S.elements]
     for a in S.elements:
         for b in S.elements:

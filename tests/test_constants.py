@@ -5,9 +5,11 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from idemfree import (
+    FiniteSemigroup,
     NotCommutative,
     Seq,
     SequenceTooLong,
+    adjoin_identity,
     chain_glue,
     cyclic_group,
     davenport,
@@ -33,11 +35,13 @@ from oracles import (
     naive_strong_erdos_burgess,
     reference_search,
     relabel,
+    relabel_by,
+    vee_semilattice,
 )
 
 import itertools
 
-from idemfree import seqprod
+from idemfree import constants, seqprod
 from idemfree.verify import enumerate_extremal_specs
 
 SEARCHES = {"I": erdos_burgess, "SI": strong_erdos_burgess, "D": davenport}
@@ -307,3 +311,97 @@ def test_searches_leave_no_cyclic_garbage(monkeypatch):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _relabellings(S):
+    # the idempotents moved to the front, the letters after them in their
+    # own order (which keeps the letter table) and reversed (which need not)
+    idem = sorted(idempotents(S))
+    letters = [a for a in S.elements if a not in idem]
+    return tuple(relabel_by(S, _inverse(idem + order)) for order in (letters, letters[::-1]))
+
+
+def _inverse(order):
+    perm = [0] * len(order)
+    for k, a in enumerate(order):
+        perm[a] = k
+    return perm
+
+
+def _left_zero_under(S):
+    """The ordinal sum of a two-element left-zero band below S: noncommutative,
+    but its letters are S's and commute when S's do."""
+    n = S.order + 2
+    table = [[0, 0, *range(2, n)], [1, 1, *range(2, n)]]
+    table += [[a + 2, a + 2, *(v + 2 for v in row)] for a, row in enumerate(S.table)]
+    return FiniteSemigroup(table)
+
+
+def _report(search, S, map_fn=map):
+    rep = search(S, map_fn=map_fn)
+    return rep.value, rep.witness.terms, rep.nodes_explored
+
+
+def test_shared_reports_are_the_searched_reports():
+    # each group is searched in one sharing scope, so a table whose letter
+    # table and walk an earlier one had gets the earlier report mapped back
+    # through its own letters; every report must be the search's outside a
+    # scope and reference_search's. C5 has 4 letters (plain SI walk) and C6
+    # 5 (SI memo walk)
+    c3, c5, c6 = cyclic_group(3), cyclic_group(5), cyclic_group(6)
+    groups = [
+        [S, adjoin_identity(S), *_relabellings(S), *_relabellings(adjoin_identity(S))]
+        for S in (c5, c6, monogenic(5, 3), group_nil_chain(3, 3))
+    ]
+    # chains that differ only in their idempotent components
+    groups.append([
+        chain_glue(parts)
+        for parts in ([c3, c5], [cyclic_group(1), c3, c5], [c3, vee_semilattice(), c5], [c3, c5, cyclic_group(1)])
+    ])
+    # noncommutative tables whose letters commute: I walks any-order there
+    groups.append([c5, _left_zero_under(c5), c6, _left_zero_under(c6), _left_zero_under(adjoin_identity(c6))])
+    for tables in groups:
+        outside = {(kind, i): _report(SEARCHES[kind], S) for kind in ("I", "SI") for i, S in enumerate(tables)}
+        with constants._sharing():
+            for kind in ("I", "SI"):
+                for i, S in enumerate(tables):
+                    got = _report(SEARCHES[kind], S)
+                    assert got == outside[kind, i] == reference_search(kind, S), (kind, S.table)
+        assert constants._shared is None
+
+
+def test_shared_reports_on_small_corpus(corpus_le4):
+    # 3 614 tables with 98 letter tables between them, in one scope: a key
+    # that confused two letter tables would hand one the other's report
+    outside = [_report(SEARCHES[kind], S) for S in corpus_le4 for kind in ("I", "SI")]
+    with constants._sharing():
+        assert [_report(SEARCHES[kind], S) for S in corpus_le4 for kind in ("I", "SI")] == outside
+
+
+def test_repeated_letter_table_runs_no_task_in_a_scope():
+    calls = []
+
+    def counting_map(task, tasks):
+        calls.append(task.__name__)
+        return map(task, tasks)
+
+    c5 = cyclic_group(5)
+    same_letters = [adjoin_identity(c5), chain_glue([cyclic_group(1), c5]), _relabellings(c5)[0]]
+    with constants._sharing():
+        for search in (erdos_burgess, strong_erdos_burgess):
+            search(c5, map_fn=counting_map)
+            for S in same_letters:
+                search(S, map_fn=counting_map)
+        assert calls == ["_natural_task", "_natural_task"]
+        # the same letters under the any-order walk: I searches, SI does not
+        erdos_burgess(_left_zero_under(c5), map_fn=counting_map)
+        strong_erdos_burgess(_left_zero_under(c5), map_fn=counting_map)
+        assert calls[2:] == ["_any_order_task"]
+        # a letter table that is not the same one
+        erdos_burgess(_relabellings(monogenic(5, 3))[1], map_fn=counting_map)
+        assert len(calls) == 4
+    # outside a scope every search runs
+    calls.clear()
+    for S in [c5, *same_letters]:
+        erdos_burgess(S, map_fn=counting_map)
+    assert len(calls) == 4

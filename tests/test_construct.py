@@ -31,7 +31,9 @@ from idemfree import (
     validate,
     zero_element,
 )
-from oracles import naive_associative_tables
+from oracles import chain_glue_cells, naive_associative_tables
+
+from idemfree.verify import enumerate_extremal_specs
 
 
 def test_cyclic_group_and_nil():
@@ -95,6 +97,18 @@ def test_chain_glue_preserves_commutativity_and_idempotent_count():
             glued = chain_glue(list(combo))
             assert is_commutative(glued)
             assert len(idempotents(glued)) == sum(len(idempotents(c)) for c in combo)
+
+
+def test_chain_glue_matches_cell_by_cell_definition():
+    # the row slices of every family chain of the (3, 8) and (3, 10)
+    # catalogues against the ordinal sum's definition, cell by cell
+    chains = {spec.chain for terms in (8, 10) for spec in enumerate_extremal_specs(3, terms)}
+    for chain in chains:
+        comps = [
+            monogenic(p.index, p.period) if isinstance(p, Monogenic) else trivial_ideal_extension(p.nil_index, p.group_order)
+            for p in chain
+        ]
+        assert chain_glue(comps).table == chain_glue_cells(comps), chain
 
 
 def test_chain_glue_rejects_bad_input():

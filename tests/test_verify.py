@@ -1,10 +1,12 @@
 import random
+import sys
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from types import SimpleNamespace
 
 import pytest
 
 import oracles
-from idemfree import InvalidParameters, enumerate_semigroups, extremal_structure_check, verify
+from idemfree import InvalidParameters, constants, cyclic_group, enumerate_semigroups, extremal_structure_check, verify
 from idemfree.seqprod import _any_mask
 
 
@@ -60,3 +62,76 @@ def test_extremal_spec_bounds_are_integers():
         verify.enumerate_extremal_specs(max_components=1.5)
     with pytest.raises(InvalidParameters, match="max_terms 2.5 is not an integer"):
         verify.check_extremal_families(max_terms=2.5)
+
+
+def test_sharing_scope_lives_for_one_check(corpus_le3):
+    seen = []
+
+    def watching_map(fn, items):
+        for item in items:
+            seen.append(constants._shared)
+            yield fn(item)
+
+    for check in (verify.check_ghw_bound, verify.check_strong_weak):
+        seen.clear()
+        assert check(corpus_le3, watching_map)["failed"] == 0
+        # one scope for the whole lazy map, holding the reports searched
+        assert seen and all(memo is seen[0] for memo in seen) and seen[0]
+        assert constants._shared is None
+    seen.clear()
+    verify.check_extremal_families(watching_map, max_components=1, max_terms=3)
+    assert seen and all(memo is seen[0] for memo in seen)
+    assert constants._shared is None
+
+    def failing_map(fn, items):
+        yield fn(items[0])
+        raise RuntimeError("stop")
+
+    with pytest.raises(RuntimeError, match="stop"):
+        verify.check_ghw_bound(corpus_le3, failing_map)
+    assert constants._shared is None
+
+
+def test_nested_sharing_scope_reuses_the_outer_one():
+    with constants._sharing():
+        outer = constants._shared
+        constants.erdos_burgess(cyclic_group(4))
+        with constants._sharing():
+            assert constants._shared is outer
+        assert constants._shared is outer and len(outer) == 1
+    assert constants._shared is None
+
+
+def _scope_open(_item) -> bool:
+    return constants._shared is not None
+
+
+def test_pool_map_keeps_rows_in_order_and_opens_one_scope_per_batch():
+    # 21 items over 2 workers make batches of 2 and a last batch of 1
+    with ProcessPoolExecutor(max_workers=2) as executor:
+        pool_map = verify._PoolMap(executor, 2)
+        for items in ([], [5], list(range(-10, 11))):
+            assert pool_map(abs, items) == list(map(abs, items))
+        assert pool_map(_scope_open, range(21)) == [True] * 21
+    # a worker forked while its parent has a scope open starts outside it
+    with constants._sharing():
+        with ProcessPoolExecutor(max_workers=1) as executor:
+            assert executor.submit(_scope_open, 0).result(timeout=60) is False
+
+
+def test_sharing_scope_across_threads(corpus_le3):
+    # 8 threads on 2 cores, switching every microsecond, share one scope
+    # while they search each table four times: every report they look up
+    # or store must be the report searched outside a scope
+    def reports(S):
+        return constants.erdos_burgess(S), constants.strong_erdos_burgess(S)
+
+    serial = list(map(reports, corpus_le3))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with constants._sharing(), ThreadPoolExecutor(max_workers=8) as pool:
+            threaded = list(pool.map(reports, corpus_le3 * 4, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial * 4
