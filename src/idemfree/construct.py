@@ -2,7 +2,12 @@
 
 The extremal generator builds semigroups component by component along a
 chain where later components absorb cross products, pairing each with the
-longest weakly free sequence the structure admits. The enumerator streams
+longest weakly free sequence the structure admits. A catalog part builds its
+table once, on first use, and keeps it (``_table``): the specs of one
+catalog share their part objects, so each part is built once however many
+chains it sits in, and the tables die with the specs. Glued and adjoined
+tables carry their commutativity, known from their parts, so no later
+caller scans them for it. The enumerator streams
 every associative table of a given small order by cell-wise backtracking
 with partial associativity pruning, in lexicographic order of the
 flattened rows. It keeps the assigned cells indexed by value, so the
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import FiniteSemigroup, InvalidParameters, SemigroupError, _index, is_commutative, monogenic
 from .seqprod import Seq
@@ -78,7 +84,9 @@ def chain_glue(components: list[FiniteSemigroup]) -> FiniteSemigroup:
     """Disjoint union of commutative semigroups; cross products fall to the
     element from the later component in the list.
 
-    This is an ordinal sum, which is associative whenever its parts are.
+    This is an ordinal sum, which is associative whenever its parts are and
+    commutative whenever they are, so the result is marked commutative
+    without a scan.
     """
     if not components:
         raise InvalidParameters("need at least one component")
@@ -94,7 +102,11 @@ def chain_glue(components: list[FiniteSemigroup]) -> FiniteSemigroup:
         for a, row in enumerate(comp.table, offset):
             table.append([a] * offset + [offset + v for v in row] + list(range(end, total)))
         offset = end
-    return FiniteSemigroup._trusted(table)
+    S = FiniteSemigroup._trusted(table)
+    # every part was checked above; if noncommutative parts are ever let in,
+    # this must become the AND of the parts' flags
+    S._commutative = True
+    return S
 
 
 def group_nil_chain(n1: int, n2: int) -> FiniteSemigroup:
@@ -106,11 +118,17 @@ def group_nil_chain(n1: int, n2: int) -> FiniteSemigroup:
 
 
 def adjoin_identity(S: FiniteSemigroup) -> FiniteSemigroup:
-    """S with a fresh identity element appended as the last index."""
+    """S with a fresh identity element appended as the last index.
+
+    The identity commutes with everything, so the result is commutative
+    exactly when S is; whatever S already knows of that is copied.
+    """
     n = S.order
     table = [list(row) + [a] for a, row in enumerate(S.table)]
     table.append(list(range(n + 1)))
-    return FiniteSemigroup._trusted(table)
+    T = FiniteSemigroup._trusted(table)
+    T._commutative = S._commutative
+    return T
 
 
 @dataclass(frozen=True)
@@ -132,6 +150,11 @@ class Monogenic:
     def term_count(self) -> int:
         return self.index + self.period - 2
 
+    @cached_property
+    def _table(self) -> FiniteSemigroup:
+        # kept in the instance dict: not a field, so not in ==, hash or repr
+        return monogenic(self.index, self.period)
+
 
 @dataclass(frozen=True)
 class GroupByNil:
@@ -150,6 +173,10 @@ class GroupByNil:
     def term_count(self) -> int:
         return self.nil_index + self.group_order - 2
 
+    @cached_property
+    def _table(self) -> FiniteSemigroup:
+        return trivial_ideal_extension(self.nil_index, self.group_order)
+
 
 @dataclass(frozen=True)
 class ExtremalSpec:
@@ -165,16 +192,15 @@ def extremal_pair(spec: ExtremalSpec) -> tuple[FiniteSemigroup, Seq]:
     """Build the described semigroup and its longest weakly free sequence.
 
     Each generator x appears index(x) + period(x) - 2 times, so the total
-    length is exactly |S \\ E(S)|.
+    length is exactly |S \\ E(S)|. The parts' tables are their cached
+    ``_table``, so specs that share a part object build it once.
     """
-    comps: list[FiniteSemigroup] = []
+    comps = [part._table for part in spec.chain]
     local_gens: list[list[tuple[int, int]]] = []  # per component: (local id, multiplicity)
     for part in spec.chain:
         if isinstance(part, Monogenic):
-            comps.append(monogenic(part.index, part.period))
             local_gens.append([(0, part.term_count)])
         else:
-            comps.append(trivial_ideal_extension(part.nil_index, part.group_order))
             # nil generator first, then the group generator
             local_gens.append(
                 [(0, part.nil_index - 1), (part.nil_index - 1, part.group_order - 1)]

@@ -180,9 +180,18 @@ def identity_element(S: FiniteSemigroup) -> ElementId | None:
 
 
 def is_nilsemigroup(S: FiniteSemigroup) -> bool:
-    """True iff S has a zero and every element has some power equal to it."""
-    z = zero_element(S)
-    return z is not None and idempotents(S) == frozenset({z})
+    """True iff S has a zero and every element has some power equal to it.
+
+    Every element has an idempotent power, so this holds exactly when S has
+    one idempotent and that idempotent is a zero; only that one candidate
+    is tested.
+    """
+    ids = idempotents(S)
+    if len(ids) != 1:
+        return False
+    (z,) = ids
+    t, row = S.table, S.table[z]
+    return all(row[x] == z and t[x][z] == z for x in S.elements)
 
 
 def _index(value, what: str) -> int:
@@ -202,22 +211,26 @@ def _element(S: FiniteSemigroup, value, what: str = "element") -> ElementId:
 
 
 def generated_subsemigroup(S: FiniteSemigroup, generators) -> frozenset[ElementId]:
-    """Least subset containing the generators and closed under the table."""
-    gens = frozenset(_element(S, g, "generator") for g in generators)
+    """Least subset containing the generators and closed under the table.
+
+    Every element of the subsemigroup is a product g1 g2 ... gk of
+    generators, and so the left-nested ((g1 g2) ...) gk: a breadth-first
+    closure that multiplies on the right by generators only reaches all of
+    it, in O(|closure| |generators|) lookups, on any table.
+    """
+    gens = list({_element(S, g, "generator") for g in generators})
     if not gens:
         raise EmptyGeneratorSet("generator set must be nonempty")
     t = S.table
-    closure = set(gens)
-    frontier = list(gens)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in list(closure):
-                for v in (t[a][b], t[b][a]):
-                    if v not in closure:
-                        closure.add(v)
-                        fresh.append(v)
-        frontier = fresh
+    seen = set(gens)
+    closure = list(gens)
+    for a in closure:  # the list grows as new products are found
+        row = t[a]
+        for g in gens:
+            v = row[g]
+            if v not in seen:
+                seen.add(v)
+                closure.append(v)
     return frozenset(closure)
 
 

@@ -223,7 +223,9 @@ def _family_case(spec: ExtremalSpec) -> dict:
 def enumerate_extremal_specs(max_components: int = 3, max_terms: int = 10) -> list[ExtremalSpec]:
     """Every chain of at most max_components catalog parts whose sequence
     length budget fits, each also with an adjoined identity. Group-by-nil
-    parts have nil index and group order at most 4."""
+    parts have nil index and group order at most 4. The chains share the
+    catalog's part objects, so each part's table is built once for all the
+    specs, and once per batch when a process pool pickles them."""
     max_components = _index(max_components, "max_components")
     max_terms = _index(max_terms, "max_terms")
     catalog: list[Monogenic | GroupByNil] = []

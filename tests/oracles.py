@@ -150,6 +150,33 @@ def naive_davenport(S: FiniteSemigroup) -> int:
         length += 1
 
 
+def naive_generated_subsemigroup(S: FiniteSemigroup, generators) -> frozenset[int]:
+    """Closure of the generators under products on both sides: each round
+    multiplies every new element by every element found so far, both ways."""
+    t = S.table
+    closure = set(generators)
+    frontier = list(closure)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for b in list(closure):
+                for v in (t[a][b], t[b][a]):
+                    if v not in closure:
+                        closure.add(v)
+                        fresh.append(v)
+        frontier = fresh
+    return frozenset(closure)
+
+
+def naive_is_nilsemigroup(S: FiniteSemigroup) -> bool:
+    """S has a zero, found by scanning every element, and it is the only
+    idempotent."""
+    t = S.table
+    zeros = [z for z in S.elements if all(t[z][x] == z == t[x][z] for x in S.elements)]
+    idem = {e for e in S.elements if t[e][e] == e}
+    return bool(zeros) and idem == {zeros[0]}
+
+
 def naive_associative_tables(n: int) -> list[tuple[tuple[int, ...], ...]]:
     """Filter all n^(n*n) tables by associativity; feasible for n <= 3."""
     out = []

@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import itertools
 import os
+import pickle
 
 import pytest
 
@@ -33,7 +35,7 @@ from idemfree import (
 )
 from oracles import chain_glue_cells, naive_associative_tables
 
-from idemfree.verify import enumerate_extremal_specs
+from idemfree.verify import _spec_to_json, enumerate_extremal_specs
 
 
 def test_cyclic_group_and_nil():
@@ -167,6 +169,55 @@ def test_extremal_pair_lengths_and_bound():
         assert len(T) == S.order - len(idempotents(S))
         assert is_weakly_free(S, T)
         assert ghw_bound(S) == len(T) + 1
+
+
+def _fresh_table(part):
+    if isinstance(part, Monogenic):
+        return monogenic(part.index, part.period)
+    return trivial_ideal_extension(part.nil_index, part.group_order)
+
+
+def test_extremal_pair_from_shared_parts_matches_fresh_constructors():
+    specs = enumerate_extremal_specs(3, 10)
+    assert len(specs) == 16142
+    # the chains share the catalog's part objects: one object per part
+    parts = {id(part): part for spec in specs for part in spec.chain}
+    assert len(parts) == len(set(parts.values())) == 38
+    for spec in specs:
+        S, T = extremal_pair(spec)
+        # new part objects, so every part table comes from its constructor
+        fresh = ExtremalSpec(tuple(dataclasses.replace(part) for part in spec.chain), spec.adjoin_identity)
+        S_fresh, T_fresh = extremal_pair(fresh)
+        assert (S.table, T) == (S_fresh.table, T_fresh), spec
+    for part in parts.values():
+        assert part._table.table == _fresh_table(part).table
+
+
+def test_cached_part_table_is_not_part_of_the_spec():
+    for part in (Monogenic(3, 2), GroupByNil(3, 2)):
+        spec = ExtremalSpec((part,), adjoin_identity=True)
+        before = (hash(part), repr(part), hash(spec), repr(spec), _spec_to_json(spec))
+        assert "_table" not in vars(part)
+        assert part._table is part._table
+        assert "_table" in vars(part)
+        assert (hash(part), repr(part), hash(spec), repr(spec), _spec_to_json(spec)) == before
+        assert part == dataclasses.replace(part) and spec == ExtremalSpec((dataclasses.replace(part),), True)
+
+
+def test_spec_pickle_round_trip_with_and_without_cached_tables():
+    part = GroupByNil(2, 3)
+    spec = ExtremalSpec((Monogenic(3, 2), part, part))
+    want = extremal_pair(ExtremalSpec((Monogenic(3, 2), GroupByNil(2, 3), GroupByNil(2, 3))))
+    for cached in (False, True):
+        if cached:
+            extremal_pair(spec)
+        back = pickle.loads(pickle.dumps(spec))
+        assert back == spec and hash(back) == hash(spec)
+        assert ("_table" in vars(back.chain[1])) == cached
+        # one object in, one object out: the repeated part stays shared
+        assert back.chain[1] is back.chain[2]
+        S, T = extremal_pair(back)
+        assert (S.table, T) == (want[0].table, want[1])
 
 
 def _flat(table):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from idemfree import (
@@ -22,7 +24,12 @@ from idemfree import (
     validate,
     zero_element,
 )
-from oracles import left_zero_semigroup, transformation_monogenic_table
+from oracles import (
+    left_zero_semigroup,
+    naive_generated_subsemigroup,
+    naive_is_nilsemigroup,
+    transformation_monogenic_table,
+)
 
 
 def test_validate_trivial_and_z2():
@@ -105,6 +112,18 @@ def test_is_nilsemigroup():
     assert is_nilsemigroup(validate(1, [[0]]))
 
 
+def test_is_nilsemigroup_matches_zero_scan(corpus_le4):
+    # the idempotent-first test against a full scan for a zero, on every
+    # labelled table of order <= 4 and every commutative one of order <= 5
+    from idemfree.verify import build_corpus
+
+    commutative = build_corpus(5, commutative_only=True)
+    assert len(commutative) == 31940
+    for corpus in (corpus_le4, commutative):
+        assert [is_nilsemigroup(S) for S in corpus] == [naive_is_nilsemigroup(S) for S in corpus]
+    assert sum(map(is_nilsemigroup, commutative)) == 2409
+
+
 def test_generated_subsemigroup():
     Z4 = cyclic_group(4)
     assert generated_subsemigroup(Z4, {0}) == frozenset(range(4))
@@ -124,6 +143,21 @@ def test_generated_subsemigroup_is_monotone_idempotent_closure(corpus_le3):
                 both = generated_subsemigroup(S, {x, y})
                 assert singles[x] <= both
                 assert generated_subsemigroup(S, both) == both
+
+
+def test_generated_subsemigroup_matches_two_sided_closure(corpus_le4):
+    # right products by generators only reach what the two-sided closure
+    # does, on every nonempty generator set of every labelled table of
+    # order <= 4, noncommutative ones included
+    checked = noncommutative = 0
+    for S in corpus_le4:
+        noncommutative += not is_commutative(S)
+        for k in range(1, S.order + 1):
+            for gens in itertools.combinations(S.elements, k):
+                assert generated_subsemigroup(S, gens) == naive_generated_subsemigroup(S, gens), (S.table, gens)
+                checked += 1
+    assert checked == 53196
+    assert noncommutative > 0
 
 
 def test_cyclic_data_examples():

@@ -17,6 +17,7 @@ from idemfree import (
     enumerate_semigroups,
     extremal_pair,
     generated_subsemigroup,
+    is_commutative,
     monogenic,
     trivial_ideal_extension,
     unique_cycle_idempotent,
@@ -58,6 +59,25 @@ def test_chain_glue_and_adjoin_identity_are_valid():
             assert_valid(adjoin_identity(glued))
     for part in parts:
         assert_valid(adjoin_identity(part))
+
+
+def _commutes(S):
+    t = S.table
+    return all(t[a][b] == t[b][a] for a in S.elements for b in S.elements)
+
+
+def test_glued_and_adjoined_tables_know_whether_they_commute(corpus_le3):
+    # chain_glue marks its result commutative and adjoin_identity copies
+    # what its input knows; each flag must agree with a full scan
+    for spec in enumerate_extremal_specs(max_components=3, max_terms=8):
+        S, _ = extremal_pair(spec)
+        assert S._commutative is True and _commutes(S)
+    for S in corpus_le3:
+        T = validate(S.order, S.table)
+        assert adjoin_identity(T)._commutative is None
+        is_commutative(T)
+        assert adjoin_identity(T)._commutative == _commutes(adjoin_identity(T))
+        assert adjoin_identity(adjoin_identity(T))._commutative == _commutes(T)
 
 
 def test_extremal_pairs_are_valid():
