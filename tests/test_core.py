@@ -24,6 +24,7 @@ from idemfree import (
     validate,
     zero_element,
 )
+from idemfree.verify import build_corpus
 from oracles import (
     left_zero_semigroup,
     naive_generated_subsemigroup,
@@ -115,8 +116,6 @@ def test_is_nilsemigroup():
 def test_is_nilsemigroup_matches_zero_scan(corpus_le4):
     # the idempotent-first test against a full scan for a zero, on every
     # labelled table of order <= 4 and every commutative one of order <= 5
-    from idemfree.verify import build_corpus
-
     commutative = build_corpus(5, commutative_only=True)
     assert len(commutative) == 31940
     for corpus in (corpus_le4, commutative):
