@@ -115,9 +115,9 @@ def cmd_check_extremal(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    checks = (
-        [c.strip() for c in args.checks.split(",") if c.strip()] if args.checks else list(verify.CHECK_IDS)
-    )
+    checks = list(verify.CHECK_IDS)
+    if args.checks is not None:
+        checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     started = time.monotonic()
     log = verify.run_verification(
         max_order=args.max_order,

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from .core import (
     ElementId,
     FiniteSemigroup,
+    InvalidParameters,
     SemigroupError,
     _element,
     _index,
@@ -73,15 +74,18 @@ class Seq:
 
     @classmethod
     def parse(cls, text: str) -> "Seq":
-        """One line of space-separated indices; an empty line is the empty sequence."""
-        for raw in text.splitlines() or [""]:
-            line = raw.strip()
-            if line.startswith("#"):
-                continue
-            if not line:
-                return cls(())
-            return cls(tuple(int(tok) for tok in line.split()))
-        return cls(())
+        """One line of space-separated indices. Blank lines and lines starting
+        with '#' are skipped; text without a data line is the empty sequence."""
+        lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln and not ln.startswith("#")]
+        if len(lines) > 1:
+            raise InvalidParameters(f"a sequence is one line of indices, got {len(lines)} data lines")
+        terms = []
+        for tok in lines[0].split() if lines else ():
+            try:
+                terms.append(int(tok))
+            except ValueError:
+                raise InvalidParameters(f"sequence term {tok!r} is not an integer") from None
+        return cls(tuple(terms))
 
     def format(self) -> str:
         return " ".join(str(t) for t in self.terms) + "\n"

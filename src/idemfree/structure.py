@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
+    CyclicData,
     ElementId,
     FiniteSemigroup,
     NotCommutative,
@@ -283,16 +284,17 @@ def _absorption_order(S: FiniteSemigroup, supp: list[int]) -> tuple[int, ...] | 
     return tuple(order)
 
 
-def _component_kind(S: FiniteSemigroup, comp: frozenset[int], data: ComponentData, gens: list[int]) -> str | None:
-    """The kind of one archimedean component from the generators inside it.
+def _component_kind(S: FiniteSemigroup, comp: frozenset[int], data: ComponentData, gens, cds) -> str | None:
+    """The kind of one archimedean component from the generators gens inside it.
 
     Either one generator whose cycle is the whole component, with index
     congruent to 1 mod period; or a kernel generator whose cycle is the
     (nontrivial) group plus a nil generator whose cycle is the (nonempty)
-    nil part and the idempotent, with trivial partial homomorphism.
+    nil part and the idempotent, with trivial partial homomorphism. cds maps
+    each generator to its cyclic data.
     """
     if len(gens) == 1:
-        cd = cyclic_data(S, gens[0])
+        cd = cds[gens[0]]
         ok = frozenset(cd.powers) == comp and (cd.index - 1) % cd.period == 0
         return MONOGENIC_ONLY if ok else None
     if len(gens) != 2:
@@ -306,82 +308,81 @@ def _component_kind(S: FiniteSemigroup, comp: frozenset[int], data: ComponentDat
     ok = (
         len(data.kernel_group) >= 2
         and len(data.nil_part) >= 1
-        and frozenset(cyclic_data(S, x2).powers) == data.kernel_group
-        and frozenset(cyclic_data(S, x1).powers) == data.nil_part | {e}
+        and frozenset(cds[x2].powers) == data.kernel_group
+        and frozenset(cds[x1].powers) == data.nil_part | {e}
         and S.table[x1][e] == e  # trivial partial homomorphism
     )
     return GROUP_BY_NIL_EXTENSION if ok else None
 
 
-# The subsemigroup R per sorted support and the decomposition per R, for the
-# last table certified. A sweep certifies many multisets of one table, and
-# the families check runs extremal_main_form after extremal_structure_check
-# on the same sequence; both reuse them. Only one table's are kept, so a
-# corpus held in memory does not hold a decomposition for every table.
-# Threads that race here only recompute: each tuple pairs a table with its
-# own dicts, and a table's entries depend on nothing else.
-_memo: tuple = (None, {}, {})
+@dataclass
+class _Support:
+    """What both extremal checks read about one sorted support of a table."""
+
+    R: frozenset[int]  # the subsemigroup the support generates
+    failed: str | None  # the first failed condition among commutative closure and complement-idempotent
+    cds: dict[int, CyclicData]  # each generator's cyclic data
+    dec: ArchDecomposition | None = None  # R's decomposition, once _classified asks for it,
+    kinds: tuple[str | None, ...] = ()  # and each component's kind by component id
 
 
-def _table_memo(S: FiniteSemigroup) -> tuple:
+# One _Support per sorted support, for the last table certified. A sweep
+# certifies many multisets of one table, and the families check runs
+# extremal_main_form after extremal_structure_check on the same sequence;
+# both read the record. Only one table's records are kept, so a corpus held
+# in memory does not hold a decomposition for every table (records on every
+# table measured +5% peak RSS on the corpus benchmark). Threads that race
+# here only recompute: each tuple pairs a table with its own dict, and a
+# table's records depend on nothing else.
+_memo: tuple = (None, {})
+
+
+def _extremal_prelude(S: FiniteSemigroup, seq) -> tuple[tuple[int, ...], list[int], _Support]:
+    """The start shared by both extremal checks: the terms, their sorted
+    support and its record, built on the first call for that support.
+
+    For the empty sequence R is empty and both prelude conditions hold,
+    since the length check already says every element is idempotent.
+    """
     global _memo
-    if _memo[0] is not S:
-        _memo = (S, {}, {})
-    return _memo
-
-
-def _classify_components(
-    S: FiniteSemigroup, R: frozenset[int], gens
-) -> tuple[tuple[str, ...] | None, ArchDecomposition]:
-    """Decompose the commutative subsemigroup R generated by gens, inside S.
-
-    Returns the kind of each archimedean component, ordered by its first
-    generator in gens (None if a component has no generator or fails
-    ``_component_kind``), together with the decomposition of R.
-    """
-    decompositions = _table_memo(S)[2]
-    dec = decompositions.get(R)
-    if dec is None:
-        dec = decompositions[R] = _decompose(S, R)
-    comp_gens: dict[int, list[int]] = {}
-    for x in gens:
-        comp_gens.setdefault(dec.comp_of[x], []).append(x)
-    if len(comp_gens) != len(dec.components):
-        return None, dec
-    kinds = []
-    for cid, cgens in comp_gens.items():
-        kind = _component_kind(S, dec.components[cid], dec.per_component[cid], cgens)
-        if kind is None:
-            return None, dec
-        kinds.append(kind)
-    return tuple(kinds), dec
-
-
-def _extremal_prelude(S: FiniteSemigroup, seq) -> tuple[tuple[int, ...], list[int], frozenset[int], str | None]:
-    """The start shared by both extremal checks.
-
-    Returns the terms, their sorted support, the subsemigroup R they
-    generate, and the first failed condition among commutative closure of R
-    and idempotence of everything outside R (None if both hold). For the
-    empty sequence R is empty and both hold, since the length check already
-    says every element is idempotent.
-    """
     terms = _terms(S, seq)
     expected = S.order - len(idempotents(S))
     if len(terms) != expected:
         raise WrongLength(f"sequence length {len(terms)} != |S \\ E(S)| = {expected}")
     supp = sorted(set(terms))
-    generated = _table_memo(S)[1]
-    R = generated.get(tuple(supp))
-    if R is None:
-        R = generated[tuple(supp)] = generated_subsemigroup(S, supp) if supp else frozenset()
-    t = S.table
-    # a semigroup generated by pairwise commuting elements is commutative
-    if not all(t[a][b] == t[b][a] for i, a in enumerate(supp) for b in supp[i + 1:]):
-        return terms, supp, R, COND_COMMUTATIVE
-    if not all(t[s][s] == s for s in S.elements if s not in R):
-        return terms, supp, R, COND_COMPLEMENT
-    return terms, supp, R, None
+    memo = _memo
+    if memo[0] is not S:
+        memo = _memo = (S, {})
+    rec = memo[1].get(tuple(supp))
+    if rec is None:
+        R = generated_subsemigroup(S, supp) if supp else frozenset()
+        t = S.table
+        failed = None
+        # a semigroup generated by pairwise commuting elements is commutative
+        if not all(t[a][b] == t[b][a] for i, a in enumerate(supp) for b in supp[i + 1:]):
+            failed = COND_COMMUTATIVE
+        elif not all(t[s][s] == s for s in S.elements if s not in R):
+            failed = COND_COMPLEMENT
+        rec = memo[1][tuple(supp)] = _Support(R, failed, {x: cyclic_data(S, x) for x in supp})
+    return terms, supp, rec
+
+
+def _classified(S: FiniteSemigroup, supp: list[int], rec: _Support) -> tuple[ArchDecomposition, tuple]:
+    """The decomposition of the commutative R and each component's kind,
+    filled into rec on the first call: None for a component that holds no
+    generator or fails ``_component_kind``."""
+    if rec.dec is None:
+        dec = _decompose(S, rec.R)
+        comp_gens: list[list[int]] = [[] for _ in dec.components]
+        for x in supp:
+            comp_gens[dec.comp_of[x]].append(x)
+        # kinds first: a thread that sees dec set also sees them
+        rec.kinds = tuple(
+            _component_kind(S, comp, data, gens, rec.cds)
+            for comp, data, gens in zip(dec.components, dec.per_component, comp_gens)
+        )
+        rec.dec = dec
+    return rec.dec, rec.kinds
 
 
 def extremal_structure_check(S: FiniteSemigroup, seq) -> ExtremalCertificate:
@@ -390,29 +391,30 @@ def extremal_structure_check(S: FiniteSemigroup, seq) -> ExtremalCertificate:
     Conditions are evaluated in a fixed order and the first failure decides
     the verdict; every condition that was evaluated is recorded.
     """
-    terms, supp, R, failed = _extremal_prelude(S, seq)
-    cds = {x: cyclic_data(S, x) for x in supp}
+    terms, supp, rec = _extremal_prelude(S, seq)
+    cds = rec.cds
     counts = {x: terms.count(x) for x in supp}
     gen_order: tuple[int, ...] = tuple(supp)
     kinds: tuple[str, ...] = ()
 
     def conditions():
         nonlocal gen_order, kinds
-        yield COND_COMMUTATIVE, failed != COND_COMMUTATIVE
-        yield COND_COMPLEMENT, failed is None
+        yield COND_COMMUTATIVE, rec.failed != COND_COMMUTATIVE
+        yield COND_COMPLEMENT, rec.failed is None
         if not supp:
             return
         order = _absorption_order(S, supp)
         yield COND_ABSORPTION, order is not None
         gen_order = order
-        yield COND_UNION, set().union(*(cds[x].powers for x in supp)) == R
+        yield COND_UNION, set().union(*(cds[x].powers for x in supp)) == rec.R
         parts = [set(cds[x].powers) - {unique_cycle_idempotent(S, x)} for x in supp]
         yield COND_DISJOINT, sum(map(len, parts)) == len(set().union(*parts))
         yield COND_INDEX, all((cds[x].index - 1) % cds[x].period == 0 for x in supp)
         yield COND_MULTIPLICITY, all(counts[x] == cds[x].index + cds[x].period - 2 for x in supp)
-        found, _ = _classify_components(S, R, gen_order)
-        yield COND_COMPONENTS, found is not None
-        kinds = found
+        dec, by_id = _classified(S, supp, rec)
+        yield COND_COMPONENTS, None not in by_id
+        # each component's kind, ordered by its first generator in gen_order
+        kinds = tuple(by_id[cid] for cid in dict.fromkeys(dec.comp_of[x] for x in gen_order))
 
     # the first failure ends the walk, so a later condition is never evaluated
     # and gen_order and kinds keep their defaults unless their condition held
@@ -436,23 +438,19 @@ def extremal_main_form(S: FiniteSemigroup, seq) -> bool:
     """The same characterization decided through the archimedean machinery.
 
     Serves as a cross-check for the flat condition list: the component
-    kinds come from the shared classifier, but the total order is decided
-    by the archimedean decomposition as a lower-absorbing chain instead of
-    the flat absorption order, and multiplicities are pinned afresh.
+    kinds come from the shared record, but the total order is decided by
+    the archimedean decomposition as a lower-absorbing chain instead of the
+    flat absorption order, and multiplicities are pinned afresh.
     """
-    terms, supp, R, failed = _extremal_prelude(S, seq)
-    if failed is not None:
+    terms, supp, rec = _extremal_prelude(S, seq)
+    if rec.failed is not None:
         return False
     if not supp:
         return True
-    kinds, dec = _classify_components(S, R, supp)
-    if kinds is None or not is_chain_lower_absorbing(S, dec):
+    dec, by_id = _classified(S, supp, rec)
+    if None in by_id or not is_chain_lower_absorbing(S, dec):
         return False
-    for x in supp:
-        cd = cyclic_data(S, x)
-        if terms.count(x) != cd.index + cd.period - 2:
-            return False
-    return True
+    return all(terms.count(x) == rec.cds[x].index + rec.cds[x].period - 2 for x in supp)
 
 
 def extremal_equivalence(S: FiniteSemigroup, seq) -> bool:

@@ -122,6 +122,20 @@ def test_products_and_free_check(tmp_path, capsys):
     assert json.loads(out) == {"mode": "strong", "free": True}
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("1 2\n0 1\n", "one line of indices, got 2 data lines"), ("0 x\n", "sequence term 'x' is not an integer")],
+)
+def test_free_check_rejects_bad_sequence_file(tmp_path, capsys, text, message):
+    path = write_table(tmp_path, group_nil_chain(2, 2))
+    seq = tmp_path / "bad.seq"
+    seq.write_text(text)
+    code, out, err = run_cli(capsys, "free-check", path, str(seq))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_check_extremal(tmp_path, capsys):
     path = write_table(tmp_path, group_nil_chain(2, 2))
     seq = write_seq(tmp_path, [0, 2])
@@ -213,6 +227,7 @@ def test_verify_rejects_unknown_check(capsys):
         (["verify", "--max-order", "0"], "max_order must be at least 1, got 0"),
         (["verify", "--max-order", "-3"], "max_order must be at least 1, got -3"),
         (["verify", "--checks", ","], "no checks selected"),
+        (["verify", "--checks", ""], "no checks selected"),
     ],
 )
 def test_bad_counts_fail_at_once(tmp_path, capsys, argv, message):

@@ -130,6 +130,16 @@ def test_seq_type():
     assert Seq.parse("\n").terms == ()
     assert Seq.parse("# note\n1 1\n").terms == (1, 1)
     assert Seq.of([1, 1]).format() == "1 1\n"
+    assert Seq.parse("").terms == ()
+    assert Seq.parse("# only a note\n\n").terms == ()
+    assert Seq.parse("\n1 2\n").terms == (1, 2)
+    assert Seq.parse("# a\n\n  3 0  \n\n# b\n").terms == (3, 0)
+    with pytest.raises(InvalidParameters, match="one line of indices, got 2 data lines"):
+        Seq.parse("1 2\n3 4\n")
+    with pytest.raises(InvalidParameters, match="sequence term 'x' is not an integer"):
+        Seq.parse("1 x")
+    with pytest.raises(InvalidParameters, match="sequence term '1.5' is not an integer"):
+        Seq.parse("# note\n1.5 2\n")
     assert Seq.of([]).format() == "\n"
     # terms are indices: a float or string is rejected, never truncated
     Z3 = cyclic_group(3)

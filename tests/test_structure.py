@@ -270,15 +270,16 @@ def test_certificate_and_freeness_ignore_word_order(commutative_le4):
 
 
 def test_certificate_memo_is_kept_for_one_table_only(commutative_le4):
-    # structure keeps R per support and the decomposition per R for the
-    # last table certified; read back table after table, each in a shuffled
-    # order over the table and an equal copy of it, with supports that
-    # generate different R, they and the main form must match a cold
-    # computation
+    # structure keeps one record per sorted support (R, the prelude failure,
+    # the generators' cyclic data and, once asked for, the decomposition of R
+    # and the component kinds) for the last table certified; read back table
+    # after table, each in a shuffled order over the table and an equal copy
+    # of it, with supports that generate different R, they and the main form
+    # must match a cold computation
     import random
 
     from idemfree import structure
-    from idemfree.structure import _classify_components, _decompose, _extremal_prelude
+    from idemfree.structure import _classified, _component_kind, _decompose, _extremal_prelude
 
     tables = []
     for S in commutative_le4[::2]:
@@ -287,17 +288,55 @@ def test_certificate_memo_is_kept_for_one_table_only(commutative_le4):
         tables.append([(T, terms) for T in (S, FiniteSemigroup(S.table)) for terms in multisets])
     cold = {}
     for T, terms in itertools.chain(*tables):
-        structure._memo = (None, {}, {})
+        structure._memo = (None, {})
         cold[id(T), terms] = extremal_main_form(T, terms)
     rng = random.Random(3)
     for cases in tables:
         rng.shuffle(cases)
         for T, terms in cases:
-            _, supp, R, failed = _extremal_prelude(T, terms)
-            assert R == (generated_subsemigroup(T, supp) if supp else frozenset())
-            if failed is None and supp:
-                assert _classify_components(T, R, supp)[1] == _decompose(T, R)
+            _, supp, rec = _extremal_prelude(T, terms)
+            cds = {x: cyclic_data(T, x) for x in supp}
+            assert rec.R == (generated_subsemigroup(T, supp) if supp else frozenset())
+            assert rec.cds == cds
+            if rec.failed is None and supp:
+                dec, kinds = _classified(T, supp, rec)
+                assert dec == rec.dec == _decompose(T, rec.R)
+                assert kinds == tuple(
+                    _component_kind(T, comp, data, [x for x in supp if dec.comp_of[x] == cid], cds)
+                    for cid, (comp, data) in enumerate(zip(dec.components, dec.per_component))
+                )
             assert extremal_main_form(T, terms) == cold[id(T), terms]
+
+
+def test_family_case_decomposes_and_classifies_each_component_once(monkeypatch):
+    # the certificate and the main form of one family case read one record:
+    # R is decomposed at most once and each of its components classified once
+    from idemfree import structure
+    from idemfree.verify import _family_case, enumerate_extremal_specs
+
+    real_decompose, real_kind = structure._decompose, structure._component_kind
+    counts = {"decompose": 0, "components": 0, "kind": 0}
+
+    def decompose(S, carrier):
+        dec = real_decompose(S, carrier)
+        counts["decompose"] += 1
+        counts["components"] += len(dec.components)
+        return dec
+
+    def kind(*args):
+        counts["kind"] += 1
+        return real_kind(*args)
+
+    monkeypatch.setattr(structure, "_decompose", decompose)
+    monkeypatch.setattr(structure, "_component_kind", kind)
+    decomposed = 0
+    for spec in enumerate_extremal_specs(max_components=3, max_terms=6):
+        before = dict(counts)
+        assert _family_case(spec)["ok"]
+        assert counts["decompose"] - before["decompose"] <= 1
+        assert counts["kind"] - before["kind"] == counts["components"] - before["components"]
+        decomposed += counts["decompose"] - before["decompose"]
+    assert decomposed > 0 and counts["kind"] > decomposed
 
 
 def test_certificate_records_a_prefix_up_to_the_first_failure(corpus_le4):
