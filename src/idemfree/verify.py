@@ -11,6 +11,15 @@ aggregation inside one ``constants._sharing`` scope, and a process pool
 opens one scope per batch of items in the worker that runs it. A shared
 report is the report the search would return (``constants``), so the logs
 do not change.
+
+The extremal-equivalence check never visits every word of length
+k = |S \\ E(S)|. Freeness and the certificate depend only on the multiset
+of terms, and a passing certificate pins each term's count to
+index + period - 2, so it compares two small sets of multisets: the free
+set F, from a walk over nondecreasing sequences cut at the first
+idempotent product, and the certified set C, one multiset per support
+whose pinned counts sum to k. The words of F xor C are its equivalence
+failures, and the new-product bound and the claims run on F & C.
 """
 
 from __future__ import annotations
@@ -22,7 +31,16 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .constants import _sharing, davenport, erdos_burgess, ghw_bound, strong_erdos_burgess
 from .construct import ExtremalSpec, GroupByNil, Monogenic, enumerate_semigroups, extremal_pair, group_nil_chain
-from .core import FiniteSemigroup, InvalidParameters, _index, idempotents, is_commutative, is_nilsemigroup, zero_element
+from .core import (
+    FiniteSemigroup,
+    InvalidParameters,
+    _index,
+    cyclic_data,
+    idempotents,
+    is_commutative,
+    is_nilsemigroup,
+    zero_element,
+)
 from .seqprod import _any_mask, _idem_mask, is_weakly_free
 from .structure import extremal_main_form, extremal_structure_check
 
@@ -100,35 +118,78 @@ def _word_records(S: FiniteSemigroup, found) -> list[dict]:
     return records
 
 
-def _equivalence_case(S: FiniteSemigroup) -> dict:
-    """Every word of length |S \\ E(S)| over the non-idempotents, checked one
-    multiset at a time.
+def _free_multisets(S: FiniteSemigroup, alphabet: list[int]) -> dict[tuple[int, ...], int]:
+    """F: each weakly free multiset of len(alphabet) terms over the
+    alphabet, as a nondecreasing tuple, with its any-order product mask.
 
-    Freeness, the certificate, the new-product bound and the claims depend
-    only on the multiset of terms, so each is decided once per multiset and
-    counted once per distinct word, length! / prod(c_i!) of them; the
-    counters and failure records are those of a sweep over every word.
+    A depth-first walk over nondecreasing prefixes; the any-order set of a
+    sub-multiset lies inside that of the multiset, so a prefix with an
+    idempotent product has no free extension and its subtree is cut.
+    """
+    idem = _idem_mask(S)
+    length = len(alphabet)
+    found: dict[tuple[int, ...], int] = {}
+
+    def walk(prefix: tuple[int, ...], start: int) -> None:
+        mask = _any_mask(S, prefix)
+        if mask & idem:
+            return
+        if len(prefix) == length:
+            found[prefix] = mask
+            return
+        for i in range(start, length):
+            walk(prefix + (alphabet[i],), i)
+
+    walk((), 0)
+    return found
+
+
+def _certified_multisets(S: FiniteSemigroup, alphabet: list[int]) -> set[tuple[int, ...]]:
+    """C: each multiset of len(alphabet) terms over the alphabet that passes
+    the certificate, as a nondecreasing tuple.
+
+    The certificate's multiplicity condition pins the count of each term x
+    of a passing multiset to index(x) + period(x) - 2, which is at least 1
+    for a non-idempotent. So a passing multiset is fixed by its support:
+    only supports whose pinned counts sum to the length are certified, one
+    multiset each.
+    """
+    length = len(alphabet)
+    cds = {x: cyclic_data(S, x) for x in alphabet}
+    pinned = {x: cds[x].index + cds[x].period - 2 for x in alphabet}
+    certified = set()
+    for size in range(length + 1):
+        for supp in itertools.combinations(alphabet, size):
+            if sum(pinned[x] for x in supp) != length:
+                continue
+            multiset = tuple(x for x in supp for _ in range(pinned[x]))
+            if extremal_structure_check(S, multiset).passed:
+                certified.add(multiset)
+    return certified
+
+
+def _equivalence_case(S: FiniteSemigroup) -> dict:
+    """Every word of length k = |S \\ E(S)| over the k non-idempotents,
+    decided from the free set F and the certified set C: the words of
+    F xor C are the equivalence failures, and the bound and the claims are
+    checked on F & C. Each multiset counts once per distinct word,
+    k! / prod(c_i!) of them, so the counters and failure records are those
+    of a sweep over all k^k words.
     """
     alphabet = [a for a in S.elements if S.table[a][a] != a]
     length = len(alphabet)
-    sequences = free = lambda_checked = 0
-    eq_found = []
+    free_masks = _free_multisets(S, alphabet)
+    certified = _certified_multisets(S, alphabet)
+    nonidem = sum(1 << a for a in alphabet)
+    free = lambda_checked = 0
+    eq_found = [(multiset, [{}]) for multiset in free_masks.keys() ^ certified]
     lambda_found = []
     claim_found = []
-    idem = _idem_mask(S)
-    nonidem = sum(1 << a for a in alphabet)
-    for multiset in itertools.combinations_with_replacement(alphabet, length):
+    for multiset, mask in free_masks.items():
+        if multiset not in certified:
+            continue
         supp = sorted(set(multiset))
         words = math.factorial(length) // math.prod(math.factorial(multiset.count(x)) for x in supp)
-        sequences += words
-        # the any-order set of the whole multiset
-        mask = _any_mask(S, multiset)
-        weakly = not (mask & idem)
-        if weakly != extremal_structure_check(S, multiset).passed:
-            eq_found.append((multiset, [{}]))
-            continue
-        if not weakly:
-            continue
         free += words
         # new-product lower bound: dropping one copy of a term and
         # re-appending it must contribute at least one product; the grown
@@ -162,7 +223,7 @@ def _equivalence_case(S: FiniteSemigroup) -> dict:
         "failure": None
         if ok
         else {"table": _flat(S), "equivalence": eq_failures, "lambda": lambda_failures, "claims": claim_failures},
-        "sequences": sequences,
+        "sequences": length**length,
         "freeSequences": free,
         "lambdaChecked": lambda_checked,
         "equivalenceFailures": len(eq_failures),
@@ -175,9 +236,11 @@ def check_extremal_equivalence(commutative_semigroups, map_fn=map) -> dict:
     """Freeness at length |S \\ E(S)| matches the structural certificate, and
     every free sequence found satisfies the new-product lower bound.
 
-    The sweep visits each multiset of terms once; its counters
-    (sequences, freeSequences, lambdaChecked and the failure counts) are
-    still word counts."""
+    Each table's free multisets F and certified multisets C are built
+    separately and compared; no other multiset is visited. The counters
+    are still word counts: sequences is k^k, freeSequences and
+    lambdaChecked count the words of F & C, and the failure counts the
+    words of each failing multiset."""
     return _aggregate(
         "extremal-equivalence",
         map_fn(_equivalence_case, commutative_semigroups),

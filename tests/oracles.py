@@ -3,15 +3,21 @@
 Nothing here shares code with the package's product-set DP, searches or
 constructors; these are the slow, obviously-correct versions. The one
 package call is the extremal certificate in the reference equivalence case,
-which is the thing that case compares freeness against.
+which is the thing that case compares freeness against. The exception is
+multiset_equivalence_case, an earlier route of the package's own
+extremal-equivalence sweep kept to check the route that replaced it; it
+uses the package's any-order DP and failure records.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 from idemfree import FiniteSemigroup, extremal_structure_check, identity_element
+from idemfree.seqprod import _any_mask, _idem_mask
+from idemfree.verify import _word_records
 
 
 def fold(S: FiniteSemigroup, terms) -> int:
@@ -85,6 +91,68 @@ def reference_equivalence_case(S: FiniteSemigroup) -> dict:
         if products != frozenset(alphabet):
             claim_failures.append({"table": flat, "seq": list(word), "pair": None})
     ok = not (eq_failures or lambda_failures or claim_failures)
+    return {
+        "ok": ok,
+        "failure": None
+        if ok
+        else {"table": flat, "equivalence": eq_failures, "lambda": lambda_failures, "claims": claim_failures},
+        "sequences": sequences,
+        "freeSequences": free,
+        "lambdaChecked": lambda_checked,
+        "equivalenceFailures": len(eq_failures),
+        "lambdaFailures": len(lambda_failures),
+        "claimFailures": len(claim_failures),
+    }
+
+
+def multiset_equivalence_case(S: FiniteSemigroup) -> dict:
+    """The extremal-equivalence row of one table, one multiset at a time:
+    every one of the C(2k - 1, k) multisets of length k = |S \\ E(S)| over
+    the non-idempotents gets its any-order mask and its certificate, and is
+    counted once per distinct word, k! / prod(c_i!) of them."""
+    alphabet = [a for a in S.elements if S.table[a][a] != a]
+    length = len(alphabet)
+    sequences = free = lambda_checked = 0
+    eq_found = []
+    lambda_found = []
+    claim_found = []
+    idem = _idem_mask(S)
+    nonidem = sum(1 << a for a in alphabet)
+    for multiset in itertools.combinations_with_replacement(alphabet, length):
+        supp = sorted(set(multiset))
+        words = math.factorial(length) // math.prod(math.factorial(multiset.count(x)) for x in supp)
+        sequences += words
+        mask = _any_mask(S, multiset)
+        weakly = not (mask & idem)
+        if weakly != extremal_structure_check(S, multiset).passed:
+            eq_found.append((multiset, [{}]))
+            continue
+        if not weakly:
+            continue
+        free += words
+        lambda_checked += words * len(supp)
+        gainless = []
+        for x in supp:
+            rest = list(multiset)
+            rest.remove(x)
+            if not (mask & ~_any_mask(S, tuple(rest))):
+                gainless.append({"term": x})
+        if gainless:
+            lambda_found.append((multiset, gainless))
+        claims = []
+        for i, a in enumerate(supp):
+            for b in supp[i + 1:]:
+                if S.table[a][b] != S.table[b][a] or S.table[a][b] not in (a, b):
+                    claims.append({"pair": [a, b]})
+        if mask != nonidem:
+            claims.append({"pair": None})
+        if claims:
+            claim_found.append((multiset, claims))
+    eq_failures = _word_records(S, eq_found)
+    lambda_failures = _word_records(S, lambda_found)
+    claim_failures = _word_records(S, claim_found)
+    ok = not (eq_failures or lambda_failures or claim_failures)
+    flat = [v for row in S.table for v in row]
     return {
         "ok": ok,
         "failure": None

@@ -55,6 +55,8 @@ def test_criterion_2_extremal_equivalence(acceptance_logs):
     result = _check(acceptance_logs[0], "extremal-equivalence")
     ok = (
         result["instances"] == 1210
+        and result["sequences"] == 9518
+        and result["freeSequences"] == 1130
         and result["equivalenceFailures"] == 0
         and result["claimFailures"] == 0
         and result["failed"] == 0
@@ -91,7 +93,12 @@ def test_criterion_6_product_gain_lower_bound(acceptance_logs):
     """Every weakly free sequence met in criterion 2's sweep gains at least
     one product when any of its terms is re-appended."""
     result = _check(acceptance_logs[0], "extremal-equivalence")
-    ok = result["lambdaFailures"] == 0 and result["lambdaChecked"] > 0
+    ok = (
+        result["lambdaFailures"] == 0
+        and result["lambdaChecked"] == 1534
+        and result["sequences"] == 9518
+        and result["freeSequences"] == 1130
+    )
     _report(6, ok, f"{result['lambdaChecked']} term removals checked over "
                    f"{result['freeSequences']} free sequences")
 

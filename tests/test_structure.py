@@ -258,7 +258,9 @@ def test_main_form_matches_flat_conditions(commutative_le4):
 
 
 def test_certificate_and_freeness_ignore_word_order(commutative_le4):
-    # the premise of the multiset sweep in verify._equivalence_case
+    # the premise of counting each multiset once per distinct word, in
+    # verify._equivalence_case and in the multiset sweep it replaced,
+    # oracles.multiset_equivalence_case
     for S in commutative_le4:
         alphabet = [a for a in S.elements if S.mul(a, a) != a]
         for multiset in itertools.combinations_with_replacement(alphabet, len(alphabet)):
@@ -267,6 +269,23 @@ def test_certificate_and_freeness_ignore_word_order(commutative_le4):
             for word in set(itertools.permutations(multiset)):
                 assert extremal_structure_check(S, word).to_json_dict() == first
                 assert is_weakly_free(S, word) == free
+
+
+def test_passing_certificate_pins_every_count(corpus_le4):
+    # the lemma behind the certified set of verify._equivalence_case: a
+    # multiset that passes is fixed by its support, each term x repeated
+    # index(x) + period(x) - 2 times (so no idempotent is a term)
+    passing = 0
+    for S in corpus_le4:
+        length = S.order - len(idempotents(S))
+        for multiset in itertools.combinations_with_replacement(S.elements, length):
+            if not extremal_structure_check(S, multiset).passed:
+                continue
+            passing += 1
+            for x in set(multiset):
+                cd = cyclic_data(S, x)
+                assert multiset.count(x) == cd.index + cd.period - 2
+    assert passing > 0
 
 
 def test_certificate_memo_is_kept_for_one_table_only(commutative_le4):

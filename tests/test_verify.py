@@ -1,3 +1,4 @@
+import functools
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -6,13 +7,25 @@ from types import SimpleNamespace
 import pytest
 
 import oracles
-from idemfree import InvalidParameters, constants, cyclic_group, enumerate_semigroups, extremal_structure_check, verify
+from idemfree import (
+    InvalidParameters,
+    constants,
+    cyclic_data,
+    cyclic_group,
+    enumerate_semigroups,
+    extremal_structure_check,
+    verify,
+)
 from idemfree.seqprod import _any_mask
 
 
+@functools.lru_cache(maxsize=1)
+def _order5_commutative():
+    return list(enumerate_semigroups(5, commutative_only=True, max_order=5))
+
+
 def _order5_sample(k: int = 150, seed: int = 5):
-    tables = list(enumerate_semigroups(5, commutative_only=True, max_order=5))
-    return random.Random(seed).sample(tables, k)
+    return random.Random(seed).sample(_order5_commutative(), k)
 
 
 def test_equivalence_case_matches_word_by_word_reference(commutative_le4):
@@ -20,13 +33,22 @@ def test_equivalence_case_matches_word_by_word_reference(commutative_le4):
         assert verify._equivalence_case(S) == oracles.reference_equivalence_case(S)
 
 
+def test_equivalence_case_matches_multiset_sweep(corpus_le4):
+    # the free and certified sets give the row of the sweep over every
+    # multiset, on commutative and noncommutative tables alike
+    for S in corpus_le4 + _order5_sample(500, seed=17):
+        assert verify._equivalence_case(S) == oracles.multiset_equivalence_case(S)
+
+
 def test_equivalence_failure_records_match_reference(commutative_le4, monkeypatch):
     # a certificate and product sets that are wrong, but only as functions of
-    # the multiset: the certificate flips on every multiset that holds the
+    # the multiset: the certificate flips on every pinned multiset (each
+    # count index + period - 2, the only kind it can pass) that holds the
     # first non-idempotent, and the full-length product set loses the last
     def flipped(S, seq):
         alphabet = [a for a in S.elements if S.table[a][a] != a]
-        return SimpleNamespace(passed=extremal_structure_check(S, seq).passed != (alphabet[0] in seq))
+        pinned = all(seq.count(x) == cyclic_data(S, x).index + cyclic_data(S, x).period - 2 for x in seq)
+        return SimpleNamespace(passed=extremal_structure_check(S, seq).passed != (pinned and alphabet[0] in seq))
 
     def lossy(real):
         def products(S, terms):
@@ -43,6 +65,7 @@ def test_equivalence_failure_records_match_reference(commutative_le4, monkeypatc
     monkeypatch.setattr(verify, "extremal_structure_check", flipped)
     monkeypatch.setattr(oracles, "extremal_structure_check", flipped)
     monkeypatch.setattr(verify, "_any_mask", lossy(_any_mask))
+    monkeypatch.setattr(oracles, "_any_mask", lossy(_any_mask))
     monkeypatch.setattr(oracles, "naive_any_order_products", lossy(oracles.naive_any_order_products))
     totals = {"equivalenceFailures": 0, "lambdaFailures": 0, "claimFailures": 0}
     for S in commutative_le4:
@@ -50,6 +73,7 @@ def test_equivalence_failure_records_match_reference(commutative_le4, monkeypatc
             continue
         got = verify._equivalence_case(S)
         assert got == oracles.reference_equivalence_case(S)
+        assert got == oracles.multiset_equivalence_case(S)
         for key in totals:
             totals[key] += got[key]
     assert all(totals.values()), totals
