@@ -40,6 +40,23 @@ was 1.01-1.19 with 1 to 4 letters, 0.61 with 5, 0.33 with 6 and 0.07 with
 needs the last letter too, and on the family tables that memo cost 12%
 more than the plain walk. Noncommutative I's state is the whole multiset.
 
+Checks that read only I's value on a commutative table call
+``_weak_value``, which walks the I tree under a bound. Appending a term c
+to a free sequence T, with Tc free, adds at least one non-idempotent to the
+product set: if c and P(T)c lay in P(T), every power of c would, the
+idempotent one too. This lemma gives the Gillam-Hall-Williams bound
+|S \\ E(S)| + 1, and it bounds a node of path length L and product mask m:
+no free extension is longer than L + k - popcount(m), with k = |S \\ E(S)|.
+``_bounded_task`` skips a child whose bound is at most the best length so
+far, and the search stops once the best length reaches the cap k. The
+first-letter tasks run in order, each seeded with the best sequence of the
+tasks before it and required to beat it strictly; every prefix of the
+lex-least longest sequence bounds above any shorter best, so the witness is
+still that sequence. A cut tree has no fixed size, so the public reports
+keep the plain walk, whose nodesExplored the tests pin as the size of the
+plain tree; ghw-bound checks the lemma, so it must not assume it; and
+strong-vs-weak cross-checks the two exhaustive searches.
+
 A free search reads only the letter table: the products among the
 non-idempotents, each written as its position among them, or as one marker
 when it is idempotent. The walks visit letters in increasing order and
@@ -50,8 +67,10 @@ witness mapped letter for letter, and the same nodesExplored. Inside a
 ``_sharing`` scope, which the verify checks open around one check and
 around each pool batch, a search stores its report under that key, with
 the witness as letter positions, and a repeat maps the stored witness back
-instead of searching again. Outside a scope every search runs. D is not
-shared: its walk reads the products with idempotents too.
+instead of searching again. ``_weak_value`` stores its value and witness
+under a key of its own, so it never serves a report with a node count.
+Outside a scope every search runs. D is not shared: its walk reads the
+products with idempotents too.
 
 Each walk is a recursive closure, which refers to itself through its own
 cell. A task drops that reference when its walk ends, on a refusal too, so
@@ -82,11 +101,11 @@ _shared: dict | None = None
 @contextlib.contextmanager
 def _sharing():
     """A scope in which I and SI searches with the same letter table and walk
-    share one report (module docstring). A nested scope reuses the outer
-    one; the reports are dropped when the outermost scope exits, on an
-    exception too. Threads of one process share the scope: a report is
-    stored only once it is complete, and two threads that miss on one key
-    store equal reports."""
+    share one report, and ``_weak_value`` calls one result (module
+    docstring). A nested scope reuses the outer one; the reports are
+    dropped when the outermost scope exits, on an exception too. Threads of
+    one process share the scope: a report is stored only once it is
+    complete, and two threads that miss on one key store equal reports."""
     global _shared
     if _shared is not None:
         yield
@@ -165,6 +184,55 @@ def _natural_task(args) -> tuple[int, tuple[int, ...], int]:
     finally:
         rec = None  # break the closure's self-reference (module docstring)
     return len(best), best, nodes
+
+
+def _bounded_task(
+    n: int, rows: list[int], allows: list[int], first: int, cap: int, best: tuple[int, ...]
+) -> tuple[int, ...]:
+    """The I walk of ``_natural_task`` from the letter first, for the value
+    only: the lex-least longest free sequence that is longer than best, or
+    best when there is none.
+
+    A child of path length L and product mask grown has no free extension
+    longer than L + cap - popcount(grown), so a child whose bound does not
+    beat the best length is not walked, and the walk stops as soon as the
+    best length reaches cap (module docstring). It counts no nodes.
+    """
+    full = (1 << n) - 1
+    top = n * n
+    path = [first]
+    if not best:
+        best = (first,)
+    best_len = len(best)
+
+    def rec(mask: int, vec: int, allow: int) -> bool:
+        nonlocal best, best_len
+        length = len(path) + 1
+        reach = length + cap
+        live = allow & ~(vec >> top)
+        while live:
+            low = live & -live
+            live ^= low
+            x = low.bit_length() - 1
+            grown = mask | low | ((vec >> x * n) & full)
+            if reach - grown.bit_count() <= best_len:
+                continue
+            path.append(x)
+            if length > best_len:
+                best_len, best = length, tuple(path)
+                if length == cap:
+                    return True
+            if rec(grown, _grow(rows, vec, grown & ~mask), allows[x]):
+                return True
+            path.pop()
+        return False
+
+    try:
+        if best_len < cap:
+            rec(1 << first, rows[first], allows[first])
+    finally:
+        rec = None  # break the closure's self-reference (module docstring)
+    return best
 
 
 def _strong_memo_task(args) -> tuple[int, tuple[int, ...], int]:
@@ -361,18 +429,24 @@ def _letter_table(S: FiniteSemigroup, alpha: list[int]) -> tuple[int, ...]:
     return tuple([position[S.table[a][b]] for a in alpha for b in alpha])
 
 
-def _free_search(S: FiniteSemigroup, kind: str, map_fn) -> ConstantReport:
-    """I(S) or SI(S), one task per first letter over the non-idempotents.
-
-    Inside a sharing scope the report is looked up by its letter table and
-    walk first, and searched only on a miss (module docstring).
-    """
+def _split(S: FiniteSemigroup) -> tuple[list[int], int]:
+    """The non-idempotents of S in increasing order, and the idempotents' mask."""
     alpha, idem = [], 0
     for a, row in enumerate(S.table):
         if row[a] == a:
             idem |= 1 << a
         else:
             alpha.append(a)
+    return alpha, idem
+
+
+def _free_search(S: FiniteSemigroup, kind: str, map_fn) -> ConstantReport:
+    """I(S) or SI(S), one task per first letter over the non-idempotents.
+
+    Inside a sharing scope the report is looked up by its letter table and
+    walk first, and searched only on a miss (module docstring).
+    """
+    alpha, idem = _split(S)
     weak = kind == KIND_ERDOS_BURGESS
     any_order = weak and not is_commutative(S)
     shared = _shared
@@ -394,10 +468,43 @@ def _free_search(S: FiniteSemigroup, kind: str, map_fn) -> ConstantReport:
             task, tasks = _natural_task, [(S.order, rows, allows, x) for x in alpha]
     best_len, best, nodes = _merge(map_fn(task, tasks))
     value = best_len + 1
-    assert value <= len(alpha) + 1  # the GHW bound
     if shared is not None:
         shared[key] = (value, tuple([alpha.index(x) for x in best]), nodes)
     return ConstantReport(kind, value, Seq(best), nodes)
+
+
+def _weak_value(S: FiniteSemigroup) -> tuple[int, tuple[int, ...]]:
+    """I(S) and its lex-least longest witness on a commutative S, from the
+    bounded walk: the value and witness of ``erdos_burgess``, without a node
+    count (module docstring).
+
+    The first-letter tasks run in order, each seeded with the best sequence
+    of the ones before it. Inside a sharing scope the result is stored
+    under its own key, which no report search reads.
+    """
+    if not is_commutative(S):
+        raise NotCommutative("the bounded I search is defined for commutative semigroups")
+    alpha, idem = _split(S)
+    shared = _shared
+    if shared is not None:
+        key = ("value", _letter_table(S, alpha))
+        hit = shared.get(key)
+        if hit is not None:
+            value, positions = hit
+            return value, tuple([alpha[i] for i in positions])
+    rows = _packed_rows(S.table, alpha, idem)
+    letters = ((1 << S.order) - 1) ^ idem
+    allows = [letters >> x << x for x in S.elements]
+    cap = len(alpha)
+    best: tuple[int, ...] = ()
+    for x in alpha:
+        if len(best) == cap:
+            break
+        best = _bounded_task(S.order, rows, allows, x, cap, best)
+    value = len(best) + 1
+    if shared is not None:
+        shared[key] = (value, tuple([alpha.index(x) for x in best]))
+    return value, best
 
 
 def erdos_burgess(S: FiniteSemigroup, map_fn=map) -> ConstantReport:

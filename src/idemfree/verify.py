@@ -12,6 +12,12 @@ opens one scope per batch of items in the worker that runs it. A shared
 report is the report the search would return (``constants``), so the logs
 do not change.
 
+The extremal-families and example-formulas checks read only I's value on
+commutative tables, so they call ``constants._weak_value``, whose walk is
+cut by the product-set growth bound and stops at the GHW cap. ghw-bound
+tests that bound, and strong-vs-weak cross-checks the exhaustive searches,
+so both keep ``erdos_burgess`` and ``strong_erdos_burgess``.
+
 The extremal-equivalence check never visits every word of length
 k = |S \\ E(S)|. Freeness and the certificate depend only on the multiset
 of terms, and a passing certificate pins each term's count to
@@ -29,7 +35,7 @@ import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 
-from .constants import _sharing, davenport, erdos_burgess, ghw_bound, strong_erdos_burgess
+from .constants import _sharing, _weak_value, davenport, erdos_burgess, ghw_bound, strong_erdos_burgess
 from .construct import ExtremalSpec, GroupByNil, Monogenic, enumerate_semigroups, extremal_pair, group_nil_chain
 from .core import (
     FiniteSemigroup,
@@ -274,7 +280,7 @@ def _family_case(spec: ExtremalSpec) -> dict:
         "weaklyFree": is_weakly_free(S, T),
         "certificate": cert.passed,
         "mainFormAgrees": extremal_main_form(S, T) == cert.passed,
-        "erdosBurgess": erdos_burgess(S).value == expected_len + 1,
+        "erdosBurgess": _weak_value(S)[0] == expected_len + 1,
     }
     ok = all(checks.values())
     return {
@@ -321,7 +327,7 @@ def check_extremal_families(map_fn=map, max_components: int = 3, max_terms: int 
 def _formula_case(params: tuple[int, int]) -> dict:
     n1, n2 = params
     S = group_nil_chain(n1, n2)
-    got_i = erdos_burgess(S).value
+    got_i = _weak_value(S)[0]
     got_d = davenport(S).value
     want_i = (n1 - 1) + (n2 - 1) + 1
     want_d = max(n1, n2 + 1)

@@ -171,12 +171,49 @@ def test_empty_alphabet_reports():
 
 
 def _assert_reports_match_reference(S, kinds=("I", "SI", "D")):
+    # on a commutative table, I's bounded value search must also give the
+    # value and witness of the plain walk
     for kind in kinds:
         if kind == "D" and not is_commutative(S):
             continue
         report = SEARCHES[kind](S)
         got = (report.value, report.witness.terms, report.nodes_explored)
-        assert got == reference_search(kind, S), (kind, S.table)
+        want = reference_search(kind, S)
+        assert got == want, (kind, S.table)
+        if kind == "I" and is_commutative(S):
+            assert constants._weak_value(S) == want[:2], S.table
+
+
+def test_weak_value_on_tiny_alphabets():
+    # a band has no letters: value 1, empty witness; C2 and monogenic(2, 1)
+    # have one letter, which is free alone
+    for S, want in ((vee_semilattice(), (1, ())), (cyclic_group(2), (2, (0,))), (monogenic(2, 1), (2, (0,)))):
+        assert constants._weak_value(S) == want
+        _assert_reports_match_reference(S, ("I",))
+    with pytest.raises(NotCommutative):
+        constants._weak_value(left_zero_semigroup(2))
+
+
+def test_weak_value_stops_at_the_cap(monkeypatch):
+    # C7 reaches its cap of 6 letters on the first task, so the later
+    # first letters are never walked; a relabelled (Z_2)^3, whose longest
+    # free sequence has 3 of its 7 letters (D((Z_2)^3) = 4), stays below
+    # its cap, so every first letter starts a task
+    seen = []
+    real = constants._bounded_task
+
+    def watching(n, rows, allows, first, cap, best):
+        seen.append(first)
+        return real(n, rows, allows, first, cap, best)
+
+    monkeypatch.setattr(constants, "_bounded_task", watching)
+    assert constants._weak_value(cyclic_group(7)) == (7, (0,) * 6)
+    assert seen == [0]
+    seen.clear()
+    S = relabel(FiniteSemigroup([[a ^ b for b in range(8)] for a in range(8)]), 3)
+    value, witness = constants._weak_value(S)
+    assert value == 4 and len(seen) == 7
+    assert (value, witness) == reference_search("I", S)[:2]
 
 
 def test_searches_match_reference_on_small_corpus(corpus_le4):

@@ -2,6 +2,7 @@ import functools
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -159,3 +160,53 @@ def test_sharing_scope_across_threads(corpus_le3):
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial * 4
+
+
+def test_ghw_bound_check_reports_a_search_past_the_bound(monkeypatch):
+    # a strong search that returned one more than |S \ E(S)| + 1 must become
+    # a failure record, not an abort, whether the report or the search's own
+    # merge of its tasks is past the bound
+    real = verify.strong_erdos_burgess
+    S = cyclic_group(3)
+    record = [{"table": [v for row in S.table for v in row], "si": 4, "bound": 3}]
+
+    def past_bound(T, map_fn=map):
+        return replace(real(T, map_fn), value=verify.ghw_bound(T) + 1)
+
+    monkeypatch.setattr(verify, "strong_erdos_burgess", past_bound)
+    got = verify.check_ghw_bound([S])
+    assert (got["instances"], got["passed"], got["failed"], got["failures"]) == (1, 0, 1, record)
+    monkeypatch.undo()
+    real_merge = constants._merge
+
+    def padded(results):
+        length, witness, nodes = real_merge(results)
+        return length + 1, witness + witness[:1], nodes
+
+    monkeypatch.setattr(constants, "_merge", padded)
+    assert verify.check_ghw_bound([S])["failures"] == record
+
+
+def test_only_the_value_checks_use_the_bounded_search(corpus_le3, monkeypatch):
+    # ghw-bound and strong-vs-weak run the exhaustive searches, which must
+    # not rest on the lemma behind the bound
+    def refuse(S):
+        raise AssertionError("bounded search called")
+
+    monkeypatch.setattr(constants, "_weak_value", refuse)
+    monkeypatch.setattr(verify, "_weak_value", refuse)
+    assert verify.check_ghw_bound(corpus_le3)["failed"] == 0
+    assert verify.check_strong_weak(corpus_le3)["failed"] == 0
+    with pytest.raises(AssertionError, match="bounded search called"):
+        verify.check_extremal_families(max_components=1, max_terms=3)
+
+
+def test_bounded_result_never_serves_a_report():
+    # in one scope, a stored bounded result must not stand in for the
+    # report, whose node count is the plain tree's: 5 + 3 on C3
+    c3 = cyclic_group(3)
+    with constants._sharing():
+        assert constants._weak_value(c3) == (3, (0, 0))
+        assert constants.erdos_burgess(c3).nodes_explored == 8
+        assert constants._weak_value(c3) == (3, (0, 0))
+        assert len(constants._shared) == 2
