@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import construct, verify
@@ -114,18 +115,34 @@ def cmd_check_extremal(args) -> int:
     return 0
 
 
+@contextmanager
+def _enum_cap_flag():
+    """Name --max-enum-order when the configured enumeration cap refuses an
+    order; the library's message names its own parameter."""
+    try:
+        yield
+    except construct.OrderTooLarge as exc:
+        if exc.cap is None:
+            raise
+        raise SemigroupError(
+            f"order {exc.order} exceeds the enumeration cap {exc.cap}; "
+            f"raise it with --max-enum-order {exc.order}"
+        ) from None
+
+
 def cmd_verify(args) -> int:
     checks = list(verify.CHECK_IDS)
     if args.checks is not None:
         checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     started = time.monotonic()
-    log = verify.run_verification(
-        max_order=args.max_order,
-        commutative_only=args.commutative,
-        checks=checks,
-        workers=args.workers,
-        enum_cap=args.max_enum_order,
-    )
+    with _enum_cap_flag():
+        log = verify.run_verification(
+            max_order=args.max_order,
+            commutative_only=args.commutative,
+            checks=checks,
+            workers=args.workers,
+            enum_cap=args.max_enum_order,
+        )
     elapsed = time.monotonic() - started
     text = json.dumps(log, indent=2) + "\n"
     sys.stdout.write(text)
@@ -187,20 +204,31 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _parse_resume(text: str) -> list[int]:
+    prefix = []
+    for cell in text.replace(",", " ").split():
+        try:
+            prefix.append(int(cell))
+        except ValueError:
+            raise SemigroupError(f"--resume-from cell {cell!r} is not an integer") from None
+    return prefix
+
+
 def cmd_enumerate(args) -> int:
-    resume = [int(v) for v in args.resume_from.replace(",", " ").split()] if args.resume_from else None
+    resume = _parse_resume(args.resume_from) if args.resume_from else None
     count = 0
-    for S in construct.enumerate_semigroups(
-        args.order,
-        commutative_only=args.commutative,
-        dedup_iso=args.dedup,
-        resume_from=resume,
-        max_order=args.max_enum_order,
-    ):
-        if count:
-            sys.stdout.write("\n")
-        sys.stdout.write(format_cayley_table(S))
-        count += 1
+    with _enum_cap_flag():
+        for S in construct.enumerate_semigroups(
+            args.order,
+            commutative_only=args.commutative,
+            dedup_iso=args.dedup,
+            resume_from=resume,
+            max_order=args.max_enum_order,
+        ):
+            if count:
+                sys.stdout.write("\n")
+            sys.stdout.write(format_cayley_table(S))
+            count += 1
     print(f"enumerated {count} tables of order {args.order}", file=sys.stderr)
     return 0
 

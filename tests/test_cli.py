@@ -4,7 +4,14 @@ import sys
 
 import pytest
 
-from idemfree import FiniteSemigroup, InvalidParameters, format_cayley_table, group_nil_chain, parse_cayley_table
+from idemfree import (
+    FiniteSemigroup,
+    InvalidParameters,
+    enumerate_semigroups,
+    format_cayley_table,
+    group_nil_chain,
+    parse_cayley_table,
+)
 from idemfree.cli import main
 from idemfree.verify import run_verification
 from oracles import left_zero_semigroup
@@ -196,6 +203,58 @@ def test_enumerate_respects_order_cap(capsys):
     code, _, err = run_cli(capsys, "enumerate", "--order", "5")
     assert code == 1
     assert "cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["enumerate", "--order", "5"],
+            "error: order 5 exceeds the enumeration cap 4; raise it with --max-enum-order 5\n",
+        ),
+        (
+            ["verify", "--max-order", "5", "--checks", "ghw-bound"],
+            "error: order 5 exceeds the enumeration cap 4; raise it with --max-enum-order 5\n",
+        ),
+        (
+            ["verify", "--max-order", "3", "--max-enum-order", "2", "--checks", "ghw-bound"],
+            "error: order 3 exceeds the enumeration cap 2; raise it with --max-enum-order 3\n",
+        ),
+        # past the hard cap no flag helps, so none is named
+        (["enumerate", "--order", "6", "--max-enum-order", "6"], "error: enumeration is capped at order 5\n"),
+    ],
+    ids=["enumerate", "verify", "verify-low-cap", "hard-cap"],
+)
+def test_enum_cap_error_names_the_flag(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == message
+
+
+def test_enumerate_resume_from_matches_library(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "--order", "3", "--resume-from", "0,1 1 2")
+    want = [format_cayley_table(S) for S in enumerate_semigroups(3, resume_from=[0, 1, 1, 2])]
+    assert code == 0
+    assert 0 < len(want) < 113
+    assert out == "\n".join(want)
+    assert f"enumerated {len(want)} tables of order 3" in err
+
+
+@pytest.mark.parametrize(
+    "prefix, message",
+    [
+        ("0 x", "error: --resume-from cell 'x' is not an integer\n"),
+        ("0 2", "error: resume cell 2 is not in [0, 2)\n"),
+        ("0 " * 5, "error: resume prefix has 5 cells, more than the 4 of order 2\n"),
+    ],
+    ids=["not-an-integer", "out-of-range", "too-long"],
+)
+def test_enumerate_rejects_a_bad_resume_cell(capsys, prefix, message):
+    code, out, err = run_cli(capsys, "enumerate", "--order", "2", "--resume-from", prefix)
+    assert code == 1
+    assert out == ""
+    assert err == message
 
 
 def test_verify_quick(tmp_path, capsys):

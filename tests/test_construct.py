@@ -272,6 +272,20 @@ def test_commutative_order_5_stream_is_pinned():
     assert _stream_digest(stream) == (15735, "412299f62e2f2d36e6d0fc652221aa392e356dcf2ca9aa21fbd51bf3c0755c49")
 
 
+def test_labelled_order_4_stream_is_pinned():
+    # values forced by the set triples through a cell are the only ones
+    # tried there; the labelled stream is compared table by table with the
+    # naive filter only up to order 3, so order 4 is pinned by a sha256
+    # taken from the walk that tried every value, and so is a resume
+    assert _stream_digest(enumerate_semigroups(4)) == (
+        3492, "d9c1e89ffd5eda52106e05031849e10dd19e0d50e181db6b0ad0986bb98e4f64"
+    )
+    stream = enumerate_semigroups(4, resume_from=[0, 1, 2, 3, 1, 1, 1])
+    assert _stream_digest(stream) == (
+        1827, "87fca49cb342d4254e0565138c745aad4a81563ecb0107219896de491d602da2"
+    )
+
+
 def test_commutative_resume():
     n = 4
     full = [S.table for S in enumerate_semigroups(n, commutative_only=True)]
@@ -324,6 +338,18 @@ def test_enumeration_resume():
     resumed = [S.table for S in enumerate_semigroups(3, resume_from=partial)]
     bar = tuple(partial + [0] * 5)
     assert resumed == [t for t in full if _flat(t) >= bar]
+    # a prefix one above a table's own cell; where that cell's value is
+    # forced by the set triples, the walk must skip the cell's subtree, not
+    # restart below the prefix
+    for commutative_only in (False, True):
+        flats = [_flat(S.table) for S in enumerate_semigroups(3, commutative_only=commutative_only)]
+        for t in flats[::4]:
+            for d in range(9):
+                if t[d] < 2:
+                    bumped = list(t[:d]) + [t[d] + 1]
+                    bar = tuple(bumped) + (0,) * (8 - d)
+                    stream = enumerate_semigroups(3, commutative_only=commutative_only, resume_from=bumped)
+                    assert [_flat(S.table) for S in stream] == [f for f in flats if f >= bar]
 
 
 def test_enumeration_order_caps():
@@ -347,7 +373,10 @@ def test_enumeration_order_caps():
 
 @pytest.mark.skipif(
     not os.environ.get("IDEMFREE_SLOW_TESTS"),
-    reason="full order-5 enumeration takes a few minutes; set IDEMFREE_SLOW_TESTS=1",
+    reason="full order-5 enumeration takes a minute or two; set IDEMFREE_SLOW_TESTS=1",
 )
 def test_enumeration_order_5_count():
-    assert sum(1 for _ in enumerate_semigroups(5, max_order=5)) == 183732
+    # the digest is the labelled order-5 stream of the walk that tried every value
+    assert _stream_digest(enumerate_semigroups(5, max_order=5)) == (
+        183732, "e17a0eef74959f07a5a403591533fad1669405f1e00e361b3f10f8cd0db9618e"
+    )

@@ -136,6 +136,10 @@ def test_enumerated_commutative_le5_is_valid():
         count = 0
         for S in enumerate_semigroups(n, commutative_only=True, max_order=5):
             assert_valid(S)
+            # the commutative stream marks its tables, so no caller scans them
+            assert S._commutative is True and _commutes(S)
             count += 1
         counts.append(count)
     assert counts == [1, 6, 63, 1140, 30730]
+    # the labelled stream leaves the flag for is_commutative to fill
+    assert all(S._commutative is None for S in enumerate_semigroups(4))
