@@ -247,6 +247,15 @@ def _is_canonical(S: FiniteSemigroup) -> bool:
     return canonical_form(S) == tuple(v for row in S.table for v in row)
 
 
+def _check_enum_order(n: int, cap: int, name: str) -> None:
+    """Refuse an enumeration order n past HARD_ENUM_CAP or past cap, the
+    value of the caller's parameter called name."""
+    if n > HARD_ENUM_CAP:
+        raise OrderTooLarge(f"enumeration is capped at order {HARD_ENUM_CAP}")
+    if n > cap:
+        raise OrderTooLarge(f"order {n} exceeds the configured cap {cap}; raise {name} explicitly", order=n, cap=cap)
+
+
 def enumerate_semigroups(
     order: int,
     commutative_only: bool = False,
@@ -294,14 +303,7 @@ def enumerate_semigroups(
     max_order = _index(max_order, "max_order")
     if n < 1:
         raise InvalidParameters("order must be >= 1")
-    if n > HARD_ENUM_CAP:
-        raise OrderTooLarge(f"enumeration is capped at order {HARD_ENUM_CAP}")
-    if n > max_order:
-        raise OrderTooLarge(
-            f"order {n} exceeds the configured cap {max_order}; raise max_order explicitly",
-            order=n,
-            cap=max_order,
-        )
+    _check_enum_order(n, max_order, "max_order")
     prefix = tuple(_index(v, "resume cell") for v in resume_from) if resume_from else ()
     if len(prefix) > n * n:
         raise InvalidParameters(f"resume prefix has {len(prefix)} cells, more than the {n * n} of order {n}")

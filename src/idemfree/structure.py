@@ -2,9 +2,13 @@
 
 For a commutative semigroup the mutual power-divisibility relation
 partitions the elements into archimedean components ordered by a lower
-semilattice. Each finite commutative archimedean component is an ideal
-extension of an abelian group (its kernel) by a nilsemigroup, glued by the
-partial homomorphism a -> a * e.
+semilattice. In a finite one, a and b are mutually divisible exactly when
+they have the same idempotent power, so there is one component per
+idempotent e, the elements whose idempotent power is e, and the component
+of e lies below that of f exactly when e * f = e (_decompose gives the
+proof). Each component is an ideal extension of an abelian group (its
+kernel e * S_e) by a nilsemigroup, glued by the partial homomorphism
+a -> a * e.
 
 The certificate checker decides whether a sequence of length |S \\ E(S)|
 has the structure that characterizes weak freeness at that length: a
@@ -115,62 +119,51 @@ def archimedean_decomposition(S: FiniteSemigroup) -> ArchDecomposition:
     return _decompose(S, S.elements)
 
 
+def _idempotent_power(t, a: int) -> int:
+    """The one idempotent among the powers of a: a, a^2, ... until one
+    squares to itself."""
+    row, e = t[a], a
+    while t[e][e] != e:
+        e = row[e]
+    return e
+
+
 def _decompose(S: FiniteSemigroup, carrier) -> ArchDecomposition:
     """The archimedean decomposition of a closed carrier on which S commutes.
 
-    Works in S's own element ids: the witnesses c in a^m = b*c are drawn
-    from the carrier, and comp_of is -1 outside it. The relation is kept as
-    bit masks: one pass over carrier x carrier gives div_of[y], the b with
-    y in b*carrier, and a's row, the b with a^m in b*carrier, is the OR of
-    div_of over a's powers, stepped along a's row of the table.
+    Works in S's own element ids: b divides a power of a when a^m = b*c for
+    some m >= 1 and some c in the carrier (no identity is adjoined), and
+    comp_of is -1 outside the carrier. With e_a the idempotent power of a,
+    b divides a power of a exactly when e_b * e_a = e_a:
+
+    - if e_b * e_a = e_a and e_b = b^l, then the power e_a of a is
+      b * (b^(l-1) * e_a), or b * e_a when l = 1, a witness in the carrier;
+    - if a^m = b*c, raising both sides to a k with a^(mk) = e_a and
+      b^k = e_b gives e_a = e_b * c^k, so e_b * e_a = e_a.
+
+    So the classes of mutual divisibility are the sets of elements with one
+    idempotent power, and component i lies below component j exactly when
+    e_i * e_j = e_i. Components are numbered as their idempotents are first
+    reached over the sorted carrier, that is in the order of their least
+    elements.
     """
     t = S.table
-    elems = sorted(carrier)
-    div_of = [0] * S.order
-    for b in elems:
-        row, bit = t[b], 1 << b
-        for c in elems:
-            div_of[row[c]] |= bit
-    rel = [0] * S.order
-    for a in elems:
-        row = t[a]
-        seen = rm = 0
-        cur = a
-        while not seen >> cur & 1:
-            seen |= 1 << cur
-            rm |= div_of[cur]
-            cur = row[cur]
-        rel[a] = rm
-
     comp_of = [-1] * S.order
-    components: list[frozenset[int]] = []
-    comp_masks = []
-    placed = 0
-    for a in elems:
-        if comp_of[a] >= 0:
-            continue
-        cid = len(components)
-        members = [b for b in elems if rel[a] >> b & 1 and rel[b] >> a & 1]
-        mask = sum(1 << b for b in members)
-        assert not placed & mask, "mutual divisibility classes overlap"
-        placed |= mask
-        for b in members:
-            comp_of[b] = cid
-        components.append(frozenset(members))
-        comp_masks.append(mask)
-
-    reps = [min(comp) for comp in components]
-    k = len(components)
-    leq = tuple(tuple(bool(rel[reps[i]] >> reps[j] & 1) for j in range(k)) for i in range(k))
-    # the relation must be constant on classes (it descends to the quotient)
-    class_rows = [sum(comp_masks[j] for j in range(k) if leq[i][j]) for i in range(k)]
-    for a in elems:
-        assert rel[a] == class_rows[comp_of[a]], "divisibility is not a class invariant"
-
+    cid_of: dict[int, int] = {}  # idempotent -> component id, in id order
+    members: list[list[int]] = []
+    for a in sorted(carrier):
+        e = _idempotent_power(t, a)
+        cid = cid_of.get(e)
+        if cid is None:
+            cid = cid_of[e] = len(members)
+            members.append([])
+        comp_of[a] = cid
+        members[cid].append(a)
+    components = tuple(map(frozenset, members))
     return ArchDecomposition(
-        components=tuple(components),
-        leq=leq,
-        per_component=tuple(_component_data(S, comp) for comp in components),
+        components=components,
+        leq=tuple(tuple(t[e][f] == e for f in cid_of) for e in cid_of),
+        per_component=tuple(_component_data(S, comp, e) for comp, e in zip(components, cid_of)),
         comp_of=tuple(comp_of),
     )
 
@@ -192,21 +185,44 @@ def is_chain_lower_absorbing(S: FiniteSemigroup, dec: ArchDecomposition) -> bool
     return True
 
 
-def _component_data(S: FiniteSemigroup, comp: frozenset[int]) -> ComponentData:
-    """The unique idempotent e of an archimedean component, its kernel e * comp
-    and the nil part comp minus the kernel."""
-    t = S.table
-    ids = [e for e in comp if t[e][e] == e]
-    if len(ids) != 1:
-        raise NotArchimedean(f"component has {len(ids)} idempotents, expected exactly 1")
-    e = ids[0]
-    kernel = frozenset(t[e][a] for a in comp)
+def _component_data(S: FiniteSemigroup, comp: frozenset[int], e: int) -> ComponentData:
+    """The data of an archimedean component with idempotent e: its kernel
+    e * comp and the nil part comp minus the kernel."""
+    row = S.table[e]
+    kernel = frozenset(row[a] for a in comp)
     return ComponentData(idempotent=e, kernel_group=kernel, nil_part=comp - kernel)
 
 
+def _archimedean_component(S: FiniteSemigroup, component) -> ComponentData:
+    """The data of component, once it is checked to be an archimedean
+    component of S: all of its elements, and no element outside it, have
+    one idempotent power."""
+    _require_commutative(S)
+    comp = frozenset(_element(S, a) for a in component)
+    t = S.table
+    powers = {_idempotent_power(t, a) for a in comp}
+    if len(powers) != 1:
+        raise NotArchimedean(
+            f"{sorted(comp)} is not an archimedean component: "
+            f"its elements have {len(powers)} idempotent powers {sorted(powers)}, expected exactly 1"
+        )
+    (e,) = powers
+    missing = [a for a in S.elements if a not in comp and _idempotent_power(t, a) == e]
+    if missing:
+        raise NotArchimedean(
+            f"{sorted(comp)} is not an archimedean component: "
+            f"it leaves out {missing}, whose idempotent power is also {e}"
+        )
+    return _component_data(S, comp, e)
+
+
 def kernel_group(S: FiniteSemigroup, component) -> frozenset[ElementId]:
-    """The group e * component sitting inside an archimedean component."""
-    data = _component_data(S, frozenset(_element(S, a) for a in component))
+    """The group e * component sitting inside an archimedean component.
+
+    Raises NotArchimedean, naming the set, unless component is an
+    archimedean component of the commutative S.
+    """
+    data = _archimedean_component(S, component)
     e, kernel = data.idempotent, data.kernel_group
     t = S.table
     assert all(t[e][g] == g for g in kernel), "idempotent is not an identity on the kernel"
@@ -216,10 +232,13 @@ def kernel_group(S: FiniteSemigroup, component) -> frozenset[ElementId]:
 
 
 def partial_hom(S: FiniteSemigroup, component, a: ElementId) -> ElementId:
-    """Map a nil-part element into the kernel group: a -> a * e."""
-    comp = frozenset(_element(S, x) for x in component)
+    """Map a nil-part element into the kernel group: a -> a * e.
+
+    Raises NotArchimedean, naming the set, unless component is an
+    archimedean component of the commutative S.
+    """
+    data = _archimedean_component(S, component)
     a = _element(S, a)
-    data = _component_data(S, comp)
     if a not in data.nil_part:
         raise NotInNilPart(f"element {a} is not in the nil part of the component")
     image = S.table[a][data.idempotent]

@@ -36,7 +36,15 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 
 from .constants import _sharing, _weak_value, davenport, erdos_burgess, ghw_bound, strong_erdos_burgess
-from .construct import ExtremalSpec, GroupByNil, Monogenic, enumerate_semigroups, extremal_pair, group_nil_chain
+from .construct import (
+    ExtremalSpec,
+    GroupByNil,
+    Monogenic,
+    _check_enum_order,
+    enumerate_semigroups,
+    extremal_pair,
+    group_nil_chain,
+)
 from .core import (
     FiniteSemigroup,
     InvalidParameters,
@@ -438,12 +446,14 @@ def run_verification(
     unknown = [c for c in selected if c not in CHECK_IDS]
     if unknown:
         raise InvalidParameters(f"unknown checks: {unknown}; available: {list(CHECK_IDS)}")
+    needs_corpus = bool({"ghw-bound", "extremal-equivalence", "strong-vs-weak", "nil-product-lemma"} & set(selected))
+    if needs_corpus:
+        _check_enum_order(max_order, enum_cap, "enum_cap")
 
     with _fan_out(workers) as map_fn:
-        needs_corpus = {"ghw-bound", "extremal-equivalence", "strong-vs-weak", "nil-product-lemma"}
         corpus: list[FiniteSemigroup] = []
         commutative: list[FiniteSemigroup] = []
-        if needs_corpus & set(selected):
+        if needs_corpus:
             corpus = build_corpus(max_order, commutative_only=commutative_only, enum_cap=enum_cap)
             commutative = [S for S in corpus if is_commutative(S)]
         runs = {

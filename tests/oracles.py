@@ -6,7 +6,10 @@ package call is the extremal certificate in the reference equivalence case,
 which is the thing that case compares freeness against. The exception is
 multiset_equivalence_case, an earlier route of the package's own
 extremal-equivalence sweep kept to check the route that replaced it; it
-uses the package's any-order DP and failure records.
+uses the package's any-order DP and failure records. Likewise
+naive_archimedean_decomposition, the divisibility route that the
+idempotent-power decomposition replaced, takes each class's kernel and nil
+part from the package's _component_data.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import random
 
 from idemfree import FiniteSemigroup, extremal_structure_check, identity_element
 from idemfree.seqprod import _any_mask, _idem_mask
+from idemfree.structure import ArchDecomposition, _component_data
 from idemfree.verify import _word_records
 
 
@@ -243,6 +247,44 @@ def naive_is_nilsemigroup(S: FiniteSemigroup) -> bool:
     zeros = [z for z in S.elements if all(t[z][x] == z == t[x][z] for x in S.elements)]
     idem = {e for e in S.elements if t[e][e] == e}
     return bool(zeros) and idem == {zeros[0]}
+
+
+def naive_archimedean_decomposition(S: FiniteSemigroup) -> ArchDecomposition:
+    """The archimedean decomposition of a commutative S by its definition.
+
+    b divides a power of a when a^m = b*c for some m >= 1 and some c in S
+    (no identity adjoined), scanning a, a^2, ..., a^n. The components are
+    the classes of mutual divisibility, numbered by their least elements;
+    component i lies below j when j's least element divides a power of
+    i's. Divisibility must be a class invariant, and each class must hold
+    exactly one idempotent, at which _component_data reads its kernel.
+    """
+    t = S.table
+    powers = []
+    for a in S.elements:
+        seen, x = set(), a
+        for _ in range(S.order):
+            seen.add(x)
+            x = t[x][a]
+        powers.append(seen)
+    # div[a][b]: b divides a power of a
+    div = [[any(t[b][c] in powers[a] for c in S.elements) for b in S.elements] for a in S.elements]
+    classes: list[frozenset[int]] = []
+    for a in S.elements:
+        if not any(a in cls for cls in classes):
+            classes.append(frozenset(b for b in S.elements if div[a][b] and div[b][a]))
+    assert sum(map(len, classes)) == S.order, "mutual divisibility classes overlap"
+    comp_of = tuple(next(i for i, cls in enumerate(classes) if a in cls) for a in S.elements)
+    reps = [min(cls) for cls in classes]
+    leq = tuple(tuple(div[r][s] for s in reps) for r in reps)
+    for a in S.elements:
+        for b in S.elements:
+            assert div[a][b] == leq[comp_of[a]][comp_of[b]], "divisibility is not a class invariant"
+    per_component = []
+    for cls in classes:
+        (e,) = [x for x in cls if t[x][x] == x]
+        per_component.append(_component_data(S, cls, e))
+    return ArchDecomposition(tuple(classes), leq, tuple(per_component), comp_of)
 
 
 def naive_associative_tables(n: int) -> list[tuple[tuple[int, ...], ...]]:

@@ -1,4 +1,5 @@
 import itertools
+import os
 
 import pytest
 
@@ -15,6 +16,7 @@ from idemfree import (
     cyclic_data,
     cyclic_nil,
     divides_power,
+    enumerate_semigroups,
     extremal_equivalence,
     extremal_main_form,
     extremal_pair,
@@ -35,7 +37,7 @@ from idemfree import (
     trivial_ideal_extension,
     zero_element,
 )
-from oracles import left_zero_semigroup, vee_semilattice
+from oracles import left_zero_semigroup, naive_archimedean_decomposition, vee_semilattice
 
 
 def test_divides_power_examples():
@@ -130,6 +132,40 @@ def test_chain_check_rejects_vee():
     assert not is_chain_lower_absorbing(V, dec)
 
 
+def test_decomposition_matches_divisibility_oracle(commutative_le4):
+    for S in commutative_le4:
+        assert archimedean_decomposition(S) == naive_archimedean_decomposition(S), S.table
+
+
+@pytest.mark.skipif(
+    not os.environ.get("IDEMFREE_SLOW_TESTS"),
+    reason="the divisibility oracle on every commutative order-5 table takes a while; set IDEMFREE_SLOW_TESTS=1",
+)
+def test_decomposition_matches_divisibility_oracle_order_5():
+    checked = 0
+    for S in enumerate_semigroups(5, commutative_only=True, max_order=5):
+        assert archimedean_decomposition(S) == naive_archimedean_decomposition(S), S.table
+        checked += 1
+    assert checked == 30730
+
+
+def test_each_divisibility_class_is_one_idempotent_power(commutative_le4):
+    # the lemma behind _decompose, on the classes of mutual power
+    # divisibility: each holds exactly one idempotent, and that idempotent
+    # is among the powers of each of its elements
+    for S in commutative_le4 + [group_nil_chain(3, 2), trivial_ideal_extension(3, 2), vee_semilattice()]:
+        t = S.table
+        for comp in naive_archimedean_decomposition(S).components:
+            idems = [x for x in comp if t[x][x] == x]
+            assert len(idems) == 1, (S.table, comp)
+            for a in comp:
+                powers, x = set(), a
+                for _ in range(S.order):
+                    powers.add(x)
+                    x = t[x][a]
+                assert [p for p in powers if t[p][p] == p] == idems, (S.table, a)
+
+
 def test_kernel_group():
     Z5 = cyclic_group(5)
     assert kernel_group(Z5, list(Z5.elements)) == frozenset(Z5.elements)
@@ -137,8 +173,18 @@ def test_kernel_group():
     assert kernel_group(nil, list(nil.elements)) == {zero_element(nil)}
     E = trivial_ideal_extension(2, 3)
     assert kernel_group(E, list(E.elements)) == frozenset({1, 2, 3})
-    with pytest.raises(NotArchimedean):
+    with pytest.raises(NotArchimedean, match=r"\[0, 1, 2, 3\] is not an archimedean component"):
         kernel_group(group_nil_chain(2, 2), [0, 1, 2, 3])  # two idempotents
+    # one idempotent, but not the elements of one idempotent power
+    with pytest.raises(NotArchimedean, match=r"\[1, 2\] is not an archimedean component"):
+        kernel_group(group_nil_chain(2, 2), [1, 2])
+    # one idempotent power, but not all of its elements
+    with pytest.raises(NotArchimedean, match=r"\[0, 2\] is not an archimedean component.*leaves out \[1\]"):
+        kernel_group(group_nil_chain(3, 2), [0, 2])
+    with pytest.raises(NotArchimedean, match=r"\[\] is not an archimedean component"):
+        kernel_group(Z5, [])
+    with pytest.raises(NotCommutative):
+        kernel_group(left_zero_semigroup(2), [0])
 
 
 def test_partial_hom():
@@ -150,6 +196,10 @@ def test_partial_hom():
     assert partial_hom(nil, nil.elements, 0) == zero_element(nil)
     with pytest.raises(NotInNilPart):
         partial_hom(E, E.elements, e)
+    with pytest.raises(NotArchimedean, match=r"\[1, 2\] is not an archimedean component"):
+        partial_hom(group_nil_chain(2, 2), [1, 2], 2)
+    with pytest.raises(NotArchimedean, match=r"\[0, 2\] is not an archimedean component"):
+        partial_hom(group_nil_chain(3, 2), [0, 2], 0)
 
 
 def test_certificate_passes_on_cyclic_group():

@@ -23,8 +23,9 @@ from idemfree import (
     unique_cycle_idempotent,
     validate,
 )
-from idemfree.structure import ComponentData, _decompose
+from idemfree.structure import ArchDecomposition, ComponentData, _decompose
 from idemfree.verify import enumerate_extremal_specs
+from oracles import naive_archimedean_decomposition
 
 
 def assert_valid(S):
@@ -86,6 +87,33 @@ def test_extremal_pairs_are_valid():
         assert_valid(S)
 
 
+def _restriction(S, carrier):
+    """R's sorted elements and a fully validated copy of R on 0..|R|-1."""
+    t = S.table
+    orig = sorted(carrier)
+    pos = {e: i for i, e in enumerate(orig)}
+    return orig, validate(len(orig), [[pos[t[a][b]] for b in orig] for a in orig])
+
+
+def _lifted(S, orig, dec):
+    """A decomposition of the restriction mapped back into S's element ids."""
+
+    def back(ids):
+        return frozenset(orig[i] for i in ids)
+
+    comp_of = [-1] * S.order
+    for i, cid in enumerate(dec.comp_of):
+        comp_of[orig[i]] = cid
+    return ArchDecomposition(
+        components=tuple(back(c) for c in dec.components),
+        leq=dec.leq,
+        per_component=tuple(
+            ComponentData(orig[d.idempotent], back(d.kernel_group), back(d.nil_part)) for d in dec.per_component
+        ),
+        comp_of=tuple(comp_of),
+    )
+
+
 def test_decompose_matches_validated_restriction(corpus_le4):
     # the certificate decomposes R in place, inside S; a restricted copy of
     # R, fully validated and decomposed on its own, must agree once mapped
@@ -101,27 +129,25 @@ def test_decompose_matches_validated_restriction(corpus_le4):
         for carrier in carriers:
             if any(t[a][b] != t[b][a] for a in carrier for b in carrier):
                 continue
-            orig = sorted(carrier)
-            pos = {e: i for i, e in enumerate(orig)}
-            sub = validate(len(orig), [[pos[t[a][b]] for b in orig] for a in orig])
-            ref = archimedean_decomposition(sub)
-            got = _decompose(S, carrier)
-
-            def back(ids):
-                return frozenset(orig[i] for i in ids)
-
-            assert got.components == tuple(back(c) for c in ref.components)
-            assert got.leq == ref.leq
-            assert got.per_component == tuple(
-                ComponentData(orig[d.idempotent], back(d.kernel_group), back(d.nil_part))
-                for d in ref.per_component
-            )
-            comp_of = [-1] * S.order
-            for i, cid in enumerate(ref.comp_of):
-                comp_of[orig[i]] = cid
-            assert got.comp_of == tuple(comp_of)
+            orig, sub = _restriction(S, carrier)
+            assert _decompose(S, carrier) == _lifted(S, orig, archimedean_decomposition(sub))
             checked += 1
     assert checked == 24299
+
+
+def test_decompose_of_family_pairs_matches_divisibility_oracle():
+    # R of every 4th (3, 8) family pair, decomposed in place, against the
+    # divisibility definition on a validated copy of R
+    checked = 0
+    for spec in list(enumerate_extremal_specs(max_components=3, max_terms=8))[::4]:
+        S, T = extremal_pair(spec)
+        if not T:
+            continue
+        R = generated_subsemigroup(S, set(T))
+        orig, sub = _restriction(S, R)
+        assert _decompose(S, R) == _lifted(S, orig, naive_archimedean_decomposition(sub)), spec
+        checked += 1
+    assert checked == 1811
 
 
 def test_enumerated_corpus_is_valid(corpus_le4):

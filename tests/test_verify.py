@@ -210,3 +210,27 @@ def test_bounded_result_never_serves_a_report():
         assert constants.erdos_burgess(c3).nodes_explored == 8
         assert constants._weak_value(c3) == (3, (0, 0))
         assert len(constants._shared) == 2
+
+
+def test_corpus_order_past_enum_cap_names_enum_cap_before_any_pool(monkeypatch):
+    # the caller raised max_order already; the cap to raise is enum_cap, and
+    # the refusal comes before a pool starts or a table is enumerated
+    from idemfree.construct import OrderTooLarge
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("started before the order was checked")
+
+    monkeypatch.setattr(verify, "_fan_out", refuse)
+    monkeypatch.setattr(verify, "enumerate_semigroups", refuse)
+    with pytest.raises(OrderTooLarge, match=r"^order 5 exceeds the configured cap 4; raise enum_cap explicitly$") as exc:
+        verify.run_verification(max_order=5, enum_cap=4, checks=["ghw-bound"], workers=2)
+    assert (exc.value.order, exc.value.cap) == (5, 4)
+    # past the hard cap no cap helps, so none is named
+    with pytest.raises(OrderTooLarge, match=r"^enumeration is capped at order 5$") as exc:
+        verify.run_verification(max_order=6, enum_cap=6, checks=["nil-product-lemma"])
+    assert exc.value.cap is None
+
+
+def test_checks_without_a_corpus_ignore_enum_cap():
+    log = verify.run_verification(max_order=5, enum_cap=1, checks=["example-formulas"])
+    assert log["corpus"]["semigroups"] == 0 and log["summary"]["allPassed"]
