@@ -8,7 +8,7 @@ over a worker pool and still merge deterministically.
 
 On a commutative semigroup the any-order product set of a sequence equals
 its natural-order set, so SI and commutative I share one natural-order walk,
-``_natural_task``: SI walks all words, and I walks nondecreasing sequences,
+``_memo_task``: SI walks all words, and I walks nondecreasing sequences,
 since weak freeness depends only on the multiset of terms. Noncommutative I
 walks nondecreasing sequences too, in ``_any_order_task``, which carries the
 any-order sub-multiset DP down the path: a child computes only the products
@@ -24,21 +24,20 @@ also pack the letters whose translate meets an idempotent, so a node reads
 its pruned children in one shift; D carries only the proper products.
 
 Below a node, the D walk depends only on the state (pi, proper-products
-mask, start index), and the SI walk, where every letter is allowed, on the
-product mask alone. ``_davenport_task`` and ``_strong_memo_task`` are DPs
-over those states: a per-task memo maps each state with a child to one
-integer, count << 2b | height << b | letter with b = n.bit_length(): the
-node count of its subtree, its height, and its first child letter of
-greatest height. A repeated state adds the stored count to nodes, so
-nodesExplored is still the size of the plain tree, and the witness
-follows the stored letters from the root, so it is still the lex-least
-longest sequence. A lookup per node costs more than the repeats save on
-small trees: SI runs the memo walk from 5 non-idempotents on (on the
-(3, 8) family tables and the order <= 5 corpus, memo time over plain time
-was 1.01-1.19 with 1 to 4 letters, 0.61 with 5, 0.33 with 6 and 0.07 with
-8), and SI below that and commutative I keep ``_natural_task``; I's state
-needs the last letter too, and on the family tables that memo cost 12%
-more than the plain walk. Noncommutative I's state is the whole multiset.
+mask, start index), and the natural-order walk only on the letters the
+node may append and its product mask: every letter for SI, the letters
+from the last term on for commutative I. ``_davenport_task`` and
+``_memo_task`` are DPs over those states: a per-task memo maps each state
+with a child to one integer, count << 2b | height << b | letter with
+b = n.bit_length(): the node count of its subtree, its height, and its
+first child letter of greatest height. A repeated state adds the stored
+count to nodes, so nodesExplored is still the size of the plain tree, and
+the witness follows the stored letters from the root, so it is still the
+lex-least longest sequence. Every table takes the memo walk. On C24 it
+walks I in about half the time of a plain walk; on the small tables of the
+order <= 5 corpus, where few states repeat, an I or SI search costs about
+15% more than a plain walk, too little to move a corpus check.
+Noncommutative I's state is the whole multiset, so it has no memo.
 
 Checks that read only I's value on a commutative table call
 ``_weak_value``, which walks the I tree under a bound. Appending a term c
@@ -53,8 +52,8 @@ first-letter tasks run in order, each seeded with the best sequence of the
 tasks before it and required to beat it strictly; every prefix of the
 lex-least longest sequence bounds above any shorter best, so the witness is
 still that sequence. A cut tree has no fixed size, so the public reports
-keep the plain walk, whose nodesExplored the tests pin as the size of the
-plain tree; ghw-bound checks the lemma, so it must not assume it; and
+keep the exhaustive walk, whose nodesExplored the tests pin as the size of
+the plain tree; ghw-bound checks the lemma, so it must not assume it; and
 strong-vs-weak cross-checks the two exhaustive searches.
 
 A free search reads only the letter table: the products among the
@@ -90,9 +89,6 @@ from .seqprod import Seq, _fill_slab, _grow, _packed_rows, _top_links
 KIND_ERDOS_BURGESS = "ErdosBurgess"
 KIND_STRONG_ERDOS_BURGESS = "StrongErdosBurgess"
 KIND_DAVENPORT = "Davenport"
-
-# SI runs the memo walk from this many non-idempotents on (module docstring)
-_STRONG_MEMO_LETTERS = 5
 
 # the I and SI reports of the open sharing scope, or None outside one
 _shared: dict | None = None
@@ -147,51 +143,12 @@ def ghw_bound(S: FiniteSemigroup) -> int:
     return S.order - len(idempotents(S)) + 1
 
 
-def _natural_task(args) -> tuple[int, tuple[int, ...], int]:
-    """Longest sequence starting with the letter first whose natural-order
-    products miss the idempotents.
-
-    A node with last term x tries the letters of allows[x]: those from x on
-    walk nondecreasing sequences (commutative I), all of them walk words
-    (SI). A free set A plus a non-idempotent c stays free exactly when A*c
-    misses the idempotents, the stop of the rows, so field n of A's packed
-    translates holds the letters pruned and the node walks only the rest.
-    """
-    n, rows, allows, first = args
-    full = (1 << n) - 1
-    top = n * n
-    nodes = 1  # the root candidate (first,)
-    path = [first]
-    best = (first,)
-
-    def rec(mask: int, vec: int, allow: int) -> None:
-        nonlocal nodes, best
-        nodes += allow.bit_count()
-        live = allow & ~(vec >> top)
-        while live:
-            low = live & -live
-            live ^= low
-            x = low.bit_length() - 1
-            grown = mask | low | ((vec >> x * n) & full)
-            path.append(x)
-            if len(path) > len(best):
-                best = tuple(path)
-            rec(grown, _grow(rows, vec, grown & ~mask), allows[x])
-            path.pop()
-
-    try:
-        rec(1 << first, rows[first], allows[first])
-    finally:
-        rec = None  # break the closure's self-reference (module docstring)
-    return len(best), best, nodes
-
-
 def _bounded_task(
     n: int, rows: list[int], allows: list[int], first: int, cap: int, best: tuple[int, ...]
 ) -> tuple[int, ...]:
-    """The I walk of ``_natural_task`` from the letter first, for the value
-    only: the lex-least longest free sequence that is longer than best, or
-    best when there is none.
+    """The commutative I walk of ``_memo_task`` from the letter first, for
+    the value only, without its memo: the lex-least longest free sequence
+    that is longer than best, or best when there is none.
 
     A child of path length L and product mask grown has no free extension
     longer than L + cap - popcount(grown), so a child whose bound does not
@@ -235,59 +192,69 @@ def _bounded_task(
     return best
 
 
-def _strong_memo_task(args) -> tuple[int, tuple[int, ...], int]:
-    """The SI walk of ``_natural_task`` as a DP over its product masks.
+def _memo_task(args) -> tuple[int, tuple[int, ...], int]:
+    """Longest sequence starting with the letter first whose natural-order
+    products miss the idempotents, as a DP over the walk's states.
 
-    Every letter is allowed at every node, so the subtree below a node
-    depends on the product mask alone. Each mask with a child stores its
-    subtree's node count, its height and its first child letter of greatest
-    height (the layout in the module docstring), and a repeat adds the
-    stored count to nodes instead of walking it again. Leaves are not
-    stored, and the memo is freed by reference count with the task (module
-    docstring).
+    A node with last term x tries the letters of allows[x]: those from x on
+    walk nondecreasing sequences (commutative I), all of them walk words
+    (SI). A free set A plus a non-idempotent c stays free exactly when A*c
+    misses the idempotents, the stop of the rows, so field n of A's packed
+    translates holds the letters pruned and the node walks only the rest.
+
+    The subtree below a node depends only on the letters it may append and
+    its product mask, so a state's key packs allows[x] << n | mask. Each
+    state with a child stores its subtree's node count, its height and its
+    first child letter of greatest height (the layout in the module
+    docstring), and a repeat adds the stored count to nodes instead of
+    walking it again. Leaves are not stored, and the memo is freed by
+    reference count with the task (module docstring).
     """
-    n, rows, letters, first = args
+    n, rows, allows, first = args
     full = (1 << n) - 1
     top = n * n
-    tried = letters.bit_count()
     bits = n.bit_length()
     low_bits = (1 << bits) - 1
-    nodes = 1
+    nodes = 1  # the root candidate (first,)
     memo = {}
 
-    def rec(mask: int, vec: int) -> int:
+    def rec(mask: int, vec: int, allow: int, key: int) -> int:
         nonlocal nodes
         before = nodes
-        nodes += tried
-        live = letters & ~(vec >> top)
+        nodes += allow.bit_count()
+        live = allow & ~(vec >> top)
         height = 0
         while live:
             low = live & -live
             live ^= low
             x = low.bit_length() - 1
             grown = mask | low | ((vec >> x * n) & full)
-            hit = memo.get(grown)
+            child_allow = allows[x]
+            child = child_allow << n | grown
+            hit = memo.get(child)
             if hit is None:
-                h = rec(grown, _grow(rows, vec, grown & ~mask))
+                h = rec(grown, _grow(rows, vec, grown & ~mask), child_allow, child)
             else:
                 h = hit >> bits & low_bits
                 nodes += hit >> 2 * bits
             if h >= height:
                 height, best = h + 1, x
         if height:
-            memo[mask] = ((nodes - before) << bits | height) << bits | best
+            memo[key] = ((nodes - before) << bits | height) << bits | best
         return height
 
     mask, vec = 1 << first, rows[first]
+    key = allows[first] << n | mask
     try:
-        rec(mask, vec)
+        rec(mask, vec, allows[first], key)
     finally:
-        rec = None
+        rec = None  # break the closure's self-reference (module docstring)
     path = [first]
-    while mask in memo:
-        x = memo[mask] & low_bits
+    while key in memo:
+        x = memo[key] & low_bits
         grown = mask | (1 << x) | ((vec >> x * n) & full)
         mask, vec = grown, _grow(rows, vec, grown & ~mask)
+        key = allows[x] << n | mask
         path.append(x)
     return len(path), tuple(path), nodes
 
@@ -371,16 +338,19 @@ def _davenport_task(args) -> tuple[int, tuple[int, ...], int]:
         before = nodes
         nodes += n - start
         pi_mask = proper | (1 << pi)
+        dead = pi_mask | ident_mask
         row = table[pi]
         height = 0
         for x in range(start, n):
             new_pi = row[x]
             # proper products of T.x: all sub-multiset products of T,
             # proper products of T translated by x, and x itself; they
-            # include the old proper products, so the mask only grows
-            new_proper = pi_mask | ((proper_vec >> x * n) & full) | (1 << x)
-            if (1 << new_pi) & (new_proper | ident_mask):
+            # include the old proper products, so the mask only grows. The
+            # child is dead when new_pi is one of them or the identity,
+            # which reads only their bit new_pi
+            if new_pi == x or dead >> new_pi & 1 or proper_vec >> (x * n + new_pi) & 1:
                 continue
+            new_proper = pi_mask | ((proper_vec >> x * n) & full) | (1 << x)
             child = (new_proper << bits | new_pi) << bits | x
             hit = memo.get(child)
             if hit is None:
@@ -461,11 +431,8 @@ def _free_search(S: FiniteSemigroup, kind: str, map_fn) -> ConstantReport:
         task, tasks = _any_order_task, [(S, alpha, idem, i) for i in range(len(alpha))]
     else:
         rows = _packed_rows(S.table, alpha, idem)
-        if not weak and len(alpha) >= _STRONG_MEMO_LETTERS:
-            task, tasks = _strong_memo_task, [(S.order, rows, letters, x) for x in alpha]
-        else:
-            allows = [letters >> x << x for x in S.elements] if weak else [letters] * S.order
-            task, tasks = _natural_task, [(S.order, rows, allows, x) for x in alpha]
+        allows = [letters >> x << x for x in S.elements] if weak else [letters] * S.order
+        task, tasks = _memo_task, [(S.order, rows, allows, x) for x in alpha]
     best_len, best, nodes = _merge(map_fn(task, tasks))
     value = best_len + 1
     if shared is not None:

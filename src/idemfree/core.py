@@ -273,15 +273,19 @@ def cyclic_data(S: FiniteSemigroup, x: ElementId) -> CyclicData:
     return data
 
 
+def _idempotent_power(t, a: int) -> int:
+    """The one idempotent among the powers of a: a, a^2, ... until one
+    squares to itself. A power before the index is not idempotent, so the
+    walk stops at the one in the cycle, within n steps."""
+    row, e = t[a], a
+    while t[e][e] != e:
+        e = row[e]
+    return e
+
+
 def unique_cycle_idempotent(S: FiniteSemigroup, x: ElementId) -> ElementId:
     """The single idempotent power x^l, with l in [I, I+P-1] and l = 0 mod P."""
-    cd = cyclic_data(S, x)
-    i, p = cd.index, cd.period
-    l = ((i + p - 1) // p) * p
-    e = cd.powers[l - 1]
-    assert S.table[e][e] == e
-    assert sum(1 for y in cd.powers if S.table[y][y] == y) == 1
-    return e
+    return _idempotent_power(S.table, _element(S, x))
 
 
 def monogenic(index: int, period: int) -> FiniteSemigroup:

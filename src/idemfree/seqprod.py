@@ -69,9 +69,6 @@ class Seq:
     def support(self) -> frozenset[ElementId]:
         return frozenset(self.terms)
 
-    def counts(self) -> Counter:
-        return Counter(self.terms)
-
     @classmethod
     def parse(cls, text: str) -> "Seq":
         """One line of space-separated indices. Blank lines and lines starting

@@ -29,11 +29,11 @@ from .core import (
     NotCommutative,
     SemigroupError,
     _element,
+    _idempotent_power,
     cyclic_data,
     generated_subsemigroup,
     idempotents,
     is_commutative,
-    unique_cycle_idempotent,
 )
 from .seqprod import _terms, is_weakly_free
 
@@ -117,15 +117,6 @@ def archimedean_decomposition(S: FiniteSemigroup) -> ArchDecomposition:
     """
     _require_commutative(S)
     return _decompose(S, S.elements)
-
-
-def _idempotent_power(t, a: int) -> int:
-    """The one idempotent among the powers of a: a, a^2, ... until one
-    squares to itself."""
-    row, e = t[a], a
-    while t[e][e] != e:
-        e = row[e]
-    return e
 
 
 def _decompose(S: FiniteSemigroup, carrier) -> ArchDecomposition:
@@ -426,7 +417,7 @@ def extremal_structure_check(S: FiniteSemigroup, seq) -> ExtremalCertificate:
         yield COND_ABSORPTION, order is not None
         gen_order = order
         yield COND_UNION, set().union(*(cds[x].powers for x in supp)) == rec.R
-        parts = [set(cds[x].powers) - {unique_cycle_idempotent(S, x)} for x in supp]
+        parts = [set(cds[x].powers) - {_idempotent_power(S.table, x)} for x in supp]
         yield COND_DISJOINT, sum(map(len, parts)) == len(set().union(*parts))
         yield COND_INDEX, all((cds[x].index - 1) % cds[x].period == 0 for x in supp)
         yield COND_MULTIPLICITY, all(counts[x] == cds[x].index + cds[x].period - 2 for x in supp)

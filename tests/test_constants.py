@@ -281,17 +281,20 @@ def test_search_node_counts_on_c3():
 
 
 def test_memo_walks_match_reference_where_states_repeat():
-    # D always walks its states (pi, proper products, start) through a memo,
-    # and SI walks its product masks through one from 5 non-idempotents on:
-    # C5 has 4 and stays on the plain SI walk, C6 has 5 and monogenic(5, 3)
-    # has 6. A repeated state must add its subtree's node count and keep the
+    # D walks its states (pi, proper products, start) through a memo, and I
+    # and SI walk theirs (allowed letters, product mask) through one; on a
+    # commutative table I's allowed letters are those from its last term
+    # on. A repeated state must add its subtree's node count and keep the
     # lex-least longest witness
-    tables = [cyclic_group(5), cyclic_group(6), monogenic(5, 3)]
+    tables = [cyclic_group(5), cyclic_group(6), monogenic(5, 3), group_nil_chain(3, 3)]
     for i, S in enumerate(tables):
         for seed in (200 + i, 300 + i):
-            _assert_reports_match_reference(relabel(S, seed), ("SI", "D"))
-    # D(C28) pins the count the plain walk gives; SI(C24) pins a tree of
-    # over 2 * 10^9 nodes, which only the memo walk finishes
+            _assert_reports_match_reference(relabel(S, seed), ("I", "SI", "D"))
+    # I(C24) and D(C28) pin the counts the plain walk gives; SI(C24) pins a
+    # tree of over 2 * 10^9 nodes, which only the memo walk finishes
+    weak = erdos_burgess(cyclic_group(24))
+    assert (weak.value, weak.nodes_explored) == (24, 645_349)
+    assert weak.witness.terms == (0,) * 23
     dav = davenport(cyclic_group(28))
     assert (dav.value, dav.nodes_explored) == (28, 3_069_830)
     assert dav.witness.terms == (0,) * 27
@@ -305,12 +308,17 @@ def test_memo_is_freed_when_its_task_returns():
     # memo dies with the task by reference count even while the collector is
     # off; a second call of each search, after one that fills the
     # interpreter's free lists, must leave the traced memory where it was.
-    # A memo left in a cycle keeps about 2.7 MB for D(C24) and 0.9 MB for
-    # SI(C18)
+    # A memo left in a cycle keeps about 2.7 MB for D(C24), 0.9 MB for
+    # SI(C18) and 0.4 MB for I(C18)
     gc.collect()
     gc.disable()
     try:
-        for search, S in ((davenport, cyclic_group(24)), (strong_erdos_burgess, cyclic_group(18))):
+        searches = (
+            (davenport, cyclic_group(24)),
+            (strong_erdos_burgess, cyclic_group(18)),
+            (erdos_burgess, cyclic_group(18)),
+        )
+        for search, S in searches:
             search(S)
             tracemalloc.start()
             try:
@@ -329,9 +337,9 @@ def test_searches_leave_no_cyclic_garbage(monkeypatch):
     # reference would leave the closure, its lists and any memo for the cycle
     # collector, which the corpus's tens of thousands of searches then pay
     searches = (
-        (erdos_burgess, cyclic_group(7)),  # commutative I
-        (strong_erdos_burgess, cyclic_group(5)),  # SI, 4 letters: plain walk
-        (strong_erdos_burgess, cyclic_group(9)),  # SI memo walk
+        (erdos_burgess, cyclic_group(7)),  # commutative I, memo walk
+        (strong_erdos_burgess, cyclic_group(5)),  # SI, 4 letters, memo walk
+        (strong_erdos_burgess, cyclic_group(9)),  # SI, 8 letters, memo walk
         (erdos_burgess, dihedral(3)),  # noncommutative I
         (davenport, cyclic_group(9)),
     )
@@ -383,8 +391,7 @@ def test_shared_reports_are_the_searched_reports():
     # each group is searched in one sharing scope, so a table whose letter
     # table and walk an earlier one had gets the earlier report mapped back
     # through its own letters; every report must be the search's outside a
-    # scope and reference_search's. C5 has 4 letters (plain SI walk) and C6
-    # 5 (SI memo walk)
+    # scope and reference_search's
     c3, c5, c6 = cyclic_group(3), cyclic_group(5), cyclic_group(6)
     groups = [
         [S, adjoin_identity(S), *_relabellings(S), *_relabellings(adjoin_identity(S))]
@@ -429,7 +436,7 @@ def test_repeated_letter_table_runs_no_task_in_a_scope():
             search(c5, map_fn=counting_map)
             for S in same_letters:
                 search(S, map_fn=counting_map)
-        assert calls == ["_natural_task", "_natural_task"]
+        assert calls == ["_memo_task", "_memo_task"]
         # the same letters under the any-order walk: I searches, SI does not
         erdos_burgess(_left_zero_under(c5), map_fn=counting_map)
         strong_erdos_burgess(_left_zero_under(c5), map_fn=counting_map)

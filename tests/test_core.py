@@ -24,6 +24,7 @@ from idemfree import (
     validate,
     zero_element,
 )
+from idemfree.core import _idempotent_power
 from idemfree.verify import build_corpus
 from oracles import (
     left_zero_semigroup,
@@ -202,6 +203,16 @@ def test_unique_cycle_idempotent():
     assert unique_cycle_idempotent(Z6, 0) == identity_element(Z6)
     nil = cyclic_nil(5)
     assert unique_cycle_idempotent(nil, 0) == zero_element(nil)
+
+
+def test_idempotent_power_is_the_idempotent_among_the_powers(corpus_le4):
+    # the walk a, a^2, ... stops at the first power that squares to itself;
+    # it must be the one idempotent that a scan of the whole power list finds
+    for S in corpus_le4:
+        t = S.table
+        for x in S.elements:
+            (e,) = [y for y in cyclic_data(S, x).powers if t[y][y] == y]
+            assert _idempotent_power(t, x) == unique_cycle_idempotent(S, x) == e, (S.table, x)
 
 
 def test_monogenic_displayed_formula_example():
