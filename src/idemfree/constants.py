@@ -46,15 +46,13 @@ product set: if c and P(T)c lay in P(T), every power of c would, the
 idempotent one too. This lemma gives the Gillam-Hall-Williams bound
 |S \\ E(S)| + 1, and it bounds a node of path length L and product mask m:
 no free extension is longer than L + k - popcount(m), with k = |S \\ E(S)|.
-``_bounded_task`` skips a child whose bound is at most the best length so
-far, and the search stops once the best length reaches the cap k. The
-first-letter tasks run in order, each seeded with the best sequence of the
-tasks before it and required to beat it strictly; every prefix of the
-lex-least longest sequence bounds above any shorter best, so the witness is
-still that sequence. A cut tree has no fixed size, so the public reports
-keep the exhaustive walk, whose nodesExplored the tests pin as the size of
-the plain tree; ghw-bound checks the lemma, so it must not assume it; and
-strong-vs-weak cross-checks the two exhaustive searches.
+``_bounded_walk`` is one depth-first walk from the empty sequence that
+skips a child whose bound is at most the best length so far and stops once
+the best length reaches the cap k. It keeps only that length. A cut tree
+has no fixed size, so the public reports keep the exhaustive walk, whose
+nodesExplored the tests pin as the size of the plain tree; ghw-bound checks
+the lemma, so it must not assume it; and strong-vs-weak cross-checks the
+two exhaustive searches.
 
 A free search reads only the letter table: the products among the
 non-idempotents, each written as its position among them, or as one marker
@@ -66,8 +64,8 @@ witness mapped letter for letter, and the same nodesExplored. Inside a
 ``_sharing`` scope, which the verify checks open around one check and
 around each pool batch, a search stores its report under that key, with
 the witness as letter positions, and a repeat maps the stored witness back
-instead of searching again. ``_weak_value`` stores its value and witness
-under a key of its own, so it never serves a report with a node count.
+instead of searching again. ``_weak_value`` stores its value under a key
+of its own, so it never serves a report with a node count.
 Outside a scope every search runs. D is not shared: its walk reads the
 products with idempotents too.
 
@@ -143,12 +141,10 @@ def ghw_bound(S: FiniteSemigroup) -> int:
     return S.order - len(idempotents(S)) + 1
 
 
-def _bounded_task(
-    n: int, rows: list[int], allows: list[int], first: int, cap: int, best: tuple[int, ...]
-) -> tuple[int, ...]:
-    """The commutative I walk of ``_memo_task`` from the letter first, for
-    the value only, without its memo: the lex-least longest free sequence
-    that is longer than best, or best when there is none.
+def _bounded_walk(n: int, rows: list[int], allows: list[int], letters: int, cap: int) -> int:
+    """The length of the longest free nondecreasing sequence over letters:
+    the commutative I walk of ``_memo_task`` from the empty sequence, for
+    the value only, without its memo.
 
     A child of path length L and product mask grown has no free extension
     longer than L + cap - popcount(grown), so a child whose bound does not
@@ -157,14 +153,10 @@ def _bounded_task(
     """
     full = (1 << n) - 1
     top = n * n
-    path = [first]
-    if not best:
-        best = (first,)
-    best_len = len(best)
+    best = 0
 
-    def rec(mask: int, vec: int, allow: int) -> bool:
-        nonlocal best, best_len
-        length = len(path) + 1
+    def rec(mask: int, vec: int, allow: int, length: int) -> bool:
+        nonlocal best
         reach = length + cap
         live = allow & ~(vec >> top)
         while live:
@@ -172,21 +164,18 @@ def _bounded_task(
             live ^= low
             x = low.bit_length() - 1
             grown = mask | low | ((vec >> x * n) & full)
-            if reach - grown.bit_count() <= best_len:
+            if reach - grown.bit_count() <= best:
                 continue
-            path.append(x)
-            if length > best_len:
-                best_len, best = length, tuple(path)
+            if length > best:
+                best = length
                 if length == cap:
                     return True
-            if rec(grown, _grow(rows, vec, grown & ~mask), allows[x]):
+            if rec(grown, _grow(rows, vec, grown & ~mask), allows[x], length + 1):
                 return True
-            path.pop()
         return False
 
     try:
-        if best_len < cap:
-            rec(1 << first, rows[first], allows[first])
+        rec(0, 0, letters, 1)
     finally:
         rec = None  # break the closure's self-reference (module docstring)
     return best
@@ -440,14 +429,11 @@ def _free_search(S: FiniteSemigroup, kind: str, map_fn) -> ConstantReport:
     return ConstantReport(kind, value, Seq(best), nodes)
 
 
-def _weak_value(S: FiniteSemigroup) -> tuple[int, tuple[int, ...]]:
-    """I(S) and its lex-least longest witness on a commutative S, from the
-    bounded walk: the value and witness of ``erdos_burgess``, without a node
-    count (module docstring).
-
-    The first-letter tasks run in order, each seeded with the best sequence
-    of the ones before it. Inside a sharing scope the result is stored
-    under its own key, which no report search reads.
+def _weak_value(S: FiniteSemigroup) -> int:
+    """I(S) on a commutative S, from the bounded walk: the value of
+    ``erdos_burgess``, without a witness or a node count (module
+    docstring). Inside a sharing scope the value is stored under its own
+    key, which no report search reads.
     """
     if not is_commutative(S):
         raise NotCommutative("the bounded I search is defined for commutative semigroups")
@@ -455,23 +441,16 @@ def _weak_value(S: FiniteSemigroup) -> tuple[int, tuple[int, ...]]:
     shared = _shared
     if shared is not None:
         key = ("value", _letter_table(S, alpha))
-        hit = shared.get(key)
-        if hit is not None:
-            value, positions = hit
-            return value, tuple([alpha[i] for i in positions])
+        value = shared.get(key)
+        if value is not None:
+            return value
     rows = _packed_rows(S.table, alpha, idem)
     letters = ((1 << S.order) - 1) ^ idem
     allows = [letters >> x << x for x in S.elements]
-    cap = len(alpha)
-    best: tuple[int, ...] = ()
-    for x in alpha:
-        if len(best) == cap:
-            break
-        best = _bounded_task(S.order, rows, allows, x, cap, best)
-    value = len(best) + 1
+    value = _bounded_walk(S.order, rows, allows, letters, len(alpha)) + 1
     if shared is not None:
-        shared[key] = (value, tuple([alpha.index(x) for x in best]))
-    return value, best
+        shared[key] = value
+    return value
 
 
 def erdos_burgess(S: FiniteSemigroup, map_fn=map) -> ConstantReport:

@@ -34,6 +34,7 @@ from .core import (
     generated_subsemigroup,
     idempotents,
     is_commutative,
+    unique_cycle_idempotent,
 )
 from .seqprod import _terms, is_weakly_free
 
@@ -70,14 +71,14 @@ def _require_commutative(S: FiniteSemigroup) -> None:
 
 
 def divides_power(S: FiniteSemigroup, a: ElementId, b: ElementId) -> bool:
-    """True iff a^m = b*c for some m >= 1 and some c in S.
-
-    Scanning one full power cycle of a suffices since higher powers repeat.
+    """True iff a^m = b*c for some m >= 1 and some c in S: exactly when
+    e_b * e_a = e_a, with e_x the idempotent power of x (``_decompose``
+    gives the proof).
     """
     _require_commutative(S)
-    powers = set(cyclic_data(S, a).powers)
-    row = S.table[_element(S, b)]
-    return any(row[c] in powers for c in S.elements)
+    e_a = unique_cycle_idempotent(S, a)
+    e_b = unique_cycle_idempotent(S, b)
+    return S.table[e_b][e_a] == e_a
 
 
 @dataclass(frozen=True)

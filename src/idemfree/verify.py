@@ -35,7 +35,7 @@ import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 
-from .constants import _sharing, _weak_value, davenport, erdos_burgess, ghw_bound, strong_erdos_burgess
+from .constants import _sharing, _split, _weak_value, davenport, erdos_burgess, ghw_bound, strong_erdos_burgess
 from .construct import (
     ExtremalSpec,
     GroupByNil,
@@ -55,7 +55,7 @@ from .core import (
     is_nilsemigroup,
     zero_element,
 )
-from .seqprod import _any_mask, _idem_mask, is_weakly_free
+from .seqprod import _any_mask, is_weakly_free
 from .structure import extremal_main_form, extremal_structure_check
 
 CHECK_IDS = (
@@ -132,15 +132,15 @@ def _word_records(S: FiniteSemigroup, found) -> list[dict]:
     return records
 
 
-def _free_multisets(S: FiniteSemigroup, alphabet: list[int]) -> dict[tuple[int, ...], int]:
+def _free_multisets(S: FiniteSemigroup, alphabet: list[int], idem: int) -> dict[tuple[int, ...], int]:
     """F: each weakly free multiset of len(alphabet) terms over the
-    alphabet, as a nondecreasing tuple, with its any-order product mask.
+    alphabet, as a nondecreasing tuple, with its any-order product mask;
+    idem is the mask of the idempotents.
 
     A depth-first walk over nondecreasing prefixes; the any-order set of a
     sub-multiset lies inside that of the multiset, so a prefix with an
     idempotent product has no free extension and its subtree is cut.
     """
-    idem = _idem_mask(S)
     length = len(alphabet)
     found: dict[tuple[int, ...], int] = {}
 
@@ -190,11 +190,11 @@ def _equivalence_case(S: FiniteSemigroup) -> dict:
     k! / prod(c_i!) of them, so the counters and failure records are those
     of a sweep over all k^k words.
     """
-    alphabet = [a for a in S.elements if S.table[a][a] != a]
+    alphabet, idem = _split(S)
     length = len(alphabet)
-    free_masks = _free_multisets(S, alphabet)
+    free_masks = _free_multisets(S, alphabet, idem)
     certified = _certified_multisets(S, alphabet)
-    nonidem = sum(1 << a for a in alphabet)
+    nonidem = ((1 << S.order) - 1) ^ idem
     free = lambda_checked = 0
     eq_found = [(multiset, [{}]) for multiset in free_masks.keys() ^ certified]
     lambda_found = []
@@ -288,7 +288,7 @@ def _family_case(spec: ExtremalSpec) -> dict:
         "weaklyFree": is_weakly_free(S, T),
         "certificate": cert.passed,
         "mainFormAgrees": extremal_main_form(S, T) == cert.passed,
-        "erdosBurgess": _weak_value(S)[0] == expected_len + 1,
+        "erdosBurgess": _weak_value(S) == expected_len + 1,
     }
     ok = all(checks.values())
     return {
@@ -305,6 +305,10 @@ def enumerate_extremal_specs(max_components: int = 3, max_terms: int = 10) -> li
     specs, and once per batch when a process pool pickles them."""
     max_components = _index(max_components, "max_components")
     max_terms = _index(max_terms, "max_terms")
+    if max_components < 1:
+        raise InvalidParameters(f"max_components must be at least 1, got {max_components}")
+    if max_terms < 0:
+        raise InvalidParameters(f"max_terms must be at least 0, got {max_terms}")
     catalog: list[Monogenic | GroupByNil] = []
     for period in range(1, max_terms + 2):
         for index in range(1, max_terms + 3 - period):
@@ -335,7 +339,7 @@ def check_extremal_families(map_fn=map, max_components: int = 3, max_terms: int 
 def _formula_case(params: tuple[int, int]) -> dict:
     n1, n2 = params
     S = group_nil_chain(n1, n2)
-    got_i = _weak_value(S)[0]
+    got_i = _weak_value(S)
     got_d = davenport(S).value
     want_i = (n1 - 1) + (n2 - 1) + 1
     want_d = max(n1, n2 + 1)

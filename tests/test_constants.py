@@ -172,7 +172,7 @@ def test_empty_alphabet_reports():
 
 def _assert_reports_match_reference(S, kinds=("I", "SI", "D")):
     # on a commutative table, I's bounded value search must also give the
-    # value and witness of the plain walk
+    # value of the plain walk
     for kind in kinds:
         if kind == "D" and not is_commutative(S):
             continue
@@ -181,13 +181,13 @@ def _assert_reports_match_reference(S, kinds=("I", "SI", "D")):
         want = reference_search(kind, S)
         assert got == want, (kind, S.table)
         if kind == "I" and is_commutative(S):
-            assert constants._weak_value(S) == want[:2], S.table
+            assert constants._weak_value(S) == want[0], S.table
 
 
 def test_weak_value_on_tiny_alphabets():
-    # a band has no letters: value 1, empty witness; C2 and monogenic(2, 1)
-    # have one letter, which is free alone
-    for S, want in ((vee_semilattice(), (1, ())), (cyclic_group(2), (2, (0,))), (monogenic(2, 1), (2, (0,)))):
+    # a band has no letters: value 1; C2 and monogenic(2, 1) have one
+    # letter, which is free alone
+    for S, want in ((vee_semilattice(), 1), (cyclic_group(2), 2), (monogenic(2, 1), 2)):
         assert constants._weak_value(S) == want
         _assert_reports_match_reference(S, ("I",))
     with pytest.raises(NotCommutative):
@@ -195,25 +195,30 @@ def test_weak_value_on_tiny_alphabets():
 
 
 def test_weak_value_stops_at_the_cap(monkeypatch):
-    # C7 reaches its cap of 6 letters on the first task, so the later
-    # first letters are never walked; a relabelled (Z_2)^3, whose longest
-    # free sequence has 3 of its 7 letters (D((Z_2)^3) = 4), stays below
-    # its cap, so every first letter starts a task
-    seen = []
-    real = constants._bounded_task
+    # the walk starts at the empty sequence, whose packed translates are 0,
+    # so a _grow call with vec == 0 is a descent from the root into the
+    # letter it adds. C7 reaches its cap of 6 letters below its first
+    # letter, so no other root child is walked, and the walk stops before
+    # it grows the translates of the sixth term; a relabelled (Z_2)^3,
+    # whose longest free sequence has 3 of its 7 letters
+    # (D((Z_2)^3) = 4), stays below its cap, so every letter is walked
+    calls = []
+    real = constants._grow
 
-    def watching(n, rows, allows, first, cap, best):
-        seen.append(first)
-        return real(n, rows, allows, first, cap, best)
+    def watching(rows, vec, new):
+        calls.append((vec, new))
+        return real(rows, vec, new)
 
-    monkeypatch.setattr(constants, "_bounded_task", watching)
-    assert constants._weak_value(cyclic_group(7)) == (7, (0,) * 6)
-    assert seen == [0]
-    seen.clear()
+    def root_descents():
+        return [new.bit_length() - 1 for vec, new in calls if vec == 0]
+
+    monkeypatch.setattr(constants, "_grow", watching)
+    assert constants._weak_value(cyclic_group(7)) == 7
+    assert root_descents() == [0] and len(calls) == 5
+    calls.clear()
     S = relabel(FiniteSemigroup([[a ^ b for b in range(8)] for a in range(8)]), 3)
-    value, witness = constants._weak_value(S)
-    assert value == 4 and len(seen) == 7
-    assert (value, witness) == reference_search("I", S)[:2]
+    assert constants._weak_value(S) == 4 == reference_search("I", S)[0]
+    assert root_descents() == [a for a in S.elements if S.table[a][a] != a]
 
 
 def test_searches_match_reference_on_small_corpus(corpus_le4):

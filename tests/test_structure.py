@@ -74,6 +74,16 @@ def test_divides_power_requires_commutative():
         divides_power(left_zero_semigroup(2), 0, 1)
 
 
+def test_divides_power_matches_its_definition(commutative_le4):
+    # a^m = b*c for some m >= 1 and some c in S, over a's whole power list
+    for S in commutative_le4:
+        for a in S.elements:
+            powers = set(cyclic_data(S, a).powers)
+            for b in S.elements:
+                want = any(S.table[b][c] in powers for c in S.elements)
+                assert divides_power(S, a, b) == want, (S.table, a, b)
+
+
 def test_divides_power_is_a_preorder(commutative_le4):
     for S in commutative_le4[::5]:
         rel = [[divides_power(S, a, b) for b in S.elements] for a in S.elements]

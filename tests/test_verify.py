@@ -87,6 +87,13 @@ def test_extremal_spec_bounds_are_integers():
         verify.enumerate_extremal_specs(max_components=1.5)
     with pytest.raises(InvalidParameters, match="max_terms 2.5 is not an integer"):
         verify.check_extremal_families(max_terms=2.5)
+    # an empty family would pass vacuously, with 0 instances
+    with pytest.raises(InvalidParameters, match="^max_components must be at least 1, got 0$"):
+        verify.check_extremal_families(max_components=0)
+    with pytest.raises(InvalidParameters, match="^max_components must be at least 1, got -2$"):
+        verify.check_extremal_families(max_components=-2)
+    with pytest.raises(InvalidParameters, match="^max_terms must be at least 0, got -1$"):
+        verify.check_extremal_families(max_terms=-1)
 
 
 def test_sharing_scope_lives_for_one_check(corpus_le3):
@@ -202,13 +209,13 @@ def test_only_the_value_checks_use_the_bounded_search(corpus_le3, monkeypatch):
 
 
 def test_bounded_result_never_serves_a_report():
-    # in one scope, a stored bounded result must not stand in for the
+    # in one scope, a stored bounded value must not stand in for the
     # report, whose node count is the plain tree's: 5 + 3 on C3
     c3 = cyclic_group(3)
     with constants._sharing():
-        assert constants._weak_value(c3) == (3, (0, 0))
+        assert constants._weak_value(c3) == 3
         assert constants.erdos_burgess(c3).nodes_explored == 8
-        assert constants._weak_value(c3) == (3, (0, 0))
+        assert constants._weak_value(c3) == 3
         assert len(constants._shared) == 2
 
 
