@@ -2,9 +2,8 @@
 corpus verification and family generators.
 
 Machine output goes to stdout as JSON; diagnostics go to stderr.
-``constants`` and ``verify`` take --workers (default 1); ``verify`` and
-``enumerate`` take --max-enum-order (default 4). Nothing is read from the
-environment.
+``verify`` takes --workers (default 1); ``verify`` and ``enumerate`` take
+--max-enum-order (default 4). Nothing is read from the environment.
 """
 
 from __future__ import annotations
@@ -58,25 +57,20 @@ def cmd_validate(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    with verify._fan_out(args.workers, "--workers") as map_fn:
-        which = [w.strip().upper() for w in args.which.split(",") if w.strip()]
-        if not which:
-            raise SemigroupError(f"--which {args.which!r} names no constant; choose from I, SI, D")
-        unknown = [w for w in which if w not in ("I", "SI", "D")]
-        if unknown:
-            raise SemigroupError(f"unknown constants {unknown}; choose from I, SI, D")
-        S = _read_table(args.table)
-        reports = []
-        for w in which:
-            if w == "I":
-                reports.append(erdos_burgess(S, map_fn=map_fn).to_json_dict())
-            elif w == "SI":
-                reports.append(strong_erdos_burgess(S, map_fn=map_fn).to_json_dict())
-            elif w == "D":
-                if not is_commutative(S):
-                    print("note: Davenport constant skipped, semigroup is not commutative", file=sys.stderr)
-                    continue
-                reports.append(davenport(S, map_fn=map_fn).to_json_dict())
+    searches = {"I": erdos_burgess, "SI": strong_erdos_burgess, "D": davenport}
+    which = [w.strip().upper() for w in args.which.split(",") if w.strip()]
+    if not which:
+        raise SemigroupError(f"--which {args.which!r} names no constant; choose from I, SI, D")
+    unknown = [w for w in which if w not in searches]
+    if unknown:
+        raise SemigroupError(f"unknown constants {unknown}; choose from I, SI, D")
+    S = _read_table(args.table)
+    reports = []
+    for w in which:
+        if w == "D" and not is_commutative(S):
+            print("note: Davenport constant skipped, semigroup is not commutative", file=sys.stderr)
+            continue
+        reports.append(searches[w](S).to_json_dict())
     _emit(reports)
     return 0
 
@@ -170,6 +164,8 @@ def cmd_gen(args) -> int:
     family = args.family
     params = args.params
     if family == "extremal":
+        if params:
+            raise SemigroupError(f"extremal generation takes no integer parameters, got {params}; use --component")
         if not args.component:
             raise SemigroupError("extremal generation needs at least one --component")
         if not args.out:
@@ -191,6 +187,10 @@ def cmd_gen(args) -> int:
         "ideal-extension": (2, construct.trivial_ideal_extension),
         "group-nil-chain": (2, construct.group_nil_chain),
     }
+    flags = {"--component": args.component, "--adjoin-identity": args.adjoin_identity}
+    ignored = [flag for flag, given in flags.items() if given]
+    if ignored:
+        raise SemigroupError(f"family {family} takes no {' or '.join(ignored)}; only extremal generation does")
     arity, build = builders[family]
     if len(params) != arity:
         raise SemigroupError(f"family {family} takes {arity} integer parameter(s), got {len(params)}")
@@ -247,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("constants", help="compute I, SI and/or D for a table")
     p.add_argument("table")
     p.add_argument("--which", default="I,SI,D", help="comma list from I,SI,D (default all)")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=cmd_constants)
 
     p = sub.add_parser("products", help="any-order and natural-order product sets of a sequence")

@@ -3,14 +3,15 @@
 Each constant is 1 plus the maximum length of a sequence with the defining
 property, found by depth-first enumeration with antitone pruning: once a
 prefix loses the property no extension can regain it, so the subtree is
-closed. Search spaces are partitioned by first term so runs can fan out
-over a worker pool and still merge deterministically.
+closed. Each search is one walk from the empty sequence, whose children
+are the one-term sequences, so the longest sequence it meets first is the
+lex-least longest one.
 
 On a commutative semigroup the any-order product set of a sequence equals
 its natural-order set, so SI and commutative I share one natural-order walk,
-``_memo_task``: SI walks all words, and I walks nondecreasing sequences,
+``_memo_walk``: SI walks all words, and I walks nondecreasing sequences,
 since weak freeness depends only on the multiset of terms. Noncommutative I
-walks nondecreasing sequences too, in ``_any_order_task``, which carries the
+walks nondecreasing sequences too, in ``_any_order_walk``, which carries the
 any-order sub-multiset DP down the path: a child computes only the products
 of the sub-multisets that use its new term. Davenport irreducibility also
 depends only on the multiset, so the D search walks nondecreasing sequences.
@@ -19,25 +20,27 @@ The natural-order and Davenport product sets only grow along a path, so
 those walks carry each set's right translates packed into one integer (the
 layout of ``seqprod._packed_rows``): a child reads its translate with one
 shift and mask, and pays a table lookup only for the bits it adds. The rows
-are built once per search and shared by its tasks. The natural-order rows
-also pack the letters whose translate meets an idempotent, so a node reads
-its pruned children in one shift; D carries only the proper products.
+are built once per search. The natural-order rows also pack the letters
+whose translate meets an idempotent, so a node reads its pruned children in
+one shift; D carries only the proper products.
 
 Below a node, the D walk depends only on the state (pi, proper-products
 mask, start index), and the natural-order walk only on the letters the
 node may append and its product mask: every letter for SI, the letters
-from the last term on for commutative I. ``_davenport_task`` and
-``_memo_task`` are DPs over those states: a per-task memo maps each state
-with a child to one integer, count << 2b | height << b | letter with
+from the last term on for commutative I. ``_davenport_walk`` and
+``_memo_walk`` are DPs over those states: one memo per search maps each
+state with a child to one integer, count << 2b | height << b | letter with
 b = n.bit_length(): the node count of its subtree, its height, and its
 first child letter of greatest height. A repeated state adds the stored
 count to nodes, so nodesExplored is still the size of the plain tree, and
 the witness follows the stored letters from the root, so it is still the
-lex-least longest sequence. Every table takes the memo walk. On C24 it
-walks I in about half the time of a plain walk; on the small tables of the
-order <= 5 corpus, where few states repeat, an I or SI search costs about
-15% more than a plain walk, too little to move a corpus check.
-Noncommutative I's state is the whole multiset, so it has no memo.
+lex-least longest sequence. One memo spans the search's whole tree, so a
+state reached under two first terms is walked once: SI(C24) takes about
+0.15 s, against 0.7 s with one memo per first term. Every table takes the
+memo walk. On C24 it walks I in about half the time of a plain walk; on the
+small tables of the order <= 5 corpus, where few states repeat, an I or SI
+search costs about 15% more than a plain walk, too little to move a corpus
+check. Noncommutative I's state is the whole multiset, so it has no memo.
 
 Checks that read only I's value on a commutative table call
 ``_weak_value``, which walks the I tree under a bound. Appending a term c
@@ -70,7 +73,7 @@ Outside a scope every search runs. D is not shared: its walk reads the
 products with idempotents too.
 
 Each walk is a recursive closure, which refers to itself through its own
-cell. A task drops that reference when its walk ends, on a refusal too, so
+cell. A walk drops that reference when it ends, on a refusal too, so
 the closure, its lists and its memo are freed by reference count and a
 search leaves nothing for the cycle collector.
 """
@@ -143,8 +146,8 @@ def ghw_bound(S: FiniteSemigroup) -> int:
 
 def _bounded_walk(n: int, rows: list[int], allows: list[int], letters: int, cap: int) -> int:
     """The length of the longest free nondecreasing sequence over letters:
-    the commutative I walk of ``_memo_task`` from the empty sequence, for
-    the value only, without its memo.
+    the commutative I walk of ``_memo_walk``, for the value only, without
+    its memo.
 
     A child of path length L and product mask grown has no free extension
     longer than L + cap - popcount(grown), so a child whose bound does not
@@ -181,30 +184,31 @@ def _bounded_walk(n: int, rows: list[int], allows: list[int], letters: int, cap:
     return best
 
 
-def _memo_task(args) -> tuple[int, tuple[int, ...], int]:
-    """Longest sequence starting with the letter first whose natural-order
-    products miss the idempotents, as a DP over the walk's states.
+def _memo_walk(n: int, rows: list[int], allows: list[int], letters: int) -> tuple[int, tuple[int, ...], int]:
+    """The longest sequence over letters whose natural-order products miss
+    the idempotents, as a DP over the walk's states from the empty sequence.
 
     A node with last term x tries the letters of allows[x]: those from x on
     walk nondecreasing sequences (commutative I), all of them walk words
-    (SI). A free set A plus a non-idempotent c stays free exactly when A*c
-    misses the idempotents, the stop of the rows, so field n of A's packed
-    translates holds the letters pruned and the node walks only the rest.
+    (SI); the empty sequence tries every letter. A free set A plus a
+    non-idempotent c stays free exactly when A*c misses the idempotents, the
+    stop of the rows, so field n of A's packed translates holds the letters
+    pruned and the node walks only the rest.
 
     The subtree below a node depends only on the letters it may append and
-    its product mask, so a state's key packs allows[x] << n | mask. Each
+    its product mask, so a state's key packs allows[x] << n | mask; the
+    empty sequence is the one state with an empty mask, letters << n. Each
     state with a child stores its subtree's node count, its height and its
     first child letter of greatest height (the layout in the module
     docstring), and a repeat adds the stored count to nodes instead of
     walking it again. Leaves are not stored, and the memo is freed by
-    reference count with the task (module docstring).
+    reference count with the walk (module docstring).
     """
-    n, rows, allows, first = args
     full = (1 << n) - 1
     top = n * n
     bits = n.bit_length()
     low_bits = (1 << bits) - 1
-    nodes = 1  # the root candidate (first,)
+    nodes = 0
     memo = {}
 
     def rec(mask: int, vec: int, allow: int, key: int) -> int:
@@ -232,13 +236,12 @@ def _memo_task(args) -> tuple[int, tuple[int, ...], int]:
             memo[key] = ((nodes - before) << bits | height) << bits | best
         return height
 
-    mask, vec = 1 << first, rows[first]
-    key = allows[first] << n | mask
+    mask, vec, key = 0, 0, letters << n
     try:
-        rec(mask, vec, allows[first], key)
+        rec(mask, vec, letters, key)
     finally:
         rec = None  # break the closure's self-reference (module docstring)
-    path = [first]
+    path = []
     while key in memo:
         x = memo[key] & low_bits
         grown = mask | (1 << x) | ((vec >> x * n) & full)
@@ -248,27 +251,24 @@ def _memo_task(args) -> tuple[int, tuple[int, ...], int]:
     return len(path), tuple(path), nodes
 
 
-def _any_order_task(args) -> tuple[int, tuple[int, ...], int]:
-    """Longest weakly free nondecreasing sequence with least term alpha[first]
-    in a noncommutative S.
+def _any_order_walk(S: FiniteSemigroup, alpha: list[int], idem: int) -> tuple[int, tuple[int, ...], int]:
+    """The longest weakly free nondecreasing sequence over the letters alpha
+    of a noncommutative S.
 
     The path carries the any-order DP of ``seqprod._fill_slab``: one mask per
-    sub-multiset of the path, the largest letter most significant. A child
-    appends the slab of sub-multisets that use its new term, stopping at the
-    first idempotent product, and drops it on return. A repeat of the top
-    letter reuses its digit links; a new top letter builds them once per
-    node.
+    sub-multiset of the path, the largest letter most significant, from the
+    empty multiset's entry 0 at the root. A child appends the slab of
+    sub-multisets that use its new term, stopping at the first idempotent
+    product, and drops it on return. A repeat of the top letter reuses its
+    digit links; a new top letter builds them once per node.
     """
-    S, alpha, idem, first = args
     table = S.table
-    nodes = 1
-    best_len = 1
-    best = (alpha[first],)
+    nodes = 0
+    best = ()
     reach = [0]
-    root_links = [()]
 
     def rec(seq: tuple[int, ...], mask: int, links: list, width: int, start: int) -> None:
-        nonlocal nodes, best_len, best
+        nonlocal nodes, best
         top_links = None
         for idx in range(start, len(alpha)):
             x = alpha[idx]
@@ -283,24 +283,25 @@ def _any_order_task(args) -> tuple[int, tuple[int, ...], int]:
             grown = mask | _fill_slab(table, reach, lk, x, w, idem)
             if not grown & idem:
                 cand = seq + (x,)
-                if len(cand) > best_len:
-                    best_len, best = len(cand), cand
+                if len(cand) > len(best):
+                    best = cand
                 rec(cand, grown, lk, w, idx)
             del reach[base:]
 
     try:
-        rec(best, _fill_slab(table, reach, root_links, best[0], 1), root_links, 1, first)
+        rec((), 0, [()], 1, 0)
     finally:
         rec = None
-    return best_len, best, nodes
+    return len(best), best, nodes
 
 
-def _davenport_task(args) -> tuple[int, tuple[int, ...], int]:
-    """Longest product-irreducible nondecreasing sequence with fixed least term.
+def _davenport_walk(table, rows: list[int], ident_mask: int) -> tuple[int, tuple[int, ...], int]:
+    """The longest product-irreducible nondecreasing sequence.
 
     A sequence is reducible when some proper subsequence multiplies to the
     full product; the empty subsequence counts as a witness exactly when S
-    has an identity element, the bit of ident_mask.
+    has an identity element, the bit of ident_mask, so the identity alone
+    is reducible and has no children.
 
     The subtree below a node depends only on its state: the product pi, the
     proper-products mask and the start index. So the walk is a DP over
@@ -308,18 +309,16 @@ def _davenport_task(args) -> tuple[int, tuple[int, ...], int]:
     node count, its height and its first child letter of greatest height
     (the layout in the module docstring), and a repeat adds the stored count
     to nodes instead of walking it again, so nodesExplored is still the size
-    of the plain tree. A state's key packs proper << 2b | pi << b | start.
-    Leaves are not stored, and the memo is freed by reference count with the
-    task (module docstring).
+    of the plain tree. A state's key packs proper << 2b | pi << b | start;
+    only the one-term sequences have no proper products. Leaves are not
+    stored, and the memo is freed by reference count with the walk (module
+    docstring).
     """
-    table, rows, ident_mask, first = args
     n = len(table)
     full = (1 << n) - 1
-    if (1 << first) & ident_mask:
-        return 0, (), 1
     bits = n.bit_length()
     low_bits = (1 << bits) - 1
-    nodes = 1
+    nodes = n  # every one-term sequence, the identity's too
     memo = {}
 
     def rec(pi: int, proper: int, proper_vec: int, start: int, key: int) -> int:
@@ -353,11 +352,18 @@ def _davenport_task(args) -> tuple[int, tuple[int, ...], int]:
             memo[key] = ((nodes - before) << bits | height) << bits | best
         return height
 
-    pi, proper, proper_vec, key = first, 0, 0, first << bits | first
+    height, first = -1, None
     try:
-        rec(pi, proper, proper_vec, first, key)
+        for x in range(n):
+            if not ident_mask >> x & 1:
+                h = rec(x, 0, 0, x, x << bits | x)
+                if h > height:
+                    height, first = h, x
     finally:
         rec = None
+    if first is None:
+        return 0, (), nodes
+    pi, proper, proper_vec, key = first, 0, 0, first << bits | first
     path = [first]
     while key in memo:
         x = memo[key] & low_bits
@@ -367,16 +373,6 @@ def _davenport_task(args) -> tuple[int, tuple[int, ...], int]:
         key = (proper << bits | pi) << bits | x
         path.append(x)
     return len(path), tuple(path), nodes
-
-
-def _merge(results) -> tuple[int, tuple[int, ...], int]:
-    """Deterministic merge: max length, first (lex least) witness, summed nodes."""
-    best_len, best, nodes = 0, (), 0
-    for length, witness, explored in results:
-        nodes += explored
-        if length > best_len:
-            best_len, best = length, witness
-    return best_len, best, nodes
 
 
 def _letter_table(S: FiniteSemigroup, alpha: list[int]) -> tuple[int, ...]:
@@ -399,8 +395,8 @@ def _split(S: FiniteSemigroup) -> tuple[list[int], int]:
     return alpha, idem
 
 
-def _free_search(S: FiniteSemigroup, kind: str, map_fn) -> ConstantReport:
-    """I(S) or SI(S), one task per first letter over the non-idempotents.
+def _free_search(S: FiniteSemigroup, kind: str) -> ConstantReport:
+    """I(S) or SI(S), one walk over the non-idempotents.
 
     Inside a sharing scope the report is looked up by its letter table and
     walk first, and searched only on a miss (module docstring).
@@ -415,14 +411,13 @@ def _free_search(S: FiniteSemigroup, kind: str, map_fn) -> ConstantReport:
         if hit is not None:
             value, positions, nodes = hit
             return ConstantReport(kind, value, Seq(tuple([alpha[i] for i in positions])), nodes)
-    letters = ((1 << S.order) - 1) ^ idem
     if any_order:
-        task, tasks = _any_order_task, [(S, alpha, idem, i) for i in range(len(alpha))]
+        best_len, best, nodes = _any_order_walk(S, alpha, idem)
     else:
         rows = _packed_rows(S.table, alpha, idem)
+        letters = ((1 << S.order) - 1) ^ idem
         allows = [letters >> x << x for x in S.elements] if weak else [letters] * S.order
-        task, tasks = _memo_task, [(S.order, rows, allows, x) for x in alpha]
-    best_len, best, nodes = _merge(map_fn(task, tasks))
+        best_len, best, nodes = _memo_walk(S.order, rows, allows, letters)
     value = best_len + 1
     if shared is not None:
         shared[key] = (value, tuple([alpha.index(x) for x in best]), nodes)
@@ -453,24 +448,22 @@ def _weak_value(S: FiniteSemigroup) -> int:
     return value
 
 
-def erdos_burgess(S: FiniteSemigroup, map_fn=map) -> ConstantReport:
+def erdos_burgess(S: FiniteSemigroup) -> ConstantReport:
     """I(S): least length forcing an idempotent subsequence product in some order."""
-    return _free_search(S, KIND_ERDOS_BURGESS, map_fn)
+    return _free_search(S, KIND_ERDOS_BURGESS)
 
 
-def strong_erdos_burgess(S: FiniteSemigroup, map_fn=map) -> ConstantReport:
+def strong_erdos_burgess(S: FiniteSemigroup) -> ConstantReport:
     """SI(S): least length forcing an idempotent natural-order subsequence product."""
-    return _free_search(S, KIND_STRONG_ERDOS_BURGESS, map_fn)
+    return _free_search(S, KIND_STRONG_ERDOS_BURGESS)
 
 
-def davenport(S: FiniteSemigroup, map_fn=map) -> ConstantReport:
+def davenport(S: FiniteSemigroup) -> ConstantReport:
     """D(S): least length past which every sequence has a proper subsequence
     with the same total product. Defined for commutative semigroups only."""
     if not is_commutative(S):
         raise NotCommutative("the Davenport constant is defined for commutative semigroups")
-    rows = _packed_rows(S.table, S.elements)
     ident = identity_element(S)
     ident_mask = 0 if ident is None else 1 << ident
-    tasks = [(S.table, rows, ident_mask, x) for x in S.elements]
-    best_len, best, nodes = _merge(map_fn(_davenport_task, tasks))
+    best_len, best, nodes = _davenport_walk(S.table, _packed_rows(S.table, S.elements), ident_mask)
     return ConstantReport(KIND_DAVENPORT, best_len + 1, Seq(best), nodes)

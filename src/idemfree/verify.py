@@ -417,12 +417,12 @@ class _PoolMap:
 
 
 @contextlib.contextmanager
-def _fan_out(workers: int, what: str = "workers"):
+def _fan_out(workers: int):
     """An order-preserving map over `workers` processes: the builtin map at
     one worker, a _PoolMap over a fresh pool otherwise."""
-    workers = _index(workers, what)
+    workers = _index(workers, "workers")
     if workers < 1:
-        raise InvalidParameters(f"{what} must be at least 1, got {workers}")
+        raise InvalidParameters(f"workers must be at least 1, got {workers}")
     if workers == 1:
         yield map
         return
@@ -450,6 +450,9 @@ def run_verification(
     unknown = [c for c in selected if c not in CHECK_IDS]
     if unknown:
         raise InvalidParameters(f"unknown checks: {unknown}; available: {list(CHECK_IDS)}")
+    repeated = sorted({c for c in selected if selected.count(c) > 1})
+    if repeated:
+        raise InvalidParameters(f"repeated checks: {repeated}; name each check once")
     needs_corpus = bool({"ghw-bound", "extremal-equivalence", "strong-vs-weak", "nil-product-lemma"} & set(selected))
     if needs_corpus:
         _check_enum_order(max_order, enum_cap, "enum_cap")

@@ -381,10 +381,11 @@ def reference_search(kind: str, S: FiniteSemigroup) -> tuple[int, tuple[int, ...
     """I, SI or D by the plain depth-first search, as (value, witness, nodes).
 
     Every node translates its parent's whole product set with Python sets.
-    The walk is the package's: tasks by first term in increasing order, the
-    same children in the same order, the lexicographically least longest
-    witness, and one node for each root and each child tried. Noncommutative
-    weak freeness comes from ``naive_any_order_products``.
+    The tree is the package's: the one-term sequences in increasing order
+    below the empty sequence, the same children in the same order, the
+    lexicographically least longest witness, and one node for each one-term
+    sequence and each child tried. Noncommutative weak freeness comes from
+    ``naive_any_order_products``.
     """
     t = S.table
     idem = {e for e in S.elements if t[e][e] == e}

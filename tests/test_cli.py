@@ -86,22 +86,16 @@ def test_constants_group_nil_chain(tmp_path, capsys):
 
 def test_constants_pooled_matches_serial(tmp_path, capsys):
     # a commutative table, and a noncommutative one of order 4 whose I
-    # search rebuilds any-order sets (I = 2 < SI = 3); both go through the
-    # process pool at 2 workers
+    # search rebuilds any-order sets (I = 2 < SI = 3)
     nilpotent = FiniteSemigroup([[3, 3, 3, 3], [3, 3, 3, 3], [3, 0, 3, 3], [3, 3, 3, 3]])
     cases = (
         (group_nil_chain(3, 2), [("ErdosBurgess", 4), ("StrongErdosBurgess", 4), ("Davenport", 3)]),
         (nilpotent, [("ErdosBurgess", 2), ("StrongErdosBurgess", 3)]),
     )
     for S, want in cases:
-        path = write_table(tmp_path, S)
-        outputs = []
-        for workers in ("1", "2"):
-            code, out, _ = run_cli(capsys, "constants", path, "--workers", workers)
-            assert code == 0
-            outputs.append(out)
-        assert outputs[0] == outputs[1]
-        assert [(r["kind"], r["value"]) for r in json.loads(outputs[1])] == want
+        code, out, _ = run_cli(capsys, "constants", write_table(tmp_path, S))
+        assert code == 0
+        assert [(r["kind"], r["value"]) for r in json.loads(out)] == want
 
 
 def test_constants_skips_davenport_on_noncommutative(tmp_path, capsys):
@@ -191,6 +185,33 @@ def test_gen_bad_params(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["extremal", "3", "4", "--component", "mono:1,2", "--out", "B"],
+            "error: extremal generation takes no integer parameters, got [3, 4]; use --component\n",
+        ),
+        (
+            ["cyclic-group", "3", "--component", "mono:1,2", "--adjoin-identity"],
+            "error: family cyclic-group takes no --component or --adjoin-identity; only extremal generation does\n",
+        ),
+        (
+            ["cyclic-group", "3", "--adjoin-identity"],
+            "error: family cyclic-group takes no --adjoin-identity; only extremal generation does\n",
+        ),
+    ],
+    ids=["extremal-params", "family-component-and-identity", "family-identity"],
+)
+def test_gen_refuses_arguments_it_would_ignore(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "gen", *argv)
+    assert code == 1
+    assert out == ""
+    assert err == message
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_enumerate_order2(capsys):
     code, out, err = run_cli(capsys, "enumerate", "--order", "2")
     assert code == 0
@@ -276,11 +297,19 @@ def test_verify_rejects_unknown_check(capsys):
     assert "unknown checks" in err
 
 
+def test_verify_rejects_a_repeated_check(capsys):
+    # run twice, the check would count each of the 9 tables of order <= 2 twice
+    code, out, err = run_cli(capsys, "verify", "--max-order", "2", "--checks", "ghw-bound,ghw-bound")
+    assert code == 1
+    assert out == ""
+    assert err == "error: repeated checks: ['ghw-bound']; name each check once\n"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["constants", "--workers", "0"], "--workers must be at least 1, got 0"),
-        (["constants", "--workers", "-2"], "--workers must be at least 1, got -2"),
+        (["constants", "--which", "I,Q"], "unknown constants ['Q']; choose from I, SI, D"),
+        (["constants", "--which", "i,davenport"], "unknown constants ['DAVENPORT']; choose from I, SI, D"),
         (["constants", "--which", ","], "--which ',' names no constant"),
         (["verify", "--workers", "0"], "workers must be at least 1, got 0"),
         (["verify", "--max-order", "0"], "max_order must be at least 1, got 0"),
@@ -363,6 +392,10 @@ def test_max_enum_order_flag(capsys):
         ({"enum_cap": 2.5}, "enum_cap 2.5 is not an integer"),
         ({"checks": "ghw-bound"}, "checks must be a list of check ids, not the string 'ghw-bound'"),
         ({"checks": ["ghw-bound", "nope"]}, r"unknown checks: \['nope'\]"),
+        (
+            {"checks": ["strong-vs-weak", "ghw-bound", "strong-vs-weak", "ghw-bound"]},
+            r"^repeated checks: \['ghw-bound', 'strong-vs-weak'\]; name each check once$",
+        ),
     ],
 )
 def test_run_verification_rejects_bad_arguments(kwargs, message):

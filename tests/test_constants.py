@@ -1,6 +1,5 @@
 import gc
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -145,16 +144,6 @@ def test_witness_is_lex_least_among_longest():
     assert is_weakly_free(Z3, (1, 1))
 
 
-def test_reports_identical_across_worker_counts():
-    cases = [cyclic_group(6), group_nil_chain(3, 3), monogenic(3, 4), left_zero_semigroup(3)]
-    with ThreadPoolExecutor(max_workers=3) as pool:
-        for S in cases:
-            assert erdos_burgess(S) == erdos_burgess(S, map_fn=pool.map)
-            assert strong_erdos_burgess(S) == strong_erdos_burgess(S, map_fn=pool.map)
-            if is_commutative(S):
-                assert davenport(S) == davenport(S, map_fn=pool.map)
-
-
 def test_report_json_shape():
     d = erdos_burgess(cyclic_group(3)).to_json_dict()
     assert set(d) == {"kind", "value", "witness", "nodesExplored"}
@@ -163,11 +152,16 @@ def test_report_json_shape():
 
 
 def test_empty_alphabet_reports():
+    # a walk from the empty sequence that has no child: on a band I and SI
+    # try no letter, and D tries the trivial group's one element, the
+    # identity, which is reducible
     lz = left_zero_semigroup(2)  # every element idempotent
-    report = erdos_burgess(lz)
-    assert report.value == 1
-    assert report.witness == Seq(())
     assert idempotents(lz) == {0, 1}
+    for search in (erdos_burgess, strong_erdos_burgess):
+        report = search(lz)
+        assert (report.value, report.witness, report.nodes_explored) == (1, Seq(()), 0)
+    report = davenport(cyclic_group(1))
+    assert (report.value, report.witness, report.nodes_explored) == (1, Seq(()), 1)
 
 
 def _assert_reports_match_reference(S, kinds=("I", "SI", "D")):
@@ -306,11 +300,14 @@ def test_memo_walks_match_reference_where_states_repeat():
     strong = strong_erdos_burgess(cyclic_group(24))
     assert (strong.value, strong.nodes_explored) == (24, 2_153_425_140)
     assert strong.witness.terms == (0,) * 23
+    # the SI tree where the most states repeat under different first letters
+    strong = strong_erdos_burgess(monogenic(13, 12))
+    assert (strong.value, strong.nodes_explored) == (24, 413_889_347)
 
 
 def test_memo_is_freed_when_its_task_returns():
-    # a task breaks its closure's self-reference when its walk ends, so the
-    # memo dies with the task by reference count even while the collector is
+    # a walk breaks its closure's self-reference when it ends, so the
+    # memo dies with the walk by reference count even while the collector is
     # off; a second call of each search, after one that fills the
     # interpreter's free lists, must leave the traced memory where it was.
     # A memo left in a cycle keeps about 2.7 MB for D(C24), 0.9 MB for
@@ -338,7 +335,7 @@ def test_memo_is_freed_when_its_task_returns():
 
 
 def test_searches_leave_no_cyclic_garbage(monkeypatch):
-    # every walk's closure refers to itself; a task that did not break that
+    # every walk's closure refers to itself; a walk that did not break that
     # reference would leave the closure, its lists and any memo for the cycle
     # collector, which the corpus's tens of thousands of searches then pay
     searches = (
@@ -387,8 +384,8 @@ def _left_zero_under(S):
     return FiniteSemigroup(table)
 
 
-def _report(search, S, map_fn=map):
-    rep = search(S, map_fn=map_fn)
+def _report(search, S):
+    rep = search(S)
     return rep.value, rep.witness.terms, rep.nodes_explored
 
 
@@ -427,30 +424,34 @@ def test_shared_reports_on_small_corpus(corpus_le4):
         assert [_report(SEARCHES[kind], S) for S in corpus_le4 for kind in ("I", "SI")] == outside
 
 
-def test_repeated_letter_table_runs_no_task_in_a_scope():
+def test_repeated_letter_table_runs_no_task_in_a_scope(monkeypatch):
     calls = []
 
-    def counting_map(task, tasks):
-        calls.append(task.__name__)
-        return map(task, tasks)
+    def counting(walk):
+        def counted(*args):
+            calls.append(walk.__name__)
+            return walk(*args)
+        return counted
 
+    for name in ("_memo_walk", "_any_order_walk"):
+        monkeypatch.setattr(constants, name, counting(getattr(constants, name)))
     c5 = cyclic_group(5)
     same_letters = [adjoin_identity(c5), chain_glue([cyclic_group(1), c5]), _relabellings(c5)[0]]
     with constants._sharing():
         for search in (erdos_burgess, strong_erdos_burgess):
-            search(c5, map_fn=counting_map)
+            search(c5)
             for S in same_letters:
-                search(S, map_fn=counting_map)
-        assert calls == ["_memo_task", "_memo_task"]
+                search(S)
+        assert calls == ["_memo_walk", "_memo_walk"]
         # the same letters under the any-order walk: I searches, SI does not
-        erdos_burgess(_left_zero_under(c5), map_fn=counting_map)
-        strong_erdos_burgess(_left_zero_under(c5), map_fn=counting_map)
-        assert calls[2:] == ["_any_order_task"]
+        erdos_burgess(_left_zero_under(c5))
+        strong_erdos_burgess(_left_zero_under(c5))
+        assert calls[2:] == ["_any_order_walk"]
         # a letter table that is not the same one
-        erdos_burgess(_relabellings(monogenic(5, 3))[1], map_fn=counting_map)
+        erdos_burgess(_relabellings(monogenic(5, 3))[1])
         assert len(calls) == 4
     # outside a scope every search runs
     calls.clear()
     for S in [c5, *same_letters]:
-        erdos_burgess(S, map_fn=counting_map)
+        erdos_burgess(S)
     assert len(calls) == 4

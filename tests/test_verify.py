@@ -172,25 +172,25 @@ def test_sharing_scope_across_threads(corpus_le3):
 def test_ghw_bound_check_reports_a_search_past_the_bound(monkeypatch):
     # a strong search that returned one more than |S \ E(S)| + 1 must become
     # a failure record, not an abort, whether the report or the search's own
-    # merge of its tasks is past the bound
+    # walk is past the bound
     real = verify.strong_erdos_burgess
     S = cyclic_group(3)
     record = [{"table": [v for row in S.table for v in row], "si": 4, "bound": 3}]
 
-    def past_bound(T, map_fn=map):
-        return replace(real(T, map_fn), value=verify.ghw_bound(T) + 1)
+    def past_bound(T):
+        return replace(real(T), value=verify.ghw_bound(T) + 1)
 
     monkeypatch.setattr(verify, "strong_erdos_burgess", past_bound)
     got = verify.check_ghw_bound([S])
     assert (got["instances"], got["passed"], got["failed"], got["failures"]) == (1, 0, 1, record)
     monkeypatch.undo()
-    real_merge = constants._merge
+    real_walk = constants._memo_walk
 
-    def padded(results):
-        length, witness, nodes = real_merge(results)
+    def padded(*args):
+        length, witness, nodes = real_walk(*args)
         return length + 1, witness + witness[:1], nodes
 
-    monkeypatch.setattr(constants, "_merge", padded)
+    monkeypatch.setattr(constants, "_memo_walk", padded)
     assert verify.check_ghw_bound([S])["failures"] == record
 
 
