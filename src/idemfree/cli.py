@@ -64,6 +64,9 @@ def cmd_constants(args) -> int:
     unknown = [w for w in which if w not in searches]
     if unknown:
         raise SemigroupError(f"unknown constants {unknown}; choose from I, SI, D")
+    repeated = sorted({w for w in which if which.count(w) > 1})
+    if repeated:
+        raise SemigroupError(f"repeated constants: {repeated}; name each once")
     S = _read_table(args.table)
     reports = []
     for w in which:

@@ -29,18 +29,22 @@ mask, start index), and the natural-order walk only on the letters the
 node may append and its product mask: every letter for SI, the letters
 from the last term on for commutative I. ``_davenport_walk`` and
 ``_memo_walk`` are DPs over those states: one memo per search maps each
-state with a child to one integer, count << 2b | height << b | letter with
-b = n.bit_length(): the node count of its subtree, its height, and its
-first child letter of greatest height. A repeated state adds the stored
-count to nodes, so nodesExplored is still the size of the plain tree, and
-the witness follows the stored letters from the root, so it is still the
-lex-least longest sequence. One memo spans the search's whole tree, so a
-state reached under two first terms is walked once: SI(C24) takes about
-0.15 s, against 0.7 s with one memo per first term. Every table takes the
-memo walk. On C24 it walks I in about half the time of a plain walk; on the
-small tables of the order <= 5 corpus, where few states repeat, an I or SI
-search costs about 15% more than a plain walk, too little to move a corpus
-check. Noncommutative I's state is the whole multiset, so it has no memo.
+walked state to one integer. A state with a child stores count << 2b |
+height << b | letter with b = n.bit_length(): the node count of its
+subtree, its height, and its first child letter of greatest height. A leaf
+stores 0, which CPython caches, so its entry costs only its key; its
+height is 0 and its node count, the children it tries, follows from its
+key. A repeated state, a leaf too, adds its subtree's node count to
+nodes, so nodesExplored is still the size of the plain tree, no state is
+walked twice, and the witness follows the stored letters from the root, so it is
+still the lex-least longest sequence. One memo spans the search's whole
+tree, so a state reached under two first terms is walked once: SI(C24)
+takes about 0.15 s, against 0.7 s with one memo per first term. Every
+table takes the memo walk. On C24 it walks I in well under half the time of
+a plain walk; on the small tables of the order <= 5 corpus, where few
+states repeat, an I or SI search costs about 15% more than a plain walk,
+its leaf entries included, too little to move a corpus check.
+Noncommutative I's state is the whole multiset, so it has no memo.
 
 Checks that read only I's value on a commutative table call
 ``_weak_value``, which walks the I tree under a bound. Appending a term c
@@ -201,8 +205,10 @@ def _memo_walk(n: int, rows: list[int], allows: list[int], letters: int) -> tupl
     state with a child stores its subtree's node count, its height and its
     first child letter of greatest height (the layout in the module
     docstring), and a repeat adds the stored count to nodes instead of
-    walking it again. Leaves are not stored, and the memo is freed by
-    reference count with the walk (module docstring).
+    walking it again. A leaf stores 0, and a repeated leaf adds the letters
+    it tries, the popcount of the allowed letters in its key. Every walked
+    state is stored, so the witness follows stored entries down to a leaf.
+    The memo is freed by reference count with the walk (module docstring).
     """
     full = (1 << n) - 1
     top = n * n
@@ -227,13 +233,15 @@ def _memo_walk(n: int, rows: list[int], allows: list[int], letters: int) -> tupl
             hit = memo.get(child)
             if hit is None:
                 h = rec(grown, _grow(rows, vec, grown & ~mask), child_allow, child)
-            else:
+            elif hit:
                 h = hit >> bits & low_bits
                 nodes += hit >> 2 * bits
+            else:
+                h = 0
+                nodes += child_allow.bit_count()
             if h >= height:
                 height, best = h + 1, x
-        if height:
-            memo[key] = ((nodes - before) << bits | height) << bits | best
+        memo[key] = ((nodes - before) << bits | height) << bits | best if height else 0
         return height
 
     mask, vec, key = 0, 0, letters << n
@@ -242,7 +250,7 @@ def _memo_walk(n: int, rows: list[int], allows: list[int], letters: int) -> tupl
     finally:
         rec = None  # break the closure's self-reference (module docstring)
     path = []
-    while key in memo:
+    while memo[key]:
         x = memo[key] & low_bits
         grown = mask | (1 << x) | ((vec >> x * n) & full)
         mask, vec = grown, _grow(rows, vec, grown & ~mask)
@@ -310,9 +318,10 @@ def _davenport_walk(table, rows: list[int], ident_mask: int) -> tuple[int, tuple
     (the layout in the module docstring), and a repeat adds the stored count
     to nodes instead of walking it again, so nodesExplored is still the size
     of the plain tree. A state's key packs proper << 2b | pi << b | start;
-    only the one-term sequences have no proper products. Leaves are not
-    stored, and the memo is freed by reference count with the walk (module
-    docstring).
+    only the one-term sequences have no proper products. A leaf stores 0,
+    and a repeated leaf adds the n - start letters it tries. Every walked
+    state is stored, so the witness follows stored entries down to a leaf.
+    The memo is freed by reference count with the walk (module docstring).
     """
     n = len(table)
     full = (1 << n) - 1
@@ -343,13 +352,15 @@ def _davenport_walk(table, rows: list[int], ident_mask: int) -> tuple[int, tuple
             hit = memo.get(child)
             if hit is None:
                 h = rec(new_pi, new_proper, _grow(rows, proper_vec, new_proper & ~proper), x, child)
-            else:
+            elif hit:
                 h = hit >> bits & low_bits
                 nodes += hit >> 2 * bits
+            else:
+                h = 0
+                nodes += n - x
             if h >= height:
                 height, best = h + 1, x
-        if height:
-            memo[key] = ((nodes - before) << bits | height) << bits | best
+        memo[key] = ((nodes - before) << bits | height) << bits | best if height else 0
         return height
 
     height, first = -1, None
@@ -365,7 +376,7 @@ def _davenport_walk(table, rows: list[int], ident_mask: int) -> tuple[int, tuple
         return 0, (), nodes
     pi, proper, proper_vec, key = first, 0, 0, first << bits | first
     path = [first]
-    while key in memo:
+    while memo[key]:
         x = memo[key] & low_bits
         new_proper = proper | (1 << pi) | ((proper_vec >> x * n) & full) | (1 << x)
         proper_vec = _grow(rows, proper_vec, new_proper & ~proper)

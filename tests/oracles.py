@@ -377,7 +377,7 @@ def vee_semilattice() -> FiniteSemigroup:
     return FiniteSemigroup([[0, 2, 2], [2, 1, 2], [2, 2, 2]])
 
 
-def reference_search(kind: str, S: FiniteSemigroup) -> tuple[int, tuple[int, ...], int]:
+def reference_search(kind: str, S: FiniteSemigroup, states: set | None = None) -> tuple[int, tuple[int, ...], int]:
     """I, SI or D by the plain depth-first search, as (value, witness, nodes).
 
     Every node translates its parent's whole product set with Python sets.
@@ -386,6 +386,9 @@ def reference_search(kind: str, S: FiniteSemigroup) -> tuple[int, tuple[int, ...
     lexicographically least longest witness, and one node for each one-term
     sequence and each child tried. Noncommutative weak freeness comes from
     ``naive_any_order_products``.
+
+    Given a set, the walk adds to it the state of every child it walks
+    (``distinct_child_states``).
     """
     t = S.table
     idem = {e for e in S.elements if t[e][e] == e}
@@ -413,6 +416,8 @@ def reference_search(kind: str, S: FiniteSemigroup) -> tuple[int, tuple[int, ...
             if grown & idem:
                 continue
             note(cand)
+            if states is not None:
+                states.add((x, frozenset(grown)))
             weak(cand, grown, j)
 
     def strong(seq, A):
@@ -424,6 +429,8 @@ def reference_search(kind: str, S: FiniteSemigroup) -> tuple[int, tuple[int, ...
                 continue
             cand = seq + (x,)
             note(cand)
+            if states is not None:
+                states.add(frozenset(grown))
             strong(cand, grown)
 
     def irreducible(seq, pi, P, Q, start):
@@ -437,18 +444,14 @@ def reference_search(kind: str, S: FiniteSemigroup) -> tuple[int, tuple[int, ...
                 continue
             cand = seq + (x,)
             note(cand)
+            if states is not None:
+                states.add((new_pi, frozenset(new_q), x))
             irreducible(cand, new_pi, P | {x} | right(P, x), new_q, x)
 
     if kind == "I":
-        for i, first in enumerate(alpha):
-            nodes += 1
-            note((first,))
-            weak((first,), {first}, i)
+        weak((), set(), 0)
     elif kind == "SI":
-        for first in alpha:
-            nodes += 1
-            note((first,))
-            strong((first,), {first})
+        strong((), set())
     elif kind == "D":
         assert commutative
         for first in S.elements:
@@ -459,3 +462,15 @@ def reference_search(kind: str, S: FiniteSemigroup) -> tuple[int, tuple[int, ...
     else:
         raise ValueError(kind)
     return len(best) + 1, best, nodes
+
+
+def distinct_child_states(kind: str, S: FiniteSemigroup) -> int:
+    """The number of distinct states among the children the plain tree of
+    ``reference_search`` walks, the nodes that keep the property: (last
+    term, product set) for I, the product set for SI, and (product, proper
+    products, last term) for D. The I and SI children include the one-term
+    sequences, which hang below the empty sequence; D's one-term sequences
+    are the roots of its walk, so its children have two terms or more."""
+    states = set()
+    reference_search(kind, S, states)
+    return len(states)

@@ -316,6 +316,8 @@ def test_verify_rejects_a_repeated_check(capsys):
         (["verify", "--max-order", "-3"], "max_order must be at least 1, got -3"),
         (["verify", "--checks", ","], "no checks selected"),
         (["verify", "--checks", ""], "no checks selected"),
+        (["constants", "--which", "I,I"], "repeated constants: ['I']; name each once"),
+        (["constants", "--which", "d,SI,i,D,I"], "repeated constants: ['D', 'I']; name each once"),
     ],
 )
 def test_bad_counts_fail_at_once(tmp_path, capsys, argv, message):

@@ -27,6 +27,7 @@ from idemfree import (
 )
 from oracles import (
     dihedral,
+    distinct_child_states,
     left_zero_semigroup,
     naive_davenport,
     naive_erdos_burgess,
@@ -305,13 +306,39 @@ def test_memo_walks_match_reference_where_states_repeat():
     assert (strong.value, strong.nodes_explored) == (24, 413_889_347)
 
 
+def test_memo_walks_walk_each_state_once(monkeypatch):
+    # every walked child state calls _grow once, the first time it is met,
+    # and the witness rebuild calls it once per step below the root: value - 1
+    # steps for I and SI, whose one-term sequences are children of the
+    # empty sequence, and value - 2 for D, whose walk starts at them. A walk
+    # that met a stored state, a leaf too, and walked it again would call
+    # _grow more often
+    calls = []
+    real = constants._grow
+
+    def counting(rows, vec, new):
+        calls.append(None)
+        return real(rows, vec, new)
+
+    monkeypatch.setattr(constants, "_grow", counting)
+    counts = []
+    for S in (cyclic_group(12), group_nil_chain(4, 4), relabel(monogenic(6, 4), 7)):
+        for kind, steps in (("I", 1), ("SI", 1), ("D", 2)):
+            calls.clear()
+            value = SEARCHES[kind](S).value
+            states = distinct_child_states(kind, S)
+            assert len(calls) == states + value - steps, (kind, S.table)
+            counts.append((len(calls), states))
+    assert counts[:3] == [(410, 399), (280, 269), (487, 477)]
+
+
 def test_memo_is_freed_when_its_task_returns():
     # a walk breaks its closure's self-reference when it ends, so the
     # memo dies with the walk by reference count even while the collector is
     # off; a second call of each search, after one that fills the
     # interpreter's free lists, must leave the traced memory where it was.
-    # A memo left in a cycle keeps about 2.7 MB for D(C24), 0.9 MB for
-    # SI(C18) and 0.4 MB for I(C18)
+    # A memo left in a cycle, leaves included, keeps about 2.6 MB for
+    # D(C24), 0.2 MB for SI(C18) and 0.35 MB for I(C18)
     gc.collect()
     gc.disable()
     try:
