@@ -19,10 +19,14 @@ depends only on the multiset, so the D search walks nondecreasing sequences.
 The natural-order and Davenport product sets only grow along a path, so
 those walks carry each set's right translates packed into one integer (the
 layout of ``seqprod._packed_rows``): a child reads its translate with one
-shift and mask, and pays a table lookup only for the bits it adds. The rows
-are built once per search. The natural-order rows also pack the letters
-whose translate meets an idempotent, so a node reads its pruned children in
-one shift; D carries only the proper products.
+shift and mask, and pays lookups only for the bits it adds. The rows are
+built once per search and cut into the byte-sliced tables of
+``seqprod._slices``, so ``_grow`` ORs one table entry per slice of the
+added bits, not one row per bit. The natural-order rows also pack the
+letters whose translate meets an idempotent, so a node reads its pruned
+children in one shift; D carries only the proper products. The
+noncommutative I walk reads each translate of its slab fill from per-letter
+column slices in the same way, built once per search.
 
 Below a node, the D walk depends only on the state (pi, proper-products
 mask, start index), and the natural-order walk only on the letters the
@@ -89,7 +93,7 @@ import os
 from dataclasses import dataclass
 
 from .core import FiniteSemigroup, NotCommutative, identity_element, idempotents, is_commutative
-from .seqprod import Seq, _fill_slab, _grow, _packed_rows, _top_links
+from .seqprod import Seq, _column_slices, _fill_slab, _grow, _packed_rows, _slices, _top_links
 
 KIND_ERDOS_BURGESS = "ErdosBurgess"
 KIND_STRONG_ERDOS_BURGESS = "StrongErdosBurgess"
@@ -148,7 +152,7 @@ def ghw_bound(S: FiniteSemigroup) -> int:
     return S.order - len(idempotents(S)) + 1
 
 
-def _bounded_walk(n: int, rows: list[int], allows: list[int], letters: int, cap: int) -> int:
+def _bounded_walk(n: int, slices: list[list[int]], allows: list[int], letters: int, cap: int) -> int:
     """The length of the longest free nondecreasing sequence over letters:
     the commutative I walk of ``_memo_walk``, for the value only, without
     its memo.
@@ -177,7 +181,7 @@ def _bounded_walk(n: int, rows: list[int], allows: list[int], letters: int, cap:
                 best = length
                 if length == cap:
                     return True
-            if rec(grown, _grow(rows, vec, grown & ~mask), allows[x], length + 1):
+            if rec(grown, _grow(slices, vec, grown & ~mask), allows[x], length + 1):
                 return True
         return False
 
@@ -188,7 +192,7 @@ def _bounded_walk(n: int, rows: list[int], allows: list[int], letters: int, cap:
     return best
 
 
-def _memo_walk(n: int, rows: list[int], allows: list[int], letters: int) -> tuple[int, tuple[int, ...], int]:
+def _memo_walk(n: int, slices: list[list[int]], allows: list[int], letters: int) -> tuple[int, tuple[int, ...], int]:
     """The longest sequence over letters whose natural-order products miss
     the idempotents, as a DP over the walk's states from the empty sequence.
 
@@ -232,7 +236,7 @@ def _memo_walk(n: int, rows: list[int], allows: list[int], letters: int) -> tupl
             child = child_allow << n | grown
             hit = memo.get(child)
             if hit is None:
-                h = rec(grown, _grow(rows, vec, grown & ~mask), child_allow, child)
+                h = rec(grown, _grow(slices, vec, grown & ~mask), child_allow, child)
             elif hit:
                 h = hit >> bits & low_bits
                 nodes += hit >> 2 * bits
@@ -253,7 +257,7 @@ def _memo_walk(n: int, rows: list[int], allows: list[int], letters: int) -> tupl
     while memo[key]:
         x = memo[key] & low_bits
         grown = mask | (1 << x) | ((vec >> x * n) & full)
-        mask, vec = grown, _grow(rows, vec, grown & ~mask)
+        mask, vec = grown, _grow(slices, vec, grown & ~mask)
         key = allows[x] << n | mask
         path.append(x)
     return len(path), tuple(path), nodes
@@ -270,7 +274,7 @@ def _any_order_walk(S: FiniteSemigroup, alpha: list[int], idem: int) -> tuple[in
     product, and drops it on return. A repeat of the top letter reuses its
     digit links; a new top letter builds them once per node.
     """
-    table = S.table
+    cols = _column_slices(S.table, alpha)
     nodes = 0
     best = ()
     reach = [0]
@@ -288,7 +292,7 @@ def _any_order_walk(S: FiniteSemigroup, alpha: list[int], idem: int) -> tuple[in
                 if top_links is None:
                     top_links = _top_links(links, width, alpha[start], base)
                 lk, w = top_links, base
-            grown = mask | _fill_slab(table, reach, lk, x, w, idem)
+            grown = mask | _fill_slab(cols, reach, lk, x, w, idem)
             if not grown & idem:
                 cand = seq + (x,)
                 if len(cand) > len(best):
@@ -303,7 +307,7 @@ def _any_order_walk(S: FiniteSemigroup, alpha: list[int], idem: int) -> tuple[in
     return len(best), best, nodes
 
 
-def _davenport_walk(table, rows: list[int], ident_mask: int) -> tuple[int, tuple[int, ...], int]:
+def _davenport_walk(table, slices: list[list[int]], ident_mask: int) -> tuple[int, tuple[int, ...], int]:
     """The longest product-irreducible nondecreasing sequence.
 
     A sequence is reducible when some proper subsequence multiplies to the
@@ -351,7 +355,7 @@ def _davenport_walk(table, rows: list[int], ident_mask: int) -> tuple[int, tuple
             child = (new_proper << bits | new_pi) << bits | x
             hit = memo.get(child)
             if hit is None:
-                h = rec(new_pi, new_proper, _grow(rows, proper_vec, new_proper & ~proper), x, child)
+                h = rec(new_pi, new_proper, _grow(slices, proper_vec, new_proper & ~proper), x, child)
             elif hit:
                 h = hit >> bits & low_bits
                 nodes += hit >> 2 * bits
@@ -379,7 +383,7 @@ def _davenport_walk(table, rows: list[int], ident_mask: int) -> tuple[int, tuple
     while memo[key]:
         x = memo[key] & low_bits
         new_proper = proper | (1 << pi) | ((proper_vec >> x * n) & full) | (1 << x)
-        proper_vec = _grow(rows, proper_vec, new_proper & ~proper)
+        proper_vec = _grow(slices, proper_vec, new_proper & ~proper)
         pi, proper = table[pi][x], new_proper
         key = (proper << bits | pi) << bits | x
         path.append(x)
@@ -425,10 +429,10 @@ def _free_search(S: FiniteSemigroup, kind: str) -> ConstantReport:
     if any_order:
         best_len, best, nodes = _any_order_walk(S, alpha, idem)
     else:
-        rows = _packed_rows(S.table, alpha, idem)
+        slices = _slices(_packed_rows(S.table, alpha, idem))
         letters = ((1 << S.order) - 1) ^ idem
         allows = [letters >> x << x for x in S.elements] if weak else [letters] * S.order
-        best_len, best, nodes = _memo_walk(S.order, rows, allows, letters)
+        best_len, best, nodes = _memo_walk(S.order, slices, allows, letters)
     value = best_len + 1
     if shared is not None:
         shared[key] = (value, tuple([alpha.index(x) for x in best]), nodes)
@@ -450,10 +454,10 @@ def _weak_value(S: FiniteSemigroup) -> int:
         value = shared.get(key)
         if value is not None:
             return value
-    rows = _packed_rows(S.table, alpha, idem)
+    slices = _slices(_packed_rows(S.table, alpha, idem))
     letters = ((1 << S.order) - 1) ^ idem
     allows = [letters >> x << x for x in S.elements]
-    value = _bounded_walk(S.order, rows, allows, letters, len(alpha)) + 1
+    value = _bounded_walk(S.order, slices, allows, letters, len(alpha)) + 1
     if shared is not None:
         shared[key] = value
     return value
@@ -476,5 +480,6 @@ def davenport(S: FiniteSemigroup) -> ConstantReport:
         raise NotCommutative("the Davenport constant is defined for commutative semigroups")
     ident = identity_element(S)
     ident_mask = 0 if ident is None else 1 << ident
-    best_len, best, nodes = _davenport_walk(S.table, _packed_rows(S.table, S.elements), ident_mask)
+    slices = _slices(_packed_rows(S.table, S.elements))
+    best_len, best, nodes = _davenport_walk(S.table, slices, ident_mask)
     return ConstantReport(KIND_DAVENPORT, best_len + 1, Seq(best), nodes)

@@ -114,7 +114,8 @@ class FiniteSemigroup:
 
 
 def _integer_rows(table) -> tuple[tuple[int, ...], ...]:
-    """The table as tuples of ints; a cell that is not an integer is rejected."""
+    """The table as tuples of ints; a cell that is not an integer, or is a
+    bool, is rejected."""
     try:
         table_rows = enumerate(table)
     except TypeError:
@@ -127,6 +128,9 @@ def _integer_rows(table) -> tuple[tuple[int, ...], ...]:
             raise InvalidParameters(f"table[{a}] = {row!r} is not a row of cells") from None
         cells = []
         for b, v in items:
+            # a bool passes operator.index as 0 or 1, but is no element
+            if v.__class__ is bool:
+                raise InvalidParameters(f"table[{a}][{b}] = {v!r} is not an integer")
             try:
                 cells.append(operator.index(v))
             except TypeError:
@@ -195,7 +199,10 @@ def is_nilsemigroup(S: FiniteSemigroup) -> bool:
 
 
 def _index(value, what: str) -> int:
-    """value as an int; a float, string or other non-integer is rejected."""
+    """value as an int; a float, string, bool or other non-integer is rejected."""
+    # a bool passes operator.index as 0 or 1, but is no index or size
+    if value.__class__ is bool:
+        raise InvalidParameters(f"{what} {value!r} is not an integer")
     try:
         return operator.index(value)
     except TypeError:

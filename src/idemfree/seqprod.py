@@ -14,6 +14,18 @@ reads all of a node's pruned children in one shift. The noncommutative
 any-order set is a DP over sub-multisets, filled one slab per appended term
 by ``_fill_slab``; ``_any_mask_general`` and the noncommutative I search
 share it.
+
+``_grow`` and ``_fill_slab`` read byte-sliced lookup tables, built by
+``_slices`` once per search (or per any-order call), after the method of
+Four Russians: the n bits of a mask are cut into ceil(n/8) slices of equal
+width w = ceil(n/ceil(n/8)) <= 8, and entry b of slice k is the OR of the
+rows of the bits w*k + i with i in b. A union over a mask is then one table
+read per slice instead of one row read per set bit. The width follows from
+n alone; balanced widths keep the tables small when n is just past a
+multiple of 8 (n = 9 builds 32 + 16 entries, not 256 + 2), which matters
+to the many small searches of the verify checks. ``_translate`` keeps the
+per-bit loop, which builds no tables: the one-shot ``_natural_mask``
+behind the public product-set calls uses it.
 """
 
 from __future__ import annotations
@@ -120,7 +132,8 @@ def _packed_rows(table, columns, stop: int = 0) -> list[int]:
     OR of the rows of A's elements packs every translate of A, and A*x is
     (vec >> x*n) & ((1 << n) - 1); its field n is the set of columns c
     whose translate A*c meets stop. A search fills only the columns it
-    appends.
+    appends, and reads the rows through their ``_slices``, so ``_grow``
+    ORs one precomputed union per slice of the bits a set gains.
     """
     n = len(table)
     top = n * n
@@ -134,14 +147,44 @@ def _packed_rows(table, columns, stop: int = 0) -> list[int]:
     return rows
 
 
-def _grow(rows: list[int], vec: int, new: int) -> int:
-    """The packed translates of A | new, given vec packing those of A;
-    field n is ORed like any other."""
-    while new:
-        low = new & -new
-        vec |= rows[low.bit_length() - 1]
-        new ^= low
+def _slices(rows: list[int]) -> list[list[int]]:
+    """Byte-sliced lookup tables over rows, one integer per bit of a mask.
+
+    The n rows are cut into ceil(n/8) slices of equal width
+    w = ceil(n/ceil(n/8)) <= 8, the last one possibly narrower; entry b of
+    slice k is the OR of rows[w*k + i] over the set bits i of b, so the OR
+    of the rows of a mask's bits is the OR of one entry per slice. Each
+    slice is built by doubling, one row at a time.
+    """
+    n = len(rows)
+    width = -(-n // -(-n // 8))
+    out = []
+    for k in range(0, n, width):
+        t = [0]
+        for r in rows[k : k + width]:
+            t += [v | r for v in t]
+        out.append(t)
+    return out
+
+
+def _grow(slices: list[list[int]], vec: int, new: int) -> int:
+    """The packed translates of A | new, given vec packing those of A and
+    the ``_slices`` of the packed rows: one table read per slice of new, up
+    to its highest set bit; field n is ORed like any other."""
+    low = len(slices[0]) - 1
+    shift = low.bit_length()
+    for t in slices:
+        if not new:
+            break
+        vec |= t[new & low]
+        new >>= shift
     return vec
+
+
+def _column_slices(table, letters) -> dict[int, list[list[int]]]:
+    """For each letter x, the ``_slices`` of the singleton masks 1 << a*x, so
+    that a right translate A*x is one table read per slice of A."""
+    return {x: _slices([1 << row[x] for row in table]) for x in letters}
 
 
 def _mask_to_set(mask: int) -> frozenset[int]:
@@ -180,7 +223,7 @@ def _top_links(links: list, width: int, top: int, size: int) -> list:
     return links + lifted * (size // width - 1)
 
 
-def _fill_slab(table, reach: list, links: list, x: int, width: int, stop: int = 0) -> int:
+def _fill_slab(cols: dict, reach: list, links: list, x: int, width: int, stop: int = 0) -> int:
     """Append to reach the slab of sub-multisets that use one more x, the
     top letter, and return the OR of their any-order product masks.
 
@@ -189,18 +232,37 @@ def _fill_slab(table, reach: list, links: list, x: int, width: int, stop: int = 
     digit weight width and links from ``_top_links``. A product in some
     order ends with some term: entry v is reach[v - width]*x (or {x} when
     v - width is empty) together with reach[v - w_i]*s_i for each lower
-    letter s_i that v uses. The fill stops early at the first mask that
-    meets stop, leaving the slab partial. An array past _MAX_DP_STATES is
-    refused before the slab is allocated.
+    letter s_i that v uses. Each translate is read from the column slices
+    cols of its letter (``_column_slices``), one table read per slice of
+    the mask, inline. The fill stops early at the first mask that meets
+    stop, leaving the slab partial. An array past _MAX_DP_STATES is refused
+    before the slab is allocated.
     """
     base = len(reach)
     _check_states(base + width)
+    col = cols[x]
+    low = len(col[0]) - 1
+    shift = low.bit_length()
     out = 0
     for v, lower in enumerate(links, base):
-        prev = reach[v - width]
-        m = _translate(table, prev, x) if prev else 1 << x
+        a = reach[v - width]
+        if a:
+            m = 0
+            for t in col:
+                m |= t[a & low]
+                a >>= shift
+                if not a:
+                    break
+        else:
+            m = 1 << x
+        # every lower entry is nonempty: v uses x, and v - w_i keeps it
         for w, s in lower:
-            m |= _translate(table, reach[v - w], s)
+            a = reach[v - w]
+            for t in cols[s]:
+                m |= t[a & low]
+                a >>= shift
+                if not a:
+                    break
         reach.append(m)
         out |= m
         if m & stop:
@@ -216,14 +278,14 @@ def _any_mask_general(S: FiniteSemigroup, terms: tuple[int, ...]) -> int:
     """
     counts = Counter(terms)
     _check_states(math.prod(c + 1 for c in counts.values()))
-    table = S.table
+    cols = _column_slices(S.table, counts)
     # only the empty multiset so far: the first letter gets weight 1 and no links
     reach, links, width, top = [0], [()], 1, -1
     out = 0
     for x in sorted(counts):
         links, width, top = _top_links(links, width, top, len(reach)), len(reach), x
         for _ in range(counts[x]):
-            out |= _fill_slab(table, reach, links, x, width)
+            out |= _fill_slab(cols, reach, links, x, width)
     return out
 
 

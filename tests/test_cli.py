@@ -398,6 +398,7 @@ def test_max_enum_order_flag(capsys):
             {"checks": ["strong-vs-weak", "ghw-bound", "strong-vs-weak", "ghw-bound"]},
             r"^repeated checks: \['ghw-bound', 'strong-vs-weak'\]; name each check once$",
         ),
+        ({"workers": True}, "workers True is not an integer"),
     ],
 )
 def test_run_verification_rejects_bad_arguments(kwargs, message):

@@ -251,6 +251,24 @@ def test_dihedral_searches_match_reference():
             _assert_reports_match_reference(S, ("I", "SI"))
 
 
+def test_dihedral_searches_past_one_slice():
+    # D_14 and D_16 have more than 8 elements, so the slab fill of the
+    # noncommutative I walk reads its translates from two column slices
+    # (widths 7 and 7, and 8 and 8); value, witness and node count as
+    # pinned from the per-bit kernel, on D_2n and a relabelled copy, whose
+    # tree differs, since the walk appends letters in increasing order. The
+    # plain reference walk takes seconds here, so it stops at D_12 above
+    pins = {
+        7: (4238, (1,) * 6 + (7,), 3575, (0,) + (4,) * 6),
+        8: (8514, (1,) * 7 + (8,), 7387, (0,) + (4,) * 7),
+    }
+    for n, (nodes, witness, moved_nodes, moved_witness) in pins.items():
+        rep = erdos_burgess(dihedral(n))
+        assert (rep.value, rep.nodes_explored, rep.witness.terms) == (n + 1, nodes, witness)
+        rep = erdos_burgess(relabel(dihedral(n), n))
+        assert (rep.value, rep.nodes_explored, rep.witness.terms) == (n + 1, moved_nodes, moved_witness)
+
+
 def test_relabelled_commutative_searches_match_reference():
     # the packed walks order children by bit position, so a relabelling
     # changes which letters they meet first; values, lex-least witnesses

@@ -51,6 +51,11 @@ def test_cyclic_group_and_nil():
         cyclic_nil(0)
     with pytest.raises(InvalidParameters, match="group order 3.7 is not an integer"):
         cyclic_group(3.7)
+    # a bool passes operator.index as 0 or 1, but is no size
+    with pytest.raises(InvalidParameters, match="group order True is not an integer"):
+        cyclic_group(True)
+    with pytest.raises(InvalidParameters, match="nil index False is not an integer"):
+        group_nil_chain(2, False)
     with pytest.raises(InvalidParameters, match="nil index 2.5 is not an integer"):
         cyclic_nil(2.5)
     with pytest.raises(InvalidParameters, match="group order 2.5 is not an integer"):

@@ -64,6 +64,11 @@ def test_rejects_non_integer_cells():
         FiniteSemigroup([[0.9]])
     with pytest.raises(InvalidParameters, match=r"table\[0\]\[0\] = '0'"):
         FiniteSemigroup(["0"])
+    # a bool passes operator.index, but is no element index
+    with pytest.raises(InvalidParameters, match=r"table\[0\]\[0\] = False is not an integer"):
+        FiniteSemigroup([[False]])
+    with pytest.raises(InvalidParameters, match=r"table\[1\]\[0\] = True is not an integer"):
+        validate(2, [[0, 1], [True, 0]])
     with pytest.raises(InvalidParameters, match=r"table\[0\] = 0 is not a row"):
         FiniteSemigroup([0])
     with pytest.raises(InvalidParameters, match=r"table = 5 is not a sequence of rows"):
@@ -178,6 +183,8 @@ def test_cyclic_data_checks_the_element_on_a_warm_cache():
             cyclic_data(S, 1)
         with pytest.raises(InvalidParameters, match="element 1.0 is not an integer"):
             cyclic_data(S, 1.0)
+        with pytest.raises(InvalidParameters, match="element True is not an integer"):
+            cyclic_data(S, True)
         with pytest.raises(InvalidParameters, match="element 3 outside semigroup of order 3"):
             cyclic_data(S, 3)
 

@@ -30,6 +30,7 @@ from oracles import (
     left_zero_semigroup,
     naive_any_order_products,
     naive_natural_order_products,
+    relabel,
 )
 
 POOL = [
@@ -107,12 +108,12 @@ def test_dp_cap():
 
 def test_slab_refuses_past_dp_bound(monkeypatch):
     from idemfree import seqprod
-    from idemfree.seqprod import _MAX_DP_STATES, _fill_slab
+    from idemfree.seqprod import _MAX_DP_STATES, _column_slices, _fill_slab
 
     lz = left_zero_semigroup(2)
     reach = [0, 1]
     with pytest.raises(SequenceTooLong, match=f"{_MAX_DP_STATES + 1} sub-multiset states"):
-        _fill_slab(lz.table, reach, [()], 1, _MAX_DP_STATES - 1)
+        _fill_slab(_column_slices(lz.table, [1]), reach, [()], 1, _MAX_DP_STATES - 1)
     assert reach == [0, 1]  # refused before the slab is allocated
     # the general DP refuses exactly past the bound
     monkeypatch.setattr(seqprod, "_MAX_DP_STATES", 6)
@@ -153,6 +154,13 @@ def test_seq_type():
         any_order_products(Z3, [2.5])
     with pytest.raises(InvalidParameters, match="term 1.5 is not an integer"):
         product_gain(Z3, [1], 1.5)
+    # a bool passes operator.index as 0 or 1, but is no term
+    with pytest.raises(InvalidParameters, match="term True is not an integer"):
+        Seq.of([True])
+    with pytest.raises(InvalidParameters, match="term True is not an integer"):
+        product_gain(Z3, [0], True)
+    with pytest.raises(InvalidParameters, match="term False is not an integer"):
+        is_weakly_free(Z3, Seq((False,)))
     with pytest.raises(InvalidParameters, match="generator 1.5 is not an integer"):
         generated_subsemigroup(Z3, [1.5])
     # a Seq built directly gets the same checks as any other iterable
@@ -178,6 +186,17 @@ def test_oracle_equivalence_small():
     for S, terms in _random_cases(411, 300):
         assert any_order_products(S, terms) == naive_any_order_products(S, terms)
         assert natural_order_products(S, terms) == naive_natural_order_products(S, terms)
+
+
+def test_oracle_equivalence_past_one_slice():
+    # relabelled D_10 to D_16: from order 9 on the column slices of the
+    # any-order DP cut each mask into two slices
+    rng = random.Random(58)
+    for n in range(5, 9):
+        S = relabel(dihedral(n), n)
+        for _ in range(40):
+            terms = tuple(rng.randrange(S.order) for _ in range(rng.randint(1, 6)))
+            assert any_order_products(S, terms) == naive_any_order_products(S, terms)
 
 
 @settings(max_examples=150, deadline=None)
@@ -230,11 +249,11 @@ def test_strictly_growing_natural_sets_for_strongly_free_words():
 def test_packed_translates_match_sets(corpus_le3):
     # field x of the packed translates of A is {a*x : a in A}, and growing A
     # in two steps packs the same integer as building it at once
-    from idemfree.seqprod import _grow, _packed_rows
+    from idemfree.seqprod import _grow, _packed_rows, _slices
 
     for S in corpus_le3 + POOL:
         n, t = S.order, S.table
-        rows = _packed_rows(t, S.elements)
+        rows = _slices(_packed_rows(t, S.elements))
         for mask in range(1, 1 << n):
             packed = _grow(rows, 0, mask)
             low = mask & -mask
@@ -247,7 +266,7 @@ def test_packed_translates_match_sets(corpus_le3):
 def test_packed_stop_field_marks_letters_meeting_stop(corpus_le3):
     # field n of a row holds the columns c with a*c in stop; _grow ORs it
     # like any other field, so A's vector marks the c whose A*c meets stop
-    from idemfree.seqprod import _grow, _idem_mask, _packed_rows
+    from idemfree.seqprod import _grow, _idem_mask, _packed_rows, _slices
 
     rng = random.Random(5)
     for S in corpus_le3 + POOL:
@@ -258,9 +277,45 @@ def test_packed_stop_field_marks_letters_meeting_stop(corpus_le3):
                 rows = _packed_rows(t, cols, stop)
                 for a in S.elements:
                     assert rows[a] >> (n * n) == sum(1 << c for c in cols if stop >> t[a][c] & 1)
+                slices = _slices(rows)
                 for mask in range(1, 1 << n):
-                    vec = _grow(rows, 0, mask)
+                    vec = _grow(slices, 0, mask)
                     A = [a for a in S.elements if mask >> a & 1]
                     dead = {c for c in cols if any(stop >> t[a][c] & 1 for a in A)}
                     assert {c for c in S.elements if vec >> (n * n + c) & 1} == dead
                     assert vec >> (n * n + n) == 0
+
+
+def test_sliced_grow_matches_per_bit_or_past_one_slice():
+    # past 8 elements the rows are cut into ceil(n/8) slices of equal width,
+    # the last one narrower on orders 17 (6, 6, 5) and 25 (7, 7, 7, 4); on
+    # seeded random masks, _grow must OR exactly the rows of the mask's bits,
+    # stop field included, and the column slices of each letter must read
+    # the translate that _translate computes bit by bit
+    from idemfree.seqprod import _column_slices, _grow, _idem_mask, _packed_rows, _slices, _translate
+
+    rng = random.Random(25)
+    tables = [relabel(cyclic_group(9), 9), dihedral(8), monogenic(9, 9), relabel(cyclic_group(25), 25)]
+    for S, widths in zip(tables, ([5, 4], [8, 8], [6, 6, 5], [7, 7, 7, 4])):
+        n, t = S.order, S.table
+        letters = [a for a in S.elements if t[a][a] != a]
+        masks = [rng.randrange(1, 1 << n) for _ in range(200)] + [(1 << n) - 1, 1 << (n - 1)]
+        for cols in (list(S.elements), letters):
+            for stop in (_idem_mask(S), rng.randrange(1 << n)):
+                rows = _packed_rows(t, cols, stop)
+                slices = _slices(rows)
+                assert [len(table).bit_length() - 1 for table in slices] == widths
+                for mask in masks:
+                    want = 0
+                    for a in S.elements:
+                        if mask >> a & 1:
+                            want |= rows[a]
+                    vec = rng.randrange(1 << (n * n + n))
+                    assert _grow(slices, 0, mask) == want
+                    assert _grow(slices, vec, mask) == vec | want
+                    dead = {c for c in cols if any(stop >> t[a][c] & 1 for a in S.elements if mask >> a & 1)}
+                    assert {c for c in S.elements if want >> (n * n + c) & 1} == dead
+        columns = _column_slices(t, S.elements)
+        for mask in masks:
+            for x in S.elements:
+                assert _grow(columns[x], 0, mask) == _translate(t, mask, x)
