@@ -26,7 +26,9 @@ added bits, not one row per bit. The natural-order rows also pack the
 letters whose translate meets an idempotent, so a node reads its pruned
 children in one shift; D carries only the proper products. The
 noncommutative I walk reads each translate of its slab fill from per-letter
-column slices in the same way, built once per search.
+column slices in the same way, built once per search. The I and SI rows
+and slices cover the k letters of the letter table (below), the D rows
+the n elements of S.
 
 Below a node, the D walk depends only on the state (pi, proper-products
 mask, start index), and the natural-order walk only on the letters the
@@ -34,7 +36,8 @@ node may append and its product mask: every letter for SI, the letters
 from the last term on for commutative I. ``_davenport_walk`` and
 ``_memo_walk`` are DPs over those states: one memo per search maps each
 walked state to one integer. A state with a child stores count << 2b |
-height << b | letter with b = n.bit_length(): the node count of its
+height << b | letter, with b the bit length of k for the natural-order
+walk and of n for D: the node count of its
 subtree, its height, and its first child letter of greatest height. A leaf
 stores 0, which CPython caches, so its entry costs only its key; its
 height is 0 and its node count, the children it tries, follows from its
@@ -65,20 +68,25 @@ nodesExplored the tests pin as the size of the plain tree; ghw-bound checks
 the lemma, so it must not assume it; and strong-vs-weak cross-checks the
 two exhaustive searches.
 
-A free search reads only the letter table: the products among the
-non-idempotents, each written as its position among them, or as one marker
-when it is idempotent. The walks visit letters in increasing order and
-consult the idempotents only to prune, so two tables with the same letter
-table (and, for I, the same walk, any-order or natural) have the same tree
-up to the order-keeping map between their letters: the same value, the
-witness mapped letter for letter, and the same nodesExplored. Inside a
-``_sharing`` scope, which the verify checks open around one check and
-around each pool batch, a search stores its report under that key, with
-the witness as letter positions, and a repeat maps the stored witness back
-instead of searching again. ``_weak_value`` stores its value under a key
-of its own, so it never serves a report with a node count.
-Outside a scope every search runs. D is not shared: its walk reads the
-products with idempotents too.
+A free search reads only the letter table of ``_letter_table``: the
+k * k products among the k non-idempotents alpha, each written as its
+position in alpha, or as the marker k when it is idempotent. That table is
+the whole input of the I and SI walks, so their rows, slices and memo keys
+grow with k, not with |S|: a table whose idempotents outnumber its letters
+many times over costs what its letters cost. A walk returns its witness
+as letter positions, which every search maps back through alpha. The
+walks visit letters in increasing order and consult the idempotents only
+to prune, so two tables with the same letter table (and, for I, the same
+walk, any-order or natural) have the same tree up to the order-keeping map
+between their letters: the same value, the witness mapped letter for
+letter, and the same nodesExplored. Inside a ``_sharing`` scope, which the
+verify checks open around one check and around each pool batch, a search
+stores its value, positions and node count under that key, and a repeat
+maps the stored positions back instead of searching again.
+``_weak_value`` stores its value under a key of its own, so it never
+serves a report with a node count. Outside a scope every search runs. D
+is not shared and walks S itself: irreducibility reads the products with
+idempotents too.
 
 Each walk is a recursive closure, which refers to itself through its own
 cell. A walk drops that reference when it ends, on a refusal too, so
@@ -152,15 +160,15 @@ def ghw_bound(S: FiniteSemigroup) -> int:
     return S.order - len(idempotents(S)) + 1
 
 
-def _bounded_walk(n: int, slices: list[list[int]], allows: list[int], letters: int, cap: int) -> int:
-    """The length of the longest free nondecreasing sequence over letters:
-    the commutative I walk of ``_memo_walk``, for the value only, without
-    its memo.
+def _bounded_walk(n: int, slices: list[list[int]]) -> int:
+    """The length of the longest free nondecreasing sequence over the n
+    letters of a letter table: the commutative I walk of ``_memo_walk``, for
+    the value only, without its memo.
 
     A child of path length L and product mask grown has no free extension
-    longer than L + cap - popcount(grown), so a child whose bound does not
+    longer than L + n - popcount(grown), so a child whose bound does not
     beat the best length is not walked, and the walk stops as soon as the
-    best length reaches cap (module docstring). It counts no nodes.
+    best length reaches the cap n (module docstring). It counts no nodes.
     """
     full = (1 << n) - 1
     top = n * n
@@ -168,7 +176,7 @@ def _bounded_walk(n: int, slices: list[list[int]], allows: list[int], letters: i
 
     def rec(mask: int, vec: int, allow: int, length: int) -> bool:
         nonlocal best
-        reach = length + cap
+        reach = length + n
         live = allow & ~(vec >> top)
         while live:
             low = live & -live
@@ -179,33 +187,34 @@ def _bounded_walk(n: int, slices: list[list[int]], allows: list[int], letters: i
                 continue
             if length > best:
                 best = length
-                if length == cap:
+                if length == n:
                     return True
-            if rec(grown, _grow(slices, vec, grown & ~mask), allows[x], length + 1):
+            if rec(grown, _grow(slices, vec, grown & ~mask), full >> x << x, length + 1):
                 return True
         return False
 
     try:
-        rec(0, 0, letters, 1)
+        rec(0, 0, full, 1)
     finally:
         rec = None  # break the closure's self-reference (module docstring)
     return best
 
 
-def _memo_walk(n: int, slices: list[list[int]], allows: list[int], letters: int) -> tuple[int, tuple[int, ...], int]:
-    """The longest sequence over letters whose natural-order products miss
-    the idempotents, as a DP over the walk's states from the empty sequence.
+def _memo_walk(n: int, slices: list[list[int]], allows: list[int]) -> tuple[int, tuple[int, ...], int]:
+    """The longest sequence over the n letters of a letter table whose
+    natural-order products miss the idempotents, as a DP over the walk's
+    states from the empty sequence.
 
     A node with last term x tries the letters of allows[x]: those from x on
     walk nondecreasing sequences (commutative I), all of them walk words
     (SI); the empty sequence tries every letter. A free set A plus a
     non-idempotent c stays free exactly when A*c misses the idempotents, the
-    stop of the rows, so field n of A's packed translates holds the letters
-    pruned and the node walks only the rest.
+    marker n and the stop of the rows, so field n of A's packed translates
+    holds the letters pruned and the node walks only the rest.
 
     The subtree below a node depends only on the letters it may append and
     its product mask, so a state's key packs allows[x] << n | mask; the
-    empty sequence is the one state with an empty mask, letters << n. Each
+    empty sequence is the one state with an empty mask, every letter << n. Each
     state with a child stores its subtree's node count, its height and its
     first child letter of greatest height (the layout in the module
     docstring), and a repeat adds the stored count to nodes instead of
@@ -248,9 +257,9 @@ def _memo_walk(n: int, slices: list[list[int]], allows: list[int], letters: int)
         memo[key] = ((nodes - before) << bits | height) << bits | best if height else 0
         return height
 
-    mask, vec, key = 0, 0, letters << n
+    mask, vec, key = 0, 0, full << n
     try:
-        rec(mask, vec, letters, key)
+        rec(mask, vec, full, key)
     finally:
         rec = None  # break the closure's self-reference (module docstring)
     path = []
@@ -263,18 +272,20 @@ def _memo_walk(n: int, slices: list[list[int]], allows: list[int], letters: int)
     return len(path), tuple(path), nodes
 
 
-def _any_order_walk(S: FiniteSemigroup, alpha: list[int], idem: int) -> tuple[int, tuple[int, ...], int]:
-    """The longest weakly free nondecreasing sequence over the letters alpha
-    of a noncommutative S.
+def _any_order_walk(rows: list, k: int) -> tuple[int, tuple[int, ...], int]:
+    """The longest weakly free nondecreasing sequence over the k letters of
+    a noncommutative S, given the k rows of its letter table.
 
     The path carries the any-order DP of ``seqprod._fill_slab``: one mask per
     sub-multiset of the path, the largest letter most significant, from the
     empty multiset's entry 0 at the root. A child appends the slab of
-    sub-multisets that use its new term, stopping at the first idempotent
-    product, and drops it on return. A repeat of the top letter reuses its
-    digit links; a new top letter builds them once per node.
+    sub-multisets that use its new term, stopping at the first product that
+    is the idempotent marker k, and drops it on return. A repeat of the top
+    letter reuses its digit links; a new top letter builds them once per
+    node.
     """
-    cols = _column_slices(S.table, alpha)
+    cols = _column_slices(rows, range(k))
+    stop = 1 << k
     nodes = 0
     best = ()
     reach = [0]
@@ -282,22 +293,21 @@ def _any_order_walk(S: FiniteSemigroup, alpha: list[int], idem: int) -> tuple[in
     def rec(seq: tuple[int, ...], mask: int, links: list, width: int, start: int) -> None:
         nonlocal nodes, best
         top_links = None
-        for idx in range(start, len(alpha)):
-            x = alpha[idx]
+        for x in range(start, k):
             nodes += 1
             base = len(reach)
-            if idx == start:
+            if x == start:
                 lk, w = links, width
             else:
                 if top_links is None:
-                    top_links = _top_links(links, width, alpha[start], base)
+                    top_links = _top_links(links, width, start, base)
                 lk, w = top_links, base
-            grown = mask | _fill_slab(cols, reach, lk, x, w, idem)
-            if not grown & idem:
+            grown = mask | _fill_slab(cols, reach, lk, x, w, stop)
+            if not grown & stop:
                 cand = seq + (x,)
                 if len(cand) > len(best):
                     best = cand
-                rec(cand, grown, lk, w, idx)
+                rec(cand, grown, lk, w, x)
             del reach[base:]
 
     try:
@@ -390,76 +400,69 @@ def _davenport_walk(table, slices: list[list[int]], ident_mask: int) -> tuple[in
     return len(path), tuple(path), nodes
 
 
-def _letter_table(S: FiniteSemigroup, alpha: list[int]) -> tuple[int, ...]:
-    """The products among the letters alpha, row by row, each as its
-    position in alpha, or -1 when it is idempotent."""
-    position = [-1] * S.order
+def _letter_table(S: FiniteSemigroup) -> tuple[list[int], tuple[int, ...]]:
+    """The non-idempotents alpha of S in increasing order, and the k * k
+    products among them, row by row, each as its position in alpha, or k
+    when it is idempotent."""
+    alpha = [a for a, row in enumerate(S.table) if row[a] != a]
+    k = len(alpha)
+    position = [k] * S.order
     for i, a in enumerate(alpha):
         position[a] = i
-    return tuple([position[S.table[a][b]] for a in alpha for b in alpha])
+    return alpha, tuple([position[S.table[a][b]] for a in alpha for b in alpha])
 
 
-def _split(S: FiniteSemigroup) -> tuple[list[int], int]:
-    """The non-idempotents of S in increasing order, and the idempotents' mask."""
-    alpha, idem = [], 0
-    for a, row in enumerate(S.table):
-        if row[a] == a:
-            idem |= 1 << a
-        else:
-            alpha.append(a)
-    return alpha, idem
+def _letter_rows(letters: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
+    """The k rows of a flat letter table."""
+    return [letters[i * k : (i + 1) * k] for i in range(k)]
 
 
 def _free_search(S: FiniteSemigroup, kind: str) -> ConstantReport:
-    """I(S) or SI(S), one walk over the non-idempotents.
+    """I(S) or SI(S), one walk over the letter table of S.
 
     Inside a sharing scope the report is looked up by its letter table and
-    walk first, and searched only on a miss (module docstring).
+    walk first, and searched only on a miss (module docstring). Either way
+    the witness is found as letter positions and mapped back through alpha.
     """
-    alpha, idem = _split(S)
+    alpha, letters = _letter_table(S)
+    k = len(alpha)
     weak = kind == KIND_ERDOS_BURGESS
     any_order = weak and not is_commutative(S)
+    key = (kind, any_order, letters)
     shared = _shared
-    if shared is not None:
-        key = (kind, any_order, _letter_table(S, alpha))
-        hit = shared.get(key)
-        if hit is not None:
-            value, positions, nodes = hit
-            return ConstantReport(kind, value, Seq(tuple([alpha[i] for i in positions])), nodes)
-    if any_order:
-        best_len, best, nodes = _any_order_walk(S, alpha, idem)
-    else:
-        slices = _slices(_packed_rows(S.table, alpha, idem))
-        letters = ((1 << S.order) - 1) ^ idem
-        allows = [letters >> x << x for x in S.elements] if weak else [letters] * S.order
-        best_len, best, nodes = _memo_walk(S.order, slices, allows, letters)
-    value = best_len + 1
-    if shared is not None:
-        shared[key] = (value, tuple([alpha.index(x) for x in best]), nodes)
-    return ConstantReport(kind, value, Seq(best), nodes)
+    found = None if shared is None else shared.get(key)
+    if found is None:
+        rows = _letter_rows(letters, k)
+        if any_order:
+            best_len, best, nodes = _any_order_walk(rows, k)
+        else:
+            full = (1 << k) - 1
+            allows = [full >> x << x for x in range(k)] if weak else [full] * k
+            best_len, best, nodes = _memo_walk(k, _slices(_packed_rows(rows, 1 << k)), allows)
+        found = (best_len + 1, best, nodes)
+        if shared is not None:
+            shared[key] = found
+    value, positions, nodes = found
+    return ConstantReport(kind, value, Seq(tuple([alpha[i] for i in positions])), nodes)
 
 
 def _weak_value(S: FiniteSemigroup) -> int:
-    """I(S) on a commutative S, from the bounded walk: the value of
-    ``erdos_burgess``, without a witness or a node count (module
-    docstring). Inside a sharing scope the value is stored under its own
-    key, which no report search reads.
+    """I(S) on a commutative S, from the bounded walk over its letter table:
+    the value of ``erdos_burgess``, without a witness or a node count
+    (module docstring). Inside a sharing scope the value is stored under its
+    own key, which no report search reads.
     """
     if not is_commutative(S):
         raise NotCommutative("the bounded I search is defined for commutative semigroups")
-    alpha, idem = _split(S)
+    alpha, letters = _letter_table(S)
+    key = ("value", letters)
     shared = _shared
-    if shared is not None:
-        key = ("value", _letter_table(S, alpha))
-        value = shared.get(key)
-        if value is not None:
-            return value
-    slices = _slices(_packed_rows(S.table, alpha, idem))
-    letters = ((1 << S.order) - 1) ^ idem
-    allows = [letters >> x << x for x in S.elements]
-    value = _bounded_walk(S.order, slices, allows, letters, len(alpha)) + 1
-    if shared is not None:
-        shared[key] = value
+    value = None if shared is None else shared.get(key)
+    if value is None:
+        k = len(alpha)
+        value = _bounded_walk(k, _slices(_packed_rows(_letter_rows(letters, k), 1 << k))) + 1
+        if shared is not None:
+            shared[key] = value
     return value
 
 
@@ -480,6 +483,6 @@ def davenport(S: FiniteSemigroup) -> ConstantReport:
         raise NotCommutative("the Davenport constant is defined for commutative semigroups")
     ident = identity_element(S)
     ident_mask = 0 if ident is None else 1 << ident
-    slices = _slices(_packed_rows(S.table, S.elements))
+    slices = _slices(_packed_rows(S.table))
     best_len, best, nodes = _davenport_walk(S.table, slices, ident_mask)
     return ConstantReport(KIND_DAVENPORT, best_len + 1, Seq(best), nodes)

@@ -89,14 +89,15 @@ def trivial_ideal_extension(nil_index: int, group_order: int) -> FiniteSemigroup
     return FiniteSemigroup._trusted([[prod(a, b) for b in range(size)] for a in range(size)])
 
 
-def chain_glue(components: list[FiniteSemigroup]) -> FiniteSemigroup:
+def chain_glue(components) -> FiniteSemigroup:
     """Disjoint union of commutative semigroups; cross products fall to the
     element from the later component in the list.
 
     This is an ordinal sum, which is associative whenever its parts are and
     commutative whenever they are, so the result is marked commutative
-    without a scan.
+    without a scan. components may be any iterable; it is read once.
     """
+    components = list(components)
     if not components:
         raise InvalidParameters("need at least one component")
     for comp in components:

@@ -122,27 +122,28 @@ def _translate(table, mask: int, x: int) -> int:
     return out
 
 
-def _packed_rows(table, columns, stop: int = 0) -> list[int]:
-    """One packed integer per element a: for each c in columns, field c,
-    bits c*n to c*n + n - 1, holds the translate {a}*c, the single bit
-    1 << (a*c). The fields of other columns stay empty. Field n, bits n*n
-    to n*n + n - 1, holds the columns c with a*c in the mask stop.
+def _packed_rows(table, stop: int = 0) -> list[int]:
+    """One packed integer per row a of an n-row table: field c, bits c*n to
+    c*n + n - 1, holds the translate {a}*c, the single bit 1 << (a*c), and
+    field n, bits n*n to n*n + n - 1, holds the columns c with a*c in the
+    mask stop. A product in stop sets only its bit of field n, so stop may
+    name values past n - 1: the letter tables of ``constants`` write an
+    idempotent product as the marker n and pass stop = 1 << n.
 
     Right translation distributes over union, (A | D)*c = A*c | D*c, so the
     OR of the rows of A's elements packs every translate of A, and A*x is
-    (vec >> x*n) & ((1 << n) - 1); its field n is the set of columns c
-    whose translate A*c meets stop. A search fills only the columns it
-    appends, and reads the rows through their ``_slices``, so ``_grow``
-    ORs one precomputed union per slice of the bits a set gains.
+    (vec >> x*n) & ((1 << n) - 1), less the products in stop; field n is the
+    set of columns c whose translate A*c meets stop. A search reads the rows
+    through their ``_slices``, so ``_grow`` ORs one precomputed union per
+    slice of the bits a set gains.
     """
     n = len(table)
     top = n * n
     rows = []
     for row in table:
         packed = 0
-        for c in columns:
-            v = row[c]
-            packed |= 1 << (v + c * n) | (stop >> v & 1) << (top + c)
+        for c, v in enumerate(row):
+            packed |= 1 << (top + c) if stop >> v & 1 else 1 << (v + c * n)
         rows.append(packed)
     return rows
 
@@ -154,9 +155,12 @@ def _slices(rows: list[int]) -> list[list[int]]:
     w = ceil(n/ceil(n/8)) <= 8, the last one possibly narrower; entry b of
     slice k is the OR of rows[w*k + i] over the set bits i of b, so the OR
     of the rows of a mask's bits is the OR of one entry per slice. Each
-    slice is built by doubling, one row at a time.
+    slice is built by doubling, one row at a time. No rows, as for a
+    letter table without letters, give no slices.
     """
     n = len(rows)
+    if not n:
+        return []
     width = -(-n // -(-n // 8))
     out = []
     for k in range(0, n, width):

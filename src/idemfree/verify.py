@@ -35,7 +35,7 @@ import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 
-from .constants import _sharing, _split, _weak_value, davenport, erdos_burgess, ghw_bound, strong_erdos_burgess
+from .constants import _sharing, _weak_value, davenport, erdos_burgess, ghw_bound, strong_erdos_burgess
 from .construct import (
     ExtremalSpec,
     GroupByNil,
@@ -55,7 +55,7 @@ from .core import (
     is_nilsemigroup,
     zero_element,
 )
-from .seqprod import _any_mask, is_weakly_free
+from .seqprod import _any_mask, _idem_mask, is_weakly_free
 from .structure import extremal_main_form, extremal_structure_check
 
 CHECK_IDS = (
@@ -190,7 +190,8 @@ def _equivalence_case(S: FiniteSemigroup) -> dict:
     k! / prod(c_i!) of them, so the counters and failure records are those
     of a sweep over all k^k words.
     """
-    alphabet, idem = _split(S)
+    idem = _idem_mask(S)
+    alphabet = [a for a in S.elements if not idem >> a & 1]
     length = len(alphabet)
     free_masks = _free_multisets(S, alphabet, idem)
     certified = _certified_multisets(S, alphabet)
@@ -442,6 +443,8 @@ def run_verification(
     if max_order < 1:
         raise InvalidParameters(f"max_order must be at least 1, got {max_order}")
     enum_cap = _index(enum_cap, "enum_cap")
+    if not isinstance(commutative_only, bool):
+        raise InvalidParameters(f"commutative_only must be True or False, got {commutative_only!r}")
     if isinstance(checks, str):
         raise InvalidParameters(f"checks must be a list of check ids, not the string {checks!r}")
     selected = list(checks)

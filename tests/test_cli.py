@@ -399,6 +399,7 @@ def test_max_enum_order_flag(capsys):
             r"^repeated checks: \['ghw-bound', 'strong-vs-weak'\]; name each check once$",
         ),
         ({"workers": True}, "workers True is not an integer"),
+        ({"commutative_only": "no"}, "commutative_only must be True or False, got 'no'"),
     ],
 )
 def test_run_verification_rejects_bad_arguments(kwargs, message):

@@ -4,7 +4,10 @@ import tracemalloc
 import pytest
 
 from idemfree import (
+    ExtremalSpec,
     FiniteSemigroup,
+    GroupByNil,
+    Monogenic,
     NotCommutative,
     Seq,
     SequenceTooLong,
@@ -192,11 +195,12 @@ def test_weak_value_on_tiny_alphabets():
 def test_weak_value_stops_at_the_cap(monkeypatch):
     # the walk starts at the empty sequence, whose packed translates are 0,
     # so a _grow call with vec == 0 is a descent from the root into the
-    # letter it adds. C7 reaches its cap of 6 letters below its first
-    # letter, so no other root child is walked, and the walk stops before
-    # it grows the translates of the sixth term; a relabelled (Z_2)^3,
-    # whose longest free sequence has 3 of its 7 letters
-    # (D((Z_2)^3) = 4), stays below its cap, so every letter is walked
+    # letter it adds, as its position among the non-idempotents. C7 reaches
+    # its cap of 6 letters below its first letter, so no other root child
+    # is walked, and the walk stops before it grows the translates of the
+    # sixth term; a relabelled (Z_2)^3, whose longest free sequence has 3
+    # of its 7 letters (D((Z_2)^3) = 4), stays below its cap, so every
+    # letter is walked
     calls = []
     real = constants._grow
 
@@ -204,16 +208,18 @@ def test_weak_value_stops_at_the_cap(monkeypatch):
         calls.append((vec, new))
         return real(rows, vec, new)
 
-    def root_descents():
-        return [new.bit_length() - 1 for vec, new in calls if vec == 0]
+    def root_descents(S):
+        alpha = [a for a in S.elements if S.table[a][a] != a]
+        return [alpha[new.bit_length() - 1] for vec, new in calls if vec == 0]
 
     monkeypatch.setattr(constants, "_grow", watching)
-    assert constants._weak_value(cyclic_group(7)) == 7
-    assert root_descents() == [0] and len(calls) == 5
+    c7 = cyclic_group(7)
+    assert constants._weak_value(c7) == 7
+    assert root_descents(c7) == [0] and len(calls) == 5
     calls.clear()
     S = relabel(FiniteSemigroup([[a ^ b for b in range(8)] for a in range(8)]), 3)
     assert constants._weak_value(S) == 4 == reference_search("I", S)[0]
-    assert root_descents() == [a for a in S.elements if S.table[a][a] != a]
+    assert root_descents(S) == [a for a in S.elements if S.table[a][a] != a]
 
 
 def test_searches_match_reference_on_small_corpus(corpus_le4):
@@ -377,6 +383,36 @@ def test_memo_is_freed_when_its_task_returns():
             assert kept < 64 * 1024, (search.__name__, S.order, kept)
     finally:
         gc.enable()
+
+
+def _idempotent_heavy(m):
+    # gbn(3, 3), then m trivial groups, then mono(3, 2): k = 7 letters for
+    # every m, and |S| = m + 9
+    return extremal_pair(ExtremalSpec((GroupByNil(3, 3),) + (Monogenic(1, 1),) * m + (Monogenic(3, 2),)))[0]
+
+
+def test_free_searches_read_the_letter_table_not_s():
+    # I and SI walk the k * k letter table, so tables with the same 7
+    # letters and ever more idempotents keep their reports, the witness
+    # moved with the last component, and their traced peaks stay far below
+    # what one packed row of n * n + n bits per element of S takes, about
+    # 40 MB at |S| = 209
+    small, big = _idempotent_heavy(20), _idempotent_heavy(200)
+    assert (big.order, ghw_bound(big)) == (209, 8)
+    for S in (small, big):
+        last = S.order - 4
+        for kind, nodes in (("I", 399), ("SI", 25_690)):
+            r = SEARCHES[kind](S)
+            assert (r.value, r.witness.terms, r.nodes_explored) == (8, (0, 0, 2, 2, last, last, last), nodes)
+    for search in (constants._weak_value, erdos_burgess, strong_erdos_burgess):
+        tracemalloc.start()
+        try:
+            search(big)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (search.__name__, peak)
+    assert constants._weak_value(big) == 8
 
 
 def test_searches_leave_no_cyclic_garbage(monkeypatch):

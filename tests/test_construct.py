@@ -124,6 +124,16 @@ def test_chain_glue_rejects_bad_input():
     lz = validate(2, [[0, 0], [1, 1]])
     with pytest.raises(InvalidParameters):
         chain_glue([lz])
+    with pytest.raises(InvalidParameters):
+        chain_glue(iter([]))
+
+
+def test_chain_glue_reads_an_iterator_once():
+    # the commutativity check must not use up the parts before the table is
+    # built from them
+    S = chain_glue(iter([cyclic_group(2), cyclic_group(3)]))
+    assert S == chain_glue([cyclic_group(2), cyclic_group(3)])
+    assert S.order == 5
 
 
 def test_adjoin_identity():

@@ -253,7 +253,7 @@ def test_packed_translates_match_sets(corpus_le3):
 
     for S in corpus_le3 + POOL:
         n, t = S.order, S.table
-        rows = _slices(_packed_rows(t, S.elements))
+        rows = _slices(_packed_rows(t))
         for mask in range(1, 1 << n):
             packed = _grow(rows, 0, mask)
             low = mask & -mask
@@ -264,26 +264,36 @@ def test_packed_translates_match_sets(corpus_le3):
 
 
 def test_packed_stop_field_marks_letters_meeting_stop(corpus_le3):
-    # field n of a row holds the columns c with a*c in stop; _grow ORs it
-    # like any other field, so A's vector marks the c whose A*c meets stop
+    # field n of a row holds the columns c with a*c in stop, and a product
+    # in stop sets that bit alone, no translate bit; _grow ORs field n like
+    # any other, so A's vector marks the c whose A*c meets stop. A letter
+    # table writes an idempotent product as the marker k and stops on it
+    from idemfree.constants import _letter_rows, _letter_table
     from idemfree.seqprod import _grow, _idem_mask, _packed_rows, _slices
+
+    def check(t, stop):
+        n = len(t)
+        rows = _packed_rows(t, stop)
+        for a, row in enumerate(t):
+            stopped = [c for c in range(n) if stop >> row[c] & 1]
+            assert rows[a] >> (n * n) == sum(1 << c for c in stopped)
+            for c in range(n):
+                assert rows[a] >> (c * n) & ((1 << n) - 1) == (0 if c in stopped else 1 << row[c])
+        slices = _slices(rows)
+        for mask in range(1, 1 << n):
+            vec = _grow(slices, 0, mask)
+            A = [a for a in range(n) if mask >> a & 1]
+            dead = {c for c in range(n) if any(stop >> t[a][c] & 1 for a in A)}
+            assert {c for c in range(n) if vec >> (n * n + c) & 1} == dead
+            assert vec >> (n * n + n) == 0
 
     rng = random.Random(5)
     for S in corpus_le3 + POOL:
-        n, t = S.order, S.table
-        letters = [a for a in S.elements if t[a][a] != a]
-        for cols in (list(S.elements), letters):
-            for stop in (_idem_mask(S), rng.randrange(1 << n)):
-                rows = _packed_rows(t, cols, stop)
-                for a in S.elements:
-                    assert rows[a] >> (n * n) == sum(1 << c for c in cols if stop >> t[a][c] & 1)
-                slices = _slices(rows)
-                for mask in range(1, 1 << n):
-                    vec = _grow(slices, 0, mask)
-                    A = [a for a in S.elements if mask >> a & 1]
-                    dead = {c for c in cols if any(stop >> t[a][c] & 1 for a in A)}
-                    assert {c for c in S.elements if vec >> (n * n + c) & 1} == dead
-                    assert vec >> (n * n + n) == 0
+        for stop in (_idem_mask(S), rng.randrange(1 << S.order)):
+            check(S.table, stop)
+        alpha, letters = _letter_table(S)
+        k = len(alpha)
+        check(_letter_rows(letters, k), 1 << k)
 
 
 def test_sliced_grow_matches_per_bit_or_past_one_slice():
@@ -298,23 +308,21 @@ def test_sliced_grow_matches_per_bit_or_past_one_slice():
     tables = [relabel(cyclic_group(9), 9), dihedral(8), monogenic(9, 9), relabel(cyclic_group(25), 25)]
     for S, widths in zip(tables, ([5, 4], [8, 8], [6, 6, 5], [7, 7, 7, 4])):
         n, t = S.order, S.table
-        letters = [a for a in S.elements if t[a][a] != a]
         masks = [rng.randrange(1, 1 << n) for _ in range(200)] + [(1 << n) - 1, 1 << (n - 1)]
-        for cols in (list(S.elements), letters):
-            for stop in (_idem_mask(S), rng.randrange(1 << n)):
-                rows = _packed_rows(t, cols, stop)
-                slices = _slices(rows)
-                assert [len(table).bit_length() - 1 for table in slices] == widths
-                for mask in masks:
-                    want = 0
-                    for a in S.elements:
-                        if mask >> a & 1:
-                            want |= rows[a]
-                    vec = rng.randrange(1 << (n * n + n))
-                    assert _grow(slices, 0, mask) == want
-                    assert _grow(slices, vec, mask) == vec | want
-                    dead = {c for c in cols if any(stop >> t[a][c] & 1 for a in S.elements if mask >> a & 1)}
-                    assert {c for c in S.elements if want >> (n * n + c) & 1} == dead
+        for stop in (_idem_mask(S), rng.randrange(1 << n)):
+            rows = _packed_rows(t, stop)
+            slices = _slices(rows)
+            assert [len(table).bit_length() - 1 for table in slices] == widths
+            for mask in masks:
+                want = 0
+                for a in S.elements:
+                    if mask >> a & 1:
+                        want |= rows[a]
+                vec = rng.randrange(1 << (n * n + n))
+                assert _grow(slices, 0, mask) == want
+                assert _grow(slices, vec, mask) == vec | want
+                dead = {c for c in S.elements if any(stop >> t[a][c] & 1 for a in S.elements if mask >> a & 1)}
+                assert {c for c in S.elements if want >> (n * n + c) & 1} == dead
         columns = _column_slices(t, S.elements)
         for mask in masks:
             for x in S.elements:
