@@ -14,10 +14,12 @@ flattened rows. It keeps the assigned cells indexed by value, so the
 triples in which a new cell multiplies an earlier product are found without
 a scan of the whole table. Before a cell is filled, those triples whose
 other cells are all set force its value, and only that value is tried
-(forward checking). For commutative tables it fills each cell together
-with its mirror, checks the pair once and marks every table it emits as
-commutative. Every table built here is associative by construction, so it
-is wrapped without the full re-check.
+(forward checking); they are not checked again after the assignment,
+which scans only the triples in which the new cell is itself multiplied, so
+each triple is checked once. For commutative tables it fills each cell
+together with its mirror, checks the pair once and marks every table it
+emits as commutative. Every table built here is associative by
+construction, so it is wrapped without the full re-check.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import FiniteSemigroup, InvalidParameters, SemigroupError, _index, is_commutative, monogenic
+from .core import FiniteSemigroup, InvalidParameters, SemigroupError, _check_flag, _index, is_commutative, monogenic
 from .seqprod import Seq
 
 
@@ -266,42 +268,62 @@ def enumerate_semigroups(
 ):
     """Stream every associative table of the given order, lexicographically.
 
-    Cells are filled in row-major order. After each assignment every triple
-    (xy)z = x(yz) whose four cells are all assigned and one of which is the
-    new cell is checked, so a full table is associative. A stack of the
-    assigned cells of each value finds the triples where the new cell
-    (a, b) is the outer product, (xy)z with xy = a or x(yz) with yz = b,
-    without a scan of the whole table. With commutative_only, an upper
-    cell (a, b), a < b, sets its mirror (b, a) to the same value, and the
-    walk then passes the lower cell, checking it only against the resume
-    prefix. One check covers the pair: mirror cells are always set together,
-    so the triple (x, y, z) is determined exactly when (z, y, x) is, and by
+    Cells are filled in row-major order. Every triple (xy)z = x(yz) whose
+    four cells are all assigned and one of which is the new cell (a, b) is
+    checked once, so a full table is associative. The triples where (a, b)
+    is xy or yz are checked by ok_after, after the assignment, in two O(n)
+    scans. Those where it is the outer product, (xy)b with xy = a or a(yz)
+    with yz = b, are settled before it by the forward check below; pre[v],
+    a stack of the assigned cells (x, y) with xy = v, finds them without a
+    scan of the whole table. With commutative_only, an upper cell (a, b),
+    a < b, sets its mirror (b, a) to the same value, and the walk then
+    passes the lower cell, checking it only against the resume prefix. One
+    check covers the pair: mirror cells are always set together, so the
+    triple (x, y, z) is determined exactly when (z, y, x) is, and by
     commutativity (zy)x = z(yx) is the equation x(yz) = (xy)z. The triples
     through (b, a) are the mirrors of those through (a, b).
 
-    Before values are tried in an unset cell (a, b), the same two stacks
-    are walked once: a triple (xy)b = x(yb) with xy = a, or a(yz) = (ay)z
-    with yz = b, whose other cells are all set forces the cell to the
-    value of its other side. Two different forced values end the subtree;
+    Before values are tried in an unset cell (a, b), the stacks pre[a] and
+    pre[b] are walked once: a triple (xy)b = x(yb) with xy = a, or
+    a(yz) = (ay)z with yz = b, whose other cells are all set forces the
+    cell to the value of its other side. Two different forced values end the subtree;
     one forced value w is the only one tried, if it is at least the resume
-    bound. Skipping the other values is sound because filling (a, b) and
-    its mirror only sets cells that were unset, so a forcing triple keeps
-    both of its sides, and ok_after, which walks the same stacks after the
-    assignment, rejects every value but w. ok_after still checks every
-    triple in full: a triple with an unset cell forces nothing, and the
-    triples where (a, b) is an inner product are left to it. The stream is
-    unchanged, and so are resume_from and dedup_iso. With commutative_only
-    every table emitted is marked commutative, so is_commutative does not
-    scan it.
+    bound. Filling (a, b) and its mirror only sets cells that were unset,
+    so a forcing triple keeps both of its sides: every value but w breaks
+    it, and w keeps every forcing triple.
+
+    Walking the stacks again after the assignment would find nothing new.
+    It could meet a triple the forward check did not settle in two ways
+    only: by reading a cell the assignment set, (a, b) or its mirror
+    (b, a), or by visiting a stack entry the assignment pushed, which
+    happens when v = a or v = b. ((y, b) or (a, y) can be the mirror only
+    if a = b, and a cell on the diagonal has none.) Each such triple is
+    either one of ok_after's equations or reads v on both sides:
+    - in pre[a], (x, a) with xa = a reads (a, b) as yb: xv = v, the yz
+      scan at x;
+    - in pre[a], an entry (x, y) whose cell x(yb) is (a, b) or (b, a)
+      reads v on both sides;
+    - v = a pushes (a, b) to pre[a]: a(bb) = v, the xy scan at z = b;
+      and its mirror (b, a): b(ab) = ba = v;
+    - in pre[b], (b, z) with bz = b reads (a, b) as ay: vz = v, the xy
+      scan at z;
+    - in pre[b], an entry (y, z) whose cell (ay)z is (a, b) or (b, a)
+      reads v on both sides;
+    - v = b pushes (a, b) to pre[b]: (aa)b = v, the yz scan at x = a;
+      and its mirror (b, a): (ab)a = ba = v.
+    So ok_after does not read the stacks. The stream is unchanged, and so
+    are resume_from and dedup_iso. With commutative_only every table
+    emitted is marked commutative, so is_commutative does not scan it.
 
     Order 5 must be requested explicitly via max_order=5; commutative order
-    5 takes about a second, labelled order 5 about a minute and a half on
-    one core of a 2-vCPU x86 VM (Python 3.11). Nothing beyond 5 is
-    supported. resume_from restarts the stream at a flattened row-major
-    prefix (inclusive).
+    5 takes about a second, labelled order 5 about 75 s on one core of a
+    2-vCPU x86 VM (Python 3.11). Nothing beyond 5 is supported. resume_from
+    restarts the stream at a flattened row-major prefix (inclusive).
     """
     n = _index(order, "order")
     max_order = _index(max_order, "max_order")
+    _check_flag(commutative_only, "commutative_only")
+    _check_flag(dedup_iso, "dedup_iso")
     if n < 1:
         raise InvalidParameters("order must be >= 1")
     _check_enum_order(n, max_order, "max_order")
@@ -320,7 +342,8 @@ def enumerate_semigroups(
 
     def ok_after(a: int, b: int) -> bool:
         # check every fully determined triple (xy)z = x(yz) that uses cell
-        # (a, b) as xy, as yz, as (xy)z with xy = a, or as x(yz) with yz = b
+        # (a, b) as xy or as yz; the forward check in rec has settled those
+        # with (a, b) as the outer product
         t = table
         v = t[a][b]
         tb = t[b]
@@ -339,22 +362,11 @@ def enumerate_semigroups(
                 left, right = t[xa][b], tx[v]
                 if left >= 0 and right >= 0 and left != right:
                     return False
-        for x, y in pre[a]:
-            yb = t[y][b]
-            if yb >= 0:
-                right = t[x][yb]
-                if right >= 0 and right != v:
-                    return False
-        for y, z in pre[b]:
-            ay = ta[y]
-            if ay >= 0:
-                left = t[ay][z]
-                if left >= 0 and left != v:
-                    return False
         return True
 
     def emit():
-        # ok_after has checked every triple by the time the table is full
+        # the forward check and ok_after have checked every triple by the
+        # time the table is full
         S = FiniteSemigroup._trusted(table)
         if commutative_only:
             # every cell was set together with its mirror

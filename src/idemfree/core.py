@@ -209,6 +209,13 @@ def _index(value, what: str) -> int:
         raise InvalidParameters(f"{what} {value!r} is not an integer") from None
 
 
+def _check_flag(value, what: str) -> None:
+    """Refuse a flag that is not True or False, rather than read it by its
+    truth value (the string 'no' is true)."""
+    if not isinstance(value, bool):
+        raise InvalidParameters(f"{what} must be True or False, got {value!r}")
+
+
 def _element(S: FiniteSemigroup, value, what: str = "element") -> ElementId:
     """value as an element index of S, rejected unless an integer in [0, n)."""
     x = _index(value, what)
@@ -328,6 +335,8 @@ def parse_cayley_table(text: str) -> FiniteSemigroup:
         n = int(lines[0])
     except ValueError:
         raise InvalidParameters(f"first line must be the order, got {lines[0]!r}") from None
+    if n < 1:
+        raise InvalidParameters(f"order must be at least 1, got {n}")
     if len(lines) != n + 1:
         raise InvalidParameters(f"expected {n} rows after the order line, got {len(lines) - 1}")
     rows = []

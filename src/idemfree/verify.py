@@ -48,6 +48,7 @@ from .construct import (
 from .core import (
     FiniteSemigroup,
     InvalidParameters,
+    _check_flag,
     _index,
     cyclic_data,
     idempotents,
@@ -443,8 +444,7 @@ def run_verification(
     if max_order < 1:
         raise InvalidParameters(f"max_order must be at least 1, got {max_order}")
     enum_cap = _index(enum_cap, "enum_cap")
-    if not isinstance(commutative_only, bool):
-        raise InvalidParameters(f"commutative_only must be True or False, got {commutative_only!r}")
+    _check_flag(commutative_only, "commutative_only")
     if isinstance(checks, str):
         raise InvalidParameters(f"checks must be a list of check ids, not the string {checks!r}")
     selected = list(checks)

@@ -35,7 +35,7 @@ from idemfree import (
 )
 from oracles import chain_glue_cells, naive_associative_tables
 
-from idemfree.verify import _spec_to_json, enumerate_extremal_specs
+from idemfree.verify import _spec_to_json, build_corpus, enumerate_extremal_specs
 
 
 def test_cyclic_group_and_nil():
@@ -380,6 +380,15 @@ def test_enumeration_order_caps():
         list(enumerate_semigroups(3, resume_from=[0.9, 1.2]))
     with pytest.raises(InvalidParameters, match="max_order 2.5 is not an integer"):
         list(enumerate_semigroups(2, max_order=2.5))
+    # a truthy non-bool flag ran the commutative stream or deduplicated
+    with pytest.raises(InvalidParameters, match="commutative_only must be True or False, got 'no'"):
+        list(enumerate_semigroups(3, commutative_only="no"))
+    with pytest.raises(InvalidParameters, match="dedup_iso must be True or False, got 'no'"):
+        list(enumerate_semigroups(3, dedup_iso="no"))
+    with pytest.raises(InvalidParameters, match="dedup_iso must be True or False, got 0"):
+        list(enumerate_semigroups(3, dedup_iso=0))
+    with pytest.raises(InvalidParameters, match="commutative_only must be True or False, got 'no'"):
+        build_corpus(3, commutative_only="no")
     # order 5 works when requested explicitly; just probe the stream start
     gen = enumerate_semigroups(5, max_order=5)
     first = next(gen)

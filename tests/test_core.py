@@ -286,3 +286,8 @@ def test_table_text_comments_and_errors():
         parse_cayley_table("2\n0 1 1\n1 0\n")
     with pytest.raises(InvalidParameters):
         parse_cayley_table("x\n0\n")
+    # an order below 1 is refused at the order line, not by a row count
+    with pytest.raises(InvalidParameters, match="order must be at least 1, got -1"):
+        parse_cayley_table("-1\n")
+    with pytest.raises(InvalidParameters, match="order must be at least 1, got 0"):
+        parse_cayley_table("0\n")
