@@ -226,7 +226,7 @@ def extremal_pair(spec: ExtremalSpec) -> tuple[FiniteSemigroup, Seq]:
         for local, mult in gens:
             terms.extend([offset + local] * mult)
         offset += comp.order
-    return S, Seq.of(terms)
+    return S, Seq(tuple(terms))
 
 
 def canonical_form(S: FiniteSemigroup) -> tuple[int, ...]:
@@ -319,6 +319,8 @@ def enumerate_semigroups(
     5 takes about a second, labelled order 5 about 75 s on one core of a
     2-vCPU x86 VM (Python 3.11). Nothing beyond 5 is supported. resume_from
     restarts the stream at a flattened row-major prefix (inclusive).
+    Every argument is checked at the call, before a generator of the
+    stream is returned.
     """
     n = _index(order, "order")
     max_order = _index(max_order, "max_order")
@@ -333,7 +335,11 @@ def enumerate_semigroups(
     for v in prefix:
         if not 0 <= v < n:
             raise InvalidParameters(f"resume cell {v} is not in [0, {n})")
+    return _walk(n, commutative_only, dedup_iso, prefix)
 
+
+def _walk(n: int, commutative_only: bool, dedup_iso: bool, prefix: tuple[int, ...]):
+    """The stream of ``enumerate_semigroups`` for checked arguments."""
     table = [[-1] * n for _ in range(n)]
     # pre[v] holds the assigned cells (x, y) with x*y = v; cells are pushed
     # on assignment and popped on backtracking, so each list is a stack

@@ -225,27 +225,43 @@ def _element(S: FiniteSemigroup, value, what: str = "element") -> ElementId:
 
 
 def generated_subsemigroup(S: FiniteSemigroup, generators) -> frozenset[ElementId]:
-    """Least subset containing the generators and closed under the table.
+    """Least subset containing the generators and closed under the table."""
+    gens = list({_element(S, g, "generator") for g in generators})
+    if not gens:
+        raise EmptyGeneratorSet("generator set must be nonempty")
+    return _mask_to_set(_generated(S.table, gens))
+
+
+def _generated(t, gens: list[int]) -> int:
+    """The subsemigroup of the table t generated by the distinct element ids
+    gens, as a bit mask.
 
     Every element of the subsemigroup is a product g1 g2 ... gk of
     generators, and so the left-nested ((g1 g2) ...) gk: a breadth-first
     closure that multiplies on the right by generators only reaches all of
     it, in O(|closure| |generators|) lookups, on any table.
     """
-    gens = list({_element(S, g, "generator") for g in generators})
-    if not gens:
-        raise EmptyGeneratorSet("generator set must be nonempty")
-    t = S.table
-    seen = set(gens)
+    seen = 0
+    for g in gens:
+        seen |= 1 << g
     closure = list(gens)
     for a in closure:  # the list grows as new products are found
         row = t[a]
         for g in gens:
             v = row[g]
-            if v not in seen:
-                seen.add(v)
+            if not seen >> v & 1:
+                seen |= 1 << v
                 closure.append(v)
-    return frozenset(closure)
+    return seen
+
+
+def _mask_to_set(mask: int) -> frozenset[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -267,23 +283,26 @@ class CyclicData:
 
 def cyclic_data(S: FiniteSemigroup, x: ElementId) -> CyclicData:
     """Index, period and power list of x; terminates within n steps."""
-    x = _element(S, x)
+    return _cyclic_data(S, _element(S, x))
+
+
+def _cyclic_data(S: FiniteSemigroup, x: int) -> CyclicData:
+    """``cyclic_data`` of an element id x of S that is already checked; the
+    result is kept in S._cyclic."""
     cached = S._cyclic.get(x)
     if cached is not None:
         return cached
+    t = S.table
     powers = [x]
-    seen_at = {x: 1}
-    cur = x
-    while True:
-        cur = S.table[cur][x]
-        k = len(powers) + 1
-        t = seen_at.get(cur)
-        if t is not None:
-            data = CyclicData(index=t, period=k - t, powers=tuple(powers))
-            break
-        seen_at[cur] = k
+    seen = 1 << x
+    cur = t[x][x]
+    while not seen >> cur & 1:
+        seen |= 1 << cur
         powers.append(cur)
-    S._cyclic[x] = data
+        cur = t[cur][x]
+    # cur = x^(len(powers) + 1) is the first repeated power, x^index
+    index = powers.index(cur) + 1
+    data = S._cyclic[x] = CyclicData(index=index, period=len(powers) + 1 - index, powers=tuple(powers))
     return data
 
 

@@ -41,6 +41,7 @@ from .core import (
     SemigroupError,
     _element,
     _index,
+    _mask_to_set,
     idempotents,
     is_commutative,
 )
@@ -191,15 +192,6 @@ def _column_slices(table, letters) -> dict[int, list[list[int]]]:
     return {x: _slices([1 << row[x] for row in table]) for x in letters}
 
 
-def _mask_to_set(mask: int) -> frozenset[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(out)
-
-
 def _natural_mask(S: FiniteSemigroup, terms: tuple[int, ...]) -> int:
     """Incremental closure A_k = A_(k-1) | {a_k} | A_(k-1)*a_k."""
     table = S.table
@@ -343,7 +335,11 @@ def product_sets(S: FiniteSemigroup, seq) -> ProductSets:
 
 def is_weakly_free(S: FiniteSemigroup, seq) -> bool:
     """No nonempty subsequence multiplies to an idempotent in any order."""
-    terms = _terms(S, seq)
+    return _weakly_free(S, _terms(S, seq))
+
+
+def _weakly_free(S: FiniteSemigroup, terms: tuple[int, ...]) -> bool:
+    """``is_weakly_free`` of terms that are already element ids of S."""
     return not (_any_mask(S, terms) & _idem_mask(S))
 
 

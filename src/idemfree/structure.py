@@ -16,6 +16,18 @@ commutative generated subsemigroup covering everything but idempotents,
 a total absorption order on the support, cycles that tile the subsemigroup
 with disjoint non-idempotent parts, index congruent to 1 mod period, and
 multiplicities pinned to index + period - 2.
+
+Each extremal check has two entries. The public ``extremal_structure_check``
+and ``extremal_main_form`` check their terms once (``_checked_terms``: each
+an element of S, |S \\ E(S)| of them) and call ``_certify`` and
+``_main_form``, which take checked element ids; the families and
+equivalence checks of ``verify`` call those directly. Both read one record
+per sorted support (``_Support``) whose sets are bit masks over S's element
+ids: R, each generator's powers, and R grouped by idempotent power
+(``_by_idempotent_power``, the grouping ``_decompose`` builds the
+archimedean decomposition from). So the complement, union and disjointness
+conditions, the component kinds and the main form's lower-absorbing chain
+are tests on ints.
 """
 
 from __future__ import annotations
@@ -28,15 +40,16 @@ from .core import (
     FiniteSemigroup,
     NotCommutative,
     SemigroupError,
+    _cyclic_data,
     _element,
+    _generated,
     _idempotent_power,
-    cyclic_data,
-    generated_subsemigroup,
+    _mask_to_set,
     idempotents,
     is_commutative,
     unique_cycle_idempotent,
 )
-from .seqprod import _terms, is_weakly_free
+from .seqprod import _idem_mask, _terms, _weakly_free
 
 
 class NotArchimedean(SemigroupError):
@@ -120,6 +133,27 @@ def archimedean_decomposition(S: FiniteSemigroup) -> ArchDecomposition:
     return _decompose(S, S.elements)
 
 
+def _mask_of(elements) -> int:
+    mask = 0
+    for a in elements:
+        mask |= 1 << a
+    return mask
+
+
+def _by_idempotent_power(t, carrier: int) -> dict[int, int]:
+    """The elements of the carrier mask grouped by idempotent power: each
+    idempotent power with the mask of the carrier elements that have it,
+    in the order of the groups' least elements."""
+    groups: dict[int, int] = {}
+    m = carrier
+    while m:
+        low = m & -m
+        e = _idempotent_power(t, low.bit_length() - 1)
+        groups[e] = groups.get(e, 0) | low
+        m ^= low
+    return groups
+
+
 def _decompose(S: FiniteSemigroup, carrier) -> ArchDecomposition:
     """The archimedean decomposition of a closed carrier on which S commutes.
 
@@ -134,55 +168,77 @@ def _decompose(S: FiniteSemigroup, carrier) -> ArchDecomposition:
       b^k = e_b gives e_a = e_b * c^k, so e_b * e_a = e_a.
 
     So the classes of mutual divisibility are the sets of elements with one
-    idempotent power, and component i lies below component j exactly when
-    e_i * e_j = e_i. Components are numbered as their idempotents are first
-    reached over the sorted carrier, that is in the order of their least
-    elements.
+    idempotent power (``_by_idempotent_power``), and component i lies below
+    component j exactly when e_i * e_j = e_i. Components are numbered in
+    the order of their least elements.
     """
     t = S.table
+    groups = _by_idempotent_power(t, _mask_of(carrier))
     comp_of = [-1] * S.order
-    cid_of: dict[int, int] = {}  # idempotent -> component id, in id order
-    members: list[list[int]] = []
-    for a in sorted(carrier):
-        e = _idempotent_power(t, a)
-        cid = cid_of.get(e)
-        if cid is None:
-            cid = cid_of[e] = len(members)
-            members.append([])
-        comp_of[a] = cid
-        members[cid].append(a)
-    components = tuple(map(frozenset, members))
+    components = tuple(map(_mask_to_set, groups.values()))
+    for cid, comp in enumerate(components):
+        for a in comp:
+            comp_of[a] = cid
     return ArchDecomposition(
         components=components,
-        leq=tuple(tuple(t[e][f] == e for f in cid_of) for e in cid_of),
-        per_component=tuple(_component_data(S, comp, e) for comp, e in zip(components, cid_of)),
+        leq=tuple(tuple(t[e][f] == e for f in groups) for e in groups),
+        per_component=tuple(_component_data(S, comp, e) for comp, e in zip(components, groups)),
         comp_of=tuple(comp_of),
     )
 
 
 def is_chain_lower_absorbing(S: FiniteSemigroup, dec: ArchDecomposition) -> bool:
     """Components form a chain and every strictly lower element absorbs: g*h = g."""
-    if not dec.is_chain():
-        return False
-    t = S.table
-    k = len(dec.components)
-    for i in range(k):
-        for j in range(k):
-            if i == j or not dec.leq[i][j] or dec.leq[j][i]:
-                continue
-            for g in dec.components[i]:
-                for h in dec.components[j]:
-                    if t[g][h] != g:
+    comps = {data.idempotent: _mask_of(comp) for comp, data in zip(dec.components, dec.per_component)}
+    return _absorbing_chain(S.table, comps)
+
+
+def _absorbing_chain(t, comps: dict[int, int]) -> bool:
+    """The components comps, each an idempotent with the mask of its
+    component, form a chain under e <= f when e*f = e, and g*h = g for every
+    g of a strictly lower component and h of a higher one."""
+    items = list(comps.items())
+    for i, (e, cm) in enumerate(items):
+        for f, dm in items[i + 1:]:
+            e_below, f_below = t[e][f] == e, t[f][e] == f
+            if e_below == f_below:
+                if e_below:  # each below the other: neither is strictly lower
+                    continue
+                return False
+            lower, upper = (cm, dm) if e_below else (dm, cm)
+            hs = []
+            while upper:
+                low = upper & -upper
+                hs.append(low.bit_length() - 1)
+                upper ^= low
+            while lower:
+                low = lower & -lower
+                g = low.bit_length() - 1
+                row = t[g]
+                for h in hs:
+                    if row[h] != g:
                         return False
+                lower ^= low
     return True
 
 
-def _component_data(S: FiniteSemigroup, comp: frozenset[int], e: int) -> ComponentData:
+def _kernel(row_e, comp: int) -> int:
+    """The kernel e * comp of a component mask, with row_e the row of its
+    idempotent e."""
+    kernel = 0
+    while comp:
+        low = comp & -comp
+        kernel |= 1 << row_e[low.bit_length() - 1]
+        comp ^= low
+    return kernel
+
+
+def _component_data(S: FiniteSemigroup, comp, e: int) -> ComponentData:
     """The data of an archimedean component with idempotent e: its kernel
     e * comp and the nil part comp minus the kernel."""
-    row = S.table[e]
-    kernel = frozenset(row[a] for a in comp)
-    return ComponentData(idempotent=e, kernel_group=kernel, nil_part=comp - kernel)
+    members = _mask_of(comp)
+    kernel = _kernel(S.table[e], members)
+    return ComponentData(idempotent=e, kernel_group=_mask_to_set(kernel), nil_part=_mask_to_set(members & ~kernel))
 
 
 def _archimedean_component(S: FiniteSemigroup, component) -> ComponentData:
@@ -295,105 +351,123 @@ def _absorption_order(S: FiniteSemigroup, supp: list[int]) -> tuple[int, ...] | 
     return tuple(order)
 
 
-def _component_kind(S: FiniteSemigroup, comp: frozenset[int], data: ComponentData, gens, cds) -> str | None:
-    """The kind of one archimedean component from the generators gens inside it.
+def _component_kind(t, e: int, comp: int, gens: list[int], rec: "_Support") -> str | None:
+    """The kind of one archimedean component, with idempotent e and member
+    mask comp, from the generators gens inside it.
 
     Either one generator whose cycle is the whole component, with index
     congruent to 1 mod period; or a kernel generator whose cycle is the
     (nontrivial) group plus a nil generator whose cycle is the (nonempty)
-    nil part and the idempotent, with trivial partial homomorphism. cds maps
-    each generator to its cyclic data.
+    nil part and the idempotent, with trivial partial homomorphism. rec
+    holds each generator's cyclic data and power mask.
     """
+    powers = rec.powers
     if len(gens) == 1:
-        cd = cds[gens[0]]
-        ok = frozenset(cd.powers) == comp and (cd.index - 1) % cd.period == 0
+        cd = rec.cds[gens[0]]
+        ok = powers[gens[0]] == comp and (cd.index - 1) % cd.period == 0
         return MONOGENIC_ONLY if ok else None
     if len(gens) != 2:
         return None
-    in_kernel = [g for g in gens if g in data.kernel_group]
+    kernel = _kernel(t[e], comp)
+    in_kernel = [g for g in gens if kernel >> g & 1]
     if len(in_kernel) != 1:
         return None
     x2 = in_kernel[0]
     x1 = gens[0] if gens[1] == x2 else gens[1]
-    e = data.idempotent
+    nil = comp & ~kernel
     ok = (
-        len(data.kernel_group) >= 2
-        and len(data.nil_part) >= 1
-        and frozenset(cds[x2].powers) == data.kernel_group
-        and frozenset(cds[x1].powers) == data.nil_part | {e}
-        and S.table[x1][e] == e  # trivial partial homomorphism
+        kernel.bit_count() >= 2
+        and nil != 0
+        and powers[x2] == kernel
+        and powers[x1] == nil | 1 << e
+        and t[x1][e] == e  # trivial partial homomorphism
     )
     return GROUP_BY_NIL_EXTENSION if ok else None
 
 
 @dataclass
 class _Support:
-    """What both extremal checks read about one sorted support of a table."""
+    """What both extremal checks read about one sorted support of a table,
+    with every set as a bit mask over S's element ids."""
 
-    R: frozenset[int]  # the subsemigroup the support generates
+    R: int  # the subsemigroup the support generates
     failed: str | None  # the first failed condition among commutative closure and complement-idempotent
-    cds: dict[int, CyclicData]  # each generator's cyclic data
-    dec: ArchDecomposition | None = None  # R's decomposition, once _classified asks for it,
-    kinds: tuple[str | None, ...] = ()  # and each component's kind by component id
+    cds: dict[int, CyclicData]  # each generator's cyclic data,
+    powers: dict[int, int]  # the mask of its powers
+    idem: dict[int, int]  # and its idempotent power
+    comps: dict[int, int] | None = None  # R grouped by idempotent power, once _classified asks for it,
+    kinds: dict[int, str | None] | None = None  # and each component's kind, both keyed by idempotent
 
 
 # One _Support per sorted support, for the last table certified. A sweep
 # certifies many multisets of one table, and the families check runs
-# extremal_main_form after extremal_structure_check on the same sequence;
-# both read the record. Only one table's records are kept, so a corpus held
-# in memory does not hold a decomposition for every table (records on every
-# table measured +5% peak RSS on the corpus benchmark). Threads that race
-# here only recompute: each tuple pairs a table with its own dict, and a
+# _main_form after _certify on the same sequence; both read the record, whose
+# sets are ints, not frozensets. Only one table's records are kept, so a
+# corpus held in memory does not hold a record for every table (records on
+# every table measured +5% peak RSS on the corpus benchmark). Threads that
+# race here only recompute: each tuple pairs a table with its own dict, and a
 # table's records depend on nothing else.
 _memo: tuple = (None, {})
 
 
-def _extremal_prelude(S: FiniteSemigroup, seq) -> tuple[tuple[int, ...], list[int], _Support]:
-    """The start shared by both extremal checks: the terms, their sorted
-    support and its record, built on the first call for that support.
-
-    For the empty sequence R is empty and both prelude conditions hold,
-    since the length check already says every element is idempotent.
-    """
-    global _memo
+def _checked_terms(S: FiniteSemigroup, seq) -> tuple[int, ...]:
+    """The terms of seq, checked once: each an element of S, and
+    |S \\ E(S)| of them."""
     terms = _terms(S, seq)
     expected = S.order - len(idempotents(S))
     if len(terms) != expected:
         raise WrongLength(f"sequence length {len(terms)} != |S \\ E(S)| = {expected}")
+    return terms
+
+
+def _support(S: FiniteSemigroup, terms: tuple[int, ...]) -> tuple[list[int], _Support]:
+    """The sorted support of checked terms and its record, built on the
+    first call for that support.
+
+    For the empty sequence R is empty and both prelude conditions hold,
+    since its length says every element is idempotent.
+    """
+    global _memo
     supp = sorted(set(terms))
     memo = _memo
     if memo[0] is not S:
         memo = _memo = (S, {})
-    rec = memo[1].get(tuple(supp))
+    key = tuple(supp)
+    rec = memo[1].get(key)
     if rec is None:
-        R = generated_subsemigroup(S, supp) if supp else frozenset()
         t = S.table
+        R = _generated(t, supp)
         failed = None
-        # a semigroup generated by pairwise commuting elements is commutative
-        if not all(t[a][b] == t[b][a] for i, a in enumerate(supp) for b in supp[i + 1:]):
+        # a semigroup generated by pairwise commuting elements is commutative;
+        # the pairs need no look when S is already known to be
+        if not (S._commutative or all(t[a][b] == t[b][a] for i, a in enumerate(supp) for b in supp[i + 1:])):
             failed = COND_COMMUTATIVE
-        elif not all(t[s][s] == s for s in S.elements if s not in R):
+        elif R | _idem_mask(S) != (1 << S.order) - 1:
             failed = COND_COMPLEMENT
-        rec = memo[1][tuple(supp)] = _Support(R, failed, {x: cyclic_data(S, x) for x in supp})
-    return terms, supp, rec
-
-
-def _classified(S: FiniteSemigroup, supp: list[int], rec: _Support) -> tuple[ArchDecomposition, tuple]:
-    """The decomposition of the commutative R and each component's kind,
-    filled into rec on the first call: None for a component that holds no
-    generator or fails ``_component_kind``."""
-    if rec.dec is None:
-        dec = _decompose(S, rec.R)
-        comp_gens: list[list[int]] = [[] for _ in dec.components]
+        cds, powers, idem = {}, {}, {}
         for x in supp:
-            comp_gens[dec.comp_of[x]].append(x)
-        # kinds first: a thread that sees dec set also sees them
-        rec.kinds = tuple(
-            _component_kind(S, comp, data, gens, rec.cds)
-            for comp, data, gens in zip(dec.components, dec.per_component, comp_gens)
-        )
-        rec.dec = dec
-    return rec.dec, rec.kinds
+            cd = cds[x] = _cyclic_data(S, x)
+            powers[x] = _mask_of(cd.powers)
+            idem[x] = _idempotent_power(t, x)
+        rec = memo[1][key] = _Support(R, failed, cds, powers, idem)
+    return supp, rec
+
+
+def _classified(S: FiniteSemigroup, supp: list[int], rec: _Support) -> tuple[dict[int, int], dict]:
+    """The components of the commutative R and their kinds, both keyed by
+    idempotent in the order of the components' least elements, filled into
+    rec on the first call: a kind is None for a component that holds no
+    generator or fails ``_component_kind``."""
+    if rec.kinds is None:
+        t = S.table
+        comps = _by_idempotent_power(t, rec.R)
+        gens: dict[int, list[int]] = {e: [] for e in comps}
+        for x in supp:
+            gens[rec.idem[x]].append(x)
+        rec.comps = comps
+        # kinds last: a thread that sees them set also sees comps
+        rec.kinds = {e: _component_kind(t, e, comp, gens[e], rec) for e, comp in comps.items()}
+    return rec.comps, rec.kinds
 
 
 def extremal_structure_check(S: FiniteSemigroup, seq) -> ExtremalCertificate:
@@ -402,8 +476,14 @@ def extremal_structure_check(S: FiniteSemigroup, seq) -> ExtremalCertificate:
     Conditions are evaluated in a fixed order and the first failure decides
     the verdict; every condition that was evaluated is recorded.
     """
-    terms, supp, rec = _extremal_prelude(S, seq)
-    cds = rec.cds
+    return _certify(S, _checked_terms(S, seq))
+
+
+def _certify(S: FiniteSemigroup, terms: tuple[int, ...]) -> ExtremalCertificate:
+    """``extremal_structure_check`` of terms that are already element ids of
+    S, |S \\ E(S)| of them."""
+    supp, rec = _support(S, terms)
+    cds, powers = rec.cds, rec.powers
     counts = {x: terms.count(x) for x in supp}
     gen_order: tuple[int, ...] = tuple(supp)
     kinds: tuple[str, ...] = ()
@@ -417,15 +497,20 @@ def extremal_structure_check(S: FiniteSemigroup, seq) -> ExtremalCertificate:
         order = _absorption_order(S, supp)
         yield COND_ABSORPTION, order is not None
         gen_order = order
-        yield COND_UNION, set().union(*(cds[x].powers for x in supp)) == rec.R
-        parts = [set(cds[x].powers) - {_idempotent_power(S.table, x)} for x in supp]
-        yield COND_DISJOINT, sum(map(len, parts)) == len(set().union(*parts))
+        union = parts = sizes = 0
+        for x in supp:
+            union |= powers[x]
+            part = powers[x] & ~(1 << rec.idem[x])
+            parts |= part
+            sizes += part.bit_count()
+        yield COND_UNION, union == rec.R
+        yield COND_DISJOINT, sizes == parts.bit_count()
         yield COND_INDEX, all((cds[x].index - 1) % cds[x].period == 0 for x in supp)
         yield COND_MULTIPLICITY, all(counts[x] == cds[x].index + cds[x].period - 2 for x in supp)
-        dec, by_id = _classified(S, supp, rec)
-        yield COND_COMPONENTS, None not in by_id
+        by_idem = _classified(S, supp, rec)[1]
+        yield COND_COMPONENTS, None not in by_idem.values()
         # each component's kind, ordered by its first generator in gen_order
-        kinds = tuple(by_id[cid] for cid in dict.fromkeys(dec.comp_of[x] for x in gen_order))
+        kinds = tuple(by_idem[e] for e in dict.fromkeys(rec.idem[x] for x in gen_order))
 
     # the first failure ends the walk, so a later condition is never evaluated
     # and gen_order and kinds keep their defaults unless their condition held
@@ -450,20 +535,27 @@ def extremal_main_form(S: FiniteSemigroup, seq) -> bool:
 
     Serves as a cross-check for the flat condition list: the component
     kinds come from the shared record, but the total order is decided by
-    the archimedean decomposition as a lower-absorbing chain instead of the
+    the archimedean components as a lower-absorbing chain instead of the
     flat absorption order, and multiplicities are pinned afresh.
     """
-    terms, supp, rec = _extremal_prelude(S, seq)
+    return _main_form(S, _checked_terms(S, seq))
+
+
+def _main_form(S: FiniteSemigroup, terms: tuple[int, ...]) -> bool:
+    """``extremal_main_form`` of terms that are already element ids of S,
+    |S \\ E(S)| of them."""
+    supp, rec = _support(S, terms)
     if rec.failed is not None:
         return False
     if not supp:
         return True
-    dec, by_id = _classified(S, supp, rec)
-    if None in by_id or not is_chain_lower_absorbing(S, dec):
+    comps, kinds = _classified(S, supp, rec)
+    if None in kinds.values() or not _absorbing_chain(S.table, comps):
         return False
     return all(terms.count(x) == rec.cds[x].index + rec.cds[x].period - 2 for x in supp)
 
 
 def extremal_equivalence(S: FiniteSemigroup, seq) -> bool:
     """Brute-force weak freeness agrees with the structural certificate."""
-    return is_weakly_free(S, seq) == extremal_structure_check(S, seq).passed
+    terms = _checked_terms(S, seq)
+    return _weakly_free(S, terms) == _certify(S, terms).passed

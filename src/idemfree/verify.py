@@ -49,15 +49,15 @@ from .core import (
     FiniteSemigroup,
     InvalidParameters,
     _check_flag,
+    _cyclic_data,
     _index,
-    cyclic_data,
     idempotents,
     is_commutative,
     is_nilsemigroup,
     zero_element,
 )
-from .seqprod import _any_mask, _idem_mask, is_weakly_free
-from .structure import extremal_main_form, extremal_structure_check
+from .seqprod import _any_mask, _idem_mask, _weakly_free
+from .structure import _certify, _main_form
 
 CHECK_IDS = (
     "ghw-bound",
@@ -170,7 +170,7 @@ def _certified_multisets(S: FiniteSemigroup, alphabet: list[int]) -> set[tuple[i
     multiset each.
     """
     length = len(alphabet)
-    cds = {x: cyclic_data(S, x) for x in alphabet}
+    cds = {x: _cyclic_data(S, x) for x in alphabet}
     pinned = {x: cds[x].index + cds[x].period - 2 for x in alphabet}
     certified = set()
     for size in range(length + 1):
@@ -178,7 +178,7 @@ def _certified_multisets(S: FiniteSemigroup, alphabet: list[int]) -> set[tuple[i
             if sum(pinned[x] for x in supp) != length:
                 continue
             multiset = tuple(x for x in supp for _ in range(pinned[x]))
-            if extremal_structure_check(S, multiset).passed:
+            if _certify(S, multiset).passed:
                 certified.add(multiset)
     return certified
 
@@ -283,13 +283,14 @@ def _spec_to_json(spec: ExtremalSpec) -> dict:
 
 def _family_case(spec: ExtremalSpec) -> dict:
     S, T = extremal_pair(spec)
+    terms = T.terms  # element ids of S, built by extremal_pair
     expected_len = S.order - len(idempotents(S))
-    cert = extremal_structure_check(S, T)
+    cert = _certify(S, terms)
     checks = {
-        "length": len(T) == expected_len,
-        "weaklyFree": is_weakly_free(S, T),
+        "length": len(terms) == expected_len,
+        "weaklyFree": _weakly_free(S, terms),
         "certificate": cert.passed,
-        "mainFormAgrees": extremal_main_form(S, T) == cert.passed,
+        "mainFormAgrees": _main_form(S, terms) == cert.passed,
         "erdosBurgess": _weak_value(S) == expected_len + 1,
     }
     ok = all(checks.values())

@@ -395,6 +395,28 @@ def test_enumeration_order_caps():
     assert first.order == 5
 
 
+@pytest.mark.parametrize(
+    "kwargs, error, message",
+    [
+        ({"order": 5}, OrderTooLarge, "order 5 exceeds the configured cap 4"),
+        ({"order": 6, "max_order": 6}, OrderTooLarge, "enumeration is capped at order 5"),
+        ({"order": 0}, InvalidParameters, "order must be >= 1"),
+        ({"order": 2.7}, InvalidParameters, "order 2.7 is not an integer"),
+        ({"order": 2, "max_order": 2.5}, InvalidParameters, "max_order 2.5 is not an integer"),
+        ({"order": 3, "resume_from": [0.9, 1.2]}, InvalidParameters, "resume cell 0.9 is not an integer"),
+        ({"order": 3, "resume_from": [0, 3]}, InvalidParameters, r"resume cell 3 is not in \[0, 3\)"),
+        ({"order": 2, "resume_from": [0] * 5}, InvalidParameters, "resume prefix has 5 cells, more than the 4"),
+        ({"order": 3, "commutative_only": "no"}, InvalidParameters, "commutative_only must be True or False"),
+        ({"order": 3, "dedup_iso": "no"}, InvalidParameters, "dedup_iso must be True or False"),
+    ],
+)
+def test_enumeration_arguments_are_checked_at_the_call(kwargs, error, message):
+    # no list(...) around the call: a bad argument fails before any stream
+    # is handed back, not at its first next()
+    with pytest.raises(error, match=message):
+        enumerate_semigroups(**kwargs)
+
+
 @pytest.mark.skipif(
     not os.environ.get("IDEMFREE_SLOW_TESTS"),
     reason="full order-5 enumeration takes a minute or two; set IDEMFREE_SLOW_TESTS=1",

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import os
 
 import pytest
@@ -35,6 +37,7 @@ from idemfree import (
     monogenic,
     partial_hom,
     trivial_ideal_extension,
+    unique_cycle_idempotent,
     zero_element,
 )
 from oracles import left_zero_semigroup, naive_archimedean_decomposition, vee_semilattice
@@ -350,15 +353,25 @@ def test_passing_certificate_pins_every_count(corpus_le4):
 
 def test_certificate_memo_is_kept_for_one_table_only(commutative_le4):
     # structure keeps one record per sorted support (R, the prelude failure,
-    # the generators' cyclic data and, once asked for, the decomposition of R
-    # and the component kinds) for the last table certified; read back table
-    # after table, each in a shuffled order over the table and an equal copy
-    # of it, with supports that generate different R, they and the main form
-    # must match a cold computation
+    # each generator's cyclic data, power mask and idempotent power and, once
+    # asked for, R grouped by idempotent power with each component's kind)
+    # for the last table certified; read back table after table, each in a
+    # shuffled order over the table and an equal copy of it, with supports
+    # that generate different R, the records and the main form must match a
+    # cold computation
     import random
 
     from idemfree import structure
-    from idemfree.structure import _classified, _component_kind, _decompose, _extremal_prelude
+    from idemfree.core import _mask_to_set
+    from idemfree.structure import (
+        _by_idempotent_power,
+        _classified,
+        _component_kind,
+        _decompose,
+        _main_form,
+        _mask_of,
+        _support,
+    )
 
     tables = []
     for S in commutative_le4[::2]:
@@ -368,54 +381,66 @@ def test_certificate_memo_is_kept_for_one_table_only(commutative_le4):
     cold = {}
     for T, terms in itertools.chain(*tables):
         structure._memo = (None, {})
-        cold[id(T), terms] = extremal_main_form(T, terms)
+        form = _main_form(T, terms)
+        supp, rec = _support(T, terms)
+        if rec.failed is None and supp:
+            _classified(T, supp, rec)
+        cold[id(T), terms] = form, rec
     rng = random.Random(3)
     for cases in tables:
         rng.shuffle(cases)
         for T, terms in cases:
-            _, supp, rec = _extremal_prelude(T, terms)
+            supp, rec = _support(T, terms)
             cds = {x: cyclic_data(T, x) for x in supp}
-            assert rec.R == (generated_subsemigroup(T, supp) if supp else frozenset())
+            assert _mask_to_set(rec.R) == (generated_subsemigroup(T, supp) if supp else frozenset())
             assert rec.cds == cds
+            assert rec.powers == {x: _mask_of(cds[x].powers) for x in supp}
+            assert rec.idem == {x: unique_cycle_idempotent(T, x) for x in supp}
             if rec.failed is None and supp:
-                dec, kinds = _classified(T, supp, rec)
-                assert dec == rec.dec == _decompose(T, rec.R)
-                assert kinds == tuple(
-                    _component_kind(T, comp, data, [x for x in supp if dec.comp_of[x] == cid], cds)
-                    for cid, (comp, data) in enumerate(zip(dec.components, dec.per_component))
-                )
-            assert extremal_main_form(T, terms) == cold[id(T), terms]
+                comps, kinds = _classified(T, supp, rec)
+                assert comps is rec.comps and comps == _by_idempotent_power(T.table, rec.R)
+                dec = _decompose(T, _mask_to_set(rec.R))
+                assert [_mask_to_set(m) for m in comps.values()] == list(dec.components)
+                assert list(comps) == [data.idempotent for data in dec.per_component]
+                assert kinds is rec.kinds and kinds == {
+                    e: _component_kind(T.table, e, comp, [x for x in supp if rec.idem[x] == e], rec)
+                    for e, comp in comps.items()
+                }
+            form, cold_rec = cold[id(T), terms]
+            assert rec == cold_rec
+            assert _main_form(T, terms) == form
 
 
 def test_family_case_decomposes_and_classifies_each_component_once(monkeypatch):
     # the certificate and the main form of one family case read one record:
-    # R is decomposed at most once and each of its components classified once
+    # R is grouped by idempotent power at most once and each of its
+    # components classified once
     from idemfree import structure
     from idemfree.verify import _family_case, enumerate_extremal_specs
 
-    real_decompose, real_kind = structure._decompose, structure._component_kind
-    counts = {"decompose": 0, "components": 0, "kind": 0}
+    real_group, real_kind = structure._by_idempotent_power, structure._component_kind
+    counts = {"group": 0, "components": 0, "kind": 0}
 
-    def decompose(S, carrier):
-        dec = real_decompose(S, carrier)
-        counts["decompose"] += 1
-        counts["components"] += len(dec.components)
-        return dec
+    def group(t, carrier):
+        comps = real_group(t, carrier)
+        counts["group"] += 1
+        counts["components"] += len(comps)
+        return comps
 
     def kind(*args):
         counts["kind"] += 1
         return real_kind(*args)
 
-    monkeypatch.setattr(structure, "_decompose", decompose)
+    monkeypatch.setattr(structure, "_by_idempotent_power", group)
     monkeypatch.setattr(structure, "_component_kind", kind)
-    decomposed = 0
+    grouped = 0
     for spec in enumerate_extremal_specs(max_components=3, max_terms=6):
         before = dict(counts)
         assert _family_case(spec)["ok"]
-        assert counts["decompose"] - before["decompose"] <= 1
+        assert counts["group"] - before["group"] <= 1
         assert counts["kind"] - before["kind"] == counts["components"] - before["components"]
-        decomposed += counts["decompose"] - before["decompose"]
-    assert decomposed > 0 and counts["kind"] > decomposed
+        grouped += counts["group"] - before["group"]
+    assert grouped > 0 and counts["kind"] > grouped
 
 
 def test_certificate_records_a_prefix_up_to_the_first_failure(corpus_le4):
@@ -467,6 +492,82 @@ def test_certificate_records_a_prefix_up_to_the_first_failure(corpus_le4):
         reasons.add(cert.fail_reason)
     assert not reasons & {COND_UNION, COND_DISJOINT}
     assert reasons >= {None, COND_COMMUTATIVE, COND_COMPLEMENT, COND_ABSORPTION, COND_INDEX, COND_MULTIPLICITY}
+
+
+def test_certificates_and_main_forms_are_pinned(corpus_le4):
+    # every (3, 8) family pair, and every multiset over S of length
+    # |S \\ E(S)| on the labelled order <= 4 corpus: each table, terms,
+    # certificate and main-form verdict, as JSON lines under one sha256
+    from idemfree.verify import enumerate_extremal_specs
+
+    def digest(cases):
+        h = hashlib.sha256()
+        n = 0
+        for S, terms in cases:
+            cert = extremal_structure_check(S, terms)
+            row = [S.table, list(terms), cert.to_json_dict(), extremal_main_form(S, terms)]
+            h.update(json.dumps(row).encode() + b"\n")
+            n += 1
+        return n, h.hexdigest()
+
+    families = (extremal_pair(spec) for spec in enumerate_extremal_specs(max_components=3, max_terms=8))
+    assert digest(families) == (7254, "56746bb1ca1087c7bc70fbc1e4d57e352850a3d9874895639e53b4a9d6adda38")
+    multisets = (
+        (S, terms)
+        for S in corpus_le4
+        for terms in itertools.combinations_with_replacement(S.elements, S.order - len(idempotents(S)))
+    )
+    assert digest(multisets) == (24470, "cc40abe7480ad01d6189bc2d9fb2a72520fb8178749ccf8c802f0221761d3c4b")
+
+
+@pytest.mark.parametrize("check", [extremal_structure_check, extremal_main_form, extremal_equivalence])
+@pytest.mark.parametrize(
+    "terms, error, message",
+    [
+        ([0, True, 1], InvalidParameters, "term True is not an integer"),
+        ([0, 0.5, 1], InvalidParameters, "term 0.5 is not an integer"),
+        ([0, 9, 1], InvalidParameters, "term 9 outside semigroup of order 4"),
+        ([0, -1, 1], InvalidParameters, "term -1 outside semigroup of order 4"),
+        ([0], WrongLength, r"sequence length 1 != \|S \\ E\(S\)\| = 3"),
+        ([0, 0, 0, 0], WrongLength, r"sequence length 4 != \|S \\ E\(S\)\| = 3"),
+        # the terms are checked before the length
+        ([True], InvalidParameters, "term True is not an integer"),
+    ],
+)
+def test_public_extremal_checks_refuse_bad_terms_before_any_work(check, terms, error, message, monkeypatch):
+    from idemfree import structure
+
+    def no_work(*args):
+        raise AssertionError("work began on terms that were not checked")
+
+    monkeypatch.setattr(structure, "_support", no_work)
+    monkeypatch.setattr(structure, "_weakly_free", no_work)
+    with pytest.raises(error, match=message):
+        check(cyclic_group(4), terms)
+
+
+def test_union_and_disjoint_conditions_decide_once_reached(commutative_le4, monkeypatch):
+    # after an absorption order neither condition can fail (see the test
+    # above), so they are reached here with the order forced to the sorted
+    # support, and each verdict must match its definition on sets
+    from idemfree import structure
+    from idemfree.structure import COND_DISJOINT, COND_UNION
+
+    monkeypatch.setattr(structure, "_absorption_order", lambda S, supp: tuple(supp))
+    seen = set()
+    for S in commutative_le4:
+        for terms in itertools.combinations_with_replacement(S.elements, S.order - len(idempotents(S))):
+            conds = dict(extremal_structure_check(S, terms).conditions)
+            supp = sorted(set(terms))
+            cycles = [set(cyclic_data(S, x).powers) for x in supp]
+            if COND_UNION in conds:
+                assert conds[COND_UNION] == (set().union(*cycles) == generated_subsemigroup(S, supp)), (S.table, terms)
+                seen.add((COND_UNION, conds[COND_UNION]))
+            if COND_DISJOINT in conds:
+                parts = [cycle - {unique_cycle_idempotent(S, x)} for cycle, x in zip(cycles, supp)]
+                assert conds[COND_DISJOINT] == (sum(map(len, parts)) == len(set().union(*parts))), (S.table, terms)
+                seen.add((COND_DISJOINT, conds[COND_DISJOINT]))
+    assert seen == {(COND_UNION, True), (COND_UNION, False), (COND_DISJOINT, True), (COND_DISJOINT, False)}
 
 
 def test_decomposition_data_matches_kernel_group_and_partial_hom(commutative_le4):

@@ -63,7 +63,7 @@ def test_equivalence_failure_records_match_reference(commutative_le4, monkeypatc
 
         return products
 
-    monkeypatch.setattr(verify, "extremal_structure_check", flipped)
+    monkeypatch.setattr(verify, "_certify", flipped)
     monkeypatch.setattr(oracles, "extremal_structure_check", flipped)
     monkeypatch.setattr(verify, "_any_mask", lossy(_any_mask))
     monkeypatch.setattr(oracles, "_any_mask", lossy(_any_mask))
