@@ -26,8 +26,8 @@ from .core import (
     parse_cayley_table,
     zero_element,
 )
-from .seqprod import Seq, is_strongly_free, is_weakly_free, product_sets
-from .structure import extremal_structure_check
+from .seqprod import Seq, _weakly_free, is_strongly_free, is_weakly_free, product_sets
+from .structure import _certify, _checked_terms
 
 
 def _emit(payload) -> None:
@@ -100,8 +100,10 @@ def cmd_free_check(args) -> int:
 def cmd_check_extremal(args) -> int:
     S = _read_table(args.table)
     T = _read_seq(args.seq)
-    free = is_weakly_free(S, T)
-    cert = extremal_structure_check(S, T)
+    # the terms and the length first, before any product set is built
+    terms = _checked_terms(S, T)
+    free = _weakly_free(S, terms)
+    cert = _certify(S, terms)
     _emit(
         {
             "weaklyFree": free,

@@ -79,10 +79,12 @@ walks visit letters in increasing order and consult the idempotents only
 to prune, so two tables with the same letter table (and, for I, the same
 walk, any-order or natural) have the same tree up to the order-keeping map
 between their letters: the same value, the witness mapped letter for
-letter, and the same nodesExplored. Inside a ``_sharing`` scope, which the
-verify checks open around one check and around each pool batch, a search
-stores its value, positions and node count under that key, and a repeat
-maps the stored positions back instead of searching again.
+letter, and the same nodesExplored. ``_shared_walk`` runs the walk of
+every I and SI search. Inside a ``_sharing`` scope, which the verify
+checks open around one check and around each pool batch, it stores the
+value, positions and node count under that key, and a repeat maps the
+stored positions back instead of searching again. The ghw-bound and
+strong-vs-weak checks call it for the value alone, with no report.
 ``_weak_value`` stores its value under a key of its own, so it never
 serves a report with a node count. Outside a scope every search runs. D
 is not shared and walks S itself: irreducibility reads the products with
@@ -417,17 +419,14 @@ def _letter_rows(letters: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
     return [letters[i * k : (i + 1) * k] for i in range(k)]
 
 
-def _free_search(S: FiniteSemigroup, kind: str) -> ConstantReport:
-    """I(S) or SI(S), one walk over the letter table of S.
+def _shared_walk(letters: tuple[int, ...], k: int, kind: str, any_order: bool) -> tuple[int, tuple[int, ...], int]:
+    """The value, the witness as letter positions and nodesExplored of the
+    I or SI walk over a letter table of k letters: ``_any_order_walk`` for
+    noncommutative I, ``_memo_walk`` otherwise.
 
-    Inside a sharing scope the report is looked up by its letter table and
-    walk first, and searched only on a miss (module docstring). Either way
-    the witness is found as letter positions and mapped back through alpha.
+    Inside a sharing scope the result is looked up by its letter table and
+    walk first, and walked only on a miss (module docstring).
     """
-    alpha, letters = _letter_table(S)
-    k = len(alpha)
-    weak = kind == KIND_ERDOS_BURGESS
-    any_order = weak and not is_commutative(S)
     key = (kind, any_order, letters)
     shared = _shared
     found = None if shared is None else shared.get(key)
@@ -437,12 +436,20 @@ def _free_search(S: FiniteSemigroup, kind: str) -> ConstantReport:
             best_len, best, nodes = _any_order_walk(rows, k)
         else:
             full = (1 << k) - 1
-            allows = [full >> x << x for x in range(k)] if weak else [full] * k
+            allows = [full >> x << x for x in range(k)] if kind == KIND_ERDOS_BURGESS else [full] * k
             best_len, best, nodes = _memo_walk(k, _slices(_packed_rows(rows, 1 << k)), allows)
         found = (best_len + 1, best, nodes)
         if shared is not None:
             shared[key] = found
-    value, positions, nodes = found
+    return found
+
+
+def _free_search(S: FiniteSemigroup, kind: str) -> ConstantReport:
+    """I(S) or SI(S), one walk over the letter table of S, with the witness
+    mapped back from letter positions through alpha."""
+    alpha, letters = _letter_table(S)
+    any_order = kind == KIND_ERDOS_BURGESS and not is_commutative(S)
+    value, positions, nodes = _shared_walk(letters, len(alpha), kind, any_order)
     return ConstantReport(kind, value, Seq(tuple([alpha[i] for i in positions])), nodes)
 
 

@@ -16,10 +16,12 @@ a scan of the whole table. Before a cell is filled, those triples whose
 other cells are all set force its value, and only that value is tried
 (forward checking); they are not checked again after the assignment,
 which scans only the triples in which the new cell is itself multiplied, so
-each triple is checked once. For commutative tables it fills each cell
-together with its mirror, checks the pair once and marks every table it
-emits as commutative. Every table built here is associative by
-construction, so it is wrapped without the full re-check.
+each triple is checked once. For commutative tables it walks only the
+upper cells a <= b, fills each together with its mirror, checks the pair
+once and marks every table it emits as commutative; it never visits a
+lower cell, and compares one with the resume prefix only as it passes it.
+Every table built here is associative by construction, so it is wrapped
+without the full re-check.
 """
 
 from __future__ import annotations
@@ -275,13 +277,16 @@ def enumerate_semigroups(
     scans. Those where it is the outer product, (xy)b with xy = a or a(yz)
     with yz = b, are settled before it by the forward check below; pre[v],
     a stack of the assigned cells (x, y) with xy = v, finds them without a
-    scan of the whole table. With commutative_only, an upper cell (a, b),
-    a < b, sets its mirror (b, a) to the same value, and the walk then
-    passes the lower cell, checking it only against the resume prefix. One
-    check covers the pair: mirror cells are always set together, so the
-    triple (x, y, z) is determined exactly when (z, y, x) is, and by
-    commutativity (zy)x = z(yx) is the equation x(yz) = (xy)z. The triples
-    through (b, a) are the mirrors of those through (a, b).
+    scan of the whole table. With commutative_only, the walk fills only
+    the upper cells (a, b), a <= b, in row-major order, and one with a < b
+    sets its mirror (b, a) to the same value. The walk never visits a lower
+    cell: while it is still on the resume prefix's boundary, it compares
+    each lower cell it passes with the prefix, and past the boundary it
+    does not read them. One check covers the pair: mirror cells are always
+    set together, so the triple (x, y, z) is determined exactly when
+    (z, y, x) is, and by commutativity (zy)x = z(yx) is the equation
+    x(yz) = (xy)z. The triples through (b, a) are the mirrors of those
+    through (a, b).
 
     Before values are tried in an unset cell (a, b), the stacks pre[a] and
     pre[b] are walked once: a triple (xy)b = x(yb) with xy = a, or
@@ -316,8 +321,8 @@ def enumerate_semigroups(
     emitted is marked commutative, so is_commutative does not scan it.
 
     Order 5 must be requested explicitly via max_order=5; commutative order
-    5 takes about a second, labelled order 5 about 75 s on one core of a
-    2-vCPU x86 VM (Python 3.11). Nothing beyond 5 is supported. resume_from
+    5 takes about half a second, labelled order 5 about 75 s on one core of
+    a 2-vCPU x86 VM (Python 3.11). Nothing beyond 5 is supported. resume_from
     restarts the stream at a flattened row-major prefix (inclusive).
     Every argument is checked at the call, before a generator of the
     stream is returned.
@@ -344,7 +349,18 @@ def _walk(n: int, commutative_only: bool, dedup_iso: bool, prefix: tuple[int, ..
     # pre[v] holds the assigned cells (x, y) with x*y = v; cells are pushed
     # on assignment and popped on backtracking, so each list is a stack
     pre: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    cells = n * n
+    # the cells the walk fills, as (flat index, row, column) in row-major
+    # order: every cell, or with commutative_only the upper cells a <= b.
+    # passed[i] lists the lower cells inside the resume prefix that lie
+    # between walked cells i - 1 and i; the mirrors of earlier cells have
+    # set them, so they are only compared with the prefix
+    walked = [(d, *divmod(d, n)) for d in range(n * n) if not commutative_only or d % n >= d // n]
+    passed = []
+    last = -1
+    for d, _, _ in walked:
+        passed.append([(e, *divmod(e, n)) for e in range(last + 1, min(d, len(prefix)))])
+        last = d
+    end = len(walked)
 
     def ok_after(a: int, b: int) -> bool:
         # check every fully determined triple (xy)z = x(yz) that uses cell
@@ -380,18 +396,22 @@ def _walk(n: int, commutative_only: bool, dedup_iso: bool, prefix: tuple[int, ..
         if not dedup_iso or _is_canonical(S):
             yield S
 
-    def rec(d: int, on_boundary: bool):
-        if d == cells:
+    def rec(i: int, on_boundary: bool):
+        if i == end:
             yield from emit()
             return
-        a, b = divmod(d, n)
+        if on_boundary:
+            # the stream resumes at the prefix: a passed cell below its
+            # prefix value ends the subtree, one above it leaves the boundary
+            for e, a, b in passed[i]:
+                v = table[a][b]
+                if v != prefix[e]:
+                    if v < prefix[e]:
+                        return
+                    on_boundary = False
+                    break
+        d, a, b = walked[i]
         lo = prefix[d] if on_boundary and d < len(prefix) else 0
-        if commutative_only and b < a:
-            # a lower cell was set together with its upper mirror (b, a)
-            v = table[a][b]
-            if v >= lo:
-                yield from rec(d + 1, on_boundary and d < len(prefix) and v == prefix[d])
-            return
         mirror = commutative_only and a < b
         ta, tb = table[a], table[b]
         # forward check: a triple through (a, b) as the outer product whose
@@ -428,7 +448,7 @@ def _walk(n: int, commutative_only: bool, dedup_iso: bool, prefix: tuple[int, ..
                 tb[a] = v
                 stack.append((b, a))
             if ok_after(a, b):
-                yield from rec(d + 1, on_boundary and d < len(prefix) and v == prefix[d])
+                yield from rec(i + 1, on_boundary and d < len(prefix) and v == prefix[d])
             stack.pop()
             if mirror:
                 stack.pop()

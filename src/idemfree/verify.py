@@ -16,7 +16,10 @@ The extremal-families and example-formulas checks read only I's value on
 commutative tables, so they call ``constants._weak_value``, whose walk is
 cut by the product-set growth bound and stops at the GHW cap. ghw-bound
 tests that bound, and strong-vs-weak cross-checks the exhaustive searches,
-so both keep ``erdos_burgess`` and ``strong_erdos_burgess``.
+so both run the exhaustive I and SI walks, through
+``constants._shared_walk``, the walk dispatch behind ``erdos_burgess`` and
+``strong_erdos_burgess``. They read values only: a case builds its table's
+letter table once, for both of strong-vs-weak's walks, and no report.
 
 The extremal-equivalence check never visits every word of length
 k = |S \\ E(S)|. Freeness and the certificate depend only on the multiset
@@ -35,7 +38,16 @@ import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 
-from .constants import _sharing, _weak_value, davenport, erdos_burgess, ghw_bound, strong_erdos_burgess
+from .constants import (
+    KIND_ERDOS_BURGESS,
+    KIND_STRONG_ERDOS_BURGESS,
+    _letter_table,
+    _shared_walk,
+    _sharing,
+    _weak_value,
+    davenport,
+    ghw_bound,
+)
 from .construct import (
     ExtremalSpec,
     GroupByNil,
@@ -104,12 +116,13 @@ def _aggregate(check_id: str, rows, extra_keys=()) -> dict:
 
 
 def _ghw_case(S: FiniteSemigroup) -> dict:
-    report = strong_erdos_burgess(S)
+    alpha, letters = _letter_table(S)
+    si = _shared_walk(letters, len(alpha), KIND_STRONG_ERDOS_BURGESS, False)[0]
     bound = ghw_bound(S)
-    ok = report.value <= bound
+    ok = si <= bound
     return {
         "ok": ok,
-        "failure": None if ok else {"table": _flat(S), "si": report.value, "bound": bound},
+        "failure": None if ok else {"table": _flat(S), "si": si, "bound": bound},
     }
 
 
@@ -363,9 +376,12 @@ def check_example_formulas(map_fn=map) -> dict:
 
 
 def _strong_weak_case(S: FiniteSemigroup) -> dict:
-    weak = erdos_burgess(S).value
-    strong = strong_erdos_burgess(S).value
-    ok = weak <= strong and (not is_commutative(S) or weak == strong)
+    alpha, letters = _letter_table(S)
+    k = len(alpha)
+    commutative = is_commutative(S)
+    weak = _shared_walk(letters, k, KIND_ERDOS_BURGESS, not commutative)[0]
+    strong = _shared_walk(letters, k, KIND_STRONG_ERDOS_BURGESS, False)[0]
+    ok = weak <= strong and (not commutative or weak == strong)
     return {
         "ok": ok,
         "failure": None if ok else {"table": _flat(S), "i": weak, "si": strong},

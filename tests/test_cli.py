@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -154,6 +155,24 @@ def test_check_extremal_wrong_length(tmp_path, capsys):
     code, _, err = run_cli(capsys, "check-extremal", path, seq)
     assert code == 1
     assert "1" in err and "2" in err  # actual vs expected lengths
+
+
+def test_check_extremal_checks_the_length_before_freeness(tmp_path, monkeypatch):
+    # gbn(3, 3), 200 trivial groups and mono(3, 2): k = 7, |S| = 209; a
+    # 6-term sequence is refused before any product set is built
+    from idemfree import ExtremalSpec, GroupByNil, Monogenic, WrongLength, extremal_pair, seqprod
+    from idemfree.cli import cmd_check_extremal
+
+    S, T = extremal_pair(ExtremalSpec((GroupByNil(3, 3),) + (Monogenic(1, 1),) * 200 + (Monogenic(3, 2),)))
+    assert (S.order, len(T.terms)) == (209, 7)
+    args = SimpleNamespace(table=write_table(tmp_path, S), seq=write_seq(tmp_path, T.terms[:6]))
+
+    def refuse(*_):
+        raise AssertionError("product set built before the length was checked")
+
+    monkeypatch.setattr(seqprod, "_any_mask", refuse)
+    with pytest.raises(WrongLength, match=r"^sequence length 6 != \|S \\ E\(S\)\| = 7$"):
+        cmd_check_extremal(args)
 
 
 def test_gen_roundtrip_is_byte_identical(tmp_path, capsys):

@@ -287,6 +287,31 @@ def test_commutative_order_5_stream_is_pinned():
     assert _stream_digest(stream) == (15735, "412299f62e2f2d36e6d0fc652221aa392e356dcf2ca9aa21fbd51bf3c0755c49")
 
 
+# a prefix of 2s through the lower cell (3, 1), index 16, or (4, 3), index
+# 23, whose upper mirror (1, 3) or (3, 4) every table through the earlier
+# cells sets to 2; the last prefix value lies below, at or above it
+@pytest.mark.parametrize(
+    "cells, last, want",
+    [
+        (16, 1, (8651, "8812d184acd0a14d7ccd04364dbeadc8247b9330cc341ae8290b960416f62548")),
+        (16, 2, (8651, "8812d184acd0a14d7ccd04364dbeadc8247b9330cc341ae8290b960416f62548")),
+        (16, 3, (8603, "3acafeeddf5ae6b3568a6e5736bd8faab9357067b5e68ee6e50872f91fa1342b")),
+        (23, 1, (8623, "e596770cf5112c46a53f30234a20372c206c1cbad0ca0d51cd86680077956045")),
+        (23, 2, (8623, "e596770cf5112c46a53f30234a20372c206c1cbad0ca0d51cd86680077956045")),
+        (23, 3, (8618, "d832fa5bf13885659cf93ecacc14358c1c166457db4c5cc1f5cb00420a61ff04")),
+    ],
+)
+def test_commutative_order_5_resume_from_a_lower_cell(cells, last, want):
+    # the commutative walk never visits a lower cell and compares each one
+    # it passes with the prefix; the tails are pinned by digests taken from
+    # the walk that visited every lower cell. Below or at the mirror's value
+    # the tail keeps every table through the earlier cells; above it, it
+    # skips them all
+    prefix = [2] * cells + [last]
+    stream = enumerate_semigroups(5, commutative_only=True, max_order=5, resume_from=prefix)
+    assert _stream_digest(stream) == want
+
+
 def test_labelled_order_4_stream_is_pinned():
     # values forced by the set triples through a cell are the only ones
     # tried there; the labelled stream is compared table by table with the

@@ -9,12 +9,14 @@ import pytest
 
 import oracles
 from idemfree import (
+    FiniteSemigroup,
     InvalidParameters,
     constants,
     cyclic_data,
     cyclic_group,
     enumerate_semigroups,
     extremal_structure_check,
+    is_commutative,
     verify,
 )
 from idemfree.seqprod import _any_mask
@@ -170,17 +172,18 @@ def test_sharing_scope_across_threads(corpus_le3):
 
 
 def test_ghw_bound_check_reports_a_search_past_the_bound(monkeypatch):
-    # a strong search that returned one more than |S \ E(S)| + 1 must become
-    # a failure record, not an abort, whether the report or the search's own
-    # walk is past the bound
-    real = verify.strong_erdos_burgess
+    # a strong walk that returned one more than |S \ E(S)| + 1 must become
+    # a failure record, not an abort, whether the value the check reads or
+    # the walk behind it is past the bound
+    real = verify._shared_walk
     S = cyclic_group(3)
     record = [{"table": [v for row in S.table for v in row], "si": 4, "bound": 3}]
 
-    def past_bound(T):
-        return replace(real(T), value=verify.ghw_bound(T) + 1)
+    def past_bound(letters, k, kind, any_order):
+        _, positions, nodes = real(letters, k, kind, any_order)
+        return k + 2, positions, nodes
 
-    monkeypatch.setattr(verify, "strong_erdos_burgess", past_bound)
+    monkeypatch.setattr(verify, "_shared_walk", past_bound)
     got = verify.check_ghw_bound([S])
     assert (got["instances"], got["passed"], got["failed"], got["failures"]) == (1, 0, 1, record)
     monkeypatch.undo()
@@ -192,6 +195,58 @@ def test_ghw_bound_check_reports_a_search_past_the_bound(monkeypatch):
 
     monkeypatch.setattr(constants, "_memo_walk", padded)
     assert verify.check_ghw_bound([S])["failures"] == record
+
+
+def test_strong_weak_check_reports_a_weak_value_above_the_strong_one(monkeypatch):
+    # an I value above SI must become a failure record, not an abort,
+    # whether the value the check reads or the walk behind it is too large;
+    # on this noncommutative table I = SI = 2, and I walks any-order
+    S = FiniteSemigroup([[0, 0, 0], [0, 0, 0], [0, 1, 2]])
+    assert not is_commutative(S)
+    record = [{"table": [0, 0, 0, 0, 0, 0, 0, 1, 2], "i": 3, "si": 2}]
+    real = verify._shared_walk
+
+    def weak_too_large(letters, k, kind, any_order):
+        value, positions, nodes = real(letters, k, kind, any_order)
+        return value + (kind == constants.KIND_ERDOS_BURGESS), positions, nodes
+
+    monkeypatch.setattr(verify, "_shared_walk", weak_too_large)
+    got = verify.check_strong_weak([S])
+    assert (got["instances"], got["passed"], got["failed"], got["failures"]) == (1, 0, 1, record)
+    monkeypatch.undo()
+    real_walk = constants._any_order_walk
+
+    def padded(*args):
+        length, witness, nodes = real_walk(*args)
+        return length + 1, witness + witness[:1], nodes
+
+    monkeypatch.setattr(constants, "_any_order_walk", padded)
+    assert verify.check_strong_weak([S])["failures"] == record
+
+
+def test_value_cases_read_the_values_of_the_public_searches(corpus_le3, corpus_le4, monkeypatch):
+    # ghw-bound and strong-vs-weak read values inside one sharing scope,
+    # from one letter table per case; each must be the value of the public
+    # search on that table, run outside any scope
+    strong = constants.KIND_STRONG_ERDOS_BURGESS
+    real = verify._shared_walk
+    read = []
+
+    def spy(letters, k, kind, any_order):
+        found = real(letters, k, kind, any_order)
+        read.append((kind, found[0]))
+        return found
+
+    for corpus in (corpus_le3, corpus_le4):
+        read.clear()
+        monkeypatch.setattr(verify, "_shared_walk", spy)
+        assert verify.check_ghw_bound(corpus)["failed"] == 0
+        assert verify.check_strong_weak(corpus)["failed"] == 0
+        monkeypatch.undo()
+        assert constants._shared is None
+        si = [(strong, constants.strong_erdos_burgess(S).value) for S in corpus]
+        i = [(constants.KIND_ERDOS_BURGESS, constants.erdos_burgess(S).value) for S in corpus]
+        assert read == si + [pair for both in zip(i, si) for pair in both]
 
 
 def test_only_the_value_checks_use_the_bounded_search(corpus_le3, monkeypatch):
