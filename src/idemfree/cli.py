@@ -27,7 +27,7 @@ from .core import (
     zero_element,
 )
 from .seqprod import Seq, _weakly_free, is_strongly_free, is_weakly_free, product_sets
-from .structure import _certify, _checked_terms
+from .structure import _certify, _checked_terms, _support
 
 
 def _emit(payload) -> None:
@@ -103,7 +103,7 @@ def cmd_check_extremal(args) -> int:
     # the terms and the length first, before any product set is built
     terms = _checked_terms(S, T)
     free = _weakly_free(S, terms)
-    cert = _certify(S, terms)
+    cert = _certify(S, terms, _support(S, terms))
     _emit(
         {
             "weaklyFree": free,

@@ -71,15 +71,17 @@ class FiniteSemigroup:
             for b, v in enumerate(row):
                 if not 0 <= v < n:
                     raise NotClosed(a, b, v)
-        # first violating triple in lexicographic (a, b, c) order
-        for a in range(n):
-            ra = rows[a]
-            for b in range(n):
-                rb = rows[b]
-                rab = rows[ra[b]]
-                for c in range(n):
-                    if rab[c] != ra[rb[c]]:
-                        raise NotAssociative(a, b, c)
+        # first violating triple in lexicographic (a, b, c) order: row (a*b)
+        # against row a read at the cells of row b, scanned for c only on a
+        # mismatch; order 1 is associative once closed (and itemgetter with
+        # one index would return a cell, not a row)
+        if n > 1:
+            at = [operator.itemgetter(*rb) for rb in rows]
+            for a, ra in enumerate(rows):
+                for b, row_b_of in enumerate(at):
+                    if rows[ra[b]] != row_b_of(ra):
+                        rab, rb = rows[ra[b]], rows[b]
+                        raise NotAssociative(a, b, next(c for c in range(n) if rab[c] != ra[rb[c]]))
         self._adopt(rows)
 
     @classmethod

@@ -20,10 +20,11 @@ multiplicities pinned to index + period - 2.
 Each extremal check has two entries. The public ``extremal_structure_check``
 and ``extremal_main_form`` check their terms once (``_checked_terms``: each
 an element of S, |S \\ E(S)| of them) and call ``_certify`` and
-``_main_form``, which take checked element ids; the families and
-equivalence checks of ``verify`` call those directly. Both read one record
-per sorted support (``_Support``) whose sets are bit masks over S's element
-ids: R, each generator's powers, and R grouped by idempotent power
+``_main_form``, which take checked element ids and the record of their
+sorted support; the families and equivalence checks of ``verify`` call
+those directly. Each caller builds that record (``_support``) once per
+call and hands it to the checks it runs. Its sets are bit masks over S's
+element ids: R, each generator's powers, and R grouped by idempotent power
 (``_by_idempotent_power``, the grouping ``_decompose`` builds the
 archimedean decomposition from). So the complement, union and disjointness
 conditions, the component kinds and the main form's lower-absorbing chain
@@ -387,27 +388,17 @@ def _component_kind(t, e: int, comp: int, gens: list[int], rec: "_Support") -> s
 
 @dataclass
 class _Support:
-    """What both extremal checks read about one sorted support of a table,
-    with every set as a bit mask over S's element ids."""
+    """What both extremal checks read about the sorted support of checked
+    terms, with every set as a bit mask over S's element ids."""
 
-    R: int  # the subsemigroup the support generates
+    supp: list[int]  # the sorted support
+    R: int  # the subsemigroup it generates
     failed: str | None  # the first failed condition among commutative closure and complement-idempotent
     cds: dict[int, CyclicData]  # each generator's cyclic data,
     powers: dict[int, int]  # the mask of its powers
     idem: dict[int, int]  # and its idempotent power
     comps: dict[int, int] | None = None  # R grouped by idempotent power, once _classified asks for it,
     kinds: dict[int, str | None] | None = None  # and each component's kind, both keyed by idempotent
-
-
-# One _Support per sorted support, for the last table certified. A sweep
-# certifies many multisets of one table, and the families check runs
-# _main_form after _certify on the same sequence; both read the record, whose
-# sets are ints, not frozensets. Only one table's records are kept, so a
-# corpus held in memory does not hold a record for every table (records on
-# every table measured +5% peak RSS on the corpus benchmark). Threads that
-# race here only recompute: each tuple pairs a table with its own dict, and a
-# table's records depend on nothing else.
-_memo: tuple = (None, {})
 
 
 def _checked_terms(S: FiniteSemigroup, seq) -> tuple[int, ...]:
@@ -420,52 +411,41 @@ def _checked_terms(S: FiniteSemigroup, seq) -> tuple[int, ...]:
     return terms
 
 
-def _support(S: FiniteSemigroup, terms: tuple[int, ...]) -> tuple[list[int], _Support]:
-    """The sorted support of checked terms and its record, built on the
-    first call for that support.
+def _support(S: FiniteSemigroup, terms: tuple[int, ...]) -> _Support:
+    """The record of the sorted support of checked terms.
 
     For the empty sequence R is empty and both prelude conditions hold,
     since its length says every element is idempotent.
     """
-    global _memo
     supp = sorted(set(terms))
-    memo = _memo
-    if memo[0] is not S:
-        memo = _memo = (S, {})
-    key = tuple(supp)
-    rec = memo[1].get(key)
-    if rec is None:
-        t = S.table
-        R = _generated(t, supp)
-        failed = None
-        # a semigroup generated by pairwise commuting elements is commutative;
-        # the pairs need no look when S is already known to be
-        if not (S._commutative or all(t[a][b] == t[b][a] for i, a in enumerate(supp) for b in supp[i + 1:])):
-            failed = COND_COMMUTATIVE
-        elif R | _idem_mask(S) != (1 << S.order) - 1:
-            failed = COND_COMPLEMENT
-        cds, powers, idem = {}, {}, {}
-        for x in supp:
-            cd = cds[x] = _cyclic_data(S, x)
-            powers[x] = _mask_of(cd.powers)
-            idem[x] = _idempotent_power(t, x)
-        rec = memo[1][key] = _Support(R, failed, cds, powers, idem)
-    return supp, rec
+    t = S.table
+    R = _generated(t, supp)
+    failed = None
+    # a semigroup generated by pairwise commuting elements is commutative;
+    # the pairs need no look when S is already known to be
+    if not (S._commutative or all(t[a][b] == t[b][a] for i, a in enumerate(supp) for b in supp[i + 1:])):
+        failed = COND_COMMUTATIVE
+    elif R | _idem_mask(S) != (1 << S.order) - 1:
+        failed = COND_COMPLEMENT
+    cds, powers, idem = {}, {}, {}
+    for x in supp:
+        cd = cds[x] = _cyclic_data(S, x)
+        powers[x] = _mask_of(cd.powers)
+        idem[x] = _idempotent_power(t, x)
+    return _Support(supp, R, failed, cds, powers, idem)
 
 
-def _classified(S: FiniteSemigroup, supp: list[int], rec: _Support) -> tuple[dict[int, int], dict]:
+def _classified(S: FiniteSemigroup, rec: _Support) -> tuple[dict[int, int], dict]:
     """The components of the commutative R and their kinds, both keyed by
     idempotent in the order of the components' least elements, filled into
     rec on the first call: a kind is None for a component that holds no
     generator or fails ``_component_kind``."""
     if rec.kinds is None:
         t = S.table
-        comps = _by_idempotent_power(t, rec.R)
+        comps = rec.comps = _by_idempotent_power(t, rec.R)
         gens: dict[int, list[int]] = {e: [] for e in comps}
-        for x in supp:
+        for x in rec.supp:
             gens[rec.idem[x]].append(x)
-        rec.comps = comps
-        # kinds last: a thread that sees them set also sees comps
         rec.kinds = {e: _component_kind(t, e, comp, gens[e], rec) for e, comp in comps.items()}
     return rec.comps, rec.kinds
 
@@ -476,14 +456,14 @@ def extremal_structure_check(S: FiniteSemigroup, seq) -> ExtremalCertificate:
     Conditions are evaluated in a fixed order and the first failure decides
     the verdict; every condition that was evaluated is recorded.
     """
-    return _certify(S, _checked_terms(S, seq))
+    terms = _checked_terms(S, seq)
+    return _certify(S, terms, _support(S, terms))
 
 
-def _certify(S: FiniteSemigroup, terms: tuple[int, ...]) -> ExtremalCertificate:
+def _certify(S: FiniteSemigroup, terms: tuple[int, ...], rec: _Support) -> ExtremalCertificate:
     """``extremal_structure_check`` of terms that are already element ids of
-    S, |S \\ E(S)| of them."""
-    supp, rec = _support(S, terms)
-    cds, powers = rec.cds, rec.powers
+    S, |S \\ E(S)| of them, with rec the record of their support."""
+    supp, cds, powers = rec.supp, rec.cds, rec.powers
     counts = {x: terms.count(x) for x in supp}
     gen_order: tuple[int, ...] = tuple(supp)
     kinds: tuple[str, ...] = ()
@@ -507,7 +487,7 @@ def _certify(S: FiniteSemigroup, terms: tuple[int, ...]) -> ExtremalCertificate:
         yield COND_DISJOINT, sizes == parts.bit_count()
         yield COND_INDEX, all((cds[x].index - 1) % cds[x].period == 0 for x in supp)
         yield COND_MULTIPLICITY, all(counts[x] == cds[x].index + cds[x].period - 2 for x in supp)
-        by_idem = _classified(S, supp, rec)[1]
+        by_idem = _classified(S, rec)[1]
         yield COND_COMPONENTS, None not in by_idem.values()
         # each component's kind, ordered by its first generator in gen_order
         kinds = tuple(by_idem[e] for e in dict.fromkeys(rec.idem[x] for x in gen_order))
@@ -534,28 +514,29 @@ def extremal_main_form(S: FiniteSemigroup, seq) -> bool:
     """The same characterization decided through the archimedean machinery.
 
     Serves as a cross-check for the flat condition list: the component
-    kinds come from the shared record, but the total order is decided by
-    the archimedean components as a lower-absorbing chain instead of the
-    flat absorption order, and multiplicities are pinned afresh.
+    kinds are classified as for the certificate, but the total order is
+    decided by the archimedean components as a lower-absorbing chain
+    instead of the flat absorption order, and multiplicities are pinned
+    afresh.
     """
-    return _main_form(S, _checked_terms(S, seq))
+    terms = _checked_terms(S, seq)
+    return _main_form(S, terms, _support(S, terms))
 
 
-def _main_form(S: FiniteSemigroup, terms: tuple[int, ...]) -> bool:
+def _main_form(S: FiniteSemigroup, terms: tuple[int, ...], rec: _Support) -> bool:
     """``extremal_main_form`` of terms that are already element ids of S,
-    |S \\ E(S)| of them."""
-    supp, rec = _support(S, terms)
+    |S \\ E(S)| of them, with rec the record of their support."""
     if rec.failed is not None:
         return False
-    if not supp:
+    if not rec.supp:
         return True
-    comps, kinds = _classified(S, supp, rec)
+    comps, kinds = _classified(S, rec)
     if None in kinds.values() or not _absorbing_chain(S.table, comps):
         return False
-    return all(terms.count(x) == rec.cds[x].index + rec.cds[x].period - 2 for x in supp)
+    return all(terms.count(x) == rec.cds[x].index + rec.cds[x].period - 2 for x in rec.supp)
 
 
 def extremal_equivalence(S: FiniteSemigroup, seq) -> bool:
     """Brute-force weak freeness agrees with the structural certificate."""
     terms = _checked_terms(S, seq)
-    return _weakly_free(S, terms) == _certify(S, terms).passed
+    return _weakly_free(S, terms) == _certify(S, terms, _support(S, terms)).passed

@@ -69,7 +69,7 @@ from .core import (
     zero_element,
 )
 from .seqprod import _any_mask, _idem_mask, _weakly_free
-from .structure import _certify, _main_form
+from .structure import _certify, _main_form, _support
 
 CHECK_IDS = (
     "ghw-bound",
@@ -191,7 +191,7 @@ def _certified_multisets(S: FiniteSemigroup, alphabet: list[int]) -> set[tuple[i
             if sum(pinned[x] for x in supp) != length:
                 continue
             multiset = tuple(x for x in supp for _ in range(pinned[x]))
-            if _certify(S, multiset).passed:
+            if _certify(S, multiset, _support(S, multiset)).passed:
                 certified.add(multiset)
     return certified
 
@@ -298,12 +298,13 @@ def _family_case(spec: ExtremalSpec) -> dict:
     S, T = extremal_pair(spec)
     terms = T.terms  # element ids of S, built by extremal_pair
     expected_len = S.order - len(idempotents(S))
-    cert = _certify(S, terms)
+    rec = _support(S, terms)  # one record for the certificate and the main form
+    cert = _certify(S, terms, rec)
     checks = {
         "length": len(terms) == expected_len,
         "weaklyFree": _weakly_free(S, terms),
         "certificate": cert.passed,
-        "mainFormAgrees": _main_form(S, terms) == cert.passed,
+        "mainFormAgrees": _main_form(S, terms, rec) == cert.passed,
         "erdosBurgess": _weak_value(S) == expected_len + 1,
     }
     ok = all(checks.values())

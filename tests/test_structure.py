@@ -24,7 +24,6 @@ from idemfree import (
     extremal_pair,
     extremal_structure_check,
     ExtremalSpec,
-    FiniteSemigroup,
     GroupByNil,
     Monogenic,
     generated_subsemigroup,
@@ -351,20 +350,16 @@ def test_passing_certificate_pins_every_count(corpus_le4):
     assert passing > 0
 
 
-def test_certificate_memo_is_kept_for_one_table_only(commutative_le4):
-    # structure keeps one record per sorted support (R, the prelude failure,
-    # each generator's cyclic data, power mask and idempotent power and, once
+def test_support_record_matches_its_definitions(commutative_le4):
+    # the record of a sorted support (R, the prelude failure, each
+    # generator's cyclic data, power mask and idempotent power and, once
     # asked for, R grouped by idempotent power with each component's kind)
-    # for the last table certified; read back table after table, each in a
-    # shuffled order over the table and an equal copy of it, with supports
-    # that generate different R, the records and the main form must match a
-    # cold computation
-    import random
-
-    from idemfree import structure
+    # must match the definitions, and the main form read from a record the
+    # certificate has already filled must match one read from a fresh record
     from idemfree.core import _mask_to_set
     from idemfree.structure import (
         _by_idempotent_power,
+        _certify,
         _classified,
         _component_kind,
         _decompose,
@@ -373,31 +368,20 @@ def test_certificate_memo_is_kept_for_one_table_only(commutative_le4):
         _support,
     )
 
-    tables = []
-    for S in commutative_le4[::2]:
-        length = S.order - len(idempotents(S))
-        multisets = list(itertools.combinations_with_replacement(S.elements, length))
-        tables.append([(T, terms) for T in (S, FiniteSemigroup(S.table)) for terms in multisets])
-    cold = {}
-    for T, terms in itertools.chain(*tables):
-        structure._memo = (None, {})
-        form = _main_form(T, terms)
-        supp, rec = _support(T, terms)
-        if rec.failed is None and supp:
-            _classified(T, supp, rec)
-        cold[id(T), terms] = form, rec
-    rng = random.Random(3)
-    for cases in tables:
-        rng.shuffle(cases)
-        for T, terms in cases:
-            supp, rec = _support(T, terms)
+    for T in commutative_le4[::2]:
+        length = T.order - len(idempotents(T))
+        for terms in itertools.combinations_with_replacement(T.elements, length):
+            rec = _support(T, terms)
+            _certify(T, terms, rec)
+            supp = sorted(set(terms))
+            assert rec.supp == supp
             cds = {x: cyclic_data(T, x) for x in supp}
             assert _mask_to_set(rec.R) == (generated_subsemigroup(T, supp) if supp else frozenset())
             assert rec.cds == cds
             assert rec.powers == {x: _mask_of(cds[x].powers) for x in supp}
             assert rec.idem == {x: unique_cycle_idempotent(T, x) for x in supp}
             if rec.failed is None and supp:
-                comps, kinds = _classified(T, supp, rec)
+                comps, kinds = _classified(T, rec)
                 assert comps is rec.comps and comps == _by_idempotent_power(T.table, rec.R)
                 dec = _decompose(T, _mask_to_set(rec.R))
                 assert [_mask_to_set(m) for m in comps.values()] == list(dec.components)
@@ -406,9 +390,7 @@ def test_certificate_memo_is_kept_for_one_table_only(commutative_le4):
                     e: _component_kind(T.table, e, comp, [x for x in supp if rec.idem[x] == e], rec)
                     for e, comp in comps.items()
                 }
-            form, cold_rec = cold[id(T), terms]
-            assert rec == cold_rec
-            assert _main_form(T, terms) == form
+            assert _main_form(T, terms, rec) == _main_form(T, terms, _support(T, terms))
 
 
 def test_family_case_decomposes_and_classifies_each_component_once(monkeypatch):

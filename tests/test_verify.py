@@ -47,8 +47,9 @@ def test_equivalence_failure_records_match_reference(commutative_le4, monkeypatc
     # a certificate and product sets that are wrong, but only as functions of
     # the multiset: the certificate flips on every pinned multiset (each
     # count index + period - 2, the only kind it can pass) that holds the
-    # first non-idempotent, and the full-length product set loses the last
-    def flipped(S, seq):
+    # first non-idempotent, and the full-length product set loses the last;
+    # verify passes the certificate a record, the oracles call it without one
+    def flipped(S, seq, rec=None):
         alphabet = [a for a in S.elements if S.table[a][a] != a]
         pinned = all(seq.count(x) == cyclic_data(S, x).index + cyclic_data(S, x).period - 2 for x in seq)
         return SimpleNamespace(passed=extremal_structure_check(S, seq).passed != (pinned and alphabet[0] in seq))
