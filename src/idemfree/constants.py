@@ -86,9 +86,12 @@ value, positions and node count under that key, and a repeat maps the
 stored positions back instead of searching again. The ghw-bound and
 strong-vs-weak checks call it for the value alone, with no report.
 ``_weak_value`` stores its value under a key of its own, so it never
-serves a report with a node count. Outside a scope every search runs. D
-is not shared and walks S itself: irreducibility reads the products with
-idempotents too.
+serves a report with a node count. ``_free_masks`` runs the any-order walk
+on any table, commutative or not, and records each free node's sequence
+with its any-order mask: that dict is the free set F of the
+extremal-equivalence check, stored in a scope under a key of its own too.
+Outside a scope every search runs. D is not shared and walks S itself:
+irreducibility reads the products with idempotents too.
 
 Each walk is a recursive closure, which refers to itself through its own
 cell. A walk drops that reference when it ends, on a refusal too, so
@@ -274,9 +277,10 @@ def _memo_walk(n: int, slices: list[list[int]], allows: list[int]) -> tuple[int,
     return len(path), tuple(path), nodes
 
 
-def _any_order_walk(rows: list, k: int) -> tuple[int, tuple[int, ...], int]:
+def _any_order_walk(rows: list, k: int, free: dict | None = None) -> tuple[int, tuple[int, ...], int]:
     """The longest weakly free nondecreasing sequence over the k letters of
-    a noncommutative S, given the k rows of its letter table.
+    a letter table, given its k rows: noncommutative I, and on any table
+    the free set of ``_free_masks``.
 
     The path carries the any-order DP of ``seqprod._fill_slab``: one mask per
     sub-multiset of the path, the largest letter most significant, from the
@@ -284,7 +288,8 @@ def _any_order_walk(rows: list, k: int) -> tuple[int, tuple[int, ...], int]:
     sub-multisets that use its new term, stopping at the first product that
     is the idempotent marker k, and drops it on return. A repeat of the top
     letter reuses its digit links; a new top letter builds them once per
-    node.
+    node. Given a dict free, it records there each free node's sequence
+    with its any-order mask.
     """
     cols = _column_slices(rows, range(k))
     stop = 1 << k
@@ -309,6 +314,8 @@ def _any_order_walk(rows: list, k: int) -> tuple[int, tuple[int, ...], int]:
                 cand = seq + (x,)
                 if len(cand) > len(best):
                     best = cand
+                if free is not None:
+                    free[cand] = grown
                 rec(cand, grown, lk, w, x)
             del reach[base:]
 
@@ -442,6 +449,24 @@ def _shared_walk(letters: tuple[int, ...], k: int, kind: str, any_order: bool) -
         if shared is not None:
             shared[key] = found
     return found
+
+
+def _free_masks(letters: tuple[int, ...], k: int) -> dict[tuple[int, ...], int]:
+    """Every weakly free nondecreasing sequence over the k letters of a
+    letter table, the empty one included, as letter positions, with its
+    any-order product mask over positions: the free nodes of
+    ``_any_order_walk``, on commutative tables too. Inside a sharing scope
+    the dict is stored under its letter table and walked only on a miss.
+    """
+    key = ("free", letters)
+    shared = _shared
+    free = None if shared is None else shared.get(key)
+    if free is None:
+        free = {(): 0}
+        _any_order_walk(_letter_rows(letters, k), k, free)
+        if shared is not None:
+            shared[key] = free
+    return free
 
 
 def _free_search(S: FiniteSemigroup, kind: str) -> ConstantReport:

@@ -164,6 +164,11 @@ class Monogenic:
     def term_count(self) -> int:
         return self.index + self.period - 2
 
+    @property
+    def _terms(self) -> tuple[int, ...]:
+        # the extremal sequence in the part's own ids: the generator, repeated
+        return (0,) * self.term_count
+
     @cached_property
     def _table(self) -> FiniteSemigroup:
         # kept in the instance dict: not a field, so not in ==, hash or repr
@@ -187,6 +192,11 @@ class GroupByNil:
     def term_count(self) -> int:
         return self.nil_index + self.group_order - 2
 
+    @property
+    def _terms(self) -> tuple[int, ...]:
+        # the nil generator first, then the group generator
+        return (0,) * (self.nil_index - 1) + (self.nil_index - 1,) * (self.group_order - 1)
+
     @cached_property
     def _table(self) -> FiniteSemigroup:
         return trivial_ideal_extension(self.nil_index, self.group_order)
@@ -198,8 +208,13 @@ class ExtremalSpec:
     adjoin_identity: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "chain", tuple(self.chain))
         if not self.chain:
             raise InvalidParameters("extremal spec needs at least one component")
+        for part in self.chain:
+            if not isinstance(part, (Monogenic, GroupByNil)):
+                raise InvalidParameters(f"extremal spec part {part!r} is not a Monogenic or GroupByNil")
+        _check_flag(self.adjoin_identity, "adjoin_identity")
 
 
 def extremal_pair(spec: ExtremalSpec) -> tuple[FiniteSemigroup, Seq]:
@@ -209,25 +224,14 @@ def extremal_pair(spec: ExtremalSpec) -> tuple[FiniteSemigroup, Seq]:
     length is exactly |S \\ E(S)|. The parts' tables are their cached
     ``_table``, so specs that share a part object build it once.
     """
-    comps = [part._table for part in spec.chain]
-    local_gens: list[list[tuple[int, int]]] = []  # per component: (local id, multiplicity)
-    for part in spec.chain:
-        if isinstance(part, Monogenic):
-            local_gens.append([(0, part.term_count)])
-        else:
-            # nil generator first, then the group generator
-            local_gens.append(
-                [(0, part.nil_index - 1), (part.nil_index - 1, part.group_order - 1)]
-            )
-    S = chain_glue(comps)
+    S = chain_glue([part._table for part in spec.chain])
     if spec.adjoin_identity:
         S = adjoin_identity(S)
     terms: list[int] = []
     offset = 0
-    for comp, gens in zip(comps, local_gens):
-        for local, mult in gens:
-            terms.extend([offset + local] * mult)
-        offset += comp.order
+    for part in spec.chain:
+        terms.extend([offset + local for local in part._terms])
+        offset += part._table.order
     return S, Seq(tuple(terms))
 
 

@@ -143,6 +143,7 @@ def _integer_rows(table) -> tuple[tuple[int, ...], ...]:
 
 def validate(order: int, table) -> FiniteSemigroup:
     """Build a semigroup from an n x n table, rejecting bad cells and triples."""
+    order = _index(order, "order")
     rows = _integer_rows(table)
     if len(rows) != order:
         raise InvalidParameters(f"declared order {order} but table has {len(rows)} rows")

@@ -6,11 +6,11 @@ resulting logs are byte-identical regardless of worker count. Elapsed time
 is deliberately kept out of the log payload.
 
 The ghw-bound, strong-vs-weak and extremal-families checks share I and SI
-searches between tables with the same letter table: each runs its map and
-aggregation inside one ``constants._sharing`` scope, and a process pool
-opens one scope per batch of items in the worker that runs it. A shared
-report is the report the search would return (``constants``), so the logs
-do not change.
+searches between tables with the same letter table, and extremal-equivalence
+shares its free sets F: each runs its map and aggregation inside one
+``constants._sharing`` scope, and a process pool opens one scope per batch
+of items in the worker that runs it. A shared report or free set is the one
+the walk would return (``constants``), so the logs do not change.
 
 The extremal-families and example-formulas checks read only I's value on
 commutative tables, so they call ``constants._weak_value``, whose walk is
@@ -25,10 +25,17 @@ The extremal-equivalence check never visits every word of length
 k = |S \\ E(S)|. Freeness and the certificate depend only on the multiset
 of terms, and a passing certificate pins each term's count to
 index + period - 2, so it compares two small sets of multisets: the free
-set F, from a walk over nondecreasing sequences cut at the first
-idempotent product, and the certified set C, one multiset per support
-whose pinned counts sum to k. The words of F xor C are its equivalence
-failures, and the new-product bound and the claims run on F & C.
+set F and the certified set C, one multiset per support whose pinned
+counts sum to k. F comes from ``constants._free_masks``: the free nodes of
+the any-order walk over the letter table that noncommutative I runs, here
+on commutative tables too, so there is one path. That is exact, since a
+product that reaches an idempotent ends freeness: a free multiset's
+products never leave the letters. The walk records every free
+nondecreasing sequence of at most k letters with its any-order mask, so
+the new-product bound looks up the mask of each multiset less one term,
+and the cover claim asks for the full mask. The words of F xor C are its
+equivalence failures, and the new-product bound and the claims run on
+F & C.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from concurrent.futures import ProcessPoolExecutor
 from .constants import (
     KIND_ERDOS_BURGESS,
     KIND_STRONG_ERDOS_BURGESS,
+    _free_masks,
     _letter_table,
     _shared_walk,
     _sharing,
@@ -68,7 +76,7 @@ from .core import (
     is_nilsemigroup,
     zero_element,
 )
-from .seqprod import _any_mask, _idem_mask, _weakly_free
+from .seqprod import _weakly_free
 from .structure import _certify, _main_form, _support
 
 CHECK_IDS = (
@@ -146,35 +154,10 @@ def _word_records(S: FiniteSemigroup, found) -> list[dict]:
     return records
 
 
-def _free_multisets(S: FiniteSemigroup, alphabet: list[int], idem: int) -> dict[tuple[int, ...], int]:
-    """F: each weakly free multiset of len(alphabet) terms over the
-    alphabet, as a nondecreasing tuple, with its any-order product mask;
-    idem is the mask of the idempotents.
-
-    A depth-first walk over nondecreasing prefixes; the any-order set of a
-    sub-multiset lies inside that of the multiset, so a prefix with an
-    idempotent product has no free extension and its subtree is cut.
-    """
-    length = len(alphabet)
-    found: dict[tuple[int, ...], int] = {}
-
-    def walk(prefix: tuple[int, ...], start: int) -> None:
-        mask = _any_mask(S, prefix)
-        if mask & idem:
-            return
-        if len(prefix) == length:
-            found[prefix] = mask
-            return
-        for i in range(start, length):
-            walk(prefix + (alphabet[i],), i)
-
-    walk((), 0)
-    return found
-
-
-def _certified_multisets(S: FiniteSemigroup, alphabet: list[int]) -> set[tuple[int, ...]]:
-    """C: each multiset of len(alphabet) terms over the alphabet that passes
-    the certificate, as a nondecreasing tuple.
+def _certified_multisets(S: FiniteSemigroup, alpha: list[int]) -> set[tuple[int, ...]]:
+    """C: each multiset of len(alpha) terms over the non-idempotents alpha
+    that passes the certificate, as a nondecreasing tuple of positions in
+    alpha.
 
     The certificate's multiplicity condition pins the count of each term x
     of a passing multiset to index(x) + period(x) - 2, which is at least 1
@@ -182,17 +165,17 @@ def _certified_multisets(S: FiniteSemigroup, alphabet: list[int]) -> set[tuple[i
     only supports whose pinned counts sum to the length are certified, one
     multiset each.
     """
-    length = len(alphabet)
-    cds = {x: _cyclic_data(S, x) for x in alphabet}
-    pinned = {x: cds[x].index + cds[x].period - 2 for x in alphabet}
+    length = len(alpha)
+    cds = [_cyclic_data(S, x) for x in alpha]
+    pinned = [cd.index + cd.period - 2 for cd in cds]
     certified = set()
     for size in range(length + 1):
-        for supp in itertools.combinations(alphabet, size):
-            if sum(pinned[x] for x in supp) != length:
+        for supp in itertools.combinations(range(length), size):
+            if sum(pinned[i] for i in supp) != length:
                 continue
-            multiset = tuple(x for x in supp for _ in range(pinned[x]))
-            if _certify(S, multiset, _support(S, multiset)).passed:
-                certified.add(multiset)
+            terms = tuple([alpha[i] for i in supp for _ in range(pinned[i])])
+            if _certify(S, terms, _support(S, terms)).passed:
+                certified.add(tuple([i for i in supp for _ in range(pinned[i])]))
     return certified
 
 
@@ -203,49 +186,49 @@ def _equivalence_case(S: FiniteSemigroup) -> dict:
     checked on F & C. Each multiset counts once per distinct word,
     k! / prod(c_i!) of them, so the counters and failure records are those
     of a sweep over all k^k words.
+
+    F, each sub-multiset's mask and C are over letter positions; a failure
+    record names element ids, mapped back through alpha.
     """
-    idem = _idem_mask(S)
-    alphabet = [a for a in S.elements if not idem >> a & 1]
-    length = len(alphabet)
-    free_masks = _free_multisets(S, alphabet, idem)
-    certified = _certified_multisets(S, alphabet)
-    nonidem = ((1 << S.order) - 1) ^ idem
+    alpha, letters = _letter_table(S)
+    length = len(alpha)
+    free_masks = _free_masks(letters, length)
+    certified = _certified_multisets(S, alpha)
     free = lambda_checked = 0
-    eq_found = [(multiset, [{}]) for multiset in free_masks.keys() ^ certified]
+    eq_found = [(multiset, [{}]) for multiset in certified ^ {m for m in free_masks if len(m) == length}]
     lambda_found = []
     claim_found = []
-    for multiset, mask in free_masks.items():
-        if multiset not in certified:
-            continue
+    for multiset in certified & free_masks.keys():
+        mask = free_masks[multiset]
         supp = sorted(set(multiset))
         words = math.factorial(length) // math.prod(math.factorial(multiset.count(x)) for x in supp)
         free += words
         # new-product lower bound: dropping one copy of a term and
-        # re-appending it must contribute at least one product; the grown
-        # sequence has the same multiset, so its any-order set is mask
+        # re-appending it must contribute at least one product; the rest is
+        # a free nondecreasing sequence, so F's walk holds its mask
         lambda_checked += words * len(supp)
         gainless = []
         for x in supp:
-            rest = list(multiset)
-            rest.remove(x)
-            if not (mask & ~_any_mask(S, tuple(rest))):
-                gainless.append({"term": x})
+            j = multiset.index(x)
+            if not mask & ~free_masks[multiset[:j] + multiset[j + 1 :]]:
+                gainless.append({"term": alpha[x]})
         if gainless:
             lambda_found.append((multiset, gainless))
         # extremal support commutes pairwise into itself, and the products
         # of a free sequence of this length cover all non-idempotents
         claims = []
-        for i, a in enumerate(supp):
-            for b in supp[i + 1:]:
-                if S.table[a][b] != S.table[b][a] or S.table[a][b] not in (a, b):
-                    claims.append({"pair": [a, b]})
-        if mask != nonidem:
+        for a, b in itertools.combinations(supp, 2):
+            ab = letters[a * length + b]
+            if ab != letters[b * length + a] or ab not in (a, b):
+                claims.append({"pair": [alpha[a], alpha[b]]})
+        if mask != (1 << length) - 1:
             claims.append({"pair": None})
         if claims:
             claim_found.append((multiset, claims))
-    eq_failures = _word_records(S, eq_found)
-    lambda_failures = _word_records(S, lambda_found)
-    claim_failures = _word_records(S, claim_found)
+    eq_failures, lambda_failures, claim_failures = (
+        _word_records(S, [(tuple([alpha[i] for i in multiset]), extras) for multiset, extras in found])
+        for found in (eq_found, lambda_found, claim_found)
+    )
     ok = not (eq_failures or lambda_failures or claim_failures)
     return {
         "ok": ok,
@@ -266,22 +249,24 @@ def check_extremal_equivalence(commutative_semigroups, map_fn=map) -> dict:
     every free sequence found satisfies the new-product lower bound.
 
     Each table's free multisets F and certified multisets C are built
-    separately and compared; no other multiset is visited. The counters
-    are still word counts: sequences is k^k, freeSequences and
-    lambdaChecked count the words of F & C, and the failure counts the
+    separately and compared; no other multiset is visited. The check runs
+    in one sharing scope, so F is walked once per distinct letter table.
+    The counters are still word counts: sequences is k^k, freeSequences
+    and lambdaChecked count the words of F & C, and the failure counts the
     words of each failing multiset."""
-    return _aggregate(
-        "extremal-equivalence",
-        map_fn(_equivalence_case, commutative_semigroups),
-        extra_keys=(
-            "sequences",
-            "freeSequences",
-            "lambdaChecked",
-            "equivalenceFailures",
-            "lambdaFailures",
-            "claimFailures",
-        ),
-    )
+    with _sharing():
+        return _aggregate(
+            "extremal-equivalence",
+            map_fn(_equivalence_case, commutative_semigroups),
+            extra_keys=(
+                "sequences",
+                "freeSequences",
+                "lambdaChecked",
+                "equivalenceFailures",
+                "lambdaFailures",
+                "claimFailures",
+            ),
+        )
 
 
 def _spec_to_json(spec: ExtremalSpec) -> dict:

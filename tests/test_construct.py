@@ -161,6 +161,16 @@ def test_extremal_spec_validation():
         GroupByNil(2.5, 2)
     with pytest.raises(InvalidParameters, match="group order 2.0 is not an integer"):
         GroupByNil(2, 2.0)
+    # the flag is a bool, not read by its truth value ('no' is true)
+    with pytest.raises(InvalidParameters, match="^adjoin_identity must be True or False, got 'no'$"):
+        ExtremalSpec((Monogenic(3, 2),), adjoin_identity="no")
+    # a part is named when it is no catalog part, not met later in extremal_pair
+    with pytest.raises(InvalidParameters, match="^extremal spec part 3 is not a Monogenic or GroupByNil$"):
+        ExtremalSpec((Monogenic(3, 2), 3))
+    # a list chain is stored as a tuple, so the frozen spec stays hashable
+    spec = ExtremalSpec([Monogenic(3, 2), GroupByNil(2, 3)])
+    assert spec.chain == (Monogenic(3, 2), GroupByNil(2, 3))
+    assert hash(spec) == hash(ExtremalSpec((Monogenic(3, 2), GroupByNil(2, 3))))
 
 
 def test_extremal_pair_examples():

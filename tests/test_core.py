@@ -98,6 +98,11 @@ def test_validate_rejects_out_of_range_cell():
 def test_validate_rejects_order_mismatch_and_ragged_rows():
     with pytest.raises(InvalidParameters):
         validate(3, [[0, 1], [1, 0]])
+    # the declared order is an integer: a string, bool or float is named as
+    # such, never compared with the row count or read as 1
+    for order in ("1", True, 1.0):
+        with pytest.raises(InvalidParameters, match=rf"^order {order!r} is not an integer$"):
+            validate(order, [[0]])
     with pytest.raises(InvalidParameters):
         FiniteSemigroup([[0, 1], [1]])
 

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -48,7 +49,8 @@ def test_equivalence_failure_records_match_reference(commutative_le4, monkeypatc
     # the multiset: the certificate flips on every pinned multiset (each
     # count index + period - 2, the only kind it can pass) that holds the
     # first non-idempotent, and the full-length product set loses the last;
-    # verify passes the certificate a record, the oracles call it without one
+    # verify passes the certificate a record, the oracles call it without
+    # one, and verify reads its product sets, over letter positions, from F
     def flipped(S, seq, rec=None):
         alphabet = [a for a in S.elements if S.table[a][a] != a]
         pinned = all(seq.count(x) == cyclic_data(S, x).index + cyclic_data(S, x).period - 2 for x in seq)
@@ -68,7 +70,14 @@ def test_equivalence_failure_records_match_reference(commutative_le4, monkeypatc
 
     monkeypatch.setattr(verify, "_certify", flipped)
     monkeypatch.setattr(oracles, "extremal_structure_check", flipped)
-    monkeypatch.setattr(verify, "_any_mask", lossy(_any_mask))
+
+    def lossy_free(letters, k):
+        return {
+            seq: mask & ~(1 << k - 1) if len(seq) == k else mask
+            for seq, mask in constants._free_masks(letters, k).items()
+        }
+
+    monkeypatch.setattr(verify, "_free_masks", lossy_free)
     monkeypatch.setattr(oracles, "_any_mask", lossy(_any_mask))
     monkeypatch.setattr(oracles, "naive_any_order_products", lossy(oracles.naive_any_order_products))
     totals = {"equivalenceFailures": 0, "lambdaFailures": 0, "claimFailures": 0}
@@ -81,6 +90,41 @@ def test_equivalence_failure_records_match_reference(commutative_le4, monkeypatc
         for key in totals:
             totals[key] += got[key]
     assert all(totals.values()), totals
+
+
+def test_free_masks_are_the_naive_free_sequences(corpus_le4):
+    # F's walk records every nondecreasing sequence of letter positions, of
+    # length at most k, whose naive any-order products avoid E(S), with
+    # those products as positions; on commutative tables too
+    for S in corpus_le4 + _order5_sample(100, seed=29):
+        alpha, letters = constants._letter_table(S)
+        k = len(alpha)
+        idem = {e for e in S.elements if S.table[e][e] == e}
+        want = {}
+        for length in range(k + 1):
+            for seq in itertools.combinations_with_replacement(range(k), length):
+                products = oracles.naive_any_order_products(S, [alpha[i] for i in seq])
+                if not products & idem:
+                    want[seq] = sum(1 << alpha.index(p) for p in products)
+        assert constants._free_masks(letters, k) == want
+
+
+def test_equivalence_walks_each_letter_table_once(corpus_le4, monkeypatch):
+    # inside the check's scope F is walked once per distinct letter table,
+    # and the check reads no other walk
+    calls = []
+    real = constants._any_order_walk
+
+    def counted(rows, k, free=None):
+        calls.append(tuple(v for row in rows for v in row))
+        return real(rows, k, free)
+
+    monkeypatch.setattr(constants, "_any_order_walk", counted)
+    assert verify.check_extremal_equivalence(corpus_le4)["failed"] == 0
+    assert constants._shared is None
+    distinct = {constants._letter_table(S)[1] for S in corpus_le4}
+    assert len(calls) == len(set(calls)) == len(distinct) < len(corpus_le4)
+    assert set(calls) == distinct
 
 
 def test_extremal_spec_bounds_are_integers():
@@ -107,7 +151,7 @@ def test_sharing_scope_lives_for_one_check(corpus_le3):
             seen.append(constants._shared)
             yield fn(item)
 
-    for check in (verify.check_ghw_bound, verify.check_strong_weak):
+    for check in (verify.check_ghw_bound, verify.check_strong_weak, verify.check_extremal_equivalence):
         seen.clear()
         assert check(corpus_le3, watching_map)["failed"] == 0
         # one scope for the whole lazy map, holding the reports searched
