@@ -7,14 +7,24 @@ closed. Each search is one walk from the empty sequence, whose children
 are the one-term sequences, so the longest sequence it meets first is the
 lex-least longest one.
 
-On a commutative semigroup the any-order product set of a sequence equals
-its natural-order set, so SI and commutative I share one natural-order walk,
-``_memo_walk``: SI walks all words, and I walks nondecreasing sequences,
-since weak freeness depends only on the multiset of terms. Noncommutative I
-walks nondecreasing sequences too, in ``_any_order_walk``, which carries the
-any-order sub-multiset DP down the path: a child computes only the products
-of the sub-multisets that use its new term. Davenport irreducibility also
-depends only on the multiset, so the D search walks nondecreasing sequences.
+Weak freeness depends only on the multiset of terms, so I walks
+nondecreasing sequences; SI walks all words. The letter table (below)
+alone picks I's walk. Where its letters commute, SI and I share one
+natural-order walk, ``_memo_walk``. That is exact for I: if the letters
+commute and every natural-order product of a nondecreasing sequence is a
+letter, then by induction on adjacent swaps every any-order product is a
+letter equal to the sorted one, since each partial product is a natural
+product of a sub-multiset. So both walks have the same tree, value,
+lex-least witness and nodesExplored. I on letters that do not commute is
+read from F, the one result of ``_any_order_walk``: every free
+nondecreasing sequence, in walk order, with its any-order mask. That walk
+carries the any-order sub-multiset DP down the path: a child computes only
+the products of the sub-multisets that use its new term. The value is 1
+plus the longest key's length, the witness the first longest key, since
+walk order is lex order, and nodesExplored k plus k - x for each free
+sequence with last term x: the root tries k letters, a free node the
+letters from its last term on. Davenport irreducibility also depends only
+on the multiset, so the D search walks nondecreasing sequences.
 
 The natural-order and Davenport product sets only grow along a path, so
 those walks carry each set's right translates packed into one integer (the
@@ -25,7 +35,7 @@ built once per search and cut into the byte-sliced tables of
 added bits, not one row per bit. The natural-order rows also pack the
 letters whose translate meets an idempotent, so a node reads its pruned
 children in one shift; D carries only the proper products. The
-noncommutative I walk reads each translate of its slab fill from per-letter
+any-order walk reads each translate of its slab fill from per-letter
 column slices in the same way, built once per search. The I and SI rows
 and slices cover the k letters of the letter table (below), the D rows
 the n elements of S.
@@ -33,7 +43,7 @@ the n elements of S.
 Below a node, the D walk depends only on the state (pi, proper-products
 mask, start index), and the natural-order walk only on the letters the
 node may append and its product mask: every letter for SI, the letters
-from the last term on for commutative I. ``_davenport_walk`` and
+from the last term on for I. ``_davenport_walk`` and
 ``_memo_walk`` are DPs over those states: one memo per search maps each
 walked state to one integer. A state with a child stores count << 2b |
 height << b | letter, with b the bit length of k for the natural-order
@@ -50,8 +60,9 @@ takes about 0.15 s, against 0.7 s with one memo per first term. Every
 table takes the memo walk. On C24 it walks I in well under half the time of
 a plain walk; on the small tables of the order <= 5 corpus, where few
 states repeat, an I or SI search costs about 15% more than a plain walk,
-its leaf entries included, too little to move a corpus check.
-Noncommutative I's state is the whole multiset, so it has no memo.
+its leaf entries included, too little to move a corpus check. I on
+letters that do not commute has the whole multiset as its state, so F
+holds the walk instead, and it is kept while it is read.
 
 Checks that read only I's value on a commutative table call
 ``_weak_value``, which walks the I tree under a bound. Appending a term c
@@ -76,22 +87,23 @@ grow with k, not with |S|: a table whose idempotents outnumber its letters
 many times over costs what its letters cost. A walk returns its witness
 as letter positions, which every search maps back through alpha. The
 walks visit letters in increasing order and consult the idempotents only
-to prune, so two tables with the same letter table (and, for I, the same
-walk, any-order or natural) have the same tree up to the order-keeping map
-between their letters: the same value, the witness mapped letter for
-letter, and the same nodesExplored. ``_shared_walk`` runs the walk of
-every I and SI search. Inside a ``_sharing`` scope, which the verify
-checks open around one check and around each pool batch, it stores the
-value, positions and node count under that key, and a repeat maps the
-stored positions back instead of searching again. The ghw-bound and
-strong-vs-weak checks call it for the value alone, with no report.
-``_weak_value`` stores its value under a key of its own, so it never
-serves a report with a node count. ``_free_masks`` runs the any-order walk
-on any table, commutative or not, and records each free node's sequence
-with its any-order mask: that dict is the free set F of the
-extremal-equivalence check, stored in a scope under a key of its own too.
-Outside a scope every search runs. D is not shared and walks S itself:
-irreducibility reads the products with idempotents too.
+to prune, and the letter table picks the walk, so two tables with the same
+letter table have the same tree up to the order-keeping map between their
+letters: the same value, the witness mapped letter for letter, and the
+same nodesExplored. ``_shared_walk`` runs every I and SI search through
+``_walk``, which picks the walk. Inside a ``_sharing`` scope, which the
+verify checks open around one check and around each pool batch,
+``_scoped`` stores each result under its key on a miss and returns the
+stored one on a hit: the value, positions and node count of a search
+under its kind and letter table, which a repeat maps back instead of
+searching again. The ghw-bound and strong-vs-weak checks call
+``_shared_walk`` for the value alone, with no report. ``_free_masks`` is F
+under a key of its own, on commutative tables too: the free set of the
+extremal-equivalence check, which in one scope shares its walk with I.
+``_weak_value`` stores its value under a key of its own too, so it never
+serves a report with a node count. Outside a scope every search runs. D
+is not shared and walks S itself: irreducibility reads the products with
+idempotents too.
 
 Each walk is a recursive closure, which refers to itself through its own
 cell. A walk drops that reference when it ends, on a refusal too, so
@@ -112,18 +124,19 @@ KIND_ERDOS_BURGESS = "ErdosBurgess"
 KIND_STRONG_ERDOS_BURGESS = "StrongErdosBurgess"
 KIND_DAVENPORT = "Davenport"
 
-# the I and SI reports of the open sharing scope, or None outside one
+# the results stored in the open sharing scope, or None outside one
 _shared: dict | None = None
 
 
 @contextlib.contextmanager
 def _sharing():
-    """A scope in which I and SI searches with the same letter table and walk
-    share one report, and ``_weak_value`` calls one result (module
-    docstring). A nested scope reuses the outer one; the reports are
-    dropped when the outermost scope exits, on an exception too. Threads of
-    one process share the scope: a report is stored only once it is
-    complete, and two threads that miss on one key store equal reports."""
+    """A scope in which I and SI searches with the same letter table share
+    one report, I and ``_free_masks`` one F, and ``_weak_value`` calls one
+    result (module docstring). A nested scope reuses the outer one; the
+    results are dropped when the outermost scope exits, on an exception
+    too. Threads of one process share the scope: a result is stored only
+    once it is complete, and two threads that miss on one key store equal
+    results."""
     global _shared
     if _shared is not None:
         yield
@@ -277,10 +290,12 @@ def _memo_walk(n: int, slices: list[list[int]], allows: list[int]) -> tuple[int,
     return len(path), tuple(path), nodes
 
 
-def _any_order_walk(rows: list, k: int, free: dict | None = None) -> tuple[int, tuple[int, ...], int]:
-    """The longest weakly free nondecreasing sequence over the k letters of
-    a letter table, given its k rows: noncommutative I, and on any table
-    the free set of ``_free_masks``.
+def _any_order_walk(rows: list, k: int) -> dict[tuple[int, ...], int]:
+    """F: every weakly free nondecreasing sequence over the k letters of a
+    letter table, given its k rows, the empty one included, as letter
+    positions, with its any-order product mask over positions, in walk
+    order, so in lex order. I on letters that do not commute is read
+    from it.
 
     The path carries the any-order DP of ``seqprod._fill_slab``: one mask per
     sub-multiset of the path, the largest letter most significant, from the
@@ -288,20 +303,16 @@ def _any_order_walk(rows: list, k: int, free: dict | None = None) -> tuple[int, 
     sub-multisets that use its new term, stopping at the first product that
     is the idempotent marker k, and drops it on return. A repeat of the top
     letter reuses its digit links; a new top letter builds them once per
-    node. Given a dict free, it records there each free node's sequence
-    with its any-order mask.
+    node.
     """
     cols = _column_slices(rows, range(k))
     stop = 1 << k
-    nodes = 0
-    best = ()
     reach = [0]
+    free = {(): 0}
 
     def rec(seq: tuple[int, ...], mask: int, links: list, width: int, start: int) -> None:
-        nonlocal nodes, best
         top_links = None
         for x in range(start, k):
-            nodes += 1
             base = len(reach)
             if x == start:
                 lk, w = links, width
@@ -312,10 +323,7 @@ def _any_order_walk(rows: list, k: int, free: dict | None = None) -> tuple[int, 
             grown = mask | _fill_slab(cols, reach, lk, x, w, stop)
             if not grown & stop:
                 cand = seq + (x,)
-                if len(cand) > len(best):
-                    best = cand
-                if free is not None:
-                    free[cand] = grown
+                free[cand] = grown
                 rec(cand, grown, lk, w, x)
             del reach[base:]
 
@@ -323,7 +331,7 @@ def _any_order_walk(rows: list, k: int, free: dict | None = None) -> tuple[int, 
         rec((), 0, [()], 1, 0)
     finally:
         rec = None
-    return len(best), best, nodes
+    return free
 
 
 def _davenport_walk(table, slices: list[list[int]], ident_mask: int) -> tuple[int, tuple[int, ...], int]:
@@ -426,55 +434,53 @@ def _letter_rows(letters: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
     return [letters[i * k : (i + 1) * k] for i in range(k)]
 
 
-def _shared_walk(letters: tuple[int, ...], k: int, kind: str, any_order: bool) -> tuple[int, tuple[int, ...], int]:
-    """The value, the witness as letter positions and nodesExplored of the
-    I or SI walk over a letter table of k letters: ``_any_order_walk`` for
-    noncommutative I, ``_memo_walk`` otherwise.
-
-    Inside a sharing scope the result is looked up by its letter table and
-    walk first, and walked only on a miss (module docstring).
-    """
-    key = (kind, any_order, letters)
+def _scoped(key: tuple, compute, *args):
+    """compute(*args), looked up under key first inside a sharing scope and
+    stored there on a miss (module docstring)."""
     shared = _shared
-    found = None if shared is None else shared.get(key)
+    if shared is None:
+        return compute(*args)
+    found = shared.get(key)
     if found is None:
-        rows = _letter_rows(letters, k)
-        if any_order:
-            best_len, best, nodes = _any_order_walk(rows, k)
-        else:
-            full = (1 << k) - 1
-            allows = [full >> x << x for x in range(k)] if kind == KIND_ERDOS_BURGESS else [full] * k
-            best_len, best, nodes = _memo_walk(k, _slices(_packed_rows(rows, 1 << k)), allows)
-        found = (best_len + 1, best, nodes)
-        if shared is not None:
-            shared[key] = found
+        found = shared[key] = compute(*args)
     return found
 
 
+def _walk(letters: tuple[int, ...], k: int, kind: str) -> tuple[int, tuple[int, ...], int]:
+    """The I or SI walk over a letter table of k letters (module docstring):
+    ``_memo_walk`` for SI and for I on letters that commute, and for I on
+    letters that do not, the value, lex-least witness and nodesExplored of
+    ``_any_order_walk`` read from F. The root tries k letters, and a free
+    node with last term x the k - x letters from x on."""
+    rows = _letter_rows(letters, k)
+    if kind == KIND_ERDOS_BURGESS and rows != list(zip(*rows)):
+        free = _free_masks(letters, k)
+        best = max(free, key=len)  # the first longest key
+        return len(best) + 1, best, k + sum([k - seq[-1] for seq in free if seq])
+    full = (1 << k) - 1
+    allows = [full >> x << x for x in range(k)] if kind == KIND_ERDOS_BURGESS else [full] * k
+    best_len, best, nodes = _memo_walk(k, _slices(_packed_rows(rows, 1 << k)), allows)
+    return best_len + 1, best, nodes
+
+
+def _shared_walk(letters: tuple[int, ...], k: int, kind: str) -> tuple[int, tuple[int, ...], int]:
+    """The value, the witness as letter positions and nodesExplored of the
+    I or SI walk over a letter table of k letters, from ``_walk``, which a
+    sharing scope runs only on a miss."""
+    return _scoped((kind, letters), _walk, letters, k, kind)
+
+
 def _free_masks(letters: tuple[int, ...], k: int) -> dict[tuple[int, ...], int]:
-    """Every weakly free nondecreasing sequence over the k letters of a
-    letter table, the empty one included, as letter positions, with its
-    any-order product mask over positions: the free nodes of
-    ``_any_order_walk``, on commutative tables too. Inside a sharing scope
-    the dict is stored under its letter table and walked only on a miss.
-    """
-    key = ("free", letters)
-    shared = _shared
-    free = None if shared is None else shared.get(key)
-    if free is None:
-        free = {(): 0}
-        _any_order_walk(_letter_rows(letters, k), k, free)
-        if shared is not None:
-            shared[key] = free
-    return free
+    """F of ``_any_order_walk`` over a letter table of k letters, on
+    commutative tables too, which a sharing scope walks only on a miss."""
+    return _scoped(("free", letters), _any_order_walk, _letter_rows(letters, k), k)
 
 
 def _free_search(S: FiniteSemigroup, kind: str) -> ConstantReport:
     """I(S) or SI(S), one walk over the letter table of S, with the witness
     mapped back from letter positions through alpha."""
     alpha, letters = _letter_table(S)
-    any_order = kind == KIND_ERDOS_BURGESS and not is_commutative(S)
-    value, positions, nodes = _shared_walk(letters, len(alpha), kind, any_order)
+    value, positions, nodes = _shared_walk(letters, len(alpha), kind)
     return ConstantReport(kind, value, Seq(tuple([alpha[i] for i in positions])), nodes)
 
 
@@ -487,15 +493,11 @@ def _weak_value(S: FiniteSemigroup) -> int:
     if not is_commutative(S):
         raise NotCommutative("the bounded I search is defined for commutative semigroups")
     alpha, letters = _letter_table(S)
-    key = ("value", letters)
-    shared = _shared
-    value = None if shared is None else shared.get(key)
-    if value is None:
-        k = len(alpha)
-        value = _bounded_walk(k, _slices(_packed_rows(_letter_rows(letters, k), 1 << k))) + 1
-        if shared is not None:
-            shared[key] = value
-    return value
+    return _scoped(("value", letters), _bounded_value, letters, len(alpha))
+
+
+def _bounded_value(letters: tuple[int, ...], k: int) -> int:
+    return _bounded_walk(k, _slices(_packed_rows(_letter_rows(letters, k), 1 << k))) + 1
 
 
 def erdos_burgess(S: FiniteSemigroup) -> ConstantReport:

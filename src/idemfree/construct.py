@@ -208,7 +208,10 @@ class ExtremalSpec:
     adjoin_identity: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "chain", tuple(self.chain))
+        try:
+            object.__setattr__(self, "chain", tuple(self.chain))
+        except TypeError:
+            raise InvalidParameters(f"extremal spec chain {self.chain!r} is not a sequence of parts") from None
         if not self.chain:
             raise InvalidParameters("extremal spec needs at least one component")
         for part in self.chain:

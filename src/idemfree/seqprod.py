@@ -12,8 +12,8 @@ layout is defined in ``_packed_rows`` and extended by ``_grow``. One more
 field packs the letters whose translate of A meets a stop mask, so a search
 reads all of a node's pruned children in one shift. The noncommutative
 any-order set is a DP over sub-multisets, filled one slab per appended term
-by ``_fill_slab``; ``_any_mask_general`` and the noncommutative I search
-share it.
+by ``_fill_slab``; ``_any_mask_general`` and the any-order walk of
+``constants`` share it.
 
 ``_grow`` and ``_fill_slab`` read byte-sliced lookup tables, built by
 ``_slices`` once per search (or per any-order call), after the method of

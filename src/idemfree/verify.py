@@ -18,20 +18,22 @@ cut by the product-set growth bound and stops at the GHW cap. ghw-bound
 tests that bound, and strong-vs-weak cross-checks the exhaustive searches,
 so both run the exhaustive I and SI walks, through
 ``constants._shared_walk``, the walk dispatch behind ``erdos_burgess`` and
-``strong_erdos_burgess``. They read values only: a case builds its table's
-letter table once, for both of strong-vs-weak's walks, and no report.
+``strong_erdos_burgess``. The letter table alone picks each walk there, so
+no check decides it; strong-vs-weak reads ``is_commutative`` only for its
+equality test, when I and SI differ. They read values only: a case builds its table's letter
+table once, for both of strong-vs-weak's walks, and no report.
 
 The extremal-equivalence check never visits every word of length
 k = |S \\ E(S)|. Freeness and the certificate depend only on the multiset
 of terms, and a passing certificate pins each term's count to
 index + period - 2, so it compares two small sets of multisets: the free
 set F and the certified set C, one multiset per support whose pinned
-counts sum to k. F comes from ``constants._free_masks``: the free nodes of
-the any-order walk over the letter table that noncommutative I runs, here
-on commutative tables too, so there is one path. That is exact, since a
-product that reaches an idempotent ends freeness: a free multiset's
-products never leave the letters. The walk records every free
-nondecreasing sequence of at most k letters with its any-order mask, so
+counts sum to k. F comes from ``constants._free_masks``: the one result of
+the any-order walk over the letter table, from which I on letters that do
+not commute is read, here on commutative tables too, so there is one path.
+That is exact, since a product that reaches an idempotent ends freeness:
+a free multiset's products never leave the letters. The walk records every
+free nondecreasing sequence of at most k letters with its any-order mask, so
 the new-product bound looks up the mask of each multiset less one term,
 and the cover claim asks for the full mask. The words of F xor C are its
 equivalence failures, and the new-product bound and the claims run on
@@ -89,7 +91,19 @@ CHECK_IDS = (
 )
 
 
+def _orders(max_order, enum_cap) -> tuple[int, int]:
+    """max_order and enum_cap as ints, with max_order at least 1."""
+    max_order = _index(max_order, "max_order")
+    if max_order < 1:
+        raise InvalidParameters(f"max_order must be at least 1, got {max_order}")
+    return max_order, _index(enum_cap, "enum_cap")
+
+
 def build_corpus(max_order: int, commutative_only: bool = False, enum_cap: int = 5) -> list[FiniteSemigroup]:
+    """Every table of order 1 to max_order, in stream order; the arguments
+    are checked before any order is enumerated."""
+    max_order, enum_cap = _orders(max_order, enum_cap)
+    _check_enum_order(max_order, enum_cap, "enum_cap")
     out: list[FiniteSemigroup] = []
     for n in range(1, max_order + 1):
         out.extend(enumerate_semigroups(n, commutative_only=commutative_only, max_order=enum_cap))
@@ -125,7 +139,7 @@ def _aggregate(check_id: str, rows, extra_keys=()) -> dict:
 
 def _ghw_case(S: FiniteSemigroup) -> dict:
     alpha, letters = _letter_table(S)
-    si = _shared_walk(letters, len(alpha), KIND_STRONG_ERDOS_BURGESS, False)[0]
+    si = _shared_walk(letters, len(alpha), KIND_STRONG_ERDOS_BURGESS)[0]
     bound = ghw_bound(S)
     ok = si <= bound
     return {
@@ -364,10 +378,9 @@ def check_example_formulas(map_fn=map) -> dict:
 def _strong_weak_case(S: FiniteSemigroup) -> dict:
     alpha, letters = _letter_table(S)
     k = len(alpha)
-    commutative = is_commutative(S)
-    weak = _shared_walk(letters, k, KIND_ERDOS_BURGESS, not commutative)[0]
-    strong = _shared_walk(letters, k, KIND_STRONG_ERDOS_BURGESS, False)[0]
-    ok = weak <= strong and (not commutative or weak == strong)
+    weak = _shared_walk(letters, k, KIND_ERDOS_BURGESS)[0]
+    strong = _shared_walk(letters, k, KIND_STRONG_ERDOS_BURGESS)[0]
+    ok = weak <= strong and (weak == strong or not is_commutative(S))
     return {
         "ok": ok,
         "failure": None if ok else {"table": _flat(S), "i": weak, "si": strong},
@@ -443,10 +456,7 @@ def run_verification(
     enum_cap: int = 5,
 ) -> dict:
     """Run the selected checks and return a deterministic JSON-ready log."""
-    max_order = _index(max_order, "max_order")
-    if max_order < 1:
-        raise InvalidParameters(f"max_order must be at least 1, got {max_order}")
-    enum_cap = _index(enum_cap, "enum_cap")
+    max_order, enum_cap = _orders(max_order, enum_cap)
     _check_flag(commutative_only, "commutative_only")
     if isinstance(checks, str):
         raise InvalidParameters(f"checks must be a list of check ids, not the string {checks!r}")

@@ -465,6 +465,10 @@ def _left_zero_under(S):
     return FiniteSemigroup(table)
 
 
+# letters 2 and 3 do not commute: 3 * 2 = 1, 2 * 3 = 0
+_noncommuting = FiniteSemigroup([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 1]])
+
+
 def _report(search, S):
     rep = search(S)
     return rep.value, rep.witness.terms, rep.nodes_explored
@@ -485,7 +489,8 @@ def test_shared_reports_are_the_searched_reports():
         chain_glue(parts)
         for parts in ([c3, c5], [cyclic_group(1), c3, c5], [c3, vee_semilattice(), c5], [c3, c5, cyclic_group(1)])
     ])
-    # noncommutative tables whose letters commute: I walks any-order there
+    # noncommutative tables whose letters commute: I takes the memo walk
+    # there, shared with the commutative table of the same letters
     groups.append([c5, _left_zero_under(c5), c6, _left_zero_under(c6), _left_zero_under(adjoin_identity(c6))])
     for tables in groups:
         outside = {(kind, i): _report(SEARCHES[kind], S) for kind in ("I", "SI") for i, S in enumerate(tables)}
@@ -523,16 +528,70 @@ def test_repeated_letter_table_runs_no_task_in_a_scope(monkeypatch):
             search(c5)
             for S in same_letters:
                 search(S)
-        assert calls == ["_memo_walk", "_memo_walk"]
-        # the same letters under the any-order walk: I searches, SI does not
+        # the band below C5 is noncommutative, but its letters are C5's and
+        # commute, so both of its searches are C5's memo walks
         erdos_burgess(_left_zero_under(c5))
         strong_erdos_burgess(_left_zero_under(c5))
-        assert calls[2:] == ["_any_order_walk"]
+        assert calls == ["_memo_walk", "_memo_walk"]
+        # letters that do not commute: I reads the any-order walk's F, and a
+        # table with the same letter table reads it again
+        erdos_burgess(_noncommuting)
+        erdos_burgess(adjoin_identity(_noncommuting))
+        strong_erdos_burgess(_noncommuting)
+        assert calls[2:] == ["_any_order_walk", "_memo_walk"]
         # a letter table that is not the same one
         erdos_burgess(_relabellings(monogenic(5, 3))[1])
-        assert len(calls) == 4
+        assert len(calls) == 5
     # outside a scope every search runs
     calls.clear()
     for S in [c5, *same_letters]:
         erdos_burgess(S)
     assert len(calls) == 4
+
+
+def test_one_any_order_walk_serves_i_and_f_in_a_scope(monkeypatch):
+    # I on letters that do not commute is read from F, so in one scope the
+    # free set of extremal-equivalence and the I report share one walk,
+    # whichever asks first, and F reads the report's value and node count
+    calls = []
+    real = constants._any_order_walk
+
+    def counted(rows, k):
+        calls.append(k)
+        return real(rows, k)
+
+    monkeypatch.setattr(constants, "_any_order_walk", counted)
+    for S in (_noncommuting, dihedral(4)):
+        alpha, letters = constants._letter_table(S)
+        k = len(alpha)
+        outside = _report(erdos_burgess, S)
+        for first_f in (False, True):
+            calls.clear()
+            with constants._sharing():
+                if first_f:
+                    free = constants._free_masks(letters, k)
+                assert _report(erdos_burgess, S) == outside == reference_search("I", S)
+                if not first_f:
+                    free = constants._free_masks(letters, k)
+            assert calls == [k]
+            best = max(free, key=len)
+            assert (len(best) + 1, tuple(alpha[i] for i in best)) == outside[:2]
+            assert k + sum(k - seq[-1] for seq in free if seq) == outside[2]
+
+
+def test_noncommutative_table_with_commuting_letters_takes_the_memo_walk(monkeypatch):
+    # a band below a commutative table has that table's letters, which
+    # commute, so I runs the memo walk, never the any-order walk, and its
+    # report is the plain reference walk's, whose any-order sets are naive
+    def refuse(*args):
+        raise AssertionError("any-order walk called")
+
+    monkeypatch.setattr(constants, "_any_order_walk", refuse)
+    tables = [cyclic_group(5), monogenic(5, 3), group_nil_chain(3, 3), adjoin_identity(cyclic_group(4))]
+    for S in tables:
+        band = _left_zero_under(S)
+        assert not is_commutative(band)
+        for T in (band, relabel(band, S.order)):
+            assert _report(erdos_burgess, T) == reference_search("I", T)
+    with pytest.raises(AssertionError, match="any-order walk called"):
+        erdos_burgess(_noncommuting)

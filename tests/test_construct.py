@@ -167,6 +167,9 @@ def test_extremal_spec_validation():
     # a part is named when it is no catalog part, not met later in extremal_pair
     with pytest.raises(InvalidParameters, match="^extremal spec part 3 is not a Monogenic or GroupByNil$"):
         ExtremalSpec((Monogenic(3, 2), 3))
+    # a chain that is not iterable is named too, not a bare TypeError
+    with pytest.raises(InvalidParameters, match="^extremal spec chain 3 is not a sequence of parts$"):
+        ExtremalSpec(3)
     # a list chain is stored as a tuple, so the frozen spec stays hashable
     spec = ExtremalSpec([Monogenic(3, 2), GroupByNil(2, 3)])
     assert spec.chain == (Monogenic(3, 2), GroupByNil(2, 3))

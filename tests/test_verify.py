@@ -17,7 +17,6 @@ from idemfree import (
     cyclic_group,
     enumerate_semigroups,
     extremal_structure_check,
-    is_commutative,
     verify,
 )
 from idemfree.seqprod import _any_mask
@@ -115,9 +114,9 @@ def test_equivalence_walks_each_letter_table_once(corpus_le4, monkeypatch):
     calls = []
     real = constants._any_order_walk
 
-    def counted(rows, k, free=None):
+    def counted(rows, k):
         calls.append(tuple(v for row in rows for v in row))
-        return real(rows, k, free)
+        return real(rows, k)
 
     monkeypatch.setattr(constants, "_any_order_walk", counted)
     assert verify.check_extremal_equivalence(corpus_le4)["failed"] == 0
@@ -224,8 +223,8 @@ def test_ghw_bound_check_reports_a_search_past_the_bound(monkeypatch):
     S = cyclic_group(3)
     record = [{"table": [v for row in S.table for v in row], "si": 4, "bound": 3}]
 
-    def past_bound(letters, k, kind, any_order):
-        _, positions, nodes = real(letters, k, kind, any_order)
+    def past_bound(letters, k, kind):
+        _, positions, nodes = real(letters, k, kind)
         return k + 2, positions, nodes
 
     monkeypatch.setattr(verify, "_shared_walk", past_bound)
@@ -245,14 +244,15 @@ def test_ghw_bound_check_reports_a_search_past_the_bound(monkeypatch):
 def test_strong_weak_check_reports_a_weak_value_above_the_strong_one(monkeypatch):
     # an I value above SI must become a failure record, not an abort,
     # whether the value the check reads or the walk behind it is too large;
-    # on this noncommutative table I = SI = 2, and I walks any-order
-    S = FiniteSemigroup([[0, 0, 0], [0, 0, 0], [0, 1, 2]])
-    assert not is_commutative(S)
-    record = [{"table": [0, 0, 0, 0, 0, 0, 0, 1, 2], "i": 3, "si": 2}]
+    # on this table, whose letters 2 and 3 do not commute, I = SI = 3, and
+    # I is read from the any-order walk's free set F
+    S = FiniteSemigroup([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 1]])
+    assert S.table[2][3] != S.table[3][2]
+    record = [{"table": [v for row in S.table for v in row], "i": 4, "si": 3}]
     real = verify._shared_walk
 
-    def weak_too_large(letters, k, kind, any_order):
-        value, positions, nodes = real(letters, k, kind, any_order)
+    def weak_too_large(letters, k, kind):
+        value, positions, nodes = real(letters, k, kind)
         return value + (kind == constants.KIND_ERDOS_BURGESS), positions, nodes
 
     monkeypatch.setattr(verify, "_shared_walk", weak_too_large)
@@ -262,8 +262,9 @@ def test_strong_weak_check_reports_a_weak_value_above_the_strong_one(monkeypatch
     real_walk = constants._any_order_walk
 
     def padded(*args):
-        length, witness, nodes = real_walk(*args)
-        return length + 1, witness + witness[:1], nodes
+        free = real_walk(*args)
+        longest = max(free, key=len)
+        return {**free, longest + longest[-1:]: 0}
 
     monkeypatch.setattr(constants, "_any_order_walk", padded)
     assert verify.check_strong_weak([S])["failures"] == record
@@ -277,8 +278,8 @@ def test_value_cases_read_the_values_of_the_public_searches(corpus_le3, corpus_l
     real = verify._shared_walk
     read = []
 
-    def spy(letters, k, kind, any_order):
-        found = real(letters, k, kind, any_order)
+    def spy(letters, k, kind):
+        found = real(letters, k, kind)
         read.append((kind, found[0]))
         return found
 
@@ -336,6 +337,30 @@ def test_corpus_order_past_enum_cap_names_enum_cap_before_any_pool(monkeypatch):
     with pytest.raises(OrderTooLarge, match=r"^enumeration is capped at order 5$") as exc:
         verify.run_verification(max_order=6, enum_cap=6, checks=["nil-product-lemma"])
     assert exc.value.cap is None
+
+
+def test_build_corpus_checks_its_arguments_at_the_call(monkeypatch):
+    # each bad argument is named before any order is enumerated
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated before the arguments were checked")
+
+    monkeypatch.setattr(verify, "enumerate_semigroups", refuse)
+    for value in ("3", 2.0, True):
+        with pytest.raises(InvalidParameters, match=f"^max_order {value!r} is not an integer$"):
+            verify.build_corpus(value)
+    for value in (0, -1):
+        with pytest.raises(InvalidParameters, match=f"^max_order must be at least 1, got {value}$"):
+            verify.build_corpus(value)
+    with pytest.raises(InvalidParameters, match="^enum_cap '5' is not an integer$"):
+        verify.build_corpus(3, enum_cap="5")
+    from idemfree.construct import OrderTooLarge
+
+    with pytest.raises(OrderTooLarge, match=r"^enumeration is capped at order 5$"):
+        verify.build_corpus(6, True, 6)
+    with pytest.raises(OrderTooLarge, match=r"^order 5 exceeds the configured cap 4; raise enum_cap explicitly$"):
+        verify.build_corpus(5, enum_cap=4)
+    monkeypatch.undo()
+    assert [S.order for S in verify.build_corpus(2)] == [1] + [2] * 8
 
 
 def test_checks_without_a_corpus_ignore_enum_cap():
