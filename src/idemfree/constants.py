@@ -16,15 +16,17 @@ letter, then by induction on adjacent swaps every any-order product is a
 letter equal to the sorted one, since each partial product is a natural
 product of a sub-multiset. So both walks have the same tree, value,
 lex-least witness and nodesExplored. I on letters that do not commute is
-read from F, the one result of ``_any_order_walk``: every free
+read from F as ``_any_order_walk`` yields it: every free nonempty
 nondecreasing sequence, in walk order, with its any-order mask. That walk
 carries the any-order sub-multiset DP down the path: a child computes only
 the products of the sub-multisets that use its new term. The value is 1
-plus the longest key's length, the witness the first longest key, since
-walk order is lex order, and nodesExplored k plus k - x for each free
-sequence with last term x: the root tries k letters, a free node the
-letters from its last term on. Davenport irreducibility also depends only
-on the multiset, so the D search walks nondecreasing sequences.
+plus the longest sequence's length, the witness the first longest one,
+since walk order is lex order, and nodesExplored k plus k - x for each
+free sequence with last term x: the root tries k letters, a free node the
+letters from its last term on. The read keeps only the best sequence and
+the count, so the walk holds only its path. Davenport irreducibility also
+depends only on the multiset, so the D search walks nondecreasing
+sequences.
 
 The natural-order and Davenport product sets only grow along a path, so
 those walks carry each set's right translates packed into one integer (the
@@ -61,8 +63,8 @@ table takes the memo walk. On C24 it walks I in well under half the time of
 a plain walk; on the small tables of the order <= 5 corpus, where few
 states repeat, an I or SI search costs about 15% more than a plain walk,
 its leaf entries included, too little to move a corpus check. I on
-letters that do not commute has the whole multiset as its state, so F
-holds the walk instead, and it is kept while it is read.
+letters that do not commute has the whole multiset as its state, so it
+streams F instead.
 
 Checks that read only I's value on a commutative table call
 ``_weak_value``, which walks the I tree under a bound. Appending a term c
@@ -98,8 +100,8 @@ stored one on a hit: the value, positions and node count of a search
 under its kind and letter table, which a repeat maps back instead of
 searching again. The ghw-bound and strong-vs-weak checks call
 ``_shared_walk`` for the value alone, with no report. ``_free_masks`` is F
-under a key of its own, on commutative tables too: the free set of the
-extremal-equivalence check, which in one scope shares its walk with I.
+as a dict under a key of its own, on commutative tables too: the free set
+of the extremal-equivalence check, the one caller that keeps F.
 ``_weak_value`` stores its value under a key of its own too, so it never
 serves a report with a node count. Outside a scope every search runs. D
 is not shared and walks S itself: irreducibility reads the products with
@@ -115,6 +117,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .core import FiniteSemigroup, NotCommutative, identity_element, idempotents, is_commutative
@@ -131,7 +134,7 @@ _shared: dict | None = None
 @contextlib.contextmanager
 def _sharing():
     """A scope in which I and SI searches with the same letter table share
-    one report, I and ``_free_masks`` one F, and ``_weak_value`` calls one
+    one report, ``_free_masks`` calls one F, and ``_weak_value`` calls one
     result (module docstring). A nested scope reuses the outer one; the
     results are dropped when the outermost scope exits, on an exception
     too. Threads of one process share the scope: a result is stored only
@@ -290,12 +293,11 @@ def _memo_walk(n: int, slices: list[list[int]], allows: list[int]) -> tuple[int,
     return len(path), tuple(path), nodes
 
 
-def _any_order_walk(rows: list, k: int) -> dict[tuple[int, ...], int]:
-    """F: every weakly free nondecreasing sequence over the k letters of a
-    letter table, given its k rows, the empty one included, as letter
-    positions, with its any-order product mask over positions, in walk
-    order, so in lex order. I on letters that do not commute is read
-    from it.
+def _any_order_walk(rows: list, k: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """F: every weakly free nonempty nondecreasing sequence over the k
+    letters of a letter table, given its k rows, as letter positions, with
+    its any-order product mask over positions, yielded in walk order, so in
+    lex order. The walk holds only its path; a reader keeps what it needs.
 
     The path carries the any-order DP of ``seqprod._fill_slab``: one mask per
     sub-multiset of the path, the largest letter most significant, from the
@@ -308,9 +310,8 @@ def _any_order_walk(rows: list, k: int) -> dict[tuple[int, ...], int]:
     cols = _column_slices(rows, range(k))
     stop = 1 << k
     reach = [0]
-    free = {(): 0}
 
-    def rec(seq: tuple[int, ...], mask: int, links: list, width: int, start: int) -> None:
+    def rec(seq: tuple[int, ...], mask: int, links: list, width: int, start: int) -> Iterator[tuple]:
         top_links = None
         for x in range(start, k):
             base = len(reach)
@@ -323,15 +324,14 @@ def _any_order_walk(rows: list, k: int) -> dict[tuple[int, ...], int]:
             grown = mask | _fill_slab(cols, reach, lk, x, w, stop)
             if not grown & stop:
                 cand = seq + (x,)
-                free[cand] = grown
-                rec(cand, grown, lk, w, x)
+                yield cand, grown
+                yield from rec(cand, grown, lk, w, x)
             del reach[base:]
 
     try:
-        rec((), 0, [()], 1, 0)
+        yield from rec((), 0, [()], 1, 0)
     finally:
         rec = None
-    return free
 
 
 def _davenport_walk(table, slices: list[list[int]], ident_mask: int) -> tuple[int, tuple[int, ...], int]:
@@ -449,14 +449,17 @@ def _scoped(key: tuple, compute, *args):
 def _walk(letters: tuple[int, ...], k: int, kind: str) -> tuple[int, tuple[int, ...], int]:
     """The I or SI walk over a letter table of k letters (module docstring):
     ``_memo_walk`` for SI and for I on letters that commute, and for I on
-    letters that do not, the value, lex-least witness and nodesExplored of
-    ``_any_order_walk`` read from F. The root tries k letters, and a free
-    node with last term x the k - x letters from x on."""
+    letters that do not, the value, lex-least witness and nodesExplored
+    read from F as ``_any_order_walk`` yields it. The root tries k letters,
+    and a free node with last term x the k - x letters from x on."""
     rows = _letter_rows(letters, k)
     if kind == KIND_ERDOS_BURGESS and rows != list(zip(*rows)):
-        free = _free_masks(letters, k)
-        best = max(free, key=len)  # the first longest key
-        return len(best) + 1, best, k + sum([k - seq[-1] for seq in free if seq])
+        best, nodes = (), k
+        for seq, _ in _any_order_walk(rows, k):
+            nodes += k - seq[-1]
+            if len(seq) > len(best):
+                best = seq  # the first longest
+        return len(best) + 1, best, nodes
     full = (1 << k) - 1
     allows = [full >> x << x for x in range(k)] if kind == KIND_ERDOS_BURGESS else [full] * k
     best_len, best, nodes = _memo_walk(k, _slices(_packed_rows(rows, 1 << k)), allows)
@@ -471,9 +474,16 @@ def _shared_walk(letters: tuple[int, ...], k: int, kind: str) -> tuple[int, tupl
 
 
 def _free_masks(letters: tuple[int, ...], k: int) -> dict[tuple[int, ...], int]:
-    """F of ``_any_order_walk`` over a letter table of k letters, on
-    commutative tables too, which a sharing scope walks only on a miss."""
-    return _scoped(("free", letters), _any_order_walk, _letter_rows(letters, k), k)
+    """F of ``_any_order_walk`` over a letter table of k letters as a dict
+    in walk order, the empty sequence's mask 0 first, on commutative
+    tables too, which a sharing scope walks only on a miss."""
+    return _scoped(("free", letters), _free_dict, letters, k)
+
+
+def _free_dict(letters: tuple[int, ...], k: int) -> dict[tuple[int, ...], int]:
+    free = {(): 0}
+    free.update(_any_order_walk(_letter_rows(letters, k), k))
+    return free
 
 
 def _free_search(S: FiniteSemigroup, kind: str) -> ConstantReport:

@@ -549,10 +549,11 @@ def test_repeated_letter_table_runs_no_task_in_a_scope(monkeypatch):
     assert len(calls) == 4
 
 
-def test_one_any_order_walk_serves_i_and_f_in_a_scope(monkeypatch):
-    # I on letters that do not commute is read from F, so in one scope the
-    # free set of extremal-equivalence and the I report share one walk,
-    # whichever asks first, and F reads the report's value and node count
+def test_i_reads_the_free_stream_and_keeps_no_free_set(monkeypatch):
+    # I on letters that do not commute reads F as the any-order walk yields
+    # it, so a scope keeps only the report under the search's key, and F
+    # as a dict, the free set of extremal-equivalence, is its own walk
+    # that reads the same value, witness and node count
     calls = []
     real = constants._any_order_walk
 
@@ -565,18 +566,16 @@ def test_one_any_order_walk_serves_i_and_f_in_a_scope(monkeypatch):
         alpha, letters = constants._letter_table(S)
         k = len(alpha)
         outside = _report(erdos_burgess, S)
-        for first_f in (False, True):
-            calls.clear()
-            with constants._sharing():
-                if first_f:
-                    free = constants._free_masks(letters, k)
-                assert _report(erdos_burgess, S) == outside == reference_search("I", S)
-                if not first_f:
-                    free = constants._free_masks(letters, k)
-            assert calls == [k]
-            best = max(free, key=len)
-            assert (len(best) + 1, tuple(alpha[i] for i in best)) == outside[:2]
-            assert k + sum(k - seq[-1] for seq in free if seq) == outside[2]
+        assert outside == reference_search("I", S)
+        calls.clear()
+        with constants._sharing():
+            assert _report(erdos_burgess, S) == outside
+            assert list(constants._shared) == [(constants.KIND_ERDOS_BURGESS, letters)]
+            free = constants._free_masks(letters, k)
+        assert calls == [k, k]
+        best = max(free, key=len)
+        assert (len(best) + 1, tuple(alpha[i] for i in best)) == outside[:2]
+        assert k + sum(k - seq[-1] for seq in free if seq) == outside[2]
 
 
 def test_noncommutative_table_with_commuting_letters_takes_the_memo_walk(monkeypatch):

@@ -262,9 +262,9 @@ def test_strong_weak_check_reports_a_weak_value_above_the_strong_one(monkeypatch
     real_walk = constants._any_order_walk
 
     def padded(*args):
-        free = real_walk(*args)
-        longest = max(free, key=len)
-        return {**free, longest + longest[-1:]: 0}
+        free = list(real_walk(*args))
+        longest = max(free, key=lambda entry: len(entry[0]))[0]
+        return iter(free + [(longest + longest[-1:], 0)])
 
     monkeypatch.setattr(constants, "_any_order_walk", padded)
     assert verify.check_strong_weak([S])["failures"] == record
