@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 from . import construct, verify
@@ -26,8 +26,8 @@ from .core import (
     parse_cayley_table,
     zero_element,
 )
-from .seqprod import Seq, _weakly_free, is_strongly_free, is_weakly_free, product_sets
-from .structure import _certify, _checked_terms, _support
+from .seqprod import Seq, is_strongly_free, is_weakly_free, product_sets
+from .structure import extremal_structure_check
 
 
 def _emit(payload) -> None:
@@ -100,10 +100,9 @@ def cmd_free_check(args) -> int:
 def cmd_check_extremal(args) -> int:
     S = _read_table(args.table)
     T = _read_seq(args.seq)
-    # the terms and the length first, before any product set is built
-    terms = _checked_terms(S, T)
-    free = _weakly_free(S, terms)
-    cert = _certify(S, terms, _support(S, terms))
+    # the certificate checks the terms and the length before any product set is built
+    cert = extremal_structure_check(S, T)
+    free = is_weakly_free(S, T)
     _emit(
         {
             "weaklyFree": free,
@@ -134,7 +133,9 @@ def cmd_verify(args) -> int:
     if args.checks is not None:
         checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     started = time.monotonic()
-    with _enum_cap_flag():
+    # the log is opened before the run, so an unwritable path fails at once,
+    # and for appending, so an existing log stays as it is until it is replaced
+    with (open(args.log, "a") if args.log else nullcontext()) as log_file, _enum_cap_flag():
         log = verify.run_verification(
             max_order=args.max_order,
             commutative_only=args.commutative,
@@ -142,11 +143,12 @@ def cmd_verify(args) -> int:
             workers=args.workers,
             enum_cap=args.max_enum_order,
         )
-    elapsed = time.monotonic() - started
-    text = json.dumps(log, indent=2) + "\n"
-    sys.stdout.write(text)
-    if args.log:
-        Path(args.log).write_text(text)
+        elapsed = time.monotonic() - started
+        text = json.dumps(log, indent=2) + "\n"
+        sys.stdout.write(text)
+        if log_file:
+            log_file.truncate(0)
+            log_file.write(text)
     print(f"verify: {log['summary']['passed']}/{log['summary']['instances']} instances passed "
           f"in {elapsed:.1f}s with {args.workers} worker(s)", file=sys.stderr)
     return 0 if log["summary"]["allPassed"] else 1

@@ -327,10 +327,10 @@ def enumerate_semigroups(
     are resume_from and dedup_iso. With commutative_only every table
     emitted is marked commutative, so is_commutative does not scan it.
 
-    Order 5 must be requested explicitly via max_order=5; commutative order
-    5 takes about half a second, labelled order 5 about 75 s on one core of
-    a 2-vCPU x86 VM (Python 3.11). Nothing beyond 5 is supported. resume_from
-    restarts the stream at a flattened row-major prefix (inclusive).
+    Order 5 must be requested explicitly via max_order=5 (the README gives
+    its running time); nothing beyond 5 is supported. resume_from restarts
+    the stream at a flattened row-major prefix (inclusive), a sequence of
+    cells; None, the default, starts at the first table.
     Every argument is checked at the call, before a generator of the
     stream is returned.
     """
@@ -341,7 +341,11 @@ def enumerate_semigroups(
     if n < 1:
         raise InvalidParameters("order must be >= 1")
     _check_enum_order(n, max_order, "max_order")
-    prefix = tuple(_index(v, "resume cell") for v in resume_from) if resume_from else ()
+    try:
+        cells = () if resume_from is None else tuple(resume_from)
+    except TypeError:
+        raise InvalidParameters(f"resume_from must be a sequence of cells or None, got {resume_from!r}") from None
+    prefix = tuple(_index(v, "resume cell") for v in cells)
     if len(prefix) > n * n:
         raise InvalidParameters(f"resume prefix has {len(prefix)} cells, more than the {n * n} of order {n}")
     for v in prefix:

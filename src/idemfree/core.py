@@ -244,9 +244,7 @@ def _generated(t, gens: list[int]) -> int:
     closure that multiplies on the right by generators only reaches all of
     it, in O(|closure| |generators|) lookups, on any table.
     """
-    seen = 0
-    for g in gens:
-        seen |= 1 << g
+    seen = _mask_of(gens)
     closure = list(gens)
     for a in closure:  # the list grows as new products are found
         row = t[a]
@@ -256,6 +254,14 @@ def _generated(t, gens: list[int]) -> int:
                 seen |= 1 << v
                 closure.append(v)
     return seen
+
+
+def _mask_of(elements) -> int:
+    """The bit mask of element ids; ``_mask_to_set`` is its inverse."""
+    mask = 0
+    for a in elements:
+        mask |= 1 << a
+    return mask
 
 
 def _mask_to_set(mask: int) -> frozenset[int]:

@@ -41,6 +41,7 @@ from .core import (
     SemigroupError,
     _element,
     _index,
+    _mask_of,
     _mask_to_set,
     idempotents,
     is_commutative,
@@ -107,10 +108,7 @@ def _terms(S: FiniteSemigroup, seq) -> tuple[int, ...]:
 
 
 def _idem_mask(S: FiniteSemigroup) -> int:
-    m = 0
-    for e in idempotents(S):
-        m |= 1 << e
-    return m
+    return _mask_of(idempotents(S))
 
 
 def _translate(table, mask: int, x: int) -> int:

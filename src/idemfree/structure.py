@@ -19,16 +19,17 @@ multiplicities pinned to index + period - 2.
 
 Each extremal check has two entries. The public ``extremal_structure_check``
 and ``extremal_main_form`` check their terms once (``_checked_terms``: each
-an element of S, |S \\ E(S)| of them) and call ``_certify`` and
-``_main_form``, which take checked element ids and the record of their
-sorted support; the families and equivalence checks of ``verify`` call
-those directly. Each caller builds that record (``_support``) once per
-call and hands it to the checks it runs. Its sets are bit masks over S's
-element ids: R, each generator's powers, and R grouped by idempotent power
+an element of S, |S \\ E(S)| of them), build the record of their multiset
+(``_support``) and pass it to ``_certify`` or ``_main_form``, which read
+nothing else; the families and equivalence checks of ``verify`` build one
+record per multiset and call those directly. The record holds the sorted
+support, each generator's multiplicity, cyclic data and idempotent power,
+and its sets as bit masks over S's element ids: R, each generator's powers,
+and, once a verdict asks for it, R grouped by idempotent power
 (``_by_idempotent_power``, the grouping ``_decompose`` builds the
-archimedean decomposition from). So the complement, union and disjointness
-conditions, the component kinds and the main form's lower-absorbing chain
-are tests on ints.
+archimedean decomposition from) with each component's kind. So the
+complement, union and disjointness conditions, the component kinds and the
+main form's lower-absorbing chain are tests on ints.
 """
 
 from __future__ import annotations
@@ -45,12 +46,13 @@ from .core import (
     _element,
     _generated,
     _idempotent_power,
+    _mask_of,
     _mask_to_set,
     idempotents,
     is_commutative,
     unique_cycle_idempotent,
 )
-from .seqprod import _idem_mask, _terms, _weakly_free
+from .seqprod import _idem_mask, _terms, _translate, _weakly_free
 
 
 class NotArchimedean(SemigroupError):
@@ -134,13 +136,6 @@ def archimedean_decomposition(S: FiniteSemigroup) -> ArchDecomposition:
     return _decompose(S, S.elements)
 
 
-def _mask_of(elements) -> int:
-    mask = 0
-    for a in elements:
-        mask |= 1 << a
-    return mask
-
-
 def _by_idempotent_power(t, carrier: int) -> dict[int, int]:
     """The elements of the carrier mask grouped by idempotent power: each
     idempotent power with the mask of the carrier elements that have it,
@@ -207,38 +202,21 @@ def _absorbing_chain(t, comps: dict[int, int]) -> bool:
                     continue
                 return False
             lower, upper = (cm, dm) if e_below else (dm, cm)
-            hs = []
-            while upper:
-                low = upper & -upper
-                hs.append(low.bit_length() - 1)
-                upper ^= low
-            while lower:
-                low = lower & -lower
-                g = low.bit_length() - 1
+            hs = _mask_to_set(upper)
+            for g in _mask_to_set(lower):
                 row = t[g]
                 for h in hs:
                     if row[h] != g:
                         return False
-                lower ^= low
     return True
-
-
-def _kernel(row_e, comp: int) -> int:
-    """The kernel e * comp of a component mask, with row_e the row of its
-    idempotent e."""
-    kernel = 0
-    while comp:
-        low = comp & -comp
-        kernel |= 1 << row_e[low.bit_length() - 1]
-        comp ^= low
-    return kernel
 
 
 def _component_data(S: FiniteSemigroup, comp, e: int) -> ComponentData:
     """The data of an archimedean component with idempotent e: its kernel
-    e * comp and the nil part comp minus the kernel."""
+    e * comp, the translate comp * e since S commutes, and the nil part
+    comp minus the kernel."""
     members = _mask_of(comp)
-    kernel = _kernel(S.table[e], members)
+    kernel = _translate(S.table, members, e)
     return ComponentData(idempotent=e, kernel_group=_mask_to_set(kernel), nil_part=_mask_to_set(members & ~kernel))
 
 
@@ -360,7 +338,8 @@ def _component_kind(t, e: int, comp: int, gens: list[int], rec: "_Support") -> s
     congruent to 1 mod period; or a kernel generator whose cycle is the
     (nontrivial) group plus a nil generator whose cycle is the (nonempty)
     nil part and the idempotent, with trivial partial homomorphism. rec
-    holds each generator's cyclic data and power mask.
+    holds each generator's cyclic data and power mask. The component lies
+    in the commutative R, so its kernel e * comp is the translate comp * e.
     """
     powers = rec.powers
     if len(gens) == 1:
@@ -369,7 +348,7 @@ def _component_kind(t, e: int, comp: int, gens: list[int], rec: "_Support") -> s
         return MONOGENIC_ONLY if ok else None
     if len(gens) != 2:
         return None
-    kernel = _kernel(t[e], comp)
+    kernel = _translate(t, comp, e)
     in_kernel = [g for g in gens if kernel >> g & 1]
     if len(in_kernel) != 1:
         return None
@@ -388,10 +367,11 @@ def _component_kind(t, e: int, comp: int, gens: list[int], rec: "_Support") -> s
 
 @dataclass
 class _Support:
-    """What both extremal checks read about the sorted support of checked
-    terms, with every set as a bit mask over S's element ids."""
+    """What both extremal checks read about the multiset of checked terms,
+    with every set as a bit mask over S's element ids."""
 
     supp: list[int]  # the sorted support
+    counts: dict[int, int]  # each generator's multiplicity
     R: int  # the subsemigroup it generates
     failed: str | None  # the first failed condition among commutative closure and complement-idempotent
     cds: dict[int, CyclicData]  # each generator's cyclic data,
@@ -412,12 +392,13 @@ def _checked_terms(S: FiniteSemigroup, seq) -> tuple[int, ...]:
 
 
 def _support(S: FiniteSemigroup, terms: tuple[int, ...]) -> _Support:
-    """The record of the sorted support of checked terms.
+    """The record of the multiset of checked terms.
 
     For the empty sequence R is empty and both prelude conditions hold,
     since its length says every element is idempotent.
     """
     supp = sorted(set(terms))
+    counts = {x: terms.count(x) for x in supp}
     t = S.table
     R = _generated(t, supp)
     failed = None
@@ -432,7 +413,7 @@ def _support(S: FiniteSemigroup, terms: tuple[int, ...]) -> _Support:
         cd = cds[x] = _cyclic_data(S, x)
         powers[x] = _mask_of(cd.powers)
         idem[x] = _idempotent_power(t, x)
-    return _Support(supp, R, failed, cds, powers, idem)
+    return _Support(supp, counts, R, failed, cds, powers, idem)
 
 
 def _classified(S: FiniteSemigroup, rec: _Support) -> tuple[dict[int, int], dict]:
@@ -456,15 +437,13 @@ def extremal_structure_check(S: FiniteSemigroup, seq) -> ExtremalCertificate:
     Conditions are evaluated in a fixed order and the first failure decides
     the verdict; every condition that was evaluated is recorded.
     """
-    terms = _checked_terms(S, seq)
-    return _certify(S, terms, _support(S, terms))
+    return _certify(S, _support(S, _checked_terms(S, seq)))
 
 
-def _certify(S: FiniteSemigroup, terms: tuple[int, ...], rec: _Support) -> ExtremalCertificate:
-    """``extremal_structure_check`` of terms that are already element ids of
-    S, |S \\ E(S)| of them, with rec the record of their support."""
-    supp, cds, powers = rec.supp, rec.cds, rec.powers
-    counts = {x: terms.count(x) for x in supp}
+def _certify(S: FiniteSemigroup, rec: _Support) -> ExtremalCertificate:
+    """``extremal_structure_check`` of rec, the record of terms that are
+    already element ids of S, |S \\ E(S)| of them."""
+    supp, counts, cds, powers = rec.supp, rec.counts, rec.cds, rec.powers
     gen_order: tuple[int, ...] = tuple(supp)
     kinds: tuple[str, ...] = ()
 
@@ -519,13 +498,12 @@ def extremal_main_form(S: FiniteSemigroup, seq) -> bool:
     instead of the flat absorption order, and multiplicities are pinned
     afresh.
     """
-    terms = _checked_terms(S, seq)
-    return _main_form(S, terms, _support(S, terms))
+    return _main_form(S, _support(S, _checked_terms(S, seq)))
 
 
-def _main_form(S: FiniteSemigroup, terms: tuple[int, ...], rec: _Support) -> bool:
-    """``extremal_main_form`` of terms that are already element ids of S,
-    |S \\ E(S)| of them, with rec the record of their support."""
+def _main_form(S: FiniteSemigroup, rec: _Support) -> bool:
+    """``extremal_main_form`` of rec, the record of terms that are already
+    element ids of S, |S \\ E(S)| of them."""
     if rec.failed is not None:
         return False
     if not rec.supp:
@@ -533,10 +511,10 @@ def _main_form(S: FiniteSemigroup, terms: tuple[int, ...], rec: _Support) -> boo
     comps, kinds = _classified(S, rec)
     if None in kinds.values() or not _absorbing_chain(S.table, comps):
         return False
-    return all(terms.count(x) == rec.cds[x].index + rec.cds[x].period - 2 for x in rec.supp)
+    return all(rec.counts[x] == rec.cds[x].index + rec.cds[x].period - 2 for x in rec.supp)
 
 
 def extremal_equivalence(S: FiniteSemigroup, seq) -> bool:
     """Brute-force weak freeness agrees with the structural certificate."""
     terms = _checked_terms(S, seq)
-    return _weakly_free(S, terms) == _certify(S, terms, _support(S, terms)).passed
+    return _weakly_free(S, terms) == _certify(S, _support(S, terms)).passed

@@ -188,7 +188,7 @@ def _certified_multisets(S: FiniteSemigroup, alpha: list[int]) -> set[tuple[int,
             if sum(pinned[i] for i in supp) != length:
                 continue
             terms = tuple([alpha[i] for i in supp for _ in range(pinned[i])])
-            if _certify(S, terms, _support(S, terms)).passed:
+            if _certify(S, _support(S, terms)).passed:
                 certified.add(tuple([i for i in supp for _ in range(pinned[i])]))
     return certified
 
@@ -298,12 +298,12 @@ def _family_case(spec: ExtremalSpec) -> dict:
     terms = T.terms  # element ids of S, built by extremal_pair
     expected_len = S.order - len(idempotents(S))
     rec = _support(S, terms)  # one record for the certificate and the main form
-    cert = _certify(S, terms, rec)
+    cert = _certify(S, rec)
     checks = {
         "length": len(terms) == expected_len,
         "weaklyFree": _weakly_free(S, terms),
         "certificate": cert.passed,
-        "mainFormAgrees": _main_form(S, terms, rec) == cert.passed,
+        "mainFormAgrees": _main_form(S, rec) == cert.passed,
         "erdosBurgess": _weak_value(S) == expected_len + 1,
     }
     ok = all(checks.values())
@@ -458,9 +458,16 @@ def run_verification(
     """Run the selected checks and return a deterministic JSON-ready log."""
     max_order, enum_cap = _orders(max_order, enum_cap)
     _check_flag(commutative_only, "commutative_only")
+    # a string would iterate as letters, and a set in an order that follows
+    # the hash seed, which would make the log's check order vary
     if isinstance(checks, str):
         raise InvalidParameters(f"checks must be a list of check ids, not the string {checks!r}")
-    selected = list(checks)
+    if isinstance(checks, (set, frozenset)):
+        raise InvalidParameters(f"checks must be a list of check ids, not a {type(checks).__name__}, whose order is not fixed")
+    try:
+        selected = list(checks)
+    except TypeError:
+        raise InvalidParameters(f"checks must be a list of check ids, got {checks!r}") from None
     if not selected:
         raise InvalidParameters(f"no checks selected; available: {list(CHECK_IDS)}")
     unknown = [c for c in selected if c not in CHECK_IDS]

@@ -310,6 +310,31 @@ def test_verify_quick(tmp_path, capsys):
     assert log_path.read_text() == out
 
 
+def test_verify_refuses_an_unwritable_log_before_the_run(tmp_path, capsys, monkeypatch):
+    import idemfree.cli as cli_mod
+
+    def no_run(**kwargs):
+        raise AssertionError("the run started before the log path was checked")
+
+    monkeypatch.setattr(cli_mod.verify, "run_verification", no_run)
+    code, out, err = run_cli(capsys, "verify", "--log", str(tmp_path / "missing" / "run.json"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: [Errno 2]")
+
+
+def test_verify_keeps_an_existing_log_until_the_new_one_is_ready(tmp_path, capsys):
+    # a refused run leaves the old log as it was; a finished one replaces it
+    old = tmp_path / "old.json"
+    old.write_text("previous log\n")
+    code, out, err = run_cli(capsys, "verify", "--checks", "nope", "--log", str(old))
+    assert code == 1 and out == "" and "unknown checks" in err
+    assert old.read_text() == "previous log\n"
+    code, out, _ = run_cli(capsys, "verify", "--max-order", "1", "--checks", "nil-product-lemma", "--log", str(old))
+    assert code == 0
+    assert old.read_text() == out
+
+
 def test_verify_rejects_unknown_check(capsys):
     code, _, err = run_cli(capsys, "verify", "--checks", "nope")
     assert code == 1
@@ -412,6 +437,10 @@ def test_max_enum_order_flag(capsys):
         ({"max_order": 2.5}, "max_order 2.5 is not an integer"),
         ({"enum_cap": 2.5}, "enum_cap 2.5 is not an integer"),
         ({"checks": "ghw-bound"}, "checks must be a list of check ids, not the string 'ghw-bound'"),
+        # a set iterates in an order that follows the hash seed, and so would the log
+        ({"checks": {"ghw-bound", "strong-vs-weak"}}, "^checks must be a list of check ids, not a set, whose order is not fixed$"),
+        ({"checks": frozenset({"ghw-bound"})}, "not a frozenset, whose order is not fixed"),
+        ({"checks": None}, "^checks must be a list of check ids, got None$"),
         ({"checks": ["ghw-bound", "nope"]}, r"unknown checks: \['nope'\]"),
         (
             {"checks": ["strong-vs-weak", "ghw-bound", "strong-vs-weak", "ghw-bound"]},

@@ -444,6 +444,9 @@ def test_enumeration_order_caps():
         ({"order": 3, "resume_from": [0.9, 1.2]}, InvalidParameters, "resume cell 0.9 is not an integer"),
         ({"order": 3, "resume_from": [0, 3]}, InvalidParameters, r"resume cell 3 is not in \[0, 3\)"),
         ({"order": 2, "resume_from": [0] * 5}, InvalidParameters, "resume prefix has 5 cells, more than the 4"),
+        # an int is no prefix, not even 0, which used to read as no prefix at all
+        ({"order": 2, "resume_from": 1}, InvalidParameters, "resume_from must be a sequence of cells or None, got 1"),
+        ({"order": 2, "resume_from": 0}, InvalidParameters, "resume_from must be a sequence of cells or None, got 0"),
         ({"order": 3, "commutative_only": "no"}, InvalidParameters, "commutative_only must be True or False"),
         ({"order": 3, "dedup_iso": "no"}, InvalidParameters, "dedup_iso must be True or False"),
     ],

@@ -351,12 +351,15 @@ def test_passing_certificate_pins_every_count(corpus_le4):
 
 
 def test_support_record_matches_its_definitions(commutative_le4):
-    # the record of a sorted support (R, the prelude failure, each
-    # generator's cyclic data, power mask and idempotent power and, once
-    # asked for, R grouped by idempotent power with each component's kind)
-    # must match the definitions, and the main form read from a record the
-    # certificate has already filled must match one read from a fresh record
-    from idemfree.core import _mask_to_set
+    # the record of a multiset of terms (its sorted support, each
+    # generator's multiplicity, R, the prelude failure, each generator's
+    # cyclic data, power mask and idempotent power and, once asked for, R
+    # grouped by idempotent power with each component's kind) must match the
+    # definitions; both verdicts read the record alone, so a record built
+    # from the terms in another order gives the same verdicts, and the main
+    # form read from a record the certificate has already filled must match
+    # one read from a fresh record
+    from idemfree.core import _mask_of, _mask_to_set
     from idemfree.structure import (
         _by_idempotent_power,
         _certify,
@@ -364,7 +367,6 @@ def test_support_record_matches_its_definitions(commutative_le4):
         _component_kind,
         _decompose,
         _main_form,
-        _mask_of,
         _support,
     )
 
@@ -372,9 +374,11 @@ def test_support_record_matches_its_definitions(commutative_le4):
         length = T.order - len(idempotents(T))
         for terms in itertools.combinations_with_replacement(T.elements, length):
             rec = _support(T, terms)
-            _certify(T, terms, rec)
+            cert = _certify(T, rec)
+            assert cert == extremal_structure_check(T, terms) == _certify(T, _support(T, terms[::-1]))
             supp = sorted(set(terms))
             assert rec.supp == supp
+            assert rec.counts == {x: terms.count(x) for x in supp}
             cds = {x: cyclic_data(T, x) for x in supp}
             assert _mask_to_set(rec.R) == (generated_subsemigroup(T, supp) if supp else frozenset())
             assert rec.cds == cds
@@ -390,7 +394,7 @@ def test_support_record_matches_its_definitions(commutative_le4):
                     e: _component_kind(T.table, e, comp, [x for x in supp if rec.idem[x] == e], rec)
                     for e, comp in comps.items()
                 }
-            assert _main_form(T, terms, rec) == _main_form(T, terms, _support(T, terms))
+            assert _main_form(T, rec) == _main_form(T, _support(T, terms)) == extremal_main_form(T, terms)
 
 
 def test_family_case_decomposes_and_classifies_each_component_once(monkeypatch):

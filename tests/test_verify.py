@@ -48,9 +48,14 @@ def test_equivalence_failure_records_match_reference(commutative_le4, monkeypatc
     # the multiset: the certificate flips on every pinned multiset (each
     # count index + period - 2, the only kind it can pass) that holds the
     # first non-idempotent, and the full-length product set loses the last;
-    # verify passes the certificate a record, the oracles call it without
-    # one, and verify reads its product sets, over letter positions, from F
-    def flipped(S, seq, rec=None):
+    # verify passes the certificate a record, from whose counts the multiset
+    # is rebuilt, the oracles pass it the terms, and verify reads its product
+    # sets, over letter positions, from F
+    from idemfree.structure import _Support
+
+    def flipped(S, seq):
+        if isinstance(seq, _Support):
+            seq = [x for x, count in seq.counts.items() for _ in range(count)]
         alphabet = [a for a in S.elements if S.table[a][a] != a]
         pinned = all(seq.count(x) == cyclic_data(S, x).index + cyclic_data(S, x).period - 2 for x in seq)
         return SimpleNamespace(passed=extremal_structure_check(S, seq).passed != (pinned and alphabet[0] in seq))
