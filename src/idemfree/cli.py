@@ -134,21 +134,33 @@ def cmd_verify(args) -> int:
         checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     started = time.monotonic()
     # the log is opened before the run, so an unwritable path fails at once,
-    # and for appending, so an existing log stays as it is until it is replaced
-    with (open(args.log, "a") if args.log else nullcontext()) as log_file, _enum_cap_flag():
-        log = verify.run_verification(
-            max_order=args.max_order,
-            commutative_only=args.commutative,
-            checks=checks,
-            workers=args.workers,
-            enum_cap=args.max_enum_order,
-        )
-        elapsed = time.monotonic() - started
-        text = json.dumps(log, indent=2) + "\n"
-        sys.stdout.write(text)
-        if log_file:
-            log_file.truncate(0)
-            log_file.write(text)
+    # and for appending, so an existing log stays as it is until it is
+    # replaced; a log this command created is removed if the run fails
+    log_file, created = None, False
+    if args.log:
+        try:
+            log_file, created = open(args.log, "x"), True
+        except FileExistsError:
+            log_file = open(args.log, "a")
+    try:
+        with log_file or nullcontext(), _enum_cap_flag():
+            log = verify.run_verification(
+                max_order=args.max_order,
+                commutative_only=args.commutative,
+                checks=checks,
+                workers=args.workers,
+                enum_cap=args.max_enum_order,
+            )
+            elapsed = time.monotonic() - started
+            text = json.dumps(log, indent=2) + "\n"
+            sys.stdout.write(text)
+            if log_file:
+                log_file.truncate(0)
+                log_file.write(text)
+    except BaseException:
+        if created:
+            Path(args.log).unlink(missing_ok=True)
+        raise
     print(f"verify: {log['summary']['passed']}/{log['summary']['instances']} instances passed "
           f"in {elapsed:.1f}s with {args.workers} worker(s)", file=sys.stderr)
     return 0 if log["summary"]["allPassed"] else 1

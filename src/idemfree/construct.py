@@ -7,21 +7,15 @@ table once, on first use, and keeps it (``_table``): the specs of one
 catalog share their part objects, so each part is built once however many
 chains it sits in, and the tables die with the specs. Glued and adjoined
 tables carry their commutativity, known from their parts, so no later
-caller scans them for it. The enumerator streams
-every associative table of a given small order by cell-wise backtracking
-with partial associativity pruning, in lexicographic order of the
-flattened rows. It keeps the assigned cells indexed by value, so the
-triples in which a new cell multiplies an earlier product are found without
-a scan of the whole table. Before a cell is filled, those triples whose
-other cells are all set force its value, and only that value is tried
-(forward checking); they are not checked again after the assignment,
-which scans only the triples in which the new cell is itself multiplied, so
+caller scans them for it. The enumerator streams every associative table
+of a given small order, in lexicographic order of the flattened rows, by
+cell-wise backtracking with partial associativity pruning and forward
+checking. One generator frame walks the cells on an explicit stack and
+yields each table from that frame; ``enumerate_semigroups`` shows that
 each triple is checked once. For commutative tables it walks only the
-upper cells a <= b, fills each together with its mirror, checks the pair
-once and marks every table it emits as commutative; it never visits a
-lower cell, and compares one with the resume prefix only as it passes it.
-Every table built here is associative by construction, so it is wrapped
-without the full re-check.
+upper cells a <= b, fills each with its mirror and marks every table it
+emits as commutative. Every table built here is associative by
+construction, so it is wrapped without the full re-check.
 """
 
 from __future__ import annotations
@@ -277,23 +271,28 @@ def enumerate_semigroups(
 ):
     """Stream every associative table of the given order, lexicographically.
 
-    Cells are filled in row-major order. Every triple (xy)z = x(yz) whose
-    four cells are all assigned and one of which is the new cell (a, b) is
-    checked once, so a full table is associative. The triples where (a, b)
-    is xy or yz are checked by ok_after, after the assignment, in two O(n)
-    scans. Those where it is the outer product, (xy)b with xy = a or a(yz)
-    with yz = b, are settled before it by the forward check below; pre[v],
-    a stack of the assigned cells (x, y) with xy = v, finds them without a
-    scan of the whole table. With commutative_only, the walk fills only
-    the upper cells (a, b), a <= b, in row-major order, and one with a < b
-    sets its mirror (b, a) to the same value. The walk never visits a lower
-    cell: while it is still on the resume prefix's boundary, it compares
-    each lower cell it passes with the prefix, and past the boundary it
-    does not read them. One check covers the pair: mirror cells are always
-    set together, so the triple (x, y, z) is determined exactly when
-    (z, y, x) is, and by commutativity (zy)x = z(yx) is the equation
-    x(yz) = (xy)z. The triples through (b, a) are the mirrors of those
-    through (a, b).
+    One generator frame fills the cells in row-major order, keeping for
+    each walked cell the next value to try, the end of its value range and
+    whether the cells before it equal the resume prefix. Every triple
+    (xy)z = x(yz) whose four cells are all assigned and one of which is the
+    new cell (a, b) is checked once, so a full table is associative. The
+    triples where (a, b) is xy or yz are checked after the assignment, in
+    two O(n) scans, the xy scan over z and the yz scan over x. Those where
+    it is the outer product, (xy)b with xy = a or a(yz) with yz = b, are
+    settled before it by the forward check below; pre[v], a stack of the
+    assigned cells (x, y) with xy = v, finds them without a scan of the
+    whole table. With commutative_only, the walk fills only the upper cells
+    (a, b), a <= b, in row-major order, and one with a < b sets its mirror
+    (b, a) to the same value. The walk never visits a lower cell: while it
+    is still on the resume prefix's boundary, it compares each lower cell
+    it passes with the prefix, and past the boundary it does not read them.
+    One check covers the pair: mirror cells are always set together, so the
+    triple (x, y, z) is determined exactly when (z, y, x) is, and by
+    commutativity (zy)x = z(yx) is the equation x(yz) = (xy)z. The triples
+    through (b, a) are the mirrors of those through (a, b). On a diagonal
+    cell (a, a) the yz scan is skipped: its triple (x, a, a) is, by
+    commutativity, a(ax) = (aa)x, the xy scan's triple at z = x, and as
+    mirror cells are set together both read the same set cells.
 
     Before values are tried in an unset cell (a, b), the stacks pre[a] and
     pre[b] are walked once: a triple (xy)b = x(yb) with xy = a, or
@@ -310,7 +309,7 @@ def enumerate_semigroups(
     (b, a), or by visiting a stack entry the assignment pushed, which
     happens when v = a or v = b. ((y, b) or (a, y) can be the mirror only
     if a = b, and a cell on the diagonal has none.) Each such triple is
-    either one of ok_after's equations or reads v on both sides:
+    either one of the two scans' equations or reads v on both sides:
     - in pre[a], (x, a) with xa = a reads (a, b) as yb: xv = v, the yz
       scan at x;
     - in pre[a], an entry (x, y) whose cell x(yb) is (a, b) or (b, a)
@@ -323,9 +322,10 @@ def enumerate_semigroups(
       reads v on both sides;
     - v = b pushes (a, b) to pre[b]: (aa)b = v, the yz scan at x = a;
       and its mirror (b, a): (ab)a = ba = v.
-    So ok_after does not read the stacks. The stream is unchanged, and so
-    are resume_from and dedup_iso. With commutative_only every table
-    emitted is marked commutative, so is_commutative does not scan it.
+    So the scans do not read the stacks, and a cell is pushed only once the
+    walk moves past it. The stream is unchanged, and so are resume_from and
+    dedup_iso. With commutative_only every table emitted is marked
+    commutative, so is_commutative does not scan it.
 
     Order 5 must be requested explicitly via max_order=5 (the README gives
     its running time); nothing beyond 5 is supported. resume_from restarts
@@ -357,113 +357,113 @@ def enumerate_semigroups(
 def _walk(n: int, commutative_only: bool, dedup_iso: bool, prefix: tuple[int, ...]):
     """The stream of ``enumerate_semigroups`` for checked arguments."""
     table = [[-1] * n for _ in range(n)]
-    # pre[v] holds the assigned cells (x, y) with x*y = v; cells are pushed
-    # on assignment and popped on backtracking, so each list is a stack
+    # pre[v] holds the assigned cells (x, y) with x*y = v; only the forward
+    # check reads it, so a cell is pushed once the walk moves past it and
+    # popped on backtracking, and each list is a stack
     pre: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    # the cells the walk fills, as (flat index, row, column) in row-major
-    # order: every cell, or with commutative_only the upper cells a <= b.
-    # passed[i] lists the lower cells inside the resume prefix that lie
-    # between walked cells i - 1 and i; the mirrors of earlier cells have
-    # set them, so they are only compared with the prefix
-    walked = [(d, *divmod(d, n)) for d in range(n * n) if not commutative_only or d % n >= d // n]
-    passed = []
-    last = -1
-    for d, _, _ in walked:
-        passed.append([(e, *divmod(e, n)) for e in range(last + 1, min(d, len(prefix)))])
-        last = d
-    end = len(walked)
-
-    def ok_after(a: int, b: int) -> bool:
-        # check every fully determined triple (xy)z = x(yz) that uses cell
-        # (a, b) as xy or as yz; the forward check in rec has settled those
-        # with (a, b) as the outer product
-        t = table
-        v = t[a][b]
-        tb = t[b]
-        ta = t[a]
-        tv = t[v]
-        for z in range(n):
-            bz = tb[z]
-            if bz >= 0:
-                left, right = tv[z], ta[bz]
-                if left >= 0 and right >= 0 and left != right:
-                    return False
-        for x in range(n):
-            tx = t[x]
-            xa = tx[a]
-            if xa >= 0:
-                left, right = t[xa][b], tx[v]
-                if left >= 0 and right >= 0 and left != right:
-                    return False
-        return True
-
-    def emit():
-        # the forward check and ok_after have checked every triple by the
-        # time the table is full
-        S = FiniteSemigroup._trusted(table)
-        if commutative_only:
-            # every cell was set together with its mirror
-            S._commutative = True
-        if not dedup_iso or _is_canonical(S):
-            yield S
-
-    def rec(i: int, on_boundary: bool):
-        if i == end:
-            yield from emit()
-            return
-        if on_boundary:
-            # the stream resumes at the prefix: a passed cell below its
-            # prefix value ends the subtree, one above it leaves the boundary
-            for e, a, b in passed[i]:
-                v = table[a][b]
-                if v != prefix[e]:
-                    if v < prefix[e]:
-                        return
-                    on_boundary = False
-                    break
-        d, a, b = walked[i]
-        lo = prefix[d] if on_boundary and d < len(prefix) else 0
-        mirror = commutative_only and a < b
-        ta, tb = table[a], table[b]
-        # forward check: a triple through (a, b) as the outer product whose
-        # other cells are all set forces the cell's value; (a, b) and its
-        # mirror are unset, so no forcing triple reads them
-        w = -1
-        for x, y in pre[a]:
-            yb = table[y][b]
-            if yb >= 0:
-                f = table[x][yb]
-                if f >= 0:
-                    if w < 0:
+    # the walked cells, every cell or with commutative_only the upper ones,
+    # as (flat index, a, b, mirror?, row a, row b, pre[a], pre[b]); passed[i]
+    # lists the prefix's lower cells between walked cells i - 1 and i, which
+    # earlier mirrors have set, so they are only compared with the prefix
+    cells, passed, start = [], [], 0
+    for d in range(n * n):
+        a, b = divmod(d, n)
+        if not commutative_only or a <= b:
+            passed.append([(e, *divmod(e, n)) for e in range(start, min(d, len(prefix)))])
+            cells.append((d, a, b, commutative_only and a < b, table[a], table[b], pre[a], pre[b]))
+            start = d + 1
+    # per walked cell: the next value, the end of its range, on the boundary?
+    nxt, ends, bound = [0] * len(cells), [0] * len(cells), [True] * len(cells)
+    i, last, entering = 0, len(cells) - 1, True
+    while True:
+        d, a, b, mirror, ta, tb, pa, pb = cells[i]
+        if entering:
+            v, end = 0, n
+            if bound[i]:
+                # a passed cell below its prefix value ends the subtree, one
+                # above it leaves the boundary
+                for e, x, y in passed[i]:
+                    u = table[x][y]
+                    if u != prefix[e]:
+                        end = n if u > prefix[e] else 0
+                        bound[i] = False
+                        break
+                if bound[i] and d < len(prefix):
+                    v = prefix[d]
+            # forward check: a triple through (a, b) as the outer product
+            # whose other cells are all set forces the cell's value; (a, b)
+            # and its mirror are unset, so no forcing triple reads them
+            w = -1
+            for x, y in pa if end else ():
+                yb = table[y][b]
+                if yb >= 0:
+                    f = table[x][yb]
+                    if f >= 0 and f != w:
+                        if w >= 0:
+                            end = 0
+                            break
                         w = f
-                    elif f != w:
-                        return
-        for y, z in pre[b]:
-            ay = ta[y]
-            if ay >= 0:
-                f = table[ay][z]
-                if f >= 0:
-                    if w < 0:
+            for y, z in pb if end else ():
+                ay = ta[y]
+                if ay >= 0:
+                    f = table[ay][z]
+                    if f >= 0 and f != w:
+                        if w >= 0:
+                            end = 0
+                            break
                         w = f
-                    elif f != w:
-                        return
-        if w < 0:
-            values = range(lo, n)
+            if w >= 0 and end:
+                v, end = w, w + 1 if w >= v else 0
         else:
-            values = (w,) if w >= lo else ()
-        for v in values:
-            stack = pre[v]
-            ta[b] = v
-            stack.append((a, b))
-            if mirror:
-                tb[a] = v
-                stack.append((b, a))
-            if ok_after(a, b):
-                yield from rec(i + 1, on_boundary and d < len(prefix) and v == prefix[d])
+            # back from the cell after this one: take back this cell's value
+            v, end = nxt[i], ends[i]
+            stack = pre[ta[b]]
             stack.pop()
             if mirror:
                 stack.pop()
+        entering = True
+        while v < end:
+            ta[b] = v
+            if mirror:
+                tb[a] = v
+            # the triples with (a, b) as xy, (ab)z = a(bz), then those with
+            # it as yz, (xa)b = x(ab); on the diagonal of the commutative
+            # walk the second scan repeats the first
+            for bz, left in zip(tb, table[v]):
+                if bz >= 0 and left >= 0:
+                    right = ta[bz]
+                    if right >= 0 and left != right:
+                        break
+            else:
+                for tx in table if mirror or not commutative_only else ():
+                    xa = tx[a]
+                    if xa >= 0:
+                        left, right = table[xa][b], tx[v]
+                        if left >= 0 and right >= 0 and left != right:
+                            break
+                else:
+                    # every triple through the cell holds: descend, or emit
+                    if i < last:
+                        stack = pre[v]
+                        stack.append((a, b))
+                        if mirror:
+                            stack.append((b, a))
+                        nxt[i], ends[i] = v + 1, end
+                        bound[i + 1] = bound[i] and d < len(prefix) and v == prefix[d]
+                        i += 1
+                        break
+                    S = FiniteSemigroup._trusted(table)
+                    if commutative_only:
+                        # every cell was set together with its mirror
+                        S._commutative = True
+                    if not dedup_iso or _is_canonical(S):
+                        yield S
+            v += 1
+        else:
+            ta[b] = -1
+            if mirror:
                 tb[a] = -1
-        ta[b] = -1
-
-    yield from rec(0, True)
+            if not i:
+                return
+            i -= 1
+            entering = False

@@ -88,7 +88,7 @@ class FiniteSemigroup:
     def _trusted(cls, rows) -> FiniteSemigroup:
         """Wrap integer rows already known to form a semigroup, unchecked."""
         S = cls.__new__(cls)
-        S._adopt(tuple(tuple(row) for row in rows))
+        S._adopt(tuple(map(tuple, rows)))
         return S
 
     def _adopt(self, rows: tuple[tuple[int, ...], ...]) -> None:

@@ -335,6 +335,27 @@ def test_verify_keeps_an_existing_log_until_the_new_one_is_ready(tmp_path, capsy
     assert old.read_text() == out
 
 
+def test_verify_removes_a_log_it_created_when_the_run_fails(tmp_path, capsys):
+    new = tmp_path / "new.json"
+    code, out, err = run_cli(capsys, "verify", "--checks", "nope", "--log", str(new))
+    assert code == 1 and out == "" and "unknown checks" in err
+    assert not new.exists()
+
+
+def test_verify_leaves_an_existing_log_when_the_run_fails(tmp_path, capsys, monkeypatch):
+    import idemfree.cli as cli_mod
+
+    def failed_run(**kwargs):
+        raise InvalidParameters("the run failed")
+
+    monkeypatch.setattr(cli_mod.verify, "run_verification", failed_run)
+    old = tmp_path / "old.json"
+    old.write_text("")
+    code, out, err = run_cli(capsys, "verify", "--log", str(old))
+    assert code == 1 and out == "" and err == "error: the run failed\n"
+    assert old.exists() and old.read_text() == ""
+
+
 def test_verify_rejects_unknown_check(capsys):
     code, _, err = run_cli(capsys, "verify", "--checks", "nope")
     assert code == 1

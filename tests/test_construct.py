@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import os
 import pickle
+import random
 
 import pytest
 
@@ -358,6 +359,98 @@ def test_commutative_resume():
     prefix = list(_flat(t)[:4]) + [t[0][1] + 1]
     got = resumed(prefix)
     assert got and all(_flat(g)[:4] > tuple(prefix[:4]) for g in got)
+
+
+def _forced(prefix, n, commutative_only):
+    # the values to which the cells before the prefix's last cell (a, b), as
+    # the walk sets them, force it: the other sides of the triples
+    # (xy)b = x(yb) with xy = a and a(yz) = (ay)z with yz = b whose other
+    # cells are all set
+    t = [[-1] * n for _ in range(n)]
+    for d, v in enumerate(prefix[:-1]):
+        x, y = divmod(d, n)
+        if not commutative_only or x <= y:
+            t[x][y] = v
+            if commutative_only:
+                t[y][x] = v
+    a, b = divmod(len(prefix) - 1, n)
+    forced = set()
+    for x in range(n):
+        for y in range(n):
+            if t[x][y] == a and t[y][b] >= 0 and t[x][t[y][b]] >= 0:
+                forced.add(t[x][t[y][b]])
+            if t[x][y] == b and t[a][x] >= 0 and t[t[a][x]][y] >= 0:
+                forced.add(t[t[a][x]][y])
+    return forced
+
+
+@pytest.mark.parametrize(
+    "n, commutative_only, lengths",
+    [(4, False, None), (4, True, None), (5, True, 20)],
+    ids=["labelled-4", "commutative-4", "commutative-5"],
+)
+def test_resume_equals_the_filtered_stream(n, commutative_only, lengths):
+    # seeded prefixes of every length 0..n*n (of 20 lengths at order 5), each
+    # cut from a random table of the stream. A prefix that ends on a walked
+    # cell is redrawn until that cell is forced, if one is found in 20
+    # draws; the last value is kept, moved one up or moved one down, mod n,
+    # in turn over the forced cells and at random over the others. Every
+    # resumed stream is the full stream cut at the prefix padded with zeros
+    full = [_flat(S.table) for S in enumerate_semigroups(n, commutative_only=commutative_only, max_order=n)]
+    rng = random.Random(n * 10 + commutative_only)
+    picked = range(1, n * n + 1) if lengths is None else sorted(rng.sample(range(1, n * n + 1), lengths))
+    moves = itertools.cycle((0, 1, -1))
+    ends = set()
+    for length in [0, *picked]:
+        a, b = divmod(length - 1, n)
+        lower = commutative_only and b < a
+        for _ in range(20):
+            prefix = list(rng.choice(full)[:length])
+            forced = set() if lower or not prefix else _forced(prefix, n, commutative_only)
+            if lower or len(forced) == 1:
+                break
+        if prefix:
+            prefix[-1] = (prefix[-1] + (next(moves) if len(forced) == 1 else rng.choice((0, 1, -1)))) % n
+        bar = tuple(prefix) + (0,) * (n * n - length)
+        stream = enumerate_semigroups(n, commutative_only=commutative_only, resume_from=prefix, max_order=n)
+        assert [_flat(S.table) for S in stream] == [t for t in full if t >= bar]
+        if lower:
+            ends.add("lower")
+        elif len(forced) == 1:
+            (w,) = forced
+            ends.add("forced " + ("to" if w == prefix[-1] else "above" if w > prefix[-1] else "below"))
+    # some prefixes end on a lower cell, which the commutative walk never
+    # visits, and some on a cell the forward check forces: to the prefix's
+    # value, above it (the walk leaves the boundary there) and below it (the
+    # walk skips the cell's subtree)
+    want = {"forced to", "forced above", "forced below"}
+    assert ends == (want | {"lower"} if commutative_only else want)
+
+
+def test_streams_keep_no_state_outside_their_own_walk():
+    # two live streams advanced alternately and a third closed mid-stream
+    # each give the tables they give alone
+    def tables(stream):
+        return [S.table for S in stream]
+
+    labelled = dict(order=4)
+    commutative = dict(order=4, commutative_only=True, resume_from=[0, 1, 2])
+    third = dict(order=3, dedup_iso=True)
+    alone = [tables(enumerate_semigroups(**kw)) for kw in (labelled, commutative, third)]
+    first, second, closed = (enumerate_semigroups(**kw) for kw in (labelled, commutative, third))
+    got = [[], [], []]
+    for step, pair in enumerate(itertools.zip_longest(first, second)):
+        for out, S in zip(got, pair):
+            if S is not None:
+                out.append(S.table)
+        if step < 5:
+            got[2].append(next(closed).table)
+        elif step == 5:
+            closed.close()
+    assert got[:2] == alone[:2]
+    assert got[2] == alone[2][:5]
+    assert list(closed) == []
+    assert tables(enumerate_semigroups(**third)) == alone[2]
 
 
 def test_enumeration_known_counts():
