@@ -33,7 +33,7 @@ those walks carry each set's right translates packed into one integer (the
 layout of ``seqprod._packed_rows``): a child reads its translate with one
 shift and mask, and pays lookups only for the bits it adds. The rows are
 built once per search and cut into the byte-sliced tables of
-``seqprod._slices``, so ``_grow`` ORs one table entry per slice of the
+``seqprod._slices``, so ``_grow`` ORs one table entry per byte of the
 added bits, not one row per bit. The natural-order rows also pack the
 letters whose translate meets an idempotent, so a node reads its pruned
 children in one shift; D carries only the proper products. The
@@ -58,13 +58,13 @@ nodes, so nodesExplored is still the size of the plain tree, no state is
 walked twice, and the witness follows the stored letters from the root, so it is
 still the lex-least longest sequence. One memo spans the search's whole
 tree, so a state reached under two first terms is walked once: SI(C24)
-takes about 0.15 s, against 0.7 s with one memo per first term. Every
-table takes the memo walk. On C24 it walks I in well under half the time of
-a plain walk; on the small tables of the order <= 5 corpus, where few
-states repeat, an I or SI search costs about 15% more than a plain walk,
-its leaf entries included, too little to move a corpus check. I on
-letters that do not commute has the whole multiset as its state, so it
-streams F instead.
+takes about 0.15 s, against 0.7 s with one memo per first term. SI, and
+I on letters that commute, take the memo walk. On C24 it walks I in well
+under half the time of a plain walk; on the small tables of the order <= 5
+corpus, where few states repeat, an I or SI search costs about 15% more
+than a plain walk, its leaf entries included, too little to move a corpus
+check. I on letters that do not commute has the whole multiset as its
+state, so it streams F instead.
 
 Checks that read only I's value on a commutative table call
 ``_weak_value``, which walks the I tree under a bound. Appending a term c
@@ -75,7 +75,10 @@ idempotent one too. This lemma gives the Gillam-Hall-Williams bound
 no free extension is longer than L + k - popcount(m), with k = |S \\ E(S)|.
 ``_bounded_walk`` is one depth-first walk from the empty sequence that
 skips a child whose bound is at most the best length so far and stops once
-the best length reaches the cap k. It keeps only that length. A cut tree
+the best length reaches the cap k. It keeps only that length. It reads
+the packed rows themselves: a child ORs in the row of each bit it adds, so
+the walk builds no slice table, which would cost more than its few nodes
+(about six grows per family table). A cut tree
 has no fixed size, so the public reports keep the exhaustive walk, whose
 nodesExplored the tests pin as the size of the plain tree; ghw-bound checks
 the lemma, so it must not assume it; and strong-vs-weak cross-checks the
@@ -181,15 +184,17 @@ def ghw_bound(S: FiniteSemigroup) -> int:
     return S.order - len(idempotents(S)) + 1
 
 
-def _bounded_walk(n: int, slices: list[list[int]]) -> int:
+def _bounded_walk(n: int, rows: list[int]) -> int:
     """The length of the longest free nondecreasing sequence over the n
-    letters of a letter table: the commutative I walk of ``_memo_walk``, for
-    the value only, without its memo.
+    letters of a letter table, given its packed rows: the commutative I
+    walk of ``_memo_walk``, for the value only, without its memo.
 
     A child of path length L and product mask grown has no free extension
     longer than L + n - popcount(grown), so a child whose bound does not
     beat the best length is not walked, and the walk stops as soon as the
     best length reaches the cap n (module docstring). It counts no nodes.
+    A child ORs in the rows of the bits it adds, one read per bit, so the
+    walk builds no slice tables.
     """
     full = (1 << n) - 1
     top = n * n
@@ -210,7 +215,11 @@ def _bounded_walk(n: int, slices: list[list[int]]) -> int:
                 best = length
                 if length == n:
                     return True
-            if rec(grown, _grow(slices, vec, grown & ~mask), full >> x << x, length + 1):
+            add, child = grown & ~mask, vec
+            while add:
+                child |= rows[(add & -add).bit_length() - 1]
+                add &= add - 1
+            if rec(grown, child, full >> x << x, length + 1):
                 return True
         return False
 
@@ -507,7 +516,7 @@ def _weak_value(S: FiniteSemigroup) -> int:
 
 
 def _bounded_value(letters: tuple[int, ...], k: int) -> int:
-    return _bounded_walk(k, _slices(_packed_rows(_letter_rows(letters, k), 1 << k))) + 1
+    return _bounded_walk(k, _packed_rows(_letter_rows(letters, k), 1 << k)) + 1
 
 
 def erdos_burgess(S: FiniteSemigroup) -> ConstantReport:

@@ -17,15 +17,15 @@ by ``_fill_slab``; ``_any_mask_general`` and the any-order walk of
 
 ``_grow`` and ``_fill_slab`` read byte-sliced lookup tables, built by
 ``_slices`` once per search (or per any-order call), after the method of
-Four Russians: the n bits of a mask are cut into ceil(n/8) slices of equal
-width w = ceil(n/ceil(n/8)) <= 8, and entry b of slice k is the OR of the
-rows of the bits w*k + i with i in b. A union over a mask is then one table
-read per slice instead of one row read per set bit. The width follows from
-n alone; balanced widths keep the tables small when n is just past a
-multiple of 8 (n = 9 builds 32 + 16 entries, not 256 + 2), which matters
-to the many small searches of the verify checks. ``_translate`` keeps the
-per-bit loop, which builds no tables: the one-shot ``_natural_mask``
-behind the public product-set calls uses it.
+Four Russians: the n bits of a mask are cut into bytes, ceil(n/8) slices of
+8 bits with the last one possibly narrower, and entry b of slice k is the OR
+of the rows of the bits 8*k + i with i in b. A union over a mask is then one
+table read per byte instead of one row read per set bit, and both kernels
+cut a mask with & 255 and >> 8, whatever the size of their tables. A walk
+that adds few bits per node and ends after few nodes, such as the bounded
+value walk of ``constants``, ORs the rows themselves and builds no tables.
+``_translate`` keeps the per-bit loop, which builds no tables either: the
+one-shot ``_natural_mask`` behind the public product-set calls uses it.
 """
 
 from __future__ import annotations
@@ -132,9 +132,9 @@ def _packed_rows(table, stop: int = 0) -> list[int]:
     Right translation distributes over union, (A | D)*c = A*c | D*c, so the
     OR of the rows of A's elements packs every translate of A, and A*x is
     (vec >> x*n) & ((1 << n) - 1), less the products in stop; field n is the
-    set of columns c whose translate A*c meets stop. A search reads the rows
-    through their ``_slices``, so ``_grow`` ORs one precomputed union per
-    slice of the bits a set gains.
+    set of columns c whose translate A*c meets stop. A search ORs the rows
+    of the bits a set gains: through their ``_slices``, one precomputed
+    union per byte, in ``_grow``, or row by row in the bounded value walk.
     """
     n = len(table)
     top = n * n
@@ -150,21 +150,16 @@ def _packed_rows(table, stop: int = 0) -> list[int]:
 def _slices(rows: list[int]) -> list[list[int]]:
     """Byte-sliced lookup tables over rows, one integer per bit of a mask.
 
-    The n rows are cut into ceil(n/8) slices of equal width
-    w = ceil(n/ceil(n/8)) <= 8, the last one possibly narrower; entry b of
-    slice k is the OR of rows[w*k + i] over the set bits i of b, so the OR
-    of the rows of a mask's bits is the OR of one entry per slice. Each
-    slice is built by doubling, one row at a time. No rows, as for a
-    letter table without letters, give no slices.
+    The n rows are cut into slices of 8, the last one possibly narrower, so
+    n < 8 gives one slice of 2^n entries; entry b of slice k is the OR of
+    rows[8*k + i] over the set bits i of b, so the OR of the rows of a
+    mask's bits is the OR of one entry per byte of the mask. Each slice is
+    built by doubling, one row at a time.
     """
-    n = len(rows)
-    if not n:
-        return []
-    width = -(-n // -(-n // 8))
     out = []
-    for k in range(0, n, width):
+    for k in range(0, len(rows), 8):
         t = [0]
-        for r in rows[k : k + width]:
+        for r in rows[k : k + 8]:
             t += [v | r for v in t]
         out.append(t)
     return out
@@ -172,15 +167,13 @@ def _slices(rows: list[int]) -> list[list[int]]:
 
 def _grow(slices: list[list[int]], vec: int, new: int) -> int:
     """The packed translates of A | new, given vec packing those of A and
-    the ``_slices`` of the packed rows: one table read per slice of new, up
+    the ``_slices`` of the packed rows: one table read per byte of new, up
     to its highest set bit; field n is ORed like any other."""
-    low = len(slices[0]) - 1
-    shift = low.bit_length()
     for t in slices:
         if not new:
             break
-        vec |= t[new & low]
-        new >>= shift
+        vec |= t[new & 255]
+        new >>= 8
     return vec
 
 
@@ -227,7 +220,7 @@ def _fill_slab(cols: dict, reach: list, links: list, x: int, width: int, stop: i
     order ends with some term: entry v is reach[v - width]*x (or {x} when
     v - width is empty) together with reach[v - w_i]*s_i for each lower
     letter s_i that v uses. Each translate is read from the column slices
-    cols of its letter (``_column_slices``), one table read per slice of
+    cols of its letter (``_column_slices``), one table read per byte of
     the mask, inline. The fill stops early at the first mask that meets
     stop, leaving the slab partial. An array past _MAX_DP_STATES is refused
     before the slab is allocated.
@@ -235,16 +228,14 @@ def _fill_slab(cols: dict, reach: list, links: list, x: int, width: int, stop: i
     base = len(reach)
     _check_states(base + width)
     col = cols[x]
-    low = len(col[0]) - 1
-    shift = low.bit_length()
     out = 0
     for v, lower in enumerate(links, base):
         a = reach[v - width]
         if a:
             m = 0
             for t in col:
-                m |= t[a & low]
-                a >>= shift
+                m |= t[a & 255]
+                a >>= 8
                 if not a:
                     break
         else:
@@ -253,8 +244,8 @@ def _fill_slab(cols: dict, reach: list, links: list, x: int, width: int, stop: i
         for w, s in lower:
             a = reach[v - w]
             for t in cols[s]:
-                m |= t[a & low]
-                a >>= shift
+                m |= t[a & 255]
+                a >>= 8
                 if not a:
                     break
         reach.append(m)

@@ -45,6 +45,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 from .constants import (
@@ -436,15 +437,17 @@ class _PoolMap:
 
 @contextlib.contextmanager
 def _fan_out(workers: int):
-    """An order-preserving map over `workers` processes: the builtin map at
-    one worker, a _PoolMap over a fresh pool otherwise."""
+    """An order-preserving map for `workers` workers: the builtin map at one
+    worker, otherwise a _PoolMap batched for `workers` over a fresh pool of
+    at most one process per CPU, since the pool starts all its processes at
+    its first task. The batches, and so the log, follow `workers` alone."""
     workers = _index(workers, "workers")
     if workers < 1:
         raise InvalidParameters(f"workers must be at least 1, got {workers}")
     if workers == 1:
         yield map
         return
-    with ProcessPoolExecutor(max_workers=workers) as executor:
+    with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as executor:
         yield _PoolMap(executor, workers)
 
 

@@ -183,6 +183,9 @@ def test_gen_roundtrip_is_byte_identical(tmp_path, capsys):
     assert format_cayley_table(parse_cayley_table(text)) == text
     code, _, _ = run_cli(capsys, "validate", str(out_path))
     assert code == 0
+    # without --out the same table goes to stdout
+    code, out, err = run_cli(capsys, "gen", "cyclic-group", "5")
+    assert (code, out, err) == (0, text, "")
 
 
 def test_gen_extremal_writes_pair(tmp_path, capsys):
@@ -219,8 +222,27 @@ def test_gen_bad_params(tmp_path, capsys):
             ["cyclic-group", "3", "--adjoin-identity"],
             "error: family cyclic-group takes no --adjoin-identity; only extremal generation does\n",
         ),
+        (
+            ["extremal", "--component", "mono:3", "--out", "B"],
+            "error: bad component 'mono:3'; expected mono:I,P or gbn:N,P\n",
+        ),
+        (
+            ["extremal", "--component", "foo:1,2", "--out", "B"],
+            "error: unknown component kind 'foo'; expected mono or gbn\n",
+        ),
+        (
+            ["extremal", "--out", "B"],
+            "error: extremal generation needs at least one --component\n",
+        ),
+        (
+            ["extremal", "--component", "mono:1,2"],
+            "error: extremal generation needs --out BASE for the table and sequence files\n",
+        ),
     ],
-    ids=["extremal-params", "family-component-and-identity", "family-identity"],
+    ids=[
+        "extremal-params", "family-component-and-identity", "family-identity",
+        "extremal-short-component", "extremal-unknown-component", "extremal-no-component", "extremal-no-out",
+    ],
 )
 def test_gen_refuses_arguments_it_would_ignore(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)

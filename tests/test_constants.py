@@ -193,30 +193,39 @@ def test_weak_value_on_tiny_alphabets():
 
 
 def test_weak_value_stops_at_the_cap(monkeypatch):
-    # the walk starts at the empty sequence, whose packed translates are 0,
-    # so a _grow call with vec == 0 is a descent from the root into the
-    # letter it adds, as its position among the non-idempotents. C7 reaches
-    # its cap of 6 letters below its first letter, so no other root child
-    # is walked, and the walk stops before it grows the translates of the
-    # sixth term; a relabelled (Z_2)^3, whose longest free sequence has 3
-    # of its 7 letters (D((Z_2)^3) = 4), stays below its cap, so every
-    # letter is walked
-    calls = []
-    real = constants._grow
+    # the walk ORs in the packed row of each letter a child adds, from the
+    # empty sequence, whose packed translates are 0, so a row ORed into 0
+    # is a descent from the root into the letter it adds, as its position
+    # among the non-idempotents. C7 reaches its cap of 6 letters below its
+    # first letter, each term adding one power, so it reads rows 0 to 4,
+    # walks no other root child, and stops before it grows the translates
+    # of the sixth term; a relabelled (Z_2)^3, whose longest free sequence
+    # has 3 of its 7 letters (D((Z_2)^3) = 4), stays below its cap, so
+    # every letter is walked
+    reads = []
+    real = constants._packed_rows
 
-    def watching(rows, vec, new):
-        calls.append((vec, new))
-        return real(rows, vec, new)
+    class Row(int):
+        def __ror__(self, vec):
+            reads.append((vec, self.letter))
+            return vec | int(self)
+
+    def watching(table, stop=0):
+        rows = [Row(r) for r in real(table, stop)]
+        for letter, row in enumerate(rows):
+            row.letter = letter
+        return rows
 
     def root_descents(S):
         alpha = [a for a in S.elements if S.table[a][a] != a]
-        return [alpha[new.bit_length() - 1] for vec, new in calls if vec == 0]
+        return [alpha[letter] for vec, letter in reads if vec == 0]
 
-    monkeypatch.setattr(constants, "_grow", watching)
+    monkeypatch.setattr(constants, "_packed_rows", watching)
     c7 = cyclic_group(7)
     assert constants._weak_value(c7) == 7
-    assert root_descents(c7) == [0] and len(calls) == 5
-    calls.clear()
+    assert [letter for _, letter in reads] == [0, 1, 2, 3, 4]
+    assert root_descents(c7) == [0]
+    reads.clear()
     S = relabel(FiniteSemigroup([[a ^ b for b in range(8)] for a in range(8)]), 3)
     assert constants._weak_value(S) == 4 == reference_search("I", S)[0]
     assert root_descents(S) == [a for a in S.elements if S.table[a][a] != a]
@@ -258,9 +267,9 @@ def test_dihedral_searches_match_reference():
 
 
 def test_dihedral_searches_past_one_slice():
-    # D_14 and D_16 have more than 8 elements, so the slab fill of the
-    # noncommutative I walk reads its translates from two column slices
-    # (widths 7 and 7, and 8 and 8); value, witness and node count as
+    # D_14 and D_16 have 13 and 15 letters, more than 8, so the slab fill of
+    # the noncommutative I walk reads its translates from two column slices
+    # (widths 8 and 5, and 8 and 7); value, witness and node count as
     # pinned from the per-bit kernel, on D_2n and a relabelled copy, whose
     # tree differs, since the walk appends letters in increasing order. The
     # plain reference walk takes seconds here, so it stops at D_12 above

@@ -65,6 +65,8 @@ def test_cyclic_group_and_nil():
         group_nil_chain("3", 2)
     with pytest.raises(InvalidParameters, match="nil index None is not an integer"):
         group_nil_chain(3, None)
+    with pytest.raises(InvalidParameters, match=r"^need n1 >= 2 and n2 >= 2, got \(1, 2\)$"):
+        group_nil_chain(1, 2)
 
 
 def test_trivial_ideal_extension_small():
@@ -148,6 +150,8 @@ def test_extremal_spec_validation():
         Monogenic(2, 2)  # 2 is not 1 mod 2
     with pytest.raises(InvalidParameters):
         GroupByNil(1, 2)
+    with pytest.raises(InvalidParameters, match=r"^need index, period >= 1, got Monogenic\(index=0, period=1\)$"):
+        Monogenic(0, 1)
     with pytest.raises(InvalidParameters):
         ExtremalSpec(())
     assert Monogenic(1, 1).term_count == 0

@@ -105,6 +105,8 @@ def test_validate_rejects_order_mismatch_and_ragged_rows():
             validate(order, [[0]])
     with pytest.raises(InvalidParameters):
         FiniteSemigroup([[0, 1], [1]])
+    with pytest.raises(InvalidParameters, match="^a semigroup needs at least one element$"):
+        FiniteSemigroup([])
 
 
 def test_rejects_non_integer_cells():
@@ -247,6 +249,8 @@ def test_cyclic_data_invariants_roundtrip():
             assert len(set(cd.powers)) == len(cd.powers)
             # x^(I+P) = x^I
             assert cd.power(i + p) == cd.power(i)
+    with pytest.raises(InvalidParameters, match="^powers start at exponent 1$"):
+        cyclic_data(cyclic_group(3), 0).power(0)
 
 
 def test_unique_cycle_idempotent():
@@ -339,3 +343,5 @@ def test_table_text_comments_and_errors():
         parse_cayley_table("-1\n")
     with pytest.raises(InvalidParameters, match="order must be at least 1, got 0"):
         parse_cayley_table("0\n")
+    with pytest.raises(InvalidParameters, match="^row 0 contains a non-integer entry$"):
+        parse_cayley_table("2\n0 x\n1 1\n")

@@ -189,8 +189,9 @@ def test_oracle_equivalence_small():
 
 
 def test_oracle_equivalence_past_one_slice():
-    # relabelled D_10 to D_16: from order 9 on the column slices of the
-    # any-order DP cut each mask into two slices
+    # relabelled D_10 to D_16: past order 8 the column slices of the
+    # any-order DP cut each mask into two bytes, the second holding 2, 4,
+    # 6 and 8 bits
     rng = random.Random(58)
     for n in range(5, 9):
         S = relabel(dihedral(n), n)
@@ -297,16 +298,17 @@ def test_packed_stop_field_marks_letters_meeting_stop(corpus_le3):
 
 
 def test_sliced_grow_matches_per_bit_or_past_one_slice():
-    # past 8 elements the rows are cut into ceil(n/8) slices of equal width,
-    # the last one narrower on orders 17 (6, 6, 5) and 25 (7, 7, 7, 4); on
-    # seeded random masks, _grow must OR exactly the rows of the mask's bits,
-    # stop field included, and the column slices of each letter must read
-    # the translate that _translate computes bit by bit
+    # the rows are cut into bytes, ceil(n/8) slices of 8 with the last one
+    # narrower: one row past a byte on orders 9, 17 and 25, whole bytes on
+    # orders 16 and 8; on seeded random masks, _grow must OR exactly the
+    # rows of the mask's bits, stop field included, and the column slices
+    # of each letter must read the translate that _translate computes bit
+    # by bit
     from idemfree.seqprod import _column_slices, _grow, _idem_mask, _packed_rows, _slices, _translate
 
     rng = random.Random(25)
-    tables = [relabel(cyclic_group(9), 9), dihedral(8), monogenic(9, 9), relabel(cyclic_group(25), 25)]
-    for S, widths in zip(tables, ([5, 4], [8, 8], [6, 6, 5], [7, 7, 7, 4])):
+    tables = [relabel(cyclic_group(9), 9), dihedral(8), monogenic(9, 9), relabel(cyclic_group(25), 25), dihedral(4)]
+    for S, widths in zip(tables, ([8, 1], [8, 8], [8, 8, 1], [8, 8, 8, 1], [8]), strict=True):
         n, t = S.order, S.table
         masks = [rng.randrange(1, 1 << n) for _ in range(200)] + [(1 << n) - 1, 1 << (n - 1)]
         for stop in (_idem_mask(S), rng.randrange(1 << n)):

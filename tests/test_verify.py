@@ -202,6 +202,38 @@ def test_pool_map_keeps_rows_in_order_and_opens_one_scope_per_batch():
             assert executor.submit(_scope_open, 0).result(timeout=60) is False
 
 
+def test_fan_out_starts_at_most_one_process_per_cpu(monkeypatch):
+    # the pool forks all its processes at its first task, so a large
+    # worker count must not reach it; an in-process stand-in records the
+    # size asked for, and the batches still follow the requested count
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", InProcessPool)
+    for cpus, workers, size in ((3, 5000, 3), (3, 2, 2), (None, 5000, 1)):
+        monkeypatch.setattr(verify.os, "cpu_count", lambda n=cpus: n)
+        with verify._fan_out(workers) as map_fn:
+            assert map_fn.workers == workers
+            assert map_fn(abs, range(-10, 11)) == list(map(abs, range(-10, 11)))
+        assert sizes.pop() == size
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
+    serial = verify.run_verification(max_order=3, checks=["ghw-bound", "strong-vs-weak"])
+    assert verify.run_verification(max_order=3, checks=["ghw-bound", "strong-vs-weak"], workers=5000) == serial
+    assert sizes == [3]
+
+
 def test_sharing_scope_across_threads(corpus_le3):
     # 8 threads on 2 cores, switching every microsecond, share one scope
     # while they search each table four times: every report they look up
