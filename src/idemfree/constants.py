@@ -123,7 +123,7 @@ import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .core import FiniteSemigroup, NotCommutative, identity_element, idempotents, is_commutative
+from .core import FiniteSemigroup, NotCommutative, _idem_mask, identity_element, is_commutative
 from .seqprod import Seq, _column_slices, _fill_slab, _grow, _packed_rows, _slices, _top_links
 
 KIND_ERDOS_BURGESS = "ErdosBurgess"
@@ -181,7 +181,7 @@ class ConstantReport:
 
 def ghw_bound(S: FiniteSemigroup) -> int:
     """|S \\ E(S)| + 1, the universal bound on free sequence length plus one."""
-    return S.order - len(idempotents(S)) + 1
+    return S.order - _idem_mask(S).bit_count() + 1
 
 
 def _bounded_walk(n: int, rows: list[int]) -> int:

@@ -14,8 +14,11 @@ checking. One generator frame walks the cells on an explicit stack and
 yields each table from that frame; ``enumerate_semigroups`` shows that
 each triple is checked once. For commutative tables it walks only the
 upper cells a <= b, fills each with its mirror and marks every table it
-emits as commutative. Every table built here is associative by
-construction, so it is wrapped without the full re-check.
+emits as commutative. The tables of one stream share their rows: the walk
+keeps one tuple per distinct row it has emitted, in a dict of its own
+frame, so a table costs its outer tuple and its instance, and two streams
+share nothing. Every table built here is associative by construction, so
+it is wrapped without the full re-check.
 """
 
 from __future__ import annotations
@@ -374,6 +377,9 @@ def _walk(n: int, commutative_only: bool, dedup_iso: bool, prefix: tuple[int, ..
             start = d + 1
     # per walked cell: the next value, the end of its range, on the boundary?
     nxt, ends, bound = [0] * len(cells), [0] * len(cells), [True] * len(cells)
+    # one tuple per distinct row this stream has emitted, which every table
+    # with that row points to; _trusted keeps a tuple as it is
+    rows: dict[tuple[int, ...], tuple[int, ...]] = {}
     i, last, entering = 0, len(cells) - 1, True
     while True:
         d, a, b, mirror, ta, tb, pa, pb = cells[i]
@@ -452,7 +458,7 @@ def _walk(n: int, commutative_only: bool, dedup_iso: bool, prefix: tuple[int, ..
                         bound[i + 1] = bound[i] and d < len(prefix) and v == prefix[d]
                         i += 1
                         break
-                    S = FiniteSemigroup._trusted(table)
+                    S = FiniteSemigroup._trusted([rows.setdefault(r, r) for r in map(tuple, table)])
                     if commutative_only:
                         # every cell was set together with its mirror
                         S._commutative = True

@@ -56,9 +56,26 @@ class NotCommutative(SemigroupError):
 class FiniteSemigroup:
     """Immutable finite semigroup on elements 0..n-1.
 
-    Instances are safely shareable across threads and processes: the table
-    is a tuple of tuples and derived data is cached, never mutated.
+    ``table`` is a tuple of row tuples. ``_trusted`` keeps the row tuples it
+    is handed, and the enumerator in ``construct`` hands the tables of one
+    stream one shared object per distinct row, so such a table is its outer
+    tuple plus pointers. Tuples never change, so sharing is safe.
+
+    The instance has slots and no ``__dict__``: ``order``, ``table`` and
+    three caches of derived data, filled on first use.
+    - ``_idempotents``: the idempotents as one bit mask (``_idem_mask``),
+      or None; ``idempotents`` builds its frozenset from it.
+    - ``_commutative``: True, False or None, unknown.
+    - ``_cyclic``: a dict of ``CyclicData`` by element, created by the
+      first ``_cyclic_data`` call and left unset until then.
+
+    Instances are safely shareable across threads and processes. Derived
+    data is stored whole and never changed once stored; two threads that
+    fill one cache at once store equal data, so losing either store is
+    harmless. Slots pickle, and an unset ``_cyclic`` stays unset.
     """
+
+    __slots__ = ("order", "table", "_idempotents", "_commutative", "_cyclic")
 
     def __init__(self, table):
         rows = _integer_rows(table)
@@ -86,7 +103,9 @@ class FiniteSemigroup:
 
     @classmethod
     def _trusted(cls, rows) -> FiniteSemigroup:
-        """Wrap integer rows already known to form a semigroup, unchecked."""
+        """Wrap integer rows already known to form a semigroup, unchecked.
+        A row that is already a tuple is kept as it is (``tuple(t) is t``),
+        so rows shared among tables stay shared."""
         S = cls.__new__(cls)
         S._adopt(tuple(map(tuple, rows)))
         return S
@@ -94,9 +113,8 @@ class FiniteSemigroup:
     def _adopt(self, rows: tuple[tuple[int, ...], ...]) -> None:
         self.order = len(rows)
         self.table = rows
-        self._idempotents: frozenset[int] | None = None
+        self._idempotents: int | None = None
         self._commutative: bool | None = None
-        self._cyclic: dict[int, CyclicData] = {}
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -152,11 +170,20 @@ def validate(order: int, table) -> FiniteSemigroup:
 
 def idempotents(S: FiniteSemigroup) -> frozenset[ElementId]:
     """All e with e*e = e; nonempty for every finite semigroup."""
-    if S._idempotents is None:
-        found = frozenset(e for e in S.elements if S.table[e][e] == e)
-        assert found, "finite semigroup without idempotent"
-        S._idempotents = found
-    return S._idempotents
+    return _mask_to_set(_idem_mask(S))
+
+
+def _idem_mask(S: FiniteSemigroup) -> int:
+    """The idempotents of S as a bit mask, scanned once and kept on S."""
+    mask = S._idempotents
+    if mask is None:
+        mask = 0
+        for e, row in enumerate(S.table):
+            if row[e] == e:
+                mask |= 1 << e
+        assert mask, "finite semigroup without idempotent"
+        S._idempotents = mask
+    return mask
 
 
 def is_commutative(S: FiniteSemigroup) -> bool:
@@ -193,10 +220,10 @@ def is_nilsemigroup(S: FiniteSemigroup) -> bool:
     one idempotent and that idempotent is a zero; only that one candidate
     is tested.
     """
-    ids = idempotents(S)
-    if len(ids) != 1:
+    ids = _idem_mask(S)
+    if ids & (ids - 1):
         return False
-    (z,) = ids
+    z = ids.bit_length() - 1
     t, row = S.table, S.table[z]
     return all(row[x] == z and t[x][z] == z for x in S.elements)
 
@@ -297,8 +324,12 @@ def cyclic_data(S: FiniteSemigroup, x: ElementId) -> CyclicData:
 
 def _cyclic_data(S: FiniteSemigroup, x: int) -> CyclicData:
     """``cyclic_data`` of an element id x of S that is already checked; the
-    result is kept in S._cyclic."""
-    cached = S._cyclic.get(x)
+    result is kept in S._cyclic, which the first call creates."""
+    try:
+        cache = S._cyclic
+    except AttributeError:
+        cache = S._cyclic = {}
+    cached = cache.get(x)
     if cached is not None:
         return cached
     t = S.table
@@ -311,7 +342,7 @@ def _cyclic_data(S: FiniteSemigroup, x: int) -> CyclicData:
         cur = t[cur][x]
     # cur = x^(len(powers) + 1) is the first repeated power, x^index
     index = powers.index(cur) + 1
-    data = S._cyclic[x] = CyclicData(index=index, period=len(powers) + 1 - index, powers=tuple(powers))
+    data = cache[x] = CyclicData(index=index, period=len(powers) + 1 - index, powers=tuple(powers))
     return data
 
 

@@ -40,10 +40,9 @@ from .core import (
     InvalidParameters,
     SemigroupError,
     _element,
+    _idem_mask,
     _index,
-    _mask_of,
     _mask_to_set,
-    idempotents,
     is_commutative,
 )
 
@@ -105,10 +104,6 @@ class Seq:
 def _terms(S: FiniteSemigroup, seq) -> tuple[int, ...]:
     """The terms of seq, a Seq or any iterable, each checked as an element of S."""
     return tuple(_element(S, t, "term") for t in seq)
-
-
-def _idem_mask(S: FiniteSemigroup) -> int:
-    return _mask_of(idempotents(S))
 
 
 def _translate(table, mask: int, x: int) -> int:

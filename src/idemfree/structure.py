@@ -45,14 +45,14 @@ from .core import (
     _cyclic_data,
     _element,
     _generated,
+    _idem_mask,
     _idempotent_power,
     _mask_of,
     _mask_to_set,
-    idempotents,
     is_commutative,
     unique_cycle_idempotent,
 )
-from .seqprod import _idem_mask, _terms, _translate, _weakly_free
+from .seqprod import _terms, _translate, _weakly_free
 
 
 class NotArchimedean(SemigroupError):
@@ -385,7 +385,7 @@ def _checked_terms(S: FiniteSemigroup, seq) -> tuple[int, ...]:
     """The terms of seq, checked once: each an element of S, and
     |S \\ E(S)| of them."""
     terms = _terms(S, seq)
-    expected = S.order - len(idempotents(S))
+    expected = S.order - _idem_mask(S).bit_count()
     if len(terms) != expected:
         raise WrongLength(f"sequence length {len(terms)} != |S \\ E(S)| = {expected}")
     return terms

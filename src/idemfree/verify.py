@@ -73,8 +73,8 @@ from .core import (
     InvalidParameters,
     _check_flag,
     _cyclic_data,
+    _idem_mask,
     _index,
-    idempotents,
     is_commutative,
     is_nilsemigroup,
     zero_element,
@@ -297,7 +297,7 @@ def _spec_to_json(spec: ExtremalSpec) -> dict:
 def _family_case(spec: ExtremalSpec) -> dict:
     S, T = extremal_pair(spec)
     terms = T.terms  # element ids of S, built by extremal_pair
-    expected_len = S.order - len(idempotents(S))
+    expected_len = S.order - _idem_mask(S).bit_count()
     rec = _support(S, terms)  # one record for the certificate and the main form
     cert = _certify(S, rec)
     checks = {
@@ -438,17 +438,20 @@ class _PoolMap:
 @contextlib.contextmanager
 def _fan_out(workers: int):
     """An order-preserving map for `workers` workers: the builtin map at one
-    worker, otherwise a _PoolMap batched for `workers` over a fresh pool of
-    at most one process per CPU, since the pool starts all its processes at
-    its first task. The batches, and so the log, follow `workers` alone."""
+    worker, otherwise a _PoolMap over a fresh pool of at most one process
+    per CPU, since the pool starts all its processes at its first task, and
+    batched for the processes the pool has. The batches decide only which
+    tables share a scope, and a shared result is the one a fresh search
+    returns, so the log is the same at every worker count."""
     workers = _index(workers, "workers")
     if workers < 1:
         raise InvalidParameters(f"workers must be at least 1, got {workers}")
     if workers == 1:
         yield map
         return
-    with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as executor:
-        yield _PoolMap(executor, workers)
+    processes = min(workers, os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=processes) as executor:
+        yield _PoolMap(executor, processes)
 
 
 def run_verification(

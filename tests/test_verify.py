@@ -205,7 +205,7 @@ def test_pool_map_keeps_rows_in_order_and_opens_one_scope_per_batch():
 def test_fan_out_starts_at_most_one_process_per_cpu(monkeypatch):
     # the pool forks all its processes at its first task, so a large
     # worker count must not reach it; an in-process stand-in records the
-    # size asked for, and the batches still follow the requested count
+    # size asked for, and the batches follow that size, not the request
     sizes = []
 
     class InProcessPool:
@@ -225,7 +225,7 @@ def test_fan_out_starts_at_most_one_process_per_cpu(monkeypatch):
     for cpus, workers, size in ((3, 5000, 3), (3, 2, 2), (None, 5000, 1)):
         monkeypatch.setattr(verify.os, "cpu_count", lambda n=cpus: n)
         with verify._fan_out(workers) as map_fn:
-            assert map_fn.workers == workers
+            assert map_fn.workers == size
             assert map_fn(abs, range(-10, 11)) == list(map(abs, range(-10, 11)))
         assert sizes.pop() == size
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
