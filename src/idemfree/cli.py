@@ -162,7 +162,7 @@ def cmd_verify(args) -> int:
             Path(args.log).unlink(missing_ok=True)
         raise
     print(f"verify: {log['summary']['passed']}/{log['summary']['instances']} instances passed "
-          f"in {elapsed:.1f}s with {args.workers} worker(s)", file=sys.stderr)
+          f"in {elapsed:.1f}s with {verify._processes(args.workers)} worker(s)", file=sys.stderr)
     return 0 if log["summary"]["allPassed"] else 1
 
 

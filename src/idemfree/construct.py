@@ -295,7 +295,10 @@ def enumerate_semigroups(
     through (b, a) are the mirrors of those through (a, b). On a diagonal
     cell (a, a) the yz scan is skipped: its triple (x, a, a) is, by
     commutativity, a(ax) = (aa)x, the xy scan's triple at z = x, and as
-    mirror cells are set together both read the same set cells.
+    mirror cells are set together both read the same set cells. On a cell
+    with a < b the partial table is symmetric, so the yz scan's triple
+    (za)b = z(ab) reads b(az) = vz through the mirrors, and both scans run
+    in one pass over z.
 
     Before values are tried in an unset cell (a, b), the stacks pre[a] and
     pre[b] are walked once: a triple (xy)b = x(yb) with xy = a, or
@@ -432,38 +435,51 @@ def _walk(n: int, commutative_only: bool, dedup_iso: bool, prefix: tuple[int, ..
             ta[b] = v
             if mirror:
                 tb[a] = v
-            # the triples with (a, b) as xy, (ab)z = a(bz), then those with
-            # it as yz, (xa)b = x(ab); on the diagonal of the commutative
-            # walk the second scan repeats the first
-            for bz, left in zip(tb, table[v]):
-                if bz >= 0 and left >= 0:
-                    right = ta[bz]
-                    if right >= 0 and left != right:
-                        break
+            # the triples with (a, b) as xy, (ab)z = a(bz), and as yz,
+            # (za)b = z(ab): a mirror cell reads the second as b(az) = vz
+            # in the same pass over z, the commutative diagonal skips it,
+            # and the labelled walk scans the rows for it
+            tv = table[v]
+            for az, bz, vz in zip(ta, tb, tv) if mirror else ():
+                if vz >= 0:
+                    if bz >= 0:
+                        right = ta[bz]
+                        if right >= 0 and vz != right:
+                            break
+                    if az >= 0:
+                        left = tb[az]
+                        if left >= 0 and left != vz:
+                            break
             else:
-                for tx in table if mirror or not commutative_only else ():
-                    xa = tx[a]
-                    if xa >= 0:
-                        left, right = table[xa][b], tx[v]
-                        if left >= 0 and right >= 0 and left != right:
+                for bz, left in () if mirror else zip(tb, tv):
+                    if bz >= 0 and left >= 0:
+                        right = ta[bz]
+                        if right >= 0 and left != right:
                             break
                 else:
-                    # every triple through the cell holds: descend, or emit
-                    if i < last:
-                        stack = pre[v]
-                        stack.append((a, b))
-                        if mirror:
-                            stack.append((b, a))
-                        nxt[i], ends[i] = v + 1, end
-                        bound[i + 1] = bound[i] and d < len(prefix) and v == prefix[d]
-                        i += 1
-                        break
-                    S = FiniteSemigroup._trusted([rows.setdefault(r, r) for r in map(tuple, table)])
-                    if commutative_only:
-                        # every cell was set together with its mirror
-                        S._commutative = True
-                    if not dedup_iso or _is_canonical(S):
-                        yield S
+                    for tx in () if commutative_only else table:
+                        xa = tx[a]
+                        if xa >= 0:
+                            left, right = table[xa][b], tx[v]
+                            if left >= 0 and right >= 0 and left != right:
+                                break
+                    else:
+                        # every triple through the cell holds: descend, or emit
+                        if i < last:
+                            stack = pre[v]
+                            stack.append((a, b))
+                            if mirror:
+                                stack.append((b, a))
+                            nxt[i], ends[i] = v + 1, end
+                            bound[i + 1] = bound[i] and d < len(prefix) and v == prefix[d]
+                            i += 1
+                            break
+                        S = FiniteSemigroup._trusted([rows.setdefault(r, r) for r in map(tuple, table)])
+                        if commutative_only:
+                            # every cell was set together with its mirror
+                            S._commutative = True
+                        if not dedup_iso or _is_canonical(S):
+                            yield S
             v += 1
         else:
             ta[b] = -1

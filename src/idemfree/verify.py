@@ -3,7 +3,10 @@
 Every check maps a pure per-instance function over its inputs, so a worker
 pool can fan the work out; results are aggregated in input order and the
 resulting logs are byte-identical regardless of worker count. Elapsed time
-is deliberately kept out of the log payload.
+is deliberately kept out of the log payload. The pool stack
+(``concurrent.futures``, ``multiprocessing``) loads on the first pooled
+run, in ``_fan_out``: importing this module, and a serial run, never load
+it.
 
 The ghw-bound, strong-vs-weak and extremal-families checks share I and SI
 searches between tables with the same letter table, and extremal-equivalence
@@ -46,7 +49,7 @@ import contextlib
 import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from typing import TYPE_CHECKING
 
 from .constants import (
     KIND_ERDOS_BURGESS,
@@ -81,6 +84,9 @@ from .core import (
 )
 from .seqprod import _weakly_free
 from .structure import _certify, _main_form, _support
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 CHECK_IDS = (
     "ghw-bound",
@@ -435,21 +441,29 @@ class _PoolMap:
         return [row for rows in self.executor.map(_batch, [fn] * len(batches), batches) for row in rows]
 
 
+def _processes(workers: int) -> int:
+    """The processes a run at `workers` workers uses: at most one per CPU,
+    since a pool starts all its processes at its first task."""
+    return min(workers, os.cpu_count() or 1)
+
+
 @contextlib.contextmanager
 def _fan_out(workers: int):
     """An order-preserving map for `workers` workers: the builtin map at one
-    worker, otherwise a _PoolMap over a fresh pool of at most one process
-    per CPU, since the pool starts all its processes at its first task, and
-    batched for the processes the pool has. The batches decide only which
-    tables share a scope, and a shared result is the one a fresh search
-    returns, so the log is the same at every worker count."""
+    worker, otherwise a _PoolMap over a fresh pool of _processes(workers)
+    processes, batched for the processes the pool has. The batches decide
+    only which tables share a scope, and a shared result is the one a fresh
+    search returns, so the log is the same at every worker count. Only a
+    pooled run imports the pool stack."""
     workers = _index(workers, "workers")
     if workers < 1:
         raise InvalidParameters(f"workers must be at least 1, got {workers}")
     if workers == 1:
         yield map
         return
-    processes = min(workers, os.cpu_count() or 1)
+    from concurrent.futures import ProcessPoolExecutor
+
+    processes = _processes(workers)
     with ProcessPoolExecutor(max_workers=processes) as executor:
         yield _PoolMap(executor, processes)
 

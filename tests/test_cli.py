@@ -430,6 +430,22 @@ def test_verify_logs_identical_across_worker_counts(tmp_path, capsys):
     assert one.read_bytes() == three.read_bytes()
 
 
+def test_verify_summary_names_the_processes_that_ran(capsys, monkeypatch):
+    # 64 workers on 2 CPUs start a pool of 2 processes, and the summary
+    # says 2; the log is the one a serial run writes
+    import idemfree.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod.verify.os, "cpu_count", lambda: 2)
+    args = ["verify", "--max-order", "2", "--checks", "ghw-bound"]
+    code, serial, err = run_cli(capsys, *args)
+    assert code == 0
+    assert err.endswith(" with 1 worker(s)\n")
+    code, pooled, err = run_cli(capsys, *args, "--workers", "64")
+    assert code == 0
+    assert err.endswith(" with 2 worker(s)\n")
+    assert pooled == serial
+
+
 def test_verify_exits_nonzero_on_failure(capsys, monkeypatch):
     import idemfree.cli as cli_mod
 

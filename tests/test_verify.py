@@ -1,9 +1,11 @@
 import functools
 import itertools
 import random
+import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -221,7 +223,9 @@ def test_fan_out_starts_at_most_one_process_per_cpu(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", InProcessPool)
+    # _fan_out imports the pool class when it opens a pool, so the stand-in
+    # replaces it where that import finds it
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
     for cpus, workers, size in ((3, 5000, 3), (3, 2, 2), (None, 5000, 1)):
         monkeypatch.setattr(verify.os, "cpu_count", lambda n=cpus: n)
         with verify._fan_out(workers) as map_fn:
@@ -232,6 +236,37 @@ def test_fan_out_starts_at_most_one_process_per_cpu(monkeypatch):
     serial = verify.run_verification(max_order=3, checks=["ghw-bound", "strong-vs-weak"])
     assert verify.run_verification(max_order=3, checks=["ghw-bound", "strong-vs-weak"], workers=5000) == serial
     assert sizes == [3]
+
+
+_POOL_STACK = ("multiprocessing", "concurrent.futures", "concurrent.futures.process")
+
+_IMPORT_GUARD = f"""
+import sys
+sys.path.insert(0, sys.argv[1])
+import idemfree, idemfree.verify, idemfree.cli
+from idemfree.verify import run_verification
+loaded = lambda: sorted(set({_POOL_STACK!r}) & set(sys.modules))
+assert not loaded(), loaded()
+checks = ["ghw-bound", "strong-vs-weak"]
+serial = run_verification(max_order=3, checks=checks)
+assert not loaded(), ("a serial run loaded", loaded())
+assert run_verification(max_order=3, checks=checks, workers=2) == serial
+assert "concurrent.futures.process" in sys.modules
+print("ok")
+"""
+
+
+def test_import_and_serial_run_load_no_pool_stack():
+    # the package, the verifier and the command line load neither
+    # multiprocessing nor concurrent.futures, and neither does a serial
+    # run; the first pooled run imports the pool and logs what the serial
+    # run logs. A fresh isolated interpreter, so nothing here preloads it
+    src = str(Path(verify.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", _IMPORT_GUARD, src], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
 
 
 def test_sharing_scope_across_threads(corpus_le3):
