@@ -62,20 +62,18 @@ class FiniteSemigroup:
     tuple plus pointers. Tuples never change, so sharing is safe.
 
     The instance has slots and no ``__dict__``: ``order``, ``table`` and
-    three caches of derived data, filled on first use.
+    two caches of derived data, filled on first use.
     - ``_idempotents``: the idempotents as one bit mask (``_idem_mask``),
       or None; ``idempotents`` builds its frozenset from it.
     - ``_commutative``: True, False or None, unknown.
-    - ``_cyclic``: a dict of ``CyclicData`` by element, created by the
-      first ``_cyclic_data`` call and left unset until then.
 
     Instances are safely shareable across threads and processes. Derived
     data is stored whole and never changed once stored; two threads that
     fill one cache at once store equal data, so losing either store is
-    harmless. Slots pickle, and an unset ``_cyclic`` stays unset.
+    harmless. Slots pickle.
     """
 
-    __slots__ = ("order", "table", "_idempotents", "_commutative", "_cyclic")
+    __slots__ = ("order", "table", "_idempotents", "_commutative")
 
     def __init__(self, table):
         rows = _integer_rows(table)
@@ -239,6 +237,14 @@ def _index(value, what: str) -> int:
         raise InvalidParameters(f"{what} {value!r} is not an integer") from None
 
 
+def _iterable(value, what: str):
+    """An iterator over value; a value that is not iterable is rejected by name."""
+    try:
+        return iter(value)
+    except TypeError:
+        raise InvalidParameters(f"{what} {value!r} is not iterable") from None
+
+
 def _check_flag(value, what: str) -> None:
     """Refuse a flag that is not True or False, rather than read it by its
     truth value (the string 'no' is true)."""
@@ -256,7 +262,7 @@ def _element(S: FiniteSemigroup, value, what: str = "element") -> ElementId:
 
 def generated_subsemigroup(S: FiniteSemigroup, generators) -> frozenset[ElementId]:
     """Least subset containing the generators and closed under the table."""
-    gens = list({_element(S, g, "generator") for g in generators})
+    gens = list({_element(S, g, "generator") for g in _iterable(generators, "generators")})
     if not gens:
         raise EmptyGeneratorSet("generator set must be nonempty")
     return _mask_to_set(_generated(S.table, gens))
@@ -310,6 +316,7 @@ class CyclicData:
 
     def power(self, k: int) -> ElementId:
         """The element x^k for any exponent k >= 1."""
+        k = _index(k, "exponent")
         if k < 1:
             raise InvalidParameters("powers start at exponent 1")
         if k <= len(self.powers):
@@ -323,15 +330,8 @@ def cyclic_data(S: FiniteSemigroup, x: ElementId) -> CyclicData:
 
 
 def _cyclic_data(S: FiniteSemigroup, x: int) -> CyclicData:
-    """``cyclic_data`` of an element id x of S that is already checked; the
-    result is kept in S._cyclic, which the first call creates."""
-    try:
-        cache = S._cyclic
-    except AttributeError:
-        cache = S._cyclic = {}
-    cached = cache.get(x)
-    if cached is not None:
-        return cached
+    """``cyclic_data`` of an element id x of S that is already checked,
+    walked afresh on each call: at most n products."""
     t = S.table
     powers = [x]
     seen = 1 << x
@@ -342,8 +342,7 @@ def _cyclic_data(S: FiniteSemigroup, x: int) -> CyclicData:
         cur = t[cur][x]
     # cur = x^(len(powers) + 1) is the first repeated power, x^index
     index = powers.index(cur) + 1
-    data = cache[x] = CyclicData(index=index, period=len(powers) + 1 - index, powers=tuple(powers))
-    return data
+    return CyclicData(index=index, period=len(powers) + 1 - index, powers=tuple(powers))
 
 
 def _idempotent_power(t, a: int) -> int:

@@ -42,6 +42,7 @@ from .core import (
     _element,
     _idem_mask,
     _index,
+    _iterable,
     _mask_to_set,
     is_commutative,
 )
@@ -68,7 +69,7 @@ class Seq:
 
     @classmethod
     def of(cls, terms) -> "Seq":
-        return cls(tuple(_index(t, "term") for t in terms))
+        return cls(tuple(_index(t, "term") for t in _iterable(terms, "sequence")))
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -103,7 +104,7 @@ class Seq:
 
 def _terms(S: FiniteSemigroup, seq) -> tuple[int, ...]:
     """The terms of seq, a Seq or any iterable, each checked as an element of S."""
-    return tuple(_element(S, t, "term") for t in seq)
+    return tuple(_element(S, t, "term") for t in _iterable(seq, "sequence"))
 
 
 def _translate(table, mask: int, x: int) -> int:
@@ -335,7 +336,8 @@ def is_strongly_free(S: FiniteSemigroup, seq) -> bool:
 
 def product_gain(S: FiniteSemigroup, seq, x: ElementId) -> int:
     """How many new any-order products appending x contributes."""
-    longer = _terms(S, (*seq, x))
-    base = _any_mask(S, longer[:-1])
+    terms = _terms(S, seq)
+    longer = (*terms, _element(S, x, "term"))
+    base = _any_mask(S, terms)
     grown = _any_mask(S, longer)
     return (grown & ~base).bit_count()

@@ -249,8 +249,14 @@ def test_cyclic_data_invariants_roundtrip():
             assert len(set(cd.powers)) == len(cd.powers)
             # x^(I+P) = x^I
             assert cd.power(i + p) == cd.power(i)
+    cd = cyclic_data(cyclic_group(3), 0)
     with pytest.raises(InvalidParameters, match="^powers start at exponent 1$"):
-        cyclic_data(cyclic_group(3), 0).power(0)
+        cd.power(0)
+    # the exponent is an integer: a bool is not read as 1, nor a float or
+    # string converted
+    for k in (True, 2.0, "2"):
+        with pytest.raises(InvalidParameters, match=f"^exponent {k!r} is not an integer$"):
+            cd.power(k)
 
 
 def test_unique_cycle_idempotent():

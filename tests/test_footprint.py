@@ -1,6 +1,7 @@
 """The per-table footprint of a corpus: rows shared within a stream, slotted
 instances, and the idempotents cached as one bit mask."""
 
+import gc
 import pickle
 import sys
 import tracemalloc
@@ -23,7 +24,7 @@ from idemfree import (
     validate,
 )
 from idemfree.seqprod import _idem_mask
-from idemfree.verify import build_corpus
+from idemfree.verify import build_corpus, check_extremal_equivalence
 from oracles import naive_is_nilsemigroup
 
 
@@ -50,7 +51,8 @@ def test_two_live_streams_share_no_row():
     assert not _row_ids(first) & _row_ids(enumerate_semigroups(4))
 
 
-def test_tables_have_slots_and_a_lazy_cyclic_cache():
+def test_tables_have_slots_and_keep_no_cyclic_data():
+    assert FiniteSemigroup.__slots__ == ("order", "table", "_idempotents", "_commutative")
     built = [
         next(enumerate_semigroups(3, commutative_only=True)),
         validate(2, [[0, 1], [1, 0]]),
@@ -61,16 +63,15 @@ def test_tables_have_slots_and_a_lazy_cyclic_cache():
         assert not hasattr(S, "__dict__")
         with pytest.raises(AttributeError):
             S.label = "x"
-        assert not hasattr(S, "_cyclic")
-        cd = cyclic_data(S, 0)
-        assert S._cyclic == {0: cd}
-        assert cyclic_data(S, 0) is cd
+        # cyclic data is walked afresh on each call and left on no table
+        before = {f: getattr(S, f) for f in FiniteSemigroup.__slots__}
+        assert cyclic_data(S, 0) == cyclic_data(S, 0)
+        assert {f: getattr(S, f) for f in FiniteSemigroup.__slots__} == before
 
 
 def test_caches_filled_by_threads_at_once_hold_the_serial_data(corpus_le3):
     # 8 threads on 2 cores, switching every microsecond, fill the caches of
-    # the same fresh tables: a table's _cyclic may be created twice and one
-    # dict lost, but every result read must be the serial one
+    # the same fresh tables: every result read must be the serial one
     want = [([cyclic_data(S, x) for x in S.elements], idempotents(S)) for S in corpus_le3]
     fresh = [validate(S.order, S.table) for S in corpus_le3]
 
@@ -114,21 +115,18 @@ def test_pickled_corpus_batch_round_trips_with_its_caches():
         ghw_bound(S)
         if i % 2:
             is_commutative(S)
-        if i % 3 == 0:
-            cyclic_data(S, S.order - 1)
     fields = ("order", "table", "_idempotents", "_commutative")
     for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(batch, protocol=protocol))
         assert back == batch
         for S, T in zip(batch, back):
             assert [getattr(T, f) for f in fields] == [getattr(S, f) for f in fields]
-            assert getattr(T, "_cyclic", None) == getattr(S, "_cyclic", None)
 
 
 def test_held_commutative_corpus_stays_small():
     # the tables of commutative order <= 5 as one list: 21.1 MB traced
     # when each table held private rows, an instance dict and a cyclic
-    # dict, about 5.4 MB with shared rows and slots
+    # dict, about 5.1 MB with shared rows, slots and no cyclic dict
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
@@ -141,3 +139,23 @@ def test_held_commutative_corpus_stays_small():
             tracemalloc.stop()
     assert len(corpus) == 31940
     assert held < 8_000_000, held
+
+
+def test_extremal_equivalence_leaves_a_held_corpus_as_it_was():
+    # the check reads each generator's cyclic data and must store none of
+    # it on the tables, which a held corpus would carry to its end
+    corpus = build_corpus(4, True)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        check_extremal_equivalence(corpus)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(corpus) == 1210
+    assert grown < 250_000, grown

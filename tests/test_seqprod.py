@@ -12,6 +12,8 @@ from idemfree import (
     any_order_products,
     cyclic_group,
     cyclic_nil,
+    extremal_equivalence,
+    extremal_main_form,
     extremal_structure_check,
     generated_subsemigroup,
     group_nil_chain,
@@ -172,6 +174,34 @@ def test_seq_type():
         extremal_structure_check(Z3, Seq((0.5, 0.5)))
     with pytest.raises(InvalidParameters, match="term 3 outside semigroup of order 3"):
         ordered_product(Z3, Seq((3,)))
+
+
+@pytest.mark.parametrize(
+    "entry, what",
+    [
+        pytest.param(lambda S, v: Seq.of(v), "sequence", id="Seq.of"),
+        *(
+            pytest.param(f, "sequence", id=f.__name__)
+            for f in (
+                ordered_product,
+                any_order_products,
+                natural_order_products,
+                product_sets,
+                is_weakly_free,
+                is_strongly_free,
+                extremal_structure_check,
+                extremal_main_form,
+                extremal_equivalence,
+            )
+        ),
+        pytest.param(lambda S, v: product_gain(S, v, 0), "sequence", id="product_gain"),
+        pytest.param(generated_subsemigroup, "generators", id="generated_subsemigroup"),
+    ],
+)
+@pytest.mark.parametrize("value", [5, None, 1.5])
+def test_a_non_iterable_sequence_or_generator_set_is_named(entry, what, value):
+    with pytest.raises(InvalidParameters, match=f"^{what} {value!r} is not iterable$"):
+        entry(cyclic_group(3), value)
 
 
 def _random_cases(seed, count, max_len=6):
