@@ -121,9 +121,8 @@ from __future__ import annotations
 import contextlib
 import os
 from collections.abc import Iterator
-from dataclasses import dataclass
 
-from .core import FiniteSemigroup, NotCommutative, _idem_mask, identity_element, is_commutative
+from .core import FiniteSemigroup, NotCommutative, _idem_mask, _Record, identity_element, is_commutative
 from .seqprod import Seq, _column_slices, _fill_slab, _grow, _packed_rows, _slices, _top_links
 
 KIND_ERDOS_BURGESS = "ErdosBurgess"
@@ -163,12 +162,14 @@ def _leave_scope() -> None:
 os.register_at_fork(after_in_child=_leave_scope)
 
 
-@dataclass(frozen=True)
-class ConstantReport:
-    kind: str
-    value: int
-    witness: Seq
-    nodes_explored: int
+class ConstantReport(_Record):
+    __slots__ = _fields = ("kind", "value", "witness", "nodes_explored")
+
+    def __init__(self, kind: str, value: int, witness: Seq, nodes_explored: int):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "nodes_explored", nodes_explored)
 
     def to_json_dict(self) -> dict:
         return {

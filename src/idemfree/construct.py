@@ -24,10 +24,18 @@ it is wrapped without the full re-check.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
-from .core import FiniteSemigroup, InvalidParameters, SemigroupError, _check_flag, _index, is_commutative, monogenic
+from .core import (
+    FiniteSemigroup,
+    InvalidParameters,
+    SemigroupError,
+    _check_flag,
+    _index,
+    _Record,
+    is_commutative,
+    monogenic,
+)
 from .seqprod import Seq
 
 
@@ -142,16 +150,15 @@ def adjoin_identity(S: FiniteSemigroup) -> FiniteSemigroup:
     return T
 
 
-@dataclass(frozen=True)
-class Monogenic:
+class Monogenic(_Record):
     """A single-cycle component; index must be congruent to 1 mod period."""
 
-    index: int
-    period: int
+    _fields = ("index", "period")
+    __slots__ = (*_fields, "__dict__")  # the dict holds the cached _table alone
 
-    def __post_init__(self):
-        object.__setattr__(self, "index", _index(self.index, "index"))
-        object.__setattr__(self, "period", _index(self.period, "period"))
+    def __init__(self, index: int, period: int):
+        object.__setattr__(self, "index", _index(index, "index"))
+        object.__setattr__(self, "period", _index(period, "period"))
         if self.index < 1 or self.period < 1:
             raise InvalidParameters(f"need index, period >= 1, got {self}")
         if (self.index - 1) % self.period != 0:
@@ -172,16 +179,15 @@ class Monogenic:
         return monogenic(self.index, self.period)
 
 
-@dataclass(frozen=True)
-class GroupByNil:
+class GroupByNil(_Record):
     """A nontrivial cyclic group under a nontrivial cyclic nil generator."""
 
-    nil_index: int
-    group_order: int
+    _fields = ("nil_index", "group_order")
+    __slots__ = (*_fields, "__dict__")  # the dict holds the cached _table alone
 
-    def __post_init__(self):
-        object.__setattr__(self, "nil_index", _index(self.nil_index, "nil index"))
-        object.__setattr__(self, "group_order", _index(self.group_order, "group order"))
+    def __init__(self, nil_index: int, group_order: int):
+        object.__setattr__(self, "nil_index", _index(nil_index, "nil index"))
+        object.__setattr__(self, "group_order", _index(group_order, "group order"))
         if self.nil_index < 2 or self.group_order < 2:
             raise InvalidParameters(f"need nil index >= 2 and group order >= 2, got {self}")
 
@@ -199,22 +205,22 @@ class GroupByNil:
         return trivial_ideal_extension(self.nil_index, self.group_order)
 
 
-@dataclass(frozen=True)
-class ExtremalSpec:
-    chain: tuple[Monogenic | GroupByNil, ...]
-    adjoin_identity: bool = False
+class ExtremalSpec(_Record):
+    __slots__ = _fields = ("chain", "adjoin_identity")
 
-    def __post_init__(self):
+    def __init__(self, chain: tuple[Monogenic | GroupByNil, ...], adjoin_identity: bool = False):
         try:
-            object.__setattr__(self, "chain", tuple(self.chain))
+            parts = tuple(chain)
         except TypeError:
-            raise InvalidParameters(f"extremal spec chain {self.chain!r} is not a sequence of parts") from None
-        if not self.chain:
+            raise InvalidParameters(f"extremal spec chain {chain!r} is not a sequence of parts") from None
+        if not parts:
             raise InvalidParameters("extremal spec needs at least one component")
-        for part in self.chain:
+        for part in parts:
             if not isinstance(part, (Monogenic, GroupByNil)):
                 raise InvalidParameters(f"extremal spec part {part!r} is not a Monogenic or GroupByNil")
-        _check_flag(self.adjoin_identity, "adjoin_identity")
+        _check_flag(adjoin_identity, "adjoin_identity")
+        object.__setattr__(self, "chain", parts)
+        object.__setattr__(self, "adjoin_identity", adjoin_identity)
 
 
 def extremal_pair(spec: ExtremalSpec) -> tuple[FiniteSemigroup, Seq]:

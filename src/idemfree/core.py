@@ -10,12 +10,17 @@ Tables that are associative by construction from already validated input
 skip the O(n^3) check through the private ``FiniteSemigroup._trusted``:
 ``monogenic``; ``chain_glue``, ``adjoin_identity``,
 ``trivial_ideal_extension`` and the enumerator in ``construct``.
+
+The package's value classes (``CyclicData`` here, and those of ``seqprod``,
+``constants``, ``construct`` and ``structure``) are plain immutable classes
+on the private base ``_Record``, which gives equality, hashing, repr,
+immutability and pickling from a class-level tuple of field names, so no
+class is generated at import.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 ElementId = int
 
@@ -306,13 +311,61 @@ def _mask_to_set(mask: int) -> frozenset[int]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class CyclicData:
+class _Record:
+    """Base of an immutable value class.
+
+    A subclass names its fields, in order, in ``_fields`` and in its
+    ``__slots__``, and its own ``__init__`` sets each field once through
+    ``object.__setattr__``. No ``__init__`` loops over the fields: the
+    verifier builds these records in its inner loops. From ``_fields``
+    alone the base gives:
+    - ``==`` holds only between instances of one class with equal fields;
+      against any other object it returns NotImplemented;
+    - ``hash`` is the hash of the tuple of fields;
+    - the repr reads ``Name(field=value!r, ...)``;
+    - assigning or deleting an attribute raises AttributeError;
+    - a pickle or copy calls the constructor with the fields, then restores
+      the instance ``__dict__`` of a subclass that keeps one for a cache
+      (``construct.Monogenic``).
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values(), getattr(self, "__dict__", None) or None
+
+
+class CyclicData(_Record):
     """Index I(x), period P(x), and the distinct powers x, x^2, ..., x^(I+P-1)."""
 
-    index: int
-    period: int
-    powers: tuple[ElementId, ...]
+    __slots__ = _fields = ("index", "period", "powers")
+
+    def __init__(self, index: int, period: int, powers: tuple[ElementId, ...]):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "powers", powers)
 
     def power(self, k: int) -> ElementId:
         """The element x^k for any exponent k >= 1."""

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 from .core import (
     ElementId,
@@ -44,6 +43,7 @@ from .core import (
     _index,
     _iterable,
     _mask_to_set,
+    _Record,
     is_commutative,
 )
 
@@ -61,11 +61,20 @@ class SequenceTooLong(SemigroupError):
 _MAX_DP_STATES = 1 << 24
 
 
-@dataclass(frozen=True)
-class Seq:
-    """Ordered finite sequence of element indices, with a multiset view."""
+class Seq(_Record):
+    """Ordered finite sequence of element indices, with a multiset view.
 
-    terms: tuple[ElementId, ...]
+    ``Seq(terms)`` keeps the terms of any iterable as a tuple, unchecked
+    (a tuple is kept as it is); ``Seq.of`` also checks that each term is an
+    integer, and the functions that take a sequence check each term as an
+    element of their semigroup."""
+
+    __slots__ = _fields = ("terms",)
+
+    def __init__(self, terms: tuple[ElementId, ...]):
+        if terms.__class__ is not tuple:
+            terms = tuple(_iterable(terms, "sequence"))
+        object.__setattr__(self, "terms", terms)
 
     @classmethod
     def of(cls, terms) -> "Seq":
@@ -304,10 +313,12 @@ def natural_order_products(S: FiniteSemigroup, seq) -> frozenset[ElementId]:
     return _mask_to_set(_natural_mask(S, terms))
 
 
-@dataclass(frozen=True)
-class ProductSets:
-    any_order: frozenset[ElementId]
-    natural_order: frozenset[ElementId]
+class ProductSets(_Record):
+    __slots__ = _fields = ("any_order", "natural_order")
+
+    def __init__(self, any_order: frozenset[ElementId], natural_order: frozenset[ElementId]):
+        object.__setattr__(self, "any_order", any_order)
+        object.__setattr__(self, "natural_order", natural_order)
 
 
 def product_sets(S: FiniteSemigroup, seq) -> ProductSets:

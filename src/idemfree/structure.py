@@ -34,8 +34,6 @@ main form's lower-absorbing chain are tests on ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     CyclicData,
     ElementId,
@@ -49,6 +47,7 @@ from .core import (
     _idempotent_power,
     _mask_of,
     _mask_to_set,
+    _Record,
     is_commutative,
     unique_cycle_idempotent,
 )
@@ -97,19 +96,29 @@ def divides_power(S: FiniteSemigroup, a: ElementId, b: ElementId) -> bool:
     return S.table[e_b][e_a] == e_a
 
 
-@dataclass(frozen=True)
-class ComponentData:
-    idempotent: ElementId
-    kernel_group: frozenset[ElementId]
-    nil_part: frozenset[ElementId]
+class ComponentData(_Record):
+    __slots__ = _fields = ("idempotent", "kernel_group", "nil_part")
+
+    def __init__(self, idempotent: ElementId, kernel_group: frozenset[ElementId], nil_part: frozenset[ElementId]):
+        object.__setattr__(self, "idempotent", idempotent)
+        object.__setattr__(self, "kernel_group", kernel_group)
+        object.__setattr__(self, "nil_part", nil_part)
 
 
-@dataclass(frozen=True)
-class ArchDecomposition:
-    components: tuple[frozenset[ElementId], ...]
-    leq: tuple[tuple[bool, ...], ...]  # leq[i][j]: component i below-or-equal j
-    per_component: tuple[ComponentData, ...]
-    comp_of: tuple[int, ...]
+class ArchDecomposition(_Record):
+    __slots__ = _fields = ("components", "leq", "per_component", "comp_of")
+
+    def __init__(
+        self,
+        components: tuple[frozenset[ElementId], ...],
+        leq: tuple[tuple[bool, ...], ...],  # leq[i][j]: component i below-or-equal j
+        per_component: tuple[ComponentData, ...],
+        comp_of: tuple[int, ...],
+    ):
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "leq", leq)
+        object.__setattr__(self, "per_component", per_component)
+        object.__setattr__(self, "comp_of", comp_of)
 
     def component_of(self, a: ElementId) -> int:
         return self.comp_of[a]
@@ -273,22 +282,41 @@ def partial_hom(S: FiniteSemigroup, component, a: ElementId) -> ElementId:
     return image
 
 
-@dataclass(frozen=True)
-class GeneratorData:
-    element: ElementId
-    index: int
-    period: int
-    multiplicity: int
+class GeneratorData(_Record):
+    __slots__ = _fields = ("element", "index", "period", "multiplicity")
+
+    def __init__(self, element: ElementId, index: int, period: int, multiplicity: int):
+        object.__setattr__(self, "element", element)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "multiplicity", multiplicity)
 
 
-@dataclass(frozen=True)
-class ExtremalCertificate:
-    passed: bool
-    fail_reason: str | None
-    generator_order: tuple[ElementId, ...]
-    per_generator: tuple[GeneratorData, ...]
-    component_kinds: tuple[str, ...]
-    conditions: tuple[tuple[str, bool], ...]
+class ExtremalCertificate(_Record):
+    __slots__ = _fields = (
+        "passed",
+        "fail_reason",
+        "generator_order",
+        "per_generator",
+        "component_kinds",
+        "conditions",
+    )
+
+    def __init__(
+        self,
+        passed: bool,
+        fail_reason: str | None,
+        generator_order: tuple[ElementId, ...],
+        per_generator: tuple[GeneratorData, ...],
+        component_kinds: tuple[str, ...],
+        conditions: tuple[tuple[str, bool], ...],
+    ):
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "fail_reason", fail_reason)
+        object.__setattr__(self, "generator_order", generator_order)
+        object.__setattr__(self, "per_generator", per_generator)
+        object.__setattr__(self, "component_kinds", component_kinds)
+        object.__setattr__(self, "conditions", conditions)
 
     def to_json_dict(self) -> dict:
         return {
@@ -365,20 +393,34 @@ def _component_kind(t, e: int, comp: int, gens: list[int], rec: "_Support") -> s
     return GROUP_BY_NIL_EXTENSION if ok else None
 
 
-@dataclass
 class _Support:
     """What both extremal checks read about the multiset of checked terms,
-    with every set as a bit mask over S's element ids."""
+    with every set as a bit mask over S's element ids. Mutable: ``comps``
+    and ``kinds`` are filled in by ``_classified``."""
 
-    supp: list[int]  # the sorted support
-    counts: dict[int, int]  # each generator's multiplicity
-    R: int  # the subsemigroup it generates
-    failed: str | None  # the first failed condition among commutative closure and complement-idempotent
-    cds: dict[int, CyclicData]  # each generator's cyclic data,
-    powers: dict[int, int]  # the mask of its powers
-    idem: dict[int, int]  # and its idempotent power
-    comps: dict[int, int] | None = None  # R grouped by idempotent power, once _classified asks for it,
-    kinds: dict[int, str | None] | None = None  # and each component's kind, both keyed by idempotent
+    __slots__ = ("supp", "counts", "R", "failed", "cds", "powers", "idem", "comps", "kinds")
+
+    def __init__(
+        self,
+        supp: list[int],  # the sorted support
+        counts: dict[int, int],  # each generator's multiplicity
+        R: int,  # the subsemigroup it generates
+        failed: str | None,  # the first failed condition among commutative closure and complement-idempotent
+        cds: dict[int, CyclicData],  # each generator's cyclic data,
+        powers: dict[int, int],  # the mask of its powers
+        idem: dict[int, int],  # and its idempotent power
+        comps: dict[int, int] | None = None,  # R grouped by idempotent power, once _classified asks for it,
+        kinds: dict[int, str | None] | None = None,  # and each component's kind, both keyed by idempotent
+    ):
+        self.supp = supp
+        self.counts = counts
+        self.R = R
+        self.failed = failed
+        self.cds = cds
+        self.powers = powers
+        self.idem = idem
+        self.comps = comps
+        self.kinds = kinds
 
 
 def _checked_terms(S: FiniteSemigroup, seq) -> tuple[int, ...]:

@@ -179,6 +179,7 @@ def test_seq_type():
 @pytest.mark.parametrize(
     "entry, what",
     [
+        pytest.param(lambda S, v: Seq(v), "sequence", id="Seq"),
         pytest.param(lambda S, v: Seq.of(v), "sequence", id="Seq.of"),
         *(
             pytest.param(f, "sequence", id=f.__name__)
@@ -202,6 +203,18 @@ def test_seq_type():
 def test_a_non_iterable_sequence_or_generator_set_is_named(entry, what, value):
     with pytest.raises(InvalidParameters, match=f"^{what} {value!r} is not iterable$"):
         entry(cyclic_group(3), value)
+
+
+def test_seq_keeps_its_terms_as_a_tuple():
+    # any iterable of terms is stored as a tuple, so equal terms give equal,
+    # hashable sequences; a tuple is kept as the same object
+    terms = (0, 1)
+    assert Seq(terms).terms is terms
+    for given in ([0, 1], iter([0, 1]), range(2), Seq(terms)):
+        seq = Seq(given)
+        assert seq.terms.__class__ is tuple and seq.terms == terms
+        assert seq == Seq(terms) and hash(seq) == hash(Seq(terms)) == hash((terms,))
+    assert len({Seq([0, 1]), Seq((0, 1))}) == 1
 
 
 def _random_cases(seed, count, max_len=6):

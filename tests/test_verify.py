@@ -4,7 +4,6 @@ import random
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -245,6 +244,8 @@ import sys
 sys.path.insert(0, sys.argv[1])
 import idemfree, idemfree.verify, idemfree.cli
 from idemfree.verify import run_verification
+slow = sorted({{"dataclasses", "inspect"}} & set(sys.modules))
+assert not slow, slow
 loaded = lambda: sorted(set({_POOL_STACK!r}) & set(sys.modules))
 assert not loaded(), loaded()
 checks = ["ghw-bound", "strong-vs-weak"]
@@ -258,9 +259,9 @@ print("ok")
 
 def test_import_and_serial_run_load_no_pool_stack():
     # the package, the verifier and the command line load neither
-    # multiprocessing nor concurrent.futures, and neither does a serial
-    # run; the first pooled run imports the pool and logs what the serial
-    # run logs. A fresh isolated interpreter, so nothing here preloads it
+    # dataclasses nor inspect; they load neither multiprocessing nor
+    # concurrent.futures, and neither does a serial run; the first pooled
+    # run imports the pool and logs what the serial run logs. A fresh isolated interpreter, so nothing here preloads it
     src = str(Path(verify.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-I", "-c", _IMPORT_GUARD, src], capture_output=True, text=True, timeout=300
