@@ -6,8 +6,9 @@ longest weakly free sequence the structure admits. A catalog part builds its
 table once, on first use, and keeps it (``_table``): the specs of one
 catalog share their part objects, so each part is built once however many
 chains it sits in, and the tables die with the specs. Glued and adjoined
-tables carry their commutativity, known from their parts, so no later
-caller scans them for it. The enumerator streams every associative table
+tables are built as row tuples, which ``_trusted`` keeps as they are, and
+carry their commutativity, known from their parts, so no later caller
+scans them for it. The enumerator streams every associative table
 of a given small order, in lexicographic order of the flattened rows, by
 cell-wise backtracking with partial associativity pruning and forward
 checking. One generator frame walks the cells on an explicit stack and
@@ -117,9 +118,10 @@ def chain_glue(components) -> FiniteSemigroup:
     offset = 0
     for comp in components:
         end = offset + comp.order
+        later = tuple(range(end, total))
         # a times an earlier element is a, times a later one is that element
         for a, row in enumerate(comp.table, offset):
-            table.append([a] * offset + [offset + v for v in row] + list(range(end, total)))
+            table.append((a,) * offset + tuple([offset + v for v in row]) + later)
         offset = end
     S = FiniteSemigroup._trusted(table)
     # every part was checked above; if noncommutative parts are ever let in,
@@ -143,8 +145,8 @@ def adjoin_identity(S: FiniteSemigroup) -> FiniteSemigroup:
     exactly when S is; whatever S already knows of that is copied.
     """
     n = S.order
-    table = [list(row) + [a] for a, row in enumerate(S.table)]
-    table.append(list(range(n + 1)))
+    table = [row + (a,) for a, row in enumerate(S.table)]
+    table.append(tuple(range(n + 1)))
     T = FiniteSemigroup._trusted(table)
     T._commutative = S._commutative
     return T

@@ -25,11 +25,15 @@ nothing else; the families and equivalence checks of ``verify`` build one
 record per multiset and call those directly. The record holds the sorted
 support, each generator's multiplicity, cyclic data and idempotent power,
 and its sets as bit masks over S's element ids: R, each generator's powers,
-and, once a verdict asks for it, R grouped by idempotent power
+and, once a verdict asks for it, R grouped by idempotent power with each
+component's kind. Each generator's power mask and idempotent power come
+from its one cyclic walk. A power of a generator has the generator's
+idempotent power, so the grouping ORs the generators' power masks by
+idempotent power and walks only the elements of R outside them
 (``_by_idempotent_power``, the grouping ``_decompose`` builds the
-archimedean decomposition from) with each component's kind. So the
-complement, union and disjointness conditions, the component kinds and the
-main form's lower-absorbing chain are tests on ints.
+archimedean decomposition from); once union-of-cycles holds there are
+none. So the complement, union and disjointness conditions, the component
+kinds and the main form's lower-absorbing chain are tests on ints.
 """
 
 from __future__ import annotations
@@ -454,7 +458,8 @@ def _support(S: FiniteSemigroup, terms: tuple[int, ...]) -> _Support:
     for x in supp:
         cd = cds[x] = _cyclic_data(S, x)
         powers[x] = _mask_of(cd.powers)
-        idem[x] = _idempotent_power(t, x)
+        # x^l with l = 0 mod period in [index, index + period)
+        idem[x] = cd.powers[cd.index - 1 + (-cd.index) % cd.period]
     return _Support(supp, counts, R, failed, cds, powers, idem)
 
 
@@ -462,10 +467,25 @@ def _classified(S: FiniteSemigroup, rec: _Support) -> tuple[dict[int, int], dict
     """The components of the commutative R and their kinds, both keyed by
     idempotent in the order of the components' least elements, filled into
     rec on the first call: a kind is None for a component that holds no
-    generator or fails ``_component_kind``."""
+    generator or fails ``_component_kind``.
+
+    A power of a generator has the generator's idempotent power, so each
+    generator's power mask joins the group of its idempotent power, and
+    only the elements of R outside every power mask are walked
+    (``_by_idempotent_power``): none once union-of-cycles holds. The groups
+    are disjoint, so ordering them by lowest bit orders them by least
+    element."""
     if rec.kinds is None:
         t = S.table
-        comps = rec.comps = _by_idempotent_power(t, rec.R)
+        groups: dict[int, int] = {}
+        covered = 0
+        for x in rec.supp:
+            e, p = rec.idem[x], rec.powers[x]
+            groups[e] = groups.get(e, 0) | p
+            covered |= p
+        for e, m in _by_idempotent_power(t, rec.R & ~covered).items():
+            groups[e] = groups.get(e, 0) | m
+        comps = rec.comps = dict(sorted(groups.items(), key=lambda item: item[1] & -item[1]))
         gens: dict[int, list[int]] = {e: [] for e in comps}
         for x in rec.supp:
             gens[rec.idem[x]].append(x)

@@ -6,7 +6,17 @@ resulting logs are byte-identical regardless of worker count. Elapsed time
 is deliberately kept out of the log payload. The pool stack
 (``concurrent.futures``, ``multiprocessing``) loads on the first pooled
 run, in ``_fan_out``: importing this module, and a serial run, never load
-it.
+it. The pooled map, ``_PoolMap``, returns an iterator like the builtin
+map: it submits every batch at the call and hands back one batch of rows
+at a time, so the parent never holds all of a check's rows.
+
+The extremal-families check maps one case over each chain's pair of
+specs, plain and with an adjoined identity, which the spec enumeration
+emits one after the other. The two specs share one glued table: the
+twin's is that table with an identity adjoined, which is how
+``extremal_pair`` builds it, and the twin has the same terms. Each spec
+still gets its own table and all five of its checks, and the two rows are
+aggregated in spec order.
 
 The ghw-bound, strong-vs-weak and extremal-families checks share I and SI
 searches between tables with the same letter table, and extremal-equivalence
@@ -49,7 +59,6 @@ import contextlib
 import itertools
 import math
 import os
-from typing import TYPE_CHECKING
 
 from .constants import (
     KIND_ERDOS_BURGESS,
@@ -67,6 +76,7 @@ from .construct import (
     GroupByNil,
     Monogenic,
     _check_enum_order,
+    adjoin_identity,
     enumerate_semigroups,
     extremal_pair,
     group_nil_chain,
@@ -84,9 +94,6 @@ from .core import (
 )
 from .seqprod import _weakly_free
 from .structure import _certify, _main_form, _support
-
-if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
 
 CHECK_IDS = (
     "ghw-bound",
@@ -300,9 +307,9 @@ def _spec_to_json(spec: ExtremalSpec) -> dict:
     return {"chain": parts, "adjoinIdentity": spec.adjoin_identity}
 
 
-def _family_case(spec: ExtremalSpec) -> dict:
-    S, T = extremal_pair(spec)
-    terms = T.terms  # element ids of S, built by extremal_pair
+def _family_case(spec: ExtremalSpec, S: FiniteSemigroup, terms: tuple[int, ...]) -> dict:
+    """The five checks of one spec on its table S and its extremal terms,
+    element ids of S."""
     expected_len = S.order - _idem_mask(S).bit_count()
     rec = _support(S, terms)  # one record for the certificate and the main form
     cert = _certify(S, rec)
@@ -320,12 +327,25 @@ def _family_case(spec: ExtremalSpec) -> dict:
     }
 
 
+def _family_pair_case(pair: tuple[ExtremalSpec, ExtremalSpec]) -> tuple[dict, dict]:
+    """The rows of a chain's plain spec and of its identity twin. The
+    chain is glued once: the twin's table is the plain table with an
+    identity adjoined, as ``extremal_pair`` builds it, and has the same
+    terms, since the identity comes last."""
+    plain, twin = pair
+    S, T = extremal_pair(plain)
+    return _family_case(plain, S, T.terms), _family_case(twin, adjoin_identity(S), T.terms)
+
+
 def enumerate_extremal_specs(max_components: int = 3, max_terms: int = 10) -> list[ExtremalSpec]:
     """Every chain of at most max_components catalog parts whose sequence
-    length budget fits, each also with an adjoined identity. Group-by-nil
-    parts have nil index and group order at most 4. The chains share the
-    catalog's part objects, so each part's table is built once for all the
-    specs, and once per batch when a process pool pickles them."""
+    length budget fits, each also with an adjoined identity: the plain spec
+    first, then its identity twin. The chains are in the order of
+    ``itertools.product`` over the catalog, shortest first, but a chain is
+    extended only while its budget allows. Group-by-nil parts have nil index
+    and group order at most 4. The chains share the catalog's part objects,
+    so each part's table is built once for all the specs, and once per
+    batch when a process pool pickles them."""
     max_components = _index(max_components, "max_components")
     max_terms = _index(max_terms, "max_terms")
     if max_components < 1:
@@ -342,11 +362,20 @@ def enumerate_extremal_specs(max_components: int = 3, max_terms: int = 10) -> li
             if nil_index + group_order - 2 <= max_terms:
                 catalog.append(GroupByNil(nil_index, group_order))
 
+    costs = [(part, part.term_count) for part in catalog]
     specs: list[ExtremalSpec] = []
-    for length in range(1, max_components + 1):
-        for chain in itertools.product(catalog, repeat=length):
-            if sum(part.term_count for part in chain) > max_terms:
-                continue
+    # every part costs at least 0 terms, so a chain over budget has no
+    # extension within it; extending each chain in catalog order keeps
+    # each length's chains in lexicographic order
+    chains: list[tuple[tuple, int]] = [((), 0)]
+    for _length in range(max_components):
+        chains = [
+            (chain + (part,), used + cost)
+            for chain, used in chains
+            for part, cost in costs
+            if used + cost <= max_terms
+        ]
+        for chain, _used in chains:
             specs.append(ExtremalSpec(chain))
             specs.append(ExtremalSpec(chain, adjoin_identity=True))
     return specs
@@ -355,8 +384,9 @@ def enumerate_extremal_specs(max_components: int = 3, max_terms: int = 10) -> li
 def check_extremal_families(map_fn=map, max_components: int = 3, max_terms: int = 10) -> dict:
     """Every generated extremal pair is free, certified, and search-extremal."""
     specs = enumerate_extremal_specs(max_components=max_components, max_terms=max_terms)
+    pairs = list(zip(specs[::2], specs[1::2]))
     with _sharing():
-        return _aggregate("extremal-families", map_fn(_family_case, specs))
+        return _aggregate("extremal-families", itertools.chain.from_iterable(map_fn(_family_pair_case, pairs)))
 
 
 def _formula_case(params: tuple[int, int]) -> dict:
@@ -428,7 +458,9 @@ def _batch(fn, items) -> list:
 
 class _PoolMap:
     """Order-preserving map over a process pool, in batches of consecutive
-    items, each run inside its own sharing scope."""
+    items, each run inside its own sharing scope. Like the builtin map, it
+    returns an iterator: every batch is submitted at the call, and the rows
+    come back one batch at a time as they are read."""
 
     def __init__(self, executor: ProcessPoolExecutor, workers: int):
         self.executor = executor
@@ -438,7 +470,7 @@ class _PoolMap:
         items = list(items)
         chunk = max(1, len(items) // (self.workers * 4))
         batches = [items[i:i + chunk] for i in range(0, len(items), chunk)]
-        return [row for rows in self.executor.map(_batch, [fn] * len(batches), batches) for row in rows]
+        return itertools.chain.from_iterable(self.executor.map(_batch, [fn] * len(batches), batches))
 
 
 def _processes(workers: int) -> int:

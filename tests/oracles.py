@@ -18,7 +18,7 @@ import itertools
 import math
 import random
 
-from idemfree import FiniteSemigroup, extremal_structure_check, identity_element
+from idemfree import ExtremalSpec, FiniteSemigroup, GroupByNil, Monogenic, extremal_structure_check, identity_element
 from idemfree.seqprod import _any_mask, _idem_mask
 from idemfree.structure import ArchDecomposition, _component_data
 from idemfree.verify import _word_records
@@ -340,6 +340,31 @@ def chain_glue_cells(components: list[FiniteSemigroup]) -> tuple[tuple[int, ...]
             else:
                 table[a][b] = a if i > j else b
     return tuple(tuple(row) for row in table)
+
+
+def product_extremal_specs(max_components: int, max_terms: int) -> list[ExtremalSpec]:
+    """The extremal family specs by product and filter: every tuple of at
+    most max_components catalog parts, shortest first and in
+    ``itertools.product`` order, kept when its parts' term counts sum to at
+    most max_terms; each kept chain plain, then with an adjoined identity.
+    The route ``verify.enumerate_extremal_specs`` took before it extended
+    chains by budget."""
+    catalog: list[Monogenic | GroupByNil] = []
+    for period in range(1, max_terms + 2):
+        for index in range(1, max_terms + 3 - period):
+            if (index - 1) % period == 0 and index + period - 2 <= max_terms:
+                catalog.append(Monogenic(index, period))
+    for nil_index in range(2, 5):
+        for group_order in range(2, 5):
+            if nil_index + group_order - 2 <= max_terms:
+                catalog.append(GroupByNil(nil_index, group_order))
+    specs = []
+    for length in range(1, max_components + 1):
+        for chain in itertools.product(catalog, repeat=length):
+            if sum(part.term_count for part in chain) <= max_terms:
+                specs.append(ExtremalSpec(chain))
+                specs.append(ExtremalSpec(chain, adjoin_identity=True))
+    return specs
 
 
 def left_zero_semigroup(n: int) -> FiniteSemigroup:

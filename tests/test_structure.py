@@ -386,7 +386,9 @@ def test_support_record_matches_its_definitions(commutative_le4):
             assert rec.idem == {x: unique_cycle_idempotent(T, x) for x in supp}
             if rec.failed is None and supp:
                 comps, kinds = _classified(T, rec)
-                assert comps is rec.comps and comps == _by_idempotent_power(T.table, rec.R)
+                # the order counts: it orders the component kinds and the
+                # main form's chain
+                assert comps is rec.comps and list(comps.items()) == list(_by_idempotent_power(T.table, rec.R).items())
                 dec = _decompose(T, _mask_to_set(rec.R))
                 assert [_mask_to_set(m) for m in comps.values()] == list(dec.components)
                 assert list(comps) == [data.idempotent for data in dec.per_component]
@@ -397,36 +399,56 @@ def test_support_record_matches_its_definitions(commutative_le4):
             assert _main_form(T, rec) == _main_form(T, _support(T, terms)) == extremal_main_form(T, terms)
 
 
+def test_support_reads_each_idempotent_power_from_the_cycle(commutative_le4):
+    # _support reads a generator's idempotent power off the powers of its
+    # one cyclic walk; it must be the one the walk to an idempotent finds,
+    # on every multiset of every table
+    from idemfree.core import _idempotent_power
+    from idemfree.structure import _support
+
+    checked = 0
+    for T in commutative_le4:
+        length = T.order - len(idempotents(T))
+        for terms in itertools.combinations_with_replacement(T.elements, length):
+            rec = _support(T, terms)
+            assert rec.idem == {x: _idempotent_power(T.table, x) for x in rec.supp}, (T.table, terms)
+            checked += len(rec.supp)
+    assert checked > 1000
+
+
 def test_family_case_decomposes_and_classifies_each_component_once(monkeypatch):
     # the certificate and the main form of one family case read one record:
-    # R is grouped by idempotent power at most once and each of its
-    # components classified once
+    # _classified fills its components and kinds at most once, and each of
+    # R's components is classified once
     from idemfree import structure
     from idemfree.verify import _family_case, enumerate_extremal_specs
 
-    real_group, real_kind = structure._by_idempotent_power, structure._component_kind
-    counts = {"group": 0, "components": 0, "kind": 0}
+    real_classified, real_kind = structure._classified, structure._component_kind
+    counts = {"fill": 0, "components": 0, "kind": 0}
 
-    def group(t, carrier):
-        comps = real_group(t, carrier)
-        counts["group"] += 1
-        counts["components"] += len(comps)
-        return comps
+    def classified(S, rec):
+        fills = rec.kinds is None
+        out = real_classified(S, rec)
+        if fills:
+            counts["fill"] += 1
+            counts["components"] += len(rec.comps)
+        return out
 
     def kind(*args):
         counts["kind"] += 1
         return real_kind(*args)
 
-    monkeypatch.setattr(structure, "_by_idempotent_power", group)
+    monkeypatch.setattr(structure, "_classified", classified)
     monkeypatch.setattr(structure, "_component_kind", kind)
-    grouped = 0
+    filled = 0
     for spec in enumerate_extremal_specs(max_components=3, max_terms=6):
         before = dict(counts)
-        assert _family_case(spec)["ok"]
-        assert counts["group"] - before["group"] <= 1
+        S, T = extremal_pair(spec)
+        assert _family_case(spec, S, T.terms)["ok"]
+        assert counts["fill"] - before["fill"] <= 1
         assert counts["kind"] - before["kind"] == counts["components"] - before["components"]
-        grouped += counts["group"] - before["group"]
-    assert grouped > 0 and counts["kind"] > grouped
+        filled += counts["fill"] - before["fill"]
+    assert filled > 0 and counts["kind"] > filled
 
 
 def test_certificate_records_a_prefix_up_to_the_first_failure(corpus_le4):

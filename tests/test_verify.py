@@ -1,5 +1,6 @@
 import functools
 import itertools
+import multiprocessing
 import random
 import subprocess
 import sys
@@ -132,6 +133,62 @@ def test_equivalence_walks_each_letter_table_once(corpus_le4, monkeypatch):
     assert set(calls) == distinct
 
 
+@pytest.mark.parametrize("max_components, max_terms", [(1, 0), (2, 3), (3, 8), (4, 10)])
+def test_specs_by_budget_match_product_and_filter(max_components, max_terms):
+    specs = verify.enumerate_extremal_specs(max_components, max_terms)
+    reference = oracles.product_extremal_specs(max_components, max_terms)
+    assert specs == reference and repr(specs) == repr(reference)
+    # the families check pairs each plain spec with the identity twin after it
+    for plain, twin in zip(specs[::2], specs[1::2]):
+        assert plain.chain is twin.chain and (plain.adjoin_identity, twin.adjoin_identity) == (False, True)
+
+
+def test_families_check_glues_each_chain_once(monkeypatch):
+    from idemfree import construct
+
+    real_glue = construct.chain_glue
+    glued = []
+
+    def glue(components):
+        components = list(components)
+        glued.append(tuple(comp.table for comp in components))
+        return real_glue(components)
+
+    monkeypatch.setattr(construct, "chain_glue", glue)
+    specs = verify.enumerate_extremal_specs(3, 6)
+    result = verify.check_extremal_families(max_components=3, max_terms=6)
+    assert result["instances"] == result["passed"] == len(specs) == 2 * len(glued)
+    assert glued == [tuple(part._table.table for part in spec.chain) for spec in specs[::2]]
+
+
+def test_families_failures_come_back_in_spec_order(monkeypatch):
+    # I(S) is misread on tables of odd order whose last element is an
+    # identity: identity twins, and plain cyclic groups of odd order. The
+    # families check must report the failures that a plain loop over the
+    # specs, each building its own pair, reports, in the same order,
+    # serially and through the pool
+    from idemfree.construct import extremal_pair
+
+    real_weak = verify._weak_value
+
+    def weak(S):
+        return real_weak(S) + (S.order % 2 == 1 and S.table[-1] == tuple(S.elements))
+
+    monkeypatch.setattr(verify, "_weak_value", weak)
+    specs = verify.enumerate_extremal_specs(2, 5)
+    reference = []
+    for spec in specs:
+        S, T = extremal_pair(spec)
+        row = verify._family_case(spec, S, T.terms)
+        if not row["ok"]:
+            reference.append(row["failure"])
+    assert {f["spec"]["adjoinIdentity"] for f in reference} == {False, True} and len(reference) < len(specs)
+    assert verify.check_extremal_families(map, 2, 5)["failures"] == reference
+    # forked workers see the patched search
+    with ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("fork")) as executor:
+        assert verify.check_extremal_families(verify._PoolMap(executor, 2), 2, 5)["failures"] == reference
+
+
 def test_extremal_spec_bounds_are_integers():
     with pytest.raises(InvalidParameters, match="max_terms 2.5 is not an integer"):
         verify.enumerate_extremal_specs(max_terms=2.5)
@@ -195,8 +252,8 @@ def test_pool_map_keeps_rows_in_order_and_opens_one_scope_per_batch():
     with ProcessPoolExecutor(max_workers=2) as executor:
         pool_map = verify._PoolMap(executor, 2)
         for items in ([], [5], list(range(-10, 11))):
-            assert pool_map(abs, items) == list(map(abs, items))
-        assert pool_map(_scope_open, range(21)) == [True] * 21
+            assert list(pool_map(abs, items)) == list(map(abs, items))
+        assert list(pool_map(_scope_open, range(21))) == [True] * 21
     # a worker forked while its parent has a scope open starts outside it
     with constants._sharing():
         with ProcessPoolExecutor(max_workers=1) as executor:
@@ -229,7 +286,7 @@ def test_fan_out_starts_at_most_one_process_per_cpu(monkeypatch):
         monkeypatch.setattr(verify.os, "cpu_count", lambda n=cpus: n)
         with verify._fan_out(workers) as map_fn:
             assert map_fn.workers == size
-            assert map_fn(abs, range(-10, 11)) == list(map(abs, range(-10, 11)))
+            assert list(map_fn(abs, range(-10, 11))) == list(map(abs, range(-10, 11)))
         assert sizes.pop() == size
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
     serial = verify.run_verification(max_order=3, checks=["ghw-bound", "strong-vs-weak"])
@@ -268,6 +325,21 @@ def test_import_and_serial_run_load_no_pool_stack():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
+
+
+def test_verifier_import_loads_no_typing():
+    # without site (-S), whose .pth files may load typing first, importing
+    # the verifier and running a check loads neither typing nor the re and
+    # enum that typing pulls in
+    src = str(Path(verify.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import idemfree.verify; "
+        "idemfree.verify.run_verification(max_order=2, checks=['ghw-bound', 'extremal-families']); "
+        "print(sorted({'typing', 're', 'enum'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-I", "-c", code, src], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_sharing_scope_across_threads(corpus_le3):
