@@ -33,6 +33,7 @@ from .core import (
     SemigroupError,
     _check_flag,
     _index,
+    _iterable,
     _Record,
     is_commutative,
     monogenic,
@@ -107,10 +108,12 @@ def chain_glue(components) -> FiniteSemigroup:
     commutative whenever they are, so the result is marked commutative
     without a scan. components may be any iterable; it is read once.
     """
-    components = list(components)
+    components = list(_iterable(components, "components"))
     if not components:
         raise InvalidParameters("need at least one component")
     for comp in components:
+        if not isinstance(comp, FiniteSemigroup):
+            raise InvalidParameters(f"chain component {comp!r} is not a FiniteSemigroup")
         if not is_commutative(comp):
             raise InvalidParameters("chain components must be commutative")
     total = sum(comp.order for comp in components)

@@ -38,6 +38,7 @@ kinds and the main form's lower-absorbing chain are tests on ints.
 
 from __future__ import annotations
 
+from .constants import ghw_bound
 from .core import (
     CyclicData,
     ElementId,
@@ -49,6 +50,7 @@ from .core import (
     _generated,
     _idem_mask,
     _idempotent_power,
+    _iterable,
     _mask_of,
     _mask_to_set,
     _Record,
@@ -238,7 +240,7 @@ def _archimedean_component(S: FiniteSemigroup, component) -> ComponentData:
     component of S: all of its elements, and no element outside it, have
     one idempotent power."""
     _require_commutative(S)
-    comp = frozenset(_element(S, a) for a in component)
+    comp = frozenset(_element(S, a) for a in _iterable(component, "component"))
     t = S.table
     powers = {_idempotent_power(t, a) for a in comp}
     if len(powers) != 1:
@@ -431,7 +433,7 @@ def _checked_terms(S: FiniteSemigroup, seq) -> tuple[int, ...]:
     """The terms of seq, checked once: each an element of S, and
     |S \\ E(S)| of them."""
     terms = _terms(S, seq)
-    expected = S.order - _idem_mask(S).bit_count()
+    expected = ghw_bound(S) - 1
     if len(terms) != expected:
         raise WrongLength(f"sequence length {len(terms)} != |S \\ E(S)| = {expected}")
     return terms

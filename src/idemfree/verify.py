@@ -86,7 +86,6 @@ from .core import (
     InvalidParameters,
     _check_flag,
     _cyclic_data,
-    _idem_mask,
     _index,
     is_commutative,
     is_nilsemigroup,
@@ -310,15 +309,15 @@ def _spec_to_json(spec: ExtremalSpec) -> dict:
 def _family_case(spec: ExtremalSpec, S: FiniteSemigroup, terms: tuple[int, ...]) -> dict:
     """The five checks of one spec on its table S and its extremal terms,
     element ids of S."""
-    expected_len = S.order - _idem_mask(S).bit_count()
+    bound = ghw_bound(S)
     rec = _support(S, terms)  # one record for the certificate and the main form
     cert = _certify(S, rec)
     checks = {
-        "length": len(terms) == expected_len,
+        "length": len(terms) == bound - 1,
         "weaklyFree": _weakly_free(S, terms),
         "certificate": cert.passed,
         "mainFormAgrees": _main_form(S, rec) == cert.passed,
-        "erdosBurgess": _weak_value(S) == expected_len + 1,
+        "erdosBurgess": _weak_value(S) == bound,
     }
     ok = all(checks.values())
     return {

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -6,20 +7,20 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from idemfree import is_commutative
-from idemfree.verify import run_verification
+from idemfree.verify import build_corpus, run_verification
+
+# the one read of the slow flag, which runs the tests and pins that take seconds to minutes
+SLOW = bool(os.environ.get("IDEMFREE_SLOW_TESTS"))
+slow = pytest.mark.skipif(not SLOW, reason="slow; set IDEMFREE_SLOW_TESTS=1 to run it")
 
 
 @pytest.fixture(scope="session")
 def corpus_le3():
-    from idemfree.verify import build_corpus
-
     return build_corpus(3)
 
 
 @pytest.fixture(scope="session")
 def corpus_le4():
-    from idemfree.verify import build_corpus
-
     return build_corpus(4)
 
 
@@ -28,19 +29,17 @@ def commutative_le4(corpus_le4):
     return [S for S in corpus_le4 if is_commutative(S)]
 
 
-ACCEPTANCE_CHECKS = (
-    "ghw-bound",
-    "extremal-equivalence",
-    "extremal-families",
-    "example-formulas",
-    "strong-vs-weak",
-)
+@pytest.fixture(scope="session")
+def commutative_le5():
+    """Every commutative table of order <= 5, 31 940 of them, in stream order."""
+    return build_corpus(5, True, 5)
 
 
 @pytest.fixture(scope="session")
 def acceptance_logs():
-    """The verification run backing acceptance criteria 1-6 and 10: once with
+    """The default verification run over order <= 4 behind acceptance
+    criteria 1-6 and 10, the log that ``idemfree verify`` writes: once with
     a single worker, once with a pool; the logs must be byte-identical."""
-    serial = run_verification(max_order=4, checks=ACCEPTANCE_CHECKS, workers=1)
-    pooled = run_verification(max_order=4, checks=ACCEPTANCE_CHECKS, workers=3)
+    serial = run_verification(max_order=4, workers=1)
+    pooled = run_verification(max_order=4, workers=3)
     return serial, pooled

@@ -1,6 +1,4 @@
 import json
-import subprocess
-import sys
 from types import SimpleNamespace
 
 import pytest
@@ -421,15 +419,6 @@ def test_run_verification_rejects_zero_workers():
         run_verification(workers=0)
 
 
-def test_verify_logs_identical_across_worker_counts(tmp_path, capsys):
-    args = ["verify", "--max-order", "2", "--checks", "ghw-bound,extremal-equivalence"]
-    one = tmp_path / "one.json"
-    three = tmp_path / "three.json"
-    assert run_cli(capsys, *args, "--log", str(one))[0] == 0
-    assert run_cli(capsys, *args, "--workers", "3", "--log", str(three))[0] == 0
-    assert one.read_bytes() == three.read_bytes()
-
-
 def test_verify_summary_names_the_processes_that_ran(capsys, monkeypatch):
     # 64 workers on 2 CPUs start a pool of 2 processes, and the summary
     # says 2; the log is the one a serial run writes
@@ -461,18 +450,6 @@ def test_verify_exits_nonzero_on_failure(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--max-order", "1")
     assert code == 1
     assert json.loads(out)["summary"]["allPassed"] is False
-
-
-def test_module_entry_point(tmp_path):
-    S = group_nil_chain(2, 2)
-    path = write_table(tmp_path, S)
-    proc = subprocess.run(
-        [sys.executable, "-m", "idemfree", "validate", path],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["order"] == 4
 
 
 def test_products_refuses_oversized_dp(tmp_path, capsys):

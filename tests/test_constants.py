@@ -15,7 +15,6 @@ from idemfree import (
     chain_glue,
     cyclic_group,
     davenport,
-    enumerate_semigroups,
     erdos_burgess,
     extremal_pair,
     ghw_bound,
@@ -238,8 +237,8 @@ def test_searches_match_reference_on_small_corpus(corpus_le4):
         _assert_reports_match_reference(S)
 
 
-def test_searches_match_reference_on_commutative_order5():
-    for S in itertools.islice(enumerate_semigroups(5, commutative_only=True, max_order=5), 0, None, 10):
+def test_searches_match_reference_on_commutative_order5(commutative_le5):
+    for S in [S for S in commutative_le5 if S.order == 5][::10]:
         _assert_reports_match_reference(S)
 
 

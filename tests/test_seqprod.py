@@ -10,6 +10,7 @@ from idemfree import (
     Seq,
     SequenceTooLong,
     any_order_products,
+    chain_glue,
     cyclic_group,
     cyclic_nil,
     extremal_equivalence,
@@ -20,9 +21,11 @@ from idemfree import (
     is_commutative,
     is_strongly_free,
     is_weakly_free,
+    kernel_group,
     monogenic,
     natural_order_products,
     ordered_product,
+    partial_hom,
     product_gain,
     product_sets,
     trivial_ideal_extension,
@@ -197,6 +200,9 @@ def test_seq_type():
         ),
         pytest.param(lambda S, v: product_gain(S, v, 0), "sequence", id="product_gain"),
         pytest.param(generated_subsemigroup, "generators", id="generated_subsemigroup"),
+        pytest.param(kernel_group, "component", id="kernel_group"),
+        pytest.param(lambda S, v: partial_hom(S, v, 0), "component", id="partial_hom"),
+        pytest.param(lambda S, v: chain_glue(v), "components", id="chain_glue"),
     ],
 )
 @pytest.mark.parametrize("value", [5, None, 1.5])

@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import json
-import os
 
 import pytest
 
@@ -18,7 +17,6 @@ from idemfree import (
     cyclic_data,
     cyclic_nil,
     divides_power,
-    enumerate_semigroups,
     extremal_equivalence,
     extremal_main_form,
     extremal_pair,
@@ -39,6 +37,7 @@ from idemfree import (
     unique_cycle_idempotent,
     zero_element,
 )
+from conftest import slow
 from oracles import left_zero_semigroup, naive_archimedean_decomposition, vee_semilattice
 
 
@@ -149,16 +148,13 @@ def test_decomposition_matches_divisibility_oracle(commutative_le4):
         assert archimedean_decomposition(S) == naive_archimedean_decomposition(S), S.table
 
 
-@pytest.mark.skipif(
-    not os.environ.get("IDEMFREE_SLOW_TESTS"),
-    reason="the divisibility oracle on every commutative order-5 table takes a while; set IDEMFREE_SLOW_TESTS=1",
-)
-def test_decomposition_matches_divisibility_oracle_order_5():
-    checked = 0
-    for S in enumerate_semigroups(5, commutative_only=True, max_order=5):
+@slow
+def test_decomposition_matches_divisibility_oracle_order_5(commutative_le5):
+    # the divisibility oracle on every commutative order-5 table takes a while
+    order5 = [S for S in commutative_le5 if S.order == 5]
+    assert len(order5) == 30730
+    for S in order5:
         assert archimedean_decomposition(S) == naive_archimedean_decomposition(S), S.table
-        checked += 1
-    assert checked == 30730
 
 
 def test_each_divisibility_class_is_one_idempotent_power(commutative_le4):

@@ -156,16 +156,11 @@ def test_enumerated_corpus_is_valid(corpus_le4):
         assert_valid(S)
 
 
-def test_enumerated_commutative_le5_is_valid():
-    counts = []
-    for n in range(1, 6):
-        count = 0
-        for S in enumerate_semigroups(n, commutative_only=True, max_order=5):
-            assert_valid(S)
-            # the commutative stream marks its tables, so no caller scans them
-            assert S._commutative is True and _commutes(S)
-            count += 1
-        counts.append(count)
-    assert counts == [1, 6, 63, 1140, 30730]
+def test_enumerated_commutative_le5_is_valid(commutative_le5):
+    for S in commutative_le5:
+        assert_valid(S)
+        # the commutative stream marks its tables, so no caller scans them
+        assert S._commutative is True and _commutes(S)
+    assert [sum(S.order == n for S in commutative_le5) for n in range(1, 6)] == [1, 6, 63, 1140, 30730]
     # the labelled stream leaves the flag for is_commutative to fill
     assert all(S._commutative is None for S in enumerate_semigroups(4))

@@ -1,4 +1,3 @@
-import functools
 import itertools
 import multiprocessing
 import random
@@ -17,31 +16,26 @@ from idemfree import (
     constants,
     cyclic_data,
     cyclic_group,
-    enumerate_semigroups,
     extremal_structure_check,
+    format_cayley_table,
     verify,
 )
 from idemfree.seqprod import _any_mask
 
 
-@functools.lru_cache(maxsize=1)
-def _order5_commutative():
-    return list(enumerate_semigroups(5, commutative_only=True, max_order=5))
+def _order5_sample(commutative_le5, k: int = 150, seed: int = 5):
+    return random.Random(seed).sample([S for S in commutative_le5 if S.order == 5], k)
 
 
-def _order5_sample(k: int = 150, seed: int = 5):
-    return random.Random(seed).sample(_order5_commutative(), k)
-
-
-def test_equivalence_case_matches_word_by_word_reference(commutative_le4):
-    for S in commutative_le4 + _order5_sample():
+def test_equivalence_case_matches_word_by_word_reference(commutative_le4, commutative_le5):
+    for S in commutative_le4 + _order5_sample(commutative_le5):
         assert verify._equivalence_case(S) == oracles.reference_equivalence_case(S)
 
 
-def test_equivalence_case_matches_multiset_sweep(corpus_le4):
+def test_equivalence_case_matches_multiset_sweep(corpus_le4, commutative_le5):
     # the free and certified sets give the row of the sweep over every
     # multiset, on commutative and noncommutative tables alike
-    for S in corpus_le4 + _order5_sample(500, seed=17):
+    for S in corpus_le4 + _order5_sample(commutative_le5, 500, seed=17):
         assert verify._equivalence_case(S) == oracles.multiset_equivalence_case(S)
 
 
@@ -98,11 +92,11 @@ def test_equivalence_failure_records_match_reference(commutative_le4, monkeypatc
     assert all(totals.values()), totals
 
 
-def test_free_masks_are_the_naive_free_sequences(corpus_le4):
+def test_free_masks_are_the_naive_free_sequences(corpus_le4, commutative_le5):
     # F's walk records every nondecreasing sequence of letter positions, of
     # length at most k, whose naive any-order products avoid E(S), with
     # those products as positions; on commutative tables too
-    for S in corpus_le4 + _order5_sample(100, seed=29):
+    for S in corpus_le4 + _order5_sample(commutative_le5, 100, seed=29):
         alpha, letters = constants._letter_table(S)
         k = len(alpha)
         idem = {e for e in S.elements if S.table[e][e] == e}
@@ -325,6 +319,14 @@ def test_import_and_serial_run_load_no_pool_stack():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
+    # the command line's cold start, ``python -m idemfree`` through the
+    # package's __main__, with no environment but the path: cli loads, and
+    # none of the above
+    argv = [sys.executable, "-X", "importtime", "-m", "idemfree", "gen", "cyclic-group", "3"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=300)
+    assert (proc.returncode, proc.stdout) == (0, format_cayley_table(cyclic_group(3))), proc.stderr
+    loaded = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()}
+    assert "idemfree.cli" in loaded and not loaded & {"multiprocessing", _POOL_STACK[2], "dataclasses", "inspect"}
 
 
 def test_verifier_import_loads_no_typing():
