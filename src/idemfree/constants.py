@@ -95,20 +95,15 @@ walks visit letters in increasing order and consult the idempotents only
 to prune, and the letter table picks the walk, so two tables with the same
 letter table have the same tree up to the order-keeping map between their
 letters: the same value, the witness mapped letter for letter, and the
-same nodesExplored. ``_shared_walk`` runs every I and SI search through
-``_walk``, which picks the walk. Inside a ``_sharing`` scope, which the
-verify checks open around one check and around each pool batch,
-``_scoped`` stores each result under its key on a miss and returns the
-stored one on a hit: the value, positions and node count of a search
-under its kind and letter table, which a repeat maps back instead of
-searching again. The ghw-bound and strong-vs-weak checks call
-``_shared_walk`` for the value alone, with no report. ``_free_masks`` is F
-as a dict under a key of its own, on commutative tables too: the free set
-of the extremal-equivalence check, the one caller that keeps F.
-``_weak_value`` stores its value under a key of its own too, so it never
-serves a report with a node count. Outside a scope every search runs. D
-is not shared and walks S itself: irreducibility reads the products with
-idempotents too.
+same nodesExplored. So a caller that keeps the result of ``_walk``,
+which picks the walk, under its letter table can map it back through the
+alpha of any table with that letter table instead of searching again:
+``verify`` keeps one memo per check (its docstring), and the public
+searches keep nothing and run on every call. ``_free_masks`` is F as a
+dict, on commutative tables too: the free set of the extremal-equivalence
+check, the one caller that keeps F. ``_bounded_value`` is the bounded
+walk's value over a letter table, with no witness or node count. D walks
+S itself: irreducibility reads the products with idempotents too.
 
 Each walk is a recursive closure, which refers to itself through its own
 cell. A walk drops that reference when it ends, on a refusal too, so
@@ -118,8 +113,6 @@ search leaves nothing for the cycle collector.
 
 from __future__ import annotations
 
-import contextlib
-import os
 from collections.abc import Iterator
 
 from .core import FiniteSemigroup, NotCommutative, _idem_mask, _Record, identity_element, is_commutative
@@ -128,39 +121,6 @@ from .seqprod import Seq, _column_slices, _fill_slab, _grow, _packed_rows, _slic
 KIND_ERDOS_BURGESS = "ErdosBurgess"
 KIND_STRONG_ERDOS_BURGESS = "StrongErdosBurgess"
 KIND_DAVENPORT = "Davenport"
-
-# the results stored in the open sharing scope, or None outside one
-_shared: dict | None = None
-
-
-@contextlib.contextmanager
-def _sharing():
-    """A scope in which I and SI searches with the same letter table share
-    one report, ``_free_masks`` calls one F, and ``_weak_value`` calls one
-    result (module docstring). A nested scope reuses the outer one; the
-    results are dropped when the outermost scope exits, on an exception
-    too. Threads of one process share the scope: a result is stored only
-    once it is complete, and two threads that miss on one key store equal
-    results."""
-    global _shared
-    if _shared is not None:
-        yield
-        return
-    _shared = {}
-    try:
-        yield
-    finally:
-        _shared = None
-
-
-def _leave_scope() -> None:
-    global _shared
-    _shared = None
-
-
-# a forked worker starts outside any scope, whatever its parent had open
-os.register_at_fork(after_in_child=_leave_scope)
-
 
 class ConstantReport(_Record):
     __slots__ = _fields = ("kind", "value", "witness", "nodes_explored")
@@ -444,18 +404,6 @@ def _letter_rows(letters: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
     return [letters[i * k : (i + 1) * k] for i in range(k)]
 
 
-def _scoped(key: tuple, compute, *args):
-    """compute(*args), looked up under key first inside a sharing scope and
-    stored there on a miss (module docstring)."""
-    shared = _shared
-    if shared is None:
-        return compute(*args)
-    found = shared.get(key)
-    if found is None:
-        found = shared[key] = compute(*args)
-    return found
-
-
 def _walk(letters: tuple[int, ...], k: int, kind: str) -> tuple[int, tuple[int, ...], int]:
     """The I or SI walk over a letter table of k letters (module docstring):
     ``_memo_walk`` for SI and for I on letters that commute, and for I on
@@ -476,21 +424,10 @@ def _walk(letters: tuple[int, ...], k: int, kind: str) -> tuple[int, tuple[int, 
     return best_len + 1, best, nodes
 
 
-def _shared_walk(letters: tuple[int, ...], k: int, kind: str) -> tuple[int, tuple[int, ...], int]:
-    """The value, the witness as letter positions and nodesExplored of the
-    I or SI walk over a letter table of k letters, from ``_walk``, which a
-    sharing scope runs only on a miss."""
-    return _scoped((kind, letters), _walk, letters, k, kind)
-
-
 def _free_masks(letters: tuple[int, ...], k: int) -> dict[tuple[int, ...], int]:
     """F of ``_any_order_walk`` over a letter table of k letters as a dict
     in walk order, the empty sequence's mask 0 first, on commutative
-    tables too, which a sharing scope walks only on a miss."""
-    return _scoped(("free", letters), _free_dict, letters, k)
-
-
-def _free_dict(letters: tuple[int, ...], k: int) -> dict[tuple[int, ...], int]:
+    tables too."""
     free = {(): 0}
     free.update(_any_order_walk(_letter_rows(letters, k), k))
     return free
@@ -500,20 +437,19 @@ def _free_search(S: FiniteSemigroup, kind: str) -> ConstantReport:
     """I(S) or SI(S), one walk over the letter table of S, with the witness
     mapped back from letter positions through alpha."""
     alpha, letters = _letter_table(S)
-    value, positions, nodes = _shared_walk(letters, len(alpha), kind)
+    value, positions, nodes = _walk(letters, len(alpha), kind)
     return ConstantReport(kind, value, Seq(tuple([alpha[i] for i in positions])), nodes)
 
 
 def _weak_value(S: FiniteSemigroup) -> int:
     """I(S) on a commutative S, from the bounded walk over its letter table:
     the value of ``erdos_burgess``, without a witness or a node count
-    (module docstring). Inside a sharing scope the value is stored under its
-    own key, which no report search reads.
+    (module docstring).
     """
     if not is_commutative(S):
         raise NotCommutative("the bounded I search is defined for commutative semigroups")
     alpha, letters = _letter_table(S)
-    return _scoped(("value", letters), _bounded_value, letters, len(alpha))
+    return _bounded_value(letters, len(alpha))
 
 
 def _bounded_value(letters: tuple[int, ...], k: int) -> int:

@@ -120,7 +120,7 @@ class FiniteSemigroup:
         self._commutative: bool | None = None
 
     def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
+        return self.table[_element(self, a, "element a")][_element(self, b, "element b")]
 
     @property
     def elements(self) -> range:
@@ -257,12 +257,18 @@ def _check_flag(value, what: str) -> None:
         raise InvalidParameters(f"{what} must be True or False, got {value!r}")
 
 
+def _below(value, n: int, what: str, where: str) -> int:
+    """value as an int in [0, n); otherwise refused by what, and by where,
+    a format of n."""
+    x = _index(value, what)
+    if not 0 <= x < n:
+        raise InvalidParameters(f"{what} {x} outside " + where.format(n=n))
+    return x
+
+
 def _element(S: FiniteSemigroup, value, what: str = "element") -> ElementId:
     """value as an element index of S, rejected unless an integer in [0, n)."""
-    x = _index(value, what)
-    if not 0 <= x < S.order:
-        raise InvalidParameters(f"{what} {x} outside semigroup of order {S.order}")
-    return x
+    return _below(value, S.order, what, "semigroup of order {n}")
 
 
 def generated_subsemigroup(S: FiniteSemigroup, generators) -> frozenset[ElementId]:

@@ -45,6 +45,7 @@ from .core import (
     FiniteSemigroup,
     NotCommutative,
     SemigroupError,
+    _below,
     _cyclic_data,
     _element,
     _generated,
@@ -127,14 +128,17 @@ class ArchDecomposition(_Record):
         object.__setattr__(self, "comp_of", comp_of)
 
     def component_of(self, a: ElementId) -> int:
-        return self.comp_of[a]
+        return self.comp_of[_below(a, len(self.comp_of), "element a", "semigroup of order {n}")]
 
     def is_chain(self) -> bool:
         k = len(self.components)
         return all(self.leq[i][j] or self.leq[j][i] for i in range(k) for j in range(i + 1, k))
 
     def meet(self, i: int, j: int) -> int:
-        below = [k for k in range(len(self.components)) if self.leq[k][i] and self.leq[k][j]]
+        count = len(self.components)
+        i = _below(i, count, "component i", "the {n} components")
+        j = _below(j, count, "component j", "the {n} components")
+        below = [k for k in range(count) if self.leq[k][i] and self.leq[k][j]]
         tops = [k for k in below if all(self.leq[m][k] for m in below)]
         assert len(tops) == 1, "component order is not a meet semilattice"
         return tops[0]

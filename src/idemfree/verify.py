@@ -18,19 +18,22 @@ twin's is that table with an identity adjoined, which is how
 still gets its own table and all five of its checks, and the two rows are
 aggregated in spec order.
 
-The ghw-bound, strong-vs-weak and extremal-families checks share I and SI
-searches between tables with the same letter table, and extremal-equivalence
-shares its free sets F: each runs its map and aggregation inside one
-``constants._sharing`` scope, and a process pool opens one scope per batch
-of items in the worker that runs it. A shared report or free set is the one
-the walk would return (``constants``), so the logs do not change.
+I, SI and F depend on a table only through its letter table
+(``constants``): the 31 940 commutative tables of order <= 5 have 1 057
+between them. So the ghw-bound, strong-vs-weak, extremal-equivalence and
+extremal-families checks bind a fresh dict to their case's first
+argument with ``functools.partial``, and ``_memo`` keeps each walk's
+result there under its kind and letter table. A stored result is the one
+the walk would return, so the logs do not change. A serial check fills
+one memo; a pool pickles the case with each batch, so each batch fills
+its own copy.
 
 The extremal-families and example-formulas checks read only I's value on
-commutative tables, so they call ``constants._weak_value``, whose walk is
-cut by the product-set growth bound and stops at the GHW cap. ghw-bound
+commutative tables, so they take the walk of ``constants._bounded_value``,
+cut by the product-set growth bound and stopped at the GHW cap. ghw-bound
 tests that bound, and strong-vs-weak cross-checks the exhaustive searches,
 so both run the exhaustive I and SI walks, through
-``constants._shared_walk``, the walk dispatch behind ``erdos_burgess`` and
+``constants._walk``, the walk dispatch behind ``erdos_burgess`` and
 ``strong_erdos_burgess``. The letter table alone picks each walk there, so
 no check decides it; strong-vs-weak reads ``is_commutative`` only for its
 equality test, when I and SI differ. They read values only: a case builds its table's letter
@@ -56,6 +59,7 @@ F & C.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 import os
@@ -63,10 +67,10 @@ import os
 from .constants import (
     KIND_ERDOS_BURGESS,
     KIND_STRONG_ERDOS_BURGESS,
+    _bounded_value,
     _free_masks,
     _letter_table,
-    _shared_walk,
-    _sharing,
+    _walk,
     _weak_value,
     davenport,
     ghw_bound,
@@ -150,9 +154,19 @@ def _aggregate(check_id: str, rows, extra_keys=()) -> dict:
     return result
 
 
-def _ghw_case(S: FiniteSemigroup) -> dict:
+def _memo(memo: dict, key: tuple, compute, *args):
+    """compute(*args), looked up under key in memo first and stored there
+    on a miss (module docstring)."""
+    found = memo.get(key)
+    if found is None:
+        found = memo[key] = compute(*args)
+    return found
+
+
+def _ghw_case(memo: dict, S: FiniteSemigroup) -> dict:
     alpha, letters = _letter_table(S)
-    si = _shared_walk(letters, len(alpha), KIND_STRONG_ERDOS_BURGESS)[0]
+    kind = KIND_STRONG_ERDOS_BURGESS
+    si = _memo(memo, (kind, letters), _walk, letters, len(alpha), kind)[0]
     bound = ghw_bound(S)
     ok = si <= bound
     return {
@@ -163,8 +177,7 @@ def _ghw_case(S: FiniteSemigroup) -> dict:
 
 def check_ghw_bound(semigroups, map_fn=map) -> dict:
     """No strongly free word of length |S \\ E(S)| + 1 exists (search exhausts)."""
-    with _sharing():
-        return _aggregate("ghw-bound", map_fn(_ghw_case, semigroups))
+    return _aggregate("ghw-bound", map_fn(functools.partial(_ghw_case, {}), semigroups))
 
 
 def _word_records(S: FiniteSemigroup, found) -> list[dict]:
@@ -206,7 +219,7 @@ def _certified_multisets(S: FiniteSemigroup, alpha: list[int]) -> set[tuple[int,
     return certified
 
 
-def _equivalence_case(S: FiniteSemigroup) -> dict:
+def _equivalence_case(memo: dict, S: FiniteSemigroup) -> dict:
     """Every word of length k = |S \\ E(S)| over the k non-idempotents,
     decided from the free set F and the certified set C: the words of
     F xor C are the equivalence failures, and the bound and the claims are
@@ -219,7 +232,7 @@ def _equivalence_case(S: FiniteSemigroup) -> dict:
     """
     alpha, letters = _letter_table(S)
     length = len(alpha)
-    free_masks = _free_masks(letters, length)
+    free_masks = _memo(memo, ("free", letters), _free_masks, letters, length)
     certified = _certified_multisets(S, alpha)
     free = lambda_checked = 0
     eq_found = [(multiset, [{}]) for multiset in certified ^ {m for m in free_masks if len(m) == length}]
@@ -276,24 +289,23 @@ def check_extremal_equivalence(commutative_semigroups, map_fn=map) -> dict:
     every free sequence found satisfies the new-product lower bound.
 
     Each table's free multisets F and certified multisets C are built
-    separately and compared; no other multiset is visited. The check runs
-    in one sharing scope, so F is walked once per distinct letter table.
+    separately and compared; no other multiset is visited. F is walked
+    once per distinct letter table (module docstring).
     The counters are still word counts: sequences is k^k, freeSequences
     and lambdaChecked count the words of F & C, and the failure counts the
     words of each failing multiset."""
-    with _sharing():
-        return _aggregate(
-            "extremal-equivalence",
-            map_fn(_equivalence_case, commutative_semigroups),
-            extra_keys=(
-                "sequences",
-                "freeSequences",
-                "lambdaChecked",
-                "equivalenceFailures",
-                "lambdaFailures",
-                "claimFailures",
-            ),
-        )
+    return _aggregate(
+        "extremal-equivalence",
+        map_fn(functools.partial(_equivalence_case, {}), commutative_semigroups),
+        extra_keys=(
+            "sequences",
+            "freeSequences",
+            "lambdaChecked",
+            "equivalenceFailures",
+            "lambdaFailures",
+            "claimFailures",
+        ),
+    )
 
 
 def _spec_to_json(spec: ExtremalSpec) -> dict:
@@ -306,10 +318,12 @@ def _spec_to_json(spec: ExtremalSpec) -> dict:
     return {"chain": parts, "adjoinIdentity": spec.adjoin_identity}
 
 
-def _family_case(spec: ExtremalSpec, S: FiniteSemigroup, terms: tuple[int, ...]) -> dict:
+def _family_case(memo: dict, spec: ExtremalSpec, S: FiniteSemigroup, terms: tuple[int, ...]) -> dict:
     """The five checks of one spec on its table S and its extremal terms,
-    element ids of S."""
+    element ids of S; S is commutative by construction, as the bounded
+    walk needs."""
     bound = ghw_bound(S)
+    alpha, letters = _letter_table(S)
     rec = _support(S, terms)  # one record for the certificate and the main form
     cert = _certify(S, rec)
     checks = {
@@ -317,7 +331,7 @@ def _family_case(spec: ExtremalSpec, S: FiniteSemigroup, terms: tuple[int, ...])
         "weaklyFree": _weakly_free(S, terms),
         "certificate": cert.passed,
         "mainFormAgrees": _main_form(S, rec) == cert.passed,
-        "erdosBurgess": _weak_value(S) == bound,
+        "erdosBurgess": _memo(memo, ("value", letters), _bounded_value, letters, len(alpha)) == bound,
     }
     ok = all(checks.values())
     return {
@@ -326,14 +340,16 @@ def _family_case(spec: ExtremalSpec, S: FiniteSemigroup, terms: tuple[int, ...])
     }
 
 
-def _family_pair_case(pair: tuple[ExtremalSpec, ExtremalSpec]) -> tuple[dict, dict]:
+def _family_pair_case(memo: dict, pair: tuple[ExtremalSpec, ExtremalSpec]) -> tuple[dict, dict]:
     """The rows of a chain's plain spec and of its identity twin. The
     chain is glued once: the twin's table is the plain table with an
     identity adjoined, as ``extremal_pair`` builds it, and has the same
-    terms, since the identity comes last."""
+    terms, since the identity comes last. The identity is idempotent, so
+    the twin has the plain table's letter table and reads its I value from
+    the memo."""
     plain, twin = pair
     S, T = extremal_pair(plain)
-    return _family_case(plain, S, T.terms), _family_case(twin, adjoin_identity(S), T.terms)
+    return _family_case(memo, plain, S, T.terms), _family_case(memo, twin, adjoin_identity(S), T.terms)
 
 
 def enumerate_extremal_specs(max_components: int = 3, max_terms: int = 10) -> list[ExtremalSpec]:
@@ -384,8 +400,8 @@ def check_extremal_families(map_fn=map, max_components: int = 3, max_terms: int 
     """Every generated extremal pair is free, certified, and search-extremal."""
     specs = enumerate_extremal_specs(max_components=max_components, max_terms=max_terms)
     pairs = list(zip(specs[::2], specs[1::2]))
-    with _sharing():
-        return _aggregate("extremal-families", itertools.chain.from_iterable(map_fn(_family_pair_case, pairs)))
+    rows = map_fn(functools.partial(_family_pair_case, {}), pairs)
+    return _aggregate("extremal-families", itertools.chain.from_iterable(rows))
 
 
 def _formula_case(params: tuple[int, int]) -> dict:
@@ -411,11 +427,13 @@ def check_example_formulas(map_fn=map) -> dict:
     return _aggregate("example-formulas", map_fn(_formula_case, params))
 
 
-def _strong_weak_case(S: FiniteSemigroup) -> dict:
+def _strong_weak_case(memo: dict, S: FiniteSemigroup) -> dict:
     alpha, letters = _letter_table(S)
     k = len(alpha)
-    weak = _shared_walk(letters, k, KIND_ERDOS_BURGESS)[0]
-    strong = _shared_walk(letters, k, KIND_STRONG_ERDOS_BURGESS)[0]
+    weak, strong = [
+        _memo(memo, (kind, letters), _walk, letters, k, kind)[0]
+        for kind in (KIND_ERDOS_BURGESS, KIND_STRONG_ERDOS_BURGESS)
+    ]
     ok = weak <= strong and (weak == strong or not is_commutative(S))
     return {
         "ok": ok,
@@ -425,8 +443,7 @@ def _strong_weak_case(S: FiniteSemigroup) -> dict:
 
 def check_strong_weak(semigroups, map_fn=map) -> dict:
     """I(S) <= SI(S) always, with equality on commutative semigroups."""
-    with _sharing():
-        return _aggregate("strong-vs-weak", map_fn(_strong_weak_case, semigroups))
+    return _aggregate("strong-vs-weak", map_fn(functools.partial(_strong_weak_case, {}), semigroups))
 
 
 def _nil_case(S: FiniteSemigroup) -> dict:
@@ -450,14 +467,14 @@ def check_nil_lemma(commutative_semigroups, map_fn=map) -> dict:
 
 
 def _batch(fn, items) -> list:
-    """One pool task: fn over a batch of items inside one sharing scope."""
-    with _sharing():
-        return [fn(item) for item in items]
+    """One pool task: fn over a batch of items."""
+    return [fn(item) for item in items]
 
 
 class _PoolMap:
     """Order-preserving map over a process pool, in batches of consecutive
-    items, each run inside its own sharing scope. Like the builtin map, it
+    items; each batch unpickles its own copy of fn, and of any memo bound
+    to it (module docstring). Like the builtin map, it
     returns an iterator: every batch is submitted at the call, and the rows
     come back one batch at a time as they are read."""
 
@@ -483,7 +500,7 @@ def _fan_out(workers: int):
     """An order-preserving map for `workers` workers: the builtin map at one
     worker, otherwise a _PoolMap over a fresh pool of _processes(workers)
     processes, batched for the processes the pool has. The batches decide
-    only which tables share a scope, and a shared result is the one a fresh
+    only which tables share a memo, and a stored result is the one a fresh
     search returns, so the log is the same at every worker count. Only a
     pooled run imports the pool stack."""
     workers = _index(workers, "workers")

@@ -44,7 +44,7 @@ from oracles import (
 import itertools
 
 from idemfree import constants, seqprod
-from idemfree.verify import enumerate_extremal_specs
+from idemfree.verify import _memo, enumerate_extremal_specs
 
 SEARCHES = {"I": erdos_burgess, "SI": strong_erdos_burgess, "D": davenport}
 
@@ -482,11 +482,23 @@ def _report(search, S):
     return rep.value, rep.witness.terms, rep.nodes_explored
 
 
+_KINDS = {"I": constants.KIND_ERDOS_BURGESS, "SI": constants.KIND_STRONG_ERDOS_BURGESS}
+
+
+def _memo_report(memo, kind, S):
+    # the report a sharing check reads: the walk over the letter table of
+    # S, stored in the memo under its kind and letter table, mapped back
+    # through the alpha of S
+    alpha, letters = constants._letter_table(S)
+    key = (_KINDS[kind], letters)
+    value, positions, nodes = _memo(memo, key, constants._walk, letters, len(alpha), _KINDS[kind])
+    return value, tuple(alpha[i] for i in positions), nodes
+
+
 def test_shared_reports_are_the_searched_reports():
-    # each group is searched in one sharing scope, so a table whose letter
-    # table and walk an earlier one had gets the earlier report mapped back
-    # through its own letters; every report must be the search's outside a
-    # scope and reference_search's
+    # each group fills one memo, so a table whose letter table an earlier
+    # one had gets the earlier walk mapped back through its own letters;
+    # every report must be the public search's and reference_search's
     c3, c5, c6 = cyclic_group(3), cyclic_group(5), cyclic_group(6)
     groups = [
         [S, adjoin_identity(S), *_relabellings(S), *_relabellings(adjoin_identity(S))]
@@ -500,68 +512,32 @@ def test_shared_reports_are_the_searched_reports():
     # noncommutative tables whose letters commute: I takes the memo walk
     # there, shared with the commutative table of the same letters
     groups.append([c5, _left_zero_under(c5), c6, _left_zero_under(c6), _left_zero_under(adjoin_identity(c6))])
+    # letters that do not commute: I reads the any-order walk's F
+    groups.append([_noncommuting, adjoin_identity(_noncommuting), *_relabellings(_noncommuting)])
     for tables in groups:
-        outside = {(kind, i): _report(SEARCHES[kind], S) for kind in ("I", "SI") for i, S in enumerate(tables)}
-        with constants._sharing():
-            for kind in ("I", "SI"):
-                for i, S in enumerate(tables):
-                    got = _report(SEARCHES[kind], S)
-                    assert got == outside[kind, i] == reference_search(kind, S), (kind, S.table)
-        assert constants._shared is None
+        memo = {}
+        for kind in ("I", "SI"):
+            for S in tables:
+                got = _memo_report(memo, kind, S)
+                assert got == _report(SEARCHES[kind], S) == reference_search(kind, S), (kind, S.table)
+        # the group shares walks: fewer keys than searches
+        assert len(memo) < 2 * len(tables)
 
 
 def test_shared_reports_on_small_corpus(corpus_le4):
-    # 3 614 tables with 98 letter tables between them, in one scope: a key
+    # 3 614 tables with 98 letter tables between them, in one memo: a key
     # that confused two letter tables would hand one the other's report
-    outside = [_report(SEARCHES[kind], S) for S in corpus_le4 for kind in ("I", "SI")]
-    with constants._sharing():
-        assert [_report(SEARCHES[kind], S) for S in corpus_le4 for kind in ("I", "SI")] == outside
-
-
-def test_repeated_letter_table_runs_no_task_in_a_scope(monkeypatch):
-    calls = []
-
-    def counting(walk):
-        def counted(*args):
-            calls.append(walk.__name__)
-            return walk(*args)
-        return counted
-
-    for name in ("_memo_walk", "_any_order_walk"):
-        monkeypatch.setattr(constants, name, counting(getattr(constants, name)))
-    c5 = cyclic_group(5)
-    same_letters = [adjoin_identity(c5), chain_glue([cyclic_group(1), c5]), _relabellings(c5)[0]]
-    with constants._sharing():
-        for search in (erdos_burgess, strong_erdos_burgess):
-            search(c5)
-            for S in same_letters:
-                search(S)
-        # the band below C5 is noncommutative, but its letters are C5's and
-        # commute, so both of its searches are C5's memo walks
-        erdos_burgess(_left_zero_under(c5))
-        strong_erdos_burgess(_left_zero_under(c5))
-        assert calls == ["_memo_walk", "_memo_walk"]
-        # letters that do not commute: I reads the any-order walk's F, and a
-        # table with the same letter table reads it again
-        erdos_burgess(_noncommuting)
-        erdos_burgess(adjoin_identity(_noncommuting))
-        strong_erdos_burgess(_noncommuting)
-        assert calls[2:] == ["_any_order_walk", "_memo_walk"]
-        # a letter table that is not the same one
-        erdos_burgess(_relabellings(monogenic(5, 3))[1])
-        assert len(calls) == 5
-    # outside a scope every search runs
-    calls.clear()
-    for S in [c5, *same_letters]:
-        erdos_burgess(S)
-    assert len(calls) == 4
+    memo = {}
+    fresh = [_report(SEARCHES[kind], S) for S in corpus_le4 for kind in ("I", "SI")]
+    assert [_memo_report(memo, kind, S) for S in corpus_le4 for kind in ("I", "SI")] == fresh
+    assert len(memo) == 2 * 98
 
 
 def test_i_reads_the_free_stream_and_keeps_no_free_set(monkeypatch):
     # I on letters that do not commute reads F as the any-order walk yields
-    # it, so a scope keeps only the report under the search's key, and F
-    # as a dict, the free set of extremal-equivalence, is its own walk
-    # that reads the same value, witness and node count
+    # it and keeps only the report, and F as a dict, the free set of
+    # extremal-equivalence, is its own walk that reads the same value,
+    # witness and node count
     calls = []
     real = constants._any_order_walk
 
@@ -573,13 +549,11 @@ def test_i_reads_the_free_stream_and_keeps_no_free_set(monkeypatch):
     for S in (_noncommuting, dihedral(4)):
         alpha, letters = constants._letter_table(S)
         k = len(alpha)
+        calls.clear()
         outside = _report(erdos_burgess, S)
         assert outside == reference_search("I", S)
-        calls.clear()
-        with constants._sharing():
-            assert _report(erdos_burgess, S) == outside
-            assert list(constants._shared) == [(constants.KIND_ERDOS_BURGESS, letters)]
-            free = constants._free_masks(letters, k)
+        assert calls == [k]
+        free = constants._free_masks(letters, k)
         assert calls == [k, k]
         best = max(free, key=len)
         assert (len(best) + 1, tuple(alpha[i] for i in best)) == outside[:2]

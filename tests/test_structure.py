@@ -135,6 +135,29 @@ def test_component_product_rule(commutative_le4):
                 assert got == dec.meet(dec.component_of(a), dec.component_of(b))
 
 
+_BAD_IDS = [
+    ("mul", (-1, 0), "element a -1 outside semigroup of order 4"),
+    ("mul", (0, 9), "element b 9 outside semigroup of order 4"),
+    ("mul", (True, 0), "element a True is not an integer"),
+    ("component_of", (-1,), "element a -1 outside semigroup of order 4"),
+    ("component_of", (4,), "element a 4 outside semigroup of order 4"),
+    ("component_of", (True,), "element a True is not an integer"),
+    ("meet", (-1, 0), "component i -1 outside the 2 components"),
+    ("meet", (True, 0), "component i True is not an integer"),
+    ("meet", (0, 5), "component j 5 outside the 2 components"),
+]
+
+
+@pytest.mark.parametrize("method, args, message", _BAD_IDS, ids=[f"{m}{args}" for m, args, _ in _BAD_IDS])
+def test_bad_element_and_component_ids_are_refused_by_name(method, args, message):
+    # a negative id would read from the end of a row, and a bool as 0 or 1
+    S = group_nil_chain(2, 2)
+    owner = S if method == "mul" else archimedean_decomposition(S)
+    with pytest.raises(InvalidParameters) as exc:
+        getattr(owner, method)(*args)
+    assert str(exc.value) == message
+
+
 def test_chain_check_rejects_vee():
     V = vee_semilattice()
     dec = archimedean_decomposition(V)
@@ -440,7 +463,7 @@ def test_family_case_decomposes_and_classifies_each_component_once(monkeypatch):
     for spec in enumerate_extremal_specs(max_components=3, max_terms=6):
         before = dict(counts)
         S, T = extremal_pair(spec)
-        assert _family_case(spec, S, T.terms)["ok"]
+        assert _family_case({}, spec, S, T.terms)["ok"]
         assert counts["fill"] - before["fill"] <= 1
         assert counts["kind"] - before["kind"] == counts["components"] - before["components"]
         filled += counts["fill"] - before["fill"]

@@ -3,7 +3,7 @@ import multiprocessing
 import random
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -29,14 +29,14 @@ def _order5_sample(commutative_le5, k: int = 150, seed: int = 5):
 
 def test_equivalence_case_matches_word_by_word_reference(commutative_le4, commutative_le5):
     for S in commutative_le4 + _order5_sample(commutative_le5):
-        assert verify._equivalence_case(S) == oracles.reference_equivalence_case(S)
+        assert verify._equivalence_case({}, S) == oracles.reference_equivalence_case(S)
 
 
 def test_equivalence_case_matches_multiset_sweep(corpus_le4, commutative_le5):
     # the free and certified sets give the row of the sweep over every
     # multiset, on commutative and noncommutative tables alike
     for S in corpus_le4 + _order5_sample(commutative_le5, 500, seed=17):
-        assert verify._equivalence_case(S) == oracles.multiset_equivalence_case(S)
+        assert verify._equivalence_case({}, S) == oracles.multiset_equivalence_case(S)
 
 
 def test_equivalence_failure_records_match_reference(commutative_le4, monkeypatch):
@@ -84,7 +84,7 @@ def test_equivalence_failure_records_match_reference(commutative_le4, monkeypatc
     for S in commutative_le4:
         if all(S.table[a][a] == a for a in S.elements):
             continue
-        got = verify._equivalence_case(S)
+        got = verify._equivalence_case({}, S)
         assert got == oracles.reference_equivalence_case(S)
         assert got == oracles.multiset_equivalence_case(S)
         for key in totals:
@@ -109,22 +109,54 @@ def test_free_masks_are_the_naive_free_sequences(corpus_le4, commutative_le5):
         assert constants._free_masks(letters, k) == want
 
 
-def test_equivalence_walks_each_letter_table_once(corpus_le4, monkeypatch):
-    # inside the check's scope F is walked once per distinct letter table,
-    # and the check reads no other walk
-    calls = []
-    real = constants._any_order_walk
+_WALKS = ("_memo_walk", "_any_order_walk", "_bounded_walk")
+_CORPUS_CHECKS = {
+    "ghw-bound": verify.check_ghw_bound,
+    "strong-vs-weak": verify.check_strong_weak,
+    "extremal-equivalence": verify.check_extremal_equivalence,
+}
 
-    def counted(rows, k):
-        calls.append(tuple(v for row in rows for v in row))
-        return real(rows, k)
 
-    monkeypatch.setattr(constants, "_any_order_walk", counted)
-    assert verify.check_extremal_equivalence(corpus_le4)["failed"] == 0
-    assert constants._shared is None
-    distinct = {constants._letter_table(S)[1] for S in corpus_le4}
-    assert len(calls) == len(set(calls)) == len(distinct) < len(corpus_le4)
-    assert set(calls) == distinct
+@pytest.mark.parametrize(
+    "check, corpus, walks",
+    [
+        ("ghw-bound", "commutative_le5", {"_memo_walk": 1057}),
+        ("ghw-bound", "corpus_le4", {"_memo_walk": 98}),
+        ("strong-vs-weak", "commutative_le5", {"_memo_walk": 2114}),
+        ("strong-vs-weak", "corpus_le4", {"_memo_walk": 168, "_any_order_walk": 28}),
+        ("extremal-equivalence", "commutative_le5", {"_any_order_walk": 1057}),
+        ("extremal-equivalence", "corpus_le4", {"_any_order_walk": 98}),
+        ("extremal-families", None, {"_bounded_walk": 1074}),
+    ],
+    ids=["ghw-c5", "ghw-l4", "strong-weak-c5", "strong-weak-l4", "equivalence-c5", "equivalence-l4", "families-3-8"],
+)
+def test_sharing_checks_walk_each_letter_table_once(check, corpus, walks, request, monkeypatch):
+    # each sharing check walks once per kind and distinct letter table, and
+    # reads no other walk: the 31 940 commutative tables of order <= 5 have
+    # 1 057 letter tables, the 3 614 labelled tables of order <= 4 have 98,
+    # 28 of them with letters that do not commute, whose I is the any-order
+    # walk, and the 3 627 chains of the (3, 8) families have 1 074
+    calls = dict.fromkeys(_WALKS, 0)
+
+    def counting(name, walk):
+        def counted(*args):
+            calls[name] += 1
+            return walk(*args)
+
+        return counted
+
+    for name in _WALKS:
+        monkeypatch.setattr(constants, name, counting(name, getattr(constants, name)))
+    if corpus is None:
+        got = verify.check_extremal_families(max_components=3, max_terms=8)
+        assert (got["instances"], got["failed"]) == (7254, 0)
+    else:
+        tables = request.getfixturevalue(corpus)
+        got = _CORPUS_CHECKS[check](tables)
+        assert (got["instances"], got["failed"]) == (len(tables), 0)
+        distinct = {constants._letter_table(S)[1] for S in tables}
+        assert len(distinct) == {"commutative_le5": 1057, "corpus_le4": 98}[corpus]
+    assert calls == {**dict.fromkeys(_WALKS, 0), **walks}
 
 
 @pytest.mark.parametrize("max_components, max_terms", [(1, 0), (2, 3), (3, 8), (4, 10)])
@@ -156,24 +188,24 @@ def test_families_check_glues_each_chain_once(monkeypatch):
 
 
 def test_families_failures_come_back_in_spec_order(monkeypatch):
-    # I(S) is misread on tables of odd order whose last element is an
-    # identity: identity twins, and plain cyclic groups of odd order. The
-    # families check must report the failures that a plain loop over the
-    # specs, each building its own pair, reports, in the same order,
+    # weak freeness is misread on tables of odd order whose last element
+    # is an identity: identity twins, and plain cyclic groups of odd order.
+    # The families check must report the failures that a plain loop over
+    # the specs, each building its own pair, reports, in the same order,
     # serially and through the pool
     from idemfree.construct import extremal_pair
 
-    real_weak = verify._weak_value
+    real_free = verify._weakly_free
 
-    def weak(S):
-        return real_weak(S) + (S.order % 2 == 1 and S.table[-1] == tuple(S.elements))
+    def weakly_free(S, terms):
+        return real_free(S, terms) != (S.order % 2 == 1 and S.table[-1] == tuple(S.elements))
 
-    monkeypatch.setattr(verify, "_weak_value", weak)
+    monkeypatch.setattr(verify, "_weakly_free", weakly_free)
     specs = verify.enumerate_extremal_specs(2, 5)
     reference = []
     for spec in specs:
         S, T = extremal_pair(spec)
-        row = verify._family_case(spec, S, T.terms)
+        row = verify._family_case({}, spec, S, T.terms)
         if not row["ok"]:
             reference.append(row["failure"])
     assert {f["spec"]["adjoinIdentity"] for f in reference} == {False, True} and len(reference) < len(specs)
@@ -199,59 +231,12 @@ def test_extremal_spec_bounds_are_integers():
         verify.check_extremal_families(max_terms=-1)
 
 
-def test_sharing_scope_lives_for_one_check(corpus_le3):
-    seen = []
-
-    def watching_map(fn, items):
-        for item in items:
-            seen.append(constants._shared)
-            yield fn(item)
-
-    for check in (verify.check_ghw_bound, verify.check_strong_weak, verify.check_extremal_equivalence):
-        seen.clear()
-        assert check(corpus_le3, watching_map)["failed"] == 0
-        # one scope for the whole lazy map, holding the reports searched
-        assert seen and all(memo is seen[0] for memo in seen) and seen[0]
-        assert constants._shared is None
-    seen.clear()
-    verify.check_extremal_families(watching_map, max_components=1, max_terms=3)
-    assert seen and all(memo is seen[0] for memo in seen)
-    assert constants._shared is None
-
-    def failing_map(fn, items):
-        yield fn(items[0])
-        raise RuntimeError("stop")
-
-    with pytest.raises(RuntimeError, match="stop"):
-        verify.check_ghw_bound(corpus_le3, failing_map)
-    assert constants._shared is None
-
-
-def test_nested_sharing_scope_reuses_the_outer_one():
-    with constants._sharing():
-        outer = constants._shared
-        constants.erdos_burgess(cyclic_group(4))
-        with constants._sharing():
-            assert constants._shared is outer
-        assert constants._shared is outer and len(outer) == 1
-    assert constants._shared is None
-
-
-def _scope_open(_item) -> bool:
-    return constants._shared is not None
-
-
-def test_pool_map_keeps_rows_in_order_and_opens_one_scope_per_batch():
+def test_pool_map_keeps_rows_in_order():
     # 21 items over 2 workers make batches of 2 and a last batch of 1
     with ProcessPoolExecutor(max_workers=2) as executor:
         pool_map = verify._PoolMap(executor, 2)
         for items in ([], [5], list(range(-10, 11))):
             assert list(pool_map(abs, items)) == list(map(abs, items))
-        assert list(pool_map(_scope_open, range(21))) == [True] * 21
-    # a worker forked while its parent has a scope open starts outside it
-    with constants._sharing():
-        with ProcessPoolExecutor(max_workers=1) as executor:
-            assert executor.submit(_scope_open, 0).result(timeout=60) is False
 
 
 def test_fan_out_starts_at_most_one_process_per_cpu(monkeypatch):
@@ -344,29 +329,11 @@ def test_verifier_import_loads_no_typing():
     assert proc.stdout == "[]\n"
 
 
-def test_sharing_scope_across_threads(corpus_le3):
-    # 8 threads on 2 cores, switching every microsecond, share one scope
-    # while they search each table four times: every report they look up
-    # or store must be the report searched outside a scope
-    def reports(S):
-        return constants.erdos_burgess(S), constants.strong_erdos_burgess(S)
-
-    serial = list(map(reports, corpus_le3))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with constants._sharing(), ThreadPoolExecutor(max_workers=8) as pool:
-            threaded = list(pool.map(reports, corpus_le3 * 4, timeout=120))
-    finally:
-        sys.setswitchinterval(interval)
-    assert threaded == serial * 4
-
-
 def test_ghw_bound_check_reports_a_search_past_the_bound(monkeypatch):
     # a strong walk that returned one more than |S \ E(S)| + 1 must become
     # a failure record, not an abort, whether the value the check reads or
     # the walk behind it is past the bound
-    real = verify._shared_walk
+    real = verify._walk
     S = cyclic_group(3)
     record = [{"table": [v for row in S.table for v in row], "si": 4, "bound": 3}]
 
@@ -374,7 +341,7 @@ def test_ghw_bound_check_reports_a_search_past_the_bound(monkeypatch):
         _, positions, nodes = real(letters, k, kind)
         return k + 2, positions, nodes
 
-    monkeypatch.setattr(verify, "_shared_walk", past_bound)
+    monkeypatch.setattr(verify, "_walk", past_bound)
     got = verify.check_ghw_bound([S])
     assert (got["instances"], got["passed"], got["failed"], got["failures"]) == (1, 0, 1, record)
     monkeypatch.undo()
@@ -396,13 +363,13 @@ def test_strong_weak_check_reports_a_weak_value_above_the_strong_one(monkeypatch
     S = FiniteSemigroup([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 1]])
     assert S.table[2][3] != S.table[3][2]
     record = [{"table": [v for row in S.table for v in row], "i": 4, "si": 3}]
-    real = verify._shared_walk
+    real = verify._walk
 
     def weak_too_large(letters, k, kind):
         value, positions, nodes = real(letters, k, kind)
         return value + (kind == constants.KIND_ERDOS_BURGESS), positions, nodes
 
-    monkeypatch.setattr(verify, "_shared_walk", weak_too_large)
+    monkeypatch.setattr(verify, "_walk", weak_too_large)
     got = verify.check_strong_weak([S])
     assert (got["instances"], got["passed"], got["failed"], got["failures"]) == (1, 0, 1, record)
     monkeypatch.undo()
@@ -418,25 +385,24 @@ def test_strong_weak_check_reports_a_weak_value_above_the_strong_one(monkeypatch
 
 
 def test_value_cases_read_the_values_of_the_public_searches(corpus_le3, corpus_le4, monkeypatch):
-    # ghw-bound and strong-vs-weak read values inside one sharing scope,
+    # ghw-bound and strong-vs-weak read values through one memo per check,
     # from one letter table per case; each must be the value of the public
-    # search on that table, run outside any scope
+    # search on that table
     strong = constants.KIND_STRONG_ERDOS_BURGESS
-    real = verify._shared_walk
+    real = verify._memo
     read = []
 
-    def spy(letters, k, kind):
-        found = real(letters, k, kind)
-        read.append((kind, found[0]))
+    def spy(memo, key, compute, *args):
+        found = real(memo, key, compute, *args)
+        read.append((key[0], found[0]))
         return found
 
     for corpus in (corpus_le3, corpus_le4):
         read.clear()
-        monkeypatch.setattr(verify, "_shared_walk", spy)
+        monkeypatch.setattr(verify, "_memo", spy)
         assert verify.check_ghw_bound(corpus)["failed"] == 0
         assert verify.check_strong_weak(corpus)["failed"] == 0
         monkeypatch.undo()
-        assert constants._shared is None
         si = [(strong, constants.strong_erdos_burgess(S).value) for S in corpus]
         i = [(constants.KIND_ERDOS_BURGESS, constants.erdos_burgess(S).value) for S in corpus]
         assert read == si + [pair for both in zip(i, si) for pair in both]
@@ -445,11 +411,10 @@ def test_value_cases_read_the_values_of_the_public_searches(corpus_le3, corpus_l
 def test_only_the_value_checks_use_the_bounded_search(corpus_le3, monkeypatch):
     # ghw-bound and strong-vs-weak run the exhaustive searches, which must
     # not rest on the lemma behind the bound
-    def refuse(S):
+    def refuse(*args):
         raise AssertionError("bounded search called")
 
-    monkeypatch.setattr(constants, "_weak_value", refuse)
-    monkeypatch.setattr(verify, "_weak_value", refuse)
+    monkeypatch.setattr(constants, "_bounded_walk", refuse)
     assert verify.check_ghw_bound(corpus_le3)["failed"] == 0
     assert verify.check_strong_weak(corpus_le3)["failed"] == 0
     with pytest.raises(AssertionError, match="bounded search called"):
@@ -457,14 +422,20 @@ def test_only_the_value_checks_use_the_bounded_search(corpus_le3, monkeypatch):
 
 
 def test_bounded_result_never_serves_a_report():
-    # in one scope, a stored bounded value must not stand in for the
-    # report, whose node count is the plain tree's: 5 + 3 on C3
-    c3 = cyclic_group(3)
-    with constants._sharing():
-        assert constants._weak_value(c3) == 3
-        assert constants.erdos_burgess(c3).nodes_explored == 8
-        assert constants._weak_value(c3) == 3
-        assert len(constants._shared) == 2
+    # in one memo, the bounded value a families case stores must not stand
+    # in for the report, whose node count is the plain tree's: 5 + 3 on C3
+    from idemfree.construct import ExtremalSpec, Monogenic, extremal_pair
+
+    spec = ExtremalSpec((Monogenic(1, 3),))
+    c3, T = extremal_pair(spec)
+    assert c3 == cyclic_group(3)
+    alpha, letters = constants._letter_table(c3)
+    kind = constants.KIND_ERDOS_BURGESS
+    memo = {}
+    assert verify._family_case(memo, spec, c3, T.terms)["ok"]
+    assert verify._memo(memo, (kind, letters), constants._walk, letters, len(alpha), kind)[2] == 8
+    assert verify._family_case(memo, spec, c3, T.terms)["ok"]
+    assert list(memo) == [("value", letters), (kind, letters)]
 
 
 def test_corpus_order_past_enum_cap_names_enum_cap_before_any_pool(monkeypatch):
