@@ -66,8 +66,9 @@ than a plain walk, its leaf entries included, too little to move a corpus
 check. I on letters that do not commute has the whole multiset as its
 state, so it streams F instead.
 
-Checks that read only I's value on a commutative table call
-``_weak_value``, which walks the I tree under a bound. Appending a term c
+A check that reads only I's value on a table that is commutative by
+construction, the extremal-families check of ``verify``, calls
+``_bounded_value``, which walks the I tree under a bound. Appending a term c
 to a free sequence T, with Tc free, adds at least one non-idempotent to the
 product set: if c and P(T)c lay in P(T), every power of c would, the
 idempotent one too. This lemma gives the Gillam-Hall-Williams bound
@@ -81,8 +82,9 @@ the walk builds no slice table, which would cost more than its few nodes
 (about six grows per family table). A cut tree
 has no fixed size, so the public reports keep the exhaustive walk, whose
 nodesExplored the tests pin as the size of the plain tree; ghw-bound checks
-the lemma, so it must not assume it; and strong-vs-weak cross-checks the
-two exhaustive searches.
+the lemma, so it must not assume it; strong-vs-weak cross-checks the two
+exhaustive searches; and example-formulas reads I from ``erdos_burgess``,
+so its closed form does not rest on the lemma either.
 
 A free search reads only the letter table of ``_letter_table``: the
 k * k products among the k non-idempotents alpha, each written as its
@@ -102,8 +104,9 @@ alpha of any table with that letter table instead of searching again:
 searches keep nothing and run on every call. ``_free_masks`` is F as a
 dict, on commutative tables too: the free set of the extremal-equivalence
 check, the one caller that keeps F. ``_bounded_value`` is the bounded
-walk's value over a letter table, with no witness or node count. D walks
-S itself: irreducibility reads the products with idempotents too.
+walk's value over a letter table whose letters commute, with no witness or
+node count; its caller vouches that they commute. D walks S itself:
+irreducibility reads the products with idempotents too.
 
 Each walk is a recursive closure, which refers to itself through its own
 cell. A walk drops that reference when it ends, on a refusal too, so
@@ -439,17 +442,6 @@ def _free_search(S: FiniteSemigroup, kind: str) -> ConstantReport:
     alpha, letters = _letter_table(S)
     value, positions, nodes = _walk(letters, len(alpha), kind)
     return ConstantReport(kind, value, Seq(tuple([alpha[i] for i in positions])), nodes)
-
-
-def _weak_value(S: FiniteSemigroup) -> int:
-    """I(S) on a commutative S, from the bounded walk over its letter table:
-    the value of ``erdos_burgess``, without a witness or a node count
-    (module docstring).
-    """
-    if not is_commutative(S):
-        raise NotCommutative("the bounded I search is defined for commutative semigroups")
-    alpha, letters = _letter_table(S)
-    return _bounded_value(letters, len(alpha))
 
 
 def _bounded_value(letters: tuple[int, ...], k: int) -> int:

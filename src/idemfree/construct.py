@@ -340,9 +340,10 @@ def enumerate_semigroups(
     - v = b pushes (a, b) to pre[b]: (aa)b = v, the yz scan at x = a;
       and its mirror (b, a): (ab)a = ba = v.
     So the scans do not read the stacks, and a cell is pushed only once the
-    walk moves past it. The stream is unchanged, and so are resume_from and
-    dedup_iso. With commutative_only every table emitted is marked
-    commutative, so is_commutative does not scan it.
+    walk moves past it. The stream is unchanged, and so is resume_from;
+    dedup_iso keeps only the tables that are their own canonical form. With
+    commutative_only every table emitted is marked commutative, so
+    is_commutative does not scan it.
 
     Order 5 must be requested explicitly via max_order=5 (the README gives
     its running time); nothing beyond 5 is supported. resume_from restarts
@@ -368,10 +369,12 @@ def enumerate_semigroups(
     for v in prefix:
         if not 0 <= v < n:
             raise InvalidParameters(f"resume cell {v} is not in [0, {n})")
-    return _walk(n, commutative_only, dedup_iso, prefix)
+    stream = _walk(n, commutative_only, prefix)
+    # a generator, not filter(), so the stream keeps its close()
+    return (S for S in stream if _is_canonical(S)) if dedup_iso else stream
 
 
-def _walk(n: int, commutative_only: bool, dedup_iso: bool, prefix: tuple[int, ...]):
+def _walk(n: int, commutative_only: bool, prefix: tuple[int, ...]):
     """The stream of ``enumerate_semigroups`` for checked arguments."""
     table = [[-1] * n for _ in range(n)]
     # pre[v] holds the assigned cells (x, y) with x*y = v; only the forward
@@ -489,8 +492,7 @@ def _walk(n: int, commutative_only: bool, dedup_iso: bool, prefix: tuple[int, ..
                         if commutative_only:
                             # every cell was set together with its mirror
                             S._commutative = True
-                        if not dedup_iso or _is_canonical(S):
-                            yield S
+                        yield S
             v += 1
         else:
             ta[b] = -1

@@ -6,9 +6,10 @@ resulting logs are byte-identical regardless of worker count. Elapsed time
 is deliberately kept out of the log payload. The pool stack
 (``concurrent.futures``, ``multiprocessing``) loads on the first pooled
 run, in ``_fan_out``: importing this module, and a serial run, never load
-it. The pooled map, ``_PoolMap``, returns an iterator like the builtin
-map: it submits every batch at the call and hands back one batch of rows
-at a time, so the parent never holds all of a check's rows.
+it. The pooled map, ``_PoolMap``, is the executor's own map in chunks of
+consecutive items. Like the builtin map it returns an iterator: it submits
+every chunk at the call and hands back one chunk of rows at a time, so the
+parent never holds all of a check's rows.
 
 The extremal-families check maps one case over each chain's pair of
 specs, plain and with an adjoined identity, which the spec enumeration
@@ -25,19 +26,22 @@ extremal-families checks bind a fresh dict to their case's first
 argument with ``functools.partial``, and ``_memo`` keeps each walk's
 result there under its kind and letter table. A stored result is the one
 the walk would return, so the logs do not change. A serial check fills
-one memo; a pool pickles the case with each batch, so each batch fills
+one memo; a pool pickles the case with each chunk, so each chunk fills
 its own copy.
 
-The extremal-families and example-formulas checks read only I's value on
-commutative tables, so they take the walk of ``constants._bounded_value``,
-cut by the product-set growth bound and stopped at the GHW cap. ghw-bound
-tests that bound, and strong-vs-weak cross-checks the exhaustive searches,
-so both run the exhaustive I and SI walks, through
-``constants._walk``, the walk dispatch behind ``erdos_burgess`` and
-``strong_erdos_burgess``. The letter table alone picks each walk there, so
-no check decides it; strong-vs-weak reads ``is_commutative`` only for its
-equality test, when I and SI differ. They read values only: a case builds its table's letter
-table once, for both of strong-vs-weak's walks, and no report.
+The extremal-families check reads only I's value, on tables that are
+commutative by construction, so it takes the walk of
+``constants._bounded_value``, cut by the product-set growth bound and
+stopped at the GHW cap. The other checks do not rest on that bound:
+example-formulas reads I from ``erdos_burgess``, the exhaustive search;
+ghw-bound tests the bound; and strong-vs-weak cross-checks the exhaustive
+searches. ghw-bound and strong-vs-weak run the exhaustive I and SI walks
+through ``constants._walk``, the walk dispatch behind ``erdos_burgess``
+and ``strong_erdos_burgess``. The letter table alone picks each walk
+there, so no check decides it; strong-vs-weak reads ``is_commutative``
+only for its equality test, when I and SI differ. They read values only:
+a case builds its table's letter table once, for both of strong-vs-weak's
+walks, and no report.
 
 The extremal-equivalence check never visits every word of length
 k = |S \\ E(S)|. Freeness and the certificate depend only on the multiset
@@ -71,8 +75,8 @@ from .constants import (
     _free_masks,
     _letter_table,
     _walk,
-    _weak_value,
     davenport,
+    erdos_burgess,
     ghw_bound,
 )
 from .construct import (
@@ -97,16 +101,6 @@ from .core import (
 )
 from .seqprod import _weakly_free
 from .structure import _certify, _main_form, _support
-
-CHECK_IDS = (
-    "ghw-bound",
-    "extremal-equivalence",
-    "extremal-families",
-    "example-formulas",
-    "strong-vs-weak",
-    "nil-product-lemma",
-)
-
 
 def _orders(max_order, enum_cap) -> tuple[int, int]:
     """max_order and enum_cap as ints, with max_order at least 1."""
@@ -360,7 +354,7 @@ def enumerate_extremal_specs(max_components: int = 3, max_terms: int = 10) -> li
     extended only while its budget allows. Group-by-nil parts have nil index
     and group order at most 4. The chains share the catalog's part objects,
     so each part's table is built once for all the specs, and once per
-    batch when a process pool pickles them."""
+    chunk when a process pool pickles them."""
     max_components = _index(max_components, "max_components")
     max_terms = _index(max_terms, "max_terms")
     if max_components < 1:
@@ -407,7 +401,7 @@ def check_extremal_families(map_fn=map, max_components: int = 3, max_terms: int 
 def _formula_case(params: tuple[int, int]) -> dict:
     n1, n2 = params
     S = group_nil_chain(n1, n2)
-    got_i = _weak_value(S)
+    got_i = erdos_burgess(S).value
     got_d = davenport(S).value
     want_i = (n1 - 1) + (n2 - 1) + 1
     want_d = max(n1, n2 + 1)
@@ -422,7 +416,7 @@ def _formula_case(params: tuple[int, int]) -> dict:
 
 def check_example_formulas(map_fn=map) -> dict:
     """Group-over-nil chains, 2 <= n1, n2 <= 5, match the closed-form
-    constants via search."""
+    constants via the exhaustive I and D searches."""
     params = [(n1, n2) for n1 in range(2, 6) for n2 in range(2, 6)]
     return _aggregate("example-formulas", map_fn(_formula_case, params))
 
@@ -466,27 +460,33 @@ def check_nil_lemma(commutative_semigroups, map_fn=map) -> dict:
     return _aggregate("nil-product-lemma", map_fn(_nil_case, nils))
 
 
-def _batch(fn, items) -> list:
-    """One pool task: fn over a batch of items."""
-    return [fn(item) for item in items]
-
-
 class _PoolMap:
-    """Order-preserving map over a process pool, in batches of consecutive
-    items; each batch unpickles its own copy of fn, and of any memo bound
-    to it (module docstring). Like the builtin map, it
-    returns an iterator: every batch is submitted at the call, and the rows
-    come back one batch at a time as they are read."""
+    """Order-preserving map over a process pool: the executor's own map, in
+    chunks of consecutive items. Each chunk unpickles its own copy of fn,
+    and of any memo bound to it (module docstring). Like the builtin map, it
+    returns an iterator: every chunk is submitted at the call, and the rows
+    come back one chunk at a time as they are read."""
 
-    def __init__(self, executor: ProcessPoolExecutor, workers: int):
+    def __init__(self, executor, workers: int):
         self.executor = executor
         self.workers = workers
 
     def __call__(self, fn, items):
         items = list(items)
-        chunk = max(1, len(items) // (self.workers * 4))
-        batches = [items[i:i + chunk] for i in range(0, len(items), chunk)]
-        return itertools.chain.from_iterable(self.executor.map(_batch, [fn] * len(batches), batches))
+        return self.executor.map(fn, items, chunksize=max(1, len(items) // (self.workers * 4)))
+
+
+# each check's tables: the corpus, its commutative tables, or None for a
+# check that builds its own inputs
+_CHECKS = {
+    "ghw-bound": ("corpus", check_ghw_bound),
+    "extremal-equivalence": ("commutative", check_extremal_equivalence),
+    "extremal-families": (None, check_extremal_families),
+    "example-formulas": (None, check_example_formulas),
+    "strong-vs-weak": ("corpus", check_strong_weak),
+    "nil-product-lemma": ("commutative", check_nil_lemma),
+}
+CHECK_IDS = tuple(_CHECKS)
 
 
 def _processes(workers: int) -> int:
@@ -499,7 +499,7 @@ def _processes(workers: int) -> int:
 def _fan_out(workers: int):
     """An order-preserving map for `workers` workers: the builtin map at one
     worker, otherwise a _PoolMap over a fresh pool of _processes(workers)
-    processes, batched for the processes the pool has. The batches decide
+    processes, chunked for the processes the pool has. The chunks decide
     only which tables share a memo, and a stored result is the one a fresh
     search returns, so the log is the same at every worker count. Only a
     pooled run imports the pool stack."""
@@ -544,25 +544,20 @@ def run_verification(
     repeated = sorted({c for c in selected if selected.count(c) > 1})
     if repeated:
         raise InvalidParameters(f"repeated checks: {repeated}; name each check once")
-    needs_corpus = bool({"ghw-bound", "extremal-equivalence", "strong-vs-weak", "nil-product-lemma"} & set(selected))
+    needs_corpus = any(_CHECKS[c][0] for c in selected)
     if needs_corpus:
         _check_enum_order(max_order, enum_cap, "enum_cap")
 
     with _fan_out(workers) as map_fn:
         corpus: list[FiniteSemigroup] = []
-        commutative: list[FiniteSemigroup] = []
+        inputs = {}
         if needs_corpus:
             corpus = build_corpus(max_order, commutative_only=commutative_only, enum_cap=enum_cap)
-            commutative = [S for S in corpus if is_commutative(S)]
-        runs = {
-            "ghw-bound": lambda: check_ghw_bound(corpus, map_fn),
-            "extremal-equivalence": lambda: check_extremal_equivalence(commutative, map_fn),
-            "extremal-families": lambda: check_extremal_families(map_fn),
-            "example-formulas": lambda: check_example_formulas(map_fn),
-            "strong-vs-weak": lambda: check_strong_weak(corpus, map_fn),
-            "nil-product-lemma": lambda: check_nil_lemma(commutative, map_fn),
-        }
-        check_results = [runs[check]() for check in selected]
+            inputs = {"corpus": corpus, "commutative": [S for S in corpus if is_commutative(S)]}
+        check_results = []
+        for check in selected:
+            tables, run = _CHECKS[check]
+            check_results.append(run(map_fn) if tables is None else run(inputs[tables], map_fn))
 
     instances = sum(r["instances"] for r in check_results)
     passed = sum(r["passed"] for r in check_results)

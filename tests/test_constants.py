@@ -49,6 +49,12 @@ from idemfree.verify import _memo, enumerate_extremal_specs
 SEARCHES = {"I": erdos_burgess, "SI": strong_erdos_burgess, "D": davenport}
 
 
+def _bounded_i(S):
+    # I(S) from the bounded walk over the letter table, on a commutative S
+    alpha, letters = constants._letter_table(S)
+    return constants._bounded_value(letters, len(alpha))
+
+
 def test_ghw_bound():
     assert ghw_bound(cyclic_group(5)) == 5
     assert ghw_bound(group_nil_chain(2, 2)) == 3
@@ -178,17 +184,15 @@ def _assert_reports_match_reference(S, kinds=("I", "SI", "D")):
         want = reference_search(kind, S)
         assert got == want, (kind, S.table)
         if kind == "I" and is_commutative(S):
-            assert constants._weak_value(S) == want[0], S.table
+            assert _bounded_i(S) == want[0], S.table
 
 
 def test_weak_value_on_tiny_alphabets():
     # a band has no letters: value 1; C2 and monogenic(2, 1) have one
     # letter, which is free alone
     for S, want in ((vee_semilattice(), 1), (cyclic_group(2), 2), (monogenic(2, 1), 2)):
-        assert constants._weak_value(S) == want
+        assert _bounded_i(S) == want
         _assert_reports_match_reference(S, ("I",))
-    with pytest.raises(NotCommutative):
-        constants._weak_value(left_zero_semigroup(2))
 
 
 def test_weak_value_stops_at_the_cap(monkeypatch):
@@ -221,12 +225,12 @@ def test_weak_value_stops_at_the_cap(monkeypatch):
 
     monkeypatch.setattr(constants, "_packed_rows", watching)
     c7 = cyclic_group(7)
-    assert constants._weak_value(c7) == 7
+    assert _bounded_i(c7) == 7
     assert [letter for _, letter in reads] == [0, 1, 2, 3, 4]
     assert root_descents(c7) == [0]
     reads.clear()
     S = relabel(FiniteSemigroup([[a ^ b for b in range(8)] for a in range(8)]), 3)
-    assert constants._weak_value(S) == 4 == reference_search("I", S)[0]
+    assert _bounded_i(S) == 4 == reference_search("I", S)[0]
     assert root_descents(S) == [a for a in S.elements if S.table[a][a] != a]
 
 
@@ -412,7 +416,7 @@ def test_free_searches_read_the_letter_table_not_s():
         for kind, nodes in (("I", 399), ("SI", 25_690)):
             r = SEARCHES[kind](S)
             assert (r.value, r.witness.terms, r.nodes_explored) == (8, (0, 0, 2, 2, last, last, last), nodes)
-    for search in (constants._weak_value, erdos_burgess, strong_erdos_burgess):
+    for search in (_bounded_i, erdos_burgess, strong_erdos_burgess):
         tracemalloc.start()
         try:
             search(big)
@@ -420,7 +424,7 @@ def test_free_searches_read_the_letter_table_not_s():
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20, (search.__name__, peak)
-    assert constants._weak_value(big) == 8
+    assert _bounded_i(big) == 8
 
 
 def test_searches_leave_no_cyclic_garbage(monkeypatch):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import multiprocessing
 import random
@@ -231,19 +232,32 @@ def test_extremal_spec_bounds_are_integers():
         verify.check_extremal_families(max_terms=-1)
 
 
+def _remember(seen: dict, item) -> int:
+    seen[item] = True
+    return len(seen)
+
+
 def test_pool_map_keeps_rows_in_order():
-    # 21 items over 2 workers make batches of 2 and a last batch of 1
+    # 21 items over 2 workers make chunks of 2 and a last chunk of 1; each
+    # chunk unpickles its own copy of a dict bound to the function, as a
+    # check's memo is, so the sizes restart at every chunk, and the
+    # parent's dict is never written
+    seen = {}
     with ProcessPoolExecutor(max_workers=2) as executor:
         pool_map = verify._PoolMap(executor, 2)
         for items in ([], [5], list(range(-10, 11))):
             assert list(pool_map(abs, items)) == list(map(abs, items))
+        assert list(pool_map(functools.partial(_remember, seen), range(21))) == [1, 2] * 10 + [1]
+    assert seen == {}
 
 
 def test_fan_out_starts_at_most_one_process_per_cpu(monkeypatch):
     # the pool forks all its processes at its first task, so a large
     # worker count must not reach it; an in-process stand-in records the
-    # size asked for, and the batches follow that size, not the request
-    sizes = []
+    # size asked for and the chunk size of each map, and the chunks follow
+    # the pool's size, not the request: 21 items make chunks of 1, 2 and 5
+    # at 3, 2 and 1 processes
+    sizes, chunks = [], []
 
     class InProcessPool:
         def __init__(self, max_workers):
@@ -255,18 +269,21 @@ def test_fan_out_starts_at_most_one_process_per_cpu(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
+        def map(self, fn, *iterables, chunksize=1):
+            chunks.append(chunksize)
             return map(fn, *iterables)
 
     # _fan_out imports the pool class when it opens a pool, so the stand-in
     # replaces it where that import finds it
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
-    for cpus, workers, size in ((3, 5000, 3), (3, 2, 2), (None, 5000, 1)):
+    for cpus, workers, size, chunk in ((3, 5000, 3, 1), (3, 2, 2, 2), (None, 5000, 1, 5)):
         monkeypatch.setattr(verify.os, "cpu_count", lambda n=cpus: n)
         with verify._fan_out(workers) as map_fn:
             assert map_fn.workers == size
             assert list(map_fn(abs, range(-10, 11))) == list(map(abs, range(-10, 11)))
         assert sizes.pop() == size
+        assert chunks == [chunk]
+        chunks.clear()
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
     serial = verify.run_verification(max_order=3, checks=["ghw-bound", "strong-vs-weak"])
     assert verify.run_verification(max_order=3, checks=["ghw-bound", "strong-vs-weak"], workers=5000) == serial
@@ -409,14 +426,16 @@ def test_value_cases_read_the_values_of_the_public_searches(corpus_le3, corpus_l
 
 
 def test_only_the_value_checks_use_the_bounded_search(corpus_le3, monkeypatch):
-    # ghw-bound and strong-vs-weak run the exhaustive searches, which must
-    # not rest on the lemma behind the bound
+    # ghw-bound, strong-vs-weak and example-formulas run the exhaustive
+    # searches, which must not rest on the lemma behind the bound
     def refuse(*args):
         raise AssertionError("bounded search called")
 
     monkeypatch.setattr(constants, "_bounded_walk", refuse)
     assert verify.check_ghw_bound(corpus_le3)["failed"] == 0
     assert verify.check_strong_weak(corpus_le3)["failed"] == 0
+    got = verify.check_example_formulas()
+    assert (got["instances"], got["failed"]) == (16, 0)
     with pytest.raises(AssertionError, match="bounded search called"):
         verify.check_extremal_families(max_components=1, max_terms=3)
 
