@@ -179,6 +179,16 @@ def _parse_component(text: str):
     raise SemigroupError(f"unknown component kind {kind!r}; expected mono or gbn")
 
 
+# each gen family but extremal, with its number of integer parameters
+_FAMILIES = {
+    "cyclic-group": (1, construct.cyclic_group),
+    "cyclic-nil": (1, construct.cyclic_nil),
+    "monogenic": (2, monogenic),
+    "ideal-extension": (2, construct.trivial_ideal_extension),
+    "group-nil-chain": (2, construct.group_nil_chain),
+}
+
+
 def cmd_gen(args) -> int:
     family = args.family
     params = args.params
@@ -199,18 +209,11 @@ def cmd_gen(args) -> int:
         print(f"wrote {args.out}.table and {args.out}.seq", file=sys.stderr)
         return 0
 
-    builders = {
-        "cyclic-group": (1, construct.cyclic_group),
-        "cyclic-nil": (1, construct.cyclic_nil),
-        "monogenic": (2, monogenic),
-        "ideal-extension": (2, construct.trivial_ideal_extension),
-        "group-nil-chain": (2, construct.group_nil_chain),
-    }
     flags = {"--component": args.component, "--adjoin-identity": args.adjoin_identity}
     ignored = [flag for flag, given in flags.items() if given]
     if ignored:
         raise SemigroupError(f"family {family} takes no {' or '.join(ignored)}; only extremal generation does")
-    arity, build = builders[family]
+    arity, build = _FAMILIES[family]
     if len(params) != arity:
         raise SemigroupError(f"family {family} takes {arity} integer parameter(s), got {len(params)}")
     S = build(*params)
@@ -294,10 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("gen", help="emit a family table (and sequence, for extremal pairs)")
-    p.add_argument(
-        "family",
-        choices=["cyclic-group", "cyclic-nil", "monogenic", "ideal-extension", "group-nil-chain", "extremal"],
-    )
+    p.add_argument("family", choices=[*_FAMILIES, "extremal"])
     p.add_argument("params", nargs="*", type=int)
     p.add_argument("--component", action="append", default=None, help="extremal part: mono:I,P or gbn:N,P")
     p.add_argument("--adjoin-identity", action="store_true")

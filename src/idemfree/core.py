@@ -191,10 +191,7 @@ def _idem_mask(S: FiniteSemigroup) -> int:
 
 def is_commutative(S: FiniteSemigroup) -> bool:
     if S._commutative is None:
-        t = S.table
-        S._commutative = all(
-            t[a][b] == t[b][a] for a in S.elements for b in range(a + 1, S.order)
-        )
+        S._commutative = S.table == tuple(zip(*S.table))
     return S._commutative
 
 

@@ -5,10 +5,10 @@ partitions the elements into archimedean components ordered by a lower
 semilattice. In a finite one, a and b are mutually divisible exactly when
 they have the same idempotent power, so there is one component per
 idempotent e, the elements whose idempotent power is e, and the component
-of e lies below that of f exactly when e * f = e (_decompose gives the
-proof). Each component is an ideal extension of an abelian group (its
-kernel e * S_e) by a nilsemigroup, glued by the partial homomorphism
-a -> a * e.
+of e lies below that of f exactly when e * f = e
+(``archimedean_decomposition`` gives the proof). Each component is an
+ideal extension of an abelian group (its kernel e * S_e) by a
+nilsemigroup, glued by the partial homomorphism a -> a * e.
 
 The certificate checker decides whether a sequence of length |S \\ E(S)|
 has the structure that characterizes weak freeness at that length: a
@@ -20,29 +20,29 @@ multiplicities pinned to index + period - 2.
 Each extremal check has two entries. The public ``extremal_structure_check``
 and ``extremal_main_form`` check their terms once (``_checked_terms``: each
 an element of S, |S \\ E(S)| of them), build the record of their multiset
-(``_support``) and pass it to ``_certify`` or ``_main_form``, which read
-nothing else; the families and equivalence checks of ``verify`` build one
-record per multiset and call those directly. The record holds the sorted
-support, each generator's multiplicity, cyclic data and idempotent power,
-and its sets as bit masks over S's element ids: R, each generator's powers,
-and, once a verdict asks for it, R grouped by idempotent power with each
-component's kind. Each generator's power mask and idempotent power come
-from its one cyclic walk. A power of a generator has the generator's
-idempotent power, so the grouping ORs the generators' power masks by
-idempotent power and walks only the elements of R outside them
-(``_by_idempotent_power``, the grouping ``_decompose`` builds the
-archimedean decomposition from); once union-of-cycles holds there are
-none. So the complement, union and disjointness conditions, the component
-kinds and the main form's lower-absorbing chain are tests on ints.
+(``_Support(S, terms)``) and pass it to ``_certify`` or ``_main_form``,
+which read nothing else; the families and equivalence checks of ``verify``
+build one record per multiset and call those directly. The record holds the
+sorted support, each generator's multiplicity, cyclic data and idempotent
+power, and its sets as bit masks over S's element ids: R, each generator's
+powers, and, once a verdict asks for it, R grouped by idempotent power with
+each component's kind. Each generator's power mask and idempotent power
+come from its one cyclic walk. A power of a generator has the generator's
+idempotent power, so the grouping starts from the generators' power masks
+and walks only the elements of R outside them (``_by_idempotent_power``,
+the grouping ``archimedean_decomposition`` is built from); once
+union-of-cycles holds there are none. So the complement, union and
+disjointness conditions, the component kinds and the main form's
+lower-absorbing chain are tests on ints.
 """
 
 from __future__ import annotations
 
 from .constants import ghw_bound
 from .core import (
-    CyclicData,
     ElementId,
     FiniteSemigroup,
+    InvalidParameters,
     NotCommutative,
     SemigroupError,
     _below,
@@ -94,8 +94,8 @@ def _require_commutative(S: FiniteSemigroup) -> None:
 
 def divides_power(S: FiniteSemigroup, a: ElementId, b: ElementId) -> bool:
     """True iff a^m = b*c for some m >= 1 and some c in S: exactly when
-    e_b * e_a = e_a, with e_x the idempotent power of x (``_decompose``
-    gives the proof).
+    e_b * e_a = e_a, with e_x the idempotent power of x
+    (``archimedean_decomposition`` gives the proof).
     """
     _require_commutative(S)
     e_a = unique_cycle_idempotent(S, a)
@@ -149,36 +149,12 @@ def archimedean_decomposition(S: FiniteSemigroup) -> ArchDecomposition:
 
     Components are classes of mutual power divisibility, ordered by the
     induced relation; each carries its unique idempotent, kernel group and
-    nil part.
-    """
-    _require_commutative(S)
-    return _decompose(S, S.elements)
-
-
-def _by_idempotent_power(t, carrier: int) -> dict[int, int]:
-    """The elements of the carrier mask grouped by idempotent power: each
-    idempotent power with the mask of the carrier elements that have it,
-    in the order of the groups' least elements."""
-    groups: dict[int, int] = {}
-    m = carrier
-    while m:
-        low = m & -m
-        e = _idempotent_power(t, low.bit_length() - 1)
-        groups[e] = groups.get(e, 0) | low
-        m ^= low
-    return groups
-
-
-def _decompose(S: FiniteSemigroup, carrier) -> ArchDecomposition:
-    """The archimedean decomposition of a closed carrier on which S commutes.
-
-    Works in S's own element ids: b divides a power of a when a^m = b*c for
-    some m >= 1 and some c in the carrier (no identity is adjoined), and
-    comp_of is -1 outside the carrier. With e_a the idempotent power of a,
-    b divides a power of a exactly when e_b * e_a = e_a:
+    nil part. b divides a power of a when a^m = b*c for some m >= 1 and
+    some c in S (no identity is adjoined). With e_a the idempotent power of
+    a, b divides a power of a exactly when e_b * e_a = e_a:
 
     - if e_b * e_a = e_a and e_b = b^l, then the power e_a of a is
-      b * (b^(l-1) * e_a), or b * e_a when l = 1, a witness in the carrier;
+      b * (b^(l-1) * e_a), or b * e_a when l = 1, a witness in S;
     - if a^m = b*c, raising both sides to a k with a^(mk) = e_a and
       b^k = e_b gives e_a = e_b * c^k, so e_b * e_a = e_a.
 
@@ -187,9 +163,10 @@ def _decompose(S: FiniteSemigroup, carrier) -> ArchDecomposition:
     component j exactly when e_i * e_j = e_i. Components are numbered in
     the order of their least elements.
     """
+    _require_commutative(S)
     t = S.table
-    groups = _by_idempotent_power(t, _mask_of(carrier))
-    comp_of = [-1] * S.order
+    groups = _by_idempotent_power(t, (1 << S.order) - 1, {})
+    comp_of = [0] * S.order
     components = tuple(map(_mask_to_set, groups.values()))
     for cid, comp in enumerate(components):
         for a in comp:
@@ -202,23 +179,44 @@ def _decompose(S: FiniteSemigroup, carrier) -> ArchDecomposition:
     )
 
 
+def _by_idempotent_power(t, carrier: int, groups: dict[int, int]) -> dict[int, int]:
+    """groups, each idempotent power with a mask of elements that have it,
+    extended by the elements of the carrier mask, in the order of the
+    groups' least elements. The groups are disjoint, so ordering them by
+    lowest bit orders them by least element."""
+    m = carrier
+    while m:
+        low = m & -m
+        e = _idempotent_power(t, low.bit_length() - 1)
+        groups[e] = groups.get(e, 0) | low
+        m ^= low
+    return dict(sorted(groups.items(), key=lambda item: item[1] & -item[1]))
+
+
 def is_chain_lower_absorbing(S: FiniteSemigroup, dec: ArchDecomposition) -> bool:
-    """Components form a chain and every strictly lower element absorbs: g*h = g."""
+    """Components form a chain and every strictly lower element absorbs: g*h = g.
+
+    dec must be the archimedean decomposition of S; a decomposition of
+    another table raises InvalidParameters, and a noncommutative S raises
+    NotCommutative, as ``archimedean_decomposition`` does.
+    """
+    if dec != archimedean_decomposition(S):
+        raise InvalidParameters(f"dec is not the archimedean decomposition of the semigroup of order {S.order}")
     comps = {data.idempotent: _mask_of(comp) for comp, data in zip(dec.components, dec.per_component)}
     return _absorbing_chain(S.table, comps)
 
 
 def _absorbing_chain(t, comps: dict[int, int]) -> bool:
-    """The components comps, each an idempotent with the mask of its
-    component, form a chain under e <= f when e*f = e, and g*h = g for every
-    g of a strictly lower component and h of a higher one."""
+    """The components comps of a commutative table, each an idempotent with
+    the mask of its component, form a chain under e <= f when e*f = e, and
+    g*h = g for every g of a strictly lower component and h of a higher one.
+    Two distinct idempotents are never each below the other, since
+    e = ef = fe = f."""
     items = list(comps.items())
     for i, (e, cm) in enumerate(items):
         for f, dm in items[i + 1:]:
-            e_below, f_below = t[e][f] == e, t[f][e] == f
-            if e_below == f_below:
-                if e_below:  # each below the other: neither is strictly lower
-                    continue
+            e_below = t[e][f] == e
+            if e_below == (t[f][e] == f):  # neither below the other
                 return False
             lower, upper = (cm, dm) if e_below else (dm, cm)
             hs = _mask_to_set(upper)
@@ -348,7 +346,15 @@ class ExtremalCertificate(_Record):
 
 
 def _absorption_order(S: FiniteSemigroup, supp: list[int]) -> tuple[int, ...] | None:
-    """An ordering x_1..x_k with x_i * x_j = x_j for i < j, if one exists."""
+    """An ordering x_1..x_k with x_i * x_j = x_j for i < j, if one exists.
+
+    ``_certify`` asks only once commutative closure holds, so the terms
+    commute pairwise. If every product of two of them is one of them, then
+    "a before b when ab = b" is a strict linear order: ab = b and ba = a
+    give a = b, since ab = ba; and ab = b with bc = c gives
+    ac = a(bc) = (ab)c = c. So each term precedes a different number of
+    others, and those counts rank the terms with no ties.
+    """
     t = S.table
     wins = {x: 0 for x in supp}
     for i, a in enumerate(supp):
@@ -360,15 +366,10 @@ def _absorption_order(S: FiniteSemigroup, supp: list[int]) -> tuple[int, ...] | 
                 wins[b] += 1
             else:
                 return None
-    order = sorted(supp, key=lambda x: (-wins[x], x))
-    for i, a in enumerate(order):
-        for b in order[i + 1:]:
-            if t[a][b] != b:
-                return None
-    return tuple(order)
+    return tuple(sorted(supp, key=wins.__getitem__, reverse=True))
 
 
-def _component_kind(t, e: int, comp: int, gens: list[int], rec: "_Support") -> str | None:
+def _component_kind(t, e: int, comp: int, gens: list[int], rec: _Support) -> str | None:
     """The kind of one archimedean component, with idempotent e and member
     mask comp, from the generators gens inside it.
 
@@ -404,33 +405,46 @@ def _component_kind(t, e: int, comp: int, gens: list[int], rec: "_Support") -> s
 
 
 class _Support:
-    """What both extremal checks read about the multiset of checked terms,
-    with every set as a bit mask over S's element ids. Mutable: ``comps``
-    and ``kinds`` are filled in by ``_classified``."""
+    """The record of a multiset of checked terms that both extremal checks
+    read, with every set as a bit mask over S's element ids:
+
+    - ``supp``, the sorted support, and ``counts``, each generator's
+      multiplicity;
+    - ``R``, the subsemigroup the support generates;
+    - ``failed``, the first failed condition among commutative closure and
+      complement-idempotent, or None;
+    - ``cds``, ``powers`` and ``idem``: each generator's cyclic data, the
+      mask of its powers and its idempotent power;
+    - ``comps`` and ``kinds``: R grouped by idempotent power and each
+      component's kind, both keyed by idempotent, None until
+      ``_classified`` fills them in (the record is mutable for this).
+
+    For the empty sequence R is empty and both prelude conditions hold,
+    since its length says every element is idempotent.
+    """
 
     __slots__ = ("supp", "counts", "R", "failed", "cds", "powers", "idem", "comps", "kinds")
 
-    def __init__(
-        self,
-        supp: list[int],  # the sorted support
-        counts: dict[int, int],  # each generator's multiplicity
-        R: int,  # the subsemigroup it generates
-        failed: str | None,  # the first failed condition among commutative closure and complement-idempotent
-        cds: dict[int, CyclicData],  # each generator's cyclic data,
-        powers: dict[int, int],  # the mask of its powers
-        idem: dict[int, int],  # and its idempotent power
-        comps: dict[int, int] | None = None,  # R grouped by idempotent power, once _classified asks for it,
-        kinds: dict[int, str | None] | None = None,  # and each component's kind, both keyed by idempotent
-    ):
-        self.supp = supp
-        self.counts = counts
-        self.R = R
-        self.failed = failed
-        self.cds = cds
-        self.powers = powers
-        self.idem = idem
-        self.comps = comps
-        self.kinds = kinds
+    def __init__(self, S: FiniteSemigroup, terms: tuple[int, ...]):
+        supp = self.supp = sorted(set(terms))
+        self.counts = {x: terms.count(x) for x in supp}
+        t = S.table
+        R = self.R = _generated(t, supp)
+        self.failed = None
+        # a semigroup generated by pairwise commuting elements is commutative;
+        # the pairs need no look when S is already known to be
+        if not (S._commutative or all(t[a][b] == t[b][a] for i, a in enumerate(supp) for b in supp[i + 1:])):
+            self.failed = COND_COMMUTATIVE
+        elif R | _idem_mask(S) != (1 << S.order) - 1:
+            self.failed = COND_COMPLEMENT
+        cds, powers, idem = {}, {}, {}
+        for x in supp:
+            cd = cds[x] = _cyclic_data(S, x)
+            powers[x] = _mask_of(cd.powers)
+            # x^l with l = 0 mod period in [index, index + period)
+            idem[x] = cd.powers[cd.index - 1 + (-cd.index) % cd.period]
+        self.cds, self.powers, self.idem = cds, powers, idem
+        self.comps = self.kinds = None
 
 
 def _checked_terms(S: FiniteSemigroup, seq) -> tuple[int, ...]:
@@ -443,32 +457,6 @@ def _checked_terms(S: FiniteSemigroup, seq) -> tuple[int, ...]:
     return terms
 
 
-def _support(S: FiniteSemigroup, terms: tuple[int, ...]) -> _Support:
-    """The record of the multiset of checked terms.
-
-    For the empty sequence R is empty and both prelude conditions hold,
-    since its length says every element is idempotent.
-    """
-    supp = sorted(set(terms))
-    counts = {x: terms.count(x) for x in supp}
-    t = S.table
-    R = _generated(t, supp)
-    failed = None
-    # a semigroup generated by pairwise commuting elements is commutative;
-    # the pairs need no look when S is already known to be
-    if not (S._commutative or all(t[a][b] == t[b][a] for i, a in enumerate(supp) for b in supp[i + 1:])):
-        failed = COND_COMMUTATIVE
-    elif R | _idem_mask(S) != (1 << S.order) - 1:
-        failed = COND_COMPLEMENT
-    cds, powers, idem = {}, {}, {}
-    for x in supp:
-        cd = cds[x] = _cyclic_data(S, x)
-        powers[x] = _mask_of(cd.powers)
-        # x^l with l = 0 mod period in [index, index + period)
-        idem[x] = cd.powers[cd.index - 1 + (-cd.index) % cd.period]
-    return _Support(supp, counts, R, failed, cds, powers, idem)
-
-
 def _classified(S: FiniteSemigroup, rec: _Support) -> tuple[dict[int, int], dict]:
     """The components of the commutative R and their kinds, both keyed by
     idempotent in the order of the components' least elements, filled into
@@ -478,9 +466,7 @@ def _classified(S: FiniteSemigroup, rec: _Support) -> tuple[dict[int, int], dict
     A power of a generator has the generator's idempotent power, so each
     generator's power mask joins the group of its idempotent power, and
     only the elements of R outside every power mask are walked
-    (``_by_idempotent_power``): none once union-of-cycles holds. The groups
-    are disjoint, so ordering them by lowest bit orders them by least
-    element."""
+    (``_by_idempotent_power``): none once union-of-cycles holds."""
     if rec.kinds is None:
         t = S.table
         groups: dict[int, int] = {}
@@ -489,9 +475,7 @@ def _classified(S: FiniteSemigroup, rec: _Support) -> tuple[dict[int, int], dict
             e, p = rec.idem[x], rec.powers[x]
             groups[e] = groups.get(e, 0) | p
             covered |= p
-        for e, m in _by_idempotent_power(t, rec.R & ~covered).items():
-            groups[e] = groups.get(e, 0) | m
-        comps = rec.comps = dict(sorted(groups.items(), key=lambda item: item[1] & -item[1]))
+        comps = rec.comps = _by_idempotent_power(t, rec.R & ~covered, groups)
         gens: dict[int, list[int]] = {e: [] for e in comps}
         for x in rec.supp:
             gens[rec.idem[x]].append(x)
@@ -505,7 +489,7 @@ def extremal_structure_check(S: FiniteSemigroup, seq) -> ExtremalCertificate:
     Conditions are evaluated in a fixed order and the first failure decides
     the verdict; every condition that was evaluated is recorded.
     """
-    return _certify(S, _support(S, _checked_terms(S, seq)))
+    return _certify(S, _Support(S, _checked_terms(S, seq)))
 
 
 def _certify(S: FiniteSemigroup, rec: _Support) -> ExtremalCertificate:
@@ -566,7 +550,7 @@ def extremal_main_form(S: FiniteSemigroup, seq) -> bool:
     instead of the flat absorption order, and multiplicities are pinned
     afresh.
     """
-    return _main_form(S, _support(S, _checked_terms(S, seq)))
+    return _main_form(S, _Support(S, _checked_terms(S, seq)))
 
 
 def _main_form(S: FiniteSemigroup, rec: _Support) -> bool:
@@ -585,4 +569,4 @@ def _main_form(S: FiniteSemigroup, rec: _Support) -> bool:
 def extremal_equivalence(S: FiniteSemigroup, seq) -> bool:
     """Brute-force weak freeness agrees with the structural certificate."""
     terms = _checked_terms(S, seq)
-    return _weakly_free(S, terms) == _certify(S, _support(S, terms)).passed
+    return _weakly_free(S, terms) == _certify(S, _Support(S, terms)).passed

@@ -100,7 +100,7 @@ from .core import (
     zero_element,
 )
 from .seqprod import _weakly_free
-from .structure import _certify, _main_form, _support
+from .structure import _certify, _main_form, _Support
 
 def _orders(max_order, enum_cap) -> tuple[int, int]:
     """max_order and enum_cap as ints, with max_order at least 1."""
@@ -208,7 +208,7 @@ def _certified_multisets(S: FiniteSemigroup, alpha: list[int]) -> set[tuple[int,
             if sum(pinned[i] for i in supp) != length:
                 continue
             terms = tuple([alpha[i] for i in supp for _ in range(pinned[i])])
-            if _certify(S, _support(S, terms)).passed:
+            if _certify(S, _Support(S, terms)).passed:
                 certified.add(tuple([i for i in supp for _ in range(pinned[i])]))
     return certified
 
@@ -318,7 +318,7 @@ def _family_case(memo: dict, spec: ExtremalSpec, S: FiniteSemigroup, terms: tupl
     walk needs."""
     bound = ghw_bound(S)
     alpha, letters = _letter_table(S)
-    rec = _support(S, terms)  # one record for the certificate and the main form
+    rec = _Support(S, terms)  # one record for the certificate and the main form
     cert = _certify(S, rec)
     checks = {
         "length": len(terms) == bound - 1,
@@ -363,8 +363,9 @@ def enumerate_extremal_specs(max_components: int = 3, max_terms: int = 10) -> li
         raise InvalidParameters(f"max_terms must be at least 0, got {max_terms}")
     catalog: list[Monogenic | GroupByNil] = []
     for period in range(1, max_terms + 2):
+        # index <= max_terms + 2 - period: the part's terms fit the budget
         for index in range(1, max_terms + 3 - period):
-            if (index - 1) % period == 0 and index + period - 2 <= max_terms:
+            if (index - 1) % period == 0:
                 catalog.append(Monogenic(index, period))
     for nil_index in range(2, 5):
         for group_order in range(2, 5):

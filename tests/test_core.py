@@ -155,6 +155,19 @@ def test_is_commutative():
     assert not is_commutative(left_zero_semigroup(2))
 
 
+def test_is_commutative_matches_pairwise_scan(corpus_le4):
+    # the comparison with the transpose against a scan of every pair, on
+    # fresh copies whose flag is still unknown
+    verdicts = [is_commutative(FiniteSemigroup._trusted(S.table)) for S in corpus_le4]
+    assert verdicts == [all(S.table[a][b] == S.table[b][a] for a in S.elements for b in S.elements) for S in corpus_le4]
+    assert sum(verdicts) == 1210
+
+
+def test_repr_gives_the_order_only():
+    assert repr(cyclic_group(3)) == "FiniteSemigroup(order=3)"
+    assert repr(validate(1, [[0]])) == "FiniteSemigroup(order=1)"
+
+
 def test_zero_element():
     nil = cyclic_nil(3)
     assert zero_element(nil) == 2  # the top power x^3

@@ -166,6 +166,20 @@ def test_chain_check_rejects_vee():
     assert not is_chain_lower_absorbing(V, dec)
 
 
+@pytest.mark.parametrize("other", [group_nil_chain(3, 2), cyclic_nil(3)], ids=["larger", "same-order"])
+def test_chain_check_refuses_a_decomposition_of_another_table(other):
+    # a larger table's decomposition used to index past S's rows, and one
+    # of a table of S's order gave a verdict about that table
+    message = "^dec is not the archimedean decomposition of the semigroup of order 3$"
+    with pytest.raises(InvalidParameters, match=message):
+        is_chain_lower_absorbing(cyclic_group(3), archimedean_decomposition(other))
+
+
+def test_chain_check_refuses_a_noncommutative_table():
+    with pytest.raises(NotCommutative):
+        is_chain_lower_absorbing(left_zero_semigroup(2), archimedean_decomposition(cyclic_group(2)))
+
+
 def test_decomposition_matches_divisibility_oracle(commutative_le4):
     for S in commutative_le4:
         assert archimedean_decomposition(S) == naive_archimedean_decomposition(S), S.table
@@ -181,9 +195,9 @@ def test_decomposition_matches_divisibility_oracle_order_5(commutative_le5):
 
 
 def test_each_divisibility_class_is_one_idempotent_power(commutative_le4):
-    # the lemma behind _decompose, on the classes of mutual power
-    # divisibility: each holds exactly one idempotent, and that idempotent
-    # is among the powers of each of its elements
+    # the lemma behind archimedean_decomposition, on the classes of mutual
+    # power divisibility: each holds exactly one idempotent, and that
+    # idempotent is among the powers of each of its elements
     for S in commutative_le4 + [group_nil_chain(3, 2), trivial_ideal_extension(3, 2), vee_semilattice()]:
         t = S.table
         for comp in naive_archimedean_decomposition(S).components:
@@ -384,17 +398,16 @@ def test_support_record_matches_its_definitions(commutative_le4):
         _certify,
         _classified,
         _component_kind,
-        _decompose,
         _main_form,
-        _support,
+        _Support,
     )
 
     for T in commutative_le4[::2]:
         length = T.order - len(idempotents(T))
         for terms in itertools.combinations_with_replacement(T.elements, length):
-            rec = _support(T, terms)
+            rec = _Support(T, terms)
             cert = _certify(T, rec)
-            assert cert == extremal_structure_check(T, terms) == _certify(T, _support(T, terms[::-1]))
+            assert cert == extremal_structure_check(T, terms) == _certify(T, _Support(T, terms[::-1]))
             supp = sorted(set(terms))
             assert rec.supp == supp
             assert rec.counts == {x: terms.count(x) for x in supp}
@@ -407,29 +420,31 @@ def test_support_record_matches_its_definitions(commutative_le4):
                 comps, kinds = _classified(T, rec)
                 # the order counts: it orders the component kinds and the
                 # main form's chain
-                assert comps is rec.comps and list(comps.items()) == list(_by_idempotent_power(T.table, rec.R).items())
-                dec = _decompose(T, _mask_to_set(rec.R))
-                assert [_mask_to_set(m) for m in comps.values()] == list(dec.components)
-                assert list(comps) == [data.idempotent for data in dec.per_component]
+                assert comps is rec.comps
+                assert list(comps.items()) == list(_by_idempotent_power(T.table, rec.R, {}).items())
+                # R's components are the traces on R of T's components
+                dec = archimedean_decomposition(T)
+                traces = {d.idempotent: _mask_of(comp) & rec.R for comp, d in zip(dec.components, dec.per_component)}
+                assert comps == {e: trace for e, trace in traces.items() if trace}
                 assert kinds is rec.kinds and kinds == {
                     e: _component_kind(T.table, e, comp, [x for x in supp if rec.idem[x] == e], rec)
                     for e, comp in comps.items()
                 }
-            assert _main_form(T, rec) == _main_form(T, _support(T, terms)) == extremal_main_form(T, terms)
+            assert _main_form(T, rec) == _main_form(T, _Support(T, terms)) == extremal_main_form(T, terms)
 
 
 def test_support_reads_each_idempotent_power_from_the_cycle(commutative_le4):
-    # _support reads a generator's idempotent power off the powers of its
+    # _Support reads a generator's idempotent power off the powers of its
     # one cyclic walk; it must be the one the walk to an idempotent finds,
     # on every multiset of every table
     from idemfree.core import _idempotent_power
-    from idemfree.structure import _support
+    from idemfree.structure import _Support
 
     checked = 0
     for T in commutative_le4:
         length = T.order - len(idempotents(T))
         for terms in itertools.combinations_with_replacement(T.elements, length):
-            rec = _support(T, terms)
+            rec = _Support(T, terms)
             assert rec.idem == {x: _idempotent_power(T.table, x) for x in rec.supp}, (T.table, terms)
             checked += len(rec.supp)
     assert checked > 1000
@@ -567,7 +582,7 @@ def test_public_extremal_checks_refuse_bad_terms_before_any_work(check, terms, e
     def no_work(*args):
         raise AssertionError("work began on terms that were not checked")
 
-    monkeypatch.setattr(structure, "_support", no_work)
+    monkeypatch.setattr(structure, "_Support", no_work)
     monkeypatch.setattr(structure, "_weakly_free", no_work)
     with pytest.raises(error, match=message):
         check(cyclic_group(4), terms)

@@ -93,6 +93,27 @@ def test_equivalence_failure_records_match_reference(commutative_le4, monkeypatc
     assert all(totals.values()), totals
 
 
+def test_equivalence_claim_records_name_each_pair_once_per_word(monkeypatch):
+    # F and C patched on Z_4, whose identity is 3, to hold one multiset,
+    # 0 0 1 by element ids, whose terms 0 and 1 multiply to 2, neither of
+    # them: the pair claim fails once for each of its 3 distinct words, in
+    # word order, and no other record is made
+    S = cyclic_group(4)
+    multiset = (0, 0, 1)  # letter positions, here equal to the element ids
+    masks = {(): 0, (0,): 0b001, (0, 0): 0b001, (0, 1): 0b011, multiset: 0b111}
+    monkeypatch.setattr(verify, "_free_masks", lambda letters, k: masks)
+    monkeypatch.setattr(verify, "_certified_multisets", lambda S, alpha: {multiset})
+    got = verify._equivalence_case({}, S)
+    flat = [cell for row in S.table for cell in row]
+    assert got["failure"] == {
+        "table": flat,
+        "equivalence": [],
+        "lambda": [],
+        "claims": [{"table": flat, "seq": seq, "pair": [0, 1]} for seq in ([0, 0, 1], [0, 1, 0], [1, 0, 0])],
+    }
+    assert (got["ok"], got["claimFailures"], got["freeSequences"]) == (False, 3, 3)
+
+
 def test_free_masks_are_the_naive_free_sequences(corpus_le4, commutative_le5):
     # F's walk records every nondecreasing sequence of letter positions, of
     # length at most k, whose naive any-order products avoid E(S), with
