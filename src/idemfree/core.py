@@ -387,8 +387,16 @@ def cyclic_data(S: FiniteSemigroup, x: ElementId) -> CyclicData:
 
 def _cyclic_data(S: FiniteSemigroup, x: int) -> CyclicData:
     """``cyclic_data`` of an element id x of S that is already checked,
-    walked afresh on each call: at most n products."""
-    t = S.table
+    from one ``_cycle`` walk, afresh on each call."""
+    powers, _, index = _cycle(S.table, x)
+    return CyclicData(index=index, period=len(powers) + 1 - index, powers=tuple(powers))
+
+
+def _cycle(t, x: int) -> tuple[list[int], int, int]:
+    """The powers x, x^2, ... of x in the table t up to the first repeat,
+    their bit mask, built during the walk, and x's index: at most n
+    products. There are index + period - 1 powers, so the period is their
+    count plus 1 less the index."""
     powers = [x]
     seen = 1 << x
     cur = t[x][x]
@@ -397,8 +405,7 @@ def _cyclic_data(S: FiniteSemigroup, x: int) -> CyclicData:
         powers.append(cur)
         cur = t[cur][x]
     # cur = x^(len(powers) + 1) is the first repeated power, x^index
-    index = powers.index(cur) + 1
-    return CyclicData(index=index, period=len(powers) + 1 - index, powers=tuple(powers))
+    return powers, seen, powers.index(cur) + 1
 
 
 def _idempotent_power(t, a: int) -> int:

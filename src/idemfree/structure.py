@@ -22,18 +22,25 @@ and ``extremal_main_form`` check their terms once (``_checked_terms``: each
 an element of S, |S \\ E(S)| of them), build the record of their multiset
 (``_Support(S, terms)``) and pass it to ``_certify`` or ``_main_form``,
 which read nothing else; the families and equivalence checks of ``verify``
-build one record per multiset and call those directly. The record holds the
-sorted support, each generator's multiplicity, cyclic data and idempotent
-power, and its sets as bit masks over S's element ids: R, each generator's
-powers, and, once a verdict asks for it, R grouped by idempotent power with
-each component's kind. Each generator's power mask and idempotent power
-come from its one cyclic walk. A power of a generator has the generator's
-idempotent power, so the grouping starts from the generators' power masks
-and walks only the elements of R outside them (``_by_idempotent_power``,
-the grouping ``archimedean_decomposition`` is built from); once
-union-of-cycles holds there are none. So the complement, union and
-disjointness conditions, the component kinds and the main form's
-lower-absorbing chain are tests on ints.
+build one record per multiset and call the private entries directly. The
+record holds the sorted support, each generator's multiplicity, its
+(index, period) pair and its idempotent power, and its sets as bit masks
+over S's element ids: R, each generator's powers, and, once a verdict asks
+for it, R grouped by idempotent power with each component's kind. A
+generator's pair, power mask and idempotent power all come from its one
+``_cycle`` walk. A power of a generator has the generator's idempotent
+power, so the grouping starts from the generators' power masks and walks
+only the elements of R outside them (``_by_idempotent_power``, the grouping
+``archimedean_decomposition`` is built from); once union-of-cycles holds
+there are none. So the complement, union and disjointness conditions, the
+component kinds and the main form's lower-absorbing chain are tests on ints.
+
+The conditions are evaluated once, by ``_conditions``, up to the first
+failure. It has two readers: ``_certify`` wraps its result in an
+``ExtremalCertificate``, and ``_passes`` returns the bare verdict, the last
+condition's flag. The verdict is all that ``extremal_equivalence`` and
+verify's families and equivalence checks read, so they build no
+certificate.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ from .core import (
     NotCommutative,
     SemigroupError,
     _below,
-    _cyclic_data,
+    _cycle,
     _element,
     _generated,
     _idem_mask,
@@ -219,12 +226,19 @@ def _absorbing_chain(t, comps: dict[int, int]) -> bool:
             if e_below == (t[f][e] == f):  # neither below the other
                 return False
             lower, upper = (cm, dm) if e_below else (dm, cm)
-            hs = _mask_to_set(upper)
-            for g in _mask_to_set(lower):
+            hs = []
+            while upper:
+                low = upper & -upper
+                hs.append(low.bit_length() - 1)
+                upper ^= low
+            while lower:
+                low = lower & -lower
+                g = low.bit_length() - 1
                 row = t[g]
                 for h in hs:
                     if row[h] != g:
                         return False
+                lower ^= low
     return True
 
 
@@ -377,13 +391,14 @@ def _component_kind(t, e: int, comp: int, gens: list[int], rec: _Support) -> str
     congruent to 1 mod period; or a kernel generator whose cycle is the
     (nontrivial) group plus a nil generator whose cycle is the (nonempty)
     nil part and the idempotent, with trivial partial homomorphism. rec
-    holds each generator's cyclic data and power mask. The component lies
-    in the commutative R, so its kernel e * comp is the translate comp * e.
+    holds each generator's index, period and power mask. The component
+    lies in the commutative R, so its kernel e * comp is the translate
+    comp * e.
     """
     powers = rec.powers
     if len(gens) == 1:
-        cd = rec.cds[gens[0]]
-        ok = powers[gens[0]] == comp and (cd.index - 1) % cd.period == 0
+        index, period = rec.cycles[gens[0]]
+        ok = powers[gens[0]] == comp and (index - 1) % period == 0
         return MONOGENIC_ONLY if ok else None
     if len(gens) != 2:
         return None
@@ -413,17 +428,21 @@ class _Support:
     - ``R``, the subsemigroup the support generates;
     - ``failed``, the first failed condition among commutative closure and
       complement-idempotent, or None;
-    - ``cds``, ``powers`` and ``idem``: each generator's cyclic data, the
-      mask of its powers and its idempotent power;
+    - ``cycles``, ``powers`` and ``idem``: each generator's
+      (index, period) pair, the mask of its powers and its idempotent
+      power, all from its one ``_cycle`` walk, with no ``CyclicData``
+      built;
     - ``comps`` and ``kinds``: R grouped by idempotent power and each
       component's kind, both keyed by idempotent, None until
       ``_classified`` fills them in (the record is mutable for this).
 
     For the empty sequence R is empty and both prelude conditions hold,
-    since its length says every element is idempotent.
+    since its length says every element is idempotent. ``_conditions``
+    reads the record for both the certificate and the bare verdict, and
+    ``_main_form`` reads the same record.
     """
 
-    __slots__ = ("supp", "counts", "R", "failed", "cds", "powers", "idem", "comps", "kinds")
+    __slots__ = ("supp", "counts", "R", "failed", "cycles", "powers", "idem", "comps", "kinds")
 
     def __init__(self, S: FiniteSemigroup, terms: tuple[int, ...]):
         supp = self.supp = sorted(set(terms))
@@ -437,13 +456,14 @@ class _Support:
             self.failed = COND_COMMUTATIVE
         elif R | _idem_mask(S) != (1 << S.order) - 1:
             self.failed = COND_COMPLEMENT
-        cds, powers, idem = {}, {}, {}
+        cycles, powers, idem = {}, {}, {}
         for x in supp:
-            cd = cds[x] = _cyclic_data(S, x)
-            powers[x] = _mask_of(cd.powers)
+            xs, powers[x], index = _cycle(t, x)
+            period = len(xs) + 1 - index
+            cycles[x] = index, period
             # x^l with l = 0 mod period in [index, index + period)
-            idem[x] = cd.powers[cd.index - 1 + (-cd.index) % cd.period]
-        self.cds, self.powers, self.idem = cds, powers, idem
+            idem[x] = xs[index - 1 + (-index) % period]
+        self.cycles, self.powers, self.idem = cycles, powers, idem
         self.comps = self.kinds = None
 
 
@@ -495,50 +515,72 @@ def extremal_structure_check(S: FiniteSemigroup, seq) -> ExtremalCertificate:
 def _certify(S: FiniteSemigroup, rec: _Support) -> ExtremalCertificate:
     """``extremal_structure_check`` of rec, the record of terms that are
     already element ids of S, |S \\ E(S)| of them."""
-    supp, counts, cds, powers = rec.supp, rec.counts, rec.cds, rec.powers
-    gen_order: tuple[int, ...] = tuple(supp)
-    kinds: tuple[str, ...] = ()
-
-    def conditions():
-        nonlocal gen_order, kinds
-        yield COND_COMMUTATIVE, rec.failed != COND_COMMUTATIVE
-        yield COND_COMPLEMENT, rec.failed is None
-        if not supp:
-            return
-        order = _absorption_order(S, supp)
-        yield COND_ABSORPTION, order is not None
-        gen_order = order
-        union = parts = sizes = 0
-        for x in supp:
-            union |= powers[x]
-            part = powers[x] & ~(1 << rec.idem[x])
-            parts |= part
-            sizes += part.bit_count()
-        yield COND_UNION, union == rec.R
-        yield COND_DISJOINT, sizes == parts.bit_count()
-        yield COND_INDEX, all((cds[x].index - 1) % cds[x].period == 0 for x in supp)
-        yield COND_MULTIPLICITY, all(counts[x] == cds[x].index + cds[x].period - 2 for x in supp)
-        by_idem = _classified(S, rec)[1]
-        yield COND_COMPONENTS, None not in by_idem.values()
-        # each component's kind, ordered by its first generator in gen_order
-        kinds = tuple(by_idem[e] for e in dict.fromkeys(rec.idem[x] for x in gen_order))
-
-    # the first failure ends the walk, so a later condition is never evaluated
-    # and gen_order and kinds keep their defaults unless their condition held
-    conds: list[tuple[str, bool]] = []
-    for cond in conditions():
-        conds.append(cond)
-        if not cond[1]:
-            break
+    conds, order, kinds = _conditions(S, rec)
     passed = conds[-1][1]
+    cycles, counts = rec.cycles, rec.counts
     return ExtremalCertificate(
         passed=passed,
         fail_reason=None if passed else conds[-1][0],
-        generator_order=gen_order,
-        per_generator=tuple(GeneratorData(x, cds[x].index, cds[x].period, counts[x]) for x in gen_order),
+        generator_order=order,
+        per_generator=tuple(GeneratorData(x, *cycles[x], counts[x]) for x in order),
         component_kinds=kinds,
         conditions=tuple(conds),
     )
+
+
+def _passes(S: FiniteSemigroup, rec: _Support) -> bool:
+    """The verdict of ``_certify`` on rec, the flag of the last condition
+    evaluated, with no certificate built."""
+    return _conditions(S, rec)[0][-1][1]
+
+
+def _conditions(
+    S: FiniteSemigroup, rec: _Support
+) -> tuple[list[tuple[str, bool]], tuple[int, ...], tuple[str, ...]]:
+    """The certificate's conditions on rec, each id with its flag, in
+    evaluation order up to and including the first failure, which decides
+    the verdict; then the generator order and the component kinds.
+
+    The generator order is the sorted support unless an absorption order
+    was found, and the kinds, each component's ordered by its first
+    generator in that order, are empty unless every condition held.
+    """
+    supp = rec.supp
+    order: tuple[int, ...] = tuple(supp)
+    if rec.failed == COND_COMMUTATIVE:
+        return [(COND_COMMUTATIVE, False)], order, ()
+    conds = [(COND_COMMUTATIVE, True), (COND_COMPLEMENT, rec.failed is None)]
+    if rec.failed is not None or not supp:
+        return conds, order, ()
+    absorbed = _absorption_order(S, supp)
+    conds.append((COND_ABSORPTION, absorbed is not None))
+    if absorbed is None:
+        return conds, order, ()
+    order = absorbed
+    powers, idem, cycles = rec.powers, rec.idem, rec.cycles
+    union = parts = sizes = 0
+    for x in supp:
+        union |= powers[x]
+        part = powers[x] & ~(1 << idem[x])
+        parts |= part
+        sizes += part.bit_count()
+    # these four flags are cheap and pure, so all are computed; only the
+    # prefix up to the first failure is recorded
+    for cond in (
+        (COND_UNION, union == rec.R),
+        (COND_DISJOINT, sizes == parts.bit_count()),
+        (COND_INDEX, all((index - 1) % period == 0 for index, period in cycles.values())),
+        (COND_MULTIPLICITY, all(rec.counts[x] == index + period - 2 for x, (index, period) in cycles.items())),
+    ):
+        conds.append(cond)
+        if not cond[1]:
+            return conds, order, ()
+    by_idem = _classified(S, rec)[1]
+    ok = None not in by_idem.values()
+    conds.append((COND_COMPONENTS, ok))
+    if not ok:
+        return conds, order, ()
+    return conds, order, tuple(by_idem[e] for e in dict.fromkeys(idem[x] for x in order))
 
 
 def extremal_main_form(S: FiniteSemigroup, seq) -> bool:
@@ -563,10 +605,10 @@ def _main_form(S: FiniteSemigroup, rec: _Support) -> bool:
     comps, kinds = _classified(S, rec)
     if None in kinds.values() or not _absorbing_chain(S.table, comps):
         return False
-    return all(rec.counts[x] == rec.cds[x].index + rec.cds[x].period - 2 for x in rec.supp)
+    return all(rec.counts[x] == index + period - 2 for x, (index, period) in rec.cycles.items())
 
 
 def extremal_equivalence(S: FiniteSemigroup, seq) -> bool:
     """Brute-force weak freeness agrees with the structural certificate."""
     terms = _checked_terms(S, seq)
-    return _weakly_free(S, terms) == _certify(S, _Support(S, terms)).passed
+    return _weakly_free(S, terms) == _passes(S, _Support(S, terms))

@@ -17,7 +17,10 @@ emits one after the other. The two specs share one glued table: the
 twin's is that table with an identity adjoined, which is how
 ``extremal_pair`` builds it, and the twin has the same terms. Each spec
 still gets its own table and all five of its checks, and the two rows are
-aggregated in spec order.
+aggregated in spec order. A case builds one certificate record
+(``structure._Support``) for the certificate check and the main form, and
+reads the certificate's bare verdict (``structure._passes``): the check
+reports only whether it passed, so no ``ExtremalCertificate`` is built.
 
 I, SI and F depend on a table only through its letter table
 (``constants``): the 31 940 commutative tables of order <= 5 have 1 057
@@ -55,7 +58,9 @@ That is exact, since a product that reaches an idempotent ends freeness:
 a free multiset's products never leave the letters. The walk records every
 free nondecreasing sequence of at most k letters with its any-order mask, so
 the new-product bound looks up the mask of each multiset less one term,
-and the cover claim asks for the full mask. The words of F xor C are its
+and the cover claim asks for the full mask. C reads each letter's pinned
+count off its one cycle walk (``core._cycle``) and each candidate's bare
+verdict (``structure._passes``). The words of F xor C are its
 equivalence failures, and the new-product bound and the claims run on
 F & C.
 """
@@ -93,14 +98,14 @@ from .core import (
     FiniteSemigroup,
     InvalidParameters,
     _check_flag,
-    _cyclic_data,
+    _cycle,
     _index,
     is_commutative,
     is_nilsemigroup,
     zero_element,
 )
 from .seqprod import _weakly_free
-from .structure import _certify, _main_form, _Support
+from .structure import _main_form, _passes, _Support
 
 def _orders(max_order, enum_cap) -> tuple[int, int]:
     """max_order and enum_cap as ints, with max_order at least 1."""
@@ -197,18 +202,18 @@ def _certified_multisets(S: FiniteSemigroup, alpha: list[int]) -> set[tuple[int,
     of a passing multiset to index(x) + period(x) - 2, which is at least 1
     for a non-idempotent. So a passing multiset is fixed by its support:
     only supports whose pinned counts sum to the length are certified, one
-    multiset each.
+    multiset each. A cycle walk finds index + period - 1 distinct powers,
+    so the pinned count is one less than their number.
     """
     length = len(alpha)
-    cds = [_cyclic_data(S, x) for x in alpha]
-    pinned = [cd.index + cd.period - 2 for cd in cds]
+    pinned = [len(_cycle(S.table, x)[0]) - 1 for x in alpha]
     certified = set()
     for size in range(length + 1):
         for supp in itertools.combinations(range(length), size):
             if sum(pinned[i] for i in supp) != length:
                 continue
             terms = tuple([alpha[i] for i in supp for _ in range(pinned[i])])
-            if _certify(S, _Support(S, terms)).passed:
+            if _passes(S, _Support(S, terms)):
                 certified.add(tuple([i for i in supp for _ in range(pinned[i])]))
     return certified
 
@@ -319,12 +324,12 @@ def _family_case(memo: dict, spec: ExtremalSpec, S: FiniteSemigroup, terms: tupl
     bound = ghw_bound(S)
     alpha, letters = _letter_table(S)
     rec = _Support(S, terms)  # one record for the certificate and the main form
-    cert = _certify(S, rec)
+    passed = _passes(S, rec)
     checks = {
         "length": len(terms) == bound - 1,
         "weaklyFree": _weakly_free(S, terms),
-        "certificate": cert.passed,
-        "mainFormAgrees": _main_form(S, rec) == cert.passed,
+        "certificate": passed,
+        "mainFormAgrees": _main_form(S, rec) == passed,
         "erdosBurgess": _memo(memo, ("value", letters), _bounded_value, letters, len(alpha)) == bound,
     }
     ok = all(checks.values())

@@ -250,6 +250,34 @@ def test_cyclic_data_checks_the_element_on_a_warm_cache():
             cyclic_data(S, 3)
 
 
+def test_cycle_matches_cyclic_data_and_idempotent_power(corpus_le4):
+    # the one cycle walk behind cyclic_data and the certificate record: its
+    # powers, their mask and the index agree with cyclic_data and with
+    # powers taken by repeated products, and the power at a multiple of the
+    # period in the cycle is the idempotent power, on every element of
+    # every labelled table of order <= 4
+    from idemfree.core import _cycle
+
+    checked = 0
+    for S in corpus_le4:
+        t = S.table
+        for x in S.elements:
+            powers, mask, index = _cycle(t, x)
+            period = len(powers) + 1 - index
+            cd = cyclic_data(S, x)
+            assert (tuple(powers), index, period) == (cd.powers, cd.index, cd.period)
+            naive = [x]  # x^1 .. x^(n+1): some power repeats
+            for _ in range(S.order):
+                naive.append(t[naive[-1]][x])
+            first = min(k for k in range(len(naive)) if naive[k] in naive[k + 1:])
+            assert index == first + 1
+            assert period == naive[first + 1:].index(naive[first]) + 1
+            assert mask == sum(1 << a for a in set(naive))
+            assert powers[index - 1 + (-index) % period] == _idempotent_power(t, x)
+            checked += 1
+    assert checked == sum(S.order for S in corpus_le4)
+
+
 def test_cyclic_data_invariants_roundtrip():
     for i in range(1, 12):
         for p in range(1, 13 - i):

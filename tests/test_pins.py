@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from idemfree import FiniteSemigroup, cyclic_group, enumerate_semigroups, erdos_burgess, format_cayley_table, verify
-from idemfree import monogenic, strong_erdos_burgess
+from idemfree import extremal_main_form, extremal_structure_check, idempotents, monogenic, strong_erdos_burgess
 from idemfree.cli import main
 from conftest import slow
 from oracles import dihedral
@@ -105,6 +105,17 @@ def _reports(reports) -> tuple[int, str]:
     return len(reports), _sha(json.dumps(reports))
 
 
+def _certificates(commutative_le4) -> str:
+    """The sha256 of every certificate and main-form verdict over the
+    multisets of length |S \\ E(S)| of the commutative order <= 4 tables."""
+    rows = [
+        [extremal_structure_check(S, m).to_json_dict(), extremal_main_form(S, m)]
+        for S in commutative_le4
+        for m in itertools.combinations_with_replacement(S.elements, S.order - len(idempotents(S)))
+    ]
+    return _sha(json.dumps(rows))
+
+
 def _families(workers: int, max_components: int, max_terms: int) -> tuple:
     with verify._fan_out(workers) as map_fn:
         c = verify.check_extremal_families(map_fn, max_components, max_terms)
@@ -151,6 +162,8 @@ PINS = [  # (id, call, expected, slow)
     # extremal-equivalence over labelled order 4, noncommutative tables included
     ("equivalence-l4", _equivalence,
      ((3614, 3614, 0, 16074, 3030, 2974), "b0148a48661c906036836314b715771b14db57bab9e303974154b22f4e67de2d"), False),
+    # certificates and main forms over the 11 698 multisets of commutative order <= 4
+    ("certificates-c4", _certificates, "bd45179208766f5afb647881662e55739a63a2edc904a2b8b33f456912f5b397", False),
     # I and SI reports over labelled order <= 4; I over the first 40 000 of order 5
     ("reports-l4",
      lambda corpus_le4: _reports(search(S) for S in corpus_le4 for search in (erdos_burgess, strong_erdos_burgess)),

@@ -413,7 +413,7 @@ def test_support_record_matches_its_definitions(commutative_le4):
             assert rec.counts == {x: terms.count(x) for x in supp}
             cds = {x: cyclic_data(T, x) for x in supp}
             assert _mask_to_set(rec.R) == (generated_subsemigroup(T, supp) if supp else frozenset())
-            assert rec.cds == cds
+            assert rec.cycles == {x: (cd.index, cd.period) for x, cd in cds.items()}
             assert rec.powers == {x: _mask_of(cds[x].powers) for x in supp}
             assert rec.idem == {x: unique_cycle_idempotent(T, x) for x in supp}
             if rec.failed is None and supp:
@@ -448,6 +448,39 @@ def test_support_reads_each_idempotent_power_from_the_cycle(commutative_le4):
             assert rec.idem == {x: _idempotent_power(T.table, x) for x in rec.supp}, (T.table, terms)
             checked += len(rec.supp)
     assert checked > 1000
+
+
+def test_condition_pass_matches_the_certificate_on_seeded_words(corpus_le4):
+    # _conditions is the one condition pass behind the certificate and the
+    # bare verdict: on seeded words over every labelled table of order <= 4,
+    # noncommutative ones included, its verdict, condition list, generator
+    # order and component kinds are the certificate's
+    import random
+
+    from idemfree.structure import (
+        COND_ABSORPTION,
+        COND_COMMUTATIVE,
+        COND_COMPLEMENT,
+        COND_INDEX,
+        COND_MULTIPLICITY,
+        _conditions,
+        _passes,
+        _Support,
+    )
+
+    rng = random.Random(45)
+    reasons = set()
+    for S in corpus_le4:
+        length = S.order - len(idempotents(S))
+        for _ in range(4):
+            terms = tuple(rng.choice(S.elements) for _ in range(length))
+            cert = extremal_structure_check(S, terms)
+            rec = _Support(S, terms)
+            conds, order, kinds = _conditions(S, rec)
+            assert _passes(S, rec) == conds[-1][1] == cert.passed, (S.table, terms)
+            assert (tuple(conds), order, kinds) == (cert.conditions, cert.generator_order, cert.component_kinds)
+            reasons.add(cert.fail_reason)
+    assert reasons == {None, COND_COMMUTATIVE, COND_COMPLEMENT, COND_ABSORPTION, COND_INDEX, COND_MULTIPLICITY}
 
 
 def test_family_case_decomposes_and_classifies_each_component_once(monkeypatch):

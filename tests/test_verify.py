@@ -19,6 +19,7 @@ from idemfree import (
     cyclic_group,
     extremal_structure_check,
     format_cayley_table,
+    is_commutative,
     verify,
 )
 from idemfree.seqprod import _any_mask
@@ -45,7 +46,7 @@ def test_equivalence_failure_records_match_reference(commutative_le4, monkeypatc
     # the multiset: the certificate flips on every pinned multiset (each
     # count index + period - 2, the only kind it can pass) that holds the
     # first non-idempotent, and the full-length product set loses the last;
-    # verify passes the certificate a record, from whose counts the multiset
+    # verify passes its verdict a record, from whose counts the multiset
     # is rebuilt, the oracles pass it the terms, and verify reads its product
     # sets, over letter positions, from F
     from idemfree.structure import _Support
@@ -69,7 +70,7 @@ def test_equivalence_failure_records_match_reference(commutative_le4, monkeypatc
 
         return products
 
-    monkeypatch.setattr(verify, "_certify", flipped)
+    monkeypatch.setattr(verify, "_passes", lambda S, rec: flipped(S, rec).passed)
     monkeypatch.setattr(oracles, "extremal_structure_check", flipped)
 
     def lossy_free(letters, k):
@@ -91,6 +92,29 @@ def test_equivalence_failure_records_match_reference(commutative_le4, monkeypatc
         for key in totals:
             totals[key] += got[key]
     assert all(totals.values()), totals
+
+
+def test_families_and_equivalence_build_no_certificate_records(corpus_le3, monkeypatch):
+    # both checks read the certificate's bare verdict: with the certificate,
+    # generator and cyclic-data records made to refuse construction, the
+    # families check and extremal-equivalence over commutative order <= 3
+    # still pass
+    from idemfree import core, structure
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a record was built that no check reads")
+
+    for module, name in ((structure, "ExtremalCertificate"), (structure, "GeneratorData"), (core, "CyclicData")):
+        monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(AssertionError, match="no check reads"):
+        extremal_structure_check(cyclic_group(2), [0])
+    with pytest.raises(AssertionError, match="no check reads"):
+        cyclic_data(cyclic_group(2), 0)
+    families = verify.check_extremal_families(max_components=1, max_terms=3)
+    assert families["instances"] == families["passed"] > 0
+    commutative = [S for S in corpus_le3 if is_commutative(S)]
+    equivalence = verify.check_extremal_equivalence(commutative)
+    assert equivalence["instances"] == equivalence["passed"] == len(commutative)
 
 
 def test_equivalence_claim_records_name_each_pair_once_per_word(monkeypatch):
