@@ -41,9 +41,21 @@ failure. It has two readers: ``_certify`` wraps its result in an
 condition's flag. The verdict is all that ``extremal_equivalence`` and
 verify's families and equivalence checks read, so they build no
 certificate.
+
+The families check reads its verdicts on R's own table
+(``_support_table``), which is exact. The complement condition,
+R | E(S) = S, is the one test that reads S; every other condition, the
+main form and weak freeness read only products inside R, and on R's own
+table the complement holds by construction, so S's verdicts are R's
+ANDed with S's complement flag. Once the complement holds, every
+non-idempotent of S lies in R, so R's letter table, and I, are S's.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
+from operator import itemgetter
 
 from .constants import ghw_bound
 from .core import (
@@ -465,6 +477,45 @@ class _Support:
             idem[x] = xs[index - 1 + (-index) % period]
         self.cycles, self.powers, self.idem = cycles, powers, idem
         self.comps = self.kinds = None
+
+
+def _support_table(S: FiniteSemigroup, terms: tuple[int, ...]) -> tuple[bool, bytes | tuple, bytes | tuple]:
+    """The complement flag of terms, element ids of S, then the table of the
+    subsemigroup R their support generates, relabelled in increasing
+    element order and flattened row by row, and the terms in R's ids.
+
+    The flag is the complement-idempotent condition, R | E(S) = S, the one
+    test of the certificate that reads S (module docstring). The table and
+    terms are bytes, one per id, when S has at most 256 elements, and
+    tuples otherwise: either way a compact key for the verdicts that read
+    only R, and ``_support_semigroup`` builds R from the table. The empty
+    support gives the empty table.
+    """
+    t = S.table
+    R = _generated(t, sorted(set(terms)))
+    complement = R | _idem_mask(S) == (1 << S.order) - 1
+    ids = [a for a in range(S.order) if R >> a & 1]
+    # itemgetter of one id returns a cell, not a row; the one cell of a
+    # one-element R is its element
+    cells = itertools.chain.from_iterable(map(itemgetter(*ids), map(t.__getitem__, ids))) if len(ids) > 1 else ids
+    if S.order <= 256:  # bytes.translate relabels every cell in one call
+        relabel = bytearray(256)
+        for i, a in enumerate(ids):
+            relabel[a] = i
+        return complement, bytes(cells).translate(relabel), bytes(terms).translate(relabel)
+    position = dict(zip(ids, range(len(ids))))
+    return complement, tuple(map(position.__getitem__, cells)), tuple(map(position.__getitem__, terms))
+
+
+def _support_semigroup(table: bytes | tuple, commutative: bool | None) -> FiniteSemigroup:
+    """R from a nonempty table of ``_support_table``. A subsemigroup is
+    associative, so R is trusted, and it commutes when S does, so it is
+    marked commutative when commutative, S's flag, is True."""
+    n = math.isqrt(len(table))
+    R = FiniteSemigroup._trusted([table[i : i + n] for i in range(0, n * n, n)])
+    if commutative:
+        R._commutative = True
+    return R
 
 
 def _checked_terms(S: FiniteSemigroup, seq) -> tuple[int, ...]:

@@ -17,18 +17,32 @@ emits one after the other. The two specs share one glued table: the
 twin's is that table with an identity adjoined, which is how
 ``extremal_pair`` builds it, and the twin has the same terms. Each spec
 still gets its own table and all five of its checks, and the two rows are
-aggregated in spec order. A case builds one certificate record
-(``structure._Support``) for the certificate check and the main form, and
-reads the certificate's bare verdict (``structure._passes``): the check
-reports only whether it passed, so no ``ExtremalCertificate`` is built.
+aggregated in spec order; the checks read the spec's table for its length
+and GHW bound, and for R = <support> and the complement flag
+(``structure._support_table``), and R's own table for the rest. The
+certificate and the main form read only products inside R, where the
+complement holds by construction, so their verdicts on S are those on R
+ANDed with the flag; weak freeness reads only products of terms, all in
+R; and once the complement holds, every non-idempotent of S lies in R, so
+R's letter table is S's and so is I. A spec whose complement fails reads
+I from its own letter table. The four results on R are kept in the
+check's memo under R's relabelled table and terms: every identity twin
+has its plain spec's R, and chains that differ only by trivial parts have
+one R, so the 7 254 specs at (3, 8) read 2 297 distinct pairs of R's
+table and terms, one of them the empty support. A support builds one
+certificate record (``structure._Support``) for the certificate check
+and the main form, and reads the certificate's bare verdict
+(``structure._passes``): the check reports only whether it passed, so no
+``ExtremalCertificate`` is built.
 
 I, SI and F depend on a table only through its letter table
 (``constants``): the 31 940 commutative tables of order <= 5 have 1 057
 between them. So the ghw-bound, strong-vs-weak, extremal-equivalence and
 extremal-families checks bind a fresh dict to their case's first
 argument with ``functools.partial``, and ``_memo`` keeps each walk's
-result there under its kind and letter table. A stored result is the one
-the walk would return, so the logs do not change. A serial check fills
+result there under its kind and letter table, and each support's results
+under "support" and R's table and terms. A stored result is the one the
+walk would return, so the logs do not change. A serial check fills
 one memo; a pool pickles the case with each chunk, so each chunk fills
 its own copy.
 
@@ -105,7 +119,7 @@ from .core import (
     zero_element,
 )
 from .seqprod import _weakly_free
-from .structure import _main_form, _passes, _Support
+from .structure import _main_form, _passes, _Support, _support_semigroup, _support_table
 
 def _orders(max_order, enum_cap) -> tuple[int, int]:
     """max_order and enum_cap as ints, with max_order at least 1."""
@@ -317,20 +331,53 @@ def _spec_to_json(spec: ExtremalSpec) -> dict:
     return {"chain": parts, "adjoinIdentity": spec.adjoin_identity}
 
 
+def _support_verdicts(
+    memo: dict, table: bytes | tuple, terms: bytes | tuple, commutative: bool | None
+) -> tuple[bool, bool, bool, int]:
+    """Weak freeness, the certificate's bare verdict, the main form and I's
+    bounded value of terms on R, the table and terms of
+    ``structure._support_table``; commutative is S's flag. I is read
+    through the memo's entry for R's letter table. The empty support has
+    no table: the empty sequence is free and passes both forms, and its
+    letter table is empty."""
+    if not table:
+        return True, True, True, _bounded_value((), 0)
+    R = _support_semigroup(table, commutative)
+    terms = tuple(terms)
+    rec = _Support(R, terms)  # one record for the certificate and the main form
+    alpha, letters = _letter_table(R)
+    value = _memo(memo, ("value", letters), _bounded_value, letters, len(alpha))
+    return _weakly_free(R, terms), _passes(R, rec), _main_form(R, rec), value
+
+
+def _family_verdicts(memo: dict, S: FiniteSemigroup, terms: tuple[int, ...]) -> tuple[bool, bool, bool, int]:
+    """Weak freeness, the certificate's bare verdict, the main form and I's
+    bounded value of terms, element ids of the commutative S: the results
+    on R's own table, kept in the memo under it, with both forms ANDed with
+    the complement flag, and I read from S's letter table when the
+    complement fails (module docstring)."""
+    complement, table, r_terms = _support_table(S, terms)
+    free, passed, main, value = _memo(
+        memo, ("support", table, r_terms), _support_verdicts, memo, table, r_terms, S._commutative
+    )
+    if complement:
+        return free, passed, main, value
+    alpha, letters = _letter_table(S)
+    return free, False, False, _memo(memo, ("value", letters), _bounded_value, letters, len(alpha))
+
+
 def _family_case(memo: dict, spec: ExtremalSpec, S: FiniteSemigroup, terms: tuple[int, ...]) -> dict:
     """The five checks of one spec on its table S and its extremal terms,
     element ids of S; S is commutative by construction, as the bounded
     walk needs."""
     bound = ghw_bound(S)
-    alpha, letters = _letter_table(S)
-    rec = _Support(S, terms)  # one record for the certificate and the main form
-    passed = _passes(S, rec)
+    free, passed, main, value = _family_verdicts(memo, S, terms)
     checks = {
         "length": len(terms) == bound - 1,
-        "weaklyFree": _weakly_free(S, terms),
+        "weaklyFree": free,
         "certificate": passed,
-        "mainFormAgrees": _main_form(S, rec) == passed,
-        "erdosBurgess": _memo(memo, ("value", letters), _bounded_value, letters, len(alpha)) == bound,
+        "mainFormAgrees": main == passed,
+        "erdosBurgess": value == bound,
     }
     ok = all(checks.values())
     return {
@@ -343,9 +390,9 @@ def _family_pair_case(memo: dict, pair: tuple[ExtremalSpec, ExtremalSpec]) -> tu
     """The rows of a chain's plain spec and of its identity twin. The
     chain is glued once: the twin's table is the plain table with an
     identity adjoined, as ``extremal_pair`` builds it, and has the same
-    terms, since the identity comes last. The identity is idempotent, so
-    the twin has the plain table's letter table and reads its I value from
-    the memo."""
+    terms, since the identity comes last. No product of the terms is the
+    identity, so the twin has the plain spec's R and reads its verdicts
+    and I value from the memo."""
     plain, twin = pair
     S, T = extremal_pair(plain)
     return _family_case(memo, plain, S, T.terms), _family_case(memo, twin, adjoin_identity(S), T.terms)

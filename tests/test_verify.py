@@ -20,6 +20,7 @@ from idemfree import (
     extremal_structure_check,
     format_cayley_table,
     is_commutative,
+    structure,
     verify,
 )
 from idemfree.seqprod import _any_mask
@@ -205,6 +206,129 @@ def test_sharing_checks_walk_each_letter_table_once(check, corpus, walks, reques
     assert calls == {**dict.fromkeys(_WALKS, 0), **walks}
 
 
+def test_verdicts_on_the_support_table_are_the_tables_verdicts(commutative_le4, corpus_le4):
+    # the families case reads weak freeness, the certificate, the main form
+    # and I on R's own table, memoized by it, and ANDs both forms with the
+    # complement flag: on every multiset of length |S \\ E(S)| over the
+    # commutative tables of order <= 4, through one memo, they are the
+    # public checks' on S, and I is S's; 8 460 of the multisets fail the
+    # complement and 88 have the empty support
+    from idemfree import erdos_burgess, extremal_main_form, is_weakly_free
+
+    memo = {}
+    counts = {"multisets": 0, "failed complement": 0, "empty support": 0}
+    for S in commutative_le4:
+        value = erdos_burgess(S).value
+        for terms in itertools.combinations_with_replacement(S.elements, constants.ghw_bound(S) - 1):
+            want = (
+                is_weakly_free(S, terms),
+                extremal_structure_check(S, terms).passed,
+                extremal_main_form(S, terms),
+                value,
+            )
+            assert verify._family_verdicts(memo, S, terms) == want, (S.table, terms)
+            counts["multisets"] += 1
+            counts["failed complement"] += not structure._support_table(S, terms)[0]
+            counts["empty support"] += not terms
+    assert counts == {"multisets": 11698, "failed complement": 8460, "empty support": 88}
+
+    # the empty support of a table with non-idempotents fails the
+    # complement, which the public checks refuse as a wrong length
+    from idemfree.seqprod import _weakly_free
+    from idemfree.structure import _main_form, _passes, _Support
+
+    short = [S for S in commutative_le4 if constants.ghw_bound(S) > 1]
+    for S in short:
+        rec = _Support(S, ())
+        want = (_weakly_free(S, ()), _passes(S, rec), _main_form(S, rec), erdos_burgess(S).value)
+        assert not structure._support_table(S, ())[0] and verify._family_verdicts(memo, S, ()) == want
+    assert len(short) == 1210 - 88
+
+    # seeded multisets over the labelled tables of order <= 4 that do not
+    # commute: a support that does not commute fails both forms on R's
+    # table as on S, and weak freeness is read on R's products alone; the
+    # bounded I needs letters that commute, so it is not compared
+    rng = random.Random(46)
+    noncommuting = 0
+    for S in corpus_le4:
+        if is_commutative(S):
+            continue
+        for _ in range(4):
+            terms = tuple(sorted(rng.choices(S.elements, k=constants.ghw_bound(S) - 1)))
+            want = (is_weakly_free(S, terms), extremal_structure_check(S, terms).passed, extremal_main_form(S, terms))
+            assert verify._family_verdicts(memo, S, terms)[:3] == want, (S.table, terms)
+            noncommuting += any(S.table[a][b] != S.table[b][a] for a in terms for b in terms)
+    assert noncommuting == 642
+
+
+def test_support_table_relabels_in_increasing_order():
+    # R's elements keep their order: Z_3 below an adjoined identity, and Z_2
+    # above a trivial part or above another Z_2, which no product of the
+    # upper Z_2 reaches; only the last leaves a non-idempotent outside R
+    from idemfree import adjoin_identity
+    from idemfree.construct import chain_glue
+
+    z3, z2 = cyclic_group(3), cyclic_group(2)
+    flat = lambda S: bytes(cell for row in S.table for cell in row)  # noqa: E731
+    assert structure._support_table(adjoin_identity(z3), (1, 0)) == (True, flat(z3), b"\x01\x00")
+    assert structure._support_table(chain_glue([FiniteSemigroup([[0]]), z2]), (1,)) == (True, flat(z2), b"\x00")
+    assert structure._support_table(chain_glue([z2, z2]), (2,)) == (False, flat(z2), b"\x00")
+    assert structure._support_table(z2, ()) == (False, b"", b"")
+
+
+def test_support_tables_past_256_elements_are_tuples():
+    # a spec table of more than 256 elements gives R's table and terms as
+    # tuples, equal cell by cell to the bytes of the same chain without the
+    # 256 trivial parts glued below it, and the same verdicts and row
+    from idemfree.construct import ExtremalSpec, GroupByNil, Monogenic, extremal_pair
+
+    for chain in [(Monogenic(3, 2),), (GroupByNil(3, 2), Monogenic(1, 3)), (Monogenic(1, 1), Monogenic(5, 4))]:
+        small, T = extremal_pair(ExtremalSpec(chain))
+        big_spec = ExtremalSpec((Monogenic(1, 1),) * 256 + chain)
+        big, U = extremal_pair(big_spec)
+        assert big.order == small.order + 256
+        complement, table, terms = structure._support_table(small, T.terms)
+        assert (type(table), type(terms)) == (bytes, bytes)
+        assert structure._support_table(big, U.terms) == (complement, tuple(table), tuple(terms))
+        assert verify._family_verdicts({}, big, U.terms) == verify._family_verdicts({}, small, T.terms)
+        assert verify._family_case({}, big_spec, big, U.terms) == {"ok": True, "failure": None}
+
+
+def test_families_certify_each_distinct_support_once(monkeypatch):
+    # the 7 254 (3, 8) specs have 2 297 distinct pairs of R's relabelled
+    # table and terms, one of them the empty support: the check builds one
+    # support record and one letter table for each other pair, all on R's
+    # table and none on a spec's own, and still walks the 1 074 letter
+    # tables once each
+    spec_tables = {}  # by id, each table kept alive so that no id is reused
+    counts = {"_Support": 0, "_letter_table": 0, "_bounded_walk": 0}
+    real = {"_Support": verify._Support, "_letter_table": verify._letter_table, "_bounded_walk": constants._bounded_walk}
+    real_support_table = verify._support_table
+
+    def support_table(S, terms):
+        spec_tables[id(S)] = S
+        return real_support_table(S, terms)
+
+    def letter_table(S):
+        assert id(S) not in spec_tables, "letter table built on a spec's own table"
+        return counting("_letter_table")(S)
+
+    def counting(name):
+        def counted(*args):
+            counts[name] += 1
+            return real[name](*args)
+
+        return counted
+
+    monkeypatch.setattr(verify, "_support_table", support_table)
+    monkeypatch.setattr(verify, "_letter_table", letter_table)
+    monkeypatch.setattr(verify, "_Support", counting("_Support"))
+    monkeypatch.setattr(constants, "_bounded_walk", counting("_bounded_walk"))
+    got = verify.check_extremal_families(max_components=3, max_terms=8)
+    assert (got["instances"], got["failed"], len(spec_tables)) == (7254, 0, 7254)
+    assert counts == {"_Support": 2296, "_letter_table": 2296, "_bounded_walk": 1074}
+
+
 @pytest.mark.parametrize("max_components, max_terms", [(1, 0), (2, 3), (3, 8), (4, 10)])
 def test_specs_by_budget_match_product_and_filter(max_components, max_terms):
     specs = verify.enumerate_extremal_specs(max_components, max_terms)
@@ -234,19 +358,20 @@ def test_families_check_glues_each_chain_once(monkeypatch):
 
 
 def test_families_failures_come_back_in_spec_order(monkeypatch):
-    # weak freeness is misread on tables of odd order whose last element
-    # is an identity: identity twins, and plain cyclic groups of odd order.
-    # The families check must report the failures that a plain loop over
-    # the specs, each building its own pair, reports, in the same order,
-    # serially and through the pool
+    # the GHW bound is misread on spec tables of odd order whose last
+    # element is an identity: identity twins, and plain cyclic groups of
+    # odd order. The bound is read on the spec's own table, which the
+    # verdicts read on R's table never see. The families check must report
+    # the failures that a plain loop over the specs, each building its own
+    # pair, reports, in the same order, serially and through the pool
     from idemfree.construct import extremal_pair
 
-    real_free = verify._weakly_free
+    real_bound = verify.ghw_bound
 
-    def weakly_free(S, terms):
-        return real_free(S, terms) != (S.order % 2 == 1 and S.table[-1] == tuple(S.elements))
+    def ghw_bound(S):
+        return real_bound(S) + (S.order % 2 == 1 and S.table[-1] == tuple(S.elements))
 
-    monkeypatch.setattr(verify, "_weakly_free", weakly_free)
+    monkeypatch.setattr(verify, "ghw_bound", ghw_bound)
     specs = verify.enumerate_extremal_specs(2, 5)
     reference = []
     for spec in specs:
@@ -499,7 +624,9 @@ def test_bounded_result_never_serves_a_report():
     assert verify._family_case(memo, spec, c3, T.terms)["ok"]
     assert verify._memo(memo, (kind, letters), constants._walk, letters, len(alpha), kind)[2] == 8
     assert verify._family_case(memo, spec, c3, T.terms)["ok"]
-    assert list(memo) == [("value", letters), (kind, letters)]
+    # the support entry holds the case's verdicts, its I value stored first
+    _, table, r_terms = structure._support_table(c3, T.terms)
+    assert list(memo) == [("value", letters), ("support", table, r_terms), (kind, letters)]
 
 
 def test_corpus_order_past_enum_cap_names_enum_cap_before_any_pool(monkeypatch):
