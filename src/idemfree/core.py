@@ -381,14 +381,9 @@ class CyclicData(_Record):
 
 
 def cyclic_data(S: FiniteSemigroup, x: ElementId) -> CyclicData:
-    """Index, period and power list of x; terminates within n steps."""
-    return _cyclic_data(S, _element(S, x))
-
-
-def _cyclic_data(S: FiniteSemigroup, x: int) -> CyclicData:
-    """``cyclic_data`` of an element id x of S that is already checked,
-    from one ``_cycle`` walk, afresh on each call."""
-    powers, _, index = _cycle(S.table, x)
+    """Index, period and power list of x, from one ``_cycle`` walk, afresh
+    on each call; terminates within n steps."""
+    powers, _, index = _cycle(S.table, _element(S, x))
     return CyclicData(index=index, period=len(powers) + 1 - index, powers=tuple(powers))
 
 

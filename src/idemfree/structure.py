@@ -42,19 +42,18 @@ condition's flag. The verdict is all that ``extremal_equivalence`` and
 verify's families and equivalence checks read, so they build no
 certificate.
 
-The families check reads its verdicts on R's own table
-(``_support_table``), which is exact. The complement condition,
-R | E(S) = S, is the one test that reads S; every other condition, the
-main form and weak freeness read only products inside R, and on R's own
-table the complement holds by construction, so S's verdicts are R's
-ANDed with S's complement flag. Once the complement holds, every
-non-idempotent of S lies in R, so R's letter table, and I, are S's.
+The complement condition, R | E(S) = S, is the one test that reads S;
+every other condition and the main form read only products inside R and
+which of its elements are idempotent. So once the complement holds,
+tables with isomorphic R share their verdicts: verify's families check
+keys its memo by R's table and the terms, relabelled in increasing
+element order (``_support_table``), and still builds each record on the
+spec's own table.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from operator import itemgetter
 
 from .constants import ghw_bound
@@ -487,9 +486,9 @@ def _support_table(S: FiniteSemigroup, terms: tuple[int, ...]) -> tuple[bool, by
     The flag is the complement-idempotent condition, R | E(S) = S, the one
     test of the certificate that reads S (module docstring). The table and
     terms are bytes, one per id, when S has at most 256 elements, and
-    tuples otherwise: either way a compact key for the verdicts that read
-    only R, and ``_support_semigroup`` builds R from the table. The empty
-    support gives the empty table.
+    tuples otherwise: either way a compact memo key for the verdicts,
+    which read only R once the flag holds. The empty support gives the
+    empty table.
     """
     t = S.table
     R = _generated(t, sorted(set(terms)))
@@ -505,17 +504,6 @@ def _support_table(S: FiniteSemigroup, terms: tuple[int, ...]) -> tuple[bool, by
         return complement, bytes(cells).translate(relabel), bytes(terms).translate(relabel)
     position = dict(zip(ids, range(len(ids))))
     return complement, tuple(map(position.__getitem__, cells)), tuple(map(position.__getitem__, terms))
-
-
-def _support_semigroup(table: bytes | tuple, commutative: bool | None) -> FiniteSemigroup:
-    """R from a nonempty table of ``_support_table``. A subsemigroup is
-    associative, so R is trusted, and it commutes when S does, so it is
-    marked commutative when commutative, S's flag, is True."""
-    n = math.isqrt(len(table))
-    R = FiniteSemigroup._trusted([table[i : i + n] for i in range(0, n * n, n)])
-    if commutative:
-        R._commutative = True
-    return R
 
 
 def _checked_terms(S: FiniteSemigroup, seq) -> tuple[int, ...]:

@@ -17,23 +17,25 @@ emits one after the other. The two specs share one glued table: the
 twin's is that table with an identity adjoined, which is how
 ``extremal_pair`` builds it, and the twin has the same terms. Each spec
 still gets its own table and all five of its checks, and the two rows are
-aggregated in spec order; the checks read the spec's table for its length
-and GHW bound, and for R = <support> and the complement flag
-(``structure._support_table``), and R's own table for the rest. The
-certificate and the main form read only products inside R, where the
-complement holds by construction, so their verdicts on S are those on R
-ANDed with the flag; weak freeness reads only products of terms, all in
-R; and once the complement holds, every non-idempotent of S lies in R, so
-R's letter table is S's and so is I. A spec whose complement fails reads
-I from its own letter table. The four results on R are kept in the
-check's memo under R's relabelled table and terms: every identity twin
+aggregated in spec order. A spec's four results, weak freeness, the
+certificate's bare verdict (``structure._passes``), the main form and I,
+are read on its own table, from one certificate record
+(``structure._Support``): the check reports only whether the certificate
+passed, so no ``ExtremalCertificate`` is built.
+
+When the complement holds, the four results are kept in the check's memo
+under the key that ``structure._support_table`` returns beside the
+complement flag: the table of R = <support> and the terms, both
+relabelled in increasing element order. That is exact. Two spec tables
+with one key have isomorphic R under the increasing relabel. Once the
+complement holds, every result reads only products inside R and which of
+R's elements are idempotent, and every non-idempotent of S lies in R, so
+S's letters are R's, in the same order. So the two tables have equal
+letter tables, equal GHW bounds and equal results. Every identity twin
 has its plain spec's R, and chains that differ only by trivial parts have
-one R, so the 7 254 specs at (3, 8) read 2 297 distinct pairs of R's
-table and terms, one of them the empty support. A support builds one
-certificate record (``structure._Support``) for the certificate check
-and the main form, and reads the certificate's bare verdict
-(``structure._passes``): the check reports only whether it passed, so no
-``ExtremalCertificate`` is built.
+one R, so the 7 254 specs at (3, 8) read 2 297 keys, the empty support
+among them. A spec whose complement fails is not memoized: its I is then
+S's own, not R's.
 
 I, SI and F depend on a table only through its letter table
 (``constants``): the 31 940 commutative tables of order <= 5 have 1 057
@@ -41,10 +43,9 @@ between them. So the ghw-bound, strong-vs-weak, extremal-equivalence and
 extremal-families checks bind a fresh dict to their case's first
 argument with ``functools.partial``, and ``_memo`` keeps each walk's
 result there under its kind and letter table, and each support's results
-under "support" and R's table and terms. A stored result is the one the
-walk would return, so the logs do not change. A serial check fills
-one memo; a pool pickles the case with each chunk, so each chunk fills
-its own copy.
+under "support" and its key. A stored result is the one the walk would
+return, so the logs do not change. A serial check fills one memo; a pool
+pickles the case with each chunk, so each chunk fills its own copy.
 
 The extremal-families check reads only I's value, on tables that are
 commutative by construction, so it takes the walk of
@@ -119,7 +120,7 @@ from .core import (
     zero_element,
 )
 from .seqprod import _weakly_free
-from .structure import _main_form, _passes, _Support, _support_semigroup, _support_table
+from .structure import _main_form, _passes, _Support, _support_table
 
 def _orders(max_order, enum_cap) -> tuple[int, int]:
     """max_order and enum_cap as ints, with max_order at least 1."""
@@ -331,39 +332,24 @@ def _spec_to_json(spec: ExtremalSpec) -> dict:
     return {"chain": parts, "adjoinIdentity": spec.adjoin_identity}
 
 
-def _support_verdicts(
-    memo: dict, table: bytes | tuple, terms: bytes | tuple, commutative: bool | None
-) -> tuple[bool, bool, bool, int]:
+def _spec_verdicts(memo: dict, S: FiniteSemigroup, terms: tuple[int, ...]) -> tuple[bool, bool, bool, int]:
     """Weak freeness, the certificate's bare verdict, the main form and I's
-    bounded value of terms on R, the table and terms of
-    ``structure._support_table``; commutative is S's flag. I is read
-    through the memo's entry for R's letter table. The empty support has
-    no table: the empty sequence is free and passes both forms, and its
-    letter table is empty."""
-    if not table:
-        return True, True, True, _bounded_value((), 0)
-    R = _support_semigroup(table, commutative)
-    terms = tuple(terms)
-    rec = _Support(R, terms)  # one record for the certificate and the main form
-    alpha, letters = _letter_table(R)
+    bounded value of terms, element ids of S, all on S's own table, with I
+    read through the memo's entry for S's letter table."""
+    rec = _Support(S, terms)  # one record for the certificate and the main form
+    alpha, letters = _letter_table(S)
     value = _memo(memo, ("value", letters), _bounded_value, letters, len(alpha))
-    return _weakly_free(R, terms), _passes(R, rec), _main_form(R, rec), value
+    return _weakly_free(S, terms), _passes(S, rec), _main_form(S, rec), value
 
 
 def _family_verdicts(memo: dict, S: FiniteSemigroup, terms: tuple[int, ...]) -> tuple[bool, bool, bool, int]:
-    """Weak freeness, the certificate's bare verdict, the main form and I's
-    bounded value of terms, element ids of the commutative S: the results
-    on R's own table, kept in the memo under it, with both forms ANDed with
-    the complement flag, and I read from S's letter table when the
-    complement fails (module docstring)."""
+    """``_spec_verdicts`` of terms, element ids of the commutative S, kept
+    in the memo under R's relabelled table and terms when the complement
+    holds (module docstring)."""
     complement, table, r_terms = _support_table(S, terms)
-    free, passed, main, value = _memo(
-        memo, ("support", table, r_terms), _support_verdicts, memo, table, r_terms, S._commutative
-    )
-    if complement:
-        return free, passed, main, value
-    alpha, letters = _letter_table(S)
-    return free, False, False, _memo(memo, ("value", letters), _bounded_value, letters, len(alpha))
+    if not complement:
+        return _spec_verdicts(memo, S, terms)
+    return _memo(memo, ("support", table, r_terms), _spec_verdicts, memo, S, terms)
 
 
 def _family_case(memo: dict, spec: ExtremalSpec, S: FiniteSemigroup, terms: tuple[int, ...]) -> dict:

@@ -208,11 +208,11 @@ def test_sharing_checks_walk_each_letter_table_once(check, corpus, walks, reques
 
 def test_verdicts_on_the_support_table_are_the_tables_verdicts(commutative_le4, corpus_le4):
     # the families case reads weak freeness, the certificate, the main form
-    # and I on R's own table, memoized by it, and ANDs both forms with the
-    # complement flag: on every multiset of length |S \\ E(S)| over the
-    # commutative tables of order <= 4, through one memo, they are the
-    # public checks' on S, and I is S's; 8 460 of the multisets fail the
-    # complement and 88 have the empty support
+    # and I on the spec's own table, memoized by R's relabelled table and
+    # terms when the complement holds: on every multiset of length
+    # |S \\ E(S)| over the commutative tables of order <= 4, through one
+    # memo, they are the public checks' on S, and I is S's; 8 460 of the
+    # multisets fail the complement and 88 have the empty support
     from idemfree import erdos_burgess, extremal_main_form, is_weakly_free
 
     memo = {}
@@ -245,9 +245,9 @@ def test_verdicts_on_the_support_table_are_the_tables_verdicts(commutative_le4, 
     assert len(short) == 1210 - 88
 
     # seeded multisets over the labelled tables of order <= 4 that do not
-    # commute: a support that does not commute fails both forms on R's
-    # table as on S, and weak freeness is read on R's products alone; the
-    # bounded I needs letters that commute, so it is not compared
+    # commute, through the same memo: a support that does not commute fails
+    # both forms, and weak freeness reads only the terms' products, all in
+    # R; the bounded I needs letters that commute, so it is not compared
     rng = random.Random(46)
     noncommuting = 0
     for S in corpus_le4:
@@ -297,21 +297,29 @@ def test_support_tables_past_256_elements_are_tuples():
 def test_families_certify_each_distinct_support_once(monkeypatch):
     # the 7 254 (3, 8) specs have 2 297 distinct pairs of R's relabelled
     # table and terms, one of them the empty support: the check builds one
-    # support record and one letter table for each other pair, all on R's
-    # table and none on a spec's own, and still walks the 1 074 letter
-    # tables once each
+    # support record and one letter table for each pair, each on a spec's
+    # own table and at a key not met before, and still walks the 1 074
+    # letter tables once each
     spec_tables = {}  # by id, each table kept alive so that no id is reused
+    keys = {}  # each spec table's key, by id
+    seen = {"_Support": set(), "_letter_table": set()}
     counts = {"_Support": 0, "_letter_table": 0, "_bounded_walk": 0}
     real = {"_Support": verify._Support, "_letter_table": verify._letter_table, "_bounded_walk": constants._bounded_walk}
     real_support_table = verify._support_table
 
     def support_table(S, terms):
         spec_tables[id(S)] = S
-        return real_support_table(S, terms)
+        keys[id(S)] = real_support_table(S, terms)
+        return keys[id(S)]
 
-    def letter_table(S):
-        assert id(S) not in spec_tables, "letter table built on a spec's own table"
-        return counting("_letter_table")(S)
+    def on_spec_table(name):
+        def checked(S, *args):
+            assert id(S) in spec_tables, f"{name} built off a spec's own table"
+            assert keys[id(S)] not in seen[name], f"{name} built twice at one key"
+            seen[name].add(keys[id(S)])
+            return counting(name)(S, *args)
+
+        return checked
 
     def counting(name):
         def counted(*args):
@@ -321,12 +329,45 @@ def test_families_certify_each_distinct_support_once(monkeypatch):
         return counted
 
     monkeypatch.setattr(verify, "_support_table", support_table)
-    monkeypatch.setattr(verify, "_letter_table", letter_table)
-    monkeypatch.setattr(verify, "_Support", counting("_Support"))
+    monkeypatch.setattr(verify, "_letter_table", on_spec_table("_letter_table"))
+    monkeypatch.setattr(verify, "_Support", on_spec_table("_Support"))
     monkeypatch.setattr(constants, "_bounded_walk", counting("_bounded_walk"))
     got = verify.check_extremal_families(max_components=3, max_terms=8)
     assert (got["instances"], got["failed"], len(spec_tables)) == (7254, 0, 7254)
-    assert counts == {"_Support": 2296, "_letter_table": 2296, "_bounded_walk": 1074}
+    assert counts == {"_Support": 2297, "_letter_table": 2297, "_bounded_walk": 1074}
+
+
+def test_tables_sharing_a_support_key_share_letters_and_bound(commutative_le4):
+    # the lemma behind the families memo: once the complement holds, two
+    # tables with one key of ``structure._support_table`` have one letter
+    # table and one GHW bound; on every (3, 8) spec, as the check builds
+    # its tables, and every multiset of length |S \ E(S)| over the
+    # commutative tables of order <= 4 whose complement holds, all keyed
+    # in one dict: 6 109 of the 10 492 share a key met before
+    from idemfree import adjoin_identity
+    from idemfree.construct import extremal_pair
+
+    specs = verify.enumerate_extremal_specs(3, 8)
+    cases = []
+    for plain in specs[::2]:
+        S, T = extremal_pair(plain)
+        cases += [(S, T.terms), (adjoin_identity(S), T.terms)]
+    for S in commutative_le4:
+        cases += [(S, terms) for terms in itertools.combinations_with_replacement(S.elements, constants.ghw_bound(S) - 1)]
+    first = {}
+    counts = {"tables": 0, "shared": 0}
+    for S, terms in cases:
+        complement, table, r_terms = structure._support_table(S, terms)
+        if not complement:
+            continue
+        got = (constants._letter_table(S)[1], constants.ghw_bound(S))
+        counts["tables"] += 1
+        if (table, r_terms) in first:
+            counts["shared"] += 1
+            assert got == first[table, r_terms], (S.table, terms)
+        else:
+            first[table, r_terms] = got
+    assert counts == {"tables": 7254 + 3238, "shared": 6109}
 
 
 @pytest.mark.parametrize("max_components, max_terms", [(1, 0), (2, 3), (3, 8), (4, 10)])
@@ -360,8 +401,8 @@ def test_families_check_glues_each_chain_once(monkeypatch):
 def test_families_failures_come_back_in_spec_order(monkeypatch):
     # the GHW bound is misread on spec tables of odd order whose last
     # element is an identity: identity twins, and plain cyclic groups of
-    # odd order. The bound is read on the spec's own table, which the
-    # verdicts read on R's table never see. The families check must report
+    # odd order. The bound is read on each spec's own table, never through
+    # the memo of verdicts. The families check must report
     # the failures that a plain loop over the specs, each building its own
     # pair, reports, in the same order, serially and through the pool
     from idemfree.construct import extremal_pair
