@@ -128,12 +128,6 @@ KIND_DAVENPORT = "Davenport"
 class ConstantReport(_Record):
     __slots__ = _fields = ("kind", "value", "witness", "nodes_explored")
 
-    def __init__(self, kind: str, value: int, witness: Seq, nodes_explored: int):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "nodes_explored", nodes_explored)
-
     def to_json_dict(self) -> dict:
         return {
             "kind": self.kind,

@@ -13,9 +13,10 @@ skip the O(n^3) check through the private ``FiniteSemigroup._trusted``:
 
 The package's value classes (``CyclicData`` here, and those of ``seqprod``,
 ``constants``, ``construct`` and ``structure``) are plain immutable classes
-on the private base ``_Record``, which gives equality, hashing, repr,
-immutability and pickling from a class-level tuple of field names, so no
-class is generated at import.
+on the private base ``_Record``, which gives the constructor, equality,
+hashing, repr, immutability and pickling from a class-level tuple of field
+names, so no class is generated at import. Only the classes that convert,
+check or default a field write their own constructor.
 """
 
 from __future__ import annotations
@@ -318,10 +319,18 @@ class _Record:
     """Base of an immutable value class.
 
     A subclass names its fields, in order, in ``_fields`` and in its
-    ``__slots__``, and its own ``__init__`` sets each field once through
-    ``object.__setattr__``. No ``__init__`` loops over the fields: the
-    verifier builds these records in its inner loops. From ``_fields``
-    alone the base gives:
+    ``__slots__``. The base constructor takes the fields positionally in
+    ``_fields`` order or by name, and stores each once through
+    ``object.__setattr__``; it raises TypeError, naming the class, for more
+    positional arguments than fields, an unknown name, a field given twice
+    or a missing field. The four subclasses that convert, check or default
+    a field write their own ``__init__``: ``Seq`` makes its terms a tuple,
+    ``Monogenic``, ``GroupByNil`` and ``ExtremalSpec`` refuse a bad value
+    with their own message, and ``adjoin_identity`` defaults to False.
+    They are also the records built by the thousand, ``Seq`` and
+    ``ExtremalSpec`` in every families check, where the generic
+    constructor, about twice the cost of a hand-written one, would show.
+    From ``_fields`` alone the base also gives:
     - ``==`` holds only between instances of one class with equal fields;
       against any other object it returns NotImplemented;
     - ``hash`` is the hash of the tuple of fields;
@@ -334,6 +343,22 @@ class _Record:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs):
+        fields, name = self._fields, self.__class__.__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} fields, got {len(args)} positional arguments")
+        values = dict(zip(fields, args))
+        for field, value in kwargs.items():
+            if field not in fields:
+                raise TypeError(f"{name}() has no field {field!r}")
+            if field in values:
+                raise TypeError(f"{name}() got field {field!r} twice")
+            values[field] = value
+        if len(values) < len(fields):
+            raise TypeError(f"{name}() is missing fields {[field for field in fields if field not in values]}")
+        for field, value in values.items():
+            object.__setattr__(self, field, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -364,11 +389,6 @@ class CyclicData(_Record):
     """Index I(x), period P(x), and the distinct powers x, x^2, ..., x^(I+P-1)."""
 
     __slots__ = _fields = ("index", "period", "powers")
-
-    def __init__(self, index: int, period: int, powers: tuple[ElementId, ...]):
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "period", period)
-        object.__setattr__(self, "powers", powers)
 
     def power(self, k: int) -> ElementId:
         """The element x^k for any exponent k >= 1."""

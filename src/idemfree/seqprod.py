@@ -316,10 +316,6 @@ def natural_order_products(S: FiniteSemigroup, seq) -> frozenset[ElementId]:
 class ProductSets(_Record):
     __slots__ = _fields = ("any_order", "natural_order")
 
-    def __init__(self, any_order: frozenset[ElementId], natural_order: frozenset[ElementId]):
-        object.__setattr__(self, "any_order", any_order)
-        object.__setattr__(self, "natural_order", natural_order)
-
 
 def product_sets(S: FiniteSemigroup, seq) -> ProductSets:
     terms = _terms(S, seq)

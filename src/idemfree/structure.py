@@ -44,17 +44,10 @@ certificate.
 
 The complement condition, R | E(S) = S, is the one test that reads S;
 every other condition and the main form read only products inside R and
-which of its elements are idempotent. So once the complement holds,
-tables with isomorphic R share their verdicts: verify's families check
-keys its memo by R's table and the terms, relabelled in increasing
-element order (``_support_table``), and still builds each record on the
-spec's own table.
+which of its elements are idempotent.
 """
 
 from __future__ import annotations
-
-import itertools
-from operator import itemgetter
 
 from .constants import ghw_bound
 from .core import (
@@ -124,26 +117,11 @@ def divides_power(S: FiniteSemigroup, a: ElementId, b: ElementId) -> bool:
 class ComponentData(_Record):
     __slots__ = _fields = ("idempotent", "kernel_group", "nil_part")
 
-    def __init__(self, idempotent: ElementId, kernel_group: frozenset[ElementId], nil_part: frozenset[ElementId]):
-        object.__setattr__(self, "idempotent", idempotent)
-        object.__setattr__(self, "kernel_group", kernel_group)
-        object.__setattr__(self, "nil_part", nil_part)
-
 
 class ArchDecomposition(_Record):
-    __slots__ = _fields = ("components", "leq", "per_component", "comp_of")
+    """``leq[i][j]``: component i is below or equal to component j."""
 
-    def __init__(
-        self,
-        components: tuple[frozenset[ElementId], ...],
-        leq: tuple[tuple[bool, ...], ...],  # leq[i][j]: component i below-or-equal j
-        per_component: tuple[ComponentData, ...],
-        comp_of: tuple[int, ...],
-    ):
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "leq", leq)
-        object.__setattr__(self, "per_component", per_component)
-        object.__setattr__(self, "comp_of", comp_of)
+    __slots__ = _fields = ("components", "leq", "per_component", "comp_of")
 
     def component_of(self, a: ElementId) -> int:
         return self.comp_of[_below(a, len(self.comp_of), "element a", "semigroup of order {n}")]
@@ -158,7 +136,8 @@ class ArchDecomposition(_Record):
         j = _below(j, count, "component j", "the {n} components")
         below = [k for k in range(count) if self.leq[k][i] and self.leq[k][j]]
         tops = [k for k in below if all(self.leq[m][k] for m in below)]
-        assert len(tops) == 1, "component order is not a meet semilattice"
+        if len(tops) != 1:
+            raise InvalidParameters(f"components {i} and {j} have no meet: the order is not a meet semilattice")
         return tops[0]
 
 
@@ -318,12 +297,6 @@ def partial_hom(S: FiniteSemigroup, component, a: ElementId) -> ElementId:
 class GeneratorData(_Record):
     __slots__ = _fields = ("element", "index", "period", "multiplicity")
 
-    def __init__(self, element: ElementId, index: int, period: int, multiplicity: int):
-        object.__setattr__(self, "element", element)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "period", period)
-        object.__setattr__(self, "multiplicity", multiplicity)
-
 
 class ExtremalCertificate(_Record):
     __slots__ = _fields = (
@@ -334,22 +307,6 @@ class ExtremalCertificate(_Record):
         "component_kinds",
         "conditions",
     )
-
-    def __init__(
-        self,
-        passed: bool,
-        fail_reason: str | None,
-        generator_order: tuple[ElementId, ...],
-        per_generator: tuple[GeneratorData, ...],
-        component_kinds: tuple[str, ...],
-        conditions: tuple[tuple[str, bool], ...],
-    ):
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "fail_reason", fail_reason)
-        object.__setattr__(self, "generator_order", generator_order)
-        object.__setattr__(self, "per_generator", per_generator)
-        object.__setattr__(self, "component_kinds", component_kinds)
-        object.__setattr__(self, "conditions", conditions)
 
     def to_json_dict(self) -> dict:
         return {
@@ -476,34 +433,6 @@ class _Support:
             idem[x] = xs[index - 1 + (-index) % period]
         self.cycles, self.powers, self.idem = cycles, powers, idem
         self.comps = self.kinds = None
-
-
-def _support_table(S: FiniteSemigroup, terms: tuple[int, ...]) -> tuple[bool, bytes | tuple, bytes | tuple]:
-    """The complement flag of terms, element ids of S, then the table of the
-    subsemigroup R their support generates, relabelled in increasing
-    element order and flattened row by row, and the terms in R's ids.
-
-    The flag is the complement-idempotent condition, R | E(S) = S, the one
-    test of the certificate that reads S (module docstring). The table and
-    terms are bytes, one per id, when S has at most 256 elements, and
-    tuples otherwise: either way a compact memo key for the verdicts,
-    which read only R once the flag holds. The empty support gives the
-    empty table.
-    """
-    t = S.table
-    R = _generated(t, sorted(set(terms)))
-    complement = R | _idem_mask(S) == (1 << S.order) - 1
-    ids = [a for a in range(S.order) if R >> a & 1]
-    # itemgetter of one id returns a cell, not a row; the one cell of a
-    # one-element R is its element
-    cells = itertools.chain.from_iterable(map(itemgetter(*ids), map(t.__getitem__, ids))) if len(ids) > 1 else ids
-    if S.order <= 256:  # bytes.translate relabels every cell in one call
-        relabel = bytearray(256)
-        for i, a in enumerate(ids):
-            relabel[a] = i
-        return complement, bytes(cells).translate(relabel), bytes(terms).translate(relabel)
-    position = dict(zip(ids, range(len(ids))))
-    return complement, tuple(map(position.__getitem__, cells)), tuple(map(position.__getitem__, terms))
 
 
 def _checked_terms(S: FiniteSemigroup, seq) -> tuple[int, ...]:

@@ -2,11 +2,15 @@ import pickle
 
 import pytest
 
+import idemfree
 from idemfree import (
+    ArchDecomposition,
+    ComponentData,
     ConstantReport,
     CyclicData,
     ExtremalCertificate,
     ExtremalSpec,
+    GeneratorData,
     GroupByNil,
     InvalidParameters,
     Monogenic,
@@ -22,6 +26,7 @@ from idemfree import (
     monogenic,
     product_sets,
 )
+from idemfree.core import _Record
 
 _SPEC = ExtremalSpec((Monogenic(3, 2), GroupByNil(2, 3)), True)
 _DEC = archimedean_decomposition(group_nil_chain(3, 2))
@@ -92,7 +97,9 @@ class _LookAlike:
 
 
 def test_value_classes_are_frozen_records():
-    assert len({type(x) for x, _, _ in _RECORDS}) == 11
+    # every value class exported by the package is checked here
+    exported = {cls for cls in map(vars(idemfree).get, idemfree.__all__) if _Record in getattr(cls, "__bases__", ())}
+    assert exported == {type(x) for x, _, _ in _RECORDS}
     for x, names, text in _RECORDS:
         cls = type(x)
         values = tuple(getattr(x, name) for name in names)
@@ -153,3 +160,26 @@ def test_value_class_defaults_and_refusals():
         with pytest.raises(InvalidParameters) as info:
             build()
         assert str(info.value) == message
+
+
+# the classes built by ``_Record``'s own constructor
+_PLAIN = (CyclicData, ProductSets, ConstantReport, ComponentData, ArchDecomposition, GeneratorData, ExtremalCertificate)
+
+
+@pytest.mark.parametrize("cls", _PLAIN, ids=[cls.__name__ for cls in _PLAIN])
+def test_record_constructor_refuses_bad_arguments_by_class(cls):
+    x = next(x for x, _, _ in _RECORDS if type(x) is cls)
+    names = cls._fields
+    values = tuple(getattr(x, name) for name in names)
+    name = cls.__qualname__
+    refusals = [
+        (lambda: cls(*values, None), f"{name}() takes {len(names)} fields, got {len(names) + 1} positional arguments"),
+        (lambda: cls(*values[:-1], **{names[-1]: values[-1], "extra": 1}), f"{name}() has no field 'extra'"),
+        (lambda: cls(*values, **{names[0]: values[0]}), f"{name}() got field {names[0]!r} twice"),
+        (lambda: cls(*values[:-2]), f"{name}() is missing fields {list(names[-2:])}"),
+    ]
+    for build, message in refusals:
+        with pytest.raises(TypeError) as info:
+            build()
+        assert str(info.value) == message
+    assert cls(*values[:-1], **{names[-1]: values[-1]}) == x

@@ -6,6 +6,7 @@ import pytest
 
 from idemfree import (
     GROUP_BY_NIL_EXTENSION,
+    ArchDecomposition,
     MONOGENIC_ONLY,
     InvalidParameters,
     NotArchimedean,
@@ -156,6 +157,15 @@ def test_bad_element_and_component_ids_are_refused_by_name(method, args, message
     with pytest.raises(InvalidParameters) as exc:
         getattr(owner, method)(*args)
     assert str(exc.value) == message
+
+
+def test_meet_refuses_an_order_that_is_not_a_meet_semilattice():
+    # a hand-built decomposition: two components, neither below the other
+    dec = ArchDecomposition((frozenset({0}), frozenset({1})), ((True, False), (False, True)), (), (0, 1))
+    with pytest.raises(InvalidParameters) as exc:
+        dec.meet(0, 1)
+    assert str(exc.value) == "components 0 and 1 have no meet: the order is not a meet semilattice"
+    assert dec.meet(1, 1) == 1
 
 
 def test_chain_check_rejects_vee():

@@ -228,7 +228,7 @@ def test_verdicts_on_the_support_table_are_the_tables_verdicts(commutative_le4, 
             )
             assert verify._family_verdicts(memo, S, terms) == want, (S.table, terms)
             counts["multisets"] += 1
-            counts["failed complement"] += not structure._support_table(S, terms)[0]
+            counts["failed complement"] += not verify._support_table(S, terms)[0]
             counts["empty support"] += not terms
     assert counts == {"multisets": 11698, "failed complement": 8460, "empty support": 88}
 
@@ -241,7 +241,7 @@ def test_verdicts_on_the_support_table_are_the_tables_verdicts(commutative_le4, 
     for S in short:
         rec = _Support(S, ())
         want = (_weakly_free(S, ()), _passes(S, rec), _main_form(S, rec), erdos_burgess(S).value)
-        assert not structure._support_table(S, ())[0] and verify._family_verdicts(memo, S, ()) == want
+        assert not verify._support_table(S, ())[0] and verify._family_verdicts(memo, S, ()) == want
     assert len(short) == 1210 - 88
 
     # seeded multisets over the labelled tables of order <= 4 that do not
@@ -270,10 +270,10 @@ def test_support_table_relabels_in_increasing_order():
 
     z3, z2 = cyclic_group(3), cyclic_group(2)
     flat = lambda S: bytes(cell for row in S.table for cell in row)  # noqa: E731
-    assert structure._support_table(adjoin_identity(z3), (1, 0)) == (True, flat(z3), b"\x01\x00")
-    assert structure._support_table(chain_glue([FiniteSemigroup([[0]]), z2]), (1,)) == (True, flat(z2), b"\x00")
-    assert structure._support_table(chain_glue([z2, z2]), (2,)) == (False, flat(z2), b"\x00")
-    assert structure._support_table(z2, ()) == (False, b"", b"")
+    assert verify._support_table(adjoin_identity(z3), (1, 0)) == (True, flat(z3), b"\x01\x00")
+    assert verify._support_table(chain_glue([FiniteSemigroup([[0]]), z2]), (1,)) == (True, flat(z2), b"\x00")
+    assert verify._support_table(chain_glue([z2, z2]), (2,)) == (False, flat(z2), b"\x00")
+    assert verify._support_table(z2, ()) == (False, b"", b"")
 
 
 def test_support_tables_past_256_elements_are_tuples():
@@ -287,9 +287,9 @@ def test_support_tables_past_256_elements_are_tuples():
         big_spec = ExtremalSpec((Monogenic(1, 1),) * 256 + chain)
         big, U = extremal_pair(big_spec)
         assert big.order == small.order + 256
-        complement, table, terms = structure._support_table(small, T.terms)
+        complement, table, terms = verify._support_table(small, T.terms)
         assert (type(table), type(terms)) == (bytes, bytes)
-        assert structure._support_table(big, U.terms) == (complement, tuple(table), tuple(terms))
+        assert verify._support_table(big, U.terms) == (complement, tuple(table), tuple(terms))
         assert verify._family_verdicts({}, big, U.terms) == verify._family_verdicts({}, small, T.terms)
         assert verify._family_case({}, big_spec, big, U.terms) == {"ok": True, "failure": None}
 
@@ -339,7 +339,7 @@ def test_families_certify_each_distinct_support_once(monkeypatch):
 
 def test_tables_sharing_a_support_key_share_letters_and_bound(commutative_le4):
     # the lemma behind the families memo: once the complement holds, two
-    # tables with one key of ``structure._support_table`` have one letter
+    # tables with one key of ``verify._support_table`` have one letter
     # table and one GHW bound; on every (3, 8) spec, as the check builds
     # its tables, and every multiset of length |S \ E(S)| over the
     # commutative tables of order <= 4 whose complement holds, all keyed
@@ -357,7 +357,7 @@ def test_tables_sharing_a_support_key_share_letters_and_bound(commutative_le4):
     first = {}
     counts = {"tables": 0, "shared": 0}
     for S, terms in cases:
-        complement, table, r_terms = structure._support_table(S, terms)
+        complement, table, r_terms = verify._support_table(S, terms)
         if not complement:
             continue
         got = (constants._letter_table(S)[1], constants.ghw_bound(S))
@@ -666,7 +666,7 @@ def test_bounded_result_never_serves_a_report():
     assert verify._memo(memo, (kind, letters), constants._walk, letters, len(alpha), kind)[2] == 8
     assert verify._family_case(memo, spec, c3, T.terms)["ok"]
     # the support entry holds the case's verdicts, its I value stored first
-    _, table, r_terms = structure._support_table(c3, T.terms)
+    _, table, r_terms = verify._support_table(c3, T.terms)
     assert list(memo) == [("value", letters), ("support", table, r_terms), (kind, letters)]
 
 
