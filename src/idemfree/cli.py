@@ -19,6 +19,7 @@ from . import construct, verify
 from .constants import davenport, erdos_burgess, strong_erdos_burgess
 from .core import (
     SemigroupError,
+    _plain_int,
     format_cayley_table,
     idempotents,
     is_commutative,
@@ -230,7 +231,7 @@ def _parse_resume(text: str) -> list[int]:
     prefix = []
     for cell in text.replace(",", " ").split():
         try:
-            prefix.append(int(cell))
+            prefix.append(_plain_int(cell))
         except ValueError:
             raise SemigroupError(f"--resume-from cell {cell!r} is not an integer") from None
     return prefix

@@ -459,6 +459,15 @@ def monogenic(index: int, period: int) -> FiniteSemigroup:
     return FiniteSemigroup._trusted([[prod(a, b) for b in range(n)] for a in range(n)])
 
 
+def _plain_int(token: str) -> int:
+    """int(token) for a token of the text formats, which write ASCII digits
+    only: a non-ASCII digit or a '_', both of which int() accepts, raises
+    ValueError as int() does on any other non-integer."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(token)
+    return int(token)
+
+
 def parse_cayley_table(text: str) -> FiniteSemigroup:
     """Read the table text format: order line, then n rows of n indices.
 
@@ -468,7 +477,7 @@ def parse_cayley_table(text: str) -> FiniteSemigroup:
     if not lines:
         raise InvalidParameters("empty table file")
     try:
-        n = int(lines[0])
+        n = _plain_int(lines[0])
     except ValueError:
         raise InvalidParameters(f"first line must be the order, got {lines[0]!r}") from None
     if n < 1:
@@ -481,7 +490,7 @@ def parse_cayley_table(text: str) -> FiniteSemigroup:
         if len(parts) != n:
             raise InvalidParameters(f"row {k} has {len(parts)} entries, expected {n}")
         try:
-            rows.append([int(v) for v in parts])
+            rows.append([_plain_int(v) for v in parts])
         except ValueError:
             raise InvalidParameters(f"row {k} contains a non-integer entry") from None
     return validate(n, rows)

@@ -43,6 +43,7 @@ from .core import (
     _index,
     _iterable,
     _mask_to_set,
+    _plain_int,
     _Record,
     is_commutative,
 )
@@ -102,7 +103,7 @@ class Seq(_Record):
         terms = []
         for tok in lines[0].split() if lines else ():
             try:
-                terms.append(int(tok))
+                terms.append(_plain_int(tok))
             except ValueError:
                 raise InvalidParameters(f"sequence term {tok!r} is not an integer") from None
         return cls(tuple(terms))

@@ -24,18 +24,18 @@ are read on its own table, from one certificate record
 passed, so no ``ExtremalCertificate`` is built.
 
 When the complement holds, the four results are kept in the check's memo
-under the key that ``_support_table`` returns beside the complement
-flag: the table of R = <support> and the terms, both relabelled in
-increasing element order. That is exact. Two spec tables with one key
-have isomorphic R under the increasing relabel. Once the complement
-holds, every result reads only products inside R and which of R's
-elements are idempotent, and every non-idempotent of S lies in R, so S's
-letters are R's, in the same order. So the two tables have equal letter
-tables, equal GHW bounds and equal results. Every identity twin has its
-plain spec's R, and chains that differ only by trivial parts have one R,
-so the 7 254 specs at (3, 8) read 2 297 keys, the empty support among
-them. A spec whose complement fails is not memoized: its I is then S's
-own, not R's.
+under the key that ``_support_table`` returns: the table of R = <support>
+and the terms, both relabelled in increasing element order, one character
+per id. That is exact. Two spec tables with one key have isomorphic R
+under the increasing relabel. Once the complement holds, every result
+reads only products inside R and which of R's elements are idempotent,
+and every non-idempotent of S lies in R, so S's letters are R's, in the
+same order. So the two tables have equal letter tables, equal GHW bounds
+and equal results. Every identity twin has its plain spec's R, and chains
+that differ only by trivial parts have one R, so the 7 254 specs at
+(3, 8) read 2 297 keys, the empty support among them. A spec whose
+complement fails gets no key and is not memoized: its I is then S's own,
+not R's.
 
 I, SI and F depend on a table only through its letter table
 (``constants``): the 31 940 commutative tables of order <= 5 have 1 057
@@ -87,7 +87,6 @@ import functools
 import itertools
 import math
 import os
-from operator import itemgetter
 
 from .constants import (
     KIND_ERDOS_BURGESS,
@@ -345,42 +344,34 @@ def _spec_verdicts(memo: dict, S: FiniteSemigroup, terms: tuple[int, ...]) -> tu
     return _weakly_free(S, terms), _passes(S, rec), _main_form(S, rec), value
 
 
-def _support_table(S: FiniteSemigroup, terms: tuple[int, ...]) -> tuple[bool, bytes | tuple, bytes | tuple]:
-    """The complement flag of terms, element ids of S, then the table of the
-    subsemigroup R their support generates, relabelled in increasing
-    element order and flattened row by row, and the terms in R's ids.
-
-    The flag is the complement-idempotent condition, R | E(S) = S, the one
-    test of the certificate that reads S (``structure``'s module
-    docstring). The table and terms are bytes, one per id, when S has at
-    most 256 elements, and tuples otherwise: either way a compact memo key
-    for the verdicts, which read only R once the flag holds (module
-    docstring). The empty support gives the empty table.
+def _support_table(S: FiniteSemigroup, terms: tuple[int, ...]) -> tuple[str, str] | None:
+    """None when terms, element ids of S, fail the complement-idempotent
+    condition R | E(S) = S, for R the subsemigroup their support generates:
+    the one test of the certificate that reads S (``structure``'s module
+    docstring). Otherwise R's table, relabelled in increasing element order
+    and flattened row by row, and the terms in R's ids, each a string of one
+    character per id: the memo key for the verdicts, which then read only R
+    (module docstring). The empty support gives the empty table.
     """
     t = S.table
     R = _generated(t, sorted(set(terms)))
-    complement = R | _idem_mask(S) == (1 << S.order) - 1
+    if R | _idem_mask(S) != (1 << S.order) - 1:
+        return None
     ids = [a for a in range(S.order) if R >> a & 1]
-    # itemgetter of one id returns a cell, not a row; the one cell of a
-    # one-element R is its element
-    cells = itertools.chain.from_iterable(map(itemgetter(*ids), map(t.__getitem__, ids))) if len(ids) > 1 else ids
-    if S.order <= 256:  # bytes.translate relabels every cell in one call
-        relabel = bytearray(256)
-        for i, a in enumerate(ids):
-            relabel[a] = i
-        return complement, bytes(cells).translate(relabel), bytes(terms).translate(relabel)
-    position = dict(zip(ids, range(len(ids))))
-    return complement, tuple(map(position.__getitem__, cells)), tuple(map(position.__getitem__, terms))
+    name = [""] * S.order
+    for i, a in enumerate(ids):
+        name[a] = chr(i)
+    return "".join([name[t[a][b]] for a in ids for b in ids]), "".join([name[x] for x in terms])
 
 
 def _family_verdicts(memo: dict, S: FiniteSemigroup, terms: tuple[int, ...]) -> tuple[bool, bool, bool, int]:
     """``_spec_verdicts`` of terms, element ids of the commutative S, kept
-    in the memo under R's relabelled table and terms when the complement
-    holds (module docstring)."""
-    complement, table, r_terms = _support_table(S, terms)
-    if not complement:
+    in the memo under ``_support_table``'s key when the complement holds
+    (module docstring)."""
+    key = _support_table(S, terms)
+    if key is None:
         return _spec_verdicts(memo, S, terms)
-    return _memo(memo, ("support", table, r_terms), _spec_verdicts, memo, S, terms)
+    return _memo(memo, ("support", *key), _spec_verdicts, memo, S, terms)
 
 
 def _family_case(memo: dict, spec: ExtremalSpec, S: FiniteSemigroup, terms: tuple[int, ...]) -> dict:

@@ -124,7 +124,12 @@ def test_products_and_free_check(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "text, message",
-    [("1 2\n0 1\n", "one line of indices, got 2 data lines"), ("0 x\n", "sequence term 'x' is not an integer")],
+    [
+        ("1 2\n0 1\n", "one line of indices, got 2 data lines"),
+        ("0 x\n", "sequence term 'x' is not an integer"),
+        ("1_0\n", "sequence term '1_0' is not an integer"),
+        ("0 \uff12\n", "sequence term '\uff12' is not an integer"),
+    ],
 )
 def test_free_check_rejects_bad_sequence_file(tmp_path, capsys, text, message):
     path = write_table(tmp_path, group_nil_chain(2, 2))
@@ -305,10 +310,12 @@ def test_enumerate_resume_from_matches_library(capsys):
     "prefix, message",
     [
         ("0 x", "error: --resume-from cell 'x' is not an integer\n"),
+        ("0_1", "error: --resume-from cell '0_1' is not an integer\n"),
+        ("0 \u0663", "error: --resume-from cell '\u0663' is not an integer\n"),
         ("0 2", "error: resume cell 2 is not in [0, 2)\n"),
         ("0 " * 5, "error: resume prefix has 5 cells, more than the 4 of order 2\n"),
     ],
-    ids=["not-an-integer", "out-of-range", "too-long"],
+    ids=["not-an-integer", "underscore", "non-ascii-digit", "out-of-range", "too-long"],
 )
 def test_enumerate_rejects_a_bad_resume_cell(capsys, prefix, message):
     code, out, err = run_cli(capsys, "enumerate", "--order", "2", "--resume-from", prefix)

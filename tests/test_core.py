@@ -390,3 +390,11 @@ def test_table_text_comments_and_errors():
         parse_cayley_table("0\n")
     with pytest.raises(InvalidParameters, match="^row 0 contains a non-integer entry$"):
         parse_cayley_table("2\n0 x\n1 1\n")
+    # the format writes ASCII digits only: int() would read '0_0' as 0 and
+    # a fullwidth or Arabic-Indic digit as its value
+    for cell in ["0_0", "\uff10", "\u0661"]:
+        with pytest.raises(InvalidParameters, match="^row 1 contains a non-integer entry$"):
+            parse_cayley_table(f"2\n0 1\n1 {cell}\n")
+    for order in ["0_2", "\uff12"]:
+        with pytest.raises(InvalidParameters, match=f"^first line must be the order, got '{order}'$"):
+            parse_cayley_table(f"{order}\n0 1\n1 0\n")

@@ -146,6 +146,11 @@ def test_seq_type():
         Seq.parse("1 x")
     with pytest.raises(InvalidParameters, match="sequence term '1.5' is not an integer"):
         Seq.parse("# note\n1.5 2\n")
+    # the format writes ASCII digits only, which int() alone does not ask
+    with pytest.raises(InvalidParameters, match="sequence term '1_0' is not an integer"):
+        Seq.parse("1_0 2")
+    with pytest.raises(InvalidParameters, match="sequence term '\uff12' is not an integer"):
+        Seq.parse("1 \uff12")
     assert Seq.of([]).format() == "\n"
     # terms are indices: a float or string is rejected, never truncated
     Z3 = cyclic_group(3)

@@ -228,7 +228,7 @@ def test_verdicts_on_the_support_table_are_the_tables_verdicts(commutative_le4, 
             )
             assert verify._family_verdicts(memo, S, terms) == want, (S.table, terms)
             counts["multisets"] += 1
-            counts["failed complement"] += not verify._support_table(S, terms)[0]
+            counts["failed complement"] += verify._support_table(S, terms) is None
             counts["empty support"] += not terms
     assert counts == {"multisets": 11698, "failed complement": 8460, "empty support": 88}
 
@@ -241,7 +241,7 @@ def test_verdicts_on_the_support_table_are_the_tables_verdicts(commutative_le4, 
     for S in short:
         rec = _Support(S, ())
         want = (_weakly_free(S, ()), _passes(S, rec), _main_form(S, rec), erdos_burgess(S).value)
-        assert not verify._support_table(S, ())[0] and verify._family_verdicts(memo, S, ()) == want
+        assert verify._support_table(S, ()) is None and verify._family_verdicts(memo, S, ()) == want
     assert len(short) == 1210 - 88
 
     # seeded multisets over the labelled tables of order <= 4 that do not
@@ -264,22 +264,25 @@ def test_verdicts_on_the_support_table_are_the_tables_verdicts(commutative_le4, 
 def test_support_table_relabels_in_increasing_order():
     # R's elements keep their order: Z_3 below an adjoined identity, and Z_2
     # above a trivial part or above another Z_2, which no product of the
-    # upper Z_2 reaches; only the last leaves a non-idempotent outside R
+    # upper Z_2 reaches; only the last leaves a non-idempotent outside R,
+    # and it gets no key, nor does the empty support of Z_2; the empty
+    # support of the trivial semigroup gives the empty table
     from idemfree import adjoin_identity
     from idemfree.construct import chain_glue
 
-    z3, z2 = cyclic_group(3), cyclic_group(2)
-    flat = lambda S: bytes(cell for row in S.table for cell in row)  # noqa: E731
-    assert verify._support_table(adjoin_identity(z3), (1, 0)) == (True, flat(z3), b"\x01\x00")
-    assert verify._support_table(chain_glue([FiniteSemigroup([[0]]), z2]), (1,)) == (True, flat(z2), b"\x00")
-    assert verify._support_table(chain_glue([z2, z2]), (2,)) == (False, flat(z2), b"\x00")
-    assert verify._support_table(z2, ()) == (False, b"", b"")
+    z3, z2, trivial = cyclic_group(3), cyclic_group(2), FiniteSemigroup([[0]])
+    flat = lambda S: "".join(chr(cell) for row in S.table for cell in row)  # noqa: E731
+    assert verify._support_table(adjoin_identity(z3), (1, 0)) == (flat(z3), "\x01\x00")
+    assert verify._support_table(chain_glue([trivial, z2]), (1,)) == (flat(z2), "\x00")
+    assert verify._support_table(chain_glue([z2, z2]), (2,)) is None
+    assert verify._support_table(z2, ()) is None
+    assert verify._support_table(trivial, ()) == ("", "")
 
 
-def test_support_tables_past_256_elements_are_tuples():
-    # a spec table of more than 256 elements gives R's table and terms as
-    # tuples, equal cell by cell to the bytes of the same chain without the
-    # 256 trivial parts glued below it, and the same verdicts and row
+def test_support_keys_past_256_elements_equal_the_small_chains():
+    # a spec table of more than 256 elements gives the key of the same
+    # chain without the 256 trivial parts glued below it, and the same
+    # verdicts and row
     from idemfree.construct import ExtremalSpec, GroupByNil, Monogenic, extremal_pair
 
     for chain in [(Monogenic(3, 2),), (GroupByNil(3, 2), Monogenic(1, 3)), (Monogenic(1, 1), Monogenic(5, 4))]:
@@ -287,9 +290,8 @@ def test_support_tables_past_256_elements_are_tuples():
         big_spec = ExtremalSpec((Monogenic(1, 1),) * 256 + chain)
         big, U = extremal_pair(big_spec)
         assert big.order == small.order + 256
-        complement, table, terms = verify._support_table(small, T.terms)
-        assert (type(table), type(terms)) == (bytes, bytes)
-        assert verify._support_table(big, U.terms) == (complement, tuple(table), tuple(terms))
+        key = verify._support_table(small, T.terms)
+        assert key is not None and verify._support_table(big, U.terms) == key
         assert verify._family_verdicts({}, big, U.terms) == verify._family_verdicts({}, small, T.terms)
         assert verify._family_case({}, big_spec, big, U.terms) == {"ok": True, "failure": None}
 
@@ -343,8 +345,9 @@ def test_tables_sharing_a_support_key_share_letters_and_bound(commutative_le4):
     # table and one GHW bound; on every (3, 8) spec, as the check builds
     # its tables, and every multiset of length |S \ E(S)| over the
     # commutative tables of order <= 4 whose complement holds, all keyed
-    # in one dict: 6 109 of the 10 492 share a key met before
-    from idemfree import adjoin_identity
+    # in one dict: 6 109 of the 10 492 share a key met before; each key
+    # decodes to R's table and the terms, relabelled here in increasing order
+    from idemfree import adjoin_identity, generated_subsemigroup
     from idemfree.construct import extremal_pair
 
     specs = verify.enumerate_extremal_specs(3, 8)
@@ -357,9 +360,13 @@ def test_tables_sharing_a_support_key_share_letters_and_bound(commutative_le4):
     first = {}
     counts = {"tables": 0, "shared": 0}
     for S, terms in cases:
-        complement, table, r_terms = verify._support_table(S, terms)
-        if not complement:
+        key = verify._support_table(S, terms)
+        if key is None:
             continue
+        table, r_terms = key
+        ids = sorted(generated_subsemigroup(S, set(terms))) if terms else []
+        assert [ord(c) for c in table] == [ids.index(S.table[a][b]) for a in ids for b in ids], (S.table, terms)
+        assert [ord(c) for c in r_terms] == [ids.index(x) for x in terms], (S.table, terms)
         got = (constants._letter_table(S)[1], constants.ghw_bound(S))
         counts["tables"] += 1
         if (table, r_terms) in first:
@@ -666,7 +673,7 @@ def test_bounded_result_never_serves_a_report():
     assert verify._memo(memo, (kind, letters), constants._walk, letters, len(alpha), kind)[2] == 8
     assert verify._family_case(memo, spec, c3, T.terms)["ok"]
     # the support entry holds the case's verdicts, its I value stored first
-    _, table, r_terms = verify._support_table(c3, T.terms)
+    table, r_terms = verify._support_table(c3, T.terms)
     assert list(memo) == [("value", letters), ("support", table, r_terms), (kind, letters)]
 
 
