@@ -167,10 +167,19 @@ def cmd_verify(args) -> int:
     return 0 if log["summary"]["allPassed"] else 1
 
 
+def _int_arg(token: str) -> int:
+    """An integer option or parameter, read as the file readers read one
+    (``core._plain_int``): ASCII digits and no '_'."""
+    try:
+        return _plain_int(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {token!r}") from None
+
+
 def _parse_component(text: str):
     kind, _, rest = text.partition(":")
     try:
-        a, b = (int(v) for v in rest.split(","))
+        a, b = (_plain_int(v) for v in rest.split(","))
     except ValueError:
         raise SemigroupError(f"bad component {text!r}; expected mono:I,P or gbn:N,P") from None
     if kind == "mono":
@@ -289,28 +298,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_check_extremal)
 
     p = sub.add_parser("verify", help="run corpus and family checks, write a JSON run log")
-    p.add_argument("--max-order", type=int, default=4)
+    p.add_argument("--max-order", type=_int_arg, default=4)
     p.add_argument("--commutative", action="store_true", help="restrict the corpus to commutative tables")
     p.add_argument("--checks", default=None, help=f"comma list from {','.join(verify.CHECK_IDS)}")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--max-enum-order", type=int, default=construct.DEFAULT_ENUM_ORDER_CAP)
+    p.add_argument("--workers", type=_int_arg, default=1)
+    p.add_argument("--max-enum-order", type=_int_arg, default=construct.DEFAULT_ENUM_ORDER_CAP)
     p.add_argument("--log", default=None, help="also write the JSON log to this path")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("gen", help="emit a family table (and sequence, for extremal pairs)")
     p.add_argument("family", choices=[*_FAMILIES, "extremal"])
-    p.add_argument("params", nargs="*", type=int)
+    p.add_argument("params", nargs="*", type=_int_arg)
     p.add_argument("--component", action="append", default=None, help="extremal part: mono:I,P or gbn:N,P")
     p.add_argument("--adjoin-identity", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("enumerate", help="stream every associative table of a small order")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_int_arg, required=True)
     p.add_argument("--commutative", action="store_true")
     p.add_argument("--dedup", action="store_true", help="emit only canonical representatives")
     p.add_argument("--resume-from", default=None, help="flattened row-major prefix, e.g. '0 1 2'")
-    p.add_argument("--max-enum-order", type=int, default=construct.DEFAULT_ENUM_ORDER_CAP)
+    p.add_argument("--max-enum-order", type=_int_arg, default=construct.DEFAULT_ENUM_ORDER_CAP)
     p.set_defaults(fn=cmd_enumerate)
 
     return parser

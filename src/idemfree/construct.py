@@ -3,7 +3,7 @@
 The extremal generator builds semigroups component by component along a
 chain where later components absorb cross products, pairing each with the
 longest weakly free sequence the structure admits. A catalog part builds its
-table once, on first use, and keeps it (``_table``): the specs of one
+table when it is constructed and keeps it (``_table``): the specs of one
 catalog share their part objects, so each part is built once however many
 chains it sits in, and the tables die with the specs. Glued and adjoined
 tables are built as row tuples, which ``_trusted`` keeps as they are, and
@@ -25,7 +25,6 @@ it is wrapped without the full re-check.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
 
 from .core import (
     FiniteSemigroup,
@@ -159,7 +158,7 @@ class Monogenic(_Record):
     """A single-cycle component; index must be congruent to 1 mod period."""
 
     _fields = ("index", "period")
-    __slots__ = (*_fields, "__dict__")  # the dict holds the cached _table alone
+    __slots__ = (*_fields, "term_count", "_terms", "_table")
 
     def __init__(self, index: int, period: int):
         object.__setattr__(self, "index", _index(index, "index"))
@@ -168,46 +167,29 @@ class Monogenic(_Record):
             raise InvalidParameters(f"need index, period >= 1, got {self}")
         if (self.index - 1) % self.period != 0:
             raise InvalidParameters(f"index must be 1 mod period, got {self}")
-
-    @property
-    def term_count(self) -> int:
-        return self.index + self.period - 2
-
-    @property
-    def _terms(self) -> tuple[int, ...]:
+        # set once here and not fields, so not in ==, hash or repr; _terms is
         # the extremal sequence in the part's own ids: the generator, repeated
-        return (0,) * self.term_count
-
-    @cached_property
-    def _table(self) -> FiniteSemigroup:
-        # kept in the instance dict: not a field, so not in ==, hash or repr
-        return monogenic(self.index, self.period)
+        object.__setattr__(self, "term_count", self.index + self.period - 2)
+        object.__setattr__(self, "_terms", (0,) * self.term_count)
+        object.__setattr__(self, "_table", monogenic(self.index, self.period))
 
 
 class GroupByNil(_Record):
     """A nontrivial cyclic group under a nontrivial cyclic nil generator."""
 
     _fields = ("nil_index", "group_order")
-    __slots__ = (*_fields, "__dict__")  # the dict holds the cached _table alone
+    __slots__ = (*_fields, "term_count", "_terms", "_table")
 
     def __init__(self, nil_index: int, group_order: int):
         object.__setattr__(self, "nil_index", _index(nil_index, "nil index"))
         object.__setattr__(self, "group_order", _index(group_order, "group order"))
         if self.nil_index < 2 or self.group_order < 2:
             raise InvalidParameters(f"need nil index >= 2 and group order >= 2, got {self}")
-
-    @property
-    def term_count(self) -> int:
-        return self.nil_index + self.group_order - 2
-
-    @property
-    def _terms(self) -> tuple[int, ...]:
+        object.__setattr__(self, "term_count", self.nil_index + self.group_order - 2)
         # the nil generator first, then the group generator
-        return (0,) * (self.nil_index - 1) + (self.nil_index - 1,) * (self.group_order - 1)
-
-    @cached_property
-    def _table(self) -> FiniteSemigroup:
-        return trivial_ideal_extension(self.nil_index, self.group_order)
+        terms = (0,) * (self.nil_index - 1) + (self.nil_index - 1,) * (self.group_order - 1)
+        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_table", trivial_ideal_extension(self.nil_index, self.group_order))
 
 
 class ExtremalSpec(_Record):
@@ -232,8 +214,8 @@ def extremal_pair(spec: ExtremalSpec) -> tuple[FiniteSemigroup, Seq]:
     """Build the described semigroup and its longest weakly free sequence.
 
     Each generator x appears index(x) + period(x) - 2 times, so the total
-    length is exactly |S \\ E(S)|. The parts' tables are their cached
-    ``_table``, so specs that share a part object build it once.
+    length is exactly |S \\ E(S)|. The parts' tables are their ``_table``,
+    built with the part, so specs that share a part object share it.
     """
     S = chain_glue([part._table for part in spec.chain])
     if spec.adjoin_identity:

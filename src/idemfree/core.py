@@ -336,9 +336,9 @@ class _Record:
     - ``hash`` is the hash of the tuple of fields;
     - the repr reads ``Name(field=value!r, ...)``;
     - assigning or deleting an attribute raises AttributeError;
-    - a pickle or copy calls the constructor with the fields, then restores
-      the instance ``__dict__`` of a subclass that keeps one for a cache
-      (``construct.Monogenic``).
+    - a pickle or copy calls the constructor with the fields and restores
+      nothing else, so whatever else a subclass holds (``construct``'s
+      parts hold their tables) its constructor builds again.
     """
 
     __slots__ = ()
@@ -382,7 +382,7 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return self.__class__, self._values(), getattr(self, "__dict__", None) or None
+        return self.__class__, self._values()
 
 
 class CyclicData(_Record):

@@ -24,10 +24,13 @@ are read on its own table, from one certificate record
 passed, so no ``ExtremalCertificate`` is built.
 
 When the complement holds, the four results are kept in the check's memo
-under the key that ``_support_table`` returns: the table of R = <support>
-and the terms, both relabelled in increasing element order, one character
-per id. That is exact. Two spec tables with one key have isomorphic R
-under the increasing relabel. Once the complement holds, every result
+under the key that ``_support_table`` returns: the products of R =
+<support> by its generators and the terms, both relabelled in increasing
+element order, one character per id. That is exact. Every element r of R
+is a left-nested product g1 ... gk of generators (``core._generated``),
+so a r = ((a g1) ...) gk is read off the generator columns alone, and two
+spec tables with one key have isomorphic R under the increasing relabel,
+with equal relabelled tables. Once the complement holds, every result
 reads only products inside R and which of R's elements are idempotent,
 and every non-idempotent of S lies in R, so S's letters are R's, in the
 same order. So the two tables have equal letter tables, equal GHW bounds
@@ -348,20 +351,24 @@ def _support_table(S: FiniteSemigroup, terms: tuple[int, ...]) -> tuple[str, str
     """None when terms, element ids of S, fail the complement-idempotent
     condition R | E(S) = S, for R the subsemigroup their support generates:
     the one test of the certificate that reads S (``structure``'s module
-    docstring). Otherwise R's table, relabelled in increasing element order
-    and flattened row by row, and the terms in R's ids, each a string of one
-    character per id: the memo key for the verdicts, which then read only R
-    (module docstring). The empty support gives the empty table.
+    docstring). Otherwise the products a g of each a in R by each generator
+    g, relabelled in increasing element order and flattened row by row, and
+    the terms in R's ids, each a string of one character per id: the memo
+    key for the verdicts, which then read only R (module docstring). The
+    generator columns fix all of R's table: the terms name the generators,
+    and each a r, r = g1 ... gk, is ((a g1) ...) gk, so two tables with one
+    key have one relabelled R. The empty support gives the empty table.
     """
     t = S.table
-    R = _generated(t, sorted(set(terms)))
+    supp = sorted(set(terms))
+    R = _generated(t, supp)
     if R | _idem_mask(S) != (1 << S.order) - 1:
         return None
     ids = [a for a in range(S.order) if R >> a & 1]
     name = [""] * S.order
     for i, a in enumerate(ids):
         name[a] = chr(i)
-    return "".join([name[t[a][b]] for a in ids for b in ids]), "".join([name[x] for x in terms])
+    return "".join([name[t[a][g]] for a in ids for g in supp]), "".join([name[x] for x in terms])
 
 
 def _family_verdicts(memo: dict, S: FiniteSemigroup, terms: tuple[int, ...]) -> tuple[bool, bool, bool, int]:
@@ -413,8 +420,8 @@ def enumerate_extremal_specs(max_components: int = 3, max_terms: int = 10) -> li
     ``itertools.product`` over the catalog, shortest first, but a chain is
     extended only while its budget allows. Group-by-nil parts have nil index
     and group order at most 4. The chains share the catalog's part objects,
-    so each part's table is built once for all the specs, and once per
-    chunk when a process pool pickles them."""
+    so each part's table is built once for all the specs, and again once
+    per chunk when a process pool unpickles them."""
     max_components = _index(max_components, "max_components")
     max_terms = _index(max_terms, "max_terms")
     if max_components < 1:
@@ -432,7 +439,6 @@ def enumerate_extremal_specs(max_components: int = 3, max_terms: int = 10) -> li
             if nil_index + group_order - 2 <= max_terms:
                 catalog.append(GroupByNil(nil_index, group_order))
 
-    costs = [(part, part.term_count) for part in catalog]
     specs: list[ExtremalSpec] = []
     # every part costs at least 0 terms, so a chain over budget has no
     # extension within it; extending each chain in catalog order keeps
@@ -440,10 +446,10 @@ def enumerate_extremal_specs(max_components: int = 3, max_terms: int = 10) -> li
     chains: list[tuple[tuple, int]] = [((), 0)]
     for _length in range(max_components):
         chains = [
-            (chain + (part,), used + cost)
+            (chain + (part,), used + part.term_count)
             for chain, used in chains
-            for part, cost in costs
-            if used + cost <= max_terms
+            for part in catalog
+            if used + part.term_count <= max_terms
         ]
         for chain, _used in chains:
             specs.append(ExtremalSpec(chain))

@@ -297,6 +297,42 @@ def test_enum_cap_error_names_the_flag(capsys, argv, message):
     assert err == message
 
 
+# a verify run that ends at once, should a bad flag be let through
+QUICK_VERIFY = ["verify", "--max-order", "1", "--checks", "nil-product-lemma"]
+
+
+# each token would be read by int() as another integer: '_' separators and
+# non-ASCII digits, which the table and sequence readers refuse too
+@pytest.mark.parametrize(
+    "argv, token",
+    [
+        (["verify", "--max-order", "1_0"], "1_0"),
+        ([*QUICK_VERIFY, "--workers", "1_0"], "1_0"),
+        ([*QUICK_VERIFY, "--max-enum-order", "0_4"], "0_4"),
+        (["enumerate", "--order", "0_2"], "0_2"),
+        (["enumerate", "--order", "2", "--max-enum-order", "\u0664"], "\u0664"),
+        (["gen", "cyclic-group", "\uff13"], "\uff13"),
+    ],
+    ids=["verify-max-order", "verify-workers", "verify-max-enum-order", "enumerate-order", "enumerate-max-enum-order", "gen-params"],
+)
+def test_integer_options_take_plain_ascii_digits(capsys, argv, token):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"invalid int value: {token!r}" in captured.err
+
+
+def test_gen_component_takes_plain_ascii_digits(tmp_path, capsys):
+    component = "mono:3_0,\uff12"
+    code, out, err = run_cli(capsys, "gen", "extremal", "--component", component, "--out", str(tmp_path / "x"))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: bad component {component!r}; expected mono:I,P or gbn:N,P\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_enumerate_resume_from_matches_library(capsys):
     code, out, err = run_cli(capsys, "enumerate", "--order", "3", "--resume-from", "0,1 1 2")
     want = [format_cayley_table(S) for S in enumerate_semigroups(3, resume_from=[0, 1, 1, 2])]

@@ -238,9 +238,7 @@ def test_cached_part_table_is_not_part_of_the_spec():
     for part in (Monogenic(3, 2), GroupByNil(3, 2)):
         spec = ExtremalSpec((part,), adjoin_identity=True)
         before = (hash(part), repr(part), hash(spec), repr(spec), _spec_to_json(spec))
-        assert "_table" not in vars(part)
         assert part._table is part._table
-        assert "_table" in vars(part)
         assert (hash(part), repr(part), hash(spec), repr(spec), _spec_to_json(spec)) == before
         assert part == _fresh_part(part) and spec == ExtremalSpec((_fresh_part(part),), True)
 
@@ -249,16 +247,12 @@ def test_spec_pickle_round_trip_with_and_without_cached_tables():
     part = GroupByNil(2, 3)
     spec = ExtremalSpec((Monogenic(3, 2), part, part))
     want = extremal_pair(ExtremalSpec((Monogenic(3, 2), GroupByNil(2, 3), GroupByNil(2, 3))))
-    for cached in (False, True):
-        if cached:
-            extremal_pair(spec)
-        back = pickle.loads(pickle.dumps(spec))
-        assert back == spec and hash(back) == hash(spec)
-        assert ("_table" in vars(back.chain[1])) == cached
-        # one object in, one object out: the repeated part stays shared
-        assert back.chain[1] is back.chain[2]
-        S, T = extremal_pair(back)
-        assert (S.table, T) == (want[0].table, want[1])
+    back = pickle.loads(pickle.dumps(spec))
+    assert back == spec and hash(back) == hash(spec)
+    # one object in, one object out: the repeated part stays shared
+    assert back.chain[1] is back.chain[2]
+    S, T = extremal_pair(back)
+    assert (S.table, T) == (want[0].table, want[1])
 
 
 def _flat(table):

@@ -266,14 +266,15 @@ def test_support_table_relabels_in_increasing_order():
     # above a trivial part or above another Z_2, which no product of the
     # upper Z_2 reaches; only the last leaves a non-idempotent outside R,
     # and it gets no key, nor does the empty support of Z_2; the empty
-    # support of the trivial semigroup gives the empty table
+    # support of the trivial semigroup gives the empty table. The key holds
+    # R's products by its generators only: Z_3 = {x, x^2, x^3} by x and
+    # x^2, Z_2 = {x, x^2} by x
     from idemfree import adjoin_identity
     from idemfree.construct import chain_glue
 
     z3, z2, trivial = cyclic_group(3), cyclic_group(2), FiniteSemigroup([[0]])
-    flat = lambda S: "".join(chr(cell) for row in S.table for cell in row)  # noqa: E731
-    assert verify._support_table(adjoin_identity(z3), (1, 0)) == (flat(z3), "\x01\x00")
-    assert verify._support_table(chain_glue([trivial, z2]), (1,)) == (flat(z2), "\x00")
+    assert verify._support_table(adjoin_identity(z3), (1, 0)) == ("\x01\x02\x02\x00\x00\x01", "\x01\x00")
+    assert verify._support_table(chain_glue([trivial, z2]), (1,)) == ("\x01\x00", "\x00")
     assert verify._support_table(chain_glue([z2, z2]), (2,)) is None
     assert verify._support_table(z2, ()) is None
     assert verify._support_table(trivial, ()) == ("", "")
@@ -298,10 +299,10 @@ def test_support_keys_past_256_elements_equal_the_small_chains():
 
 def test_families_certify_each_distinct_support_once(monkeypatch):
     # the 7 254 (3, 8) specs have 2 297 distinct pairs of R's relabelled
-    # table and terms, one of them the empty support: the check builds one
-    # support record and one letter table for each pair, each on a spec's
-    # own table and at a key not met before, and still walks the 1 074
-    # letter tables once each
+    # generator columns and terms, one of them the empty support: the check
+    # builds one support record and one letter table for each pair, each
+    # on a spec's own table and at a key not met before, and still walks
+    # the 1 074 letter tables once each
     spec_tables = {}  # by id, each table kept alive so that no id is reused
     keys = {}  # each spec table's key, by id
     seen = {"_Support": set(), "_letter_table": set()}
@@ -341,12 +342,13 @@ def test_families_certify_each_distinct_support_once(monkeypatch):
 
 def test_tables_sharing_a_support_key_share_letters_and_bound(commutative_le4):
     # the lemma behind the families memo: once the complement holds, two
-    # tables with one key of ``verify._support_table`` have one letter
-    # table and one GHW bound; on every (3, 8) spec, as the check builds
-    # its tables, and every multiset of length |S \ E(S)| over the
-    # commutative tables of order <= 4 whose complement holds, all keyed
-    # in one dict: 6 109 of the 10 492 share a key met before; each key
-    # decodes to R's table and the terms, relabelled here in increasing order
+    # tables with one key of ``verify._support_table`` have one relabelled
+    # R table, one letter table and one GHW bound; on every (3, 8) spec, as
+    # the check builds its tables, and every multiset of length
+    # |S \ E(S)| over the commutative tables of order <= 4 whose complement
+    # holds, all keyed in one dict: 6 109 of the 10 492 share a key met
+    # before; each key decodes to R's generator columns and the terms,
+    # relabelled here in increasing order
     from idemfree import adjoin_identity, generated_subsemigroup
     from idemfree.construct import extremal_pair
 
@@ -363,18 +365,39 @@ def test_tables_sharing_a_support_key_share_letters_and_bound(commutative_le4):
         key = verify._support_table(S, terms)
         if key is None:
             continue
-        table, r_terms = key
+        columns, r_terms = key
         ids = sorted(generated_subsemigroup(S, set(terms))) if terms else []
-        assert [ord(c) for c in table] == [ids.index(S.table[a][b]) for a in ids for b in ids], (S.table, terms)
+        supp = sorted(set(terms))
+        assert [ord(c) for c in columns] == [ids.index(S.table[a][g]) for a in ids for g in supp], (S.table, terms)
         assert [ord(c) for c in r_terms] == [ids.index(x) for x in terms], (S.table, terms)
-        got = (constants._letter_table(S)[1], constants.ghw_bound(S))
+        got = (
+            [ids.index(S.table[a][b]) for a in ids for b in ids],
+            constants._letter_table(S)[1],
+            constants.ghw_bound(S),
+        )
         counts["tables"] += 1
-        if (table, r_terms) in first:
+        if key in first:
             counts["shared"] += 1
-            assert got == first[table, r_terms], (S.table, terms)
+            assert got == first[key], (S.table, terms)
         else:
-            first[table, r_terms] = got
+            first[key] = got
     assert counts == {"tables": 7254 + 3238, "shared": 6109}
+
+
+@pytest.mark.parametrize("max_components, max_terms, pairs", [(3, 8, 3627), (3, 10, 8071)])
+def test_identity_twins_share_their_plain_specs_support_key(max_components, max_terms, pairs):
+    # the lemma behind ``_family_pair_case``'s memo reads: no product of the
+    # terms is the adjoined identity, so the twin has the plain spec's R and
+    # the same key, a complement that fails on one failing on the other
+    from idemfree import adjoin_identity
+    from idemfree.construct import ExtremalSpec, extremal_pair
+
+    specs = verify.enumerate_extremal_specs(max_components, max_terms)
+    assert len(specs) == 2 * pairs
+    for plain, twin in zip(specs[::2], specs[1::2]):
+        assert twin == ExtremalSpec(plain.chain, adjoin_identity=True)
+        S, T = extremal_pair(plain)
+        assert verify._support_table(adjoin_identity(S), T.terms) == verify._support_table(S, T.terms), plain
 
 
 @pytest.mark.parametrize("max_components, max_terms", [(1, 0), (2, 3), (3, 8), (4, 10)])
