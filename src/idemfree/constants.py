@@ -66,26 +66,6 @@ than a plain walk, its leaf entries included, too little to move a corpus
 check. I on letters that do not commute has the whole multiset as its
 state, so it streams F instead.
 
-A check that reads only I's value on a table that is commutative by
-construction, the extremal-families check of ``verify``, calls
-``_bounded_value``, which walks the I tree under a bound. Appending a term c
-to a free sequence T, with Tc free, adds at least one non-idempotent to the
-product set: if c and P(T)c lay in P(T), every power of c would, the
-idempotent one too. This lemma gives the Gillam-Hall-Williams bound
-|S \\ E(S)| + 1, and it bounds a node of path length L and product mask m:
-no free extension is longer than L + k - popcount(m), with k = |S \\ E(S)|.
-``_bounded_walk`` is one depth-first walk from the empty sequence that
-skips a child whose bound is at most the best length so far and stops once
-the best length reaches the cap k. It keeps only that length. It reads
-the packed rows themselves: a child ORs in the row of each bit it adds, so
-the walk builds no slice table, which would cost more than its few nodes
-(about six grows per family table). A cut tree
-has no fixed size, so the public reports keep the exhaustive walk, whose
-nodesExplored the tests pin as the size of the plain tree; ghw-bound checks
-the lemma, so it must not assume it; strong-vs-weak cross-checks the two
-exhaustive searches; and example-formulas reads I from ``erdos_burgess``,
-so its closed form does not rest on the lemma either.
-
 A free search reads only the letter table of ``_letter_table``: the
 k * k products among the k non-idempotents alpha, each written as its
 position in alpha, or as the marker k when it is idempotent. That table is
@@ -103,10 +83,8 @@ alpha of any table with that letter table instead of searching again:
 ``verify`` keeps one memo per check (its docstring), and the public
 searches keep nothing and run on every call. ``_free_masks`` is F as a
 dict, on commutative tables too: the free set of the extremal-equivalence
-check, the one caller that keeps F. ``_bounded_value`` is the bounded
-walk's value over a letter table whose letters commute, with no witness or
-node count; its caller vouches that they commute. D walks S itself:
-irreducibility reads the products with idempotents too.
+check, the one caller that keeps F. D walks S itself: irreducibility
+reads the products with idempotents too.
 
 Each walk is a recursive closure, which refers to itself through its own
 cell. A walk drops that reference when it ends, on a refusal too, so
@@ -140,52 +118,6 @@ class ConstantReport(_Record):
 def ghw_bound(S: FiniteSemigroup) -> int:
     """|S \\ E(S)| + 1, the universal bound on free sequence length plus one."""
     return S.order - _idem_mask(S).bit_count() + 1
-
-
-def _bounded_walk(n: int, rows: list[int]) -> int:
-    """The length of the longest free nondecreasing sequence over the n
-    letters of a letter table, given its packed rows: the commutative I
-    walk of ``_memo_walk``, for the value only, without its memo.
-
-    A child of path length L and product mask grown has no free extension
-    longer than L + n - popcount(grown), so a child whose bound does not
-    beat the best length is not walked, and the walk stops as soon as the
-    best length reaches the cap n (module docstring). It counts no nodes.
-    A child ORs in the rows of the bits it adds, one read per bit, so the
-    walk builds no slice tables.
-    """
-    full = (1 << n) - 1
-    top = n * n
-    best = 0
-
-    def rec(mask: int, vec: int, allow: int, length: int) -> bool:
-        nonlocal best
-        reach = length + n
-        live = allow & ~(vec >> top)
-        while live:
-            low = live & -live
-            live ^= low
-            x = low.bit_length() - 1
-            grown = mask | low | ((vec >> x * n) & full)
-            if reach - grown.bit_count() <= best:
-                continue
-            if length > best:
-                best = length
-                if length == n:
-                    return True
-            add, child = grown & ~mask, vec
-            while add:
-                child |= rows[(add & -add).bit_length() - 1]
-                add &= add - 1
-            if rec(grown, child, full >> x << x, length + 1):
-                return True
-        return False
-
-    try:
-        rec(0, 0, full, 1)
-    finally:
-        rec = None  # break the closure's self-reference (module docstring)
-    return best
 
 
 def _memo_walk(n: int, slices: list[list[int]], allows: list[int]) -> tuple[int, tuple[int, ...], int]:
@@ -436,10 +368,6 @@ def _free_search(S: FiniteSemigroup, kind: str) -> ConstantReport:
     alpha, letters = _letter_table(S)
     value, positions, nodes = _walk(letters, len(alpha), kind)
     return ConstantReport(kind, value, Seq(tuple([alpha[i] for i in positions])), nodes)
-
-
-def _bounded_value(letters: tuple[int, ...], k: int) -> int:
-    return _bounded_walk(k, _packed_rows(_letter_rows(letters, k), 1 << k)) + 1
 
 
 def erdos_burgess(S: FiniteSemigroup) -> ConstantReport:

@@ -21,11 +21,9 @@ Four Russians: the n bits of a mask are cut into bytes, ceil(n/8) slices of
 8 bits with the last one possibly narrower, and entry b of slice k is the OR
 of the rows of the bits 8*k + i with i in b. A union over a mask is then one
 table read per byte instead of one row read per set bit, and both kernels
-cut a mask with & 255 and >> 8, whatever the size of their tables. A walk
-that adds few bits per node and ends after few nodes, such as the bounded
-value walk of ``constants``, ORs the rows themselves and builds no tables.
-``_translate`` keeps the per-bit loop, which builds no tables either: the
-one-shot ``_natural_mask`` behind the public product-set calls uses it.
+cut a mask with & 255 and >> 8, whatever the size of their tables.
+``_translate`` keeps the per-bit loop and builds no tables: the one-shot
+``_natural_mask`` behind the public product-set calls uses it.
 """
 
 from __future__ import annotations
@@ -139,8 +137,8 @@ def _packed_rows(table, stop: int = 0) -> list[int]:
     OR of the rows of A's elements packs every translate of A, and A*x is
     (vec >> x*n) & ((1 << n) - 1), less the products in stop; field n is the
     set of columns c whose translate A*c meets stop. A search ORs the rows
-    of the bits a set gains: through their ``_slices``, one precomputed
-    union per byte, in ``_grow``, or row by row in the bounded value walk.
+    of the bits a set gains through their ``_slices``, one precomputed
+    union per byte, in ``_grow``.
     """
     n = len(table)
     top = n * n

@@ -17,52 +17,62 @@ emits one after the other. The two specs share one glued table: the
 twin's is that table with an identity adjoined, which is how
 ``extremal_pair`` builds it, and the twin has the same terms. Each spec
 still gets its own table and all five of its checks, and the two rows are
-aggregated in spec order. A spec's four results, weak freeness, the
-certificate's bare verdict (``structure._passes``), the main form and I,
-are read on its own table, from one certificate record
-(``structure._Support``): the check reports only whether the certificate
-passed, so no ``ExtremalCertificate`` is built.
+aggregated in spec order. A spec's three verdicts, weak freeness, the
+certificate's bare verdict (``structure._passes``) and the main form, are
+read on its own table, from one certificate record (``structure._Support``):
+the check reports only whether the certificate passed, so no
+``ExtremalCertificate`` is built.
 
-When the complement holds, the four results are kept in the check's memo
+When the complement holds, the three verdicts are kept in the check's memo
 under the key that ``_support_table`` returns: the products of R =
 <support> by its generators and the terms, both relabelled in increasing
 element order, one character per id. That is exact. Every element r of R
 is a left-nested product g1 ... gk of generators (``core._generated``),
 so a r = ((a g1) ...) gk is read off the generator columns alone, and two
 spec tables with one key have isomorphic R under the increasing relabel,
-with equal relabelled tables. Once the complement holds, every result
-reads only products inside R and which of R's elements are idempotent,
-and every non-idempotent of S lies in R, so S's letters are R's, in the
-same order. So the two tables have equal letter tables, equal GHW bounds
-and equal results. Every identity twin has its plain spec's R, and chains
-that differ only by trivial parts have one R, so the 7 254 specs at
-(3, 8) read 2 297 keys, the empty support among them. A spec whose
-complement fails gets no key and is not memoized: its I is then S's own,
-not R's.
+with equal relabelled tables. Once the complement holds, every verdict
+reads only products inside R and which of R's elements are idempotent, so
+the two tables have equal verdicts. No product of the terms is the
+adjoined identity, so every identity twin has its plain spec's R and key,
+and a pair case keys the plain spec once for both rows. Chains that differ
+only by trivial parts have one R, so the 7 254 specs at (3, 8) read 2 297
+keys, the empty support among them. A spec whose complement fails gets no
+key and is not memoized: its certificate reads S outside R.
+
+The check reads I from the chain's parts, by the ordinal-sum lemma. Let B
+be an ideal of S, and A = S \\ B a subsemigroup whose every element is a
+two-sided identity on B: ``chain_glue`` makes each part so on every later
+part, and ``adjoin_identity`` puts {e} above S. A subsequence with a term
+in B multiplies, in any order, to the product of its B-terms in their
+order, and one with no term in B multiplies inside A. So a sequence is
+weakly (strongly) free exactly when its A-terms and its B-terms are, and
+I(S) = I(A) + I(B) - 1, SI(S) likewise. By induction along the chain, a
+spec's I is 1 plus the sum of I(part) - 1 over its parts, and an adjoined
+identity adds I({e}) - 1 = 0. Each part's I is the exhaustive
+``erdos_burgess`` on its table, and a pair case reads the sum once for
+both rows. So the value is exact at both ends: it tests I <= k + 1 as well
+as I >= k + 1, and rests neither on the freeness column nor on the growth
+lemma behind the GHW bound, which ghw-bound tests on the corpus.
 
 I, SI and F depend on a table only through its letter table
 (``constants``): the 31 940 commutative tables of order <= 5 have 1 057
 between them. So the ghw-bound, strong-vs-weak, extremal-equivalence and
 extremal-families checks bind a fresh dict to their case's first
 argument with ``functools.partial``, and ``_memo`` keeps each walk's
-result there under its kind and letter table, and each support's results
-under "support" and its key. A stored result is the one the walk would
-return, so the logs do not change. A serial check fills one memo; a pool
-pickles the case with each chunk, so each chunk fills its own copy.
+result there under its kind and letter table, each part's I report under
+"part" and the part, and each support's verdicts under "support" and its
+key. Parts hash by their fields, so a copy unpickled in a worker finds its
+entry. A stored result is the one a fresh computation would return, so
+the logs do not change. A serial check fills one memo; a pool pickles the
+case with each chunk, so each chunk fills its own copy.
 
-The extremal-families check reads only I's value, on tables that are
-commutative by construction, so it takes the walk of
-``constants._bounded_value``, cut by the product-set growth bound and
-stopped at the GHW cap. The other checks do not rest on that bound:
-example-formulas reads I from ``erdos_burgess``, the exhaustive search;
-ghw-bound tests the bound; and strong-vs-weak cross-checks the exhaustive
-searches. ghw-bound and strong-vs-weak run the exhaustive I and SI walks
-through ``constants._walk``, the walk dispatch behind ``erdos_burgess``
-and ``strong_erdos_burgess``. The letter table alone picks each walk
-there, so no check decides it; strong-vs-weak reads ``is_commutative``
-only for its equality test, when I and SI differ. They read values only:
-a case builds its table's letter table once, for both of strong-vs-weak's
-walks, and no report.
+ghw-bound and strong-vs-weak run the exhaustive I and SI walks through
+``constants._walk``, the walk dispatch behind ``erdos_burgess`` and
+``strong_erdos_burgess``. The letter table alone picks each walk there, so
+no check decides it; strong-vs-weak reads ``is_commutative`` only for its
+equality test, when I and SI differ. They read values only: a case builds
+its table's letter table once, for both of strong-vs-weak's walks, and no
+report.
 
 The extremal-equivalence check never visits every word of length
 k = |S \\ E(S)|. Freeness and the certificate depend only on the multiset
@@ -94,7 +104,6 @@ import os
 from .constants import (
     KIND_ERDOS_BURGESS,
     KIND_STRONG_ERDOS_BURGESS,
-    _bounded_value,
     _free_masks,
     _letter_table,
     _walk,
@@ -337,14 +346,11 @@ def _spec_to_json(spec: ExtremalSpec) -> dict:
     return {"chain": parts, "adjoinIdentity": spec.adjoin_identity}
 
 
-def _spec_verdicts(memo: dict, S: FiniteSemigroup, terms: tuple[int, ...]) -> tuple[bool, bool, bool, int]:
-    """Weak freeness, the certificate's bare verdict, the main form and I's
-    bounded value of terms, element ids of S, all on S's own table, with I
-    read through the memo's entry for S's letter table."""
+def _spec_verdicts(S: FiniteSemigroup, terms: tuple[int, ...]) -> tuple[bool, bool, bool]:
+    """Weak freeness, the certificate's bare verdict and the main form of
+    terms, element ids of S, all on S's own table."""
     rec = _Support(S, terms)  # one record for the certificate and the main form
-    alpha, letters = _letter_table(S)
-    value = _memo(memo, ("value", letters), _bounded_value, letters, len(alpha))
-    return _weakly_free(S, terms), _passes(S, rec), _main_form(S, rec), value
+    return _weakly_free(S, terms), _passes(S, rec), _main_form(S, rec)
 
 
 def _support_table(S: FiniteSemigroup, terms: tuple[int, ...]) -> tuple[str, str] | None:
@@ -371,22 +377,21 @@ def _support_table(S: FiniteSemigroup, terms: tuple[int, ...]) -> tuple[str, str
     return "".join([name[t[a][g]] for a in ids for g in supp]), "".join([name[x] for x in terms])
 
 
-def _family_verdicts(memo: dict, S: FiniteSemigroup, terms: tuple[int, ...]) -> tuple[bool, bool, bool, int]:
-    """``_spec_verdicts`` of terms, element ids of the commutative S, kept
-    in the memo under ``_support_table``'s key when the complement holds
+def _family_verdicts(memo: dict, S: FiniteSemigroup, terms: tuple[int, ...], key) -> tuple[bool, bool, bool]:
+    """``_spec_verdicts`` of terms, element ids of S, kept in the memo under
+    key, ``_support_table``'s key of terms on S, when the complement holds
     (module docstring)."""
-    key = _support_table(S, terms)
     if key is None:
-        return _spec_verdicts(memo, S, terms)
-    return _memo(memo, ("support", *key), _spec_verdicts, memo, S, terms)
+        return _spec_verdicts(S, terms)
+    return _memo(memo, ("support", *key), _spec_verdicts, S, terms)
 
 
-def _family_case(memo: dict, spec: ExtremalSpec, S: FiniteSemigroup, terms: tuple[int, ...]) -> dict:
+def _family_case(memo: dict, spec: ExtremalSpec, S: FiniteSemigroup, terms: tuple[int, ...], key, value: int) -> dict:
     """The five checks of one spec on its table S and its extremal terms,
-    element ids of S; S is commutative by construction, as the bounded
-    walk needs."""
+    element ids of S, given the terms' ``_support_table`` key on S and
+    I(S)."""
     bound = ghw_bound(S)
-    free, passed, main, value = _family_verdicts(memo, S, terms)
+    free, passed, main = _family_verdicts(memo, S, terms, key)
     checks = {
         "length": len(terms) == bound - 1,
         "weaklyFree": free,
@@ -406,11 +411,18 @@ def _family_pair_case(memo: dict, pair: tuple[ExtremalSpec, ExtremalSpec]) -> tu
     chain is glued once: the twin's table is the plain table with an
     identity adjoined, as ``extremal_pair`` builds it, and has the same
     terms, since the identity comes last. No product of the terms is the
-    identity, so the twin has the plain spec's R and reads its verdicts
-    and I value from the memo."""
+    identity, so the twin has the plain spec's R and key. Both have the
+    plain spec's I, 1 plus the sum of I(part) - 1 over the chain by the
+    ordinal-sum lemma, with each part's I read through the memo (module
+    docstring)."""
     plain, twin = pair
     S, T = extremal_pair(plain)
-    return _family_case(memo, plain, S, T.terms), _family_case(memo, twin, adjoin_identity(S), T.terms)
+    key = _support_table(S, T.terms)
+    value = 1 + sum(_memo(memo, ("part", part), erdos_burgess, part._table).value - 1 for part in plain.chain)
+    return (
+        _family_case(memo, plain, S, T.terms, key, value),
+        _family_case(memo, twin, adjoin_identity(S), T.terms, key, value),
+    )
 
 
 def enumerate_extremal_specs(max_components: int = 3, max_terms: int = 10) -> list[ExtremalSpec]:

@@ -49,12 +49,6 @@ from idemfree.verify import _memo, enumerate_extremal_specs
 SEARCHES = {"I": erdos_burgess, "SI": strong_erdos_burgess, "D": davenport}
 
 
-def _bounded_i(S):
-    # I(S) from the bounded walk over the letter table, on a commutative S
-    alpha, letters = constants._letter_table(S)
-    return constants._bounded_value(letters, len(alpha))
-
-
 def test_ghw_bound():
     assert ghw_bound(cyclic_group(5)) == 5
     assert ghw_bound(group_nil_chain(2, 2)) == 3
@@ -117,6 +111,44 @@ def test_chain_glue_of_cyclic_groups():
             assert erdos_burgess(S).value == sum(p - 1 for p in orders) + 1
 
 
+def _ordinal_splits(S):
+    # each split of S as an ordinal sum, A above B, over all subsets: B a
+    # proper nonempty ideal, A = S \ B a subsemigroup, and every a in A a
+    # two-sided identity on B
+    t, n = S.table, S.order
+    for size in range(1, n):
+        for B in itertools.combinations(range(n), size):
+            A = [a for a in range(n) if a not in B]
+            if (
+                all(t[s][b] in B and t[b][s] in B for s in range(n) for b in B)
+                and all(t[a][c] in A for a in A for c in A)
+                and all(t[a][b] == t[b][a] == b for a in A for b in B)
+            ):
+                yield A, list(B)
+
+
+def _restricted(S, ids):
+    return FiniteSemigroup([[ids.index(S.table[a][b]) for b in ids] for a in ids])
+
+
+def test_ordinal_sums_add_their_constants(corpus_le4):
+    # the lemma behind the families check's I column: a subsequence with a
+    # term in B multiplies, in any order, to the product of its B-terms in
+    # their order, so a sequence is free exactly when its A-terms and its
+    # B-terms are, and I(S) = I(A) + I(B) - 1, SI likewise; on every split
+    # of every labelled table of order <= 4 that has one, noncommutative
+    # ones included
+    split = 0
+    for S in corpus_le4:
+        splits = list(_ordinal_splits(S))
+        split += bool(splits)
+        for A, B in splits:
+            for search in (erdos_burgess, strong_erdos_burgess):
+                parts = search(_restricted(S, A)).value + search(_restricted(S, B)).value
+                assert search(S).value == parts - 1, (search.__name__, S.table, B)
+    assert split == 1068
+
+
 def test_witness_reverification(corpus_le3):
     for S in corpus_le3[::7]:
         weak = erdos_burgess(S)
@@ -174,8 +206,6 @@ def test_empty_alphabet_reports():
 
 
 def _assert_reports_match_reference(S, kinds=("I", "SI", "D")):
-    # on a commutative table, I's bounded value search must also give the
-    # value of the plain walk
     for kind in kinds:
         if kind == "D" and not is_commutative(S):
             continue
@@ -183,55 +213,14 @@ def _assert_reports_match_reference(S, kinds=("I", "SI", "D")):
         got = (report.value, report.witness.terms, report.nodes_explored)
         want = reference_search(kind, S)
         assert got == want, (kind, S.table)
-        if kind == "I" and is_commutative(S):
-            assert _bounded_i(S) == want[0], S.table
 
 
 def test_weak_value_on_tiny_alphabets():
     # a band has no letters: value 1; C2 and monogenic(2, 1) have one
     # letter, which is free alone
     for S, want in ((vee_semilattice(), 1), (cyclic_group(2), 2), (monogenic(2, 1), 2)):
-        assert _bounded_i(S) == want
+        assert erdos_burgess(S).value == want
         _assert_reports_match_reference(S, ("I",))
-
-
-def test_weak_value_stops_at_the_cap(monkeypatch):
-    # the walk ORs in the packed row of each letter a child adds, from the
-    # empty sequence, whose packed translates are 0, so a row ORed into 0
-    # is a descent from the root into the letter it adds, as its position
-    # among the non-idempotents. C7 reaches its cap of 6 letters below its
-    # first letter, each term adding one power, so it reads rows 0 to 4,
-    # walks no other root child, and stops before it grows the translates
-    # of the sixth term; a relabelled (Z_2)^3, whose longest free sequence
-    # has 3 of its 7 letters (D((Z_2)^3) = 4), stays below its cap, so
-    # every letter is walked
-    reads = []
-    real = constants._packed_rows
-
-    class Row(int):
-        def __ror__(self, vec):
-            reads.append((vec, self.letter))
-            return vec | int(self)
-
-    def watching(table, stop=0):
-        rows = [Row(r) for r in real(table, stop)]
-        for letter, row in enumerate(rows):
-            row.letter = letter
-        return rows
-
-    def root_descents(S):
-        alpha = [a for a in S.elements if S.table[a][a] != a]
-        return [alpha[letter] for vec, letter in reads if vec == 0]
-
-    monkeypatch.setattr(constants, "_packed_rows", watching)
-    c7 = cyclic_group(7)
-    assert _bounded_i(c7) == 7
-    assert [letter for _, letter in reads] == [0, 1, 2, 3, 4]
-    assert root_descents(c7) == [0]
-    reads.clear()
-    S = relabel(FiniteSemigroup([[a ^ b for b in range(8)] for a in range(8)]), 3)
-    assert _bounded_i(S) == 4 == reference_search("I", S)[0]
-    assert root_descents(S) == [a for a in S.elements if S.table[a][a] != a]
 
 
 def test_searches_match_reference_on_small_corpus(corpus_le4):
@@ -416,7 +405,7 @@ def test_free_searches_read_the_letter_table_not_s():
         for kind, nodes in (("I", 399), ("SI", 25_690)):
             r = SEARCHES[kind](S)
             assert (r.value, r.witness.terms, r.nodes_explored) == (8, (0, 0, 2, 2, last, last, last), nodes)
-    for search in (_bounded_i, erdos_burgess, strong_erdos_burgess):
+    for search in (erdos_burgess, strong_erdos_burgess):
         tracemalloc.start()
         try:
             search(big)
@@ -424,7 +413,6 @@ def test_free_searches_read_the_letter_table_not_s():
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20, (search.__name__, peak)
-    assert _bounded_i(big) == 8
 
 
 def test_searches_leave_no_cyclic_garbage(monkeypatch):

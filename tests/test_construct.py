@@ -234,25 +234,31 @@ def test_extremal_pair_from_shared_parts_matches_fresh_constructors():
         assert part._table.table == _fresh_table(part).table
 
 
-def test_cached_part_table_is_not_part_of_the_spec():
+def test_part_records_are_their_fields():
+    # a part builds its table with it, and the table is no field: a part and
+    # its spec equal and hash as fresh ones from the constructors, with the
+    # same repr and JSON; a pickle calls the constructor with the fields,
+    # so an unpickled spec equals and hashes as the original, its repeated
+    # part stays one object, its glued pair is the fresh spec's, and its
+    # parts find the dict entries keyed by the originals, as the families
+    # memo's ("part", part) entries are found in a pool's workers
     for part in (Monogenic(3, 2), GroupByNil(3, 2)):
         spec = ExtremalSpec((part,), adjoin_identity=True)
-        before = (hash(part), repr(part), hash(spec), repr(spec), _spec_to_json(spec))
-        assert part._table is part._table
-        assert (hash(part), repr(part), hash(spec), repr(spec), _spec_to_json(spec)) == before
-        assert part == _fresh_part(part) and spec == ExtremalSpec((_fresh_part(part),), True)
-
-
-def test_spec_pickle_round_trip_with_and_without_cached_tables():
+        fresh = ExtremalSpec((_fresh_part(part),), True)
+        assert part == fresh.chain[0] and spec == fresh
+        snapshot = [(hash(x.chain[0]), repr(x.chain[0]), hash(x), repr(x), _spec_to_json(x)) for x in (spec, fresh)]
+        assert snapshot[0] == snapshot[1]
     part = GroupByNil(2, 3)
     spec = ExtremalSpec((Monogenic(3, 2), part, part))
     want = extremal_pair(ExtremalSpec((Monogenic(3, 2), GroupByNil(2, 3), GroupByNil(2, 3))))
     back = pickle.loads(pickle.dumps(spec))
     assert back == spec and hash(back) == hash(spec)
     # one object in, one object out: the repeated part stays shared
-    assert back.chain[1] is back.chain[2]
+    assert back.chain[1] is back.chain[2] and back.chain[1] is not part
     S, T = extremal_pair(back)
     assert (S.table, T) == (want[0].table, want[1])
+    memo = {("part", p): p for p in spec.chain}
+    assert [memo["part", p] for p in back.chain] == list(spec.chain) and memo["part", back.chain[1]] is part
 
 
 def _flat(table):

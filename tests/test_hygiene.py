@@ -1,7 +1,9 @@
 """Leftovers in the package source, found by ``ast``: an import a module no
-longer uses, and a module-level private helper nothing calls any more."""
+longer uses, a module-level private helper nothing calls any more, and a
+docstring that names a private name the source no longer has."""
 
 import ast
+import re
 from pathlib import Path
 
 import idemfree
@@ -72,3 +74,39 @@ def test_every_private_module_name_is_used():
             ):
                 unused.append(f"{module}: {name}")
     assert unused == []
+
+
+def _docstrings(tree):
+    """The module's docstring and each of its functions' and classes'."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef)):
+            doc = ast.get_docstring(node, clean=False)
+            if doc:
+                yield doc
+
+
+def _named(tree):
+    """Each name the module defines or reads: a def, a class, a bare name,
+    assigned or read, or an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_docstrings_name_no_missing_private_name():
+    # a double-backticked reference such as ``constants._walk`` whose last
+    # dotted segment is a private name, not a dunder, must still name
+    # something in the source
+    named = {name for tree in MODULES.values() for name in _named(tree)}
+    stale = []
+    for module, tree in MODULES.items():
+        for doc in _docstrings(tree):
+            for ref in re.findall(r"``([^`]+)``", doc):
+                last = ref.rpartition(".")[2]
+                if re.fullmatch(r"_(?!_)\w+", last) and last not in named:
+                    stale.append(f"{module}: {ref}")
+    assert stale == []

@@ -497,8 +497,8 @@ def test_family_case_decomposes_and_classifies_each_component_once(monkeypatch):
     # the certificate and the main form of one family case read one record:
     # _classified fills its components and kinds at most once, and each of
     # R's components is classified once
-    from idemfree import structure
-    from idemfree.verify import _family_case, enumerate_extremal_specs
+    from idemfree import erdos_burgess, structure
+    from idemfree.verify import _family_case, _support_table, enumerate_extremal_specs
 
     real_classified, real_kind = structure._classified, structure._component_kind
     counts = {"fill": 0, "components": 0, "kind": 0}
@@ -521,7 +521,7 @@ def test_family_case_decomposes_and_classifies_each_component_once(monkeypatch):
     for spec in enumerate_extremal_specs(max_components=3, max_terms=6):
         before = dict(counts)
         S, T = extremal_pair(spec)
-        assert _family_case({}, spec, S, T.terms)["ok"]
+        assert _family_case({}, spec, S, T.terms, _support_table(S, T.terms), erdos_burgess(S).value)["ok"]
         assert counts["fill"] - before["fill"] <= 1
         assert counts["kind"] - before["kind"] == counts["components"] - before["components"]
         filled += counts["fill"] - before["fill"]

@@ -156,7 +156,7 @@ def test_free_masks_are_the_naive_free_sequences(corpus_le4, commutative_le5):
         assert constants._free_masks(letters, k) == want
 
 
-_WALKS = ("_memo_walk", "_any_order_walk", "_bounded_walk")
+_WALKS = ("_memo_walk", "_any_order_walk")
 _CORPUS_CHECKS = {
     "ghw-bound": verify.check_ghw_bound,
     "strong-vs-weak": verify.check_strong_weak,
@@ -173,7 +173,7 @@ _CORPUS_CHECKS = {
         ("strong-vs-weak", "corpus_le4", {"_memo_walk": 168, "_any_order_walk": 28}),
         ("extremal-equivalence", "commutative_le5", {"_any_order_walk": 1057}),
         ("extremal-equivalence", "corpus_le4", {"_any_order_walk": 98}),
-        ("extremal-families", None, {"_bounded_walk": 1074}),
+        ("extremal-families", None, {"_memo_walk": 32}),
     ],
     ids=["ghw-c5", "ghw-l4", "strong-weak-c5", "strong-weak-l4", "equivalence-c5", "equivalence-l4", "families-3-8"],
 )
@@ -182,7 +182,8 @@ def test_sharing_checks_walk_each_letter_table_once(check, corpus, walks, reques
     # reads no other walk: the 31 940 commutative tables of order <= 5 have
     # 1 057 letter tables, the 3 614 labelled tables of order <= 4 have 98,
     # 28 of them with letters that do not commute, whose I is the any-order
-    # walk, and the 3 627 chains of the (3, 8) families have 1 074
+    # walk; the families check reads I from its parts, and walks each of
+    # the 32 catalog parts of (3, 8) once
     calls = dict.fromkeys(_WALKS, 0)
 
     def counting(name, walk):
@@ -207,28 +208,23 @@ def test_sharing_checks_walk_each_letter_table_once(check, corpus, walks, reques
 
 
 def test_verdicts_on_the_support_table_are_the_tables_verdicts(commutative_le4, corpus_le4):
-    # the families case reads weak freeness, the certificate, the main form
-    # and I on the spec's own table, memoized by R's relabelled table and
+    # the families case reads weak freeness, the certificate and the main
+    # form on the spec's own table, memoized by R's relabelled table and
     # terms when the complement holds: on every multiset of length
     # |S \\ E(S)| over the commutative tables of order <= 4, through one
-    # memo, they are the public checks' on S, and I is S's; 8 460 of the
-    # multisets fail the complement and 88 have the empty support
-    from idemfree import erdos_burgess, extremal_main_form, is_weakly_free
+    # memo, they are the public checks' on S; 8 460 of the multisets fail
+    # the complement and 88 have the empty support
+    from idemfree import extremal_main_form, is_weakly_free
 
     memo = {}
     counts = {"multisets": 0, "failed complement": 0, "empty support": 0}
     for S in commutative_le4:
-        value = erdos_burgess(S).value
         for terms in itertools.combinations_with_replacement(S.elements, constants.ghw_bound(S) - 1):
-            want = (
-                is_weakly_free(S, terms),
-                extremal_structure_check(S, terms).passed,
-                extremal_main_form(S, terms),
-                value,
-            )
-            assert verify._family_verdicts(memo, S, terms) == want, (S.table, terms)
+            want = (is_weakly_free(S, terms), extremal_structure_check(S, terms).passed, extremal_main_form(S, terms))
+            key = verify._support_table(S, terms)
+            assert verify._family_verdicts(memo, S, terms, key) == want, (S.table, terms)
             counts["multisets"] += 1
-            counts["failed complement"] += verify._support_table(S, terms) is None
+            counts["failed complement"] += key is None
             counts["empty support"] += not terms
     assert counts == {"multisets": 11698, "failed complement": 8460, "empty support": 88}
 
@@ -240,14 +236,13 @@ def test_verdicts_on_the_support_table_are_the_tables_verdicts(commutative_le4, 
     short = [S for S in commutative_le4 if constants.ghw_bound(S) > 1]
     for S in short:
         rec = _Support(S, ())
-        want = (_weakly_free(S, ()), _passes(S, rec), _main_form(S, rec), erdos_burgess(S).value)
-        assert verify._support_table(S, ()) is None and verify._family_verdicts(memo, S, ()) == want
+        want = (_weakly_free(S, ()), _passes(S, rec), _main_form(S, rec))
+        assert verify._support_table(S, ()) is None and verify._family_verdicts(memo, S, (), None) == want
     assert len(short) == 1210 - 88
 
     # seeded multisets over the labelled tables of order <= 4 that do not
     # commute, through the same memo: a support that does not commute fails
-    # both forms, and weak freeness reads only the terms' products, all in
-    # R; the bounded I needs letters that commute, so it is not compared
+    # both forms, and weak freeness reads only the terms' products, all in R
     rng = random.Random(46)
     noncommuting = 0
     for S in corpus_le4:
@@ -256,7 +251,7 @@ def test_verdicts_on_the_support_table_are_the_tables_verdicts(commutative_le4, 
         for _ in range(4):
             terms = tuple(sorted(rng.choices(S.elements, k=constants.ghw_bound(S) - 1)))
             want = (is_weakly_free(S, terms), extremal_structure_check(S, terms).passed, extremal_main_form(S, terms))
-            assert verify._family_verdicts(memo, S, terms)[:3] == want, (S.table, terms)
+            assert verify._family_verdicts(memo, S, terms, verify._support_table(S, terms)) == want, (S.table, terms)
             noncommuting += any(S.table[a][b] != S.table[b][a] for a in terms for b in terms)
     assert noncommuting == 642
 
@@ -283,7 +278,8 @@ def test_support_table_relabels_in_increasing_order():
 def test_support_keys_past_256_elements_equal_the_small_chains():
     # a spec table of more than 256 elements gives the key of the same
     # chain without the 256 trivial parts glued below it, and the same
-    # verdicts and row
+    # verdicts, and its pair case passes, each trivial part adding
+    # I - 1 = 0
     from idemfree.construct import ExtremalSpec, GroupByNil, Monogenic, extremal_pair
 
     for chain in [(Monogenic(3, 2),), (GroupByNil(3, 2), Monogenic(1, 3)), (Monogenic(1, 1), Monogenic(5, 4))]:
@@ -293,51 +289,45 @@ def test_support_keys_past_256_elements_equal_the_small_chains():
         assert big.order == small.order + 256
         key = verify._support_table(small, T.terms)
         assert key is not None and verify._support_table(big, U.terms) == key
-        assert verify._family_verdicts({}, big, U.terms) == verify._family_verdicts({}, small, T.terms)
-        assert verify._family_case({}, big_spec, big, U.terms) == {"ok": True, "failure": None}
+        assert verify._family_verdicts({}, big, U.terms, key) == verify._family_verdicts({}, small, T.terms, key)
+        pair = (big_spec, ExtremalSpec(big_spec.chain, adjoin_identity=True))
+        assert verify._family_pair_case({}, pair) == ({"ok": True, "failure": None},) * 2
 
 
 def test_families_certify_each_distinct_support_once(monkeypatch):
     # the 7 254 (3, 8) specs have 2 297 distinct pairs of R's relabelled
     # generator columns and terms, one of them the empty support: the check
-    # builds one support record and one letter table for each pair, each
-    # on a spec's own table and at a key not met before, and still walks
-    # the 1 074 letter tables once each
-    spec_tables = {}  # by id, each table kept alive so that no id is reused
-    keys = {}  # each spec table's key, by id
-    seen = {"_Support": set(), "_letter_table": set()}
-    counts = {"_Support": 0, "_letter_table": 0, "_bounded_walk": 0}
-    real = {"_Support": verify._Support, "_letter_table": verify._letter_table, "_bounded_walk": constants._bounded_walk}
-    real_support_table = verify._support_table
+    # keys each of the 3 627 pairs once, on its plain spec's table, builds
+    # one support record for each key, on a keyed table and at a key not
+    # met before, and builds no letter table
+    keyed = {}  # each keyed table and its key, by id, so that no id is reused
+    seen = set()
+    counts = {"_support_table": 0, "_Support": 0, "_letter_table": 0}
+    real_support_table, real_support, real_letter_table = verify._support_table, verify._Support, verify._letter_table
 
     def support_table(S, terms):
-        spec_tables[id(S)] = S
-        keys[id(S)] = real_support_table(S, terms)
-        return keys[id(S)]
+        counts["_support_table"] += 1
+        keyed[id(S)] = S, real_support_table(S, terms)
+        return keyed[id(S)][1]
 
-    def on_spec_table(name):
-        def checked(S, *args):
-            assert id(S) in spec_tables, f"{name} built off a spec's own table"
-            assert keys[id(S)] not in seen[name], f"{name} built twice at one key"
-            seen[name].add(keys[id(S)])
-            return counting(name)(S, *args)
+    def support(S, terms):
+        assert id(S) in keyed, "_Support built off a keyed table"
+        key = keyed[id(S)][1]
+        assert key not in seen, "_Support built twice at one key"
+        seen.add(key)
+        counts["_Support"] += 1
+        return real_support(S, terms)
 
-        return checked
-
-    def counting(name):
-        def counted(*args):
-            counts[name] += 1
-            return real[name](*args)
-
-        return counted
+    def letter_table(S):
+        counts["_letter_table"] += 1
+        return real_letter_table(S)
 
     monkeypatch.setattr(verify, "_support_table", support_table)
-    monkeypatch.setattr(verify, "_letter_table", on_spec_table("_letter_table"))
-    monkeypatch.setattr(verify, "_Support", on_spec_table("_Support"))
-    monkeypatch.setattr(constants, "_bounded_walk", counting("_bounded_walk"))
+    monkeypatch.setattr(verify, "_Support", support)
+    monkeypatch.setattr(verify, "_letter_table", letter_table)
     got = verify.check_extremal_families(max_components=3, max_terms=8)
-    assert (got["instances"], got["failed"], len(spec_tables)) == (7254, 0, 7254)
-    assert counts == {"_Support": 2297, "_letter_table": 2297, "_bounded_walk": 1074}
+    assert (got["instances"], got["failed"], len(keyed)) == (7254, 0, 3627)
+    assert counts == {"_support_table": 3627, "_Support": 2297, "_letter_table": 0}
 
 
 def test_tables_sharing_a_support_key_share_letters_and_bound(commutative_le4):
@@ -386,9 +376,10 @@ def test_tables_sharing_a_support_key_share_letters_and_bound(commutative_le4):
 
 @pytest.mark.parametrize("max_components, max_terms, pairs", [(3, 8, 3627), (3, 10, 8071)])
 def test_identity_twins_share_their_plain_specs_support_key(max_components, max_terms, pairs):
-    # the lemma behind ``_family_pair_case``'s memo reads: no product of the
-    # terms is the adjoined identity, so the twin has the plain spec's R and
-    # the same key, a complement that fails on one failing on the other
+    # the lemma behind ``_family_pair_case``'s one key per pair: no product
+    # of the terms is the adjoined identity, so the twin has the plain
+    # spec's R and the same key, a complement that fails on one failing on
+    # the other
     from idemfree import adjoin_identity
     from idemfree.construct import ExtremalSpec, extremal_pair
 
@@ -434,7 +425,9 @@ def test_families_failures_come_back_in_spec_order(monkeypatch):
     # odd order. The bound is read on each spec's own table, never through
     # the memo of verdicts. The families check must report
     # the failures that a plain loop over the specs, each building its own
-    # pair, reports, in the same order, serially and through the pool
+    # pair and keying and searching its own table, reports, in the same
+    # order, serially and through the pool
+    from idemfree import erdos_burgess
     from idemfree.construct import extremal_pair
 
     real_bound = verify.ghw_bound
@@ -447,7 +440,7 @@ def test_families_failures_come_back_in_spec_order(monkeypatch):
     reference = []
     for spec in specs:
         S, T = extremal_pair(spec)
-        row = verify._family_case({}, spec, S, T.terms)
+        row = verify._family_case({}, spec, S, T.terms, verify._support_table(S, T.terms), erdos_burgess(S).value)
         if not row["ok"]:
             reference.append(row["failure"])
     assert {f["spec"]["adjoinIdentity"] for f in reference} == {False, True} and len(reference) < len(specs)
@@ -666,38 +659,46 @@ def test_value_cases_read_the_values_of_the_public_searches(corpus_le3, corpus_l
         assert read == si + [pair for both in zip(i, si) for pair in both]
 
 
-def test_only_the_value_checks_use_the_bounded_search(corpus_le3, monkeypatch):
-    # ghw-bound, strong-vs-weak and example-formulas run the exhaustive
-    # searches, which must not rest on the lemma behind the bound
-    def refuse(*args):
-        raise AssertionError("bounded search called")
-
-    monkeypatch.setattr(constants, "_bounded_walk", refuse)
-    assert verify.check_ghw_bound(corpus_le3)["failed"] == 0
-    assert verify.check_strong_weak(corpus_le3)["failed"] == 0
-    got = verify.check_example_formulas()
-    assert (got["instances"], got["failed"]) == (16, 0)
-    with pytest.raises(AssertionError, match="bounded search called"):
-        verify.check_extremal_families(max_components=1, max_terms=3)
-
-
-def test_bounded_result_never_serves_a_report():
-    # in one memo, the bounded value a families case stores must not stand
-    # in for the report, whose node count is the plain tree's: 5 + 3 on C3
+def test_families_memo_holds_part_reports_then_support_verdicts():
+    # a families pair case stores each part's report, the public
+    # search's with the plain tree's node count, 5 + 3 on C3, under "part"
+    # and the part, then the plain spec's verdicts under its support key,
+    # which the twin reads
+    from idemfree import erdos_burgess
     from idemfree.construct import ExtremalSpec, Monogenic, extremal_pair
 
     spec = ExtremalSpec((Monogenic(1, 3),))
     c3, T = extremal_pair(spec)
     assert c3 == cyclic_group(3)
-    alpha, letters = constants._letter_table(c3)
-    kind = constants.KIND_ERDOS_BURGESS
     memo = {}
-    assert verify._family_case(memo, spec, c3, T.terms)["ok"]
-    assert verify._memo(memo, (kind, letters), constants._walk, letters, len(alpha), kind)[2] == 8
-    assert verify._family_case(memo, spec, c3, T.terms)["ok"]
-    # the support entry holds the case's verdicts, its I value stored first
+    rows = verify._family_pair_case(memo, (spec, ExtremalSpec(spec.chain, adjoin_identity=True)))
+    assert rows == ({"ok": True, "failure": None},) * 2
     table, r_terms = verify._support_table(c3, T.terms)
-    assert list(memo) == [("value", letters), ("support", table, r_terms), (kind, letters)]
+    assert list(memo) == [("part", Monogenic(1, 3)), ("support", table, r_terms)]
+    assert memo["part", Monogenic(1, 3)] == erdos_burgess(c3) and erdos_burgess(c3).nodes_explored == 8
+    assert memo["support", table, r_terms] == (True, True, True)
+
+
+def test_families_i_is_the_exhaustive_i_of_each_letter_table():
+    # the families check reads I as 1 + sum(I(part) - 1) by the ordinal-sum
+    # lemma; the exhaustive walk on each distinct letter table of the
+    # 3 627 (3, 8) chains, which their identity twins share, must agree
+    from idemfree import adjoin_identity, erdos_burgess
+    from idemfree.construct import extremal_pair
+
+    kind = constants.KIND_ERDOS_BURGESS
+    walked, part_i = {}, {}
+    for plain in verify.enumerate_extremal_specs(3, 8)[::2]:
+        S, T = extremal_pair(plain)
+        alpha, letters = constants._letter_table(S)
+        assert constants._letter_table(adjoin_identity(S))[1] == letters
+        if letters not in walked:
+            walked[letters] = constants._walk(letters, len(alpha), kind)[0]
+        for part in plain.chain:
+            if part not in part_i:
+                part_i[part] = erdos_burgess(part._table).value
+        assert walked[letters] == 1 + sum(part_i[part] - 1 for part in plain.chain) == len(T) + 1, plain
+    assert (len(walked), len(part_i)) == (1074, 32)
 
 
 def test_corpus_order_past_enum_cap_names_enum_cap_before_any_pool(monkeypatch):
