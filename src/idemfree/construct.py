@@ -8,18 +8,25 @@ catalog share their part objects, so each part is built once however many
 chains it sits in, and the tables die with the specs. Glued and adjoined
 tables are built as row tuples, which ``_trusted`` keeps as they are, and
 carry their commutativity, known from their parts, so no later caller
-scans them for it. The enumerator streams every associative table
-of a given small order, in lexicographic order of the flattened rows, by
-cell-wise backtracking with partial associativity pruning and forward
-checking. One generator frame walks the cells on an explicit stack and
-yields each table from that frame; ``enumerate_semigroups`` shows that
-each triple is checked once. For commutative tables it walks only the
-upper cells a <= b, fills each with its mirror and marks every table it
-emits as commutative. The tables of one stream share their rows: the walk
-keeps one tuple per distinct row it has emitted, in a dict of its own
-frame, so a table costs its outer tuple and its instance, and two streams
-share nothing. Every table built here is associative by construction, so
-it is wrapped without the full re-check.
+scans them for it. An ordinal sum's rows are its parts' blocks: one rule
+(``_block``) places a part's rows at an offset in a sum of a given total
+order, and one rule (``_identity_column``) extends rows by an adjoined
+identity's column. ``chain_glue``, ``adjoin_identity`` and
+``extremal_pair`` build their rows by these two rules alone, and
+``_chain_rows`` keeps a chain's blocks in a dict under (part, offset,
+total), so the sums that share the dict share each block's rows. The
+enumerator streams every associative table of a given small order, in
+lexicographic order of the flattened rows, by cell-wise backtracking with
+partial associativity pruning and forward checking. One generator frame
+walks the cells on an explicit stack and yields each table from that
+frame; ``enumerate_semigroups`` shows that each triple is checked once.
+For commutative tables it walks only the upper cells a <= b, fills each
+with its mirror and marks every table it emits as commutative. The
+tables of one stream share their rows: the walk keeps one tuple per
+distinct row it has emitted, in a dict of its own frame, so a table costs
+its outer tuple and its instance, and two streams share nothing. Every
+table built here is associative by construction, so it is wrapped
+without the full re-check.
 """
 
 from __future__ import annotations
@@ -99,13 +106,36 @@ def trivial_ideal_extension(nil_index: int, group_order: int) -> FiniteSemigroup
     return FiniteSemigroup._trusted([[prod(a, b) for b in range(size)] for a in range(size)])
 
 
+def _block(comp: FiniteSemigroup, offset: int, total: int) -> tuple[tuple[int, ...], ...]:
+    """comp's rows in an ordinal sum of total elements, comp at offset: a
+    product inside comp is comp's, shifted by offset, and a product across
+    components is the factor from the later component. This is the one
+    ordinal-sum row rule; a sum is associative whenever its parts are, and
+    commutative whenever they are, so comp must be commutative.
+    """
+    if not is_commutative(comp):
+        raise InvalidParameters("chain components must be commutative")
+    later = tuple(range(offset + comp.order, total))
+    # a times an earlier element is a, times a later one is that element
+    return tuple([(a,) * offset + tuple([offset + v for v in row]) + later for a, row in enumerate(comp.table, offset)])
+
+
+def _glued(rows) -> FiniteSemigroup:
+    """The ordinal sum whose rows are rows, each from a ``_block``, marked
+    commutative without a scan: ``_block`` refuses a part that is not."""
+    S = FiniteSemigroup._trusted(rows)
+    S._commutative = True
+    return S
+
+
 def chain_glue(components) -> FiniteSemigroup:
     """Disjoint union of commutative semigroups; cross products fall to the
     element from the later component in the list.
 
-    This is an ordinal sum, which is associative whenever its parts are and
-    commutative whenever they are, so the result is marked commutative
-    without a scan. components may be any iterable; it is read once.
+    This is an ordinal sum: its rows are each component's ``_block`` in
+    turn, so the result is associative and commutative by construction
+    and marked commutative without a scan. components may be any
+    iterable; it is read once.
     """
     components = list(_iterable(components, "components"))
     if not components:
@@ -113,23 +143,13 @@ def chain_glue(components) -> FiniteSemigroup:
     for comp in components:
         if not isinstance(comp, FiniteSemigroup):
             raise InvalidParameters(f"chain component {comp!r} is not a FiniteSemigroup")
-        if not is_commutative(comp):
-            raise InvalidParameters("chain components must be commutative")
     total = sum(comp.order for comp in components)
     table = []
     offset = 0
     for comp in components:
-        end = offset + comp.order
-        later = tuple(range(end, total))
-        # a times an earlier element is a, times a later one is that element
-        for a, row in enumerate(comp.table, offset):
-            table.append((a,) * offset + tuple([offset + v for v in row]) + later)
-        offset = end
-    S = FiniteSemigroup._trusted(table)
-    # every part was checked above; if noncommutative parts are ever let in,
-    # this must become the AND of the parts' flags
-    S._commutative = True
-    return S
+        table += _block(comp, offset, total)
+        offset += comp.order
+    return _glued(table)
 
 
 def group_nil_chain(n1: int, n2: int) -> FiniteSemigroup:
@@ -140,25 +160,59 @@ def group_nil_chain(n1: int, n2: int) -> FiniteSemigroup:
     return chain_glue([cyclic_group(n1), cyclic_nil(n2)])
 
 
+def _identity_column(rows, start: int) -> tuple[tuple[int, ...], ...]:
+    """rows, those of elements start, start + 1, ..., each with the column
+    of an identity adjoined after the last element: a times it is a. This
+    is the one identity-column rule."""
+    return tuple([row + (a,) for a, row in enumerate(rows, start)])
+
+
+def _adjoined(column_rows, commutative: bool | None) -> FiniteSemigroup:
+    """The table whose rows are column_rows, a table's rows with the
+    identity column (``_identity_column``), then the identity's own row;
+    commutative is the table's flag, which the identity keeps."""
+    T = FiniteSemigroup._trusted([*column_rows, tuple(range(len(column_rows) + 1))])
+    T._commutative = commutative
+    return T
+
+
 def adjoin_identity(S: FiniteSemigroup) -> FiniteSemigroup:
     """S with a fresh identity element appended as the last index.
 
-    The identity commutes with everything, so the result is commutative
-    exactly when S is; whatever S already knows of that is copied.
+    Each row gains the identity column (``_identity_column``), and the
+    identity's row comes last. The identity commutes with everything, so
+    the result is commutative exactly when S is; whatever S already knows
+    of that is copied.
     """
-    n = S.order
-    table = [row + (a,) for a, row in enumerate(S.table)]
-    table.append(tuple(range(n + 1)))
-    T = FiniteSemigroup._trusted(table)
-    T._commutative = S._commutative
-    return T
+    return _adjoined(_identity_column(S.table, 0), S._commutative)
+
+
+# a catalog part's slots besides its fields, each set once by _build
+_PART_SLOTS = ("term_count", "_terms", "_table", "_hash")
+
+
+def _build(part, terms: tuple[int, ...], table: FiniteSemigroup) -> None:
+    """Set a catalog part's ``term_count``, ``_terms``, the extremal
+    sequence in the part's own ids, ``_table`` and ``_hash``, the hash of
+    its fields. They are not fields, so not in ==, hash or repr. The
+    families check keys its memo by parts once per part placement, so
+    their hash is read there (``_stored_hash``), not recomputed."""
+    object.__setattr__(part, "term_count", len(terms))
+    object.__setattr__(part, "_terms", terms)
+    object.__setattr__(part, "_table", table)
+    object.__setattr__(part, "_hash", hash(part._values()))
+
+
+def _stored_hash(part) -> int:
+    return part._hash
 
 
 class Monogenic(_Record):
     """A single-cycle component; index must be congruent to 1 mod period."""
 
     _fields = ("index", "period")
-    __slots__ = (*_fields, "term_count", "_terms", "_table")
+    __slots__ = (*_fields, *_PART_SLOTS)
+    __hash__ = _stored_hash
 
     def __init__(self, index: int, period: int):
         object.__setattr__(self, "index", _index(index, "index"))
@@ -167,29 +221,25 @@ class Monogenic(_Record):
             raise InvalidParameters(f"need index, period >= 1, got {self}")
         if (self.index - 1) % self.period != 0:
             raise InvalidParameters(f"index must be 1 mod period, got {self}")
-        # set once here and not fields, so not in ==, hash or repr; _terms is
-        # the extremal sequence in the part's own ids: the generator, repeated
-        object.__setattr__(self, "term_count", self.index + self.period - 2)
-        object.__setattr__(self, "_terms", (0,) * self.term_count)
-        object.__setattr__(self, "_table", monogenic(self.index, self.period))
+        # the generator, repeated
+        _build(self, (0,) * (self.index + self.period - 2), monogenic(self.index, self.period))
 
 
 class GroupByNil(_Record):
     """A nontrivial cyclic group under a nontrivial cyclic nil generator."""
 
     _fields = ("nil_index", "group_order")
-    __slots__ = (*_fields, "term_count", "_terms", "_table")
+    __slots__ = (*_fields, *_PART_SLOTS)
+    __hash__ = _stored_hash
 
     def __init__(self, nil_index: int, group_order: int):
         object.__setattr__(self, "nil_index", _index(nil_index, "nil index"))
         object.__setattr__(self, "group_order", _index(group_order, "group order"))
         if self.nil_index < 2 or self.group_order < 2:
             raise InvalidParameters(f"need nil index >= 2 and group order >= 2, got {self}")
-        object.__setattr__(self, "term_count", self.nil_index + self.group_order - 2)
         # the nil generator first, then the group generator
         terms = (0,) * (self.nil_index - 1) + (self.nil_index - 1,) * (self.group_order - 1)
-        object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_table", trivial_ideal_extension(self.nil_index, self.group_order))
+        _build(self, terms, trivial_ideal_extension(self.nil_index, self.group_order))
 
 
 class ExtremalSpec(_Record):
@@ -210,22 +260,46 @@ class ExtremalSpec(_Record):
         object.__setattr__(self, "adjoin_identity", adjoin_identity)
 
 
+def _chain_rows(chain, blocks: dict) -> tuple[list, list, tuple[int, ...]]:
+    """The rows of the ordinal sum of the chain's part tables, the same rows
+    with the identity column, and the chain's extremal terms in the sum's
+    ids, gathered part by part.
+
+    A part's block depends only on the part, its offset and the sum's total
+    order, so blocks keeps it under (part, offset, total): the part's
+    ``_block``, those rows' ``_identity_column`` and its terms shifted by
+    the offset. A block missing from blocks is built and stored there, so
+    sums that share a dict share each block's row tuples.
+    """
+    total = sum(part._table.order for part in chain)
+    rows, column_rows, terms = [], [], []
+    offset = 0
+    for part in chain:
+        key = part, offset, total
+        block = blocks.get(key)
+        if block is None:
+            placed = _block(part._table, offset, total)
+            block = blocks[key] = placed, _identity_column(placed, offset), tuple([offset + x for x in part._terms])
+        rows += block[0]
+        column_rows += block[1]
+        terms += block[2]
+        offset += part._table.order
+    return rows, column_rows, tuple(terms)
+
+
 def extremal_pair(spec: ExtremalSpec) -> tuple[FiniteSemigroup, Seq]:
     """Build the described semigroup and its longest weakly free sequence.
 
     Each generator x appears index(x) + period(x) - 2 times, so the total
-    length is exactly |S \\ E(S)|. The parts' tables are their ``_table``,
-    built with the part, so specs that share a part object share it.
+    length is exactly |S \\ E(S)|. The table is ``chain_glue`` of the
+    parts' tables, with the identity adjoined when the spec asks, built
+    from the parts' blocks (``_chain_rows``) in a dict of this call's own.
+    The parts' tables are their ``_table``, built with the part, so specs
+    that share a part object share it.
     """
-    S = chain_glue([part._table for part in spec.chain])
-    if spec.adjoin_identity:
-        S = adjoin_identity(S)
-    terms: list[int] = []
-    offset = 0
-    for part in spec.chain:
-        terms.extend([offset + local for local in part._terms])
-        offset += part._table.order
-    return S, Seq(tuple(terms))
+    rows, column_rows, terms = _chain_rows(spec.chain, {})
+    S = _adjoined(column_rows, True) if spec.adjoin_identity else _glued(rows)
+    return S, Seq(terms)
 
 
 def canonical_form(S: FiniteSemigroup) -> tuple[int, ...]:

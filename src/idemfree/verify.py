@@ -13,15 +13,21 @@ parent never holds all of a check's rows.
 
 The extremal-families check maps one case over each chain's pair of
 specs, plain and with an adjoined identity, which the spec enumeration
-emits one after the other. The two specs share one glued table: the
-twin's is that table with an identity adjoined, which is how
-``extremal_pair`` builds it, and the twin has the same terms. Each spec
-still gets its own table and all five of its checks, and the two rows are
-aggregated in spec order. A spec's three verdicts, weak freeness, the
-certificate's bare verdict (``structure._passes``) and the main form, are
-read on its own table, from one certificate record (``structure._Support``):
-the check reports only whether the certificate passed, so no
-``ExtremalCertificate`` is built.
+emits one after the other. Both tables are built from the chain's part
+blocks (``construct._chain_rows``), as ``extremal_pair`` builds them: a
+part's rows in an ordinal sum depend only on the part, its offset and the
+sum's total order, and a block holds those rows, the same rows with the
+identity column and the part's terms at that offset. The plain table is
+the blocks' rows, and the twin's is their identity-column rows, then the
+identity's row; the twin has the same terms. So the tables of one memo
+share their row tuples, and the 3 627 chains at (3, 8), with 10 363 part
+placements, build 860 blocks. Each spec still gets its own table and all
+five of its checks, and the two rows are aggregated in spec order. A
+spec's three verdicts, weak freeness, the certificate's bare verdict
+(``structure._passes``) and the main form, are read on its own table,
+from one certificate record (``structure._Support``): the check reports
+only whether the certificate passed, so no ``ExtremalCertificate`` is
+built.
 
 When the complement holds, the three verdicts are kept in the check's memo
 under the key that ``_support_table`` returns: the products of R =
@@ -58,13 +64,20 @@ I, SI and F depend on a table only through its letter table
 (``constants``): the 31 940 commutative tables of order <= 5 have 1 057
 between them. So the ghw-bound, strong-vs-weak, extremal-equivalence and
 extremal-families checks bind a fresh dict to their case's first
-argument with ``functools.partial``, and ``_memo`` keeps each walk's
-result there under its kind and letter table, each part's I report under
-"part" and the part, and each support's verdicts under "support" and its
-key. Parts hash by their fields, so a copy unpickled in a worker finds its
-entry. A stored result is the one a fresh computation would return, so
+argument with ``functools.partial``, and ``_memo`` keeps there:
+- each I or SI walk's result under its kind and letter table;
+- each free set F under "free" and its letter table;
+- the families check's part blocks under "block", one dict that maps
+  (part, offset, total) to the block;
+- each part's I report under "part" and the part;
+- each support's verdicts under "support" and its key, as one of the
+  eight shared triples ``_VERDICTS``.
+
+Parts hash by their fields, a hash each part computes once when it is
+built, so a copy unpickled in a worker finds its entries. A stored result is the one a fresh computation would return, so
 the logs do not change. A serial check fills one memo; a pool pickles the
-case with each chunk, so each chunk fills its own copy.
+case with each chunk, so each chunk fills its own copy and builds its own
+blocks.
 
 ghw-bound and strong-vs-weak run the exhaustive I and SI walks through
 ``constants._walk``, the walk dispatch behind ``erdos_burgess`` and
@@ -115,10 +128,11 @@ from .construct import (
     ExtremalSpec,
     GroupByNil,
     Monogenic,
+    _adjoined,
+    _chain_rows,
     _check_enum_order,
-    adjoin_identity,
+    _glued,
     enumerate_semigroups,
-    extremal_pair,
     group_nil_chain,
 )
 from .core import (
@@ -346,11 +360,16 @@ def _spec_to_json(spec: ExtremalSpec) -> dict:
     return {"chain": parts, "adjoinIdentity": spec.adjoin_identity}
 
 
+# the eight verdict triples, each stored once: a memo entry points to one
+_VERDICTS = {v: v for v in itertools.product((False, True), repeat=3)}
+
+
 def _spec_verdicts(S: FiniteSemigroup, terms: tuple[int, ...]) -> tuple[bool, bool, bool]:
     """Weak freeness, the certificate's bare verdict and the main form of
-    terms, element ids of S, all on S's own table."""
+    terms, element ids of S, all on S's own table, as one of the shared
+    ``_VERDICTS`` triples."""
     rec = _Support(S, terms)  # one record for the certificate and the main form
-    return _weakly_free(S, terms), _passes(S, rec), _main_form(S, rec)
+    return _VERDICTS[_weakly_free(S, terms), _passes(S, rec), _main_form(S, rec)]
 
 
 def _support_table(S: FiniteSemigroup, terms: tuple[int, ...]) -> tuple[str, str] | None:
@@ -407,21 +426,23 @@ def _family_case(memo: dict, spec: ExtremalSpec, S: FiniteSemigroup, terms: tupl
 
 
 def _family_pair_case(memo: dict, pair: tuple[ExtremalSpec, ExtremalSpec]) -> tuple[dict, dict]:
-    """The rows of a chain's plain spec and of its identity twin. The
-    chain is glued once: the twin's table is the plain table with an
-    identity adjoined, as ``extremal_pair`` builds it, and has the same
-    terms, since the identity comes last. No product of the terms is the
-    identity, so the twin has the plain spec's R and key. Both have the
-    plain spec's I, 1 plus the sum of I(part) - 1 over the chain by the
-    ordinal-sum lemma, with each part's I read through the memo (module
-    docstring)."""
+    """The rows of a chain's plain spec and of its identity twin. Both
+    tables come from the chain's part blocks in the memo
+    (``construct._chain_rows``): the plain table is the glued rows, and the
+    twin's is the same rows with the identity column, then the identity's
+    row, as ``extremal_pair`` builds them; both have the same terms, since
+    the identity comes last. No product of the terms is the identity, so
+    the twin has the plain spec's R and key. Both have the plain spec's I,
+    1 plus the sum of I(part) - 1 over the chain by the ordinal-sum lemma,
+    with each part's I read through the memo (module docstring)."""
     plain, twin = pair
-    S, T = extremal_pair(plain)
-    key = _support_table(S, T.terms)
+    rows, column_rows, terms = _chain_rows(plain.chain, _memo(memo, ("block",), dict))
+    S = _glued(rows)
+    key = _support_table(S, terms)
     value = 1 + sum(_memo(memo, ("part", part), erdos_burgess, part._table).value - 1 for part in plain.chain)
     return (
-        _family_case(memo, plain, S, T.terms, key, value),
-        _family_case(memo, twin, adjoin_identity(S), T.terms, key, value),
+        _family_case(memo, plain, S, terms, key, value),
+        _family_case(memo, twin, _adjoined(column_rows, True), terms, key, value),
     )
 
 

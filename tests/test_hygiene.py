@@ -110,3 +110,19 @@ def test_docstrings_name_no_missing_private_name():
                 if re.fullmatch(r"_(?!_)\w+", last) and last not in named:
                     stale.append(f"{module}: {ref}")
     assert stale == []
+
+
+def test_verify_docstring_names_every_memo_kind():
+    # each string that opens a key passed to ``verify._memo`` names a kind
+    # of memo entry, and the module docstring, which says what the memo
+    # keeps, names each in double quotes
+    tree = MODULES["verify.py"]
+    kinds = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_memo":
+            key = node.args[1]
+            if isinstance(key, ast.Tuple) and isinstance(key.elts[0], ast.Constant) and isinstance(key.elts[0].value, str):
+                kinds.add(key.elts[0].value)
+    doc = ast.get_docstring(tree)
+    assert "part" in kinds
+    assert sorted(kind for kind in kinds if f'"{kind}"' not in doc) == []

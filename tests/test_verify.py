@@ -330,15 +330,14 @@ def test_families_certify_each_distinct_support_once(monkeypatch):
     assert counts == {"_support_table": 3627, "_Support": 2297, "_letter_table": 0}
 
 
-def test_tables_sharing_a_support_key_share_letters_and_bound(commutative_le4):
+def test_tables_sharing_a_support_key_share_their_relabelled_r(commutative_le4):
     # the lemma behind the families memo: once the complement holds, two
     # tables with one key of ``verify._support_table`` have one relabelled
-    # R table, one letter table and one GHW bound; on every (3, 8) spec, as
-    # the check builds its tables, and every multiset of length
-    # |S \ E(S)| over the commutative tables of order <= 4 whose complement
-    # holds, all keyed in one dict: 6 109 of the 10 492 share a key met
-    # before; each key decodes to R's generator columns and the terms,
-    # relabelled here in increasing order
+    # R table; on every (3, 8) spec, as the check builds its tables, and
+    # every multiset of length |S \ E(S)| over the commutative tables of
+    # order <= 4 whose complement holds, all keyed in one dict: 6 109 of the
+    # 10 492 share a key met before; each key decodes to R's generator
+    # columns and the terms, relabelled here in increasing order
     from idemfree import adjoin_identity, generated_subsemigroup
     from idemfree.construct import extremal_pair
 
@@ -360,17 +359,13 @@ def test_tables_sharing_a_support_key_share_letters_and_bound(commutative_le4):
         supp = sorted(set(terms))
         assert [ord(c) for c in columns] == [ids.index(S.table[a][g]) for a in ids for g in supp], (S.table, terms)
         assert [ord(c) for c in r_terms] == [ids.index(x) for x in terms], (S.table, terms)
-        got = (
-            [ids.index(S.table[a][b]) for a in ids for b in ids],
-            constants._letter_table(S)[1],
-            constants.ghw_bound(S),
-        )
+        relabelled = [ids.index(S.table[a][b]) for a in ids for b in ids]
         counts["tables"] += 1
         if key in first:
             counts["shared"] += 1
-            assert got == first[key], (S.table, terms)
+            assert relabelled == first[key], (S.table, terms)
         else:
-            first[key] = got
+            first[key] = relabelled
     assert counts == {"tables": 7254 + 3238, "shared": 6109}
 
 
@@ -401,22 +396,72 @@ def test_specs_by_budget_match_product_and_filter(max_components, max_terms):
         assert plain.chain is twin.chain and (plain.adjoin_identity, twin.adjoin_identity) == (False, True)
 
 
-def test_families_check_glues_each_chain_once(monkeypatch):
+def test_families_check_builds_each_block_once(monkeypatch):
+    # a part's rows depend only on the part, its offset and the sum's total
+    # order: the 1 268 (3, 6) chains place their parts 3 531 times and the
+    # check builds 459 blocks, each at a (part, offset, total) not met
+    # before
     from idemfree import construct
 
-    real_glue = construct.chain_glue
-    glued = []
+    real_block, real_chain_rows = construct._block, verify._chain_rows
+    built, placed = [], []
 
-    def glue(components):
-        components = list(components)
-        glued.append(tuple(comp.table for comp in components))
-        return real_glue(components)
+    def block(comp, offset, total):
+        built.append((comp.table, offset, total))
+        return real_block(comp, offset, total)
 
-    monkeypatch.setattr(construct, "chain_glue", glue)
-    specs = verify.enumerate_extremal_specs(3, 6)
+    def chain_rows(chain, blocks):
+        placed.append(len(chain))
+        return real_chain_rows(chain, blocks)
+
+    monkeypatch.setattr(construct, "_block", block)
+    monkeypatch.setattr(verify, "_chain_rows", chain_rows)
     result = verify.check_extremal_families(max_components=3, max_terms=6)
-    assert result["instances"] == result["passed"] == len(specs) == 2 * len(glued)
-    assert glued == [tuple(part._table.table for part in spec.chain) for spec in specs[::2]]
+    assert result["instances"] == result["passed"] == 2 * len(placed)
+    assert (len(placed), sum(placed), len(built), len(set(built))) == (1268, 3531, 459, 459)
+
+
+def test_families_tables_are_the_glued_tables_and_share_block_rows(monkeypatch):
+    # every plain table the (3, 8) check hands ``_family_case`` is the
+    # ordinal sum of its spec's part tables, cell by cell, and every twin
+    # is that table with an identity adjoined; both are marked commutative.
+    # Two tables that place one part at one offset in one total share that
+    # block's row objects, the twins' rows included
+    from idemfree import adjoin_identity
+    from idemfree.construct import ExtremalSpec
+
+    real_case = verify._family_case
+    handed = []
+
+    def family_case(memo, spec, S, terms, key, value):
+        handed.append((spec, S))
+        return real_case(memo, spec, S, terms, key, value)
+
+    monkeypatch.setattr(verify, "_family_case", family_case)
+    result = verify.check_extremal_families(max_components=3, max_terms=8)
+    assert result["instances"] == result["passed"] == len(handed) == 7254
+    first = {}
+    shared = 0
+    for (plain, S), (twin, T) in zip(handed[::2], handed[1::2]):
+        assert twin == ExtremalSpec(plain.chain, adjoin_identity=True)
+        assert S.table == oracles.chain_glue_cells([part._table for part in plain.chain]), plain
+        assert T == adjoin_identity(S) and S._commutative is T._commutative is True, plain
+        # and, cell by cell, S's cells with an identity n below and beside
+        n = S.order
+        assert [row[:n] for row in T.table[:n]] == list(S.table), plain
+        assert [row[n] for row in T.table] == list(range(n + 1)) == list(T.table[n]), plain
+        offset = 0
+        for part in plain.chain:
+            end = offset + part._table.order
+            rows = S.table[offset:end] + T.table[offset:end]
+            key = part, offset, S.order
+            if key in first:
+                shared += 1
+                assert all(a is b for a, b in zip(rows, first[key], strict=True)), key
+            else:
+                first[key] = rows
+            offset = end
+    assert (len(first), shared) == (860, 10363 - 860)
 
 
 def test_families_failures_come_back_in_spec_order(monkeypatch):
@@ -659,11 +704,13 @@ def test_value_cases_read_the_values_of_the_public_searches(corpus_le3, corpus_l
         assert read == si + [pair for both in zip(i, si) for pair in both]
 
 
-def test_families_memo_holds_part_reports_then_support_verdicts():
-    # a families pair case stores each part's report, the public
-    # search's with the plain tree's node count, 5 + 3 on C3, under "part"
-    # and the part, then the plain spec's verdicts under its support key,
-    # which the twin reads
+def test_families_memo_holds_blocks_part_reports_then_support_verdicts():
+    # a families pair case stores its dict of part blocks under "block",
+    # here C3's one block at offset 0 in a total of 3: its rows, the rows
+    # with the identity column and its terms; then each part's report, the
+    # public search's with the plain tree's node count, 5 + 3 on C3, under
+    # "part" and the part, then the plain spec's verdicts under its support
+    # key, which the twin reads, one of the shared verdict triples
     from idemfree import erdos_burgess
     from idemfree.construct import ExtremalSpec, Monogenic, extremal_pair
 
@@ -674,9 +721,11 @@ def test_families_memo_holds_part_reports_then_support_verdicts():
     rows = verify._family_pair_case(memo, (spec, ExtremalSpec(spec.chain, adjoin_identity=True)))
     assert rows == ({"ok": True, "failure": None},) * 2
     table, r_terms = verify._support_table(c3, T.terms)
-    assert list(memo) == [("part", Monogenic(1, 3)), ("support", table, r_terms)]
+    assert list(memo) == [("block",), ("part", Monogenic(1, 3)), ("support", table, r_terms)]
+    column_rows = ((1, 2, 0, 0), (2, 0, 1, 1), (0, 1, 2, 2))
+    assert memo["block",] == {(Monogenic(1, 3), 0, 3): (c3.table, column_rows, (0, 0))}
     assert memo["part", Monogenic(1, 3)] == erdos_burgess(c3) and erdos_burgess(c3).nodes_explored == 8
-    assert memo["support", table, r_terms] == (True, True, True)
+    assert memo["support", table, r_terms] is verify._VERDICTS[True, True, True]
 
 
 def test_families_i_is_the_exhaustive_i_of_each_letter_table():
