@@ -29,21 +29,37 @@ from one certificate record (``structure._Support``): the check reports
 only whether the certificate passed, so no ``ExtremalCertificate`` is
 built.
 
-When the complement holds, the three verdicts are kept in the check's memo
-under the key that ``_support_table`` returns: the products of R =
-<support> by its generators and the terms, both relabelled in increasing
-element order, one character per id. That is exact. Every element r of R
-is a left-nested product g1 ... gk of generators (``core._generated``),
-so a r = ((a g1) ...) gk is read off the generator columns alone, and two
-spec tables with one key have isomorphic R under the increasing relabel,
-with equal relabelled tables. Once the complement holds, every verdict
-reads only products inside R and which of R's elements are idempotent, so
-the two tables have equal verdicts. No product of the terms is the
-adjoined identity, so every identity twin has its plain spec's R and key,
-and a pair case keys the plain spec once for both rows. Chains that differ
-only by trivial parts have one R, so the 7 254 specs at (3, 8) read 2 297
-keys, the empty support among them. A spec whose complement fails gets no
-key and is not memoized: its certificate reads S outside R.
+The three verdicts are kept in the check's memo under the chain's parts
+that carry terms, in chain order. That is exact by two lemmas.
+- Lemma A. Let terms t on S and t' on S' generate R and R', and let the
+  complement hold on both: R | E(S) = S and R' | E(S') = S'. If R and R',
+  relabelled in increasing element order, have one table, and t and t'
+  relabel to one sequence, then the verdicts agree. Once the complement
+  holds, every verdict reads only products inside R and which of R's
+  elements are idempotent (the complement is the one test that reads S,
+  ``structure``'s module docstring), and the relabel keeps both.
+- Lemma B. On every spec, R is the ordinal sum of the chain's parts that
+  carry terms, in chain order, and the complement holds. The only catalog
+  part with no terms is Monogenic(1, 1), one idempotent: a Monogenic(i, p)
+  has i + p - 2 terms and a GroupByNil at least 2. Each part that carries
+  terms is generated by them, a monogenic part by its generator and a
+  group-by-nil part by its nil and group generators, and a product inside
+  a part is the part's own, so each such part lies in R. In
+  ``chain_glue``'s sum each element of an earlier part is a two-sided
+  identity on every later part, so a product across parts is one of its
+  factors: the union of the parts that carry terms is closed, and it holds
+  the terms, so it is R. Its increasing relabel lists those parts in chain
+  order, each in its own order, so R's relabelled table is their ordinal
+  sum and the relabelled terms are their terms at the new offsets: both
+  depend on those parts alone. S \\ R is the trivial parts and, on a twin,
+  the adjoined identity, all idempotent, so R | E(S) = S. The identity
+  comes last and no product of the terms is the identity, so a twin has
+  its plain spec's R under the same ids.
+
+So two specs with one key have equal verdicts, and a pair case keys its
+plain spec once for both rows, with no closure of R and no relabel. Chains
+that differ only by trivial parts share a key, so the 7 254 specs at
+(3, 8) read 2 297 keys, the empty support among them.
 
 The check reads I from the chain's parts, by the ordinal-sum lemma. Let B
 be an ideal of S, and A = S \\ B a subsemigroup whose every element is a
@@ -70,8 +86,9 @@ argument with ``functools.partial``, and ``_memo`` keeps there:
 - the families check's part blocks under "block", one dict that maps
   (part, offset, total) to the block;
 - each part's I report under "part" and the part;
-- each support's verdicts under "support" and its key, as one of the
-  eight shared triples ``_VERDICTS``.
+- each support's verdicts under "support" and its key, the tuple of the
+  chain's parts that carry terms, as one of the eight shared triples
+  ``_VERDICTS``.
 
 Parts hash by their fields, a hash each part computes once when it is
 built, so a copy unpickled in a worker finds its entries. A stored result is the one a fresh computation would return, so
@@ -140,8 +157,6 @@ from .core import (
     InvalidParameters,
     _check_flag,
     _cycle,
-    _generated,
-    _idem_mask,
     _index,
     is_commutative,
     is_nilsemigroup,
@@ -372,45 +387,13 @@ def _spec_verdicts(S: FiniteSemigroup, terms: tuple[int, ...]) -> tuple[bool, bo
     return _VERDICTS[_weakly_free(S, terms), _passes(S, rec), _main_form(S, rec)]
 
 
-def _support_table(S: FiniteSemigroup, terms: tuple[int, ...]) -> tuple[str, str] | None:
-    """None when terms, element ids of S, fail the complement-idempotent
-    condition R | E(S) = S, for R the subsemigroup their support generates:
-    the one test of the certificate that reads S (``structure``'s module
-    docstring). Otherwise the products a g of each a in R by each generator
-    g, relabelled in increasing element order and flattened row by row, and
-    the terms in R's ids, each a string of one character per id: the memo
-    key for the verdicts, which then read only R (module docstring). The
-    generator columns fix all of R's table: the terms name the generators,
-    and each a r, r = g1 ... gk, is ((a g1) ...) gk, so two tables with one
-    key have one relabelled R. The empty support gives the empty table.
-    """
-    t = S.table
-    supp = sorted(set(terms))
-    R = _generated(t, supp)
-    if R | _idem_mask(S) != (1 << S.order) - 1:
-        return None
-    ids = [a for a in range(S.order) if R >> a & 1]
-    name = [""] * S.order
-    for i, a in enumerate(ids):
-        name[a] = chr(i)
-    return "".join([name[t[a][g]] for a in ids for g in supp]), "".join([name[x] for x in terms])
-
-
-def _family_verdicts(memo: dict, S: FiniteSemigroup, terms: tuple[int, ...], key) -> tuple[bool, bool, bool]:
-    """``_spec_verdicts`` of terms, element ids of S, kept in the memo under
-    key, ``_support_table``'s key of terms on S, when the complement holds
-    (module docstring)."""
-    if key is None:
-        return _spec_verdicts(S, terms)
-    return _memo(memo, ("support", *key), _spec_verdicts, S, terms)
-
-
-def _family_case(memo: dict, spec: ExtremalSpec, S: FiniteSemigroup, terms: tuple[int, ...], key, value: int) -> dict:
+def _family_case(memo: dict, spec: ExtremalSpec, S: FiniteSemigroup, terms: tuple[int, ...], key: tuple, value: int) -> dict:
     """The five checks of one spec on its table S and its extremal terms,
-    element ids of S, given the terms' ``_support_table`` key on S and
-    I(S)."""
+    element ids of S, given I(S) and the support key, the chain's parts
+    that carry terms: the verdicts are ``_spec_verdicts`` on S, kept in the
+    memo under the key (module docstring, Lemmas A and B)."""
     bound = ghw_bound(S)
-    free, passed, main = _family_verdicts(memo, S, terms, key)
+    free, passed, main = _memo(memo, ("support", key), _spec_verdicts, S, terms)
     checks = {
         "length": len(terms) == bound - 1,
         "weaklyFree": free,
@@ -431,14 +414,15 @@ def _family_pair_case(memo: dict, pair: tuple[ExtremalSpec, ExtremalSpec]) -> tu
     (``construct._chain_rows``): the plain table is the glued rows, and the
     twin's is the same rows with the identity column, then the identity's
     row, as ``extremal_pair`` builds them; both have the same terms, since
-    the identity comes last. No product of the terms is the identity, so
-    the twin has the plain spec's R and key. Both have the plain spec's I,
-    1 plus the sum of I(part) - 1 over the chain by the ordinal-sum lemma,
-    with each part's I read through the memo (module docstring)."""
+    the identity comes last. Both rows take one support key, the chain's
+    parts that carry terms, which fix R and its terms on both tables
+    (module docstring, Lemma B). Both have the plain spec's I, 1 plus the
+    sum of I(part) - 1 over the chain by the ordinal-sum lemma, with each
+    part's I read through the memo (module docstring)."""
     plain, twin = pair
     rows, column_rows, terms = _chain_rows(plain.chain, _memo(memo, ("block",), dict))
     S = _glued(rows)
-    key = _support_table(S, terms)
+    key = tuple([part for part in plain.chain if part.term_count])
     value = 1 + sum(_memo(memo, ("part", part), erdos_burgess, part._table).value - 1 for part in plain.chain)
     return (
         _family_case(memo, plain, S, terms, key, value),

@@ -240,6 +240,25 @@ def naive_generated_subsemigroup(S: FiniteSemigroup, generators) -> frozenset[in
     return frozenset(closure)
 
 
+def support_table(S: FiniteSemigroup, terms) -> tuple[str, str] | None:
+    """The support key read off the table, the route ``verify`` keyed the
+    families verdicts by before it read the key off the chain's parts.
+    None when terms, element ids of S, fail the complement R | E(S) = S, for
+    R the subsemigroup their support generates. Otherwise the products a g
+    of each a in R by each generator g, relabelled in increasing element
+    order and flattened row by row, and the terms in R's ids, each a string
+    of one character per id. The generator columns fix R's table: every r
+    in R is a product g1 ... gk of generators, so a r = ((a g1) ...) gk.
+    The empty support gives the empty table."""
+    t = S.table
+    supp = sorted(set(terms))
+    R = naive_generated_subsemigroup(S, supp)
+    if R | {e for e in S.elements if t[e][e] == e} != set(S.elements):
+        return None
+    name = {a: chr(i) for i, a in enumerate(sorted(R))}
+    return "".join([name[t[a][g]] for a in sorted(R) for g in supp]), "".join([name[x] for x in terms])
+
+
 def naive_is_nilsemigroup(S: FiniteSemigroup) -> bool:
     """S has a zero, found by scanning every element, and it is the only
     idempotent."""

@@ -1,6 +1,7 @@
 """Leftovers in the package source, found by ``ast``: an import a module no
 longer uses, a module-level private helper nothing calls any more, and a
-docstring that names a private name the source no longer has."""
+docstring or a README code span that names a private name the source no
+longer has."""
 
 import ast
 import re
@@ -9,6 +10,7 @@ from pathlib import Path
 import idemfree
 
 MODULES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(Path(idemfree.__file__).parent.glob("*.py"))}
+README = Path(__file__).parents[1] / "README.md"
 
 
 def _imported(tree):
@@ -97,19 +99,39 @@ def _named(tree):
             yield node.attr
 
 
+def _missing_private(refs, named):
+    """Each reference whose dotted name, read up to the first character
+    that is neither a word character nor a dot, ends in a private name, not
+    a dunder, that is not in named."""
+    for ref in refs:
+        last = re.match(r"[\w.]*", ref).group().rpartition(".")[2]
+        if re.fullmatch(r"_(?!_)\w+", last) and last not in named:
+            yield ref
+
+
 def test_docstrings_name_no_missing_private_name():
-    # a double-backticked reference such as ``constants._walk`` whose last
-    # dotted segment is a private name, not a dunder, must still name
-    # something in the source
+    # a double-backticked reference such as ``constants._walk`` or
+    # ``construct._block(comp, offset, total)`` must still name something in
+    # the source
     named = {name for tree in MODULES.values() for name in _named(tree)}
-    stale = []
-    for module, tree in MODULES.items():
-        for doc in _docstrings(tree):
-            for ref in re.findall(r"``([^`]+)``", doc):
-                last = ref.rpartition(".")[2]
-                if re.fullmatch(r"_(?!_)\w+", last) and last not in named:
-                    stale.append(f"{module}: {ref}")
+    stale = [
+        f"{module}: {ref}"
+        for module, tree in MODULES.items()
+        for doc in _docstrings(tree)
+        for ref in _missing_private(re.findall(r"``([^`]+)``", doc), named)
+    ]
     assert stale == []
+
+
+def test_readme_names_no_missing_private_name():
+    # the same for the README's backticked code spans, its fenced blocks
+    # aside, so that a helper that leaves the source leaves the README too;
+    # outside the fences the backticks pair up
+    text = re.sub(r"^```.*?^```", "", README.read_text(), flags=re.S | re.M)
+    refs = re.findall(r"`([^`]+)`", text)
+    assert refs and text.count("`") % 2 == 0
+    named = {name for tree in MODULES.values() for name in _named(tree)}
+    assert list(_missing_private(refs, named)) == []
 
 
 def test_verify_docstring_names_every_memo_kind():

@@ -11,10 +11,12 @@ from types import SimpleNamespace
 import pytest
 
 import oracles
+from conftest import slow
 from idemfree import (
     FiniteSemigroup,
     InvalidParameters,
     constants,
+    core,
     cyclic_data,
     cyclic_group,
     extremal_structure_check,
@@ -207,13 +209,25 @@ def test_sharing_checks_walk_each_letter_table_once(check, corpus, walks, reques
     assert calls == {**dict.fromkeys(_WALKS, 0), **walks}
 
 
+def _table_keyed_verdicts(memo: dict, S, terms):
+    """``verify._spec_verdicts`` of terms on S, kept in memo under the
+    table-level support key ``oracles.support_table`` when the complement
+    holds, and that key: Lemma A of the ``verify`` docstring says a key
+    fixes the verdicts."""
+    key = oracles.support_table(S, terms)
+    if key is None:
+        return verify._spec_verdicts(S, terms), None
+    if key not in memo:
+        memo[key] = verify._spec_verdicts(S, terms)
+    return memo[key], key
+
+
 def test_verdicts_on_the_support_table_are_the_tables_verdicts(commutative_le4, corpus_le4):
-    # the families case reads weak freeness, the certificate and the main
-    # form on the spec's own table, memoized by R's relabelled table and
-    # terms when the complement holds: on every multiset of length
-    # |S \\ E(S)| over the commutative tables of order <= 4, through one
-    # memo, they are the public checks' on S; 8 460 of the multisets fail
-    # the complement and 88 have the empty support
+    # Lemma A: weak freeness, the certificate and the main form, memoized
+    # by R's relabelled table and terms when the complement holds: on every
+    # multiset of length |S \\ E(S)| over the commutative tables of order
+    # <= 4, through one memo, they are the public checks' on S; 8 460 of the
+    # multisets fail the complement and 88 have the empty support
     from idemfree import extremal_main_form, is_weakly_free
 
     memo = {}
@@ -221,8 +235,8 @@ def test_verdicts_on_the_support_table_are_the_tables_verdicts(commutative_le4, 
     for S in commutative_le4:
         for terms in itertools.combinations_with_replacement(S.elements, constants.ghw_bound(S) - 1):
             want = (is_weakly_free(S, terms), extremal_structure_check(S, terms).passed, extremal_main_form(S, terms))
-            key = verify._support_table(S, terms)
-            assert verify._family_verdicts(memo, S, terms, key) == want, (S.table, terms)
+            verdicts, key = _table_keyed_verdicts(memo, S, terms)
+            assert verdicts == want, (S.table, terms)
             counts["multisets"] += 1
             counts["failed complement"] += key is None
             counts["empty support"] += not terms
@@ -237,7 +251,7 @@ def test_verdicts_on_the_support_table_are_the_tables_verdicts(commutative_le4, 
     for S in short:
         rec = _Support(S, ())
         want = (_weakly_free(S, ()), _passes(S, rec), _main_form(S, rec))
-        assert verify._support_table(S, ()) is None and verify._family_verdicts(memo, S, (), None) == want
+        assert _table_keyed_verdicts(memo, S, ()) == (want, None)
     assert len(short) == 1210 - 88
 
     # seeded multisets over the labelled tables of order <= 4 that do not
@@ -251,35 +265,36 @@ def test_verdicts_on_the_support_table_are_the_tables_verdicts(commutative_le4, 
         for _ in range(4):
             terms = tuple(sorted(rng.choices(S.elements, k=constants.ghw_bound(S) - 1)))
             want = (is_weakly_free(S, terms), extremal_structure_check(S, terms).passed, extremal_main_form(S, terms))
-            assert verify._family_verdicts(memo, S, terms, verify._support_table(S, terms)) == want, (S.table, terms)
+            assert _table_keyed_verdicts(memo, S, terms)[0] == want, (S.table, terms)
             noncommuting += any(S.table[a][b] != S.table[b][a] for a in terms for b in terms)
     assert noncommuting == 642
 
 
 def test_support_table_relabels_in_increasing_order():
-    # R's elements keep their order: Z_3 below an adjoined identity, and Z_2
-    # above a trivial part or above another Z_2, which no product of the
-    # upper Z_2 reaches; only the last leaves a non-idempotent outside R,
-    # and it gets no key, nor does the empty support of Z_2; the empty
-    # support of the trivial semigroup gives the empty table. The key holds
+    # the table-level key, ``oracles.support_table``, keeps R's elements in
+    # their order: Z_3 below an adjoined identity, and Z_2 above a trivial
+    # part or above another Z_2, which no product of the upper Z_2 reaches;
+    # only the last leaves a non-idempotent outside R, and it gets no key,
+    # nor does the empty support of Z_2; the empty support of the trivial
+    # semigroup gives the empty table. The key holds
     # R's products by its generators only: Z_3 = {x, x^2, x^3} by x and
     # x^2, Z_2 = {x, x^2} by x
     from idemfree import adjoin_identity
     from idemfree.construct import chain_glue
 
     z3, z2, trivial = cyclic_group(3), cyclic_group(2), FiniteSemigroup([[0]])
-    assert verify._support_table(adjoin_identity(z3), (1, 0)) == ("\x01\x02\x02\x00\x00\x01", "\x01\x00")
-    assert verify._support_table(chain_glue([trivial, z2]), (1,)) == ("\x01\x00", "\x00")
-    assert verify._support_table(chain_glue([z2, z2]), (2,)) is None
-    assert verify._support_table(z2, ()) is None
-    assert verify._support_table(trivial, ()) == ("", "")
+    assert oracles.support_table(adjoin_identity(z3), (1, 0)) == ("\x01\x02\x02\x00\x00\x01", "\x01\x00")
+    assert oracles.support_table(chain_glue([trivial, z2]), (1,)) == ("\x01\x00", "\x00")
+    assert oracles.support_table(chain_glue([z2, z2]), (2,)) is None
+    assert oracles.support_table(z2, ()) is None
+    assert oracles.support_table(trivial, ()) == ("", "")
 
 
 def test_support_keys_past_256_elements_equal_the_small_chains():
-    # a spec table of more than 256 elements gives the key of the same
-    # chain without the 256 trivial parts glued below it, and the same
-    # verdicts, and its pair case passes, each trivial part adding
-    # I - 1 = 0
+    # a spec table of more than 256 elements gives the table-level key of
+    # the same chain without the 256 trivial parts glued below it, and the
+    # same verdicts, and its pair case passes, each trivial part adding
+    # I - 1 = 0 and no term
     from idemfree.construct import ExtremalSpec, GroupByNil, Monogenic, extremal_pair
 
     for chain in [(Monogenic(3, 2),), (GroupByNil(3, 2), Monogenic(1, 3)), (Monogenic(1, 1), Monogenic(5, 4))]:
@@ -287,57 +302,67 @@ def test_support_keys_past_256_elements_equal_the_small_chains():
         big_spec = ExtremalSpec((Monogenic(1, 1),) * 256 + chain)
         big, U = extremal_pair(big_spec)
         assert big.order == small.order + 256
-        key = verify._support_table(small, T.terms)
-        assert key is not None and verify._support_table(big, U.terms) == key
-        assert verify._family_verdicts({}, big, U.terms, key) == verify._family_verdicts({}, small, T.terms, key)
+        key = oracles.support_table(small, T.terms)
+        assert key is not None and oracles.support_table(big, U.terms) == key
+        assert verify._spec_verdicts(big, U.terms) == verify._spec_verdicts(small, T.terms)
         pair = (big_spec, ExtremalSpec(big_spec.chain, adjoin_identity=True))
         assert verify._family_pair_case({}, pair) == ({"ok": True, "failure": None},) * 2
 
 
 def test_families_certify_each_distinct_support_once(monkeypatch):
-    # the 7 254 (3, 8) specs have 2 297 distinct pairs of R's relabelled
-    # generator columns and terms, one of them the empty support: the check
-    # keys each of the 3 627 pairs once, on its plain spec's table, builds
-    # one support record for each key, on a keyed table and at a key not
-    # met before, and builds no letter table
-    keyed = {}  # each keyed table and its key, by id, so that no id is reused
+    # the 7 254 (3, 8) specs have 2 297 support keys, the chains' parts
+    # that carry terms, one of them the empty tuple: the check builds one
+    # support record for each key, at a key not met before, closes R only
+    # in those records, and builds no letter table
+    current = []  # the key of the last memo read, under which a record is built
     seen = set()
-    counts = {"_support_table": 0, "_Support": 0, "_letter_table": 0}
-    real_support_table, real_support, real_letter_table = verify._support_table, verify._Support, verify._letter_table
+    counts = {"_Support": 0, "_generated": 0, "_letter_table": 0}
+    real_memo, real_support, real_generated, real_letter_table = (
+        verify._memo,
+        verify._Support,
+        core._generated,
+        verify._letter_table,
+    )
 
-    def support_table(S, terms):
-        counts["_support_table"] += 1
-        keyed[id(S)] = S, real_support_table(S, terms)
-        return keyed[id(S)][1]
+    def memo(memo, key, compute, *args):
+        current[:] = [key]
+        return real_memo(memo, key, compute, *args)
 
     def support(S, terms):
-        assert id(S) in keyed, "_Support built off a keyed table"
-        key = keyed[id(S)][1]
-        assert key not in seen, "_Support built twice at one key"
+        key = current[0]
+        assert key[0] == "support" and key not in seen, key
         seen.add(key)
         counts["_Support"] += 1
         return real_support(S, terms)
+
+    def generated(*args):
+        counts["_generated"] += 1
+        return real_generated(*args)
 
     def letter_table(S):
         counts["_letter_table"] += 1
         return real_letter_table(S)
 
-    monkeypatch.setattr(verify, "_support_table", support_table)
+    monkeypatch.setattr(verify, "_memo", memo)
     monkeypatch.setattr(verify, "_Support", support)
+    monkeypatch.setattr(core, "_generated", generated)
+    monkeypatch.setattr(structure, "_generated", generated)
     monkeypatch.setattr(verify, "_letter_table", letter_table)
     got = verify.check_extremal_families(max_components=3, max_terms=8)
-    assert (got["instances"], got["failed"], len(keyed)) == (7254, 0, 3627)
-    assert counts == {"_support_table": 3627, "_Support": 2297, "_letter_table": 0}
+    assert (got["instances"], got["failed"]) == (7254, 0)
+    assert counts == {"_Support": 2297, "_generated": 2297, "_letter_table": 0}
+    assert ("support", ()) in seen
 
 
 def test_tables_sharing_a_support_key_share_their_relabelled_r(commutative_le4):
-    # the lemma behind the families memo: once the complement holds, two
-    # tables with one key of ``verify._support_table`` have one relabelled
-    # R table; on every (3, 8) spec, as the check builds its tables, and
-    # every multiset of length |S \ E(S)| over the commutative tables of
-    # order <= 4 whose complement holds, all keyed in one dict: 6 109 of the
-    # 10 492 share a key met before; each key decodes to R's generator
-    # columns and the terms, relabelled here in increasing order
+    # Lemma A of the ``verify`` docstring: once the complement holds, two
+    # tables with one table-level key, ``oracles.support_table``, have one
+    # relabelled R table and one verdict triple; on every (3, 8) spec, as
+    # the check builds its tables, and every multiset of length
+    # |S \ E(S)| over the commutative tables of order <= 4 whose complement
+    # holds, all keyed in one dict: 6 109 of the 10 492 share a key met
+    # before; each key decodes to R's generator columns and the terms,
+    # relabelled here in increasing order
     from idemfree import adjoin_identity, generated_subsemigroup
     from idemfree.construct import extremal_pair
 
@@ -351,7 +376,7 @@ def test_tables_sharing_a_support_key_share_their_relabelled_r(commutative_le4):
     first = {}
     counts = {"tables": 0, "shared": 0}
     for S, terms in cases:
-        key = verify._support_table(S, terms)
+        key = oracles.support_table(S, terms)
         if key is None:
             continue
         columns, r_terms = key
@@ -360,30 +385,41 @@ def test_tables_sharing_a_support_key_share_their_relabelled_r(commutative_le4):
         assert [ord(c) for c in columns] == [ids.index(S.table[a][g]) for a in ids for g in supp], (S.table, terms)
         assert [ord(c) for c in r_terms] == [ids.index(x) for x in terms], (S.table, terms)
         relabelled = [ids.index(S.table[a][b]) for a in ids for b in ids]
+        verdicts = verify._spec_verdicts(S, terms)
         counts["tables"] += 1
         if key in first:
             counts["shared"] += 1
-            assert relabelled == first[key], (S.table, terms)
+            assert (relabelled, verdicts) == first[key], (S.table, terms)
         else:
-            first[key] = relabelled
+            first[key] = relabelled, verdicts
     assert counts == {"tables": 7254 + 3238, "shared": 6109}
 
 
-@pytest.mark.parametrize("max_components, max_terms, pairs", [(3, 8, 3627), (3, 10, 8071)])
-def test_identity_twins_share_their_plain_specs_support_key(max_components, max_terms, pairs):
-    # the lemma behind ``_family_pair_case``'s one key per pair: no product
-    # of the terms is the adjoined identity, so the twin has the plain
-    # spec's R and the same key, a complement that fails on one failing on
-    # the other
+@pytest.mark.parametrize(
+    "max_components, max_terms, pairs, classes",
+    [(3, 8, 3627, 2297), (3, 10, 8071, 5913), pytest.param(4, 10, 53257, 26136, marks=slow)],
+)
+def test_support_keys_from_the_parts_split_the_specs_as_the_table_keys_do(max_components, max_terms, pairs, classes):
+    # Lemma B of the ``verify`` docstring: on every spec the complement
+    # holds, and the chain's parts that carry terms fix R's relabelled table
+    # and terms, so the families check's key splits the specs into the
+    # classes of the table-level key, ``oracles.support_table``; no product
+    # of the terms is the adjoined identity, so each identity twin has its
+    # plain spec's table key
     from idemfree import adjoin_identity
     from idemfree.construct import ExtremalSpec, extremal_pair
 
     specs = verify.enumerate_extremal_specs(max_components, max_terms)
     assert len(specs) == 2 * pairs
+    by_parts, by_table = {}, {}
     for plain, twin in zip(specs[::2], specs[1::2]):
         assert twin == ExtremalSpec(plain.chain, adjoin_identity=True)
         S, T = extremal_pair(plain)
-        assert verify._support_table(adjoin_identity(S), T.terms) == verify._support_table(S, T.terms), plain
+        key = oracles.support_table(S, T.terms)
+        assert key is not None and oracles.support_table(adjoin_identity(S), T.terms) == key, plain
+        parts = tuple(part for part in plain.chain if part.term_count)
+        assert by_parts.setdefault(parts, key) == key and by_table.setdefault(key, parts) == parts, plain
+    assert len(by_parts) == len(by_table) == classes
 
 
 @pytest.mark.parametrize("max_components, max_terms", [(1, 0), (2, 3), (3, 8), (4, 10)])
@@ -470,7 +506,7 @@ def test_families_failures_come_back_in_spec_order(monkeypatch):
     # odd order. The bound is read on each spec's own table, never through
     # the memo of verdicts. The families check must report
     # the failures that a plain loop over the specs, each building its own
-    # pair and keying and searching its own table, reports, in the same
+    # pair, memo and search on its own table, reports, in the same
     # order, serially and through the pool
     from idemfree import erdos_burgess
     from idemfree.construct import extremal_pair
@@ -485,7 +521,8 @@ def test_families_failures_come_back_in_spec_order(monkeypatch):
     reference = []
     for spec in specs:
         S, T = extremal_pair(spec)
-        row = verify._family_case({}, spec, S, T.terms, verify._support_table(S, T.terms), erdos_burgess(S).value)
+        key = tuple(part for part in spec.chain if part.term_count)
+        row = verify._family_case({}, spec, S, T.terms, key, erdos_burgess(S).value)
         if not row["ok"]:
             reference.append(row["failure"])
     assert {f["spec"]["adjoinIdentity"] for f in reference} == {False, True} and len(reference) < len(specs)
@@ -710,22 +747,22 @@ def test_families_memo_holds_blocks_part_reports_then_support_verdicts():
     # with the identity column and its terms; then each part's report, the
     # public search's with the plain tree's node count, 5 + 3 on C3, under
     # "part" and the part, then the plain spec's verdicts under its support
-    # key, which the twin reads, one of the shared verdict triples
+    # key, the chain's parts that carry terms, which the twin reads, one of
+    # the shared verdict triples
     from idemfree import erdos_burgess
     from idemfree.construct import ExtremalSpec, Monogenic, extremal_pair
 
     spec = ExtremalSpec((Monogenic(1, 3),))
-    c3, T = extremal_pair(spec)
+    c3 = extremal_pair(spec)[0]
     assert c3 == cyclic_group(3)
     memo = {}
     rows = verify._family_pair_case(memo, (spec, ExtremalSpec(spec.chain, adjoin_identity=True)))
     assert rows == ({"ok": True, "failure": None},) * 2
-    table, r_terms = verify._support_table(c3, T.terms)
-    assert list(memo) == [("block",), ("part", Monogenic(1, 3)), ("support", table, r_terms)]
+    assert list(memo) == [("block",), ("part", Monogenic(1, 3)), ("support", (Monogenic(1, 3),))]
     column_rows = ((1, 2, 0, 0), (2, 0, 1, 1), (0, 1, 2, 2))
     assert memo["block",] == {(Monogenic(1, 3), 0, 3): (c3.table, column_rows, (0, 0))}
     assert memo["part", Monogenic(1, 3)] == erdos_burgess(c3) and erdos_burgess(c3).nodes_explored == 8
-    assert memo["support", table, r_terms] is verify._VERDICTS[True, True, True]
+    assert memo["support", (Monogenic(1, 3),)] is verify._VERDICTS[True, True, True]
 
 
 def test_families_i_is_the_exhaustive_i_of_each_letter_table():
