@@ -10,8 +10,8 @@ tables are built as row tuples, which ``_trusted`` keeps as they are, and
 carry their commutativity, known from their parts, so no later caller
 scans them for it. An ordinal sum's rows are its parts' blocks: one rule
 (``_block``) places a part's rows at an offset in a sum of a given total
-order, and one rule (``_identity_column``) extends rows by an adjoined
-identity's column. ``chain_glue``, ``adjoin_identity`` and
+order, and one rule (``_adjoined``) extends rows by an adjoined
+identity's column and row. ``chain_glue``, ``adjoin_identity`` and
 ``extremal_pair`` build their rows by these two rules alone, and
 ``_chain_rows`` keeps a chain's blocks in a dict under (part, offset,
 total), so the sums that share the dict share each block's rows. The
@@ -160,18 +160,12 @@ def group_nil_chain(n1: int, n2: int) -> FiniteSemigroup:
     return chain_glue([cyclic_group(n1), cyclic_nil(n2)])
 
 
-def _identity_column(rows, start: int) -> tuple[tuple[int, ...], ...]:
-    """rows, those of elements start, start + 1, ..., each with the column
-    of an identity adjoined after the last element: a times it is a. This
-    is the one identity-column rule."""
-    return tuple([row + (a,) for a, row in enumerate(rows, start)])
-
-
-def _adjoined(column_rows, commutative: bool | None) -> FiniteSemigroup:
-    """The table whose rows are column_rows, a table's rows with the
-    identity column (``_identity_column``), then the identity's own row;
-    commutative is the table's flag, which the identity keeps."""
-    T = FiniteSemigroup._trusted([*column_rows, tuple(range(len(column_rows) + 1))])
+def _adjoined(rows, commutative: bool | None) -> FiniteSemigroup:
+    """The table whose rows are rows, a table's, each with the column of an
+    identity adjoined after the last element (a times it is a), then the
+    identity's own row; commutative is the table's flag, which the identity
+    keeps. This is the one identity-column rule."""
+    T = FiniteSemigroup._trusted([row + (a,) for a, row in enumerate(rows)] + [tuple(range(len(rows) + 1))])
     T._commutative = commutative
     return T
 
@@ -179,12 +173,12 @@ def _adjoined(column_rows, commutative: bool | None) -> FiniteSemigroup:
 def adjoin_identity(S: FiniteSemigroup) -> FiniteSemigroup:
     """S with a fresh identity element appended as the last index.
 
-    Each row gains the identity column (``_identity_column``), and the
-    identity's row comes last. The identity commutes with everything, so
+    Each row gains the identity column, and the identity's row comes last
+    (``_adjoined``). The identity commutes with everything, so
     the result is commutative exactly when S is; whatever S already knows
     of that is copied.
     """
-    return _adjoined(_identity_column(S.table, 0), S._commutative)
+    return _adjoined(S.table, S._commutative)
 
 
 # a catalog part's slots besides its fields, each set once by _build
@@ -260,31 +254,28 @@ class ExtremalSpec(_Record):
         object.__setattr__(self, "adjoin_identity", adjoin_identity)
 
 
-def _chain_rows(chain, blocks: dict) -> tuple[list, list, tuple[int, ...]]:
-    """The rows of the ordinal sum of the chain's part tables, the same rows
-    with the identity column, and the chain's extremal terms in the sum's
-    ids, gathered part by part.
+def _chain_rows(chain, blocks: dict) -> tuple[list, tuple[int, ...]]:
+    """The rows of the ordinal sum of the chain's part tables and the
+    chain's extremal terms in the sum's ids, gathered part by part.
 
     A part's block depends only on the part, its offset and the sum's total
     order, so blocks keeps it under (part, offset, total): the part's
-    ``_block``, those rows' ``_identity_column`` and its terms shifted by
-    the offset. A block missing from blocks is built and stored there, so
-    sums that share a dict share each block's row tuples.
+    ``_block`` and its terms shifted by the offset. A block missing from
+    blocks is built and stored there, so sums that share a dict share each
+    block's row tuples.
     """
     total = sum(part._table.order for part in chain)
-    rows, column_rows, terms = [], [], []
+    rows, terms = [], []
     offset = 0
     for part in chain:
         key = part, offset, total
         block = blocks.get(key)
         if block is None:
-            placed = _block(part._table, offset, total)
-            block = blocks[key] = placed, _identity_column(placed, offset), tuple([offset + x for x in part._terms])
+            block = blocks[key] = _block(part._table, offset, total), tuple([offset + x for x in part._terms])
         rows += block[0]
-        column_rows += block[1]
-        terms += block[2]
+        terms += block[1]
         offset += part._table.order
-    return rows, column_rows, tuple(terms)
+    return rows, tuple(terms)
 
 
 def extremal_pair(spec: ExtremalSpec) -> tuple[FiniteSemigroup, Seq]:
@@ -292,13 +283,14 @@ def extremal_pair(spec: ExtremalSpec) -> tuple[FiniteSemigroup, Seq]:
 
     Each generator x appears index(x) + period(x) - 2 times, so the total
     length is exactly |S \\ E(S)|. The table is ``chain_glue`` of the
-    parts' tables, with the identity adjoined when the spec asks, built
-    from the parts' blocks (``_chain_rows``) in a dict of this call's own.
+    parts' tables, built from the parts' blocks (``_chain_rows``) in a dict
+    of this call's own; only when the spec asks for an identity do its rows
+    gain the identity column and the identity's row (``_adjoined``).
     The parts' tables are their ``_table``, built with the part, so specs
     that share a part object share it.
     """
-    rows, column_rows, terms = _chain_rows(spec.chain, {})
-    S = _adjoined(column_rows, True) if spec.adjoin_identity else _glued(rows)
+    rows, terms = _chain_rows(spec.chain, {})
+    S = _adjoined(rows, True) if spec.adjoin_identity else _glued(rows)
     return S, Seq(terms)
 
 

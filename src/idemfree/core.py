@@ -65,9 +65,10 @@ class FiniteSemigroup:
     ``table`` is a tuple of row tuples. ``_trusted`` keeps the row tuples it
     is handed, and the enumerator in ``construct`` hands the tables of one
     stream one shared object per distinct row, so such a table is its outer
-    tuple plus pointers. The glued tables of one families check share rows
-    too: each part's block of rows is built once per memo
-    (``construct._chain_rows``). Tuples never change, so sharing is safe.
+    tuple plus pointers. The tables one families check glues, one per
+    support it has not met, share rows too: each part's block of rows is
+    built once per memo (``construct._chain_rows``), and no table there
+    gets the identity column. Tuples never change, so sharing is safe.
 
     The instance has slots and no ``__dict__``: ``order``, ``table`` and
     two caches of derived data, filled on first use.

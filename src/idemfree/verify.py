@@ -13,21 +13,22 @@ parent never holds all of a check's rows.
 
 The extremal-families check maps one case over each chain's pair of
 specs, plain and with an adjoined identity, which the spec enumeration
-emits one after the other. Both tables are built from the chain's part
-blocks (``construct._chain_rows``), as ``extremal_pair`` builds them: a
-part's rows in an ordinal sum depend only on the part, its offset and the
-sum's total order, and a block holds those rows, the same rows with the
-identity column and the part's terms at that offset. The plain table is
-the blocks' rows, and the twin's is their identity-column rows, then the
-identity's row; the twin has the same terms. So the tables of one memo
-share their row tuples, and the 3 627 chains at (3, 8), with 10 363 part
-placements, build 860 blocks. Each spec still gets its own table and all
-five of its checks, and the two rows are aggregated in spec order. A
-spec's three verdicts, weak freeness, the certificate's bare verdict
-(``structure._passes``) and the main form, are read on its own table,
-from one certificate record (``structure._Support``): the check reports
-only whether the certificate passed, so no ``ExtremalCertificate`` is
-built.
+emits one after the other. The two rows share every input of their five
+checks: the sequence length, I and the GHW bound, each read off the
+chain's catalog parts, and the verdict triple, kept in the check's memo
+under the support key below. So no identity twin's table is built, and a
+table is built only for a support key not met before: the plain spec's,
+glued from the chain's part blocks (``construct._chain_rows``) as
+``extremal_pair`` glues it. A part's rows in an ordinal sum depend only on
+the part, its offset and the sum's total order, and a block holds those
+rows and the part's terms at that offset. So the tables of one memo share
+their row tuples: the 7 254 specs at (3, 8) read 2 297 keys, and their
+2 297 tables, with 6 436 part placements, build 478 blocks. The two rows
+are aggregated in spec order. A key's three verdicts, weak freeness, the
+certificate's bare verdict (``structure._passes``) and the main form, are
+read on that table, from one certificate record (``structure._Support``):
+the check reports only whether the certificate passed, so no
+``ExtremalCertificate`` is built.
 
 The three verdicts are kept in the check's memo under the chain's parts
 that carry terms, in chain order. That is exact by two lemmas.
@@ -58,8 +59,8 @@ that carry terms, in chain order. That is exact by two lemmas.
 
 So two specs with one key have equal verdicts, and a pair case keys its
 plain spec once for both rows, with no closure of R and no relabel. Chains
-that differ only by trivial parts share a key, so the 7 254 specs at
-(3, 8) read 2 297 keys, the empty support among them.
+that differ only by trivial parts share a key, the empty support among
+them.
 
 The check reads I from the chain's parts, by the ordinal-sum lemma. Let B
 be an ideal of S, and A = S \\ B a subsemigroup whose every element is a
@@ -76,6 +77,16 @@ both rows. So the value is exact at both ends: it tests I <= k + 1 as well
 as I >= k + 1, and rests neither on the freeness column nor on the growth
 lemma behind the GHW bound, which ghw-bound tests on the corpus.
 
+The check reads the GHW bound |S \\ E(S)| + 1 from the parts too, by
+Lemma C. In the ordinal sum above, x * x for x in A is A's product and for
+x in B is B's, so E(S) is the union of E(A) and E(B), and
+|S \\ E(S)| = |A \\ E(A)| + |B \\ E(B)|: GHW(S) = GHW(A) + GHW(B) - 1. By
+induction along the chain, a spec's bound is 1 plus the sum of
+GHW(part) - 1 over its parts, each read off the part's table, whose
+idempotent mask is kept on it. The adjoined identity is idempotent, so a
+twin has its plain spec's bound; and the sequence length is the sum of
+the parts' term counts on both.
+
 I, SI and F depend on a table only through its letter table
 (``constants``): the 31 940 commutative tables of order <= 5 have 1 057
 between them. So the ghw-bound, strong-vs-weak, extremal-equivalence and
@@ -84,17 +95,18 @@ argument with ``functools.partial``, and ``_memo`` keeps there:
 - each I or SI walk's result under its kind and letter table;
 - each free set F under "free" and its letter table;
 - the families check's part blocks under "block", one dict that maps
-  (part, offset, total) to the block;
+  (part, offset, total) to the block, the part's rows and its terms at
+  that offset;
 - each part's I report under "part" and the part;
 - each support's verdicts under "support" and its key, the tuple of the
   chain's parts that carry terms, as one of the eight shared triples
   ``_VERDICTS``.
 
 Parts hash by their fields, a hash each part computes once when it is
-built, so a copy unpickled in a worker finds its entries. A stored result is the one a fresh computation would return, so
-the logs do not change. A serial check fills one memo; a pool pickles the
-case with each chunk, so each chunk fills its own copy and builds its own
-blocks.
+built, so a copy unpickled in a worker finds its entries. A stored result
+is the one a fresh computation would return, so the logs do not change.
+A serial check fills one memo; a pool pickles the case with each chunk, so
+each chunk fills its own copy and builds its own blocks.
 
 ghw-bound and strong-vs-weak run the exhaustive I and SI walks through
 ``constants._walk``, the walk dispatch behind ``erdos_burgess`` and
@@ -145,7 +157,6 @@ from .construct import (
     ExtremalSpec,
     GroupByNil,
     Monogenic,
-    _adjoined,
     _chain_rows,
     _check_enum_order,
     _glued,
@@ -387,15 +398,19 @@ def _spec_verdicts(S: FiniteSemigroup, terms: tuple[int, ...]) -> tuple[bool, bo
     return _VERDICTS[_weakly_free(S, terms), _passes(S, rec), _main_form(S, rec)]
 
 
-def _family_case(memo: dict, spec: ExtremalSpec, S: FiniteSemigroup, terms: tuple[int, ...], key: tuple, value: int) -> dict:
-    """The five checks of one spec on its table S and its extremal terms,
-    element ids of S, given I(S) and the support key, the chain's parts
-    that carry terms: the verdicts are ``_spec_verdicts`` on S, kept in the
-    memo under the key (module docstring, Lemmas A and B)."""
-    bound = ghw_bound(S)
-    free, passed, main = _memo(memo, ("support", key), _spec_verdicts, S, terms)
+def _chain_verdicts(chain, blocks: dict) -> tuple[bool, bool, bool]:
+    """``_spec_verdicts`` on the ordinal sum of the chain's parts and its
+    terms, glued from the chain's blocks in blocks."""
+    rows, terms = _chain_rows(chain, blocks)
+    return _spec_verdicts(_glued(rows), terms)
+
+
+def _family_case(spec: ExtremalSpec, length: int, verdicts: tuple[bool, bool, bool], value: int, bound: int) -> dict:
+    """The five checks of one spec, given its sequence length, its verdict
+    triple, I and the GHW bound of its table."""
+    free, passed, main = verdicts
     checks = {
-        "length": len(terms) == bound - 1,
+        "length": length == bound - 1,
         "weaklyFree": free,
         "certificate": passed,
         "mainFormAgrees": main == passed,
@@ -409,25 +424,25 @@ def _family_case(memo: dict, spec: ExtremalSpec, S: FiniteSemigroup, terms: tupl
 
 
 def _family_pair_case(memo: dict, pair: tuple[ExtremalSpec, ExtremalSpec]) -> tuple[dict, dict]:
-    """The rows of a chain's plain spec and of its identity twin. Both
-    tables come from the chain's part blocks in the memo
-    (``construct._chain_rows``): the plain table is the glued rows, and the
-    twin's is the same rows with the identity column, then the identity's
-    row, as ``extremal_pair`` builds them; both have the same terms, since
-    the identity comes last. Both rows take one support key, the chain's
-    parts that carry terms, which fix R and its terms on both tables
-    (module docstring, Lemma B). Both have the plain spec's I, 1 plus the
-    sum of I(part) - 1 over the chain by the ordinal-sum lemma, with each
-    part's I read through the memo (module docstring)."""
+    """The rows of a chain's plain spec and of its identity twin, which
+    share every input (module docstring). The length, I and the GHW bound
+    are read per part: the sum of the parts' term counts, 1 plus the sum
+    of I(part) - 1, each part's I read through the memo, and 1 plus the
+    sum of ghw_bound(part) - 1 (ordinal-sum lemma, Lemma C). The verdicts
+    are read through the memo under the support key, the chain's parts that
+    carry terms (Lemmas A and B); only at a key not met before is a table
+    glued from the chain's blocks in the memo, and no twin's table is ever
+    built."""
     plain, twin = pair
-    rows, column_rows, terms = _chain_rows(plain.chain, _memo(memo, ("block",), dict))
-    S = _glued(rows)
+    blocks = _memo(memo, ("block",), dict)
+    length, value, bound = 0, 1, 1
+    for part in plain.chain:
+        length += part.term_count
+        value += _memo(memo, ("part", part), erdos_burgess, part._table).value - 1
+        bound += ghw_bound(part._table) - 1
     key = tuple([part for part in plain.chain if part.term_count])
-    value = 1 + sum(_memo(memo, ("part", part), erdos_burgess, part._table).value - 1 for part in plain.chain)
-    return (
-        _family_case(memo, plain, S, terms, key, value),
-        _family_case(memo, twin, _adjoined(column_rows, True), terms, key, value),
-    )
+    shared = length, _memo(memo, ("support", key), _chain_verdicts, plain.chain, blocks), value, bound
+    return _family_case(plain, *shared), _family_case(twin, *shared)
 
 
 def enumerate_extremal_specs(max_components: int = 3, max_terms: int = 10) -> list[ExtremalSpec]:

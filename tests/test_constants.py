@@ -132,21 +132,36 @@ def _restricted(S, ids):
 
 
 def test_ordinal_sums_add_their_constants(corpus_le4):
-    # the lemma behind the families check's I column: a subsequence with a
-    # term in B multiplies, in any order, to the product of its B-terms in
-    # their order, so a sequence is free exactly when its A-terms and its
-    # B-terms are, and I(S) = I(A) + I(B) - 1, SI likewise; on every split
-    # of every labelled table of order <= 4 that has one, noncommutative
-    # ones included
+    # the lemmas behind the families check's I and bound columns: a
+    # subsequence with a term in B multiplies, in any order, to the product
+    # of its B-terms in their order, so a sequence is free exactly when its
+    # A-terms and its B-terms are, and I(S) = I(A) + I(B) - 1, SI likewise;
+    # x * x lies in A for x in A and in B for x in B (Lemma C of the
+    # ``verify`` docstring), so GHW(S) = GHW(A) + GHW(B) - 1. On every split
+    # of the 1 068 labelled tables of order <= 4 that have one,
+    # noncommutative ones included
     split = 0
     for S in corpus_le4:
         splits = list(_ordinal_splits(S))
         split += bool(splits)
         for A, B in splits:
+            SA, SB = _restricted(S, A), _restricted(S, B)
             for search in (erdos_burgess, strong_erdos_burgess):
-                parts = search(_restricted(S, A)).value + search(_restricted(S, B)).value
-                assert search(S).value == parts - 1, (search.__name__, S.table, B)
+                assert search(S).value == search(SA).value + search(SB).value - 1, (search.__name__, S.table, B)
+            assert ghw_bound(S) == ghw_bound(SA) + ghw_bound(SB) - 1, (S.table, B)
     assert split == 1068
+
+
+@pytest.mark.parametrize("max_components, max_terms", [(3, 8), (3, 10)])
+def test_spec_bounds_add_over_their_parts(max_components, max_terms):
+    # Lemma C along a chain: each spec's GHW bound, read on its own table,
+    # is 1 plus the sum of GHW(part) - 1 over its parts, and an adjoined
+    # identity, idempotent, adds nothing
+    from idemfree.construct import extremal_pair
+
+    for spec in enumerate_extremal_specs(max_components, max_terms):
+        want = 1 + sum(ghw_bound(part._table) - 1 for part in spec.chain)
+        assert ghw_bound(extremal_pair(spec)[0]) == want, spec
 
 
 def test_witness_reverification(corpus_le3):

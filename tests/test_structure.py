@@ -494,11 +494,12 @@ def test_condition_pass_matches_the_certificate_on_seeded_words(corpus_le4):
 
 
 def test_family_case_decomposes_and_classifies_each_component_once(monkeypatch):
-    # the certificate and the main form of one family case read one record:
-    # _classified fills its components and kinds at most once, and each of
-    # R's components is classified once
-    from idemfree import erdos_burgess, structure
-    from idemfree.verify import _family_case, enumerate_extremal_specs
+    # the certificate and the main form of one spec's verdicts
+    # (``verify._spec_verdicts``) read one record: _classified fills its
+    # components and kinds at most once, and each of R's components is
+    # classified once; the spec's family case passes
+    from idemfree import erdos_burgess, ghw_bound, structure
+    from idemfree.verify import _family_case, _spec_verdicts, enumerate_extremal_specs
 
     real_classified, real_kind = structure._classified, structure._component_kind
     counts = {"fill": 0, "components": 0, "kind": 0}
@@ -521,8 +522,8 @@ def test_family_case_decomposes_and_classifies_each_component_once(monkeypatch):
     for spec in enumerate_extremal_specs(max_components=3, max_terms=6):
         before = dict(counts)
         S, T = extremal_pair(spec)
-        key = tuple(part for part in spec.chain if part.term_count)
-        assert _family_case({}, spec, S, T.terms, key, erdos_burgess(S).value)["ok"]
+        verdicts = _spec_verdicts(S, T.terms)
+        assert _family_case(spec, len(T), verdicts, erdos_burgess(S).value, ghw_bound(S))["ok"]
         assert counts["fill"] - before["fill"] <= 1
         assert counts["kind"] - before["kind"] == counts["components"] - before["components"]
         filled += counts["fill"] - before["fill"]

@@ -434,9 +434,11 @@ def test_specs_by_budget_match_product_and_filter(max_components, max_terms):
 
 def test_families_check_builds_each_block_once(monkeypatch):
     # a part's rows depend only on the part, its offset and the sum's total
-    # order: the 1 268 (3, 6) chains place their parts 3 531 times and the
-    # check builds 459 blocks, each at a (part, offset, total) not met
-    # before
+    # order, and the check glues rows only at a support key not met before:
+    # the 624 of the 1 268 (3, 6) chains that miss place their parts 1 648
+    # times, and the check builds 219 blocks, each at a (part, offset,
+    # total) not met before. At (3, 8) it glues 2 297 tables, one per key,
+    # and adjoins no identity
     from idemfree import construct
 
     real_block, real_chain_rows = construct._block, verify._chain_rows
@@ -453,43 +455,63 @@ def test_families_check_builds_each_block_once(monkeypatch):
     monkeypatch.setattr(construct, "_block", block)
     monkeypatch.setattr(verify, "_chain_rows", chain_rows)
     result = verify.check_extremal_families(max_components=3, max_terms=6)
-    assert result["instances"] == result["passed"] == 2 * len(placed)
-    assert (len(placed), sum(placed), len(built), len(set(built))) == (1268, 3531, 459, 459)
+    assert result["instances"] == result["passed"] == 2 * 1268
+    assert (len(placed), sum(placed), len(built), len(set(built))) == (624, 1648, 219, 219)
+
+    counts = {"_glued": 0, "_adjoined": 0}
+    real_glued, real_adjoined = verify._glued, construct._adjoined
+
+    def glued(rows):
+        counts["_glued"] += 1
+        return real_glued(rows)
+
+    def adjoined(rows, commutative):
+        counts["_adjoined"] += 1
+        return real_adjoined(rows, commutative)
+
+    monkeypatch.setattr(verify, "_glued", glued)
+    monkeypatch.setattr(construct, "_adjoined", adjoined)
+    result = verify.check_extremal_families(max_components=3, max_terms=8)
+    assert result["instances"] == result["passed"] == 7254
+    assert counts == {"_glued": 2297, "_adjoined": 0}
 
 
 def test_families_tables_are_the_glued_tables_and_share_block_rows(monkeypatch):
-    # every plain table the (3, 8) check hands ``_family_case`` is the
-    # ordinal sum of its spec's part tables, cell by cell, and every twin
-    # is that table with an identity adjoined; both are marked commutative.
-    # Two tables that place one part at one offset in one total share that
-    # block's row objects, the twins' rows included
-    from idemfree import adjoin_identity
-    from idemfree.construct import ExtremalSpec
+    # every table the (3, 8) check glues, one per support key not met
+    # before, is the ordinal sum of its chain's part tables, cell by cell,
+    # marked commutative, with the chain's terms at their offsets. Two
+    # tables that place one part at one offset in one total share that
+    # block's row objects: the 2 297 tables place parts 6 436 times in 478
+    # blocks. The twins' tables are built by ``extremal_pair`` only, and
+    # ``test_family_rows_equal_the_rows_read_on_each_specs_own_table``
+    # checks them cell by cell
+    from idemfree.construct import ExtremalSpec, extremal_pair
 
-    real_case = verify._family_case
-    handed = []
+    real_chain_rows, real_verdicts = verify._chain_rows, verify._spec_verdicts
+    chains, handed = [], []
 
-    def family_case(memo, spec, S, terms, key, value):
-        handed.append((spec, S))
-        return real_case(memo, spec, S, terms, key, value)
+    def chain_rows(chain, blocks):
+        chains.append(chain)
+        return real_chain_rows(chain, blocks)
 
-    monkeypatch.setattr(verify, "_family_case", family_case)
+    def spec_verdicts(S, terms):
+        handed.append((S, terms))
+        return real_verdicts(S, terms)
+
+    monkeypatch.setattr(verify, "_chain_rows", chain_rows)
+    monkeypatch.setattr(verify, "_spec_verdicts", spec_verdicts)
     result = verify.check_extremal_families(max_components=3, max_terms=8)
-    assert result["instances"] == result["passed"] == len(handed) == 7254
+    assert result["instances"] == result["passed"] == 7254
+    assert len(chains) == len(handed) == 2297
     first = {}
     shared = 0
-    for (plain, S), (twin, T) in zip(handed[::2], handed[1::2]):
-        assert twin == ExtremalSpec(plain.chain, adjoin_identity=True)
-        assert S.table == oracles.chain_glue_cells([part._table for part in plain.chain]), plain
-        assert T == adjoin_identity(S) and S._commutative is T._commutative is True, plain
-        # and, cell by cell, S's cells with an identity n below and beside
-        n = S.order
-        assert [row[:n] for row in T.table[:n]] == list(S.table), plain
-        assert [row[n] for row in T.table] == list(range(n + 1)) == list(T.table[n]), plain
+    for chain, (S, terms) in zip(chains, handed):
+        assert S.table == oracles.chain_glue_cells([part._table for part in chain]), chain
+        assert S._commutative is True and terms == extremal_pair(ExtremalSpec(chain))[1].terms, chain
         offset = 0
-        for part in plain.chain:
+        for part in chain:
             end = offset + part._table.order
-            rows = S.table[offset:end] + T.table[offset:end]
+            rows = S.table[offset:end]
             key = part, offset, S.order
             if key in first:
                 shared += 1
@@ -497,20 +519,73 @@ def test_families_tables_are_the_glued_tables_and_share_block_rows(monkeypatch):
             else:
                 first[key] = rows
             offset = end
-    assert (len(first), shared) == (860, 10363 - 860)
+    assert (len(first), shared) == (478, 6436 - 478)
 
 
-def test_families_failures_come_back_in_spec_order(monkeypatch):
-    # the GHW bound is misread on spec tables of odd order whose last
-    # element is an identity: identity twins, and plain cyclic groups of
-    # odd order. The bound is read on each spec's own table, never through
-    # the memo of verdicts. The families check must report
-    # the failures that a plain loop over the specs, each building its own
-    # pair, memo and search on its own table, reports, in the same
-    # order, serially and through the pool
+def _own_table_rows(specs):
+    """Each spec's _family_case inputs and row, read on its own table from
+    ``extremal_pair``: the bound and the verdicts on that table, and I as
+    1 plus the sum of I(part) - 1 over the chain."""
     from idemfree import erdos_burgess
     from idemfree.construct import extremal_pair
 
+    part_i = {}
+    inputs, rows = [], []
+    for spec in specs:
+        S, T = extremal_pair(spec)
+        value = 1
+        for part in spec.chain:
+            if part not in part_i:
+                part_i[part] = erdos_burgess(part._table).value
+            value += part_i[part] - 1
+        args = spec, len(T), verify._spec_verdicts(S, T.terms), value, constants.ghw_bound(S)
+        inputs.append(args)
+        rows.append(verify._family_case(*args))
+    return inputs, rows
+
+
+@pytest.mark.parametrize("max_components, max_terms", [(3, 8), pytest.param(3, 10, marks=slow)])
+def test_family_rows_equal_the_rows_read_on_each_specs_own_table(monkeypatch, max_components, max_terms):
+    # the route the families check gives up, one table per spec, stays as
+    # its oracle: every spec's own table, plain and twin, gives the inputs
+    # the check hands ``_family_case``, length, verdicts, I and bound, and
+    # so the five columns and the row, in spec order. Each twin's table is
+    # its plain table with an identity adjoined, cell by cell, and both are
+    # marked commutative
+    from idemfree import adjoin_identity
+    from idemfree.construct import extremal_pair
+
+    specs = verify.enumerate_extremal_specs(max_components, max_terms)
+    for plain, twin in zip(specs[::2], specs[1::2]):
+        S, T = extremal_pair(plain)
+        U, V = extremal_pair(twin)
+        assert U == adjoin_identity(S) and V == T and S._commutative is U._commutative is True, plain
+        n = S.order
+        assert [row[:n] for row in U.table[:n]] == list(S.table), plain
+        assert [row[n] for row in U.table] == list(range(n + 1)) == list(U.table[n]), plain
+    want_inputs, want_rows = _own_table_rows(specs)
+    real_case = verify._family_case
+    handed = []
+
+    def family_case(*args):
+        handed.append(args)
+        return real_case(*args)
+
+    monkeypatch.setattr(verify, "_family_case", family_case)
+    pairs = list(zip(specs[::2], specs[1::2]))
+    rows = list(itertools.chain.from_iterable(map(functools.partial(verify._family_pair_case, {}), pairs)))
+    assert handed == want_inputs
+    assert rows == want_rows and all(row["ok"] for row in rows)
+
+
+def test_families_failures_come_back_in_spec_order(monkeypatch):
+    # the GHW bound is misread on odd-order tables whose last element is an
+    # identity, which among the part tables the check reads it on are the
+    # trivial part and the cyclic groups of odd order. The families check
+    # must report the failures that a plain loop over the specs reports,
+    # each building its own table, verdicts and I and reading the bound
+    # over its parts as the check does, plain and twin rows alike, in the
+    # same order, serially and through the pool
     real_bound = verify.ghw_bound
 
     def ghw_bound(S):
@@ -518,16 +593,16 @@ def test_families_failures_come_back_in_spec_order(monkeypatch):
 
     monkeypatch.setattr(verify, "ghw_bound", ghw_bound)
     specs = verify.enumerate_extremal_specs(2, 5)
+    inputs, _ = _own_table_rows(specs)
     reference = []
-    for spec in specs:
-        S, T = extremal_pair(spec)
-        key = tuple(part for part in spec.chain if part.term_count)
-        row = verify._family_case({}, spec, S, T.terms, key, erdos_burgess(S).value)
+    for spec, length, verdicts, value, _bound in inputs:
+        bound = 1 + sum(ghw_bound(part._table) - 1 for part in spec.chain)
+        row = verify._family_case(spec, length, verdicts, value, bound)
         if not row["ok"]:
             reference.append(row["failure"])
     assert {f["spec"]["adjoinIdentity"] for f in reference} == {False, True} and len(reference) < len(specs)
     assert verify.check_extremal_families(map, 2, 5)["failures"] == reference
-    # forked workers see the patched search
+    # forked workers see the patched bound
     with ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("fork")) as executor:
         assert verify.check_extremal_families(verify._PoolMap(executor, 2), 2, 5)["failures"] == reference
 
@@ -743,12 +818,11 @@ def test_value_cases_read_the_values_of_the_public_searches(corpus_le3, corpus_l
 
 def test_families_memo_holds_blocks_part_reports_then_support_verdicts():
     # a families pair case stores its dict of part blocks under "block",
-    # here C3's one block at offset 0 in a total of 3: its rows, the rows
-    # with the identity column and its terms; then each part's report, the
-    # public search's with the plain tree's node count, 5 + 3 on C3, under
-    # "part" and the part, then the plain spec's verdicts under its support
-    # key, the chain's parts that carry terms, which the twin reads, one of
-    # the shared verdict triples
+    # here C3's one block at offset 0 in a total of 3: its rows and its
+    # terms; then each part's report, the public search's with the plain
+    # tree's node count, 5 + 3 on C3, under "part" and the part, then the
+    # plain spec's verdicts under its support key, the chain's parts that
+    # carry terms, which the twin reads, one of the shared verdict triples
     from idemfree import erdos_burgess
     from idemfree.construct import ExtremalSpec, Monogenic, extremal_pair
 
@@ -759,8 +833,7 @@ def test_families_memo_holds_blocks_part_reports_then_support_verdicts():
     rows = verify._family_pair_case(memo, (spec, ExtremalSpec(spec.chain, adjoin_identity=True)))
     assert rows == ({"ok": True, "failure": None},) * 2
     assert list(memo) == [("block",), ("part", Monogenic(1, 3)), ("support", (Monogenic(1, 3),))]
-    column_rows = ((1, 2, 0, 0), (2, 0, 1, 1), (0, 1, 2, 2))
-    assert memo["block",] == {(Monogenic(1, 3), 0, 3): (c3.table, column_rows, (0, 0))}
+    assert memo["block",] == {(Monogenic(1, 3), 0, 3): (c3.table, (0, 0))}
     assert memo["part", Monogenic(1, 3)] == erdos_burgess(c3) and erdos_burgess(c3).nodes_explored == 8
     assert memo["support", (Monogenic(1, 3),)] is verify._VERDICTS[True, True, True]
 
